@@ -38,7 +38,7 @@ from .laws import SpacingCertificate, auto_certificate, parse_law, verify_spacin
 from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
                         linear_small_ball_exact, linear_small_ball_mc,
                         quadratic_small_ball_exact, quadratic_small_ball_mc)
-from .streams import substream
+from .streams import chunk_bounds, substream
 from .structure import Bipartition, decoupling_scan
 
 
@@ -290,7 +290,8 @@ def _run_detconc(cfg: Dict[str, object]):
         std = float(kept.std(ddof=1))
         norm = envelope_norm(n)
         thr = 2 * math.log(n) / eps
-        dev_hits = int(np.sum(np.abs(kept - kept.mean()) >= thr))
+        # at n = 1 the threshold is 0: no deviation, as in concentration_experiment
+        dev_hits = int(np.sum(np.abs(kept - kept.mean()) >= thr)) if n > 1 else 0
         ci = wilson_interval(dev_hits, trials)
         v = _bound_verdict(dev_hits / trials, ci, float(cfg["dev_bound"]))
         verdicts.append(v)
@@ -305,14 +306,15 @@ def _run_detconc(cfg: Dict[str, object]):
     summary["ratio_spread"] = spread
     summary["spread_bound"] = float(cfg["spread_bound"])
     # spread_bound caps the rise of the ratio towards larger n (envelope_rule);
-    # a single n carries no shape evidence
+    # a single n carries no shape evidence, a zero std fails the rule
     shape = envelope_rule(cfg["n_list"], stds, float(cfg["spread_bound"]))
     summary["max_rise"] = shape.max_rise
     summary["fitted_exponent"] = shape.fitted_exponent
-    if shape.fitted_exponent is None:
-        verdicts.append("inconclusive")
+    if len(set(cfg["n_list"])) < 2:
+        summary["shape_verdict"] = "inconclusive"
     else:
-        verdicts.append("pass" if shape.ok else "fail")
+        summary["shape_verdict"] = "pass" if shape.ok else "fail"
+    verdicts.append(summary["shape_verdict"])
     return header, rows, summary, _worst(verdicts)
 
 
@@ -372,12 +374,12 @@ def _run_gapreduce(cfg: Dict[str, object]):
 
 
 def _w_rankgrow(args) -> List[tuple]:
-    law_lit, n, seed, t = args
+    law_lit, n, seed, t0, t1 = args
     law = parse_law(law_lit)
-    zero = _zero_sample(n)
-    steps = grow_and_track(zero, law, n - 1, seed=_derive_seed(seed, t))
+    runs = grow_and_track(_zero_sample(n), law, n - 1,
+                          seed=[_derive_seed(seed, t) for t in range(t0, t1)])
     return [(t, i + 1, st.size, st.new_rank, st.jumped_by_2)
-            for i, st in enumerate(steps)]
+            for t, steps in zip(range(t0, t1), runs) for i, st in enumerate(steps)]
 
 
 def _zero_sample(n: int) -> SymmetricSample:
@@ -394,8 +396,11 @@ def _run_rankgrow(cfg: Dict[str, object]):
         raise InvalidConfig("law: needs a spacing certificate for the growth bound")
     n = int(cfg["n"])
     trials = int(cfg["trials"])
-    items = [(cfg["law"], n, cfg["seed"], t) for t in range(trials)]
-    chunks = _parallel(_w_rankgrow, items, int(cfg.get("workers", 1)))
+    workers = int(cfg.get("workers", 1))
+    # whole trials per worker: each trial's rows depend on its own seed only
+    items = [(cfg["law"], n, cfg["seed"], t0, t1)
+             for _, t0, t1 in chunk_bounds(trials, -(-trials // workers))]
+    chunks = _parallel(_w_rankgrow, items, workers)
     rows = [row for chunk in chunks for row in chunk]
     header = ("trial", "step", "size", "new_rank", "jumped_by_2")
     jump1 = sum(1 for r in rows if r[1] == 1 and r[4]) / trials
@@ -615,10 +620,9 @@ def _run_ensemble_action(args) -> int:
     law = parse_law(args.law)
     fixed = read_matrix_text(args.fixed) if args.fixed else None
     if args.action == "grow":
-        zero = _zero_sample(args.n)
-        for t in range(args.trials):
-            steps = grow_and_track(zero, law, args.n - 1,
-                                   seed=_derive_seed(args.seed, t))
+        runs = grow_and_track(_zero_sample(args.n), law, args.n - 1,
+                              seed=[_derive_seed(args.seed, t) for t in range(args.trials)])
+        for t, steps in enumerate(runs):
             line = " ".join(f"{st.size}:{st.new_rank}" for st in steps)
             print(f"trial {t}: {line}")
         return 0
@@ -632,7 +636,8 @@ def _run_ensemble_action(args) -> int:
                 for row in s.matrix:
                     print(" ".join(repr(float(x)) for x in row))
         elif args.action == "spectrum":
-            summ = spectral_summary(s)
+            # the float matrix: the exact corank is not printed
+            summ = spectral_summary(s.matrix)
             print(json.dumps({
                 "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,
                 "kappa": summ.kappa, "log_abs_det": summ.log_abs_det,

@@ -130,13 +130,17 @@ def envelope_norm(n: int) -> float:
 
 
 def loglog_slope(n_list: Sequence[int], std_kept: Sequence[float]) -> Optional[float]:
-    """Least-squares slope of log std against log n; None below two n."""
+    """Least-squares slope of log std against log n; None below two
+    distinct n or when a std is not positive (it has no logarithm)."""
+    stds = np.asarray(std_kept, dtype=float)
+    if np.any(stds <= 0):
+        return None
     xs = np.log(np.asarray(n_list, dtype=float))
     xc = xs - xs.mean()
     sxx = float(np.dot(xc, xc))
     if sxx == 0.0:
         return None
-    ys = np.log(np.maximum(np.asarray(std_kept, dtype=float), 1e-300))
+    ys = np.log(stds)
     # shifting ys by ys[0] leaves the slope as it is and makes a flat std
     # give exactly 0 (a least-squares solver leaves +-1e-16 of round-off)
     return float(np.dot(xc, ys - ys[0]) / sxx)
@@ -173,7 +177,7 @@ def envelope_rule(n_list: Sequence[int], std_kept: Sequence[float],
              for i, lo in enumerate(ratios) for hi in ratios[i + 1:]]
     max_rise = max(rises, default=1.0)
     fitted = loglog_slope([n for n, _ in pairs], [s for _, s in pairs])
-    grows = fitted is not None and fitted > 0 and all(s > 0 for _, s in pairs)
+    grows = fitted is not None and fitted > 0       # None when a std is not positive
     return EnvelopeVerdict(max_rise, fitted, max_rise <= rise_bound, grows)
 
 

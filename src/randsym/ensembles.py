@@ -20,9 +20,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exactlinalg import (adjugate, bareiss_det, cofactor_matrix, exact_rank as _rank,
-                          rowspace_membership)
+                          exact_ranks, rowspace_membership)
 from .laws import AtomicLaw, Law
 from .streams import chunk_bounds, substream
+
+
+# int64 entries per stack of bordered matrices in grow_and_track
+_STACK_ENTRIES = 1 << 16
 
 
 class BoundViolation(Exception):
@@ -220,7 +224,8 @@ def cofactor_expansion_check(m: Union[SymmetricSample, Sequence[Sequence]]) -> C
     x = rows[0][1:]
     adj = adjugate(A)
     quad = sum(x[i] * adj[i][j] * x[j] for i in range(n - 1) for j in range(n - 1))
-    rhs = rows[0][0] * bareiss_det(A) - quad
+    det_a = sum(A[0][j] * adj[j][0] for j in range(n - 1))     # Laplace, first row
+    rhs = rows[0][0] * det_a - quad
     return CofactorIdentity(lhs, rhs, lhs == rhs)
 
 
@@ -316,36 +321,49 @@ class GrowthStep:
 
 
 def grow_and_track(m: SymmetricSample, law: AtomicLaw, steps: int,
-                   seed: int) -> List[GrowthStep]:
+                   seed: Union[int, Sequence[int]]):
     """Border M with fresh symmetric rows/columns, tracking exact rank.
 
     Each step prepends an independent first row and column (diagonal
-    entry plus one entry per old row), then recomputes the exact rank and
-    records whether it rose by 2.
+    entry plus one entry per old row), drawn from substream (seed, step),
+    and records the new exact rank and whether it rose by 2.  The draws
+    do not depend on the ranks, so every step is drawn first.  The matrix
+    after step t is the trailing block of the final one, and zeroing the
+    rest keeps its rank, so all of them form one stack ranked in one
+    call.  Given a sequence of seeds, grows once per seed through the same
+    stacks and returns one list of steps per seed.
     """
     if m.entry_kind != "exact":
         raise ValueError("exact entries required")
     if not (isinstance(law, AtomicLaw) and law.is_rational):
         raise ValueError("rational atomic law required")
-    rows = m.exact_rows()
-    rank = _rank(rows)
-    if rank > m.n - 2:
-        raise ValueError(f"rank {rank} > n - 2 = {m.n - 2}: nothing to grow")
-    values = [Fraction(v) for v in law.values]
-    as_int = all(v.denominator == 1 for v in values)
-    atoms = [int(v) if as_int else v for v in values]
-    out: List[GrowthStep] = []
-    for t in range(steps):
-        rng = substream(seed, t)
-        k = len(rows) + 1
-        idx = law.sample_indices(rng, k)
-        new_entries = [atoms[i] for i in idx]
-        top = list(new_entries)
-        rows = [top] + [[new_entries[i + 1]] + row for i, row in enumerate(rows)]
-        new_rank = _rank(rows)
-        out.append(GrowthStep(size=k, new_rank=new_rank, jumped_by_2=new_rank == rank + 2))
-        rank = new_rank
-    return out
+    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    n, size = m.n, m.n + steps
+    # one common denominator makes M and the atoms integers; the rank is unchanged
+    values = law.values
+    den = math.lcm(*(v.denominator for v in values), *(x.denominator for r in m.exact for x in r))
+    atoms = np.array([v.numerator * (den // v.denominator) for v in values], dtype=np.int64)
+    base = [[x.numerator * (den // x.denominator) for x in r] for r in m.exact]
+    per = max(1, _STACK_ENTRIES // ((steps + 1) * size * size))
+    out: List[List[GrowthStep]] = []
+    for c0 in range(0, len(seeds), per):
+        chunk = seeds[c0:c0 + per]
+        # layer t is the matrix after t steps: the trailing n + t rows and
+        # columns of the grown matrix, the rest left zero
+        layers = np.zeros((len(chunk), steps + 1, size, size), dtype=np.int64)
+        layers[:, :, steps:, steps:] = base
+        for b, sd in enumerate(chunk):
+            for t in range(steps):
+                g = steps - 1 - t
+                new = atoms[law.sample_indices(substream(sd, t), n + t + 1)]
+                layers[b, t + 1:, g, g:] = layers[b, t + 1:, g:, g] = new
+        ranks = exact_ranks(layers.reshape(-1, size, size))
+        ranks = ranks.reshape(len(chunk), steps + 1).tolist()
+        if ranks[0][0] > n - 2:
+            raise ValueError(f"rank {ranks[0][0]} > n - 2 = {n - 2}: nothing to grow")
+        out += [[GrowthStep(size=n + t + 1, new_rank=r[t + 1], jumped_by_2=r[t + 1] == r[t] + 2)
+                 for t in range(steps)] for r in ranks]
+    return out[0] if isinstance(seed, (int, np.integer)) else out
 
 
 def remove_pivot_row(m: SymmetricSample) -> int:
@@ -431,7 +449,7 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
     for ci, start, stop in chunk_bounds(trials, 4096):
         rng = substream(seed, 1 + ci)
         U = vals_int[law.sample_indices(rng, (stop - start, n))]
-        hits += int(np.sum(rowspace_membership(V.tolist(), U)))
+        hits += int(np.sum(rowspace_membership(V, U)))
     freq = hits / trials
     se = math.sqrt(freq * (1 - freq) / trials)
     bound = math.sqrt(1 - c3) ** (n - k)

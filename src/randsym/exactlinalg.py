@@ -1,13 +1,33 @@
 """Exact linear algebra over the rationals.
 
-Fraction-free (Bareiss) elimination for determinants and ranks, cofactor
-matrices, rational kernels, and a vectorized exact row-space membership
-test.  Matrices are lists of lists holding ints or fractions.Fraction;
-integer matrices stay integer throughout (Bareiss divisions are exact).
+Rank, determinant, cofactors and row-space membership all run through one
+elimination kernel (`_eliminate`).  It works on a numpy int64 stack
+(B, r, c) with one prime p < 2**31 per layer: fraction-free elimination
+mod p with full pivoting, so every layer steps in lockstep and every
+product stays below 2**62.  Each answer is certified by the Hadamard
+bound H, which bounds every minor of the matrix:
+
+* rank is the largest rank seen over the primes used.  Primes are added
+  until their product exceeds H or the rank reaches min(r, c).  Were the
+  rank below the true rank at every prime, each prime would divide one
+  fixed nonzero minor, so their product would be at most H.
+* the determinant is rebuilt by the Chinese remainder theorem from primes
+  whose product exceeds 2H, as the symmetric residue.
+* a vector lies in a row space when its residue against the basis
+  vanishes at primes that see the full rank of the basis and whose
+  product exceeds H([basis; vector]).
+
+Matrices are lists of lists (or arrays) of ints, Fractions or floats
+(taken as the binary rationals they are).  Rational rows are scaled to
+integers by clearing denominators; entries beyond int64 are reduced mod p
+in Python.  The primes come from a fixed table, and a certificate that
+needs more primes than it holds raises OutOfPrimes instead of guessing.
+kernel_basis keeps its Fraction RREF.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
@@ -19,99 +39,300 @@ class FullRank(Exception):
     """No nonzero integer kernel vector exists."""
 
 
+class OutOfPrimes(ArithmeticError):
+    """A certificate needs more primes than PRIMES holds."""
+
+
 Matrix = List[List]
 
+# The 128 largest primes below 2**31, descending.  Each exceeds 2**30, so
+# any m of them multiply to more than 2**(30 m).  A literal table: nothing
+# is sieved at import.
+PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
+    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
+    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
+    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
+    2147482327, 2147482291, 2147482273, 2147482237, 2147482231, 2147482223,
+    2147482121, 2147482093, 2147482091, 2147482081, 2147482063, 2147482021,
+    2147481997, 2147481967, 2147481949, 2147481937, 2147481907, 2147481901,
+    2147481899, 2147481893, 2147481883, 2147481863, 2147481827, 2147481811,
+    2147481797, 2147481793, 2147481673, 2147481629, 2147481571, 2147481563,
+    2147481529, 2147481509, 2147481499, 2147481491, 2147481487, 2147481373,
+    2147481367, 2147481359, 2147481353, 2147481337, 2147481317, 2147481311,
+    2147481283, 2147481269, 2147481263, 2147481247, 2147481209, 2147481199,
+    2147481179, 2147481173, 2147481151, 2147481143, 2147481139, 2147481071,
+    2147481053, 2147481031, 2147481019, 2147480989, 2147480971, 2147480969,
+    2147480957, 2147480941, 2147480927, 2147480921, 2147480899, 2147480897,
+    2147480893, 2147480849,
+)
+_PRIME_BITS = 30
+_P = np.array(PRIMES, dtype=np.int64)
+# int64 entries per elimination stack; larger stacks run in chunks
+_CHUNK = 1 << 16
 
-def _copy(mat: Sequence[Sequence]) -> Matrix:
-    return [list(row) for row in mat]
+
+# ---------------------------------------------------------------------------
+# the kernel
 
 
-def _all_int(mat: Sequence[Sequence]) -> bool:
-    return all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-               for row in mat for x in row)
+def _integer_matrix(mat) -> Tuple[np.ndarray, List[int]]:
+    """(A, scales): row i of A is row i of mat times scales[i], the lcm of
+    its denominators.  A is int64 when every entry fits, else an object
+    array of Python ints."""
+    arr = np.asarray(mat)       # int64 only when every entry is an int that fits
+    if arr.dtype.kind in "bi" and arr.ndim == 2:
+        return arr.astype(np.int64), [1] * len(arr)
+    obj = np.array(mat, dtype=object)      # keeps ints and Fractions exact
+    if obj.ndim != 2:
+        if obj.size:
+            raise ValueError("a matrix needs rows of equal length")
+        obj = obj.reshape(len(obj), 0)
+    scales = [1] * len(obj)
+    if not all(isinstance(x, (int, np.integer)) for x in obj.flat):
+        rows = []
+        for i, row in enumerate(obj.tolist()):
+            fr = [Fraction(x) for x in row]
+            scales[i] = math.lcm(*(x.denominator for x in fr))
+            rows.append([int(x * scales[i]) for x in fr])
+        obj = np.array(rows, dtype=object).reshape(obj.shape)
+    try:
+        return obj.astype(np.int64), scales
+    except OverflowError:
+        return np.vectorize(int, otypes=[object])(obj), scales
 
 
-def _as_int_rows(mat: Sequence[Sequence]) -> Matrix:
-    return [[int(x) for x in row] for row in mat]
+def _log2_lengths(a: np.ndarray, axis: int) -> np.ndarray:
+    """log2 of the Euclidean lengths along `axis` of an integer array, each
+    taken as at least 1."""
+    if a.dtype == object:
+        sums = (a * a).sum(axis=axis)
+        return np.vectorize(lambda s: 0.5 * math.log2(s) if s > 1 else 0.0,
+                            otypes=[float])(sums)
+    f = a.astype(np.float64)
+    return 0.5 * np.log2(np.maximum((f * f).sum(axis=axis), 1.0))
 
 
-def bareiss_det(mat: Sequence[Sequence]):
-    """Exact determinant; int for integer input, Fraction otherwise."""
-    n = len(mat)
+def _hadamard_bits(a: np.ndarray) -> np.ndarray:
+    """log2 of a bound on every minor of each matrix of a (B, r, c) stack.
+
+    A minor is at most the product of the lengths of its rows, hence of
+    the rows (or columns) it is cut from, each taken as at least 1.  The
+    added bit covers the rounding of the floating-point sums.
+    """
+    # a minor of order at most s = min(r, c) with entries at most A is at
+    # most (sqrt(s) A)**s; when that fits one prime, finer sums change nothing
+    s = min(a.shape[1:])
+    big = max(-int(a.min()), int(a.max()), 1) if a.size else 1
+    coarse = s * (0.5 * math.log2(max(s, 1)) + math.log2(big)) + 1.0
+    if coarse < _PRIME_BITS - 1:
+        return np.full(len(a), coarse)
+    return np.minimum(_log2_lengths(a, 2).sum(axis=1), _log2_lengths(a, 1).sum(axis=1)) + 1.0
+
+
+def _check_primes(count: int) -> int:
+    if count > len(PRIMES):
+        raise OutOfPrimes(f"the certificate needs {count} primes; the table holds "
+                          f"{len(PRIMES)}")
+    return count
+
+
+def _prime_count(bits: np.ndarray) -> int:
+    """How many table primes multiply to more than 2**max(bits)."""
+    return _check_primes(int(np.max(bits, initial=0.0)) // _PRIME_BITS + 1)
+
+
+def _residues(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a[l] mod p[l] as int64; Python ints are reduced before the cast."""
+    if a.dtype == object:
+        return (a % p.astype(object)[:, None, None]).astype(np.int64)
+    return a % p[:, None, None]
+
+
+def _eliminate(a: np.ndarray, p: np.ndarray):
+    """Fraction-free elimination mod p of a (B, r, c) stack, in place.
+
+    a[l] holds residues mod p[l] < 2**31.  Step k takes in every layer a
+    largest entry a[i, j] as the pivot (full pivoting) and replaces the
+    layer by pivot * a - a[:, j] a[i, :] mod p.  That clears row i and
+    column j and scales the remaining rows by the nonzero pivot, so the
+    rank drops by exactly one; products of two residues stay below 2**62.
+    A layer that has reached zero gets zero pivots from then on and stays
+    zero, so no layer needs a mask, and the loop ends once every layer is
+    zero.  Returns, for each of the s steps taken, the pivots (B, s), the
+    flat indices i * c + j of the pivots (B, s) and the rows a[i, :] they
+    eliminated with (B, s, c); a layer's rank is its number of nonzero
+    pivots.
+    """
+    B, r, c = a.shape
+    layer = np.arange(B)
+    flat_a = a.reshape(B, r * c)
+    pm = p[:, None, None]
+    pivots, flats, pivot_rows = [], [], []
+    last = min(r, c) - 1
+    for k in range(last + 1):
+        flat = flat_a.argmax(axis=1)
+        pv = flat_a[layer, flat]
+        if not np.count_nonzero(pv):
+            break
+        i, j = np.divmod(flat, c)
+        prow = a[layer, i]
+        pivots.append(pv)
+        flats.append(flat)
+        pivot_rows.append(prow)
+        if k < last:            # the last pivot leaves nothing to eliminate
+            pcol = a[layer, :, j]
+            a *= pv[:, None, None]
+            a -= pcol[:, :, None] * prow[:, None, :]
+            a %= pm
+    s = len(pivots)
+    return (np.array(pivots, np.int64).reshape(s, B).T,
+            np.array(flats, np.int64).reshape(s, B).T,
+            np.array(pivot_rows, np.int64).reshape(s, B, c).transpose(1, 0, 2))
+
+
+def _eliminate_layers(a: np.ndarray, p: np.ndarray):
+    """_eliminate on a[l] mod p[l] for every layer l, _CHUNK entries at a time."""
+    per = max(1, _CHUNK // max(1, a.shape[1] * a.shape[2]))
+    if len(a) <= per:
+        return _eliminate(_residues(a, p), p)
+    parts = [_eliminate(_residues(a[s:s + per], p[s:s + per]), p[s:s + per])
+             for s in range(0, len(a), per)]
+    steps = max(x[0].shape[1] for x in parts)
+
+    def pad(x):     # a chunk that stopped early took zero pivots from then on
+        return np.pad(x, [(0, 0), (0, steps - x.shape[1])] + [(0, 0)] * (x.ndim - 2))
+
+    return tuple(np.concatenate([pad(x[k]) for x in parts]) for k in range(3))
+
+
+def _det_residues(pivots, flats, n: int, p) -> List[int]:
+    """det mod p[l] of each n x n layer from its elimination.
+
+    Step k scales the n - k - 1 rows still in play by pivot k, so
+    det = sign * prod_k pivot_k ** (k + 2 - n), the sign being that of the
+    permutation taking each pivot row to its pivot column.
+    """
+    if pivots.shape[1] < n:                 # every layer fell below rank n
+        return [0] * len(pivots)
+    rows, cols = np.divmod(flats, n)
+    perm = np.zeros_like(cols)
+    perm[np.arange(len(perm))[:, None], rows] = cols
+    odd = np.count_nonzero(np.triu(perm[:, :, None] > perm[:, None, :], 1),
+                           axis=(1, 2)) % 2
+    # scale = prod_{k < n-2} prod_{l <= k} pivot_l = prod_k pivot_k ** (n - 2 - k)
+    run = np.ones(len(p), np.int64)
+    scale = run.copy()
+    for k in range(n - 2):
+        run = run * pivots[:, k] % p
+        scale = scale * run % p
+    out = []
+    for last, sc, q, flip in zip(pivots[:, n - 1].tolist(), scale.tolist(), p.tolist(),
+                                 odd.tolist()):
+        det = last * pow(sc, -1, q) % q if last else 0    # last == 0: rank below n
+        out.append(-det % q if flip else det)
+    return out
+
+
+def _crt(residues: Sequence[int], primes: Sequence[int]) -> int:
+    """The x with |x| < prod(primes) / 2 and x = r mod p for every pair."""
+    x, m = 0, 1
+    for r, p in zip(residues, primes):
+        x += m * ((r - x) * pow(m, -1, p) % p)
+        m *= p
+    return x - m if 2 * x > m else x
+
+
+def _dets(a: np.ndarray) -> List[int]:
+    """Exact determinants of a (B, n, n) integer stack, every prime of every
+    matrix in one stack."""
+    B, n = a.shape[:2]
     if n == 0:
-        return 1
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant needs a square matrix")
-    integer = _all_int(mat)
-    m = _as_int_rows(mat) if integer else [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0 if integer else Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = t // prev if integer else t / prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        return [1] * B
+    m = _prime_count(_hadamard_bits(a) + 1.0)      # product > 2H
+    p = np.tile(_P[:m], B)
+    residues = _det_residues(*_eliminate_layers(np.repeat(a, m, axis=0), p)[:2], n, p)
+    return [_crt(residues[b * m:(b + 1) * m], PRIMES[:m]) for b in range(B)]
+
+
+def exact_ranks(stack) -> np.ndarray:
+    """Exact ranks of a (B, r, c) stack of integer matrices (int64, or an
+    object array of Python ints).
+
+    Every matrix is eliminated at the first prime; the matrices still
+    below min(r, c) then take, in one stack, the further primes their
+    Hadamard certificate asks for.
+    """
+    a = np.asarray(stack)
+    B, r, c = a.shape
+    if B == 0 or min(r, c) == 0:
+        return np.zeros(B, dtype=np.int64)
+    ranks = np.count_nonzero(_eliminate_layers(a, np.full(B, PRIMES[0], np.int64))[0], axis=1)
+    todo = np.flatnonzero(ranks < min(r, c))
+    if todo.size:
+        m = _prime_count(_hadamard_bits(a[todo]))
+        if m > 1:
+            pivots = _eliminate_layers(np.repeat(a[todo], m - 1, axis=0),
+                                       np.tile(_P[1:m], todo.size))[0]
+            more = np.count_nonzero(pivots, axis=1).reshape(todo.size, m - 1).max(axis=1)
+            ranks[todo] = np.maximum(ranks[todo], more)
+    return ranks
+
+
+# ---------------------------------------------------------------------------
+# rank, determinant, cofactors
 
 
 def exact_rank(mat: Sequence[Sequence]) -> int:
-    """Rank over the rationals via fraction-free elimination."""
-    if not mat:
-        return 0
-    integer = _all_int(mat)
-    m = _as_int_rows(mat) if integer else [[Fraction(x) for x in row] for row in mat]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nr):
-            # update every trailing entry: Bareiss divisions stay exact
-            # only if all entries remain minors of the input
-            for j in range(nc):
-                if j == c:
-                    continue
-                t = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                m[i][j] = t // prev if integer else t / prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == nr:
-            break
-    return rank
+    """Rank over the rationals, certified (see the module docstring)."""
+    return int(exact_ranks(_integer_matrix(mat)[0][None])[0])
 
 
-def minor_det(mat: Sequence[Sequence], drop_row: int, drop_col: int):
-    sub = [[mat[i][j] for j in range(len(mat)) if j != drop_col]
-           for i in range(len(mat)) if i != drop_row]
-    return bareiss_det(sub) if sub else 1
+def bareiss_det(mat: Sequence[Sequence]):
+    """Exact determinant; int for integer input, Fraction otherwise.
 
-
-def cofactor(mat: Sequence[Sequence], i: int, j: int):
-    """Signed cofactor c_ij (0-based indices)."""
-    s = -1 if (i + j) % 2 else 1
-    return s * minor_det(mat, i, j)
+    Multi-modular: one layer per prime, rebuilt by CRT.
+    """
+    n = len(mat)
+    a, scales = _integer_matrix(mat)
+    if a.shape != (n, n):
+        raise ValueError("determinant needs a square matrix")
+    det = _dets(a[None])[0]
+    den = math.prod(scales)
+    return det if den == 1 else Fraction(det, den)
 
 
 def cofactor_matrix(mat: Sequence[Sequence]) -> Matrix:
+    """Signed cofactors c_ij = (-1)^(i+j) det(M without row i and column j),
+    exact; the n^2 minors are eliminated as one stack."""
     n = len(mat)
-    return [[cofactor(mat, i, j) for j in range(n)] for i in range(n)]
+    if n == 0:
+        return []
+    a, scales = _integer_matrix(mat)
+    if a.shape != (n, n):
+        raise ValueError("cofactors need a square matrix")
+    keep = np.array([[k for k in range(n) if k != i] for i in range(n)],
+                    dtype=np.int64).reshape(n, n - 1)
+    dets: List[int] = []
+    per = max(1, _CHUNK // (n * max(1, n - 1) ** 2))     # rows of minors per stack
+    for i0 in range(0, n, per):
+        rows = keep[i0:i0 + per]
+        minors = a[rows[:, None, :, None], keep[None, :, None, :]]
+        dets += _dets(minors.reshape(len(rows) * n, n - 1, n - 1))
+    den = math.prod(scales)
+    out = []
+    for i in range(n):
+        # row i is left out of the minors of row i, and so is its scale
+        d = den // scales[i]
+        row = [(-1) ** (i + j) * dets[i * n + j] for j in range(n)]
+        out.append(row if d == 1 else [Fraction(x, d) for x in row])
+    return out
 
 
 def adjugate(mat: Sequence[Sequence]) -> Matrix:
@@ -119,6 +340,10 @@ def adjugate(mat: Sequence[Sequence]) -> Matrix:
     n = len(mat)
     c = cofactor_matrix(mat)
     return [[c[j][i] for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# rational kernels (Fraction RREF)
 
 
 def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
@@ -187,60 +412,108 @@ def primitive_kernel_vector(points: Sequence[Sequence[int]], dim: int) -> Tuple[
     return candidates[0]
 
 
-def row_echelon_int(mat: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], List[int]]:
-    """Fraction-free row echelon form of an integer matrix.
+# ---------------------------------------------------------------------------
+# row-space membership
 
-    Returns (echelon rows, pivot columns, pivot values); entries are
-    minors of the input, so the later Bareiss divisions in
-    rowspace_membership are exact.
+
+def row_echelon_int(mat: Sequence[Sequence], primes: Sequence[int]
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form of a rational matrix modulo each prime.
+
+    Rows are first scaled to integers, which keeps the row space.  Returns
+    (R, J, ranks), stacked over the primes: for the q-th prime, rows
+    R[q, :ranks[q]] are the RREF mod primes[q], with R[q, k, J[q, l]] = 1
+    if k == l and 0 otherwise; the later rows are zero.
     """
-    m = _as_int_rows(mat)
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rows: List[List[int]] = []
-    piv_cols: List[int] = []
-    piv_vals: List[int] = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nr):
-            for j in range(nc):
-                if j == c:
-                    continue
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        rows.append(list(m[r]))
-        piv_cols.append(c)
-        piv_vals.append(m[r][c])
-        prev = m[r][c]
-        r += 1
-        if r == nr:
-            break
-    return rows, piv_cols, piv_vals
+    a = _integer_matrix(mat)[0]
+    p = np.asarray(primes, dtype=np.int64)
+    P = len(p)
+    pivots, flats, R = _eliminate_layers(np.repeat(a[None], P, axis=0), p)
+    J = flats % a.shape[1]
+    ranks = np.count_nonzero(pivots, axis=1)
+    layer = np.arange(P)
+    pm = p[:, None, None]
+    # back-substitution: clear column J[:, k] from the rows above row k
+    for k in range(R.shape[1] - 1, 0, -1):
+        pv = R[layer, k, J[:, k]]
+        pv = np.where(pv == 0, 1, pv)       # past the rank: row k is zero
+        above = R[layer[:, None], np.arange(k)[None, :], J[:, k, None]]
+        R[:, :k] = (pv[:, None, None] * R[:, :k]
+                    - above[:, :, None] * R[:, k, None, :]) % pm
+    inv = np.array([[pow(int(R[q, k, J[q, k]]), -1, int(p[q])) if k < ranks[q] else 0
+                     for k in range(R.shape[1])] for q in range(P)],
+                   dtype=np.int64).reshape(P, R.shape[1])
+    return R * inv[:, :, None] % pm, J, ranks
 
 
-def rowspace_membership(basis: Sequence[Sequence[int]], vectors: np.ndarray) -> np.ndarray:
+def _in_span_mod(U: np.ndarray, R: np.ndarray, J: np.ndarray, r: int, p: int) -> np.ndarray:
+    """Rows u of U with u = sum_k u[J[k]] R[k] mod p, R[:r] an RREF mod p."""
+    half = p // 2
+    if U.dtype == object or U.min() < -half or U.max() > half:
+        U = _residues(U[None], np.array([p]))[0]
+        U = np.where(U > half, U - p, U)
+    free = np.ones(U.shape[1], dtype=bool)      # pivot columns cancel by construction
+    free[J[:r]] = False
+    Rf = R[:r][:, free]
+    Rf = np.where(Rf > half, Rf - p, Rf)
+    big = max(-int(U.min()), int(U.max()), 1)
+    if r * big * half < 2 ** 52:
+        # every sum below is an integer under 2**53: float64 holds it exactly
+        X = U[:, free].astype(np.float64)
+        Y = U[:, J[:r]].astype(np.float64) @ Rf.astype(np.float64)
+        X -= Y
+        np.rint(np.divide(X, p, out=Y), out=Y)
+        Y *= p
+        X -= Y                             # exact residues, |X| <= p / 2
+        X *= X
+        # a sum of squares vanishes only when every term does
+        return X @ np.ones(X.shape[1]) == 0
+    group = max(1, (1 << 62) // (big * (half + 1)))        # terms per exact int64 product
+    X = U[:, free]
+    for s in range(0, r, group):
+        if s:
+            X = X % p
+        X = X - U[:, J[s:s + group]] @ Rf[s:s + group]
+    return ~np.any(X % p, axis=1)
+
+
+def rowspace_membership(basis: Sequence[Sequence], vectors: np.ndarray) -> np.ndarray:
     """Exact test of which rows of `vectors` lie in the rational row space.
 
-    `basis` is a small integer matrix (its echelon minors must fit in
-    int64, which holds for the +-1 desk-scale matrices used here);
-    `vectors` is (T, n) integer.  Vectorized fraction-free elimination:
-    each vector is treated as an extra Bareiss row, so every division is
-    exact.
+    `basis` is a rational matrix (k, n), `vectors` an integer array
+    (T, n).  Each vector is reduced against the RREF of the basis modulo
+    primes p at which rank_p(basis) = rank(basis).  A nonzero residue at
+    such a prime proves the vector is outside the span; a vector is a
+    member once its residues vanish at such primes whose product exceeds
+    H([basis; vector]), since otherwise a nonzero minor of order
+    rank + 1 would be divisible by all of them.
     """
-    rows, piv_cols, piv_vals = row_echelon_int(basis)
-    work = vectors.astype(np.int64, copy=True)
-    prev = 1
-    for row, c, pv in zip(rows, piv_cols, piv_vals):
-        e = np.asarray(row, dtype=np.int64)
-        coef = work[:, c].copy()
-        work = pv * work - coef[:, None] * e[None, :]
-        if prev != 1:
-            work //= prev
-        prev = pv
-    return ~np.any(work, axis=1)
+    U = np.asarray(vectors)
+    if U.dtype.kind not in "biO":
+        raise ValueError("vectors must be integers")
+    if U.dtype != object:
+        U = U.astype(np.int64, copy=False)
+    T, n = U.shape
+    V = _integer_matrix(basis)[0].reshape(-1, n)
+    if T == 0:
+        return np.zeros(0, dtype=bool)
+    # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
+    big = max(-U.min(), U.max(), 1)
+    bits = _log2_lengths(V, 1).sum() + 0.5 * math.log2(max(n, 1)) + math.log2(big) + 1.0
+    want = _prime_count(bits)
+    R, J, ranks = [], [], []
+    while True:
+        rank = max(ranks, default=0)
+        good = [q for q, rq in enumerate(ranks) if rq == rank]
+        if len(good) >= want:
+            break
+        more = want - len(good)
+        _check_primes(len(ranks) + more)
+        r_new, j_new, k_new = row_echelon_int(V, PRIMES[len(ranks):len(ranks) + more])
+        R += list(r_new)
+        J += list(j_new)
+        ranks += k_new.tolist()
+    member = np.ones(T, dtype=bool)
+    for q in good[:want]:
+        member &= _in_span_mod(U, R[q], J[q], rank, PRIMES[q])
+    return member

@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and Fraction oracles for the test suite.
 
 Everything is driven by seeded numpy generators so failures reproduce.
 """
@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from randsym import Gap, evaluate, is_proper
+from randsym.exactlinalg import kernel_basis
 
 # verdict lines the acceptance suite registers for the terminal summary
 ACCEPTANCE_LINES = []
@@ -65,3 +66,31 @@ def random_symmetric_int_matrix(rng: np.random.Generator, n: int, lo: int = -9,
     m = rng.integers(lo, hi + 1, size=(n, n))
     m = np.triu(m) + np.triu(m, 1).T
     return [[int(x) for x in row] for row in m]
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles, independent of the modular kernel in randsym.exactlinalg
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def fraction_rank(rows, ncols: int) -> int:
+    """ncols minus the dimension of the kernel from the Fraction RREF."""
+    return ncols - len(kernel_basis(rows, ncols))

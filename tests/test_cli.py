@@ -41,6 +41,21 @@ class TestRunRecords:
         assert rec.summary["fitted_exponent"] == shape.fitted_exponent
         assert "spread_bound" in rec.summary and "ratio_spread" in rec.summary
 
+    def test_detconc_shape_verdicts(self, tmp_path):
+        # n = 1 has a zero std: no exponent, and the shape rule fails
+        rec = run(cfg(tmp_path, experiment="detconc", n_list=(1, 4), trials=30, seed=2))
+        assert rec.summary["fitted_exponent"] is None
+        assert rec.summary["shape_verdict"] == "fail" and rec.verdict == "fail"
+        # fewer than two distinct n carry no shape evidence
+        rec = run(cfg(tmp_path, experiment="detconc", n_list=(6, 6), trials=30, seed=2))
+        assert rec.summary["shape_verdict"] == "inconclusive"
+
+    def test_detconc_no_deviation_at_n1(self, tmp_path):
+        from randsym import bernoulli, concentration_experiment
+        rec = run(cfg(tmp_path, experiment="detconc", n_list=(1, 4), trials=30, seed=2))
+        lib = concentration_experiment(bernoulli(), (1, 4), trials=30, seed=2)
+        assert rec.summary["per_n"][1]["dev_freq"] == lib.per_n[1]["dev_freq"] == 0.0
+
     def test_gapreduce_worked_instance(self, tmp_path):
         c = cfg(tmp_path, experiment="gapreduce",
                 gap="gap{g0=0; g=[1,10]; K=[-2,-2]; K'=[2,2]}", values="11,22")
@@ -141,6 +156,28 @@ class TestMain:
         assert main(["odlyzko", "--n-list", "8", "--trials", "500", "--seed", "3",
                      "--out", out]) == 0
         assert main(["replay", out + ".json"]) == 0
+
+    def test_ensemble_spectrum_computes_no_exact_rank(self, capsys, monkeypatch):
+        import randsym.ensembles
+        from randsym import bernoulli, sample_symmetric, spectral_summary
+        from randsym.cli import _derive_seed
+        lines = []
+        for t in range(3):
+            # the library summary of the exact sample pays for an exact
+            # corank; the command must print the same numbers without it
+            summ = spectral_summary(sample_symmetric(bernoulli(), None, 6,
+                                                     seed=_derive_seed(4, t)))
+            assert summ.corank is not None
+            lines.append(json.dumps({
+                "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,
+                "kappa": summ.kappa, "log_abs_det": summ.log_abs_det,
+                "eigenvalues": [float(x) for x in summ.eigenvalues]}))
+
+        def no_rank(rows):
+            raise AssertionError("exact rank computed")
+        monkeypatch.setattr(randsym.ensembles, "_rank", no_rank)
+        assert main(["ensemble", "spectrum", "--n", "6", "--seed", "4", "--trials", "3"]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_ensemble_utilities(self, tmp_path, capsys):
         assert main(["ensemble", "sample", "--n", "3", "--seed", "5"]) == 0

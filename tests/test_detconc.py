@@ -8,7 +8,7 @@ from randsym import (CutoffSpec, DegenerateSpectrum, SpacingCertificate,
                      cutoff_log, envelope_rule, point_mass, spectral_summary,
                      spectral_window_count, tail_experiment, truncated_log_det,
                      wilson_interval)
-from randsym.detconc import envelope_norm
+from randsym.detconc import envelope_norm, loglog_slope
 
 BERN = bernoulli()
 
@@ -168,6 +168,11 @@ class TestEnvelopeRule:
     def test_zero_std_fails(self):
         v = envelope_rule(self.N_LIST, [0.0, 1.1, 1.3])
         assert not v.grows and not v.ok
+
+    def test_zero_std_has_no_slope(self):
+        # log 0 is undefined, so a zero std leaves no exponent
+        assert loglog_slope((1, 4), [0.0, 0.5]) is None
+        assert envelope_rule((1, 4), [0.0, 0.5]).fitted_exponent is None
 
     def test_order_of_n_irrelevant(self):
         a = envelope_rule((50, 100, 200), [1.033, 1.149, 1.367])

@@ -12,8 +12,8 @@ from randsym import (BoundViolation, SymmetricSample, bernoulli,
 from randsym.ensembles import (read_matrix_binary, read_matrix_exact,
                                read_matrix_text, write_matrix_binary,
                                write_matrix_exact, write_matrix_text)
-from randsym.exactlinalg import exact_rank as rational_rank
-from genutil import random_symmetric_int_matrix
+from randsym.exactlinalg import exact_rank as rational_rank, rowspace_membership
+from genutil import fraction_rank, random_symmetric_int_matrix
 
 BERN = bernoulli()
 
@@ -260,11 +260,30 @@ class TestMembership:
         rng = np.random.default_rng(17)
         V = (rng.integers(0, 2, size=(3, 6)) * 2 - 1).tolist()
         U = rng.integers(0, 2, size=(100, 6)) * 2 - 1
-        from randsym.exactlinalg import rowspace_membership
         got = rowspace_membership(V, U)
         for row, flag in zip(U, got):
             aug = V + [[int(x) for x in row]]
-            assert flag == (rational_rank(aug) == rational_rank(V))
+            assert flag == (fraction_rank(aug, 6) == fraction_rank(V, 6))
+
+    def test_minors_beyond_int64(self):
+        # echelon minors of 25 +-1 rows reach 25^12.5 > 2^63, beyond int64
+        rng = np.random.default_rng(25)
+        V = rng.integers(0, 2, size=(25, 50)) * 2 - 1
+        U = rng.integers(-3, 4, size=(200, 25)) @ V
+        assert rowspace_membership(V.tolist(), U).all()
+        e1 = np.eye(50, dtype=np.int64)[0]
+        assert fraction_rank(V.tolist() + [e1.tolist()], 50) == 26
+        assert not rowspace_membership(V.tolist(), U + e1).any()
+
+    def test_nearly_square_basis(self):
+        # k = 39 rows in n = 40: minors up to 40^19.5, far beyond int64
+        rng = np.random.default_rng(39)
+        V = rng.integers(0, 2, size=(39, 40)) * 2 - 1
+        U = rng.integers(-2, 3, size=(30, 39)) @ V
+        assert rowspace_membership(V.tolist(), U).all()
+        e1 = np.eye(40, dtype=np.int64)[0]
+        inside = fraction_rank(V.tolist() + [e1.tolist()], 40) == fraction_rank(V.tolist(), 40)
+        assert rowspace_membership(V.tolist(), U + e1).tolist() == [inside] * 30
 
     def test_span_of_one_vector(self):
         res = subspace_membership_mc(BERN, 8, 1, 20000, seed=3)

@@ -1,0 +1,188 @@
+"""The multi-modular kernel against Fraction oracles that do not use it."""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from randsym import exactlinalg
+from randsym.exactlinalg import (PRIMES, OutOfPrimes, adjugate, bareiss_det,
+                                 cofactor_matrix, exact_rank, exact_ranks,
+                                 row_echelon_int, rowspace_membership)
+from genutil import fraction_det, fraction_rank
+
+P1, P2, P3 = PRIMES[:3]
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.2e9 (bases 2, 3, 5, 7)."""
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        if n == a:
+            return True
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def low_rank(rng, r, c, k, lo=-5, hi=5):
+    return (rng.integers(lo, hi + 1, (r, k)) @ rng.integers(lo, hi + 1, (k, c))).tolist()
+
+
+class TestPrimeTable:
+    def test_entries_are_primes_between_2_30_and_2_31(self):
+        assert all(2 ** 30 < p < 2 ** 31 and is_prime(p) for p in PRIMES)
+
+    def test_largest_primes_below_2_31_descending(self):
+        assert list(PRIMES) == sorted(set(PRIMES), reverse=True)
+        assert [n for n in range(2 ** 31 - 1, PRIMES[-1] - 1, -1) if is_prime(n)] \
+            == list(PRIMES)
+
+
+class TestRank:
+    def test_matches_fraction_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(150):
+            r, c = (int(x) for x in rng.integers(1, 8, 2))
+            rows = low_rank(rng, r, c, int(rng.integers(0, min(r, c) + 1)))
+            assert exact_rank(rows) == fraction_rank(rows, c)
+
+    def test_rank_vanishing_mod_first_primes(self):
+        # full rank over Q, rank 1 modulo P1 and P2
+        assert exact_rank([[P1 * P2, 0], [0, 1]]) == 2
+        assert exact_rank([[P1, P1 * P2], [P1 * P2, P1 * P2 * P2 + P1 * P3]]) == 2
+
+    def test_entries_above_2_63(self):
+        big = [[2 ** 64 + 1, 2 ** 64], [2 ** 64, 2 ** 64 - 1]]
+        assert exact_rank(big) == 2
+        assert exact_rank([[2 ** 70, 3 * 2 ** 70], [2 ** 71, 6 * 2 ** 70]]) == 1
+
+    def test_fraction_entries(self):
+        rows = [[F(1, 2), F(1, 3), F(1, 4)], [F(3, 2), 1, F(3, 4)], [F(1, 7), 0, 2]]
+        assert exact_rank(rows) == fraction_rank(rows, 3) == 2
+
+    def test_degenerate_shapes(self):
+        assert exact_rank([]) == 0
+        assert exact_rank([[]]) == 0
+        assert exact_rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert exact_rank([[0]]) == 0 and exact_rank([[-3]]) == 1
+        assert exact_rank([[1, 2, 3], [2, 4, 6]]) == 1
+        assert exact_rank([[1, 2], [3, 4], [5, 6]]) == 2
+
+    def test_stack_matches_single_matrices(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        stack = np.array([low_rank(rng, 6, 6, int(k)) for k in rng.integers(0, 7, 40)])
+        want = [fraction_rank(m.tolist(), 6) for m in stack]
+        assert exact_ranks(stack).tolist() == want
+        monkeypatch.setattr(exactlinalg, "_CHUNK", 50)      # several chunks
+        assert exact_ranks(stack).tolist() == want
+
+    def test_out_of_primes_is_loud(self):
+        huge = 2 ** 4000
+        assert exact_rank([[huge]]) == 1        # full rank needs no certificate
+        with pytest.raises(OutOfPrimes):
+            exact_rank([[huge, huge], [huge, huge]])
+
+
+class TestDeterminant:
+    def test_matches_fraction_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(150):
+            n = int(rng.integers(1, 8))
+            rows = low_rank(rng, n, n, int(rng.integers(n - 1, n + 1)), -9, 9)
+            assert bareiss_det(rows) == fraction_det(rows)
+
+    def test_det_vanishing_mod_first_primes(self):
+        assert bareiss_det([[P1 * P2, 0], [0, 1]]) == P1 * P2
+        # L D L^T with L unit lower triangular: det = det D = -P1 P2 P3
+        L = np.array([[1, 0, 0], [5, 1, 0], [-7, 2, 1]], dtype=object)
+        D = np.diag(np.array([P1, -P2, P3], dtype=object))
+        rows = (L @ D @ L.T).tolist()
+        assert bareiss_det(rows) == -P1 * P2 * P3
+        assert exact_rank(rows) == 3
+
+    def test_negative_and_big(self):
+        assert bareiss_det([[2 ** 64 + 1, 2 ** 64], [2 ** 64, 2 ** 64 - 1]]) == -1
+        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert bareiss_det([[-7]]) == -7
+
+    def test_fraction_entries(self):
+        det = bareiss_det([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]])
+        assert det == F(1, 60) and isinstance(det, F)
+
+    def test_degenerate_shapes(self):
+        assert bareiss_det([]) == 1
+        assert bareiss_det([[0, 0], [0, 0]]) == 0
+        with pytest.raises(ValueError):
+            bareiss_det([[1, 2, 3], [4, 5, 6]])
+
+    def test_out_of_primes_is_loud(self):
+        with pytest.raises(OutOfPrimes):
+            bareiss_det([[2 ** 4000]])
+
+
+class TestCofactors:
+    def test_minors_match_fraction_oracle(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 3, 5):
+            rows = rng.integers(-9, 10, (n, n)).tolist()
+            got = cofactor_matrix(rows)
+            for i in range(n):
+                for j in range(n):
+                    minor = [[rows[a][b] for b in range(n) if b != j]
+                             for a in range(n) if a != i]
+                    assert got[i][j] == (-1) ** (i + j) * fraction_det(minor)
+
+    def test_adjugate_is_det_times_inverse(self):
+        rows = [[F(1, 2), 2, 0], [3, F(-1, 3), 1], [0, 1, 4]]
+        adj = adjugate(rows)
+        det = fraction_det(rows)
+        for i in range(3):
+            for j in range(3):
+                assert sum(rows[i][k] * adj[k][j] for k in range(3)) == (det if i == j else 0)
+
+    def test_degenerate_shapes(self):
+        assert cofactor_matrix([]) == []
+        assert cofactor_matrix([[7]]) == [[1]]
+
+
+class TestMembershipPaths:
+    def setup_method(self):
+        rng = np.random.default_rng(9)
+        self.V = rng.integers(0, 2, (5, 8)) * 2 - 1
+        self.C = rng.integers(-3, 4, (40, 5))
+
+    def test_echelon_is_reduced(self):
+        R, J, ranks = row_echelon_int(self.V, PRIMES[:2])
+        assert ranks.tolist() == [5, 5]
+        for q in range(2):
+            assert (R[q][:, J[q]] == np.eye(5, dtype=np.int64)).all()
+
+    def test_large_entries_take_the_int64_path(self):
+        U = self.C @ self.V * 2 ** 40
+        assert rowspace_membership(self.V, U).all()
+        U[:, 0] += 1
+        assert not rowspace_membership(self.V, U).any()
+
+    def test_python_int_vectors(self):
+        U = np.array((self.C @ self.V).tolist(), dtype=object) * 2 ** 70
+        assert rowspace_membership(self.V.tolist(), U).all()
+        U[:, 0] += 1
+        assert not rowspace_membership(self.V.tolist(), U).any()
+
+    def test_empty_and_zero_basis(self):
+        U = np.array([[0, 0, 0], [1, 0, 0]])
+        assert rowspace_membership([], U).tolist() == [True, False]
+        assert rowspace_membership([[0, 0, 0]], U).tolist() == [True, False]
