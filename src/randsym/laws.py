@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -123,9 +124,17 @@ class AtomicLaw:
         c[-1] = 1.0
         return c
 
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """cum_masses(), built once per law for the sampler."""
+        c = self.cum_masses()
+        c.flags.writeable = False
+        return c
+
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
         u = rng.random(size)
-        return np.searchsorted(self.cum_masses(), u, side="right").clip(0, len(self.atoms) - 1)
+        # searchsorted gives 0..len(atoms); the top index is the last atom
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.atoms) - 1)
 
     def sample_values(self, rng: np.random.Generator, size) -> np.ndarray:
         return self.values_float()[self.sample_indices(rng, size)]
