@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .detconc import (detconc_trial, envelope_norm, envelope_rule, tail_trial,
-                      wilson_interval)
+from .detconc import (SpacingUnverified, bound_verdict, concentration_report,
+                      detconc_trial, tail_report, tail_trial, wilson_interval)
 from .ensembles import (SymmetricSample, exact_rank, grow_and_track,
                         read_matrix_text, sample_symmetric, spectral_summary,
                         subspace_membership_mc, write_matrix_text)
@@ -38,7 +38,7 @@ from .laws import SpacingCertificate, auto_certificate, parse_law, verify_spacin
 from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
                         linear_small_ball_exact, linear_small_ball_mc,
                         quadratic_small_ball_exact, quadratic_small_ball_mc)
-from .streams import chunk_bounds, substream
+from .streams import chunk_bounds, key_seed, substream
 from .structure import Bipartition, decoupling_scan
 
 
@@ -86,8 +86,6 @@ class ExperimentConfig:
     method: Optional[str] = None
     gap: Optional[str] = None
     values: Optional[str] = None
-    steps: Optional[int] = None
-    size_cap: Optional[int] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -195,14 +193,6 @@ def _worst(verdicts: Sequence[str]) -> str:
     return min(verdicts, key=lambda v: order[v]) if verdicts else "pass"
 
 
-def _bound_verdict(freq: float, ci: Tuple[float, float], bound: float) -> str:
-    """pass/fail/inconclusive for an upper bound on a MC frequency."""
-    lo, hi = ci
-    if lo <= bound <= hi:
-        return "inconclusive"
-    return "pass" if freq <= bound else "fail"
-
-
 def _parallel(fn, items: Sequence, workers: int) -> List:
     """Deterministic map: results in item order regardless of workers."""
     if workers <= 1 or len(items) <= 1:
@@ -211,18 +201,25 @@ def _parallel(fn, items: Sequence, workers: int) -> List:
         return list(pool.map(fn, items, chunksize=1))
 
 
-def _derive_seed(*key: int) -> int:
-    return int(np.random.SeedSequence([int(k) for k in key]).generate_state(1)[0])
-
-
 # ---------------------------------------------------------------------------
 # per-experiment runners (worker functions are module-level: picklable)
 
 
-def _w_tail(args) -> List[tuple]:
-    law_lit, n, seed, t0, t1 = args
+def _w_trials(args) -> List[tuple]:
+    trial, law_lit, n, seed, t0, t1, kw = args
     law = parse_law(law_lit)
-    return [tail_trial(law, None, n, seed, t) for t in range(t0, t1)]
+    return [trial(law=law, n=n, seed=seed, t=t, **kw) for t in range(t0, t1)]
+
+
+def _trial_rows(trial, cfg: Dict[str, object], **kw) -> List[tuple]:
+    """Rows trial(law, n, seed, t, **kw) n by n in n_list order, each n
+    cut into eight chunks of trials for the workers."""
+    trials = int(cfg["trials"])
+    step = max(1, trials // 8)
+    items = [(trial, cfg["law"], n, cfg["seed"], t0, min(t0 + step, trials), kw)
+             for n in cfg["n_list"] for t0 in range(0, trials, step)]
+    chunks = _parallel(_w_trials, items, int(cfg.get("workers", 1)))
+    return [row for chunk in chunks for row in chunk]
 
 
 def _run_tail(cfg: Dict[str, object]):
@@ -230,92 +227,42 @@ def _run_tail(cfg: Dict[str, object]):
     cert = SpacingCertificate(cfg["c1"], cfg["c2"], cfg["c3"]) \
         if {"c1", "c2", "c3"} <= cfg.keys() else None
     if cert is None or not verify_spacing(law, cert):
-        from .detconc import SpacingUnverified
         raise SpacingUnverified("no spacing certificate passes for this law")
-    trials = int(cfg["trials"])
-    items = []
-    step = max(1, trials // 8)
-    for n in cfg["n_list"]:
-        for t0 in range(0, trials, step):
-            items.append((cfg["law"], n, cfg["seed"], t0, min(t0 + step, trials)))
-    chunks = _parallel(_w_tail, items, int(cfg.get("workers", 1)))
-    rows = [row for chunk in chunks for row in chunk]
-    header = ("n", "trial", "sigma_n", "kappa")
-    summary: Dict[str, object] = {"per_n": {}}
-    verdicts = []
-    for n in cfg["n_list"]:
-        thr_s = float(n) ** -float(cfg["a_exp"])
-        thr_k = float(n) ** float(cfg["a_exp"])
-        sub = [r for r in rows if r[0] == n]
-        hs = sum(1 for r in sub if r[2] <= thr_s)
-        hk = sum(1 for r in sub if r[3] >= thr_k)
-        ci_s = wilson_interval(hs, trials)
-        v = _bound_verdict(hs / trials, ci_s, float(cfg["freq_bound"]))
-        verdicts.append(v)
-        summary["per_n"][n] = {
-            "freq_sigma": hs / trials, "ci_sigma": ci_s,
-            "freq_kappa": hk / trials, "ci_kappa": wilson_interval(hk, trials),
-            "verdict": v,
-        }
-    return header, rows, summary, _worst(verdicts)
-
-
-def _w_detconc(args) -> List[tuple]:
-    law_lit, n, seed, t0, t1, eps = args
-    law = parse_law(law_lit)
-    return [detconc_trial(law, n, seed, t, eps) for t in range(t0, t1)]
+    rep = tail_report(_trial_rows(tail_trial, cfg, F=None), cfg["n_list"],
+                      float(cfg["a_exp"]), int(cfg["trials"]), cfg["seed"])
+    per_n = {n: {**stats, "verdict": bound_verdict(stats["freq_sigma"], stats["ci_sigma"],
+                                                   float(cfg["freq_bound"]))}
+             for n, stats in rep.per_n.items()}
+    summary = {"per_n": per_n, "loglog_slope": rep.loglog_slope}
+    return (("n", "trial", "sigma_n", "kappa"), rep.rows, summary,
+            _worst([stats["verdict"] for stats in per_n.values()]))
 
 
 def _run_detconc(cfg: Dict[str, object]):
     trials = int(cfg["trials"])
     if trials < 30:
         raise InvalidConfig("trials: at least 30 required")
-    eps_over = cfg.get("epsilon")
-    items = []
-    step = max(1, trials // 8)
-    for n in cfg["n_list"]:
-        for t0 in range(0, trials, step):
-            items.append((cfg["law"], n, cfg["seed"], t0, min(t0 + step, trials), eps_over))
-    chunks = _parallel(_w_detconc, items, int(cfg.get("workers", 1)))
-    rows = [row for chunk in chunks for row in chunk]
-    header = ("n", "trial", "seed", "log_abs_det", "kept_sum",
-              "dropped_count", "sigma_n", "kappa")
-    summary: Dict[str, object] = {"per_n": {}}
-    ratios = []
-    stds = []
-    verdicts = []
-    for n in cfg["n_list"]:
-        eps = float(eps_over) if eps_over is not None else float(n) ** (-1 / 6)
-        kept = np.array([r[4] for r in rows if r[0] == n])
-        std = float(kept.std(ddof=1))
-        norm = envelope_norm(n)
-        thr = 2 * math.log(n) / eps
-        # at n = 1 the threshold is 0: no deviation, as in concentration_experiment
-        dev_hits = int(np.sum(np.abs(kept - kept.mean()) >= thr)) if n > 1 else 0
-        ci = wilson_interval(dev_hits, trials)
-        v = _bound_verdict(dev_hits / trials, ci, float(cfg["dev_bound"]))
-        verdicts.append(v)
-        ratios.append(std / norm)
-        stds.append(std)
-        summary["per_n"][n] = {
-            "epsilon": eps, "std_kept": std, "ratio": std / norm,
-            "dev_threshold": thr, "dev_freq": dev_hits / trials,
-            "dev_verdict": v,
-        }
-    spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    summary["ratio_spread"] = spread
-    summary["spread_bound"] = float(cfg["spread_bound"])
+    rep = concentration_report(_trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon")),
+                               cfg["n_list"], trials, cfg["seed"], cfg.get("epsilon"))
+    per_n = {n: {**stats, "dev_verdict": bound_verdict(stats["dev_freq"], stats["dev_ci"],
+                                                       float(cfg["dev_bound"]))}
+             for n, stats in rep.per_n.items()}
     # spread_bound caps the rise of the ratio towards larger n (envelope_rule);
     # a single n carries no shape evidence, a zero std fails the rule
-    shape = envelope_rule(cfg["n_list"], stds, float(cfg["spread_bound"]))
-    summary["max_rise"] = shape.max_rise
-    summary["fitted_exponent"] = shape.fitted_exponent
+    shape = rep.shape(float(cfg["spread_bound"]))
     if len(set(cfg["n_list"])) < 2:
-        summary["shape_verdict"] = "inconclusive"
+        shape_verdict = "inconclusive"
     else:
-        summary["shape_verdict"] = "pass" if shape.ok else "fail"
-    verdicts.append(summary["shape_verdict"])
-    return header, rows, summary, _worst(verdicts)
+        shape_verdict = "pass" if shape.ok else "fail"
+    summary = {
+        "per_n": per_n, "ratio_spread": rep.ratio_spread,
+        "spread_bound": float(cfg["spread_bound"]), "max_rise": shape.max_rise,
+        "fitted_exponent": shape.fitted_exponent, "shape_verdict": shape_verdict,
+    }
+    header = ("n", "trial", "seed", "log_abs_det", "kept_sum",
+              "dropped_count", "sigma_n", "kappa")
+    verdicts = [stats["dev_verdict"] for stats in per_n.values()] + [shape_verdict]
+    return header, rep.rows, summary, _worst(verdicts)
 
 
 def _w_decoupling(args) -> tuple:
@@ -377,7 +324,7 @@ def _w_rankgrow(args) -> List[tuple]:
     law_lit, n, seed, t0, t1 = args
     law = parse_law(law_lit)
     runs = grow_and_track(_zero_sample(n), law, n - 1,
-                          seed=[_derive_seed(seed, t) for t in range(t0, t1)])
+                          seed=[key_seed(seed, t) for t in range(t0, t1)])
     return [(t, i + 1, st.size, st.new_rank, st.jumped_by_2)
             for t, steps in zip(range(t0, t1), runs) for i, st in enumerate(steps)]
 
@@ -422,7 +369,7 @@ def _run_rankgrow(cfg: Dict[str, object]):
 def _w_odlyzko(args) -> tuple:
     law_lit, n, k, trials, seed, c3 = args
     law = parse_law(law_lit)
-    res = subspace_membership_mc(law, n, k, trials, seed=_derive_seed(seed, n, k), c3=c3)
+    res = subspace_membership_mc(law, n, k, trials, seed=key_seed(seed, n, k), c3=c3)
     return (n, k, res.freq, res.se, res.bound)
 
 
@@ -518,22 +465,21 @@ def run(config: ExperimentConfig) -> ResultRecord:
     return rec
 
 
+def _config_from_dict(values: Dict[str, object]) -> ExperimentConfig:
+    """An ExperimentConfig from a config file or a stored record; keys that
+    name no config field raise InvalidConfig."""
+    unknown = set(values) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+    return ExperimentConfig(**values)
+
+
 def replay(record_path: str, workers: Optional[int] = None) -> ResultRecord:
     """Re-run a stored record's config and demand bit-identical rows."""
     with open(record_path) as fh:
         stored = json.load(fh)
-    cfg_dict = dict(stored["config"])
-    cfg_dict.pop("out", None)
-    cfg_dict.pop("workers", None)
-    if "n_list" in cfg_dict:
-        cfg_dict["n_list"] = tuple(cfg_dict["n_list"])
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(cfg_dict) - known
-    if unknown:
-        raise InvalidConfig(f"record has unknown fields: {sorted(unknown)}")
-    cfg = ExperimentConfig(out=record_path + ".replay",
-                           workers=workers or 1, **cfg_dict)
-    rec = run(cfg)
+    rec = run(_config_from_dict({**stored["config"], "out": record_path + ".replay",
+                                "workers": workers or 1}))
     old_rows = stored["rows"]
     new_rows = _jsonify([list(r) for r in rec.rows])
     if len(old_rows) != len(new_rows):
@@ -546,6 +492,10 @@ def replay(record_path: str, workers: Optional[int] = None) -> ResultRecord:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _int_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -573,14 +523,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=None)
 
     tp = sub.add_parser("tail", parents=[common])
-    tp.add_argument("--n-list", dest="n_list", type=str, default=None)
+    tp.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
     tp.add_argument("--a-exp", dest="a_exp", type=float, default=None)
     tp.add_argument("--freq-bound", dest="freq_bound", type=float, default=None)
     for c in ("c1", "c2", "c3"):
         tp.add_argument(f"--{c}", type=float, default=None)
 
     dp = sub.add_parser("detconc", parents=[common])
-    dp.add_argument("--n-list", dest="n_list", type=str, default=None)
+    dp.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
     dp.add_argument("--epsilon", type=float, default=None)
     dp.add_argument("--spread-bound", dest="spread_bound", type=float, default=None)
     dp.add_argument("--dev-bound", dest="dev_bound", type=float, default=None)
@@ -597,7 +547,7 @@ def _build_parser() -> _Parser:
     rp.add_argument("--n", type=int, default=None)
 
     op = sub.add_parser("odlyzko", parents=[common])
-    op.add_argument("--n-list", dest="n_list", type=str, default=None)
+    op.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
     op.add_argument("--c3", type=float, default=None)
 
     rpl = sub.add_parser("replay")
@@ -621,13 +571,13 @@ def _run_ensemble_action(args) -> int:
     fixed = read_matrix_text(args.fixed) if args.fixed else None
     if args.action == "grow":
         runs = grow_and_track(_zero_sample(args.n), law, args.n - 1,
-                              seed=[_derive_seed(args.seed, t) for t in range(args.trials)])
+                              seed=[key_seed(args.seed, t) for t in range(args.trials)])
         for t, steps in enumerate(runs):
             line = " ".join(f"{st.size}:{st.new_rank}" for st in steps)
             print(f"trial {t}: {line}")
         return 0
     for t in range(args.trials):
-        s = sample_symmetric(law, fixed, args.n, seed=_derive_seed(args.seed, t))
+        s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t))
         if args.action == "sample":
             if args.out:
                 write_matrix_text(s.matrix, f"{args.out}.{t}.txt" if args.trials > 1
@@ -665,13 +615,13 @@ def _load_config_file(path: str) -> Dict[str, object]:
 
 
 def _coerce(key: str, val: str):
-    if key in ("n", "trials", "seed", "workers", "steps", "size_cap"):
+    if key in ("n", "trials", "seed", "workers"):
         return int(val)
     if key in ("beta", "a_exp", "freq_bound", "epsilon", "spread_bound",
                "dev_bound", "c1", "c2", "c3"):
         return float(val)
     if key == "n_list":
-        return tuple(int(tok) for tok in val.split(",") if tok.strip())
+        return _int_list(val)
     return val
 
 
@@ -685,17 +635,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.experiment == "ensemble":
             return _run_ensemble_action(args)
-        base: Dict[str, object] = {}
-        if getattr(args, "config", None):
-            base.update(_load_config_file(args.config))
-        for key, val in vars(args).items():
-            if key == "config" or val is None:
-                continue
-            if key == "n_list" and isinstance(val, str):
-                val = tuple(int(tok) for tok in val.split(",") if tok.strip())
-            base[key] = val
-        cfg = ExperimentConfig(**base)
-        rec = run(cfg)
+        base = _load_config_file(args.config) if args.config else {}
+        base.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
+        rec = run(_config_from_dict(base))
         print(f"{rec.experiment}: verdict={rec.verdict} rows={len(rec.rows)} "
               f"hash={rec.config_hash[:12]} wall={rec.wall_clock_s:.2f}s")
         for key, val in rec.summary.items():

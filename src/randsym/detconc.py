@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ensembles import sample_symmetric, spectral_summary, SpectralSummary
 from .laws import AtomicLaw, Law, SpacingCertificate, verify_spacing
+from .streams import key_seed
 
 Z95 = 1.959963984540054
 
@@ -120,6 +121,14 @@ def wilson_interval(hits: int, trials: int, z: float = Z95) -> Tuple[float, floa
     return lo, hi
 
 
+def bound_verdict(freq: float, ci: Tuple[float, float], bound: float) -> str:
+    """pass/fail/inconclusive for an upper bound on a MC frequency."""
+    lo, hi = ci
+    if lo <= bound <= hi:
+        return "inconclusive"
+    return "pass" if freq <= bound else "fail"
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -129,21 +138,19 @@ def envelope_norm(n: int) -> float:
     return float(n) ** (1.0 / 3.0) * math.log(n) if n > 1 else 1.0
 
 
-def loglog_slope(n_list: Sequence[int], std_kept: Sequence[float]) -> Optional[float]:
-    """Least-squares slope of log std against log n; None below two
-    distinct n or when a std is not positive (it has no logarithm)."""
-    stds = np.asarray(std_kept, dtype=float)
-    if np.any(stds <= 0):
+def loglog_slope(n_list: Sequence[int], values: Sequence[float]) -> Optional[float]:
+    """Least-squares slope of log value (a std, a frequency) against log n;
+    None below two distinct n or when a value is not positive (it has no
+    logarithm)."""
+    ys = np.asarray(values, dtype=float)
+    if len(set(n_list)) < 2 or np.any(ys <= 0):
         return None
     xs = np.log(np.asarray(n_list, dtype=float))
     xc = xs - xs.mean()
-    sxx = float(np.dot(xc, xc))
-    if sxx == 0.0:
-        return None
-    ys = np.log(stds)
-    # shifting ys by ys[0] leaves the slope as it is and makes a flat std
+    ys = np.log(ys)
+    # shifting ys by ys[0] leaves the slope as it is and makes a flat value
     # give exactly 0 (a least-squares solver leaves +-1e-16 of round-off)
-    return float(np.dot(xc, ys - ys[0]) / sxx)
+    return float(np.dot(xc, ys - ys[0]) / float(np.dot(xc, xc)))
 
 
 @dataclass(frozen=True)
@@ -201,62 +208,66 @@ class DetConcReport:
                              rise_bound)
 
 
+def _epsilon(n: int, epsilon: Optional[float]) -> float:
+    """The cutoff: epsilon when given, else n^(-1/6)."""
+    return float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
+
+
 def detconc_trial(law: AtomicLaw, n: int, seed: int, t: int,
                   epsilon: Optional[float] = None) -> tuple:
     """One concentration row: (n, t, seed, log|det|, kept_sum, dropped, sigma_n, kappa)."""
-    eps = float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
-    trial_seed = _trial_seed(seed, n, t)
+    trial_seed = key_seed(seed, n, t)
     s = sample_symmetric(law, None, n, seed=trial_seed, exact=False)
     summ = spectral_summary(s)
-    tld = truncated_log_det(summ, eps)
+    tld = truncated_log_det(summ, _epsilon(n, epsilon))
     return (n, t, trial_seed, summ.log_abs_det, tld.kept_sum, tld.dropped_count,
             summ.sigma_n, summ.kappa)
 
 
 def tail_trial(law: Law, F, n: int, seed: int, t: int) -> tuple:
     """One tail row: (n, t, sigma_n, kappa)."""
-    s = sample_symmetric(law, F, n, seed=_trial_seed(seed, n, t), exact=False)
+    s = sample_symmetric(law, F, n, seed=key_seed(seed, n, t), exact=False)
     summ = spectral_summary(s)
     return (n, t, summ.sigma_n, summ.kappa)
 
 
 def concentration_experiment(law: AtomicLaw, n_list: Sequence[int], trials: int,
                              seed: int, epsilon: Optional[float] = None) -> DetConcReport:
-    """Spread of the truncated log-determinant at eps = n^(-1/6).
-
-    Per n and trial (keyed (seed, n, trial)): log|det|, the kept log sum,
-    the dropped count, sigma_n, kappa.  The per-n summary reports the
-    empirical std of the kept sum, its ratio to n^(1/3) log n, and the
-    frequency of centered deviations >= 2 log n / eps.  n^(1/3) log n is
-    an upper envelope from spectral concentration, not a predicted growth
-    rate: the std grows more slowly, so the ratio falls with n.  The
-    report's shape() applies the envelope rule.
+    """Spread of the truncated log-determinant at eps = n^(-1/6): one
+    detconc_trial row per n and trial, summarized by concentration_report.
+    n^(1/3) log n is an upper envelope, not a predicted growth rate: the
+    std grows more slowly, so the ratio falls with n; shape() is the rule.
     """
     if not isinstance(law, AtomicLaw):
         raise ValueError("a bounded atomic law is required")
     if trials < 30:
         raise ValueError("at least 30 trials required")
-    rows: List[tuple] = []
+    rows = [detconc_trial(law, n, seed, t, epsilon) for n in n_list for t in range(trials)]
+    return concentration_report(rows, n_list, trials, seed, epsilon)
+
+
+def concentration_report(rows: Sequence[tuple], n_list: Sequence[int], trials: int,
+                         seed: int, epsilon: Optional[float] = None) -> DetConcReport:
+    """Summary of detconc_trial rows, trials rows per n in n_list order: per
+    n the std and mean of the kept sum, its ratio to n^(1/3) log n, and the
+    frequency (Wilson interval) of centered deviations >= 2 log n / eps,
+    none at n = 1; then the ratio spread and the fitted exponent."""
     per_n: Dict[int, dict] = {}
-    for n in n_list:
-        eps = float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
-        kept_list = np.empty(trials)
-        for t in range(trials):
-            row = detconc_trial(law, n, seed, t, epsilon)
-            kept_list[t] = row[4]
-            rows.append(row)
-        std = float(kept_list.std(ddof=1))
-        norm = envelope_norm(n)
-        thr = 2.0 * math.log(n) / eps if n > 1 else 0.0
-        devs = np.abs(kept_list - kept_list.mean())
-        dev_freq = float(np.mean(devs >= thr)) if n > 1 else 0.0
+    for i, n in enumerate(n_list):
+        kept = np.array([r[4] for r in rows[i * trials:(i + 1) * trials]])
+        eps = _epsilon(n, epsilon)
+        std = float(kept.std(ddof=1))
+        mean = float(kept.mean())
+        thr = 2.0 * math.log(n) / eps
+        hits = int(np.sum(np.abs(kept - mean) >= thr)) if n > 1 else 0
         per_n[n] = {
             "epsilon": eps,
             "std_kept": std,
-            "ratio": std / norm,
+            "ratio": std / envelope_norm(n),
             "dev_threshold": thr,
-            "dev_freq": dev_freq,
-            "mean_kept": float(kept_list.mean()),
+            "dev_freq": hits / trials,
+            "dev_ci": wilson_interval(hits, trials),
+            "mean_kept": mean,
         }
     ratios = [per_n[n]["ratio"] for n in n_list]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
@@ -287,35 +298,28 @@ def tail_experiment(law: Law, F, n_list: Sequence[int], a_exp: float, trials: in
     if not verify_spacing(law, cert):
         raise SpacingUnverified(
             f"law does not satisfy the spacing condition at {cert}")
-    rows: List[tuple] = []
+    rows = [tail_trial(law, F, n, seed, t) for n in n_list for t in range(trials)]
+    return tail_report(rows, n_list, a_exp, trials, seed)
+
+
+def tail_report(rows: Sequence[tuple], n_list: Sequence[int], a_exp: float,
+                trials: int, seed: int) -> TailReport:
+    """Summary of tail_trial rows, trials rows per n in n_list order: per n
+    the frequencies (Wilson intervals) of {sigma_n <= n^-A} and {kappa >=
+    n^A}; then the log-log slope of the positive sigma_n frequencies."""
     per_n: Dict[int, dict] = {}
-    for n in n_list:
-        thr_sigma = float(n) ** (-float(a_exp))
-        thr_kappa = float(n) ** float(a_exp)
-        hits_s = hits_k = 0
-        for t in range(trials):
-            row = tail_trial(law, F, n, seed, t)
-            rows.append(row)
-            hits_s += row[2] <= thr_sigma
-            hits_k += row[3] >= thr_kappa
+    for i, n in enumerate(n_list):
+        block = rows[i * trials:(i + 1) * trials]
+        thr_sigma, thr_kappa = float(n) ** (-float(a_exp)), float(n) ** float(a_exp)
+        hits_s = sum(1 for r in block if r[2] <= thr_sigma)
+        hits_k = sum(1 for r in block if r[3] >= thr_kappa)
         per_n[n] = {
             "freq_sigma": hits_s / trials,
             "ci_sigma": wilson_interval(hits_s, trials),
             "freq_kappa": hits_k / trials,
             "ci_kappa": wilson_interval(hits_k, trials),
         }
-    slope = None
-    pts = [(math.log(n), math.log(per_n[n]["freq_sigma"]))
-           for n in n_list if per_n[n]["freq_sigma"] > 0]
-    if len(pts) >= 2:
-        xs, ys = zip(*pts)
-        slope = float(np.polyfit(xs, ys, 1)[0])
+    hit = [n for n in n_list if per_n[n]["freq_sigma"] > 0]
+    slope = loglog_slope(hit, [per_n[n]["freq_sigma"] for n in hit])
     return TailReport(tuple(n_list), float(a_exp), trials, seed, tuple(rows),
                       per_n, slope)
-
-
-def _trial_seed(seed: int, n: int, t: int) -> int:
-    """Stable per-(n, trial) integer key for sample_symmetric."""
-    # sample_symmetric takes one integer seed; pack the key through
-    # SeedSequence-generated state to keep trials independent
-    return int(np.random.SeedSequence([int(seed), int(n), int(t)]).generate_state(1)[0])

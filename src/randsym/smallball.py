@@ -278,15 +278,27 @@ def linear_window_mass(form: LinearForm, law: AtomicLaw, center, beta,
     return Fraction(_interval_count(dist, c0 - beta, c0 + beta), dist.ctotal)
 
 
+def _mc_window_best(vals: np.ndarray, beta: float) -> SmallBallEstimate:
+    """Monte Carlo estimate from the sampled values of a form (sorted in
+    place): the closed window of width 2*beta anchored at a sample that
+    holds the most samples, centred between the extreme samples it holds,
+    with the DKW half-width sqrt(ln(2/delta) / (2 trials)) at delta = 0.05."""
+    trials = len(vals)
+    vals.sort(kind="stable")
+    rights = np.searchsorted(vals, vals + 2 * beta, side="right")
+    totals = rights - np.arange(trials)
+    j = int(np.argmax(totals))
+    ci_half = math.sqrt(math.log(2 / DKW_DELTA) / (2 * trials))
+    center = 0.5 * (float(vals[j]) + float(vals[rights[j] - 1]))
+    return SmallBallEstimate(float(totals[j]) / trials, beta, "monte_carlo",
+                             ci_half, center)
+
+
 def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
                          seed: int) -> SmallBallEstimate:
-    """Monte Carlo sup_a P(|sum a_i (x_i + f_i) - a| <= beta).
-
-    DKW half-width sqrt(ln(2/delta) / (2 trials)) at delta = 0.05.
-    """
+    """Monte Carlo sup_a P(|sum a_i (x_i + f_i) - a| <= beta)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    beta_f = float(beta)
     a = np.array([float(c) for c in form.coefficients])
     shift = float(sum(float(c) * float(f) for c, f in zip(form.coefficients, form.shifts)))
     vals = np.empty(trials, dtype=np.float64)
@@ -294,14 +306,7 @@ def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
         rng = substream(seed, ci)
         draws = sampler.sample_values(rng, (stop - start, form.n))
         vals[start:stop] = draws @ a + shift
-    vals.sort(kind="stable")
-    rights = np.searchsorted(vals, vals + 2 * beta_f, side="right")
-    totals = rights - np.arange(trials)
-    j = int(np.argmax(totals))
-    rho = float(totals[j]) / trials
-    ci_half = math.sqrt(math.log(2 / DKW_DELTA) / (2 * trials))
-    center = 0.5 * (float(vals[j]) + float(vals[rights[j] - 1]))
-    return SmallBallEstimate(rho, beta_f, "monte_carlo", ci_half, center)
+    return _mc_window_best(vals, float(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +393,6 @@ def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int
     """Monte Carlo counterpart of quadratic_small_ball_exact."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    beta_f = float(beta)
     n = form.n
     A = np.array([[float(a) for a in row] for row in form.matrix])
     f = np.array([float(x) for x in form.shifts])
@@ -397,14 +401,7 @@ def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int
         rng = substream(seed, ci)
         Z = sampler.sample_values(rng, (stop - start, n)) + f
         vals[start:stop] = np.einsum("ti,ij,tj->t", Z, A, Z)
-    vals.sort(kind="stable")
-    rights = np.searchsorted(vals, vals + 2 * beta_f, side="right")
-    totals = rights - np.arange(trials)
-    j = int(np.argmax(totals))
-    ci_half = math.sqrt(math.log(2 / DKW_DELTA) / (2 * trials))
-    center = 0.5 * (float(vals[j]) + float(vals[rights[j] - 1]))
-    return SmallBallEstimate(float(totals[j]) / trials, beta_f, "monte_carlo",
-                             ci_half, center)
+    return _mc_window_best(vals, float(beta))
 
 
 def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
@@ -478,14 +475,7 @@ def _bilinear_mc(form: QuadraticForm, law_x: Law, law_y: Law, beta: float,
         X = law_x.sample_values(rng, (stop - start, n)) + f
         Y = law_y.sample_values(rng, (stop - start, n)) + f
         vals[start:stop] = np.einsum("ti,ij,tj->t", X, A, Y)
-    vals.sort(kind="stable")
-    rights = np.searchsorted(vals, vals + 2 * beta, side="right")
-    totals = rights - np.arange(trials)
-    j = int(np.argmax(totals))
-    ci_half = math.sqrt(math.log(2 / DKW_DELTA) / (2 * trials))
-    center = 0.5 * (float(vals[j]) + float(vals[rights[j] - 1]))
-    return SmallBallEstimate(float(totals[j]) / trials, beta, "monte_carlo",
-                             ci_half, center)
+    return _mc_window_best(vals, beta)
 
 
 # ---------------------------------------------------------------------------

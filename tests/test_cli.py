@@ -1,10 +1,12 @@
 import json
 import os
+import shutil
 
 import pytest
 
 from randsym.cli import (ExperimentConfig, InvalidConfig, ReplayMismatch,
-                         UnknownExperiment, config_hash, main, replay, resolve, run)
+                         UnknownExperiment, _jsonify, config_hash, main, replay,
+                         resolve, run)
 
 
 def cfg(tmp_path, **kw):
@@ -35,11 +37,26 @@ class TestRunRecords:
         from randsym import bernoulli, concentration_experiment
         rec = run(cfg(tmp_path, experiment="detconc", n_list=(8, 12), trials=32,
                       seed=3))
-        shape = concentration_experiment(bernoulli(), (8, 12), trials=32,
-                                         seed=3).shape(rise_bound=1.5)
+        lib = concentration_experiment(bernoulli(), (8, 12), trials=32, seed=3)
+        shape = lib.shape(rise_bound=1.5)
         assert rec.summary["max_rise"] == shape.max_rise
         assert rec.summary["fitted_exponent"] == shape.fitted_exponent
-        assert "spread_bound" in rec.summary and "ratio_spread" in rec.summary
+        assert rec.summary["ratio_spread"] == lib.ratio_spread
+        assert "spread_bound" in rec.summary
+        assert rec.rows == lib.rows
+        for n in (8, 12):
+            assert rec.summary["per_n"][n].items() >= lib.per_n[n].items()
+
+    def test_tail_summary_matches_library(self, tmp_path):
+        from randsym import SpacingCertificate, bernoulli, tail_experiment
+        rec = run(cfg(tmp_path, experiment="tail", n_list=(6, 8), a_exp=0.5, trials=40,
+                      seed=3))
+        lib = tail_experiment(bernoulli(), None, (6, 8), 0.5, 40, 3,
+                              SpacingCertificate(2, 2, 0.5))
+        assert rec.summary["loglog_slope"] == lib.loglog_slope is not None
+        assert rec.rows == lib.rows
+        for n in (6, 8):
+            assert rec.summary["per_n"][n].items() >= lib.per_n[n].items()
 
     def test_detconc_shape_verdicts(self, tmp_path):
         # n = 1 has a zero std: no exponent, and the shape rule fails
@@ -126,6 +143,37 @@ class TestReplay:
             replay(path)
 
 
+RECORDS = os.path.join(os.path.dirname(__file__), "records")
+
+
+def _contains(new, old) -> bool:
+    """Every key of old is in new with an equal value (dicts recursively)."""
+    if isinstance(old, dict):
+        return isinstance(new, dict) and all(k in new and _contains(new[k], v)
+                                             for k, v in old.items())
+    return new == old
+
+
+class TestStoredRecords:
+    """Records written by an earlier version of the runner, one per
+    experiment: replay must give their rows, CSV bytes, verdict and summary
+    again, with any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("experiment", ["smallball", "tail", "detconc", "decoupling",
+                                            "gapreduce", "rankgrow", "odlyzko"])
+    def test_replay(self, tmp_path, experiment, workers):
+        src = os.path.join(RECORDS, experiment)
+        path = str(tmp_path / experiment) + ".json"
+        shutil.copy(src + ".json", path)
+        stored = json.load(open(path))
+        rec = replay(path, workers=workers)
+        assert rec.verdict == stored["verdict"]
+        assert rec.config_hash == stored["config_hash"]
+        assert _contains(json.loads(json.dumps(_jsonify(rec.summary))), stored["summary"])
+        assert open(path + ".replay.csv", "rb").read() == open(src + ".csv", "rb").read()
+
+
 class TestMain:
     def test_exit_codes(self, tmp_path, capsys):
         out = str(tmp_path / "r")
@@ -141,6 +189,22 @@ class TestMain:
         assert code == 3
         code = main(["bogus"])
         assert code == 1
+
+    def test_unknown_config_keys_named(self, tmp_path, capsys):
+        conf = tmp_path / "exp.cfg"
+        conf.write_text("experiment=odlyzko\nfrobnicate=1\nsize_cap=9\n")
+        assert main(["odlyzko", "--config", str(conf), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "frobnicate" in err and "size_cap" in err and "TypeError" not in err
+        # a record written while `steps` was a config field no longer replays
+        assert main(["odlyzko", "--n-list", "6", "--trials", "50",
+                     "--out", str(tmp_path / "r")]) == 0
+        path = str(tmp_path / "r") + ".json"
+        data = json.load(open(path))
+        data["config"]["steps"] = 3
+        json.dump(data, open(path, "w"))
+        with pytest.raises(InvalidConfig, match="steps"):
+            replay(path)
 
     def test_config_file(self, tmp_path):
         conf = tmp_path / "exp.cfg"
@@ -160,13 +224,13 @@ class TestMain:
     def test_ensemble_spectrum_computes_no_exact_rank(self, capsys, monkeypatch):
         import randsym.ensembles
         from randsym import bernoulli, sample_symmetric, spectral_summary
-        from randsym.cli import _derive_seed
+        from randsym.streams import key_seed
         lines = []
         for t in range(3):
             # the library summary of the exact sample pays for an exact
             # corank; the command must print the same numbers without it
             summ = spectral_summary(sample_symmetric(bernoulli(), None, 6,
-                                                     seed=_derive_seed(4, t)))
+                                                     seed=key_seed(4, t)))
             assert summ.corank is not None
             lines.append(json.dumps({
                 "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,

@@ -222,6 +222,36 @@ class TestBilinear:
         assert abs(mc.rho - float(exact.rho)) <= mc.ci_halfwidth
 
 
+class TestMonteCarloPins:
+    """(rho, witness_center, ci_halfwidth) of each Monte Carlo engine at a
+    fixed seed, to the exact floats the engines gave before they shared
+    one window scan."""
+
+    def test_linear_atoms(self):
+        est = linear_small_ball_mc(LinearForm((1, 2, 3, 1, 1)), BERN, 0.5, 3000, seed=11)
+        assert (est.rho, est.witness_center, est.ci_halfwidth) == \
+            (0.204, 0.0, 0.024795427851769823)
+
+    def test_linear_continuous_shifted(self):
+        form = LinearForm((1, F(1, 2), 3), shifts=(F(1, 3), 0, 1))
+        est = linear_small_ball_mc(form, gaussian(), 0.4, 2000, seed=11)
+        assert (est.rho, est.witness_center, est.ci_halfwidth) == \
+            (0.115, 4.022264071951322, 0.030368073095415258)
+
+    def test_quadratic(self):
+        form = QuadraticForm(((0, F(1, 2), 1), (F(1, 2), 0, -1), (1, -1, 2)),
+                             shifts=(F(1, 3), 0, F(-1, 4)))
+        est = quadratic_small_ball_mc(form, uniform3(), 0.25, 3000, seed=12)
+        assert (est.rho, est.witness_center, est.ci_halfwidth) == \
+            (0.189, 3.041666666666667, 0.024795427851769823)
+
+    def test_bilinear(self):
+        est = bilinear_small_ball(QuadraticForm(((1, 2), (2, -1))), BERN, gaussian(),
+                                  0.3, method="mc", trials=3000, seed=13)
+        assert (est.rho, est.witness_center, est.ci_halfwidth) == \
+            (0.07933333333333334, 0.73538757749132, 0.024795427851769823)
+
+
 class TestTruncatedProducts:
     def test_pair(self):
         assert truncated_product_bound((1, 1), BERN, 0, 2) == F(1, 4)
