@@ -616,13 +616,18 @@ def _load_config_file(path: str) -> Dict[str, object]:
 
 def _coerce(key: str, val: str):
     if key in ("n", "trials", "seed", "workers"):
-        return int(val)
-    if key in ("beta", "a_exp", "freq_bound", "epsilon", "spread_bound",
-               "dev_bound", "c1", "c2", "c3"):
-        return float(val)
-    if key == "n_list":
-        return _int_list(val)
-    return val
+        parse = int
+    elif key in ("beta", "a_exp", "freq_bound", "epsilon", "spread_bound",
+                 "dev_bound", "c1", "c2", "c3"):
+        parse = float
+    elif key == "n_list":
+        parse = _int_list
+    else:
+        return val
+    try:
+        return parse(val)
+    except ValueError:
+        raise InvalidConfig(f"{key}: invalid value {val!r}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

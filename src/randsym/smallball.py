@@ -10,6 +10,15 @@ as a maximum over closed windows whose left edge sits on an atom: sliding
 any window right until its left edge hits an atom never loses mass, so
 the finite scan attains the sup.
 
+The linear sum is convolved in one of two layouts.  Dense: when its
+support span S has S + 1 <= min(cap, prod m_i), with m_i the distinct
+values of step i (prod m_i bounds any support), it runs on the lattice
+[lo, lo + S] by one shifted slice-add per atom.  Sparse: otherwise, the
+outer sum of each step is aggregated by sort-and-reduceat.  Either way
+counts are int64 while the total count stays below 2**61 and exact Python
+ints (numpy object arrays) beyond, and values likewise, so no size
+changes the arithmetic silently.
+
 Monte Carlo variants draw from splittable streams keyed (seed, chunk)
 and carry a Dvoretzky-Kiefer-Wolfowitz half-width at the 95% level.
 """
@@ -157,9 +166,9 @@ def _aggregate_np(vals: np.ndarray, cnts: np.ndarray) -> Tuple[np.ndarray, np.nd
 class _ScaledDist:
     """Integer atoms: value = vals[k] * scale, mass = cnts[k] / ctotal."""
 
-    vals: Union[np.ndarray, List[int]]   # sorted ascending, unique
-    cnts: Union[np.ndarray, List[int]]
-    scale: Fraction                      # positive lattice unit
+    vals: np.ndarray        # sorted ascending, unique
+    cnts: np.ndarray        # positive
+    scale: Fraction         # positive lattice unit
     ctotal: int
 
     def __len__(self) -> int:
@@ -167,7 +176,9 @@ class _ScaledDist:
 
 
 def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _ScaledDist:
-    """Exact distribution of sum_i a_i x_i by sequential convolution."""
+    """Exact distribution of sum_i a_i x_i by sequential convolution on the
+    dense lattice or the sparse support (module docstring).  The dense
+    array never outgrows the cap, so AtomBlowup is a sparse-layout event."""
     values = [_frac(v) for v in law.values]
     counts, cden = _law_mass_counts(law)
     step_vals = [[a * v for v in values] for a in coeffs]
@@ -175,30 +186,34 @@ def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _S
     step_ints = [[int(x / scale) for x in row] for row in step_vals]
     val_bound = sum(max(abs(x) for x in row) for row in step_ints) + 1
     ctotal = cden ** len(coeffs)
-    if val_bound < _INT64_SAFE and ctotal < _INT64_SAFE:
-        vals = np.zeros(1, dtype=np.int64)
-        cnts = np.ones(1, dtype=np.int64)
-        carr = np.asarray(counts, dtype=np.int64)
+    vtype = np.int64 if val_bound < _INT64_SAFE else object
+    ctype = np.int64 if ctotal < _INT64_SAFE else object
+    span = sum(max(row) - min(row) for row in step_ints)
+    if span + 1 <= min(cap, math.prod(len(set(row)) for row in step_ints)):
+        cnts = np.ones(1, dtype=ctype)
         for row in step_ints:
-            rarr = np.asarray(row, dtype=np.int64)
-            vals = (vals[:, None] + rarr[None, :]).ravel()
-            cnts = (cnts[:, None] * carr[None, :]).ravel()
-            vals, cnts = _aggregate_np(vals, cnts)
-            if len(vals) > cap:
-                raise AtomBlowup(f"{len(vals)} atoms exceed cap {cap}")
-        return _ScaledDist(vals, cnts, scale, ctotal)
-    acc = {0: 1}
+            base = min(row)
+            new = np.zeros(len(cnts) + max(row) - base, dtype=ctype)
+            for k, (v, c) in enumerate(zip(row, counts)):
+                part = cnts if c == 1 else cnts * c
+                if k:
+                    new[v - base:v - base + len(cnts)] += part
+                else:   # the first atom lands on zeros: a copy, not an add
+                    new[v - base:v - base + len(cnts)] = part
+            cnts = new
+        at = np.flatnonzero(cnts)
+        lo = sum(min(row) for row in step_ints)
+        return _ScaledDist(at.astype(vtype) + lo, cnts[at], scale, ctotal)
+    vals = np.zeros(1, dtype=vtype)
+    cnts = np.ones(1, dtype=ctype)
+    carr = np.array(counts, dtype=ctype)
     for row in step_ints:
-        new: dict = {}
-        for v, c in acc.items():
-            for iv, ic in zip(row, counts):
-                key = v + iv
-                new[key] = new.get(key, 0) + c * ic
-        if len(new) > cap:
-            raise AtomBlowup(f"{len(new)} atoms exceed cap {cap}")
-        acc = new
-    items = sorted(acc.items())
-    return _ScaledDist([v for v, _ in items], [c for _, c in items], scale, ctotal)
+        vals = (vals[:, None] + np.array(row, dtype=vtype)[None, :]).ravel()
+        cnts = (cnts[:, None] * carr[None, :]).ravel()
+        vals, cnts = _aggregate_np(vals, cnts)
+        if len(vals) > cap:
+            raise AtomBlowup(f"{len(vals)} atoms exceed cap {cap}")
+    return _ScaledDist(vals, cnts, scale, ctotal)
 
 
 def _window_best(dist: _ScaledDist, beta: Fraction) -> Tuple[int, Fraction]:
@@ -210,48 +225,28 @@ def _window_best(dist: _ScaledDist, beta: Fraction) -> Tuple[int, Fraction]:
     are integers.  The center reported is the midpoint of the extreme
     captured atoms, which the closed window around it still covers.
     """
-    width = math.floor(2 * beta / dist.scale)
-    if isinstance(dist.vals, np.ndarray):
-        span = int(dist.vals[-1]) - int(dist.vals[0])
-        width = min(width, span)        # wider windows already cover everything
-        prefix = np.r_[0, np.cumsum(dist.cnts)]
-        rights = np.searchsorted(dist.vals, dist.vals + np.int64(width), side="right")
-        totals = prefix[rights] - prefix[:-1]
-        j = int(np.argmax(totals))
-        lo, hi = int(dist.vals[j]), int(dist.vals[rights[j] - 1])
-        return int(totals[j]), Fraction(lo + hi, 2) * dist.scale
-    import bisect
-    prefix = [0]
-    for c in dist.cnts:
-        prefix.append(prefix[-1] + c)
-    best, center = -1, Fraction(0)
-    for j, v in enumerate(dist.vals):
-        r = bisect.bisect_right(dist.vals, v + width)
-        tot = prefix[r] - prefix[j]
-        if tot > best:
-            best = tot
-            center = Fraction(v + dist.vals[r - 1], 2) * dist.scale
-    return best, center
+    span = int(dist.vals[-1]) - int(dist.vals[0])
+    width = min(math.floor(2 * beta / dist.scale), span)   # wider windows cover everything
+    prefix = np.r_[0, np.cumsum(dist.cnts)]
+    rights = np.searchsorted(dist.vals, dist.vals + width, side="right")
+    totals = prefix[rights] - prefix[:-1]
+    j = int(np.argmax(totals))
+    lo, hi = int(dist.vals[j]), int(dist.vals[rights[j] - 1])
+    return int(totals[j]), Fraction(lo + hi, 2) * dist.scale
 
 
 def _interval_count(dist: _ScaledDist, lo: Fraction, hi: Fraction) -> int:
     """Exact mass count of atoms with lo <= value <= hi (values in scale units)."""
     lo_i = math.ceil(lo / dist.scale)
     hi_i = math.floor(hi / dist.scale)
-    if isinstance(dist.vals, np.ndarray):
-        # clamp to the atom range so huge bounds stay inside int64
-        vmin, vmax = int(dist.vals[0]), int(dist.vals[-1])
-        if hi_i < vmin or lo_i > vmax:
-            return 0
-        lo_i, hi_i = max(lo_i, vmin), min(hi_i, vmax)
-        prefix = np.r_[0, np.cumsum(dist.cnts)]
-        a = np.searchsorted(dist.vals, np.int64(lo_i), side="left")
-        b = np.searchsorted(dist.vals, np.int64(hi_i), side="right")
-        return int(prefix[b] - prefix[a])
-    import bisect
-    a = bisect.bisect_left(dist.vals, lo_i)
-    b = bisect.bisect_right(dist.vals, hi_i)
-    return sum(dist.cnts[a:b])
+    # clamp to the atom range so huge bounds stay inside int64
+    vmin, vmax = int(dist.vals[0]), int(dist.vals[-1])
+    if hi_i < vmin or lo_i > vmax:
+        return 0
+    prefix = np.r_[0, np.cumsum(dist.cnts)]
+    a = np.searchsorted(dist.vals, max(lo_i, vmin), side="left")
+    b = np.searchsorted(dist.vals, min(hi_i, vmax), side="right")
+    return int(prefix[b] - prefix[a])
 
 
 def linear_small_ball_exact(form: LinearForm, law: AtomicLaw, beta,

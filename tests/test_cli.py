@@ -206,6 +206,14 @@ class TestMain:
         with pytest.raises(InvalidConfig, match="steps"):
             replay(path)
 
+    @pytest.mark.parametrize("line", ["trials=abc", "epsilon=wide", "n_list=8,x"])
+    def test_bad_config_value_named(self, tmp_path, capsys, line):
+        conf = tmp_path / "exp.cfg"
+        conf.write_text(f"experiment=odlyzko\n{line}\n")
+        assert main(["odlyzko", "--config", str(conf), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line.partition('=')[0]}: invalid value")
+
     def test_config_file(self, tmp_path):
         conf = tmp_path / "exp.cfg"
         conf.write_text("experiment=odlyzko\nn_list=8\ntrials=500\nseed=3\n")

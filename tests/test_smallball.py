@@ -1,15 +1,18 @@
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from randsym import (AtomBlowup, EnumerationTooLarge, LinearForm,
+from randsym import (AtomBlowup, AtomicLaw, EnumerationTooLarge, LinearForm,
                      QuadraticForm, bernoulli, bilinear_small_ball,
                      central_binomial_rho, gaussian, linear_small_ball_exact,
                      linear_small_ball_mc, linear_window_mass,
                      quadratic_small_ball_exact, quadratic_small_ball_mc,
                      suffix_smallball_factors, truncated_product_bound, uniform3)
+from randsym import smallball
+from randsym.smallball import ATOM_CAP, _linear_sum_dist
 
 BERN = bernoulli()
 
@@ -98,8 +101,8 @@ class TestLinearExact:
                                     uniform3(), 0, cap=1000)
 
     def test_scale_invariance_huge_coefficients(self):
-        # rho(c*a, c*beta) == rho(a, beta); a huge c also exercises the
-        # big-integer fallback outside the int64 fast path
+        # rho(c*a, c*beta) == rho(a, beta); content scaling divides c back
+        # out, so the scaled lattice is the same small one for any c
         base = (F(3), F(5), F(7, 2), F(-1))
         beta = F(1, 2)
         want = linear_small_ball_exact(LinearForm(base), BERN, beta).rho
@@ -108,9 +111,78 @@ class TestLinearExact:
                                       BERN, c * beta).rho
         assert got == want
 
+    def test_scaled_values_beyond_int64(self):
+        # 2**70 + 1 shares no content with 1 and 3, so the scaled values
+        # themselves pass 2**61 and the sparse layout holds Python ints;
+        # atoms near 2**70 put a span-6 dense lattice there too
+        huge = AtomicLaw(((2 ** 70, F(1, 2)), (2 ** 70 + 1, F(1, 2))))
+        for coeffs, law in (((1, 2 ** 70 + 1, 3), BERN),
+                            ((1, 2 ** 70 + 1, 3), uniform3()),
+                            ((1, 2, 3), huge)):
+            assert _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP).vals.dtype == object
+            for beta in (F(0), F(1), F(3, 2), F(2 ** 70)):
+                est = linear_small_ball_exact(LinearForm(coeffs), law, beta)
+                assert est.rho == brute_force_linear(coeffs, (0,) * 3, law, beta)
+                assert linear_window_mass(LinearForm(coeffs), law,
+                                          est.witness_center, beta) == est.rho
+
     def test_huge_window_covers_everything(self):
         est = linear_small_ball_exact(LinearForm((F(1, 2 ** 40),)), BERN, 10 ** 9)
         assert est.rho == 1
+
+
+class TestLayoutPins:
+    """(rho, witness_center) of the exact linear engine on one case per
+    layout and count type, to the exact Fractions the sparse-only engine
+    with its dict fallback gave before the dense lattice."""
+
+    TINY = AtomicLaw(((-1, F(1, 2 ** 32)), (1, 1 - F(1, 2 ** 32))))
+
+    @pytest.mark.parametrize("case, beta, rho, center", [
+        ("int48", F(0), F(280815756045, 140737488355328), F(0)),
+        ("int48", F(7, 2), F(2246484616127, 281474976710656), F(-1)),
+        ("int120", F(0), F(951253391602579127959081834065239,
+                           664613997892457936451903530140172288), F(-1)),
+        ("int120", F(7, 2), F(1902494643315474862581564077075555,
+                              332306998946228968225951765070086144), F(0)),
+        ("pow3-bernoulli", F(200), F(1, 128), F(-265599)),
+        ("pow3-tiny", F(3), F(340282366762482138434845932253270245375,
+                              340282366920938463463374607431768211456), F(37)),
+    ])
+    def test_pinned(self, case, beta, rho, center, monkeypatch):
+        coeffs, law, layout, count_type = {
+            # integer coefficients 1..99: the support fills a dense lattice
+            "int48": (self._ints(48), BERN, "dense", np.int64),
+            "int120": (self._ints(120), BERN, "dense", object),
+            # powers of 3 with two atoms: 2^k atoms spread over 3^k points
+            "pow3-bernoulli": (tuple(3 ** p for p in range(12)), BERN, "sparse", np.int64),
+            "pow3-tiny": (tuple(3 ** p for p in range(4)), self.TINY, "sparse", object),
+        }[case]
+        aggregations = []
+        real = smallball._aggregate_np
+        monkeypatch.setattr(smallball, "_aggregate_np",
+                            lambda v, c: aggregations.append(1) or real(v, c))
+        dist = _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
+        assert ("sparse" if aggregations else "dense") == layout
+        assert dist.cnts.dtype == count_type
+        est = linear_small_ball_exact(LinearForm(coeffs), law, beta)
+        assert (est.rho, est.witness_center) == (rho, center)
+
+    @staticmethod
+    def _ints(n):
+        return tuple(int(x) for x in np.random.default_rng(n).integers(1, 100, n))
+
+
+def test_dense_lattice_time_budget():
+    # n = 1000 coefficients 1..99: a ~1e5-point lattice with 1000-bit counts
+    # (26 s with a dict per step, under 2 s on the dense lattice, 2-vCPU VM)
+    t0 = time.monotonic()
+    coeffs = tuple(int(x) for x in np.random.default_rng(1).integers(1, 100, 1000))
+    rho = linear_small_ball_exact(LinearForm(coeffs), BERN, 0).rho
+    elapsed = time.monotonic() - t0
+    # Erdos: nonzero integer coefficients put at most C(n, n/2) / 2^n on a point
+    assert 0 < rho <= central_binomial_rho(1000)
+    assert elapsed < 15, f"runtime {elapsed:.1f}s over budget 15s"
 
 
 class TestLinearMC:
