@@ -12,7 +12,6 @@ sigma_n = min |lambda| and kappa = sigma_1 / sigma_n.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -469,27 +468,6 @@ def read_matrix_text(path: str) -> np.ndarray:
     return out.reshape(1, 1) if out.ndim == 0 else np.atleast_2d(out)
 
 
-def write_matrix_binary(mat: np.ndarray, path: str) -> None:
-    """Binary record: int64 n, then n*n row-major float64."""
-    arr = np.asarray(mat, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", arr.shape[0]))
-        fh.write(arr.astype("<f8").tobytes())
-
-
-def read_matrix_binary(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    return data.reshape(n, n).copy()
-
-
-def write_matrix_exact(rows: Sequence[Sequence], path: str) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(" ".join(_fmt_frac(x) for x in row) + "\n")
-
-
 def read_matrix_exact(path: str) -> List[List[Fraction]]:
     out = []
     with open(path) as fh:
@@ -499,7 +477,3 @@ def read_matrix_exact(path: str) -> List[List[Fraction]]:
                 out.append([Fraction(tok) for tok in line.split()])
     return out
 
-
-def _fmt_frac(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -19,6 +19,19 @@ counts are int64 while the total count stays below 2**61 and exact Python
 ints (numpy object arrays) beyond, and values likewise, so no size
 changes the arithmetic silently.
 
+Quadratic and bilinear forms are enumerated over all outcomes by one
+meet-in-the-middle engine (Horowitz-Sahni): z = (x, y) is split at h,
+z^T A z = q_x(x) + q_y(y) + x^T (A_xy + A_yx^T) y, the outcomes of each
+half are tabulated once, and the cross term is one BLAS product per
+block of x outcomes.  The quadratic form splits its coordinates in half;
+the bilinear form x^T A y is the same engine on z = (x, y) with the
+matrix [[0, A], [0, 0]] and h = n.  float64 stays exact because every
+partial sum is an integer of absolute value below val_bound = sum
+|a_ij| max|z_i| max|z_j| + 1 < 2**53 (a coordinate that is always 0
+contributes exact zeros), and counts are int64 below 2**61; inputs past
+either bound, or with more outcomes than the cap, raise
+EnumerationTooLarge.
+
 Monte Carlo variants draw from splittable streams keyed (seed, chunk)
 and carry a Dvoretzky-Kiefer-Wolfowitz half-width at the 95% level.
 """
@@ -51,6 +64,16 @@ class EnumerationTooLarge(Exception):
 
 def _frac(x) -> Fraction:
     return Fraction(x)
+
+
+def _radius(beta, convert=_frac):
+    """beta as an exact Fraction (a float is the binary rational it is), or
+    as a float with convert=float; every public small ball takes it here,
+    before any work, so a negative radius never reaches an engine."""
+    beta = convert(beta)
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -86,6 +109,8 @@ class QuadraticForm:
     def __post_init__(self):
         mat = tuple(tuple(_frac(a) for a in row) for row in self.matrix)
         n = len(mat)
+        if not n:
+            raise ValueError("form needs at least one row")
         if any(len(row) != n for row in mat):
             raise ValueError("matrix must be square")
         for i in range(n):
@@ -235,6 +260,11 @@ def _window_best(dist: _ScaledDist, beta: Fraction) -> Tuple[int, Fraction]:
     return int(totals[j]), Fraction(lo + hi, 2) * dist.scale
 
 
+def _exact_estimate(dist: _ScaledDist, beta: Fraction, shift=Fraction(0)) -> SmallBallEstimate:
+    best, center = _window_best(dist, beta)
+    return SmallBallEstimate(Fraction(best, dist.ctotal), beta, "exact", 0.0, center + shift)
+
+
 def _interval_count(dist: _ScaledDist, lo: Fraction, hi: Fraction) -> int:
     """Exact mass count of atoms with lo <= value <= hi (values in scale units)."""
     lo_i = math.ceil(lo / dist.scale)
@@ -252,20 +282,15 @@ def _interval_count(dist: _ScaledDist, lo: Fraction, hi: Fraction) -> int:
 def linear_small_ball_exact(form: LinearForm, law: AtomicLaw, beta,
                             cap: int = ATOM_CAP) -> SmallBallEstimate:
     """Exact sup_a P(|sum a_i (x_i + f_i) - a| <= beta) for an atomic law."""
-    beta = _frac(beta)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    beta = _radius(beta)
     shift = sum((a * f for a, f in zip(form.coefficients, form.shifts)), Fraction(0))
-    dist = _linear_sum_dist(form.coefficients, law, cap)
-    best, center = _window_best(dist, beta)
-    rho = Fraction(best, dist.ctotal)
-    return SmallBallEstimate(rho, beta, "exact", 0.0, center + shift)
+    return _exact_estimate(_linear_sum_dist(form.coefficients, law, cap), beta, shift)
 
 
 def linear_window_mass(form: LinearForm, law: AtomicLaw, center, beta,
                        cap: int = ATOM_CAP) -> Fraction:
     """Exact P(|sum a_i (x_i + f_i) - center| <= beta): re-evaluates a witness."""
-    beta = _frac(beta)
+    beta = _radius(beta)
     center = _frac(center)
     shift = sum((a * f for a, f in zip(form.coefficients, form.shifts)), Fraction(0))
     dist = _linear_sum_dist(form.coefficients, law, cap)
@@ -294,6 +319,7 @@ def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
     """Monte Carlo sup_a P(|sum a_i (x_i + f_i) - a| <= beta)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    beta = _radius(beta, float)
     a = np.array([float(c) for c in form.coefficients])
     shift = float(sum(float(c) * float(f) for c, f in zip(form.coefficients, form.shifts)))
     vals = np.empty(trials, dtype=np.float64)
@@ -301,19 +327,21 @@ def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
         rng = substream(seed, ci)
         draws = sampler.sample_values(rng, (stop - start, form.n))
         vals[start:stop] = draws @ a + shift
-    return _mc_window_best(vals, float(beta))
+    return _mc_window_best(vals, beta)
 
 
 # ---------------------------------------------------------------------------
 # quadratic and bilinear enumeration
 
 
-def _z_values_scaled(law: AtomicLaw, shifts: Sequence[Fraction]) -> Tuple[List[List[int]], Fraction]:
-    """Per-coordinate shifted atom values (x + f_i) on one integer lattice."""
+def _coordinates(law: AtomicLaw, shifts: Sequence[Fraction]):
+    """Per-coordinate shifted atom values (x + f_i) on one integer lattice,
+    each with the law's integer counts and their total, and the lattice unit."""
     values = [_frac(v) for v in law.values]
     zs = [[v + f for v in values] for f in shifts]
     g = _rational_content([x for row in zs for x in row])
-    return [[int(x / g) for x in row] for row in zs], g
+    counts, cden = _law_mass_counts(law)
+    return [([int(x / g) for x in row], counts, cden) for row in zs], g
 
 
 def _matrix_scaled(mat: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], Fraction]:
@@ -322,65 +350,64 @@ def _matrix_scaled(mat: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], 
     return [[int(_frac(a) / g) for a in row] for row in mat], g
 
 
-def _digit_matrix(indices: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Mixed-radix digits of outcome indices; coordinate 0 is the slowest."""
-    out = np.empty((len(indices), n), dtype=np.int64)
-    rem = indices.astype(np.int64)
-    for i in range(n - 1, -1, -1):
-        out[:, i] = rem % m
-        rem //= m
-    return out
+def _outcome_table(coords) -> Tuple[np.ndarray, np.ndarray]:
+    """Every outcome of independent coordinates as a row of values, with
+    the product of its counts."""
+    sizes = [len(vals) for vals, _, _ in coords]
+    Z = np.empty(sizes + [len(coords)])
+    cnts = np.ones(sizes, dtype=np.int64)
+    for i, (vals, counts, _) in enumerate(coords):
+        axis = [1] * len(coords)
+        axis[i] = -1
+        Z[..., i] = np.array(vals, dtype=np.float64).reshape(axis)
+        cnts *= np.array(counts, dtype=np.int64).reshape(axis)
+    return Z.reshape(math.prod(sizes), len(coords)), cnts.ravel()
 
 
-def _gather(z_int: List[List[int]], digits: np.ndarray) -> np.ndarray:
-    zarr = np.asarray(z_int, dtype=np.int64)  # (n, m)
-    cols = np.arange(digits.shape[1])
-    return zarr[cols[None, :], digits]
-
-
-def _counts_for(digits: np.ndarray, counts: Sequence[int]) -> np.ndarray:
-    carr = np.asarray(counts, dtype=np.int64)
-    return np.prod(carr[digits], axis=1)
+def _split_enumeration(a_int: List[List[int]], coords, h: int, scale: Fraction,
+                       cap: int) -> _ScaledDist:
+    """Exact distribution of z^T A z over independent integer coordinates,
+    each (values, counts, count total), split into x = z[:h] and y = z[h:]
+    (module docstring)."""
+    outcomes = math.prod(len(vals) for vals, _, _ in coords)
+    if outcomes > cap:
+        raise EnumerationTooLarge(f"{outcomes} outcomes exceed cap {cap}")
+    n = len(coords)
+    zmax = [max(abs(v) for v in vals) for vals, _, _ in coords]
+    val_bound = sum(abs(a_int[i][j]) * zmax[i] * zmax[j]
+                    for i in range(n) for j in range(n)) + 1
+    ctotal = math.prod(total for _, _, total in coords)
+    if val_bound >= _FLOAT_EXACT or ctotal >= _INT64_SAFE:
+        raise EnumerationTooLarge(
+            "scaled values too large for exact vectorized enumeration")
+    A = np.asarray(a_int, dtype=np.float64)
+    X, cx = _outcome_table(coords[:h])
+    Y, cy = _outcome_table(coords[h:])
+    qx = np.einsum("ti,ti->t", X @ A[:h, :h], X)
+    qy = np.einsum("ti,ti->t", Y @ A[h:, h:], Y)
+    B = A[:h, h:] + A[h:, :h].T
+    pieces = []
+    block = max(1, (1 << 21) // len(Y))
+    for start in range(0, len(X), block):
+        part = slice(start, start + block)
+        vals = (X[part] @ B) @ Y.T
+        vals += qx[part, None]
+        vals += qy
+        pieces.append(_aggregate_np(vals.astype(np.int64).ravel(),
+                                    np.outer(cx[part], cy).ravel()))
+    vals, cnts = pieces[0] if len(pieces) == 1 else \
+        _aggregate_np(*map(np.concatenate, zip(*pieces)))
+    return _ScaledDist(vals, cnts, scale, ctotal)
 
 
 def quadratic_small_ball_exact(form: QuadraticForm, law: AtomicLaw, beta,
                                cap: int = ATOM_CAP) -> SmallBallEstimate:
     """Exact sup_a P(|sum a_ij (x_i+f_i)(x_j+f_j) - a| <= beta) by full enumeration."""
-    beta = _frac(beta)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    n = form.n
-    m = len(law.atoms)
-    outcomes = m ** n
-    if outcomes > cap:
-        raise EnumerationTooLarge(f"{m}^{n} outcomes exceed cap {cap}")
+    beta = _radius(beta)
     a_int, ga = _matrix_scaled(form.matrix)
-    z_int, gz = _z_values_scaled(law, form.shifts)
-    counts, cden = _law_mass_counts(law)
-    scale = ga * gz * gz
-    ctotal = cden ** n
-    zmax = [max(abs(v) for v in row) for row in z_int]
-    val_bound = sum(abs(a_int[i][j]) * zmax[i] * zmax[j]
-                    for i in range(n) for j in range(n)) + 1
-    if val_bound >= _FLOAT_EXACT or ctotal >= _INT64_SAFE:
-        raise EnumerationTooLarge(
-            "scaled values too large for exact vectorized enumeration")
-    A = np.asarray(a_int, dtype=np.float64)
-    pieces_v, pieces_c = [], []
-    chunk = 1 << 16
-    for start in range(0, outcomes, chunk):
-        idx = np.arange(start, min(start + chunk, outcomes))
-        digits = _digit_matrix(idx, n, m)
-        Z = _gather(z_int, digits).astype(np.float64)
-        vals = np.rint(np.einsum("ti,ij,tj->t", Z, A, Z)).astype(np.int64)
-        cnts = _counts_for(digits, counts)
-        v, c = _aggregate_np(vals, cnts)
-        pieces_v.append(v)
-        pieces_c.append(c)
-    vals, cnts = _aggregate_np(np.concatenate(pieces_v), np.concatenate(pieces_c))
-    dist = _ScaledDist(vals, cnts, scale, ctotal)
-    best, center = _window_best(dist, beta)
-    return SmallBallEstimate(Fraction(best, ctotal), beta, "exact", 0.0, center)
+    coords, gz = _coordinates(law, form.shifts)
+    return _exact_estimate(
+        _split_enumeration(a_int, coords, form.n // 2, ga * gz * gz, cap), beta)
 
 
 def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int,
@@ -388,6 +415,7 @@ def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int
     """Monte Carlo counterpart of quadratic_small_ball_exact."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    beta = _radius(beta, float)
     n = form.n
     A = np.array([[float(a) for a in row] for row in form.matrix])
     f = np.array([float(x) for x in form.shifts])
@@ -396,7 +424,7 @@ def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int
         rng = substream(seed, ci)
         Z = sampler.sample_values(rng, (stop - start, n)) + f
         vals[start:stop] = np.einsum("ti,ij,tj->t", Z, A, Z)
-    return _mc_window_best(vals, float(beta))
+    return _mc_window_best(vals, beta)
 
 
 def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
@@ -406,55 +434,23 @@ def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
     if method == "exact":
         if not (isinstance(law_x, AtomicLaw) and isinstance(law_y, AtomicLaw)):
             raise ValueError("exact method needs atomic laws")
-        return _bilinear_exact(form, law_x, law_y, _frac(beta), cap)
+        return _bilinear_exact(form, law_x, law_y, _radius(beta), cap)
     if method == "mc":
-        return _bilinear_mc(form, law_x, law_y, float(beta), trials, seed)
+        return _bilinear_mc(form, law_x, law_y, _radius(beta, float), trials, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _bilinear_exact(form: QuadraticForm, law_x: AtomicLaw, law_y: AtomicLaw,
                     beta: Fraction, cap: int) -> SmallBallEstimate:
+    """x^T A y is z^T [[0, A], [0, 0]] z on z = (x, y), split at h = n; each
+    side keeps its own lattice unit."""
     n = form.n
-    mx, my = len(law_x.atoms), len(law_y.atoms)
-    if (mx ** n) * (my ** n) > cap:
-        raise EnumerationTooLarge(f"{mx}^{n} * {my}^{n} outcomes exceed cap {cap}")
     a_int, ga = _matrix_scaled(form.matrix)
-    zx_int, gzx = _z_values_scaled(law_x, form.shifts)
-    zy_int, gzy = _z_values_scaled(law_y, form.shifts)
-    counts_x, cden_x = _law_mass_counts(law_x)
-    counts_y, cden_y = _law_mass_counts(law_y)
-    scale = ga * gzx * gzy
-    ctotal = (cden_x ** n) * (cden_y ** n)
-    zx_max = [max(abs(v) for v in row) for row in zx_int]
-    zy_max = [max(abs(v) for v in row) for row in zy_int]
-    val_bound = sum(abs(a_int[i][j]) * zx_max[i] * zy_max[j]
-                    for i in range(n) for j in range(n)) + 1
-    if val_bound >= _FLOAT_EXACT or ctotal >= _INT64_SAFE:
-        raise EnumerationTooLarge(
-            "scaled values too large for exact vectorized enumeration")
-    A = np.asarray(a_int, dtype=np.float64)
-    ny = my ** n
-    idx_y = np.arange(ny)
-    dig_y = _digit_matrix(idx_y, n, my)
-    Zy = _gather(zy_int, dig_y).astype(np.float64)
-    cy = _counts_for(dig_y, counts_y)
-    nx = mx ** n
-    pieces_v, pieces_c = [], []
-    chunk = max(1, (1 << 21) // max(ny, 1))
-    for start in range(0, nx, chunk):
-        idx = np.arange(start, min(start + chunk, nx))
-        dig_x = _digit_matrix(idx, n, mx)
-        Zx = _gather(zx_int, dig_x).astype(np.float64)
-        cx = _counts_for(dig_x, counts_x)
-        vals = np.rint((Zx @ A) @ Zy.T).astype(np.int64).ravel()
-        cnts = (cx[:, None] * cy[None, :]).ravel()
-        v, c = _aggregate_np(vals, cnts)
-        pieces_v.append(v)
-        pieces_c.append(c)
-    vals, cnts = _aggregate_np(np.concatenate(pieces_v), np.concatenate(pieces_c))
-    dist = _ScaledDist(vals, cnts, scale, ctotal)
-    best, center = _window_best(dist, beta)
-    return SmallBallEstimate(Fraction(best, ctotal), beta, "exact", 0.0, center)
+    cx, gzx = _coordinates(law_x, form.shifts)
+    cy, gzy = _coordinates(law_y, form.shifts)
+    joint = [[0] * n + row for row in a_int] + [[0] * (2 * n)] * n
+    return _exact_estimate(
+        _split_enumeration(joint, cx + cy, n, ga * gzx * gzy, cap), beta)
 
 
 def _bilinear_mc(form: QuadraticForm, law_x: Law, law_y: Law, beta: float,

@@ -1,13 +1,15 @@
+import bisect
 import math
 import time
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 
 from randsym import (AtomBlowup, AtomicLaw, EnumerationTooLarge, LinearForm,
                      QuadraticForm, bernoulli, bilinear_small_ball,
-                     central_binomial_rho, gaussian, linear_small_ball_exact,
+                     central_binomial_rho, gaussian, lazy_sign, linear_small_ball_exact,
                      linear_small_ball_mc, linear_window_mass,
                      quadratic_small_ball_exact, quadratic_small_ball_mc,
                      suffix_smallball_factors, truncated_product_bound, uniform3)
@@ -15,35 +17,65 @@ from randsym import smallball
 from randsym.smallball import ATOM_CAP, _linear_sum_dist
 
 BERN = bernoulli()
+# two atoms with a third and two thirds: a lattice content of 1/4
+LOPSIDED = AtomicLaw(((F(-1, 2), F(1, 3)), (F(3, 4), F(2, 3))))
+
+
+def _two_point(den):
+    """Atoms 0 and 1 with masses 1/den and 1 - 1/den: count total den."""
+    return AtomicLaw(((0, F(1, den)), (1, 1 - F(1, den))))
+
+
+def brute_force_window(laws, value, beta):
+    """Independent oracle: enumerate every outcome of independent
+    coordinates (coordinate i drawn from laws[i]) in Fraction arithmetic
+    and scan closed windows of width 2*beta whose left edge sits on an
+    outcome.  Returns (sup mass, witness centre) of the first best window
+    from the left, centred between the extreme outcomes it holds."""
+    outcomes = []
+    for atoms in product(*(law.atoms for law in laws)):
+        mass = F(1)
+        for _, p in atoms:
+            mass *= F(p)
+        outcomes.append((value([F(v) for v, _ in atoms]), mass))
+    outcomes.sort()
+    sums = [v for v, _ in outcomes]
+    best, center = F(0), None
+    for j, v in enumerate(sums):
+        r = bisect.bisect_right(sums, v + 2 * F(beta))
+        tot = sum(m for _, m in outcomes[j:r])
+        if tot > best:
+            best, center = tot, (v + sums[r - 1]) / 2
+    return best, center
 
 
 def brute_force_linear(coeffs, shifts, law, beta):
-    """Independent oracle: enumerate every atom-index tuple directly."""
-    vals = np.array([0.0])
-    masses = np.array([F(1)], dtype=object)
-    avals = [float(v) for v in law.values]
-    amass = list(law.masses)
-    sums = [F(0)]
-    masses = [F(1)]
-    for a, f in zip(coeffs, shifts):
-        new_sums, new_masses = [], []
-        for s, m in zip(sums, masses):
-            for v, p in zip(law.values, law.masses):
-                new_sums.append(s + F(a) * (F(v) + F(f)))
-                new_masses.append(m * p)
-        sums, masses = new_sums, new_masses
-    order = sorted(range(len(sums)), key=lambda i: sums[i])
-    sums = [sums[i] for i in order]
-    masses = [masses[i] for i in order]
-    best = F(0)
-    import bisect
-    width = 2 * F(beta)
-    for j in range(len(sums)):
-        r = bisect.bisect_right(sums, sums[j] + width)
-        tot = sum(masses[j:r])
-        if tot > best:
-            best = tot
-    return best
+    return brute_force_window(
+        [law] * len(coeffs),
+        lambda x: sum(F(a) * (v + F(f)) for a, v, f in zip(coeffs, x, shifts)), beta)
+
+
+def brute_force_quadratic(mat, shifts, law, beta):
+    n = len(mat)
+
+    def value(x):
+        z = [v + f for v, f in zip(x, shifts)]
+        return sum(mat[i][j] * z[i] * z[j] for i in range(n) for j in range(n))
+    return brute_force_window([law] * n, value, beta)
+
+
+def brute_force_bilinear(mat, shifts, law_x, law_y, beta):
+    n = len(mat)
+
+    def value(xy):
+        x = [v + f for v, f in zip(xy[:n], shifts)]
+        y = [v + f for v, f in zip(xy[n:], shifts)]
+        return sum(mat[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
+    return brute_force_window([law_x] * n + [law_y] * n, value, beta)
+
+
+def _estimate(est):
+    return est.rho, est.witness_center
 
 
 class TestLinearExact:
@@ -72,7 +104,7 @@ class TestLinearExact:
                       for _ in range(n))
             beta = F(int(rng.integers(0, 5)), 8)
             est = linear_small_ball_exact(LinearForm(a, f), law, beta)
-            assert est.rho == brute_force_linear(a, f, law, beta)
+            assert _estimate(est) == brute_force_linear(a, f, law, beta)
 
     def test_witness_realizes_rho(self):
         rng = np.random.default_rng(5)
@@ -122,7 +154,7 @@ class TestLinearExact:
             assert _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP).vals.dtype == object
             for beta in (F(0), F(1), F(3, 2), F(2 ** 70)):
                 est = linear_small_ball_exact(LinearForm(coeffs), law, beta)
-                assert est.rho == brute_force_linear(coeffs, (0,) * 3, law, beta)
+                assert _estimate(est) == brute_force_linear(coeffs, (0,) * 3, law, beta)
                 assert linear_window_mass(LinearForm(coeffs), law,
                                           est.witness_center, beta) == est.rho
 
@@ -238,38 +270,48 @@ class TestQuadraticExact:
         assert abs(mc.rho - float(exact.rho)) <= mc.ci_halfwidth
 
     def test_matches_brute_force(self):
-        # independent oracle: itertools product over outcome tuples,
-        # Fraction arithmetic end to end; asymmetric shifts exercise the
-        # per-coordinate value tables
-        from itertools import product as iproduct
-        import bisect
+        # independent oracle, Fraction arithmetic end to end; n up to 5 so
+        # the two halves of the split enumeration differ and n is odd too;
+        # asymmetric shifts exercise the per-coordinate value tables
         rng = np.random.default_rng(33)
-        for trial in range(12):
-            n = int(rng.integers(1, 4))
-            law = BERN if trial % 2 == 0 else uniform3()
+        for trial in range(20):
+            n = int(rng.integers(1, 6))
+            law = (BERN, uniform3(), LOPSIDED)[trial % 3]
             m = rng.integers(-3, 4, size=(n, n))
             m = np.triu(m) + np.triu(m, 1).T
             mat = tuple(tuple(F(int(x), 3) for x in row) for row in m)
             shifts = tuple(F(int(rng.integers(-2, 3)), 2) for _ in range(n))
             beta = F(int(rng.integers(0, 3)), 4)
-            form = QuadraticForm(mat, shifts=shifts)
-            got = quadratic_small_ball_exact(form, law, beta).rho
-            outcomes = []
-            for xs in iproduct(law.values, repeat=n):
-                z = [F(x) + f for x, f in zip(xs, shifts)]
-                val = sum(mat[i][j] * z[i] * z[j] for i in range(n) for j in range(n))
-                mass = F(1)
-                for x in xs:
-                    mass *= dict(law.atoms)[x]
-                outcomes.append((val, mass))
-            outcomes.sort()
-            vals = [v for v, _ in outcomes]
-            best = F(0)
-            for j, (v, _) in enumerate(outcomes):
-                r = bisect.bisect_right(vals, v + 2 * beta)
-                tot = sum(mass for _, mass in outcomes[j:r])
-                best = max(best, tot)
-            assert got == best, (trial, got, best)
+            est = quadratic_small_ball_exact(QuadraticForm(mat, shifts=shifts), law, beta)
+            assert _estimate(est) == brute_force_quadratic(mat, shifts, law, beta), trial
+
+    def test_enumeration_cap_boundary(self):
+        form = QuadraticForm(((1, 1, 0, 0), (1, 0, 0, 2), (0, 0, -1, 1), (0, 2, 1, 0)))
+        want = brute_force_quadratic(form.matrix, form.shifts, uniform3(), 1)
+        assert _estimate(quadratic_small_ball_exact(form, uniform3(), 1, cap=81)) == want
+        with pytest.raises(EnumerationTooLarge):
+            quadratic_small_ball_exact(form, uniform3(), 1, cap=80)
+
+    def test_float_exactness_boundary(self):
+        # val_bound = 1 + 2c + 1 must stay below 2**53
+        for c, fits in ((2 ** 52 - 2, True), (2 ** 52 - 1, False)):
+            form = QuadraticForm(((1, c), (c, 0)))
+            if fits:
+                assert _estimate(quadratic_small_ball_exact(form, uniform3(), 0)) == \
+                    brute_force_quadratic(form.matrix, form.shifts, uniform3(), 0)
+            else:
+                with pytest.raises(EnumerationTooLarge):
+                    quadratic_small_ball_exact(form, uniform3(), 0)
+
+    def test_count_total_boundary(self):
+        # the count total den**n must stay below 2**61
+        for form, law in ((QuadraticForm(((1, 2), (2, -1))), _two_point(2 ** 30)),
+                          (QuadraticForm(((1,),)), _two_point(2 ** 61 - 1))):
+            est = quadratic_small_ball_exact(form, law, F(1, 2))
+            assert _estimate(est) == \
+                brute_force_quadratic(form.matrix, form.shifts, law, F(1, 2))
+        with pytest.raises(EnumerationTooLarge):
+            quadratic_small_ball_exact(QuadraticForm(((1,),)), _two_point(2 ** 61), 0)
 
 
 class TestBilinear:
@@ -285,6 +327,53 @@ class TestBilinear:
         c = 1 / math.sqrt(2)
         est = bilinear_small_ball(QuadraticForm(((c, 0), (0, c))), BERN, BERN, 0)
         assert est.rho == F(1, 2)
+
+    def test_matches_brute_force(self):
+        # x and y from different laws, so the two sides carry different
+        # lattice units, with shifts on both
+        rng = np.random.default_rng(44)
+        laws = (BERN, uniform3(), LOPSIDED, lazy_sign(F(1, 3)))
+        for trial in range(16):
+            n = int(rng.integers(1, 4))
+            law_x, law_y = laws[trial % 4], laws[(trial + 1 + trial // 4 % 3) % 4]
+            m = rng.integers(-3, 4, size=(n, n))
+            m = np.triu(m) + np.triu(m, 1).T
+            mat = tuple(tuple(F(int(x), 2) for x in row) for row in m)
+            shifts = tuple(F(int(rng.integers(-2, 3)), 3) for _ in range(n)) \
+                if trial % 2 else ()
+            beta = F(int(rng.integers(0, 4)), 4)
+            form = QuadraticForm(mat, shifts=shifts)
+            est = bilinear_small_ball(form, law_x, law_y, beta)
+            assert _estimate(est) == \
+                brute_force_bilinear(mat, form.shifts, law_x, law_y, beta), trial
+
+    def test_enumeration_cap_boundary(self):
+        # 2^3 outcomes of x times 3^3 of y: 216
+        form = QuadraticForm(((1, 2, 0), (2, -1, 1), (0, 1, 3)))
+        want = brute_force_bilinear(form.matrix, form.shifts, BERN, uniform3(), 1)
+        assert _estimate(bilinear_small_ball(form, BERN, uniform3(), 1, cap=216)) == want
+        with pytest.raises(EnumerationTooLarge):
+            bilinear_small_ball(form, BERN, uniform3(), 1, cap=215)
+
+    def test_float_exactness_boundary(self):
+        # val_bound = 1 + 2c + 1 must stay below 2**53
+        for c, fits in ((2 ** 52 - 2, True), (2 ** 52 - 1, False)):
+            form = QuadraticForm(((1, c), (c, 0)))
+            if fits:
+                assert _estimate(bilinear_small_ball(form, BERN, uniform3(), 0)) == \
+                    brute_force_bilinear(form.matrix, form.shifts, BERN, uniform3(), 0)
+            else:
+                with pytest.raises(EnumerationTooLarge):
+                    bilinear_small_ball(form, BERN, uniform3(), 0)
+
+    def test_count_total_boundary(self):
+        # the count total den_x**n * den_y**n must stay below 2**61
+        form = QuadraticForm(((1,),))
+        est = bilinear_small_ball(form, _two_point(2 ** 60 - 1), BERN, 0)
+        assert _estimate(est) == brute_force_bilinear(
+            form.matrix, form.shifts, _two_point(2 ** 60 - 1), BERN, 0)
+        with pytest.raises(EnumerationTooLarge):
+            bilinear_small_ball(form, _two_point(2 ** 60), BERN, 0)
 
     def test_mc_close_to_exact(self):
         form = QuadraticForm(((F(1, 2), F(1, 3)), (F(1, 3), F(-1, 4))))
@@ -362,6 +451,38 @@ class TestForms:
     def test_shift_length_checked(self):
         with pytest.raises(ValueError):
             LinearForm((1, 2), shifts=(0,))
+
+    def test_empty_quadratic_form_rejected(self):
+        with pytest.raises(ValueError):
+            QuadraticForm(())
+
+
+class TestNegativeBeta:
+    """Every public small ball rejects beta < 0 before any convolution,
+    enumeration or sampling."""
+
+    LIN = LinearForm((1, 1, 1, 1))
+    QUAD = QuadraticForm(((1, 2), (2, -1)))
+
+    @pytest.mark.parametrize("call", [
+        lambda b: linear_small_ball_exact(TestNegativeBeta.LIN, BERN, b),
+        lambda b: linear_window_mass(TestNegativeBeta.LIN, BERN, 0, b),
+        lambda b: linear_small_ball_mc(TestNegativeBeta.LIN, BERN, b, 100, seed=0),
+        lambda b: quadratic_small_ball_exact(TestNegativeBeta.QUAD, BERN, b),
+        lambda b: quadratic_small_ball_mc(TestNegativeBeta.QUAD, BERN, b, 100, seed=0),
+        lambda b: bilinear_small_ball(TestNegativeBeta.QUAD, BERN, BERN, b),
+        lambda b: bilinear_small_ball(TestNegativeBeta.QUAD, BERN, BERN, b,
+                                      method="mc", trials=100),
+    ], ids=["linear-exact", "linear-window-mass", "linear-mc", "quadratic-exact",
+            "quadratic-mc", "bilinear-exact", "bilinear-mc"])
+    @pytest.mark.parametrize("beta", [-1, F(-1, 4), -1e-300])
+    def test_rejected_before_work(self, call, beta, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before beta was checked")
+        for name in ("_linear_sum_dist", "_split_enumeration", "substream"):
+            monkeypatch.setattr(smallball, name, no_work, raising=False)
+        with pytest.raises(ValueError, match="beta"):
+            call(beta)
 
 
 class TestScaling:
