@@ -576,8 +576,10 @@ def _run_ensemble_action(args) -> int:
             line = " ".join(f"{st.size}:{st.new_rank}" for st in steps)
             print(f"trial {t}: {line}")
         return 0
+    # only rank reads the exact matrix
+    exact = "auto" if args.action == "rank" else False
     for t in range(args.trials):
-        s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t))
+        s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t), exact=exact)
         if args.action == "sample":
             if args.out:
                 write_matrix_text(s.matrix, f"{args.out}.{t}.txt" if args.trials > 1

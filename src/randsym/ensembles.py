@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exactlinalg import (adjugate, bareiss_det, cofactor_matrix, exact_rank as _rank,
-                          exact_ranks, rowspace_membership)
+                          exact_ranks, lattice, rowspace_membership)
 from .laws import AtomicLaw, Law
 from .streams import chunk_bounds, substream
 
@@ -38,10 +38,6 @@ class ConvergenceFailure(Exception):
 
 class NoPivot(Exception):
     """No row removal preserves rank >= n-2 (impossible; arithmetic bug)."""
-
-
-def _frac(x) -> Fraction:
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -67,15 +63,18 @@ class SymmetricSample:
 
 
 def _exact_fixed(F: Optional[Sequence[Sequence]], n: int):
-    """Exact fixed part; floats are taken as the binary rationals they are."""
+    """Exact fixed part: ints (Python or numpy) stay Python ints, Fractions
+    stay Fractions, and floats are taken as the binary rationals they are."""
     if F is None:
-        return [[Fraction(0)] * n for _ in range(n)]
+        return [[0] * n for _ in range(n)]
     rows = []
     for r in F:
         row = []
         for x in r:
-            if isinstance(x, (int, Fraction)):
-                row.append(Fraction(x))
+            if isinstance(x, (int, np.integer)):
+                row.append(int(x))
+            elif isinstance(x, Fraction):
+                row.append(x)
             elif isinstance(x, (float, np.floating)) and math.isfinite(x):
                 row.append(Fraction(float(x)))
             else:
@@ -338,11 +337,9 @@ def grow_and_track(m: SymmetricSample, law: AtomicLaw, steps: int,
         raise ValueError("rational atomic law required")
     seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     n, size = m.n, m.n + steps
-    # one common denominator makes M and the atoms integers; the rank is unchanged
-    values = law.values
-    den = math.lcm(*(v.denominator for v in values), *(x.denominator for r in m.exact for x in r))
-    atoms = np.array([v.numerator * (den // v.denominator) for v in values], dtype=np.int64)
-    base = [[x.numerator * (den // x.denominator) for x in r] for r in m.exact]
+    # one lattice makes M and the atoms integers; the rank is unchanged
+    (atoms, *base), _ = lattice([law.values, *m.exact])
+    atoms = np.array(atoms, dtype=np.int64)
     per = max(1, _STACK_ENTRIES // ((steps + 1) * size * size))
     out: List[List[GrowthStep]] = []
     for c0 in range(0, len(seeds), per):
@@ -421,14 +418,6 @@ class MembershipResult:
     bound: float
 
 
-def _law_int_values(law: AtomicLaw) -> Tuple[np.ndarray, int]:
-    values = [Fraction(v) for v in law.values]
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return np.array([int(v * den) for v in values], dtype=np.int64), den
-
-
 def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: int,
                            c3: float = 0.5) -> MembershipResult:
     """Frequency of a random row landing in the span of k earlier rows.
@@ -441,7 +430,8 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
         raise ValueError("rational atomic law required")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    vals_int, _ = _law_int_values(law)
+    (atoms,), _ = lattice([law.values])
+    vals_int = np.array(atoms, dtype=np.int64)
     rng = substream(seed, 0)
     V = vals_int[law.sample_indices(rng, (k, n))]
     hits = 0

@@ -19,17 +19,22 @@ bound H, which bounds every minor of the matrix:
 
 Matrices are lists of lists (or arrays) of ints, Fractions or floats
 (taken as the binary rationals they are).  Rational rows are scaled to
-integers by clearing denominators; entries beyond int64 are reduced mod p
-in Python.  The primes come from a fixed table, and a certificate that
+integers by clearing denominators row by row, since those row scales are
+the determinant's denominator; entries beyond int64 are reduced mod p in
+Python.  The primes come from a fixed table, and a certificate that
 needs more primes than it holds raises OutOfPrimes instead of guessing.
 kernel_basis keeps its Fraction RREF.
+
+Every other exact engine of the package (small balls, GAP values, rank
+growth, row-space membership) puts its rationals on one integer lattice
+first: `lattice` writes them as integers times one positive unit, their
+rational content, and `primitive` is a vector on its lattice up to sign.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +81,37 @@ _PRIME_BITS = 30
 _P = np.array(PRIMES, dtype=np.int64)
 # int64 entries per elimination stack; larger stacks run in chunks
 _CHUNK = 1 << 16
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice
+
+
+def lattice(rows: Sequence[Sequence]) -> Tuple[List[List[int]], Fraction]:
+    """(int_rows, unit) with rows[i][j] == int_rows[i][j] * unit exactly.
+
+    The unit is the rational content of all the entries: the gcd of their
+    numerators over the lcm of their denominators, and 1 when every entry
+    is 0.  Dividing by it keeps the integers small: entries +-c become +-1
+    whatever c is.  Entries are ints, Fractions or floats (the binary
+    rationals they are); rows may differ in length.
+    """
+    fr = [[Fraction(x) for x in row] for row in rows]
+    num = math.gcd(*(x.numerator for row in fr for x in row))
+    if not num:
+        return [[0] * len(row) for row in fr], Fraction(1)
+    den = math.lcm(*(x.denominator for row in fr for x in row))
+    return [[x.numerator * (den // x.denominator) // num for x in row] for row in fr], \
+        Fraction(num, den)
+
+
+def primitive(vec: Sequence) -> Tuple[int, ...]:
+    """vec on its lattice: coprime integers, the last nonzero entry positive."""
+    (ints,), _ = lattice([vec])
+    last = next((x for x in reversed(ints) if x), 0)
+    if not last:
+        raise ValueError("zero vector cannot be primitivized")
+    return tuple(ints) if last > 0 else tuple(-x for x in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +382,6 @@ def adjugate(mat: Sequence[Sequence]) -> Matrix:
 # rational kernels (Fraction RREF)
 
 
-def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a rational vector to coprime integers, last nonzero positive."""
-    fracs = [Fraction(x) for x in vec]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector cannot be primitivized")
-    ints = [x // g for x in ints]
-    last = next(x for x in reversed(ints) if x != 0)
-    if last < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
     """Canonical rational basis of {x : rows @ x = 0} from the RREF."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -408,7 +425,7 @@ def primitive_kernel_vector(points: Sequence[Sequence[int]], dim: int) -> Tuple[
         [[Fraction(1) if j == i else Fraction(0) for j in range(dim)] for i in range(dim)]
     if not basis:
         raise FullRank(f"points span all of rank {dim}")
-    candidates = sorted(_primitive(v) for v in basis)
+    candidates = sorted(primitive(v) for v in basis)
     return candidates[0]
 
 

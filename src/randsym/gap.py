@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactlinalg import FullRank, exact_rank, primitive_kernel_vector
+from .exactlinalg import FullRank, exact_rank, lattice, primitive, primitive_kernel_vector
 
 ENUM_CAP = 10 ** 7
 _INT64_SAFE = 2 ** 62
@@ -45,10 +45,6 @@ class ReductionStalled(Exception):
 LatticePoint = Tuple[int, ...]
 
 
-def _frac(x) -> Fraction:
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class Gap:
     """offset + integer combinations of generators over a box."""
@@ -60,8 +56,8 @@ class Gap:
     unit: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", _frac(self.offset))
-        object.__setattr__(self, "generators", tuple(_frac(g) for g in self.generators))
+        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "generators", tuple(Fraction(g) for g in self.generators))
         object.__setattr__(self, "lower", tuple(int(k) for k in self.lower))
         object.__setattr__(self, "upper", tuple(int(k) for k in self.upper))
         if not (len(self.generators) == len(self.lower) == len(self.upper)):
@@ -109,14 +105,6 @@ def _check_cap(q: Gap, cap: int) -> None:
         raise VolumeTooLarge(f"volume {q.volume} exceeds cap {cap}")
 
 
-def _scaled(q: Gap) -> Tuple[int, List[int], int]:
-    """(offset, generators) scaled by the lcm of denominators."""
-    den = q.offset.denominator
-    for g in q.generators:
-        den = den * g.denominator // math.gcd(den, g.denominator)
-    return int(q.offset * den), [int(g * den) for g in q.generators], den
-
-
 def _points_array(q: Gap) -> np.ndarray:
     """All box points, shape (volume, rank), row-major (last axis fastest)."""
     if q.rank == 0:
@@ -126,34 +114,29 @@ def _points_array(q: Gap) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _scaled_values(q: Gap):
-    """(values, den): integer values den * Phi(p) aligned with _points_array."""
-    g0s, gens, den = _scaled(q)
-    bound = abs(g0s) + sum(max(abs(lo), abs(hi)) * abs(g)
-                           for lo, hi, g in zip(q.lower, q.upper, gens))
-    pts = _points_array(q)
-    if bound < _INT64_SAFE:
-        vals = pts @ np.asarray(gens, dtype=np.int64) + g0s if q.rank else \
-            np.full(1, g0s, dtype=np.int64)
-        return vals.astype(np.int64), den
-    vals = [g0s + sum(int(k) * g for k, g in zip(p, gens)) for p in pts]
-    return vals, den
+def _scaled_values(q: Gap) -> Tuple[np.ndarray, Fraction]:
+    """(values, unit): the integers Phi(p) / unit aligned with _points_array,
+    unit being the lattice unit of the offset and generators.  int64 while
+    every value fits, else an object array of Python ints."""
+    ((g0, *gens),), unit = lattice([(q.offset,) + q.generators])
+    bound = abs(g0) + sum(max(abs(lo), abs(hi)) * abs(g)
+                          for lo, hi, g in zip(q.lower, q.upper, gens))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return _points_array(q).astype(dtype, copy=False) @ np.array(gens, dtype=dtype) + g0, unit
 
 
 def enumerate_values(q: Gap, cap: int = ENUM_CAP) -> List[Fraction]:
     """All Phi(p) over the box, with multiplicity, sorted."""
     _check_cap(q, cap)
-    vals, den = _scaled_values(q)
-    return sorted(Fraction(int(v), den) for v in vals)
+    vals, unit = _scaled_values(q)
+    return sorted(int(v) * unit for v in vals)
 
 
 def is_proper(q: Gap, cap: int = ENUM_CAP) -> bool:
     """True iff the affine map is injective on the box (exact comparison)."""
     _check_cap(q, cap)
     vals, _ = _scaled_values(q)
-    if isinstance(vals, np.ndarray):
-        return len(np.unique(vals)) == q.volume
-    return len(set(vals)) == q.volume
+    return len(np.unique(vals)) == q.volume
 
 
 def beta_close(q: Gap, a, beta, cap: int = ENUM_CAP) -> Optional[LatticePoint]:
@@ -164,24 +147,15 @@ def beta_close(q: Gap, a, beta, cap: int = ENUM_CAP) -> Optional[LatticePoint]:
     unit.  Comparison is exact rational.
     """
     _check_cap(q, cap)
-    a = _frac(a)
-    beta = _frac(beta)
+    beta = Fraction(beta)
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    vals, den = _scaled_values(q)
+    vals, unit = _scaled_values(q)
     pts = _points_array(q)
-    target = a * den
-    width = beta * den
-    lo_b = target - width
-    hi_b = target + width
-    lo_i = math.ceil(lo_b)
-    hi_i = math.floor(hi_b)
-    if isinstance(vals, np.ndarray):
-        idx = np.nonzero((vals >= lo_i) & (vals <= hi_i))[0]
-        cand = [(int(vals[i]), tuple(int(c) for c in pts[i])) for i in idx]
-    else:
-        cand = [(v, tuple(int(c) for c in pts[i]))
-                for i, v in enumerate(vals) if lo_i <= v <= hi_i]
+    target = Fraction(a) / unit
+    width = beta / unit
+    idx = np.nonzero((vals >= math.ceil(target - width)) & (vals <= math.floor(target + width)))[0]
+    cand = [(int(vals[i]), tuple(int(c) for c in pts[i])) for i in idx]
     if not cand:
         return None
     best = min(cand, key=lambda vp: (abs(Fraction(vp[0]) - target), vp[1]))
@@ -281,15 +255,7 @@ def _collision_relation(q: Gap, cap: int) -> Tuple[int, ...]:
     for i in order:
         v = int(vals[i])
         if prev is not None and v == prev[0]:
-            d = tuple(int(a) - int(b) for a, b in zip(pts[i], pts[prev[1]]))
-            g = 0
-            for x in d:
-                g = math.gcd(g, abs(x))
-            d = tuple(x // g for x in d)
-            last = next(x for x in reversed(d) if x != 0)
-            if last < 0:
-                d = tuple(-x for x in d)
-            return d
+            return primitive([int(a) - int(b) for a, b in zip(pts[i], pts[prev[1]])])
         prev = (v, i)
     raise AssertionError("collision requested on a proper gap")
 
@@ -310,7 +276,7 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
     _check_cap(q, cap)
     if not is_proper(q, cap):
         raise ValueError("rank_reduce needs a proper gap")
-    vals = [_frac(v) for v in values]
+    vals = [Fraction(v) for v in values]
     if witnesses is None:
         wits = []
         for v in vals:
@@ -372,7 +338,7 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
 
 
 def format_value(x: Fraction) -> str:
-    x = _frac(x)
+    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 

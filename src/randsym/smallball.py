@@ -1,14 +1,18 @@
 """Small-ball (concentration) probabilities of linear, bilinear and
 quadratic forms in iid entries.
 
-The exact routines work on integer-scaled atoms: every rational quantity
-(atom values, coefficients, masses) is put over a common denominator, so
-convolution and window counting are integer arithmetic; outputs are
-fractions.  Floats are admitted everywhere and treated as the exact
-binary rationals they are.  The supremum over window centers is realized
-as a maximum over closed windows whose left edge sits on an atom: sliding
-any window right until its left edge hits an atom never loses mass, so
-the finite scan attains the sup.
+The exact routines work on integer-scaled atoms: each set of rational
+quantities (the values of the linear steps, the shifted coordinates, the
+form's matrix, the masses) goes on its own integer lattice through
+exactlinalg.lattice, as integers times one positive unit, their rational
+content.  Convolution and window counting are then integer arithmetic,
+and an atom's mass is its integer count over the sum of the counts;
+outputs are fractions.  Floats are admitted everywhere and treated as the
+exact binary rationals they are.  The supremum over window centers is
+realized as a maximum over closed windows whose left edge sits on an
+atom: sliding any window right until its left edge hits an atom never
+loses mass, so the finite scan, shared with the Monte Carlo estimates,
+attains the sup.
 
 The linear sum is convolved in one of two layouts.  Dense: when its
 support span S has S + 1 <= min(cap, prod m_i), with m_i the distinct
@@ -45,6 +49,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .exactlinalg import lattice
 from .laws import AtomicLaw, Law
 from .streams import chunk_bounds, substream
 
@@ -62,11 +67,7 @@ class EnumerationTooLarge(Exception):
     """Outcome enumeration exceeds the cap."""
 
 
-def _frac(x) -> Fraction:
-    return Fraction(x)
-
-
-def _radius(beta, convert=_frac):
+def _radius(beta, convert=Fraction):
     """beta as an exact Fraction (a float is the binary rational it is), or
     as a float with convert=float; every public small ball takes it here,
     before any work, so a negative radius never reaches an engine."""
@@ -84,8 +85,8 @@ class LinearForm:
     shifts: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        coeffs = tuple(_frac(a) for a in self.coefficients)
-        shifts = tuple(_frac(f) for f in self.shifts) if self.shifts else \
+        coeffs = tuple(Fraction(a) for a in self.coefficients)
+        shifts = tuple(Fraction(f) for f in self.shifts) if self.shifts else \
             tuple(Fraction(0) for _ in coeffs)
         if len(shifts) != len(coeffs):
             raise ValueError("shifts must match coefficients")
@@ -107,7 +108,7 @@ class QuadraticForm:
     shifts: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        mat = tuple(tuple(_frac(a) for a in row) for row in self.matrix)
+        mat = tuple(tuple(Fraction(a) for a in row) for row in self.matrix)
         n = len(mat)
         if not n:
             raise ValueError("form needs at least one row")
@@ -117,7 +118,7 @@ class QuadraticForm:
             for j in range(i + 1, n):
                 if mat[i][j] != mat[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
-        shifts = tuple(_frac(f) for f in self.shifts) if self.shifts else \
+        shifts = tuple(Fraction(f) for f in self.shifts) if self.shifts else \
             tuple(Fraction(0) for _ in range(n))
         if len(shifts) != n:
             raise ValueError("shifts must match dimension")
@@ -155,31 +156,6 @@ class SmallBallEstimate:
 # exact engine: integer-scaled atom distributions
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def _law_mass_counts(law: AtomicLaw) -> Tuple[List[int], int]:
-    masses = [_frac(p) for p in law.masses]
-    den = 1
-    for p in masses:
-        den = _lcm(den, p.denominator)
-    return [int(p * den) for p in masses], den
-
-
-def _rational_content(xs) -> Fraction:
-    """Positive g with every x/g an integer (gcd of numerators over lcm of
-    denominators); 1 for an all-zero list.  Keeps scaled lattices small:
-    entries like +-c share content |c| and scale to +-1 whatever c is."""
-    num = 0
-    den = 1
-    for x in xs:
-        x = _frac(x)
-        num = math.gcd(num, abs(x.numerator))
-        den = _lcm(den, x.denominator)
-    return Fraction(num, den) if num else Fraction(1)
-
-
 def _aggregate_np(vals: np.ndarray, cnts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     order = np.argsort(vals, kind="stable")
     sv, sc = vals[order], cnts[order]
@@ -204,13 +180,11 @@ def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _S
     """Exact distribution of sum_i a_i x_i by sequential convolution on the
     dense lattice or the sparse support (module docstring).  The dense
     array never outgrows the cap, so AtomBlowup is a sparse-layout event."""
-    values = [_frac(v) for v in law.values]
-    counts, cden = _law_mass_counts(law)
-    step_vals = [[a * v for v in values] for a in coeffs]
-    scale = _rational_content([x for row in step_vals for x in row])
-    step_ints = [[int(x / scale) for x in row] for row in step_vals]
+    values = [Fraction(v) for v in law.values]
+    step_ints, scale = lattice([[a * v for v in values] for a in coeffs])
+    (counts,), _ = lattice([law.masses])
     val_bound = sum(max(abs(x) for x in row) for row in step_ints) + 1
-    ctotal = cden ** len(coeffs)
+    ctotal = sum(counts) ** len(coeffs)
     vtype = np.int64 if val_bound < _INT64_SAFE else object
     ctype = np.int64 if ctotal < _INT64_SAFE else object
     span = sum(max(row) - min(row) for row in step_ints)
@@ -241,28 +215,30 @@ def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _S
     return _ScaledDist(vals, cnts, scale, ctotal)
 
 
-def _window_best(dist: _ScaledDist, beta: Fraction) -> Tuple[int, Fraction]:
-    """(max closed-window count, witness center) for width 2*beta.
+def _window_scan(vals: np.ndarray, cnts: np.ndarray, width):
+    """The fullest closed window [v, v + width] anchored at a value v of the
+    ascending array vals, whose entries weigh cnts: (its weight, the lowest
+    and the highest value it holds), the first such window from the left.
 
-    Windows anchored at atom left edges attain the sup (sliding right
-    until the left edge hits an atom never loses mass); the integer
-    comparison with W = floor(2 * beta / scale) is exact because atoms
-    are integers.  The center reported is the midpoint of the extreme
-    captured atoms, which the closed window around it still covers.
+    Anchoring at values attains the sup over all windows: sliding a window
+    right until its left edge hits a value never loses weight.
     """
-    span = int(dist.vals[-1]) - int(dist.vals[0])
-    width = min(math.floor(2 * beta / dist.scale), span)   # wider windows cover everything
-    prefix = np.r_[0, np.cumsum(dist.cnts)]
-    rights = np.searchsorted(dist.vals, dist.vals + width, side="right")
+    prefix = np.r_[0, np.cumsum(cnts)]
+    rights = np.searchsorted(vals, vals + width, side="right")
     totals = prefix[rights] - prefix[:-1]
     j = int(np.argmax(totals))
-    lo, hi = int(dist.vals[j]), int(dist.vals[rights[j] - 1])
-    return int(totals[j]), Fraction(lo + hi, 2) * dist.scale
+    return totals[j], vals[j], vals[rights[j] - 1]
 
 
 def _exact_estimate(dist: _ScaledDist, beta: Fraction, shift=Fraction(0)) -> SmallBallEstimate:
-    best, center = _window_best(dist, beta)
-    return SmallBallEstimate(Fraction(best, dist.ctotal), beta, "exact", 0.0, center + shift)
+    """The window scan at W = floor(2 * beta / scale), exact because atoms
+    are integers.  The center reported is the midpoint of the extreme
+    captured atoms, which the closed window around it still covers."""
+    span = int(dist.vals[-1]) - int(dist.vals[0])
+    width = min(math.floor(2 * beta / dist.scale), span)   # wider windows cover everything
+    best, lo, hi = _window_scan(dist.vals, dist.cnts, width)
+    return SmallBallEstimate(Fraction(int(best), dist.ctotal), beta, "exact", 0.0,
+                             Fraction(int(lo) + int(hi), 2) * dist.scale + shift)
 
 
 def _interval_count(dist: _ScaledDist, lo: Fraction, hi: Fraction) -> int:
@@ -291,43 +267,38 @@ def linear_window_mass(form: LinearForm, law: AtomicLaw, center, beta,
                        cap: int = ATOM_CAP) -> Fraction:
     """Exact P(|sum a_i (x_i + f_i) - center| <= beta): re-evaluates a witness."""
     beta = _radius(beta)
-    center = _frac(center)
+    center = Fraction(center)
     shift = sum((a * f for a, f in zip(form.coefficients, form.shifts)), Fraction(0))
     dist = _linear_sum_dist(form.coefficients, law, cap)
     c0 = center - shift
     return Fraction(_interval_count(dist, c0 - beta, c0 + beta), dist.ctotal)
 
 
-def _mc_window_best(vals: np.ndarray, beta: float) -> SmallBallEstimate:
-    """Monte Carlo estimate from the sampled values of a form (sorted in
-    place): the closed window of width 2*beta anchored at a sample that
-    holds the most samples, centred between the extreme samples it holds,
-    with the DKW half-width sqrt(ln(2/delta) / (2 trials)) at delta = 0.05."""
-    trials = len(vals)
+def _mc_estimate(draw, beta, trials: int, seed: int) -> SmallBallEstimate:
+    """Monte Carlo small ball of a form from `trials` values, drawn in
+    chunks keyed (seed, chunk) by draw(rng, size): the window scan of the
+    sorted values at width 2*beta, with the DKW half-width
+    sqrt(ln(2/delta) / (2 trials)) at delta = 0.05."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    beta = _radius(beta, float)
+    vals = np.empty(trials, dtype=np.float64)
+    for ci, start, stop in chunk_bounds(trials):
+        vals[start:stop] = draw(substream(seed, ci), stop - start)
     vals.sort(kind="stable")
-    rights = np.searchsorted(vals, vals + 2 * beta, side="right")
-    totals = rights - np.arange(trials)
-    j = int(np.argmax(totals))
+    hits, lo, hi = _window_scan(vals, np.ones(trials, dtype=np.int64), 2 * beta)
     ci_half = math.sqrt(math.log(2 / DKW_DELTA) / (2 * trials))
-    center = 0.5 * (float(vals[j]) + float(vals[rights[j] - 1]))
-    return SmallBallEstimate(float(totals[j]) / trials, beta, "monte_carlo",
-                             ci_half, center)
+    return SmallBallEstimate(float(hits) / trials, beta, "monte_carlo", ci_half,
+                             0.5 * (float(lo) + float(hi)))
 
 
 def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
                          seed: int) -> SmallBallEstimate:
     """Monte Carlo sup_a P(|sum a_i (x_i + f_i) - a| <= beta)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    beta = _radius(beta, float)
     a = np.array([float(c) for c in form.coefficients])
     shift = float(sum(float(c) * float(f) for c, f in zip(form.coefficients, form.shifts)))
-    vals = np.empty(trials, dtype=np.float64)
-    for ci, start, stop in chunk_bounds(trials):
-        rng = substream(seed, ci)
-        draws = sampler.sample_values(rng, (stop - start, form.n))
-        vals[start:stop] = draws @ a + shift
-    return _mc_window_best(vals, beta)
+    return _mc_estimate(lambda rng, size: sampler.sample_values(rng, (size, form.n)) @ a + shift,
+                        beta, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +308,10 @@ def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
 def _coordinates(law: AtomicLaw, shifts: Sequence[Fraction]):
     """Per-coordinate shifted atom values (x + f_i) on one integer lattice,
     each with the law's integer counts and their total, and the lattice unit."""
-    values = [_frac(v) for v in law.values]
-    zs = [[v + f for v in values] for f in shifts]
-    g = _rational_content([x for row in zs for x in row])
-    counts, cden = _law_mass_counts(law)
-    return [([int(x / g) for x in row], counts, cden) for row in zs], g
-
-
-def _matrix_scaled(mat: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], Fraction]:
-    entries = [_frac(a) for row in mat for a in row]
-    g = _rational_content(entries)
-    return [[int(_frac(a) / g) for a in row] for row in mat], g
+    values = [Fraction(v) for v in law.values]
+    zs, unit = lattice([[v + f for v in values] for f in shifts])
+    (counts,), _ = lattice([law.masses])
+    return [(row, counts, sum(counts)) for row in zs], unit
 
 
 def _outcome_table(coords) -> Tuple[np.ndarray, np.ndarray]:
@@ -404,7 +368,7 @@ def quadratic_small_ball_exact(form: QuadraticForm, law: AtomicLaw, beta,
                                cap: int = ATOM_CAP) -> SmallBallEstimate:
     """Exact sup_a P(|sum a_ij (x_i+f_i)(x_j+f_j) - a| <= beta) by full enumeration."""
     beta = _radius(beta)
-    a_int, ga = _matrix_scaled(form.matrix)
+    a_int, ga = lattice(form.matrix)
     coords, gz = _coordinates(law, form.shifts)
     return _exact_estimate(
         _split_enumeration(a_int, coords, form.n // 2, ga * gz * gz, cap), beta)
@@ -413,18 +377,22 @@ def quadratic_small_ball_exact(form: QuadraticForm, law: AtomicLaw, beta,
 def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int,
                             seed: int) -> SmallBallEstimate:
     """Monte Carlo counterpart of quadratic_small_ball_exact."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    beta = _radius(beta, float)
-    n = form.n
+    return _mc_matrix_form(form, sampler, None, beta, trials, seed)
+
+
+def _mc_matrix_form(form: QuadraticForm, law_x: Law, law_y, beta, trials: int,
+                    seed: int) -> SmallBallEstimate:
+    """Monte Carlo small ball of (x + f)^T A (y + f); law_y None takes y = x,
+    the quadratic form."""
     A = np.array([[float(a) for a in row] for row in form.matrix])
     f = np.array([float(x) for x in form.shifts])
-    vals = np.empty(trials, dtype=np.float64)
-    for ci, start, stop in chunk_bounds(trials):
-        rng = substream(seed, ci)
-        Z = sampler.sample_values(rng, (stop - start, n)) + f
-        vals[start:stop] = np.einsum("ti,ij,tj->t", Z, A, Z)
-    return _mc_window_best(vals, beta)
+
+    def draw(rng, size):
+        X = law_x.sample_values(rng, (size, form.n)) + f
+        Y = X if law_y is None else law_y.sample_values(rng, (size, form.n)) + f
+        return np.einsum("ti,ij,tj->t", X, A, Y)
+
+    return _mc_estimate(draw, beta, trials, seed)
 
 
 def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
@@ -436,7 +404,7 @@ def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
             raise ValueError("exact method needs atomic laws")
         return _bilinear_exact(form, law_x, law_y, _radius(beta), cap)
     if method == "mc":
-        return _bilinear_mc(form, law_x, law_y, _radius(beta, float), trials, seed)
+        return _mc_matrix_form(form, law_x, law_y, beta, trials, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -445,28 +413,12 @@ def _bilinear_exact(form: QuadraticForm, law_x: AtomicLaw, law_y: AtomicLaw,
     """x^T A y is z^T [[0, A], [0, 0]] z on z = (x, y), split at h = n; each
     side keeps its own lattice unit."""
     n = form.n
-    a_int, ga = _matrix_scaled(form.matrix)
+    a_int, ga = lattice(form.matrix)
     cx, gzx = _coordinates(law_x, form.shifts)
     cy, gzy = _coordinates(law_y, form.shifts)
     joint = [[0] * n + row for row in a_int] + [[0] * (2 * n)] * n
     return _exact_estimate(
         _split_enumeration(joint, cx + cy, n, ga * gzx * gzy, cap), beta)
-
-
-def _bilinear_mc(form: QuadraticForm, law_x: Law, law_y: Law, beta: float,
-                 trials: int, seed: int) -> SmallBallEstimate:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = form.n
-    A = np.array([[float(a) for a in row] for row in form.matrix])
-    f = np.array([float(x) for x in form.shifts])
-    vals = np.empty(trials, dtype=np.float64)
-    for ci, start, stop in chunk_bounds(trials):
-        rng = substream(seed, ci)
-        X = law_x.sample_values(rng, (stop - start, n)) + f
-        Y = law_y.sample_values(rng, (stop - start, n)) + f
-        vals[start:stop] = np.einsum("ti,ij,tj->t", X, A, Y)
-    return _mc_window_best(vals, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +428,7 @@ def _bilinear_mc(form: QuadraticForm, law_x: Law, law_y: Law, beta: float,
 def suffix_smallball_factors(u: Sequence, law: AtomicLaw, beta, n0: int,
                              cap: int = ATOM_CAP) -> List[Fraction]:
     """rho_beta^(i)(u) = sup_a P(|x_i u_i + ... + x_{n0} u_{n0} - a| <= beta), i = 1..n0."""
-    u = [_frac(x) for x in u]
+    u = [Fraction(x) for x in u]
     if not 1 <= n0 <= len(u):
         raise ValueError("need 1 <= n0 <= len(u)")
     factors = []

@@ -35,10 +35,6 @@ class OverlapError(Exception):
     """Rewritten rows and coefficient columns must be disjoint."""
 
 
-def _frac(x) -> Fraction:
-    return Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # the row matrix R
 
@@ -301,8 +297,8 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
     """
     if rank_cap not in (1, 2):
         raise ValueError("rank_cap must be 1 or 2")
-    beta = _frac(beta)
-    a = [_frac(x) for x in form.coefficients]
+    beta = Fraction(beta)
+    a = [Fraction(x) for x in form.coefficients]
     n = len(a)
     budget = int(closeness_budget)
     needed = max(0, n - budget)
@@ -390,10 +386,10 @@ def forward_lo_bound(q: Gap, assignments: Sequence[Sequence[int]], law: AtomicLa
     by at most beta * n * max|atom|, so the exact small ball of the
     rounded form at radius 0 survives at the derived radius.
     """
-    beta = _frac(beta)
+    beta = Fraction(beta)
     pts = [tuple(int(k) for k in p) for p in assignments]
     if coefficients is not None:
-        coeffs = [_frac(c) for c in coefficients]
+        coeffs = [Fraction(c) for c in coefficients]
         if len(coeffs) != len(pts):
             raise ValueError("one assignment per coefficient required")
         for c, p in zip(coeffs, pts):
@@ -403,5 +399,5 @@ def forward_lo_bound(q: Gap, assignments: Sequence[Sequence[int]], law: AtomicLa
         return ForwardBound(Fraction(1), Fraction(0))
     rounded = [evaluate(q, p) for p in pts]
     est = linear_small_ball_exact(LinearForm(tuple(rounded)), law, 0)
-    radius = beta * len(pts) * _frac(law.support_radius)
+    radius = beta * len(pts) * Fraction(law.support_radius)
     return ForwardBound(est.rho, radius)

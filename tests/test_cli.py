@@ -251,6 +251,21 @@ class TestMain:
         assert main(["ensemble", "spectrum", "--n", "6", "--seed", "4", "--trials", "3"]) == 0
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("action, kind", [
+        ("sample", "float"), ("spectrum", "float"), ("rank", "exact")])
+    def test_ensemble_builds_exact_matrix_only_for_rank(self, action, kind, capsys, monkeypatch):
+        import randsym.cli
+        from randsym import sample_symmetric
+        kinds = []
+
+        def recording(*args, **kwargs):
+            s = sample_symmetric(*args, **kwargs)
+            kinds.append(s.entry_kind)
+            return s
+        monkeypatch.setattr(randsym.cli, "sample_symmetric", recording)
+        assert main(["ensemble", action, "--n", "5", "--trials", "2"]) == 0
+        assert kinds == [kind, kind]
+
     def test_ensemble_utilities(self, tmp_path, capsys):
         assert main(["ensemble", "sample", "--n", "3", "--seed", "5"]) == 0
         first = capsys.readouterr().out

@@ -47,6 +47,17 @@ class TestSampling:
         with pytest.raises(BoundViolation):
             sample_symmetric(BERN, Fbad, 3, seed=1, gamma=1.0)
 
+    @pytest.mark.parametrize("fixed, kind", [
+        (None, int), (np.eye(3, dtype=int), int), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], int),
+        (np.eye(3), F), ([[F(1, 2)] * 3] * 3, F)])
+    def test_exact_entries_keep_their_type(self, fixed, kind):
+        # ints (Python or numpy) stay Python ints, Fractions and floats are Fractions
+        for exact in ("auto", True):
+            s = sample_symmetric(BERN, fixed, 3, seed=1, exact=exact)
+            assert s.entry_kind == "exact"
+            assert {type(x) for row in s.exact for x in row} == {kind}
+            assert [[float(x) for x in row] for row in s.exact] == s.matrix.tolist()
+
     def test_continuous_law_floats_only(self):
         s = sample_symmetric(gaussian(), None, 4, seed=2)
         assert s.entry_kind == "float"

@@ -1,5 +1,7 @@
-"""The multi-modular kernel against Fraction oracles that do not use it."""
+"""The integer lattice and the multi-modular kernel, against Fraction oracles
+that do not use them."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 from randsym import exactlinalg
 from randsym.exactlinalg import (PRIMES, OutOfPrimes, adjugate, bareiss_det,
-                                 cofactor_matrix, exact_rank, exact_ranks,
-                                 row_echelon_int, rowspace_membership)
+                                 cofactor_matrix, exact_rank, exact_ranks, lattice,
+                                 primitive, row_echelon_int, rowspace_membership)
 from genutil import fraction_det, fraction_rank
 
 P1, P2, P3 = PRIMES[:3]
@@ -48,6 +50,51 @@ class TestPrimeTable:
         assert list(PRIMES) == sorted(set(PRIMES), reverse=True)
         assert [n for n in range(2 ** 31 - 1, PRIMES[-1] - 1, -1) if is_prime(n)] \
             == list(PRIMES)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("rows, ints, unit", [
+        # ints, Fractions and floats (0.75 = 3/4, 0.5 = 1/2) on one lattice
+        ([[1, F(1, 2)], [0.75, np.int64(-2)]], [[4, 2], [3, -8]], F(1, 4)),
+        ([[6, -9], [F(3, 2)]], [[4, -6], [1]], F(3, 2)),         # content > 1, ragged
+        ([[-4, -10]], [[-2, -5]], F(2)),
+        ([[F(2, 3), F(4, 5)]], [[5, 6]], F(2, 15)),
+        ([[0, 0], [0.0]], [[0, 0], [0]], F(1)),                  # all zero: unit 1
+        ([], [], F(1)),
+        ([[]], [[]], F(1)),
+    ])
+    def test_cases(self, rows, ints, unit):
+        assert lattice(rows) == (ints, unit)
+
+    def test_exact_on_random_rationals(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rows = [[F(int(a), int(b)) * int(c) for a, b, c in
+                     zip(rng.integers(-50, 50, k), rng.integers(1, 30, k), rng.integers(1, 4, k))]
+                    for k in rng.integers(0, 5, rng.integers(1, 4))]
+            ints, unit = lattice(rows)
+            assert unit > 0
+            assert [[x * unit for x in row] for row in ints] == rows
+            flat = [x for row in ints for x in row]
+            assert all(type(x) is int for x in flat)
+            assert math.gcd(*flat) == 1 or (not any(flat) and unit == 1)
+
+
+class TestPrimitive:
+    @pytest.mark.parametrize("vec, want", [
+        ((F(1, 2), F(-1, 3), 0), (-3, 2, 0)),
+        ((4, -6, 8), (2, -3, 4)),
+        ((0.5, -0.25), (-2, 1)),
+        ((7,), (1,)),
+        ((-3, 0), (1, 0)),
+    ])
+    def test_cases(self, vec, want):
+        assert primitive(vec) == want
+
+    @pytest.mark.parametrize("vec", [(0, 0, 0), (F(0), 0.0), ()])
+    def test_zero_vector_raises(self, vec):
+        with pytest.raises(ValueError):
+            primitive(vec)
 
 
 class TestRank:

@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from randsym import gap
 from randsym import (FullRank, Gap, OutOfBox, VolumeTooLarge, beta_close,
                      enumerate_values, evaluate, format_gap, integer_hyperplane,
                      is_proper, parse_gap, rank_reduce, spans)
@@ -197,7 +199,8 @@ class TestRankReduce:
 
 
 class TestBigGenerators:
-    # generators beyond int64 run the object enumeration path
+    # generators beyond int64 that share their content: on their lattice
+    # (unit 2**70 / 3) they are 1 and 10
     BIG = Gap.symmetric((F(2 ** 70, 3), F(2 ** 70, 3) * 10), (2, 2))
 
     def test_enumerate_and_proper(self):
@@ -212,6 +215,27 @@ class TestBigGenerators:
         vals = [evaluate(self.BIG, (1, 1)), evaluate(self.BIG, (2, 2))]
         red = rank_reduce(self.BIG, vals, [(1, 1), (2, 2)])
         assert red.gap.generators == (F(2 ** 70, 3) * 11,)
+
+
+class TestObjectValues:
+    """Values beyond int64 on the lattice run as an object array of Python ints."""
+
+    BIG = Gap.symmetric((1, 2 ** 61), (3, 3))
+    THIRDS = Gap.symmetric((F(1, 3), 2 ** 62 + F(1, 3)), (2, 2))     # unit 1/3
+
+    @pytest.mark.parametrize("q", [BIG, THIRDS])
+    def test_object_path_matches_fraction_oracle(self, q):
+        assert gap._scaled_values(q)[0].dtype == object
+        box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(q.lower, q.upper)))
+        oracle = sorted(sum((k * g for k, g in zip(p, q.generators)), q.offset) for p in box)
+        assert enumerate_values(q) == oracle
+        assert len(oracle) == q.volume
+        assert is_proper(q)
+
+    def test_beta_close(self):
+        assert beta_close(self.BIG, 2 ** 61 + 2, 0) == (2, 1)
+        assert beta_close(self.THIRDS, 2 ** 62, 1) == (-1, 1)
+        assert beta_close(self.BIG, 2 ** 62 + 2 ** 61 + 4, 0) is None
 
 
 class TestLiterals:

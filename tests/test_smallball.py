@@ -217,6 +217,22 @@ def test_dense_lattice_time_budget():
     assert elapsed < 15, f"runtime {elapsed:.1f}s over budget 15s"
 
 
+def test_float_masses_weighed_by_their_sum():
+    # 0.1 and 0.9 are binary rationals whose sum is not exactly 1: every
+    # exact engine weighs an atom by its mass over that sum, so rho stays
+    # a probability
+    law = AtomicLaw(((-1, 0.1), (1, 0.9)))
+    p, q = F(0.1), F(0.9)
+    assert p + q != 1
+    assert linear_small_ball_exact(LinearForm((1, 1)), law, 0).rho == (q / (p + q)) ** 2
+    assert linear_small_ball_exact(LinearForm((1, 1)), law, 10).rho == 1
+    square = QuadraticForm(((1,),), shifts=(F(1, 2),))      # (x + 1/2)^2
+    assert quadratic_small_ball_exact(square, law, 0).rho == q / (p + q)
+    assert quadratic_small_ball_exact(square, law, 10).rho == 1
+    # x y with y a sign: +-1 with probability 1/2 each
+    assert bilinear_small_ball(QuadraticForm(((1,),)), law, BERN, 0).rho == F(1, 2)
+
+
 class TestLinearMC:
     def test_converges_to_exact(self):
         est = linear_small_ball_mc(LinearForm((1,) * 10), BERN, 0, 10 ** 5, seed=3)
