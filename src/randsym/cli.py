@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .detconc import (SpacingUnverified, bound_verdict, concentration_report,
+from .detconc import (SpacingUnverified, bound_verdict, check_sizes, concentration_report,
                       detconc_trial, tail_report, tail_trial, wilson_interval)
 from .ensembles import (SymmetricSample, exact_rank, grow_and_track,
                         read_matrix_text, sample_symmetric, spectral_summary,
@@ -207,18 +207,21 @@ def _parallel(fn, items: Sequence, workers: int) -> List:
 
 def _w_trials(args) -> List[tuple]:
     trial, law_lit, n, seed, t0, t1, kw = args
-    law = parse_law(law_lit)
-    return [trial(law=law, n=n, seed=seed, t=t, **kw) for t in range(t0, t1)]
+    return trial(law=parse_law(law_lit), n=n, seed=seed, trials=range(t0, t1), **kw)
 
 
-def _trial_rows(trial, cfg: Dict[str, object], **kw) -> List[tuple]:
-    """Rows trial(law, n, seed, t, **kw) n by n in n_list order, each n
-    cut into eight chunks of trials for the workers."""
+def _trial_rows(trial, cfg: Dict[str, object], least_trials: int = 1, **kw) -> List[tuple]:
+    """Rows trial(law, n, seed, trials, **kw) n by n in n_list order: one
+    block of trials per n, cut into one contiguous block per worker."""
     trials = int(cfg["trials"])
-    step = max(1, trials // 8)
-    items = [(trial, cfg["law"], n, cfg["seed"], t0, min(t0 + step, trials), kw)
-             for n in cfg["n_list"] for t0 in range(0, trials, step)]
-    chunks = _parallel(_w_trials, items, int(cfg.get("workers", 1)))
+    try:
+        check_sizes(cfg["n_list"], trials, least_trials)
+    except ValueError as e:
+        raise InvalidConfig(str(e)) from None
+    workers = int(cfg.get("workers", 1))
+    items = [(trial, cfg["law"], n, cfg["seed"], t0, t1, kw) for n in cfg["n_list"]
+             for _, t0, t1 in chunk_bounds(trials, -(-trials // workers))]
+    chunks = _parallel(_w_trials, items, workers)
     return [row for chunk in chunks for row in chunk]
 
 
@@ -239,11 +242,9 @@ def _run_tail(cfg: Dict[str, object]):
 
 
 def _run_detconc(cfg: Dict[str, object]):
-    trials = int(cfg["trials"])
-    if trials < 30:
-        raise InvalidConfig("trials: at least 30 required")
-    rep = concentration_report(_trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon")),
-                               cfg["n_list"], trials, cfg["seed"], cfg.get("epsilon"))
+    rows = _trial_rows(detconc_trial, cfg, 30, epsilon=cfg.get("epsilon"))
+    rep = concentration_report(rows, cfg["n_list"], int(cfg["trials"]), cfg["seed"],
+                               cfg.get("epsilon"))
     per_n = {n: {**stats, "dev_verdict": bound_verdict(stats["dev_freq"], stats["dev_ci"],
                                                        float(cfg["dev_bound"]))}
              for n, stats in rep.per_n.items()}

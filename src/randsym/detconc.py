@@ -7,19 +7,25 @@ which is what the spectral concentration inequality consumes), while the
 small-eigenvalue product is bounded below through the least singular
 value.  The experiments measure the spread of the truncated log-product
 at eps = n^(-1/6) and the empirical sigma_n / condition-number tails.
+
+Trials are keyed (seed, n, t).  tail_trial and detconc_trial take a range
+of trial indices and return its rows; keyed_spectra draws the range in
+stacks of at most ensembles._STACK_ENTRIES entries, one sampler call and
+one eigvalsh per stack, and the rows do not depend on how a range is cut.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ensembles import sample_symmetric, spectral_summary, SpectralSummary
+from .ensembles import (_STACK_ENTRIES, SpectralSummary, sample_symmetric,
+                        spectral_summaries)
 from .laws import AtomicLaw, Law, SpacingCertificate, verify_spacing
-from .streams import key_seed
+from .streams import chunk_bounds, key_seed
 
 Z95 = 1.959963984540054
 
@@ -213,22 +219,47 @@ def _epsilon(n: int, epsilon: Optional[float]) -> float:
     return float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
 
 
-def detconc_trial(law: AtomicLaw, n: int, seed: int, t: int,
-                  epsilon: Optional[float] = None) -> tuple:
-    """One concentration row: (n, t, seed, log|det|, kept_sum, dropped, sigma_n, kappa)."""
-    trial_seed = key_seed(seed, n, t)
-    s = sample_symmetric(law, None, n, seed=trial_seed, exact=False)
-    summ = spectral_summary(s)
-    tld = truncated_log_det(summ, _epsilon(n, epsilon))
-    return (n, t, trial_seed, summ.log_abs_det, tld.kept_sum, tld.dropped_count,
-            summ.sigma_n, summ.kappa)
+def keyed_spectra(law: Law, F, n: int, seed: int,
+                  trials: Iterable[int]) -> Iterator[Tuple[int, int, SpectralSummary]]:
+    """(t, trial seed, summary) for each trial index t in order: matrix t
+    is keyed key_seed(seed, n, t), and the block is drawn and summarized
+    in stacks of at most _STACK_ENTRIES entries, one sample_symmetric and
+    one eigvalsh call per stack."""
+    trials = list(trials)
+    per = max(1, _STACK_ENTRIES // (n * n))
+    for _, start, stop in chunk_bounds(len(trials), per):
+        block = trials[start:stop]
+        seeds = [key_seed(seed, n, t) for t in block]
+        stack = sample_symmetric(law, F, n, seed=seeds, exact=False)
+        yield from zip(block, seeds, spectral_summaries(stack))
 
 
-def tail_trial(law: Law, F, n: int, seed: int, t: int) -> tuple:
-    """One tail row: (n, t, sigma_n, kappa)."""
-    s = sample_symmetric(law, F, n, seed=key_seed(seed, n, t), exact=False)
-    summ = spectral_summary(s)
-    return (n, t, summ.sigma_n, summ.kappa)
+def detconc_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
+                  epsilon: Optional[float] = None) -> List[tuple]:
+    """Concentration rows (n, t, trial seed, log|det|, kept_sum, dropped,
+    sigma_n, kappa), one per trial index t in trials."""
+    eps = _epsilon(n, epsilon)
+    rows = []
+    for t, trial_seed, summ in keyed_spectra(law, None, n, seed, trials):
+        tld = truncated_log_det(summ, eps)
+        rows.append((n, t, trial_seed, summ.log_abs_det, tld.kept_sum, tld.dropped_count,
+                     summ.sigma_n, summ.kappa))
+    return rows
+
+
+def tail_trial(law: Law, F, n: int, seed: int, trials: Iterable[int]) -> List[tuple]:
+    """Tail rows (n, t, sigma_n, kappa), one per trial index t in trials."""
+    return [(n, t, summ.sigma_n, summ.kappa)
+            for t, _, summ in keyed_spectra(law, F, n, seed, trials)]
+
+
+def check_sizes(n_list: Sequence[int], trials: int, least: int = 1) -> None:
+    """ValueError naming the key unless there is an n, every n is >= 1
+    and trials >= least."""
+    if trials < least:
+        raise ValueError(f"trials: at least {least} required, got {trials}")
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"n_list: needs sizes n >= 1, got {list(n_list)}")
 
 
 def concentration_experiment(law: AtomicLaw, n_list: Sequence[int], trials: int,
@@ -240,9 +271,8 @@ def concentration_experiment(law: AtomicLaw, n_list: Sequence[int], trials: int,
     """
     if not isinstance(law, AtomicLaw):
         raise ValueError("a bounded atomic law is required")
-    if trials < 30:
-        raise ValueError("at least 30 trials required")
-    rows = [detconc_trial(law, n, seed, t, epsilon) for n in n_list for t in range(trials)]
+    check_sizes(n_list, trials, 30)
+    rows = [row for n in n_list for row in detconc_trial(law, n, seed, range(trials), epsilon)]
     return concentration_report(rows, n_list, trials, seed, epsilon)
 
 
@@ -298,7 +328,8 @@ def tail_experiment(law: Law, F, n_list: Sequence[int], a_exp: float, trials: in
     if not verify_spacing(law, cert):
         raise SpacingUnverified(
             f"law does not satisfy the spacing condition at {cert}")
-    rows = [tail_trial(law, F, n, seed, t) for n in n_list for t in range(trials)]
+    check_sizes(n_list, trials)
+    rows = [row for n in n_list for row in tail_trial(law, F, n, seed, range(trials))]
     return tail_report(rows, n_list, a_exp, trials, seed)
 
 

@@ -7,13 +7,20 @@ rank, cofactor and determinant work over the rationals (fraction-free
 elimination).  Spectral quantities use the symmetric eigendecomposition:
 for symmetric matrices the singular values are the |eigenvalues|, so
 sigma_n = min |lambda| and kappa = sigma_1 / sigma_n.
+
+Monte Carlo works on stacks: sample_symmetric given a sequence of seeds
+returns a (T, n, n) float stack, each matrix drawn as its seed alone
+would draw it, and spectral_summaries summarizes a stack with one
+eigvalsh call.  Callers keep a stack within _STACK_ENTRIES = 2^16
+entries, so memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,7 +31,8 @@ from .laws import AtomicLaw, Law
 from .streams import chunk_bounds, substream
 
 
-# int64 entries per stack of bordered matrices in grow_and_track
+# entries per stack: the bordered int64 matrices of grow_and_track, the
+# float matrices of a block of keyed Monte Carlo trials
 _STACK_ENTRIES = 1 << 16
 
 
@@ -62,11 +70,10 @@ class SymmetricSample:
         return [list(r) for r in self.exact]
 
 
-def _exact_fixed(F: Optional[Sequence[Sequence]], n: int):
-    """Exact fixed part: ints (Python or numpy) stay Python ints, Fractions
-    stay Fractions, and floats are taken as the binary rationals they are."""
-    if F is None:
-        return [[0] * n for _ in range(n)]
+def _exact_fixed(F) -> Optional[np.ndarray]:
+    """Exact fixed part as an object array: ints (Python or numpy) stay
+    Python ints, Fractions stay Fractions, and floats are taken as the
+    binary rationals they are; None if an entry is none of these."""
     rows = []
     for r in F:
         row = []
@@ -80,66 +87,93 @@ def _exact_fixed(F: Optional[Sequence[Sequence]], n: int):
             else:
                 return None
         rows.append(row)
-    return rows
+    return np.array(rows, dtype=object)
 
 
-def sample_symmetric(law: Law, F, n: int, seed: int, gamma: float = 1.0,
-                     exact: Union[bool, str] = "auto") -> SymmetricSample:
-    """Draw M = F + X; the upper triangle of X (with diagonal) is iid.
-
-    Deterministic in seed.  exact="auto" builds the exact rational matrix
-    when the law is rational and F is; exact=False skips it (cheaper for
-    spectral Monte Carlo), exact=True demands it.
-    """
+def _fixed_part(F, n: int, gamma: float) -> Optional[np.ndarray]:
+    """F as a checked float array (finite, n x n, symmetric, entries at most
+    n^gamma); None when there is no fixed part."""
     if F is None:
-        F_arr = np.zeros((n, n), dtype=np.float64)
-    else:
-        F_arr = np.asarray([[float(x) for x in row] for row in F], dtype=np.float64) \
-            if not isinstance(F, np.ndarray) else F.astype(np.float64)
+        return None
+    F_arr = np.asarray([[float(x) for x in row] for row in F], dtype=np.float64) \
+        if not isinstance(F, np.ndarray) else F.astype(np.float64)
     if F_arr.shape != (n, n):
         raise ValueError(f"fixed part must be {n} x {n}")
-    if not np.allclose(F_arr, F_arr.T, rtol=0, atol=0):
+    if not np.isfinite(F_arr).all():
+        raise ValueError("fixed part must be finite")
+    if not (F_arr == F_arr.T).all():
         raise ValueError("fixed part must be symmetric")
     bound = float(n) ** float(gamma)
     if np.max(np.abs(F_arr)) > bound:
         raise BoundViolation(f"|f_ij| exceeds n^gamma = {bound}")
-    rng = substream(seed)
-    m = n * (n + 1) // 2
+    return F_arr
+
+
+@lru_cache(maxsize=64)
+def _mirror(n: int) -> np.ndarray:
+    """Flat n x n map into the n(n+1)/2 upper entries (diagonal included)
+    in triu_indices order: entries (i, j) and (j, i) both read the
+    position of (min(i, j), max(i, j))."""
     iu = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.int32)
+    pos[iu] = pos.T[iu] = np.arange(len(iu[0]))
+    pos = pos.ravel()
+    pos.flags.writeable = False
+    return pos
+
+
+def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int]],
+                     gamma: float = 1.0,
+                     exact: Union[bool, str] = "auto") -> Union[SymmetricSample, np.ndarray]:
+    """Draw M = F + X; the upper triangle of X (with diagonal) is iid.
+
+    Deterministic in seed: the n(n+1)/2 upper entries, row by row, are the
+    first draws of substream(seed).  exact="auto" builds the exact rational
+    matrix when the law is rational and F is; exact=False skips it
+    (cheaper for spectral Monte Carlo), exact=True demands it.
+
+    Given a sequence of T seeds, draws one matrix per seed in one pass (F
+    checked once, one sampler call) and returns the float matrices as a
+    (T, n, n) stack, matrix t drawn exactly as the single-seed call with
+    seed[t] draws it.  A single seed is the T = 1 case.  Callers keep
+    T n^2 within _STACK_ENTRIES (detconc.keyed_spectra does).
+    """
+    single = isinstance(seed, (int, np.integer))
+    if not single and exact is True:
+        raise ValueError("a sequence of seeds draws float matrices only")
+    F_arr = _fixed_part(F, n, gamma)
+    rngs = [substream(sd) for sd in ([seed] if single else seed)]
+    m = n * (n + 1) // 2
     want_exact = (exact is True) or (
         exact == "auto" and isinstance(law, AtomicLaw) and law.is_rational)
     if isinstance(law, AtomicLaw):
-        idx = law.sample_indices(rng, m)
+        idx = law.sample_indices(rngs, m)
         vals_f = law.values_float()[idx]
     else:
         if exact is True:
             raise ValueError("exact sampling needs a rational atomic law")
-        idx = None
-        vals_f = law.sample_values(rng, m)
+        vals_f = law.sample_values(rngs, m)
         want_exact = False
-    X = np.zeros((n, n), dtype=np.float64)
-    X[iu] = vals_f
-    X = X + np.triu(X, 1).T
+    X = np.take(vals_f, _mirror(n), axis=1).reshape(len(rngs), n, n)
+    X += 0.0      # a -0.0 draw reads +0.0, as in any sum with a zero matrix
+    if not single:
+        return X if F_arr is None else F_arr + X
+    fixed = F_arr if F_arr is not None else np.zeros((n, n))
     exact_rows = None
     if want_exact:
-        f_exact = _exact_fixed(F if F is not None else None, n)
-        if f_exact is None:
+        f_exact = None if F is None else _exact_fixed(F)
+        if F is not None and f_exact is None:
             if exact is True:
                 raise ValueError("fixed part is not exactly representable")
         else:
             values = [v if isinstance(v, Fraction) else Fraction(v) for v in law.values]
             as_int = all(v.denominator == 1 for v in values)
-            atoms = [int(v) if as_int else v for v in values]
-            vals_e = [atoms[i] for i in idx]
-            rows = [[None] * n for _ in range(n)]
-            pos = 0
-            for i, j in zip(*iu):
-                v = vals_e[pos]
-                pos += 1
-                rows[i][j] = f_exact[i][j] + v
-                rows[j][i] = rows[i][j]
-            exact_rows = tuple(tuple(r) for r in rows)
-    return SymmetricSample(n=n, fixed=F_arr, noise=X, matrix=F_arr + X,
+            atoms = np.array([int(v) if as_int else v for v in values], dtype=object)
+            entries = atoms[idx[0][_mirror(n)]].reshape(n, n)
+            if f_exact is not None:
+                entries = f_exact + entries
+            exact_rows = tuple(map(tuple, entries.tolist()))
+    return SymmetricSample(n=n, fixed=fixed, noise=X[0], matrix=fixed + X[0],
                            exact=exact_rows, gamma=float(gamma), seed=int(seed))
 
 
@@ -157,29 +191,34 @@ class SpectralSummary:
     corank: Optional[int]
 
 
-def spectral_summary(m: Union[SymmetricSample, np.ndarray]) -> SpectralSummary:
-    """Eigenvalues and the derived sigma_1, sigma_n, kappa, log|det|."""
-    if isinstance(m, SymmetricSample):
-        mat = m.matrix
-        exact = m.exact
-        n = m.n
-    else:
-        mat = np.asarray(m, dtype=np.float64)
-        exact = None
-        n = mat.shape[0]
+def spectral_summaries(stack: np.ndarray) -> List[SpectralSummary]:
+    """One summary per matrix of a (T, n, n) stack, from one eigvalsh call;
+    each is reduced from its own eigenvalue row, so it equals the summary
+    of that matrix alone bit for bit.  No exact corank."""
     try:
-        lam = np.linalg.eigvalsh(mat)
+        lam = np.linalg.eigvalsh(np.asarray(stack, dtype=np.float64))
     except np.linalg.LinAlgError as e:
         raise ConvergenceFailure(str(e)) from e
     absl = np.abs(lam)
-    sigma_1 = float(absl.max())
-    sigma_n = float(absl.min())
-    kappa = sigma_1 / sigma_n if sigma_n > 0 else math.inf
-    log_abs_det = float(np.sum(np.log(absl))) if sigma_n > 0 else -math.inf
-    corank = None
-    if exact is not None and n <= 64:
-        corank = n - _rank([list(r) for r in exact])
-    return SpectralSummary(lam, sigma_1, sigma_n, kappa, log_abs_det, corank)
+    with np.errstate(divide="ignore"):
+        logs = np.log(absl)
+    out = []
+    for row, logs_row, s1, sn in zip(lam, logs, absl.max(axis=-1).tolist(),
+                                     absl.min(axis=-1).tolist()):
+        kappa = s1 / sn if sn > 0 else math.inf
+        log_abs_det = float(np.sum(logs_row)) if sn > 0 else -math.inf
+        out.append(SpectralSummary(row, s1, sn, kappa, log_abs_det, None))
+    return out
+
+
+def spectral_summary(m: Union[SymmetricSample, np.ndarray]) -> SpectralSummary:
+    """Eigenvalues and the derived sigma_1, sigma_n, kappa, log|det|; the
+    exact corank too for an exact sample with n <= 64."""
+    mat = m.matrix if isinstance(m, SymmetricSample) else np.asarray(m, dtype=np.float64)
+    summ = spectral_summaries(mat[None])[0]
+    if isinstance(m, SymmetricSample) and m.exact is not None and m.n <= 64:
+        summ = replace(summ, corank=m.n - _rank([list(r) for r in m.exact]))
+    return summ
 
 
 def exact_rank(m: Union[SymmetricSample, Sequence[Sequence]]) -> int:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,11 @@ Scalar = Union[Fraction, float]
 MERGE_REL_TOL = 1e-12
 MASS_TOL = 1e-12
 RETRY_CAP = 10 ** 6
+
+# one generator, or a sequence of them drawn from in turn (a stack of
+# draws); named, not looked up, so importing randsym leaves numpy.random
+# to be imported when first drawn from
+Generators = Union["np.random.Generator", Sequence["np.random.Generator"]]
 
 
 class DegenerateLaw(Exception):
@@ -131,13 +136,45 @@ class AtomicLaw:
         c.flags.writeable = False
         return c
 
-    def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.random(size)
-        # searchsorted gives 0..len(atoms); the top index is the last atom
-        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.atoms) - 1)
+    def sample_indices(self, rng: Generators, size) -> np.ndarray:
+        """Atom indices of `size` draws from rng; given a sequence of
+        generators, a stack of `size` draws from each in turn."""
+        return atom_indices(self._cum, _uniforms(rng, size))
 
-    def sample_values(self, rng: np.random.Generator, size) -> np.ndarray:
+    def sample_values(self, rng: Generators, size) -> np.ndarray:
         return self.values_float()[self.sample_indices(rng, size)]
+
+
+def _uniforms(rng: Generators, size) -> np.ndarray:
+    """rng.random(size), or one such row per generator of a sequence."""
+    if isinstance(rng, np.random.Generator):
+        return rng.random(size)
+    rngs = list(rng)
+    u = np.empty((len(rngs),) + ((size,) if np.ndim(size) == 0 else tuple(size)))
+    for r, row in zip(rngs, u):
+        r.random(out=row)
+    return u
+
+
+def atom_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the atom each uniform u falls in, searchsorted(cum, u,
+    side="right") capped at the last atom.  A counting pass costs about
+    2 us plus 1 ns per draw, a binary search about 4 ns per draw per bit
+    of the atom count, so few atoms over many draws are counted and the
+    rest searched; both give the same indices."""
+    k, draws = len(cum), u.size
+    if (k - 1) * (2000 + draws) <= 4 * draws * k.bit_length():
+        return _count_atoms(cum, u)
+    return np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
+
+
+def _count_atoms(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """#{k < len(cum) - 1 : cum[k] <= u}, which for a sorted cum is
+    searchsorted(cum, u, side="right") capped at len(cum) - 1."""
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
 
 
 @dataclass(frozen=True)
@@ -152,8 +189,10 @@ class ContinuousLaw:
 
     is_rational = False
 
-    def sample_values(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.sample(rng, size)
+    def sample_values(self, rng: Generators, size) -> np.ndarray:
+        if isinstance(rng, np.random.Generator):
+            return self.sample(rng, size)
+        return np.stack([self.sample(r, size) for r in rng])
 
 
 Law = Union[AtomicLaw, ContinuousLaw]

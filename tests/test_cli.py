@@ -279,6 +279,39 @@ class TestMain:
         assert capsys.readouterr().out.startswith("trial 0:")
 
 
+class TestTrialBlocks:
+    @pytest.mark.parametrize("argv, key", [
+        (["tail", "--trials", "0"], "trials"),
+        (["tail", "--trials", "-3"], "trials"),
+        (["tail", "--n-list", "0"], "n_list"),
+        (["tail", "--n-list", "8,-1"], "n_list"),
+        (["detconc", "--trials", "0"], "trials"),
+        (["detconc", "--n-list", "0,8"], "n_list")])
+    def test_bad_sizes_named_before_sampling(self, tmp_path, capsys, monkeypatch, argv, key):
+        import randsym.detconc
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(randsym.detconc, "sample_symmetric", no_sampling)
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 1
+        # InvalidConfig prints "error: <key>: ..."; other errors their type name
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize("experiment", ["tail", "detconc"])
+    def test_rows_identical_across_workers(self, tmp_path, experiment):
+        rows = [run(cfg(tmp_path, experiment=experiment, n_list=(7, 12), trials=31,
+                        seed=4, workers=w, out=str(tmp_path / f"w{w}"))).rows
+                for w in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2] and len(rows[0]) == 62
+        assert [r[:2] for r in rows[0]] == [(n, t) for n in (7, 12) for t in range(31)]
+
+    def test_no_process_left_after_pool_run(self, tmp_path):
+        import multiprocessing
+        assert main(["tail", "--n-list", "8,10", "--trials", "20", "--workers", "2",
+                     "--out", str(tmp_path / "t")]) in (0, 2, 3)
+        assert multiprocessing.active_children() == []
+
+
 class TestResolve:
     def test_defaults_applied(self):
         r = resolve(ExperimentConfig(experiment="tail"))

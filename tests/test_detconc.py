@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from randsym import (CutoffSpec, DegenerateSpectrum, SpacingCertificate,
+from randsym import (AtomicLaw, CutoffSpec, DegenerateSpectrum, SpacingCertificate,
                      SpacingUnverified, bernoulli, concentration_experiment,
-                     cutoff_log, envelope_rule, point_mass, spectral_summary,
-                     spectral_window_count, tail_experiment, truncated_log_det,
-                     wilson_interval)
-from randsym.detconc import envelope_norm, loglog_slope
+                     cutoff_log, envelope_rule, gaussian, point_mass, sample_symmetric,
+                     spectral_summary, spectral_window_count, tail_experiment,
+                     truncated_log_det, uniform3, wilson_interval)
+from randsym.detconc import detconc_trial, envelope_norm, loglog_slope, tail_trial
+from randsym.ensembles import _STACK_ENTRIES, spectral_summaries
+from randsym.streams import key_seed, substream
 
 BERN = bernoulli()
 
@@ -219,3 +221,124 @@ class TestWilson:
         for hits, n in ((5, 50), (49, 50), (1, 1000)):
             lo, hi = wilson_interval(hits, n)
             assert lo <= hits / n <= hi
+
+
+def _oracle_matrix(law, F, n, trial_seed):
+    """One keyed matrix built the per-trial way: uniforms of substream(trial
+    seed) mapped by searchsorted, the upper triangle mirrored by addition."""
+    rng = substream(trial_seed)
+    m = n * (n + 1) // 2
+    if isinstance(law, AtomicLaw):
+        cum = law.cum_masses()
+        idx = np.minimum(np.searchsorted(cum, rng.random(m), side="right"), len(cum) - 1)
+        vals = law.values_float()[idx]
+    else:
+        vals = law.sample(rng, m)
+    X = np.zeros((n, n))
+    X[np.triu_indices(n)] = vals
+    X = X + np.triu(X, 1).T
+    return (np.zeros((n, n)) if F is None else np.asarray(F, dtype=float)) + X
+
+
+def _oracle_spectrum(mat):
+    lam = np.linalg.eigvalsh(mat)
+    absl = np.abs(lam)
+    sn, s1 = float(absl.min()), float(absl.max())
+    return lam, sn, (s1 / sn if sn > 0 else math.inf), \
+        (float(np.sum(np.log(absl))) if sn > 0 else -math.inf)
+
+
+def oracle_tail_rows(law, F, n, seed, trials):
+    rows = []
+    for t in trials:
+        _, sn, kappa, _ = _oracle_spectrum(_oracle_matrix(law, F, n, key_seed(seed, n, t)))
+        rows.append((n, t, sn, kappa))
+    return rows
+
+
+def oracle_detconc_rows(law, n, seed, trials, epsilon=None):
+    eps = n ** (-1.0 / 6.0) if epsilon is None else epsilon
+    rows = []
+    for t in trials:
+        ts = key_seed(seed, n, t)
+        lam, sn, kappa, logdet = _oracle_spectrum(_oracle_matrix(law, None, n, ts))
+        kept = (lam >= eps) | (lam <= -eps)
+        kept_sum = float(np.sum(np.log(np.abs(lam[kept])))) if kept.any() else 0.0
+        rows.append((n, t, ts, logdet, kept_sum, int(np.sum(~kept)), sn, kappa))
+    return rows
+
+
+class TestStackedTrials:
+    """Block trials drawn in capped stacks give, bit for bit, the rows of
+    one keyed matrix and one eigvalsh per trial (compared through repr)."""
+
+    @pytest.mark.parametrize("n, trials", [
+        (9, range(5, 6)),          # T = 1
+        (20, range(100, 430)),     # 163 matrices per stack: three stacks
+        (1, range(40)),
+        (200, range(3))])          # one matrix per stack
+    def test_tail_rows(self, n, trials):
+        got = tail_trial(BERN, None, n, 4, trials)
+        assert repr(got) == repr(oracle_tail_rows(BERN, None, n, 4, trials))
+
+    def test_stacks_are_capped(self, monkeypatch):
+        import randsym.detconc
+        sizes = []
+
+        def recording(law, F, n, seed, **kw):
+            sizes.append(len(seed))
+            return sample_symmetric(law, F, n, seed, **kw)
+        monkeypatch.setattr(randsym.detconc, "sample_symmetric", recording)
+        tail_trial(BERN, None, 20, 1, range(330))
+        assert sizes == [163, 163, 4] and 163 * 20 * 20 <= _STACK_ENTRIES < 164 * 20 * 20
+        sizes.clear()
+        detconc_trial(BERN, 200, 1, range(2))
+        assert sizes == [1, 1]
+
+    def test_detconc_rows(self):
+        for n in (1, 20, 41):
+            trials = range(0, 200) if n == 20 else range(7, 19)
+            got = detconc_trial(BERN, n, 6, trials)
+            assert repr(got) == repr(oracle_detconc_rows(BERN, n, 6, trials))
+
+    def test_detconc_explicit_epsilon(self):
+        law = uniform3()
+        got = detconc_trial(law, 12, 8, range(50), epsilon=0.3)
+        assert repr(got) == repr(oracle_detconc_rows(law, 12, 8, range(50), 0.3))
+
+    def test_given_fixed_part(self):
+        n = 12
+        F = np.diag(np.linspace(-2, 2, n))
+        F[0, 3] = F[3, 0] = 0.25
+        F[1, 2] = F[2, 1] = -0.0
+        rep = tail_experiment(BERN, F, (n,), 1.0, 200, 5, SpacingCertificate(2, 2, 0.5))
+        assert repr(list(rep.rows)) == repr(oracle_tail_rows(BERN, F, n, 5, range(200)))
+
+    def test_continuous_law(self):
+        law = gaussian()
+        got = tail_trial(law, None, 7, 3, range(300))
+        assert repr(got) == repr(oracle_tail_rows(law, None, 7, 3, range(300)))
+
+    def test_library_rows_are_the_blocks(self):
+        rep = concentration_experiment(BERN, (4, 9), trials=30, seed=2)
+        assert list(rep.rows) == detconc_trial(BERN, 4, 2, range(30)) + \
+            detconc_trial(BERN, 9, 2, range(30))
+
+    def test_stack_matches_single_samples(self):
+        seeds = [key_seed(3, 5, t) for t in range(6)]
+        stack = sample_symmetric(uniform3(), None, 5, seed=seeds, exact=False)
+        assert stack.shape == (6, 5, 5)
+        for sd, mat in zip(seeds, stack):
+            assert np.array_equal(mat, sample_symmetric(uniform3(), None, 5, seed=sd).matrix)
+        summaries = spectral_summaries(stack)
+        for mat, summ in zip(stack, summaries):
+            one = spectral_summary(mat)
+            assert repr((one.sigma_1, one.sigma_n, one.kappa, one.log_abs_det)) == \
+                repr((summ.sigma_1, summ.sigma_n, summ.kappa, summ.log_abs_det))
+            assert np.array_equal(one.eigenvalues, summ.eigenvalues)
+
+    def test_sizes_checked_before_sampling(self):
+        with pytest.raises(ValueError, match="trials"):
+            tail_experiment(BERN, None, [8], 1.0, 0, 1, SpacingCertificate(2, 2, 0.5))
+        with pytest.raises(ValueError, match="n_list"):
+            concentration_experiment(BERN, [8, 0], trials=30, seed=1)

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from randsym import (BoundViolation, SymmetricSample, bernoulli,
+from randsym import (AtomicLaw, BoundViolation, SymmetricSample, bernoulli,
                      cofactor_expansion_check, cofactor_inequality_check,
-                     exact_det, exact_rank, gaussian, grow_and_track,
+                     exact_det, exact_rank, gaussian, grow_and_track, lazy_sign,
                      near_kernel_vector, remove_pivot_row, sample_symmetric,
                      spectral_summary, subspace_membership_mc)
 from randsym.ensembles import read_matrix_exact, read_matrix_text, write_matrix_text
 from randsym.exactlinalg import exact_rank as rational_rank, rowspace_membership
+from randsym.streams import substream
 from genutil import fraction_rank, random_symmetric_int_matrix
 
 BERN = bernoulli()
@@ -63,6 +64,51 @@ class TestSampling:
         assert s.entry_kind == "float"
         with pytest.raises(ValueError):
             sample_symmetric(gaussian(), None, 4, seed=2, exact=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fixed_part_must_be_finite(self, bad):
+        Fbad = np.zeros((3, 3))
+        Fbad[0, 1] = Fbad[1, 0] = bad
+        for seed in (1, [1, 2]):
+            with pytest.raises(ValueError, match="fixed part must be finite"):
+                sample_symmetric(BERN, Fbad, 3, seed=seed, exact=False)
+
+    def test_seed_sequence_gives_float_stack(self):
+        fixed = np.eye(4)
+        stack = sample_symmetric(BERN, fixed, 4, seed=[7, 8, 9], exact=False)
+        assert stack.shape == (3, 4, 4) and stack.dtype == np.float64
+        for sd, mat in zip((7, 8, 9), stack):
+            assert np.array_equal(mat, sample_symmetric(BERN, fixed, 4, seed=sd).matrix)
+        with pytest.raises(ValueError):
+            sample_symmetric(BERN, None, 4, seed=[7, 8], exact=True)
+
+    def test_negative_zero_draws_read_positive_zero(self):
+        # a -0.0 atom gives +0.0 entries, as the sum X + triu(X, 1).T did,
+        # so `ensemble sample` prints 0.0
+        law = AtomicLaw(((-0.0, 0.5), (1.0, 0.5)))
+        s = sample_symmetric(law, None, 6, seed=3)
+        stack = sample_symmetric(law, None, 6, seed=[3, 4])
+        for mat in (s.noise, s.matrix, *stack):
+            assert (mat == 0).any() and not np.signbit(mat).any()
+
+    @pytest.mark.parametrize("law, fixed", [
+        (BERN, None), (lazy_sign(F(1, 3)), [[F(1, 2)] * 5] * 5),
+        (AtomicLaw(((F(-1, 2), F(1, 3)), (0, F(1, 3)), (3, F(1, 3)))), np.eye(5, dtype=int))])
+    def test_exact_rows_match_entrywise_oracle(self, law, fixed):
+        s = sample_symmetric(law, fixed, 5, seed=12)
+        # the upper triangle, row by row, holds the draws; F adds exactly
+        as_int = all(v.denominator == 1 for v in law.values)
+        atoms = [int(v) if as_int else v for v in law.values]
+        cum = law.cum_masses()
+        u = substream(12).random(15)
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        want = [[None] * 5 for _ in range(5)]
+        for (i, j), k in zip(zip(*np.triu_indices(5)), idx):
+            f = 0 if fixed is None else fixed[i][j]
+            f = int(f) if isinstance(f, (int, np.integer)) else f
+            want[i][j] = want[j][i] = f + atoms[k]
+        assert [list(r) for r in s.exact] == want
+        assert [[type(x) for x in r] for r in s.exact] == [[type(x) for x in r] for r in want]
 
 
 class TestSpectralSummary:

@@ -9,6 +9,8 @@ from randsym import (AtomicLaw, DegenerateLaw, RejectionDiverges, SamplerConfig,
                      bernoulli, difference_law, gaussian, lazy_difference_law,
                      lazy_sign, parse_law, point_mass, sample_truncated,
                      standardize, uniform3, verify_spacing)
+from randsym.laws import _count_atoms, atom_indices
+from randsym.streams import key_seed, substream
 
 
 def atoms_of(law):
@@ -208,3 +210,77 @@ class TestCanonicalization:
         law = AtomicLaw(((3, F(1, 3)), (-1, F(1, 3)), (0, F(1, 3))))
         vals = [float(v) for v in law.values]
         assert vals == sorted(vals)
+
+
+def _searched(cum, u):
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+class TestAtomIndices:
+    """Counting atoms and searchsorted give the same indices; the sampler
+    picks one from the atom count and the draw count."""
+
+    @staticmethod
+    def cum_with_zero_masses(k, rng):
+        masses = rng.random(k)
+        masses[rng.random(k) < 0.3] = 0.0          # flat steps in cum
+        masses[-1] = max(masses[-1], 0.1)
+        cum = np.cumsum(masses / masses.sum())
+        cum[-1] = 1.0
+        return cum
+
+    @pytest.mark.parametrize("k", range(1, 34))
+    def test_kernels_agree(self, k):
+        rng = np.random.default_rng(k)
+        cum = self.cum_with_zero_masses(k, rng)
+        for draws in (1, 7, 210, 5000, 40000):
+            u = rng.random(draws)
+            j = min(k - 1, draws)
+            u[:j] = cum[:j]                            # draws right on a step
+            want = _searched(cum, u)
+            assert np.array_equal(_count_atoms(cum, u), want)
+            got = atom_indices(cum, u)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        u = rng.random((3, 50))
+        assert np.array_equal(atom_indices(cum, u), _searched(cum, u))
+
+    def test_both_kernels_chosen(self, monkeypatch):
+        import randsym.laws
+        counted = []
+
+        def counting(cum, u):
+            counted.append(u.size)
+            return _count_atoms(cum, u)
+        monkeypatch.setattr(randsym.laws, "_count_atoms", counting)
+        cum = np.array([0.25, 0.5, 1.0])
+        for draws in (10, 20100):
+            u = np.random.default_rng(draws).random(draws)
+            assert np.array_equal(atom_indices(cum, u), _searched(cum, u))
+        assert counted == [20100]
+        cum33 = np.linspace(1 / 33, 1, 33)
+        atom_indices(cum33, np.random.default_rng(0).random(20100))
+        assert counted == [20100]
+
+    def test_generator_sequence_stacks_rows(self):
+        law = uniform3()
+        seeds = [3, 4, 5]
+        stack = law.sample_indices([substream(s) for s in seeds], (2, 6))
+        assert stack.shape == (3, 2, 6)
+        for s, row in zip(seeds, stack):
+            assert np.array_equal(row, law.sample_indices(substream(s), (2, 6)))
+        vals = gaussian().sample_values([substream(s) for s in seeds], 4)
+        assert vals.shape == (3, 4)
+        assert np.array_equal(vals[1], gaussian().sample_values(substream(4), 4))
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("key", [
+        (0,), (1, 0, 0), (7, 20, 3), (2 ** 32 - 1, 5), (2 ** 32, 1), (3, 2 ** 40, 0),
+        (123456789, 200, 49)])
+    def test_same_state_as_the_list_key(self, key):
+        # keys whose parts fit 32 bits take the uint32 fast path, the rest the
+        # list; both must give the state numpy derives from the list
+        want = np.random.SeedSequence(list(key))
+        assert key_seed(*key) == int(want.generate_state(1)[0])
+        assert np.array_equal(substream(*key).random(5),
+                              np.random.default_rng(want).random(5))
