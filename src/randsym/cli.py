@@ -205,6 +205,12 @@ def _parallel(fn, items: Sequence, workers: int) -> List:
 # per-experiment runners (worker functions are module-level: picklable)
 
 
+def _worker_blocks(trials: int, workers: int) -> List[Tuple[int, int]]:
+    """range(trials) cut into one contiguous block of whole trials per
+    worker; each trial's rows depend on its own key only."""
+    return [(t0, t1) for _, t0, t1 in chunk_bounds(trials, -(-trials // workers))]
+
+
 def _w_trials(args) -> List[tuple]:
     trial, law_lit, n, seed, t0, t1, kw = args
     return trial(law=parse_law(law_lit), n=n, seed=seed, trials=range(t0, t1), **kw)
@@ -220,7 +226,7 @@ def _trial_rows(trial, cfg: Dict[str, object], least_trials: int = 1, **kw) -> L
         raise InvalidConfig(str(e)) from None
     workers = int(cfg.get("workers", 1))
     items = [(trial, cfg["law"], n, cfg["seed"], t0, t1, kw) for n in cfg["n_list"]
-             for _, t0, t1 in chunk_bounds(trials, -(-trials // workers))]
+             for t0, t1 in _worker_blocks(trials, workers)]
     chunks = _parallel(_w_trials, items, workers)
     return [row for chunk in chunks for row in chunk]
 
@@ -345,9 +351,7 @@ def _run_rankgrow(cfg: Dict[str, object]):
     n = int(cfg["n"])
     trials = int(cfg["trials"])
     workers = int(cfg.get("workers", 1))
-    # whole trials per worker: each trial's rows depend on its own seed only
-    items = [(cfg["law"], n, cfg["seed"], t0, t1)
-             for _, t0, t1 in chunk_bounds(trials, -(-trials // workers))]
+    items = [(cfg["law"], n, cfg["seed"], t0, t1) for t0, t1 in _worker_blocks(trials, workers)]
     chunks = _parallel(_w_rankgrow, items, workers)
     rows = [row for chunk in chunks for row in chunk]
     header = ("trial", "step", "size", "new_rank", "jumped_by_2")

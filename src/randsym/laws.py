@@ -29,11 +29,6 @@ MERGE_REL_TOL = 1e-12
 MASS_TOL = 1e-12
 RETRY_CAP = 10 ** 6
 
-# one generator, or a sequence of them drawn from in turn (a stack of
-# draws); named, not looked up, so importing randsym leaves numpy.random
-# to be imported when first drawn from
-Generators = Union["np.random.Generator", Sequence["np.random.Generator"]]
-
 
 class DegenerateLaw(Exception):
     """Law has zero variance where a spread is required."""
@@ -136,16 +131,19 @@ class AtomicLaw:
         c.flags.writeable = False
         return c
 
-    def sample_indices(self, rng: Generators, size) -> np.ndarray:
+    def sample_indices(self, rng: np.random.Generator | Sequence[np.random.Generator],
+                       size) -> np.ndarray:
         """Atom indices of `size` draws from rng; given a sequence of
         generators, a stack of `size` draws from each in turn."""
         return atom_indices(self._cum, _uniforms(rng, size))
 
-    def sample_values(self, rng: Generators, size) -> np.ndarray:
+    def sample_values(self, rng: np.random.Generator | Sequence[np.random.Generator],
+                      size) -> np.ndarray:
         return self.values_float()[self.sample_indices(rng, size)]
 
 
-def _uniforms(rng: Generators, size) -> np.ndarray:
+def _uniforms(rng: np.random.Generator | Sequence[np.random.Generator],
+              size) -> np.ndarray:
     """rng.random(size), or one such row per generator of a sequence."""
     if isinstance(rng, np.random.Generator):
         return rng.random(size)
@@ -158,12 +156,12 @@ def _uniforms(rng: Generators, size) -> np.ndarray:
 
 def atom_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index of the atom each uniform u falls in, searchsorted(cum, u,
-    side="right") capped at the last atom.  A counting pass costs about
-    2 us plus 1 ns per draw, a binary search about 4 ns per draw per bit
-    of the atom count, so few atoms over many draws are counted and the
-    rest searched; both give the same indices."""
+    side="right") capped at the last atom.  Counting takes one pass per
+    atom but no search, and wins from about 1000 draws per atom past the
+    first (2 to 33 atoms, 10 to 20,100 draws, timeit); both give the same
+    indices."""
     k, draws = len(cum), u.size
-    if (k - 1) * (2000 + draws) <= 4 * draws * k.bit_length():
+    if draws >= 1000 * (k - 1):
         return _count_atoms(cum, u)
     return np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
 
@@ -189,7 +187,8 @@ class ContinuousLaw:
 
     is_rational = False
 
-    def sample_values(self, rng: Generators, size) -> np.ndarray:
+    def sample_values(self, rng: np.random.Generator | Sequence[np.random.Generator],
+                      size) -> np.ndarray:
         if isinstance(rng, np.random.Generator):
             return self.sample(rng, size)
         return np.stack([self.sample(r, size) for r in rng])

@@ -26,12 +26,7 @@ CHUNK = 1024
 
 
 def _sequence(seed: int, key) -> np.random.SeedSequence:
-    words = [int(seed), *[int(k) for k in key]]
-    if all(0 <= w <= 0xFFFFFFFF for w in words):
-        # the entropy words SeedSequence makes of this list, one per part,
-        # handed over as one uint32 array: half its cost, the same state
-        return np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.SeedSequence(words)
+    return np.random.SeedSequence([int(seed), *[int(k) for k in key]])
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -278,8 +278,8 @@ class TestStreamKeys:
         (0,), (1, 0, 0), (7, 20, 3), (2 ** 32 - 1, 5), (2 ** 32, 1), (3, 2 ** 40, 0),
         (123456789, 200, 49)])
     def test_same_state_as_the_list_key(self, key):
-        # keys whose parts fit 32 bits take the uint32 fast path, the rest the
-        # list; both must give the state numpy derives from the list
+        # the keys of every row ever written: the state numpy derives from
+        # the key as a list of integers, whatever the size of its parts
         want = np.random.SeedSequence(list(key))
         assert key_seed(*key) == int(want.generate_state(1)[0])
         assert np.array_equal(substream(*key).random(5),
