@@ -15,15 +15,16 @@ confidence interval.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,70 +55,94 @@ class ReplayMismatch(Exception):
     pass
 
 
-EXPERIMENTS = ("smallball", "tail", "detconc", "decoupling", "gapreduce",
-               "rankgrow", "odlyzko")
+# Every config key, in the order of a resolved config, with its kind: int,
+# size (an int of at least 1, or of the experiment's `least` for the key),
+# sizes (a non-empty list of them), real (a finite int or float, kept as
+# given so that records hash as before), text, or a tuple of the words
+# allowed.  Flags and key=value lines are text; JSON and records are typed.
+_KEYS: Dict[str, object] = {
+    "law": "text", "n": "size", "n_list": "sizes", "trials": "size", "seed": "int",
+    "workers": "size", "out": "text", "beta": "real", "a_exp": "real",
+    "freq_bound": "real", "epsilon": "real", "spread_bound": "real", "dev_bound": "real",
+    "c1": "real", "c2": "real", "c3": "real", "form": ("linear", "quadratic", "bilinear"),
+    "coeffs": "text", "method": ("exact", "mc"), "gap": "text", "values": "text",
+}
+
+# keys every experiment takes, with their defaults
+_COMMON: Dict[str, object] = {"law": "bernoulli", "seed": 1, "workers": 1, "out": None}
 
 # fields that identify an experiment; workers/out are execution details
 # and stay out of the canonical form so a replay may change them
 _HASH_EXCLUDED = {"workers", "out"}
 
 
-@dataclass(frozen=True)
+def _int_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _from_text(key: str, text: str):
+    """The value of key written as text, in a flag or a key=value line."""
+    parse = {"int": int, "size": int, "sizes": _int_list, "real": float}.get(_KEYS.get(key), str)
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidConfig(f"{key}: invalid value {text!r}") from None
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _checked(key: str, value, least: int):
+    """A typed value of key from any source, sizes as tuples; InvalidConfig
+    naming the key unless it is of key's kind and no size is below least."""
+    kind = _KEYS[key]
+    if kind == "sizes":
+        ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
+        value = tuple(value) if ok else value
+    elif kind in ("int", "size"):
+        ok = _is_int(value)
+    elif kind == "real":
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value)
+    else:
+        ok = isinstance(value, str) and (kind == "text" or value in kind)
+    if not ok:
+        raise InvalidConfig(f"{key}: invalid value {value!r}")
+    if kind in ("size", "sizes"):
+        try:
+            check_sizes(key, value if kind == "sizes" else (value,), least)
+        except ValueError as e:
+            raise InvalidConfig(str(e)) from None
+    return value
+
+
 class ExperimentConfig:
-    experiment: str
-    law: str = "bernoulli"
-    n: Optional[int] = None
-    n_list: Optional[Tuple[int, ...]] = None
-    trials: Optional[int] = None
-    seed: int = 1
-    workers: int = 1
-    out: Optional[str] = None
-    beta: Optional[float] = None
-    a_exp: Optional[float] = None
-    freq_bound: Optional[float] = None
-    epsilon: Optional[float] = None
-    spread_bound: Optional[float] = None
-    dev_bound: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    c3: Optional[float] = None
-    form: Optional[str] = None
-    coeffs: Optional[str] = None
-    method: Optional[str] = None
-    gap: Optional[str] = None
-    values: Optional[str] = None
+    """An experiment and the config values set for it (None: unset).  Each
+    value is checked against the experiment's entry in EXPERIMENTS whatever
+    its source: flags, a config file, a stored record or keywords."""
 
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise UnknownExperiment(f"unknown experiment {self.experiment!r}")
-        if self.n_list is not None:
-            object.__setattr__(self, "n_list", tuple(int(x) for x in self.n_list))
-        if self.workers < 1:
-            raise InvalidConfig("workers: must be >= 1")
-
-
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "smallball": {"form": "linear", "method": "exact", "beta": 0.0, "n": 10,
-                  "trials": 100000},
-    "tail": {"n_list": (20, 40), "a_exp": 3.0, "freq_bound": 0.01, "trials": 200},
-    "detconc": {"n_list": (20, 40, 80), "trials": 60, "spread_bound": 1.5,
-                "dev_bound": 0.05},
-    "decoupling": {"n": 4, "beta": 0.1, "trials": 25},
-    "gapreduce": {"trials": 1},
-    "rankgrow": {"n": 4, "trials": 2000},
-    "odlyzko": {"n_list": (8, 12), "c3": 0.5, "trials": 20000},
-}
+    def __init__(self, experiment: str, **values):
+        spec = EXPERIMENTS.get(experiment)
+        if spec is None:
+            raise UnknownExperiment(f"unknown experiment {experiment!r}")
+        unowned = sorted(set(values) - {*_COMMON, *spec.keys})
+        if unowned:
+            raise InvalidConfig(f"{', '.join(unowned)}: not a config key of {experiment}")
+        self.experiment = experiment
+        self.values = {k: _checked(k, v, spec.least.get(k, 1))
+                       for k, v in values.items() if v is not None}
 
 
 def resolve(config: ExperimentConfig) -> Dict[str, object]:
-    """Canonical config dict: experiment defaults applied, None dropped."""
-    out: Dict[str, object] = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if v is not None:
-            out[f.name] = v
-    for key, val in _DEFAULTS.get(config.experiment, {}).items():
-        out.setdefault(key, val)
+    """Canonical config dict: the values set and the common defaults in
+    _KEYS order, then the experiment's other defaults in its table order."""
+    values = {**_COMMON, **config.values}
+    out: Dict[str, object] = {"experiment": config.experiment}
+    out.update((k, values[k]) for k in _KEYS if values.get(k) is not None)
+    for key, val in EXPERIMENTS[config.experiment].keys.items():
+        if val is not None:
+            out.setdefault(key, val)
     if config.experiment == "tail" and not {"c1", "c2", "c3"} <= out.keys():
         law = parse_law(out["law"])
         cert = auto_certificate(law)
@@ -197,7 +222,8 @@ def _parallel(fn, items: Sequence, workers: int) -> List:
     """Deterministic map: results in item order regardless of workers."""
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # under fork, the pool starts all its processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=1))
 
 
@@ -216,18 +242,12 @@ def _w_trials(args) -> List[tuple]:
     return trial(law=parse_law(law_lit), n=n, seed=seed, trials=range(t0, t1), **kw)
 
 
-def _trial_rows(trial, cfg: Dict[str, object], least_trials: int = 1, **kw) -> List[tuple]:
+def _trial_rows(trial, cfg: Dict[str, object], **kw) -> List[tuple]:
     """Rows trial(law, n, seed, trials, **kw) n by n in n_list order: one
     block of trials per n, cut into one contiguous block per worker."""
-    trials = int(cfg["trials"])
-    try:
-        check_sizes(cfg["n_list"], trials, least_trials)
-    except ValueError as e:
-        raise InvalidConfig(str(e)) from None
-    workers = int(cfg.get("workers", 1))
     items = [(trial, cfg["law"], n, cfg["seed"], t0, t1, kw) for n in cfg["n_list"]
-             for t0, t1 in _worker_blocks(trials, workers)]
-    chunks = _parallel(_w_trials, items, workers)
+             for t0, t1 in _worker_blocks(cfg["trials"], cfg["workers"])]
+    chunks = _parallel(_w_trials, items, cfg["workers"])
     return [row for chunk in chunks for row in chunk]
 
 
@@ -238,9 +258,9 @@ def _run_tail(cfg: Dict[str, object]):
     if cert is None or not verify_spacing(law, cert):
         raise SpacingUnverified("no spacing certificate passes for this law")
     rep = tail_report(_trial_rows(tail_trial, cfg, F=None), cfg["n_list"],
-                      float(cfg["a_exp"]), int(cfg["trials"]), cfg["seed"])
+                      cfg["a_exp"], cfg["trials"], cfg["seed"])
     per_n = {n: {**stats, "verdict": bound_verdict(stats["freq_sigma"], stats["ci_sigma"],
-                                                   float(cfg["freq_bound"]))}
+                                                   cfg["freq_bound"])}
              for n, stats in rep.per_n.items()}
     summary = {"per_n": per_n, "loglog_slope": rep.loglog_slope}
     return (("n", "trial", "sigma_n", "kappa"), rep.rows, summary,
@@ -248,22 +268,22 @@ def _run_tail(cfg: Dict[str, object]):
 
 
 def _run_detconc(cfg: Dict[str, object]):
-    rows = _trial_rows(detconc_trial, cfg, 30, epsilon=cfg.get("epsilon"))
-    rep = concentration_report(rows, cfg["n_list"], int(cfg["trials"]), cfg["seed"],
+    rows = _trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon"))
+    rep = concentration_report(rows, cfg["n_list"], cfg["trials"], cfg["seed"],
                                cfg.get("epsilon"))
     per_n = {n: {**stats, "dev_verdict": bound_verdict(stats["dev_freq"], stats["dev_ci"],
-                                                       float(cfg["dev_bound"]))}
+                                                       cfg["dev_bound"])}
              for n, stats in rep.per_n.items()}
     # spread_bound caps the rise of the ratio towards larger n (envelope_rule);
     # a single n carries no shape evidence, a zero std fails the rule
-    shape = rep.shape(float(cfg["spread_bound"]))
+    shape = rep.shape(cfg["spread_bound"])
     if len(set(cfg["n_list"])) < 2:
         shape_verdict = "inconclusive"
     else:
         shape_verdict = "pass" if shape.ok else "fail"
     summary = {
         "per_n": per_n, "ratio_spread": rep.ratio_spread,
-        "spread_bound": float(cfg["spread_bound"]), "max_rise": shape.max_rise,
+        "spread_bound": cfg["spread_bound"], "max_rise": shape.max_rise,
         "fitted_exponent": shape.fitted_exponent, "shape_verdict": shape_verdict,
     }
     header = ("n", "trial", "seed", "log_abs_det", "kept_sum",
@@ -291,9 +311,8 @@ def _w_decoupling(args) -> tuple:
 
 
 def _run_decoupling(cfg: Dict[str, object]):
-    items = [(cfg["law"], int(cfg["n"]), float(cfg["beta"]), cfg["seed"], t)
-             for t in range(int(cfg["trials"]))]
-    rows = _parallel(_w_decoupling, items, int(cfg.get("workers", 1)))
+    items = [(cfg["law"], cfg["n"], cfg["beta"], cfg["seed"], t) for t in range(cfg["trials"])]
+    rows = _parallel(_w_decoupling, items, cfg["workers"])
     header = ("trial", "rho_quad", "lhs", "radius_constant", "rhs", "holds")
     ok = all(r[5] for r in rows)
     summary = {
@@ -307,7 +326,7 @@ def _run_gapreduce(cfg: Dict[str, object]):
     if "gap" not in cfg or "values" not in cfg:
         raise InvalidConfig("gap, values: both required for gapreduce")
     q = parse_gap(cfg["gap"])
-    vals = [Fraction(tok) for tok in str(cfg["values"]).split(",") if tok.strip()]
+    vals = [Fraction(tok) for tok in cfg["values"].split(",") if tok.strip()]
     red = rank_reduce(q, vals)
     rows = []
     ok = True
@@ -348,11 +367,10 @@ def _run_rankgrow(cfg: Dict[str, object]):
     cert = auto_certificate(law)
     if cert is None:
         raise InvalidConfig("law: needs a spacing certificate for the growth bound")
-    n = int(cfg["n"])
-    trials = int(cfg["trials"])
-    workers = int(cfg.get("workers", 1))
-    items = [(cfg["law"], n, cfg["seed"], t0, t1) for t0, t1 in _worker_blocks(trials, workers)]
-    chunks = _parallel(_w_rankgrow, items, workers)
+    n, trials = cfg["n"], cfg["trials"]
+    items = [(cfg["law"], n, cfg["seed"], t0, t1)
+             for t0, t1 in _worker_blocks(trials, cfg["workers"])]
+    chunks = _parallel(_w_rankgrow, items, cfg["workers"])
     rows = [row for chunk in chunks for row in chunk]
     header = ("trial", "step", "size", "new_rank", "jumped_by_2")
     jump1 = sum(1 for r in rows if r[1] == 1 and r[4]) / trials
@@ -379,11 +397,9 @@ def _w_odlyzko(args) -> tuple:
 
 
 def _run_odlyzko(cfg: Dict[str, object]):
-    trials = int(cfg["trials"])
-    c3 = float(cfg["c3"])
-    items = [(cfg["law"], n, k, trials, cfg["seed"], c3)
+    items = [(cfg["law"], n, k, cfg["trials"], cfg["seed"], cfg["c3"])
              for n in cfg["n_list"] for k in range(1, n)]
-    rows = _parallel(_w_odlyzko, items, int(cfg.get("workers", 1)))
+    rows = _parallel(_w_odlyzko, items, cfg["workers"])
     header = ("n", "k", "freq", "se", "bound")
     ok = all(r[2] <= r[4] + 3 * r[3] for r in rows)
     worst = max(((r[2] - r[4]) / r[3] if r[3] > 0 else -math.inf) for r in rows)
@@ -408,10 +424,8 @@ def _run_smallball(cfg: Dict[str, object]):
     law = parse_law(cfg["law"])
     kind = cfg["form"]
     method = cfg["method"]
-    beta = float(cfg["beta"])
-    trials = int(cfg["trials"])
-    seed = int(cfg["seed"])
-    coeffs = _read_coeffs(cfg.get("coeffs"), kind, int(cfg.get("n", 10)))
+    beta, trials, seed = cfg["beta"], cfg["trials"], cfg["seed"]
+    coeffs = _read_coeffs(cfg.get("coeffs"), kind, cfg["n"])
     if kind == "linear":
         form = LinearForm(tuple(coeffs))
         est = linear_small_ball_exact(form, law, beta) if method == "exact" \
@@ -420,12 +434,10 @@ def _run_smallball(cfg: Dict[str, object]):
         form = QuadraticForm(tuple(tuple(r) for r in coeffs))
         est = quadratic_small_ball_exact(form, law, beta) if method == "exact" \
             else quadratic_small_ball_mc(form, law, beta, trials, seed)
-    elif kind == "bilinear":
+    else:
         form = QuadraticForm(tuple(tuple(r) for r in coeffs))
         est = bilinear_small_ball(form, law, law, beta, method=method,
                                   trials=trials, seed=seed)
-    else:
-        raise InvalidConfig(f"form: unknown kind {kind!r}")
     header = ("form", "method", "rho", "beta", "ci", "witness_center")
     rows = [(kind, est.method, est.rho, est.beta, est.ci_halfwidth, est.witness_center)]
     summary = {
@@ -435,25 +447,38 @@ def _run_smallball(cfg: Dict[str, object]):
     return header, rows, summary, "pass"
 
 
-_RUNNERS = {
-    "smallball": _run_smallball,
-    "tail": _run_tail,
-    "detconc": _run_detconc,
-    "decoupling": _run_decoupling,
-    "gapreduce": _run_gapreduce,
-    "rankgrow": _run_rankgrow,
-    "odlyzko": _run_odlyzko,
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's runner, the keys it takes besides _COMMON with their
+    defaults (None: unset until given) in the order the defaults join a
+    resolved config, and the least value of a size key where it is above 1."""
+    runner: Callable[[Dict[str, object]], tuple]
+    keys: Dict[str, object]
+    least: Dict[str, int] = field(default_factory=dict)
+
+
+# decoupling needs an off-diagonal entry, rankgrow a step, odlyzko a k in 1..n-1
+EXPERIMENTS: Dict[str, Experiment] = {
+    "smallball": Experiment(_run_smallball, {"form": "linear", "method": "exact", "beta": 0.0,
+                                             "n": 10, "trials": 100000, "coeffs": None}),
+    "tail": Experiment(_run_tail, {"n_list": (20, 40), "a_exp": 3.0, "freq_bound": 0.01,
+                                   "trials": 200, "c1": None, "c2": None, "c3": None}),
+    "detconc": Experiment(_run_detconc, {"n_list": (20, 40, 80), "trials": 60,
+                                         "spread_bound": 1.5, "dev_bound": 0.05,
+                                         "epsilon": None}, {"trials": 30}),
+    "decoupling": Experiment(_run_decoupling, {"n": 4, "beta": 0.1, "trials": 25}, {"n": 2}),
+    "gapreduce": Experiment(_run_gapreduce, {"trials": 1, "gap": None, "values": None}),
+    "rankgrow": Experiment(_run_rankgrow, {"n": 4, "trials": 2000}, {"n": 2}),
+    "odlyzko": Experiment(_run_odlyzko, {"n_list": (8, 12), "c3": 0.5, "trials": 20000},
+                          {"n_list": 2}),
 }
 
 
 def run(config: ExperimentConfig) -> ResultRecord:
     """Dispatch to the named experiment; write CSV + JSON; return the record."""
     resolved = resolve(config)
-    runner = _RUNNERS.get(config.experiment)
-    if runner is None:
-        raise UnknownExperiment(config.experiment)
     t0 = time.monotonic()
-    header, rows, summary, verdict = runner(resolved)
+    header, rows, summary, verdict = EXPERIMENTS[config.experiment].runner(resolved)
     wall = time.monotonic() - t0
     rec = ResultRecord(
         experiment=config.experiment,
@@ -470,21 +495,12 @@ def run(config: ExperimentConfig) -> ResultRecord:
     return rec
 
 
-def _config_from_dict(values: Dict[str, object]) -> ExperimentConfig:
-    """An ExperimentConfig from a config file or a stored record; keys that
-    name no config field raise InvalidConfig."""
-    unknown = set(values) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**values)
-
-
 def replay(record_path: str, workers: Optional[int] = None) -> ResultRecord:
     """Re-run a stored record's config and demand bit-identical rows."""
     with open(record_path) as fh:
         stored = json.load(fh)
-    rec = run(_config_from_dict({**stored["config"], "out": record_path + ".replay",
-                                "workers": workers or 1}))
+    rec = run(ExperimentConfig(**{**stored["config"], "out": record_path + ".replay",
+                                  "workers": workers or 1}))
     old_rows = stored["rows"]
     new_rows = _jsonify([list(r) for r in rec.rows])
     if len(old_rows) != len(new_rows):
@@ -499,65 +515,31 @@ def replay(record_path: str, workers: Optional[int] = None) -> ResultRecord:
 # argument parsing
 
 
-def _int_list(text: str) -> Tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InvalidConfig(message)
+
+
+def _add_keys(parser: _Parser, keys) -> _Parser:
+    """One flag per config key (--n-list sets n_list), read as text."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                            type=functools.partial(_from_text, key))
+    return parser
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="randsym", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="experiment", required=True)
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--workers", type=int, default=None)
+    # the experiments share the common flags' actions, as parents
+    common = _add_keys(_Parser(add_help=False), _COMMON)
     common.add_argument("--config", type=str, default=None)
-    common.add_argument("--law", type=str, default=None)
+    for name, spec in EXPERIMENTS.items():
+        _add_keys(sub.add_parser(name, parents=[common]), spec.keys)
 
-    sp = sub.add_parser("smallball", parents=[common])
-    sp.add_argument("--form", choices=("linear", "quadratic", "bilinear"), default=None)
-    sp.add_argument("--coeffs", type=str, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--method", choices=("exact", "mc"), default=None)
-    sp.add_argument("--n", type=int, default=None)
-
-    tp = sub.add_parser("tail", parents=[common])
-    tp.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
-    tp.add_argument("--a-exp", dest="a_exp", type=float, default=None)
-    tp.add_argument("--freq-bound", dest="freq_bound", type=float, default=None)
-    for c in ("c1", "c2", "c3"):
-        tp.add_argument(f"--{c}", type=float, default=None)
-
-    dp = sub.add_parser("detconc", parents=[common])
-    dp.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
-    dp.add_argument("--epsilon", type=float, default=None)
-    dp.add_argument("--spread-bound", dest="spread_bound", type=float, default=None)
-    dp.add_argument("--dev-bound", dest="dev_bound", type=float, default=None)
-
-    cp = sub.add_parser("decoupling", parents=[common])
-    cp.add_argument("--n", type=int, default=None)
-    cp.add_argument("--beta", type=float, default=None)
-
-    gp = sub.add_parser("gapreduce", parents=[common])
-    gp.add_argument("--gap", type=str, default=None)
-    gp.add_argument("--values", type=str, default=None)
-
-    rp = sub.add_parser("rankgrow", parents=[common])
-    rp.add_argument("--n", type=int, default=None)
-
-    op = sub.add_parser("odlyzko", parents=[common])
-    op.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
-    op.add_argument("--c3", type=float, default=None)
-
-    rpl = sub.add_parser("replay")
+    rpl = _add_keys(sub.add_parser("replay"), ["workers"])
     rpl.add_argument("record", type=str)
-    rpl.add_argument("--workers", type=int, default=None)
 
     en = sub.add_parser("ensemble")
     en.add_argument("action", choices=("sample", "spectrum", "rank", "grow"))
@@ -617,24 +599,8 @@ def _load_config_file(path: str) -> Dict[str, object]:
         if not line or line.startswith("#"):
             continue
         key, _, val = line.partition("=")
-        out[key.strip()] = _coerce(key.strip(), val.strip())
+        out[key.strip()] = _from_text(key.strip(), val.strip())
     return out
-
-
-def _coerce(key: str, val: str):
-    if key in ("n", "trials", "seed", "workers"):
-        parse = int
-    elif key in ("beta", "a_exp", "freq_bound", "epsilon", "spread_bound",
-                 "dev_bound", "c1", "c2", "c3"):
-        parse = float
-    elif key == "n_list":
-        parse = _int_list
-    else:
-        return val
-    try:
-        return parse(val)
-    except ValueError:
-        raise InvalidConfig(f"{key}: invalid value {val!r}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -649,7 +615,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_ensemble_action(args)
         base = _load_config_file(args.config) if args.config else {}
         base.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
-        rec = run(_config_from_dict(base))
+        rec = run(ExperimentConfig(**base))
         print(f"{rec.experiment}: verdict={rec.verdict} rows={len(rec.rows)} "
               f"hash={rec.config_hash[:12]} wall={rec.wall_clock_s:.2f}s")
         for key, val in rec.summary.items():

@@ -253,13 +253,11 @@ def tail_trial(law: Law, F, n: int, seed: int, trials: Iterable[int]) -> List[tu
             for t, _, summ in keyed_spectra(law, F, n, seed, trials)]
 
 
-def check_sizes(n_list: Sequence[int], trials: int, least: int = 1) -> None:
-    """ValueError naming the key unless there is an n, every n is >= 1
-    and trials >= least."""
-    if trials < least:
-        raise ValueError(f"trials: at least {least} required, got {trials}")
-    if not n_list or min(n_list) < 1:
-        raise ValueError(f"n_list: needs sizes n >= 1, got {list(n_list)}")
+def check_sizes(key: str, sizes: Sequence[int], least: int = 1) -> None:
+    """ValueError naming the key unless there is a size and every one is
+    >= least: the one size check of the experiments and the CLI."""
+    if not len(sizes) or min(sizes) < least:
+        raise ValueError(f"{key}: needs sizes >= {least}, got {list(sizes)}")
 
 
 def concentration_experiment(law: AtomicLaw, n_list: Sequence[int], trials: int,
@@ -271,7 +269,8 @@ def concentration_experiment(law: AtomicLaw, n_list: Sequence[int], trials: int,
     """
     if not isinstance(law, AtomicLaw):
         raise ValueError("a bounded atomic law is required")
-    check_sizes(n_list, trials, 30)
+    check_sizes("trials", (trials,), 30)
+    check_sizes("n_list", n_list)
     rows = [row for n in n_list for row in detconc_trial(law, n, seed, range(trials), epsilon)]
     return concentration_report(rows, n_list, trials, seed, epsilon)
 
@@ -328,7 +327,8 @@ def tail_experiment(law: Law, F, n_list: Sequence[int], a_exp: float, trials: in
     if not verify_spacing(law, cert):
         raise SpacingUnverified(
             f"law does not satisfy the spacing condition at {cert}")
-    check_sizes(n_list, trials)
+    check_sizes("trials", (trials,))
+    check_sizes("n_list", n_list)
     rows = [row for n in n_list for row in tail_trial(law, F, n, seed, range(trials))]
     return tail_report(rows, n_list, a_exp, trials, seed)
 

@@ -8,6 +8,7 @@ runtime budgets are asserted too.
 import math
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,7 +357,7 @@ def test_criterion_12_determinism(tmp_path):
         p2 = str(tmp_path / f"b{i}")
         run(ExperimentConfig(seed=SEED, workers=1, out=p1, **base))
         run(ExperimentConfig(seed=SEED, workers=2, out=p2, **base))
-        b1 = open(p1 + ".csv", "rb").read()
-        b2 = open(p2 + ".csv", "rb").read()
+        b1 = Path(p1 + ".csv").read_bytes()
+        b2 = Path(p2 + ".csv").read_bytes()
         ok = ok and b1 == b2
     assert report(12, "experiment determinism across workers", ok, t0, 300)

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +30,8 @@ class TestRunRecords:
         r1 = run(cfg(tmp_path, **base, workers=1))
         r2 = run(ExperimentConfig(**base, workers=3, out=str(tmp_path / "w3")))
         assert r1.rows == r2.rows
-        csv1 = open(str(tmp_path / "detconc") + ".csv", "rb").read()
-        csv2 = open(str(tmp_path / "w3") + ".csv", "rb").read()
+        csv1 = (tmp_path / "detconc.csv").read_bytes()
+        csv2 = (tmp_path / "w3.csv").read_bytes()
         assert csv1 == csv2
 
     def test_detconc_shape_rule_matches_library(self, tmp_path):
@@ -88,7 +89,7 @@ class TestRunRecords:
         c = cfg(tmp_path, experiment="smallball", form="linear", n=6, beta=0.0)
         rec = run(c)
         assert os.path.exists(str(tmp_path / "smallball") + ".csv")
-        data = json.load(open(str(tmp_path / "smallball") + ".json"))
+        data = json.loads((tmp_path / "smallball.json").read_text())
         assert data["config_hash"] == rec.config_hash
         assert data["summary"]["rho"] == "5/16"
 
@@ -136,9 +137,9 @@ class TestReplay:
         c = cfg(tmp_path, experiment="tail", n_list=(8,), trials=30, seed=9)
         run(c)
         path = str(tmp_path / "tail") + ".json"
-        data = json.load(open(path))
+        data = json.loads(Path(path).read_text())
         data["config"]["seed"] = 10
-        json.dump(data, open(path, "w"))
+        Path(path).write_text(json.dumps(data))
         with pytest.raises(ReplayMismatch):
             replay(path)
 
@@ -166,12 +167,12 @@ class TestStoredRecords:
         src = os.path.join(RECORDS, experiment)
         path = str(tmp_path / experiment) + ".json"
         shutil.copy(src + ".json", path)
-        stored = json.load(open(path))
+        stored = json.loads(Path(path).read_text())
         rec = replay(path, workers=workers)
         assert rec.verdict == stored["verdict"]
         assert rec.config_hash == stored["config_hash"]
         assert _contains(json.loads(json.dumps(_jsonify(rec.summary))), stored["summary"])
-        assert open(path + ".replay.csv", "rb").read() == open(src + ".csv", "rb").read()
+        assert Path(path + ".replay.csv").read_bytes() == Path(src + ".csv").read_bytes()
 
 
 class TestMain:
@@ -200,19 +201,36 @@ class TestMain:
         assert main(["odlyzko", "--n-list", "6", "--trials", "50",
                      "--out", str(tmp_path / "r")]) == 0
         path = str(tmp_path / "r") + ".json"
-        data = json.load(open(path))
+        data = json.loads(Path(path).read_text())
         data["config"]["steps"] = 3
-        json.dump(data, open(path, "w"))
+        Path(path).write_text(json.dumps(data))
         with pytest.raises(InvalidConfig, match="steps"):
             replay(path)
 
-    @pytest.mark.parametrize("line", ["trials=abc", "epsilon=wide", "n_list=8,x"])
-    def test_bad_config_value_named(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("experiment, setting, message", [
+        pytest.param("odlyzko", "trials=abc", "invalid value", id="trials=abc"),
+        pytest.param("odlyzko", "epsilon=wide", "invalid value", id="epsilon=wide"),
+        pytest.param("odlyzko", "n_list=8,x", "invalid value", id="n_list=8,x"),
+        pytest.param("odlyzko", "workers=two", "invalid value", id="workers=two"),
+        pytest.param("smallball", "method=fast", "invalid value", id="method=fast"),
+        pytest.param("tail", "form=linear", "not a config key of tail", id="form=linear"),
+        pytest.param("odlyzko", {"trials": "abc"}, "invalid value", id="json-trials"),
+        pytest.param("detconc", {"epsilon": "wide"}, "invalid value", id="json-epsilon"),
+        pytest.param("odlyzko", {"n_list": [20, "x"]}, "invalid value", id="json-n_list"),
+        pytest.param("odlyzko", {"workers": "2"}, "invalid value", id="json-workers"),
+        pytest.param("smallball", {"method": "fast"}, "invalid value", id="json-method"),
+        pytest.param("tail", {"form": "linear"}, "not a config key of tail", id="json-form")])
+    def test_bad_config_value_named(self, tmp_path, capsys, experiment, setting, message):
+        # a key=value line is text; a JSON config is typed, so "2" is no int
         conf = tmp_path / "exp.cfg"
-        conf.write_text(f"experiment=odlyzko\n{line}\n")
-        assert main(["odlyzko", "--config", str(conf), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {line.partition('=')[0]}: invalid value")
+        if isinstance(setting, dict):
+            conf.write_text(json.dumps({"experiment": experiment, **setting}))
+            key = next(iter(setting))
+        else:
+            conf.write_text(f"experiment={experiment}\n{setting}\n")
+            key = setting.partition("=")[0]
+        assert main([experiment, "--config", str(conf), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: {message}")
 
     def test_config_file(self, tmp_path):
         conf = tmp_path / "exp.cfg"
@@ -220,7 +238,7 @@ class TestMain:
         code = main(["odlyzko", "--config", str(conf),
                      "--out", str(tmp_path / "o")])
         assert code == 0
-        data = json.load(open(str(tmp_path / "o") + ".json"))
+        data = json.loads((tmp_path / "o.json").read_text())
         assert data["config"]["trials"] == 500
 
     def test_replay_cli(self, tmp_path):
@@ -286,13 +304,23 @@ class TestTrialBlocks:
         (["tail", "--n-list", "0"], "n_list"),
         (["tail", "--n-list", "8,-1"], "n_list"),
         (["detconc", "--trials", "0"], "trials"),
-        (["detconc", "--n-list", "0,8"], "n_list")])
+        (["detconc", "--n-list", "0,8"], "n_list"),
+        (["rankgrow", "--trials", "0"], "trials"),
+        (["odlyzko", "--trials", "0"], "trials"),
+        (["decoupling", "--trials", "0"], "trials"),
+        (["odlyzko", "--n-list", "1"], "n_list"),
+        (["smallball", "--n", "0"], "n"),
+        (["decoupling", "--n", "1"], "n"),
+        (["rankgrow", "--n", "1"], "n")])
     def test_bad_sizes_named_before_sampling(self, tmp_path, capsys, monkeypatch, argv, key):
+        import randsym.cli
         import randsym.detconc
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled")
         monkeypatch.setattr(randsym.detconc, "sample_symmetric", no_sampling)
+        # every experiment samples inside run()
+        monkeypatch.setattr(randsym.cli, "run", no_sampling)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 1
         # InvalidConfig prints "error: <key>: ..."; other errors their type name
         assert capsys.readouterr().err.startswith(f"error: {key}:")
@@ -310,6 +338,27 @@ class TestTrialBlocks:
         assert main(["tail", "--n-list", "8,10", "--trials", "20", "--workers", "2",
                      "--out", str(tmp_path / "t")]) in (0, 2, 3)
         assert multiprocessing.active_children() == []
+
+    def test_pool_no_larger_than_its_items(self, monkeypatch):
+        import randsym.cli
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+        monkeypatch.setattr(randsym.cli, "ProcessPoolExecutor", Recorder)
+        assert randsym.cli._parallel(abs, [-1, -2], 8) == [1, 2]
+        assert randsym.cli._parallel(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert sizes == [2, 2]
 
 
 class TestResolve:
