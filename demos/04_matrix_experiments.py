@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from randsym import (Bipartition, QuadraticForm, SymmetricSample, bernoulli,
+from randsym import (Bipartition, QuadraticForm, bernoulli,
                      build_row_matrix, cofactor_expansion_check,
                      conditioning_check, decoupling_scan, exact_rank,
                      grow_and_track, near_kernel_vector, row_matrix_det,
@@ -19,7 +19,7 @@ law = bernoulli()
 s = sample_symmetric(law, None, 8, seed=11)
 summ = spectral_summary(s)
 print(f"n=8 sample: sigma_1={summ.sigma_1:.3f} sigma_n={summ.sigma_n:.3f} "
-      f"kappa={summ.kappa:.1f} corank={summ.corank}")
+      f"kappa={summ.kappa:.1f} corank={s.n - exact_rank(s)}")
 print("exact rank:", exact_rank(s))
 
 # The bordered determinant identity det(M) = m11 det(A) - x^T adj(A) x,
@@ -30,11 +30,7 @@ print("cofactor identity:", chk.lhs, "=", chk.rhs, "->", chk.equal)
 # Rank growth: starting from the 4x4 zero matrix, each symmetric bordering
 # almost surely raises the rank by 2 until corank 1: sizes 5, 6, 7 reach
 # ranks 2, 4, 6.
-zero = SymmetricSample(n=4, fixed=np.zeros((4, 4)), noise=np.zeros((4, 4)),
-                       matrix=np.zeros((4, 4)),
-                       exact=tuple(tuple(0 for _ in range(4)) for _ in range(4)),
-                       gamma=1.0, seed=0)
-steps = grow_and_track(zero, law, 3, seed=2)
+steps = grow_and_track([[0] * 4] * 4, law, 3, seed=2)
 print("growth:", [(st.size, st.new_rank) for st in steps])
 
 # Membership of a fresh +-1 row in a fixed k-dimensional span is rare:

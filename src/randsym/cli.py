@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -24,18 +25,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .detconc import (SpacingUnverified, bound_verdict, check_sizes, concentration_report,
                       detconc_trial, tail_report, tail_trial, wilson_interval)
-from .ensembles import (SymmetricSample, exact_rank, grow_and_track,
-                        read_matrix_text, sample_symmetric, spectral_summary,
-                        subspace_membership_mc, write_matrix_text)
+from .ensembles import (exact_rank, grow_and_track, read_matrix_text, sample_symmetric,
+                        spectral_summary, subspace_membership_mc, write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
-from .laws import SpacingCertificate, auto_certificate, parse_law, verify_spacing
+from .laws import AtomicLaw, SpacingCertificate, auto_certificate, parse_law, verify_spacing
 from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
                         linear_small_ball_exact, linear_small_ball_mc,
                         quadratic_small_ball_exact, quadratic_small_ball_mc)
@@ -55,17 +55,22 @@ class ReplayMismatch(Exception):
     pass
 
 
+def _fractions(text: str) -> List[Fraction]:
+    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+
+
 # Every config key, in the order of a resolved config, with its kind: int,
 # size (an int of at least 1, or of the experiment's `least` for the key),
-# sizes (a non-empty list of them), real (a finite int or float, kept as
-# given so that records hash as before), text, or a tuple of the words
-# allowed.  Flags and key=value lines are text; JSON and records are typed.
+# sizes (a non-empty list of them), real (a finite int or float), text, a
+# parser the text must pass, or a tuple of the words allowed; reals and
+# text are kept as given, so that records hash as before.  Flags and
+# key=value lines are text; JSON and records are typed.
 _KEYS: Dict[str, object] = {
-    "law": "text", "n": "size", "n_list": "sizes", "trials": "size", "seed": "int",
+    "law": parse_law, "n": "size", "n_list": "sizes", "trials": "size", "seed": "int",
     "workers": "size", "out": "text", "beta": "real", "a_exp": "real",
     "freq_bound": "real", "epsilon": "real", "spread_bound": "real", "dev_bound": "real",
     "c1": "real", "c2": "real", "c3": "real", "form": ("linear", "quadratic", "bilinear"),
-    "coeffs": "text", "method": ("exact", "mc"), "gap": "text", "values": "text",
+    "coeffs": "text", "method": ("exact", "mc"), "gap": parse_gap, "values": _fractions,
 }
 
 # keys every experiment takes, with their defaults
@@ -95,7 +100,8 @@ def _is_int(v) -> bool:
 
 def _checked(key: str, value, least: int):
     """A typed value of key from any source, sizes as tuples; InvalidConfig
-    naming the key unless it is of key's kind and no size is below least."""
+    naming the key unless it is of key's kind (for a parser, text that it
+    accepts) and no size is below least."""
     kind = _KEYS[key]
     if kind == "sizes":
         ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
@@ -106,7 +112,7 @@ def _checked(key: str, value, least: int):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
             and math.isfinite(value)
     else:
-        ok = isinstance(value, str) and (kind == "text" or value in kind)
+        ok = isinstance(value, str) and (not isinstance(kind, tuple) or value in kind)
     if not ok:
         raise InvalidConfig(f"{key}: invalid value {value!r}")
     if kind in ("size", "sizes"):
@@ -114,7 +120,20 @@ def _checked(key: str, value, least: int):
             check_sizes(key, value if kind == "sizes" else (value,), least)
         except ValueError as e:
             raise InvalidConfig(str(e)) from None
+    elif callable(kind):
+        try:
+            kind(value)
+        except (ValueError, ArithmeticError) as e:
+            raise InvalidConfig(f"{key}: {e}") from None
     return value
+
+
+def _atomic_law(text: str) -> AtomicLaw:
+    """The law text names; InvalidConfig naming law unless it is atomic."""
+    law = parse_law(text)
+    if not isinstance(law, AtomicLaw):
+        raise InvalidConfig(f"law: an atomic law is needed, got {text!r}")
+    return law
 
 
 class ExperimentConfig:
@@ -231,22 +250,19 @@ def _parallel(fn, items: Sequence, workers: int) -> List:
 # per-experiment runners (worker functions are module-level: picklable)
 
 
-def _worker_blocks(trials: int, workers: int) -> List[Tuple[int, int]]:
-    """range(trials) cut into one contiguous block of whole trials per
-    worker; each trial's rows depend on its own key only."""
-    return [(t0, t1) for _, t0, t1 in chunk_bounds(trials, -(-trials // workers))]
-
-
 def _w_trials(args) -> List[tuple]:
     trial, law_lit, n, seed, t0, t1, kw = args
     return trial(law=parse_law(law_lit), n=n, seed=seed, trials=range(t0, t1), **kw)
 
 
 def _trial_rows(trial, cfg: Dict[str, object], **kw) -> List[tuple]:
-    """Rows trial(law, n, seed, trials, **kw) n by n in n_list order: one
-    block of trials per n, cut into one contiguous block per worker."""
-    items = [(trial, cfg["law"], n, cfg["seed"], t0, t1, kw) for n in cfg["n_list"]
-             for t0, t1 in _worker_blocks(cfg["trials"], cfg["workers"])]
+    """Rows trial(law, n, seed, trials, **kw) for the one n, or n by n in
+    n_list order: one block of trials per n, cut into one contiguous block
+    per worker; each trial's rows depend on its own key only."""
+    n_list = cfg["n_list"] if "n_list" in cfg else (cfg["n"],)
+    per = -(-cfg["trials"] // cfg["workers"])
+    items = [(trial, cfg["law"], n, cfg["seed"], t0, t1, kw) for n in n_list
+             for _, t0, t1 in chunk_bounds(cfg["trials"], per)]
     chunks = _parallel(_w_trials, items, cfg["workers"])
     return [row for chunk in chunks for row in chunk]
 
@@ -268,6 +284,7 @@ def _run_tail(cfg: Dict[str, object]):
 
 
 def _run_detconc(cfg: Dict[str, object]):
+    _atomic_law(cfg["law"])
     rows = _trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon"))
     rep = concentration_report(rows, cfg["n_list"], cfg["trials"], cfg["seed"],
                                cfg.get("epsilon"))
@@ -292,27 +309,29 @@ def _run_detconc(cfg: Dict[str, object]):
     return header, rep.rows, summary, _worst(verdicts)
 
 
-def _w_decoupling(args) -> tuple:
-    law_lit, n, beta, seed, t = args
-    law = parse_law(law_lit)
-    rng = substream(seed, t)
-    while True:
-        num = rng.integers(-3, 4, size=(n, n))
-        mat = np.triu(num, 1)
-        mat = mat + mat.T
-        if np.any(mat):
-            break
-    form = QuadraticForm(tuple(tuple(Fraction(int(x), 4) for x in row) for row in mat))
-    u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
-    const, checks = decoupling_scan(form, law, beta, u)
-    last = checks[-1]
-    return (t, float(last.rho_quad), last.lhs, const if const is not None else -1.0,
-            float(last.rhs), const is not None)
+def _decoupling_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
+                      beta) -> List[tuple]:
+    """Decoupling rows (t, rho_quad, lhs, constant or -1, rhs, holds), trial
+    t's form (entries in {-3..3}/4) and bipartition from substream(seed, t)."""
+    rows = []
+    for t in trials:
+        rng = substream(seed, t)
+        mat = np.zeros((n, n))
+        while not np.any(mat):          # redrawn until an entry is off the diagonal
+            mat = np.triu(rng.integers(-3, 4, size=(n, n)), 1)
+            mat = mat + mat.T
+        form = QuadraticForm(tuple(tuple(Fraction(int(x), 4) for x in row) for row in mat))
+        u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
+        const, checks = decoupling_scan(form, law, beta, u)
+        last = checks[-1]
+        rows.append((t, float(last.rho_quad), last.lhs, const if const is not None else -1.0,
+                     float(last.rhs), const is not None))
+    return rows
 
 
 def _run_decoupling(cfg: Dict[str, object]):
-    items = [(cfg["law"], cfg["n"], cfg["beta"], cfg["seed"], t) for t in range(cfg["trials"])]
-    rows = _parallel(_w_decoupling, items, cfg["workers"])
+    _atomic_law(cfg["law"])
+    rows = _trial_rows(_decoupling_trial, cfg, beta=cfg["beta"])
     header = ("trial", "rho_quad", "lhs", "radius_constant", "rhs", "holds")
     ok = all(r[5] for r in rows)
     summary = {
@@ -326,7 +345,7 @@ def _run_gapreduce(cfg: Dict[str, object]):
     if "gap" not in cfg or "values" not in cfg:
         raise InvalidConfig("gap, values: both required for gapreduce")
     q = parse_gap(cfg["gap"])
-    vals = [Fraction(tok) for tok in cfg["values"].split(",") if tok.strip()]
+    vals = _fractions(cfg["values"])
     red = rank_reduce(q, vals)
     rows = []
     ok = True
@@ -346,32 +365,21 @@ def _run_gapreduce(cfg: Dict[str, object]):
     return header, rows, summary, "pass" if ok else "fail"
 
 
-def _w_rankgrow(args) -> List[tuple]:
-    law_lit, n, seed, t0, t1 = args
-    law = parse_law(law_lit)
-    runs = grow_and_track(_zero_sample(n), law, n - 1,
-                          seed=[key_seed(seed, t) for t in range(t0, t1)])
+def _rankgrow_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int]) -> List[tuple]:
+    """Rank growth rows (t, step, size, new_rank, jumped_by_2): trial t
+    borders the n x n zero matrix n - 1 times, keyed key_seed(seed, t)."""
+    trials = list(trials)
+    runs = grow_and_track([[0] * n] * n, law, n - 1, seed=[key_seed(seed, t) for t in trials])
     return [(t, i + 1, st.size, st.new_rank, st.jumped_by_2)
-            for t, steps in zip(range(t0, t1), runs) for i, st in enumerate(steps)]
-
-
-def _zero_sample(n: int) -> SymmetricSample:
-    z = np.zeros((n, n))
-    exact = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    return SymmetricSample(n=n, fixed=z, noise=z, matrix=z, exact=exact,
-                           gamma=1.0, seed=0)
+            for t, steps in zip(trials, runs) for i, st in enumerate(steps)]
 
 
 def _run_rankgrow(cfg: Dict[str, object]):
-    law = parse_law(cfg["law"])
-    cert = auto_certificate(law)
+    cert = auto_certificate(_atomic_law(cfg["law"]))
     if cert is None:
         raise InvalidConfig("law: needs a spacing certificate for the growth bound")
     n, trials = cfg["n"], cfg["trials"]
-    items = [(cfg["law"], n, cfg["seed"], t0, t1)
-             for t0, t1 in _worker_blocks(trials, cfg["workers"])]
-    chunks = _parallel(_w_rankgrow, items, cfg["workers"])
-    rows = [row for chunk in chunks for row in chunk]
+    rows = _trial_rows(_rankgrow_trial, cfg)
     header = ("trial", "step", "size", "new_rank", "jumped_by_2")
     jump1 = sum(1 for r in rows if r[1] == 1 and r[4]) / trials
     target_rank = 2 * n - 2
@@ -397,6 +405,7 @@ def _w_odlyzko(args) -> tuple:
 
 
 def _run_odlyzko(cfg: Dict[str, object]):
+    _atomic_law(cfg["law"])
     items = [(cfg["law"], n, k, cfg["trials"], cfg["seed"], cfg["c3"])
              for n in cfg["n_list"] for k in range(1, n)]
     rows = _parallel(_w_odlyzko, items, cfg["workers"])
@@ -421,9 +430,9 @@ def _read_coeffs(path: Optional[str], kind: str, n: int):
 
 
 def _run_smallball(cfg: Dict[str, object]):
-    law = parse_law(cfg["law"])
     kind = cfg["form"]
     method = cfg["method"]
+    law = (_atomic_law if method == "exact" else parse_law)(cfg["law"])
     beta, trials, seed = cfg["beta"], cfg["trials"], cfg["seed"]
     coeffs = _read_coeffs(cfg.get("coeffs"), kind, cfg["n"])
     if kind == "linear":
@@ -543,25 +552,23 @@ def _build_parser() -> _Parser:
 
     en = sub.add_parser("ensemble")
     en.add_argument("action", choices=("sample", "spectrum", "rank", "grow"))
-    en.add_argument("--n", type=int, default=4)
-    en.add_argument("--law", type=str, default="bernoulli")
     en.add_argument("--F", dest="fixed", type=str, default=None)
-    en.add_argument("--seed", type=int, default=1)
-    en.add_argument("--trials", type=int, default=1)
-    en.add_argument("--out", type=str, default=None)
+    _add_keys(en, ("law", "n", "seed", "trials", "out")).set_defaults(
+        law="bernoulli", n=4, seed=1, trials=1)
     return p
 
 
 def _run_ensemble_action(args) -> int:
     """Matrix utilities: sample | spectrum | rank | grow."""
-    law = parse_law(args.law)
+    for key in ("law", "n", "seed", "trials"):
+        # grow borders n - 1 times, as rankgrow does
+        _checked(key, getattr(args, key), 2 if (key, args.action) == ("n", "grow") else 1)
+    law = (_atomic_law if args.action in ("rank", "grow") else parse_law)(args.law)
     fixed = read_matrix_text(args.fixed) if args.fixed else None
     if args.action == "grow":
-        runs = grow_and_track(_zero_sample(args.n), law, args.n - 1,
-                              seed=[key_seed(args.seed, t) for t in range(args.trials)])
-        for t, steps in enumerate(runs):
-            line = " ".join(f"{st.size}:{st.new_rank}" for st in steps)
-            print(f"trial {t}: {line}")
+        rows = _rankgrow_trial(law, args.n, args.seed, range(args.trials))
+        for t, steps in itertools.groupby(rows, key=lambda row: row[0]):
+            print(f"trial {t}: " + " ".join(f"{row[2]}:{row[3]}" for row in steps))
         return 0
     # only rank reads the exact matrix
     exact = "auto" if args.action == "rank" else False
@@ -575,7 +582,6 @@ def _run_ensemble_action(args) -> int:
                 for row in s.matrix:
                     print(" ".join(repr(float(x)) for x in row))
         elif args.action == "spectrum":
-            # the float matrix: the exact corank is not printed
             summ = spectral_summary(s.matrix)
             print(json.dumps({
                 "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,

@@ -18,7 +18,7 @@ entries, so memory does not grow with the number of trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
@@ -212,24 +212,24 @@ def spectral_summaries(stack: np.ndarray) -> List[SpectralSummary]:
 
 
 def spectral_summary(m: Union[SymmetricSample, np.ndarray]) -> SpectralSummary:
-    """Eigenvalues and the derived sigma_1, sigma_n, kappa, log|det|; the
-    exact corank too for an exact sample with n <= 64."""
+    """Eigenvalues and the derived sigma_1, sigma_n, kappa, log|det|; no
+    exact corank (n - exact_rank gives it)."""
     mat = m.matrix if isinstance(m, SymmetricSample) else np.asarray(m, dtype=np.float64)
-    summ = spectral_summaries(mat[None])[0]
-    if isinstance(m, SymmetricSample) and m.exact is not None and m.n <= 64:
-        summ = replace(summ, corank=m.n - _rank([list(r) for r in m.exact]))
-    return summ
+    return spectral_summaries(mat[None])[0]
+
+
+def _exact_rows(m: Union[SymmetricSample, Sequence[Sequence]]) -> List[list]:
+    """The exact entries of a sample, or the rows of an exact matrix."""
+    return m.exact_rows() if isinstance(m, SymmetricSample) else [list(r) for r in m]
 
 
 def exact_rank(m: Union[SymmetricSample, Sequence[Sequence]]) -> int:
     """Rank over the rationals (fraction-free elimination)."""
-    rows = m.exact_rows() if isinstance(m, SymmetricSample) else [list(r) for r in m]
-    return _rank(rows)
+    return _rank(_exact_rows(m))
 
 
 def exact_det(m: Union[SymmetricSample, Sequence[Sequence]]):
-    rows = m.exact_rows() if isinstance(m, SymmetricSample) else [list(r) for r in m]
-    return bareiss_det(rows)
+    return bareiss_det(_exact_rows(m))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def cofactor_expansion_check(m: Union[SymmetricSample, Sequence[Sequence]]) -> C
     row.  This is the bordered-determinant identity the symmetric
     quadratic expansion folds into.
     """
-    rows = m.exact_rows() if isinstance(m, SymmetricSample) else [list(r) for r in m]
+    rows = _exact_rows(m)
     n = len(rows)
     if n > 10:
         raise ValueError("exact expansion check is limited to n <= 10")
@@ -297,8 +297,7 @@ def cofactor_inequality_check(m: SymmetricSample, a_exp: float, b_exp: float,
       * det(M)^2 (the explicit 1/2 from summing the two column bounds is
       absorbed asymptotically; the audit keeps it).
     """
-    if m.entry_kind != "exact":
-        raise ValueError("exact entries required")
+    rows = m.exact_rows()
     n = m.n
     if n > 8:
         raise ValueError("exact cofactor audit is limited to n <= 8")
@@ -309,21 +308,20 @@ def cofactor_inequality_check(m: SymmetricSample, a_exp: float, b_exp: float,
     hyp = hyp and np.max(np.abs(m.fixed)) <= float(n) ** float(gamma)
     if not hyp:
         return CofactorAudit(False, {}, True)
-    rows = m.exact_rows()
     C = cofactor_matrix(rows)
     row_sums = [sum(c * c for c in r) for r in C]
     r_star = max(range(n), key=lambda i: (row_sums[i], -i))
     if r_star != 0:
+        # cofactors follow a symmetric permutation: C(P M P^T) = P C(M) P^T
         order = [r_star] + [i for i in range(n) if i != r_star]
         rows = [[rows[i][j] for j in order] for i in order]
-        C = cofactor_matrix(rows)
-        row_sums = [sum(c * c for c in r) for r in C]
-    det = bareiss_det(rows)
+        C = [[C[i][j] for j in order] for i in order]
+    det = sum(x * c for x, c in zip(rows[0], C[0]))       # Laplace, first row
     det2 = Fraction(det) ** 2
     b_fac = 2 * Fraction(b_exp) + 2 * Fraction(gamma) + 3
     checks = {}
     # row bound: sum_j c_1j^2 >= n^(2A-1) det^2, flipped for _power_leq
-    checks["row_bound"] = _power_leq(det2, n, 1 - 2 * a_exp, Fraction(row_sums[0]))
+    checks["row_bound"] = _power_leq(det2, n, 1 - 2 * a_exp, Fraction(row_sums[r_star]))
     sub = [row[1:] for row in rows[1:]]
     Csub = cofactor_matrix(sub) if n >= 2 else []
     col1_sq = sum(Fraction(rows[i][0]) ** 2 for i in range(1, n))
@@ -357,9 +355,10 @@ class GrowthStep:
     jumped_by_2: bool
 
 
-def grow_and_track(m: SymmetricSample, law: AtomicLaw, steps: int,
-                   seed: Union[int, Sequence[int]]):
-    """Border M with fresh symmetric rows/columns, tracking exact rank.
+def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw,
+                   steps: int, seed: Union[int, Sequence[int]]):
+    """Border M, an exact sample or matrix, with fresh symmetric rows and
+    columns, tracking exact rank.
 
     Each step prepends an independent first row and column (diagonal
     entry plus one entry per old row), drawn from substream (seed, step),
@@ -370,14 +369,13 @@ def grow_and_track(m: SymmetricSample, law: AtomicLaw, steps: int,
     call.  Given a sequence of seeds, grows once per seed through the same
     stacks and returns one list of steps per seed.
     """
-    if m.entry_kind != "exact":
-        raise ValueError("exact entries required")
+    rows = _exact_rows(m)
     if not (isinstance(law, AtomicLaw) and law.is_rational):
         raise ValueError("rational atomic law required")
     seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    n, size = m.n, m.n + steps
+    n, size = len(rows), len(rows) + steps
     # one lattice makes M and the atoms integers; the rank is unchanged
-    (atoms, *base), _ = lattice([law.values, *m.exact])
+    (atoms, *base), _ = lattice([law.values, *rows])
     atoms = np.array(atoms, dtype=np.int64)
     per = max(1, _STACK_ENTRIES // ((steps + 1) * size * size))
     out: List[List[GrowthStep]] = []

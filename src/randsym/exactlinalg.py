@@ -18,17 +18,17 @@ bound H, which bounds every minor of the matrix:
   product exceeds H([basis; vector]).
 
 Matrices are lists of lists (or arrays) of ints, Fractions or floats
-(taken as the binary rationals they are).  Rational rows are scaled to
-integers by clearing denominators row by row, since those row scales are
-the determinant's denominator; entries beyond int64 are reduced mod p in
-Python.  The primes come from a fixed table, and a certificate that
-needs more primes than it holds raises OutOfPrimes instead of guessing.
-kernel_basis keeps its Fraction RREF.
-
-Every other exact engine of the package (small balls, GAP values, rank
-growth, row-space membership) puts its rationals on one integer lattice
-first: `lattice` writes them as integers times one positive unit, their
-rational content, and `primitive` is a vector on its lattice up to sign.
+(taken as the binary rationals they are).  Every exact engine of the
+package (this kernel, small balls, GAP values, rank growth) puts its
+rationals on one integer lattice first: `lattice` writes them as
+integers times one positive unit, their rational content, and
+`primitive` is a vector on its lattice up to sign.  A matrix of int64
+integers is its own lattice; any other matrix is eliminated on its
+lattice, and an n x n determinant is scaled back by unit^n, a cofactor
+by unit^(n-1).  Entries beyond int64 are reduced mod p in Python.  The
+primes come from a fixed table, and a certificate that needs more primes
+than it holds raises OutOfPrimes instead of guessing.  kernel_basis
+keeps its Fraction RREF.
 """
 
 from __future__ import annotations
@@ -118,30 +118,30 @@ def primitive(vec: Sequence) -> Tuple[int, ...]:
 # the kernel
 
 
-def _integer_matrix(mat) -> Tuple[np.ndarray, List[int]]:
-    """(A, scales): row i of A is row i of mat times scales[i], the lcm of
-    its denominators.  A is int64 when every entry fits, else an object
-    array of Python ints."""
+def _integer_matrix(mat) -> Tuple[np.ndarray, Fraction]:
+    """(A, unit) with mat == A * unit: int64 input as it is with unit 1,
+    any other matrix on its lattice.  A is int64 when every entry fits,
+    else an object array of Python ints."""
     arr = np.asarray(mat)       # int64 only when every entry is an int that fits
     if arr.dtype.kind in "bi" and arr.ndim == 2:
-        return arr.astype(np.int64), [1] * len(arr)
+        return arr.astype(np.int64), Fraction(1)
     obj = np.array(mat, dtype=object)      # keeps ints and Fractions exact
     if obj.ndim != 2:
         if obj.size:
             raise ValueError("a matrix needs rows of equal length")
         obj = obj.reshape(len(obj), 0)
-    scales = [1] * len(obj)
-    if not all(isinstance(x, (int, np.integer)) for x in obj.flat):
-        rows = []
-        for i, row in enumerate(obj.tolist()):
-            fr = [Fraction(x) for x in row]
-            scales[i] = math.lcm(*(x.denominator for x in fr))
-            rows.append([int(x * scales[i]) for x in fr])
-        obj = np.array(rows, dtype=object).reshape(obj.shape)
+    ints, unit = lattice(obj.tolist())
+    obj = np.array(ints, dtype=object).reshape(obj.shape)
     try:
-        return obj.astype(np.int64), scales
+        return obj.astype(np.int64), unit
     except OverflowError:
-        return np.vectorize(int, otypes=[object])(obj), scales
+        return obj, unit
+
+
+def _power(unit: Fraction, k: int):
+    """unit^k, an int when it is an integer."""
+    p = unit ** k
+    return p.numerator if p.denominator == 1 else p
 
 
 def _log2_lengths(a: np.ndarray, axis: int) -> np.ndarray:
@@ -331,17 +331,15 @@ def exact_rank(mat: Sequence[Sequence]) -> int:
 
 
 def bareiss_det(mat: Sequence[Sequence]):
-    """Exact determinant; int for integer input, Fraction otherwise.
+    """Exact determinant; int for integer entries, Fraction otherwise.
 
     Multi-modular: one layer per prime, rebuilt by CRT.
     """
     n = len(mat)
-    a, scales = _integer_matrix(mat)
+    a, unit = _integer_matrix(mat)
     if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
-    det = _dets(a[None])[0]
-    den = math.prod(scales)
-    return det if den == 1 else Fraction(det, den)
+    return _dets(a[None])[0] * _power(unit, n)
 
 
 def cofactor_matrix(mat: Sequence[Sequence]) -> Matrix:
@@ -350,7 +348,7 @@ def cofactor_matrix(mat: Sequence[Sequence]) -> Matrix:
     n = len(mat)
     if n == 0:
         return []
-    a, scales = _integer_matrix(mat)
+    a, unit = _integer_matrix(mat)
     if a.shape != (n, n):
         raise ValueError("cofactors need a square matrix")
     keep = np.array([[k for k in range(n) if k != i] for i in range(n)],
@@ -361,14 +359,8 @@ def cofactor_matrix(mat: Sequence[Sequence]) -> Matrix:
         rows = keep[i0:i0 + per]
         minors = a[rows[:, None, :, None], keep[None, :, None, :]]
         dets += _dets(minors.reshape(len(rows) * n, n - 1, n - 1))
-    den = math.prod(scales)
-    out = []
-    for i in range(n):
-        # row i is left out of the minors of row i, and so is its scale
-        d = den // scales[i]
-        row = [(-1) ** (i + j) * dets[i * n + j] for j in range(n)]
-        out.append(row if d == 1 else [Fraction(x, d) for x in row])
-    return out
+    scale = _power(unit, n - 1)
+    return [[(-1) ** (i + j) * dets[i * n + j] * scale for j in range(n)] for i in range(n)]
 
 
 def adjugate(mat: Sequence[Sequence]) -> Matrix:
@@ -437,10 +429,10 @@ def row_echelon_int(mat: Sequence[Sequence], primes: Sequence[int]
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced row echelon form of a rational matrix modulo each prime.
 
-    Rows are first scaled to integers, which keeps the row space.  Returns
-    (R, J, ranks), stacked over the primes: for the q-th prime, rows
-    R[q, :ranks[q]] are the RREF mod primes[q], with R[q, k, J[q, l]] = 1
-    if k == l and 0 otherwise; the later rows are zero.
+    The matrix is put on its lattice first, which keeps the row space.
+    Returns (R, J, ranks), stacked over the primes: for the q-th prime,
+    rows R[q, :ranks[q]] are the RREF mod primes[q], with R[q, k, J[q, l]]
+    = 1 if k == l and 0 otherwise; the later rows are zero.
     """
     a = _integer_matrix(mat)[0]
     p = np.asarray(primes, dtype=np.int64)

@@ -180,6 +180,8 @@ def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _S
     """Exact distribution of sum_i a_i x_i by sequential convolution on the
     dense lattice or the sparse support (module docstring).  The dense
     array never outgrows the cap, so AtomBlowup is a sparse-layout event."""
+    if not isinstance(law, AtomicLaw):
+        raise ValueError("an exact small ball needs atomic laws")
     values = [Fraction(v) for v in law.values]
     step_ints, scale = lattice([[a * v for v in values] for a in coeffs])
     (counts,), _ = lattice([law.masses])
@@ -308,6 +310,8 @@ def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
 def _coordinates(law: AtomicLaw, shifts: Sequence[Fraction]):
     """Per-coordinate shifted atom values (x + f_i) on one integer lattice,
     each with the law's integer counts and their total, and the lattice unit."""
+    if not isinstance(law, AtomicLaw):
+        raise ValueError("an exact small ball needs atomic laws")
     values = [Fraction(v) for v in law.values]
     zs, unit = lattice([[v + f for v in values] for f in shifts])
     (counts,), _ = lattice([law.masses])
@@ -400,8 +404,6 @@ def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
                         seed: int = 0, cap: int = ATOM_CAP) -> SmallBallEstimate:
     """sup_a P(|sum a_ij (x_i+f_i)(y_j+f_j) - a| <= beta), x and y independent."""
     if method == "exact":
-        if not (isinstance(law_x, AtomicLaw) and isinstance(law_y, AtomicLaw)):
-            raise ValueError("exact method needs atomic laws")
         return _bilinear_exact(form, law_x, law_y, _radius(beta), cap)
     if method == "mc":
         return _mc_matrix_form(form, law_x, law_y, beta, trials, seed)

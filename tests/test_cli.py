@@ -158,9 +158,9 @@ def _contains(new, old) -> bool:
 class TestStoredRecords:
     """Records written by an earlier version of the runner, one per
     experiment: replay must give their rows, CSV bytes, verdict and summary
-    again, with any worker count."""
+    again, with any worker count (three cut rankgrow's trials unevenly)."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment", ["smallball", "tail", "detconc", "decoupling",
                                             "gapreduce", "rankgrow", "odlyzko"])
     def test_replay(self, tmp_path, experiment, workers):
@@ -219,7 +219,9 @@ class TestMain:
         pytest.param("odlyzko", {"n_list": [20, "x"]}, "invalid value", id="json-n_list"),
         pytest.param("odlyzko", {"workers": "2"}, "invalid value", id="json-workers"),
         pytest.param("smallball", {"method": "fast"}, "invalid value", id="json-method"),
-        pytest.param("tail", {"form": "linear"}, "not a config key of tail", id="json-form")])
+        pytest.param("tail", {"form": "linear"}, "not a config key of tail", id="json-form"),
+        pytest.param("tail", "law=foo", "unknown law literal", id="law=foo"),
+        pytest.param("gapreduce", {"values": "1,x"}, "Invalid literal", id="json-values")])
     def test_bad_config_value_named(self, tmp_path, capsys, experiment, setting, message):
         # a key=value line is text; a JSON config is typed, so "2" is no int
         conf = tmp_path / "exp.cfg"
@@ -249,23 +251,23 @@ class TestMain:
 
     def test_ensemble_spectrum_computes_no_exact_rank(self, capsys, monkeypatch):
         import randsym.ensembles
-        from randsym import bernoulli, sample_symmetric, spectral_summary
+        from randsym import bernoulli, exact_rank, sample_symmetric, spectral_summary
         from randsym.streams import key_seed
-        lines = []
-        for t in range(3):
-            # the library summary of the exact sample pays for an exact
-            # corank; the command must print the same numbers without it
-            summ = spectral_summary(sample_symmetric(bernoulli(), None, 6,
-                                                     seed=key_seed(4, t)))
-            assert summ.corank is not None
-            lines.append(json.dumps({
-                "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,
-                "kappa": summ.kappa, "log_abs_det": summ.log_abs_det,
-                "eigenvalues": [float(x) for x in summ.eigenvalues]}))
+        samples = [sample_symmetric(bernoulli(), None, 6, seed=key_seed(4, t)) for t in range(3)]
+        # exact samples: exact_rank reads them (a float sample raises)
+        assert all(exact_rank(s) <= 6 for s in samples)
 
         def no_rank(rows):
             raise AssertionError("exact rank computed")
         monkeypatch.setattr(randsym.ensembles, "_rank", no_rank)
+        # neither the library summary nor the command pays for an exact corank
+        lines = []
+        for t, s in enumerate(samples):
+            summ = spectral_summary(s)
+            lines.append(json.dumps({
+                "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,
+                "kappa": summ.kappa, "log_abs_det": summ.log_abs_det,
+                "eigenvalues": [float(x) for x in summ.eigenvalues]}))
         assert main(["ensemble", "spectrum", "--n", "6", "--seed", "4", "--trials", "3"]) == 0
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
@@ -283,6 +285,22 @@ class TestMain:
         monkeypatch.setattr(randsym.cli, "sample_symmetric", recording)
         assert main(["ensemble", action, "--n", "5", "--trials", "2"]) == 0
         assert kinds == [kind, kind]
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sample", "--n", "0"], "n"),
+        (["rank", "--n", "-2"], "n"),
+        (["grow", "--n", "0"], "n"),
+        (["grow", "--n", "1"], "n"),
+        (["spectrum", "--trials", "0"], "trials")])
+    def test_ensemble_bad_sizes_named(self, capsys, monkeypatch, argv, key):
+        import randsym.cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(randsym.cli, "sample_symmetric", no_sampling)
+        monkeypatch.setattr(randsym.cli, "grow_and_track", no_sampling)
+        assert main(["ensemble"] + argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
 
     def test_ensemble_utilities(self, tmp_path, capsys):
         assert main(["ensemble", "sample", "--n", "3", "--seed", "5"]) == 0
@@ -323,6 +341,28 @@ class TestTrialBlocks:
         monkeypatch.setattr(randsym.cli, "run", no_sampling)
         assert main(argv + ["--out", str(tmp_path / "r")]) == 1
         # InvalidConfig prints "error: <key>: ..."; other errors their type name
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize("argv, key", [
+        (["tail", "--law", "foo"], "law"),
+        (["gapreduce", "--gap", "gap{g0=0; g=[1]; K=[-2]; K'=[2]}", "--values", "1,x"], "values"),
+        (["gapreduce", "--gap", "gap{g0=0; g=[1]", "--values", "1"], "gap"),
+        (["detconc", "--law", "gaussian"], "law"),
+        (["decoupling", "--law", "gaussian"], "law"),
+        (["smallball", "--law", "gaussian"], "law"),
+        (["rankgrow", "--law", "uniform"], "law"),
+        (["odlyzko", "--law", "gaussian"], "law"),
+        (["ensemble", "rank", "--law", "gaussian"], "law"),
+        (["ensemble", "grow", "--law", "gaussian"], "law")])
+    def test_bad_law_named_before_any_trial(self, tmp_path, capsys, monkeypatch, argv, key):
+        import randsym.cli
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("trial started")
+        for name in ("_parallel", "sample_symmetric", "grow_and_track", "rank_reduce",
+                     "linear_small_ball_exact", "quadratic_small_ball_exact"):
+            monkeypatch.setattr(randsym.cli, name, no_trial)
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}:")
 
     @pytest.mark.parametrize("experiment", ["tail", "detconc"])

@@ -10,7 +10,7 @@ from randsym import (AtomicLaw, BoundViolation, SymmetricSample, bernoulli,
                      near_kernel_vector, remove_pivot_row, sample_symmetric,
                      spectral_summary, subspace_membership_mc)
 from randsym.ensembles import read_matrix_exact, read_matrix_text, write_matrix_text
-from randsym.exactlinalg import exact_rank as rational_rank, rowspace_membership
+from randsym.exactlinalg import cofactor_matrix, exact_rank as rational_rank, rowspace_membership
 from randsym.streams import substream
 from genutil import fraction_rank, random_symmetric_int_matrix
 
@@ -132,8 +132,9 @@ class TestSpectralSummary:
                    (s.matrix ** 2).sum()) <= 1e-9 * n * n
 
     def test_exact_corank(self):
+        # the corank is n - exact_rank; the spectral summary leaves it unset
         s = exact_sample([[1, 1], [1, 1]])
-        assert spectral_summary(s).corank == 1
+        assert s.n - exact_rank(s) == 1 and spectral_summary(s).corank is None
 
 
 class TestExactRank:
@@ -197,6 +198,23 @@ class TestCofactorInequalities:
         assert spectral_summary(s).sigma_n == pytest.approx(5e-7, rel=1e-2)
         audit = cofactor_inequality_check(s, a_exp=3, b_exp=1, gamma=1)
         assert audit.hypothesis and audit.ok
+
+    def test_largest_row_moved_first(self):
+        # the audit moves the row of largest cofactor row sum to the front
+        # and permutes its cofactors; the moved matrix is audited unmoved
+        rng = np.random.default_rng(17)
+        audited = 0
+        while audited < 6:
+            rows = random_symmetric_int_matrix(rng, 5, -2, 2)
+            sums = [sum(c * c for c in r) for r in cofactor_matrix(rows)]
+            r_star = max(range(5), key=lambda i: (sums[i], -i))
+            audit = cofactor_inequality_check(exact_sample(rows), a_exp=0, b_exp=0, gamma=1)
+            if r_star == 0 or not audit.hypothesis:
+                continue
+            order = [r_star] + [i for i in range(5) if i != r_star]
+            moved = exact_sample([[rows[i][j] for j in order] for i in order])
+            assert audit == cofactor_inequality_check(moved, a_exp=0, b_exp=0, gamma=1)
+            audited += 1
 
 
 class TestGrowAndTrack:

@@ -42,6 +42,17 @@ def low_rank(rng, r, c, k, lo=-5, hi=5):
     return (rng.integers(lo, hi + 1, (r, k)) @ rng.integers(lo, hi + 1, (k, c))).tolist()
 
 
+def on_lattices(rows):
+    """Integer rows, then as rationals, floats and integral Fractions whose
+    entries share a numerator factor, which the lattice divides out."""
+    return [rows, [[F(6 * x, 35) for x in row] for row in rows],
+            [[0.75 * x for x in row] for row in rows], [[F(10 * x) for x in row] for row in rows]]
+
+
+def integral(rows) -> bool:
+    return all(F(x).denominator == 1 for row in rows for x in row)
+
+
 class TestPrimeTable:
     def test_entries_are_primes_between_2_30_and_2_31(self):
         assert all(2 ** 30 < p < 2 ** 31 and is_prime(p) for p in PRIMES)
@@ -102,8 +113,8 @@ class TestRank:
         rng = np.random.default_rng(3)
         for _ in range(150):
             r, c = (int(x) for x in rng.integers(1, 8, 2))
-            rows = low_rank(rng, r, c, int(rng.integers(0, min(r, c) + 1)))
-            assert exact_rank(rows) == fraction_rank(rows, c)
+            for rows in on_lattices(low_rank(rng, r, c, int(rng.integers(0, min(r, c) + 1)))):
+                assert exact_rank(rows) == fraction_rank(rows, c)
 
     def test_rank_vanishing_mod_first_primes(self):
         # full rank over Q, rank 1 modulo P1 and P2
@@ -138,8 +149,10 @@ class TestRank:
     def test_out_of_primes_is_loud(self):
         huge = 2 ** 4000
         assert exact_rank([[huge]]) == 1        # full rank needs no certificate
+        # a common factor is divided out by the lattice: [[1, 1], [1, 1]]
+        assert exact_rank([[huge, huge], [huge, huge]]) == 1
         with pytest.raises(OutOfPrimes):
-            exact_rank([[huge, huge], [huge, huge]])
+            exact_rank([[huge, huge + 1], [2 * huge, 2 * huge + 2]])
 
 
 class TestDeterminant:
@@ -147,8 +160,10 @@ class TestDeterminant:
         rng = np.random.default_rng(4)
         for _ in range(150):
             n = int(rng.integers(1, 8))
-            rows = low_rank(rng, n, n, int(rng.integers(n - 1, n + 1)), -9, 9)
-            assert bareiss_det(rows) == fraction_det(rows)
+            for rows in on_lattices(low_rank(rng, n, n, int(rng.integers(n - 1, n + 1)), -9, 9)):
+                det = bareiss_det(rows)
+                assert det == fraction_det(rows)
+                assert isinstance(det, int) == integral(rows)
 
     def test_det_vanishing_mod_first_primes(self):
         assert bareiss_det([[P1 * P2, 0], [0, 1]]) == P1 * P2
@@ -176,21 +191,23 @@ class TestDeterminant:
             bareiss_det([[1, 2, 3], [4, 5, 6]])
 
     def test_out_of_primes_is_loud(self):
+        assert bareiss_det([[2 ** 4000]]) == 2 ** 4000      # [[1]] on its lattice
         with pytest.raises(OutOfPrimes):
-            bareiss_det([[2 ** 4000]])
+            bareiss_det([[2 ** 4000, 1], [0, 1]])
 
 
 class TestCofactors:
     def test_minors_match_fraction_oracle(self):
         rng = np.random.default_rng(6)
         for n in (1, 2, 3, 5):
-            rows = rng.integers(-9, 10, (n, n)).tolist()
-            got = cofactor_matrix(rows)
-            for i in range(n):
-                for j in range(n):
-                    minor = [[rows[a][b] for b in range(n) if b != j]
-                             for a in range(n) if a != i]
-                    assert got[i][j] == (-1) ** (i + j) * fraction_det(minor)
+            for rows in on_lattices(rng.integers(-9, 10, (n, n)).tolist()):
+                got = cofactor_matrix(rows)
+                for i in range(n):
+                    for j in range(n):
+                        minor = [[rows[a][b] for b in range(n) if b != j]
+                                 for a in range(n) if a != i]
+                        assert got[i][j] == (-1) ** (i + j) * fraction_det(minor)
+                        assert isinstance(got[i][j], int) == (n == 1 or integral(rows))
 
     def test_adjugate_is_det_times_inverse(self):
         rows = [[F(1, 2), 2, 0], [3, F(-1, 3), 1], [0, 1, 4]]

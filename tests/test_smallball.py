@@ -501,6 +501,16 @@ class TestNegativeBeta:
             call(beta)
 
 
+@pytest.mark.parametrize("call", [
+    lambda law: linear_small_ball_exact(LinearForm((1, 2)), law, 0),
+    lambda law: quadratic_small_ball_exact(QuadraticForm(((0, 1), (1, 0))), law, 0),
+    lambda law: bilinear_small_ball(QuadraticForm(((0, 1), (1, 0))), BERN, law, 0),
+], ids=["linear", "quadratic", "bilinear"])
+def test_exact_needs_atomic_laws(call):
+    with pytest.raises(ValueError, match="atomic"):
+        call(gaussian())
+
+
 class TestScaling:
     def test_elo_constant_range_spot(self):
         for n in (16, 50, 200):
