@@ -6,7 +6,9 @@ trial index), so per-trial rows are bit-identical across reruns and any
 worker count; `replay` re-executes a stored record and checks that.
 
 Outputs: <out>.csv with one row per trial and <out>.json holding the
-canonical config, its hash, rows, summary statistics and the verdict.
+canonical config, its hash, the BLAS thread count the rows were computed
+at (blas_threads, 1; outside the hash, like the worker count), rows,
+summary statistics and the verdict.
 Exit codes: 0 pass, 2 fail, 3 inconclusive, 1 error.  A verdict is
 "inconclusive" whenever a declared bound lies inside the Monte Carlo
 confidence interval.
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .detconc import (SpacingUnverified, bound_verdict, check_sizes, concentration_report,
-                      detconc_trial, tail_report, tail_trial, wilson_interval)
+                      detconc_trial, tail_report, tail_trial, usable_cores, wilson_interval)
 from .ensembles import (exact_rank, grow_and_track, read_matrix_text, sample_symmetric,
                         spectral_summary, subspace_membership_mc, write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
@@ -61,16 +63,25 @@ def _fractions(text: str) -> List[Fraction]:
 
 # Every config key, in the order of a resolved config, with its kind: int,
 # size (an int of at least 1, or of the experiment's `least` for the key),
-# sizes (a non-empty list of them), real (a finite int or float), text, a
-# parser the text must pass, or a tuple of the words allowed; reals and
-# text are kept as given, so that records hash as before.  Flags and
-# key=value lines are text; JSON and records are typed.
+# sizes (a non-empty list of them), real (a finite int or float), a range
+# of reals (_RANGES), text, a parser the text must pass, or a tuple of the
+# words allowed; reals and text are kept as given, so that records hash
+# as before.  Flags and key=value lines are text; JSON and records are
+# typed.
 _KEYS: Dict[str, object] = {
     "law": parse_law, "n": "size", "n_list": "sizes", "trials": "size", "seed": "int",
-    "workers": "size", "out": "text", "beta": "real", "a_exp": "real",
-    "freq_bound": "real", "epsilon": "real", "spread_bound": "real", "dev_bound": "real",
-    "c1": "real", "c2": "real", "c3": "real", "form": ("linear", "quadratic", "bilinear"),
+    "workers": "size", "out": "text", "beta": "nonnegative", "a_exp": "real",
+    "freq_bound": "real", "epsilon": "positive", "spread_bound": "real", "dev_bound": "real",
+    "c1": "real", "c2": "real", "c3": "unit", "form": ("linear", "quadratic", "bilinear"),
     "coeffs": "text", "method": ("exact", "mc"), "gap": parse_gap, "values": _fractions,
+}
+
+# the real kinds that are ranges: the test a value must pass, and its wording
+_RANGES: Dict[str, Tuple[Callable[[float], bool], str]] = {
+    "real": (lambda v: True, ""),
+    "nonnegative": (lambda v: v >= 0, ">= 0"),
+    "positive": (lambda v: v > 0, "> 0"),
+    "unit": (lambda v: 0 <= v < 1, "in [0, 1)"),
 }
 
 # keys every experiment takes, with their defaults
@@ -87,7 +98,8 @@ def _int_list(text: str) -> Tuple[int, ...]:
 
 def _from_text(key: str, text: str):
     """The value of key written as text, in a flag or a key=value line."""
-    parse = {"int": int, "size": int, "sizes": _int_list, "real": float}.get(_KEYS.get(key), str)
+    parse = {"int": int, "size": int, "sizes": _int_list,
+             **dict.fromkeys(_RANGES, float)}.get(_KEYS.get(key), str)
     try:
         return parse(text)
     except ValueError:
@@ -108,9 +120,11 @@ def _checked(key: str, value, least: int):
         value = tuple(value) if ok else value
     elif kind in ("int", "size"):
         ok = _is_int(value)
-    elif kind == "real":
+    elif kind in _RANGES:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
             and math.isfinite(value)
+        if ok and not _RANGES[kind][0](value):
+            raise InvalidConfig(f"{key}: invalid value {value!r}, needs {key} {_RANGES[kind][1]}")
     else:
         ok = isinstance(value, str) and (not isinstance(kind, tuple) or value in kind)
     if not ok:
@@ -199,6 +213,7 @@ class ResultRecord:
     experiment: str
     config: Dict[str, object]
     config_hash: str
+    blas_threads: Optional[int]
     header: Tuple[str, ...]
     rows: Tuple[tuple, ...]
     summary: Dict[str, object]
@@ -215,6 +230,7 @@ class ResultRecord:
                 "experiment": self.experiment,
                 "config": _jsonify(self.config),
                 "config_hash": self.config_hash,
+                "blas_threads": self.blas_threads,
                 "header": list(self.header),
                 "rows": _jsonify([list(r) for r in self.rows]),
                 "summary": _jsonify(self.summary),
@@ -255,6 +271,13 @@ def _w_trials(args) -> List[tuple]:
     return trial(law=parse_law(law_lit), n=n, seed=seed, trials=range(t0, t1), **kw)
 
 
+def _spectra(cfg: Dict[str, object]) -> Dict[str, object]:
+    """keyed_spectra's settings in a run: BLAS at the record's thread count,
+    and the usable cores shared among the processes computing rows."""
+    return {"lanes": max(1, usable_cores() // cfg["workers"]),
+            "blas_threads": cfg["blas_threads"]}
+
+
 def _trial_rows(trial, cfg: Dict[str, object], **kw) -> List[tuple]:
     """Rows trial(law, n, seed, trials, **kw) for the one n, or n by n in
     n_list order: one block of trials per n, cut into one contiguous block
@@ -273,7 +296,7 @@ def _run_tail(cfg: Dict[str, object]):
         if {"c1", "c2", "c3"} <= cfg.keys() else None
     if cert is None or not verify_spacing(law, cert):
         raise SpacingUnverified("no spacing certificate passes for this law")
-    rep = tail_report(_trial_rows(tail_trial, cfg, F=None), cfg["n_list"],
+    rep = tail_report(_trial_rows(tail_trial, cfg, F=None, **_spectra(cfg)), cfg["n_list"],
                       cfg["a_exp"], cfg["trials"], cfg["seed"])
     per_n = {n: {**stats, "verdict": bound_verdict(stats["freq_sigma"], stats["ci_sigma"],
                                                    cfg["freq_bound"])}
@@ -285,7 +308,7 @@ def _run_tail(cfg: Dict[str, object]):
 
 def _run_detconc(cfg: Dict[str, object]):
     _atomic_law(cfg["law"])
-    rows = _trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon"))
+    rows = _trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon"), **_spectra(cfg))
     rep = concentration_report(rows, cfg["n_list"], cfg["trials"], cfg["seed"],
                                cfg.get("epsilon"))
     per_n = {n: {**stats, "dev_verdict": bound_verdict(stats["dev_freq"], stats["dev_ci"],
@@ -483,16 +506,21 @@ EXPERIMENTS: Dict[str, Experiment] = {
 }
 
 
-def run(config: ExperimentConfig) -> ResultRecord:
-    """Dispatch to the named experiment; write CSV + JSON; return the record."""
+def run(config: ExperimentConfig, blas_threads: Optional[int] = 1) -> ResultRecord:
+    """Dispatch to the named experiment; write CSV + JSON; return the record.
+    Eigenvalues are computed with BLAS at blas_threads threads (None: as
+    the process has it, in one lane), since from n = 208 up they depend on
+    the thread count; the record keeps the count."""
     resolved = resolve(config)
     t0 = time.monotonic()
-    header, rows, summary, verdict = EXPERIMENTS[config.experiment].runner(resolved)
+    runner = EXPERIMENTS[config.experiment].runner
+    header, rows, summary, verdict = runner({**resolved, "blas_threads": blas_threads})
     wall = time.monotonic() - t0
     rec = ResultRecord(
         experiment=config.experiment,
         config={k: v for k, v in resolved.items() if k not in _HASH_EXCLUDED},
         config_hash=config_hash(resolved),
+        blas_threads=blas_threads,
         header=tuple(header),
         rows=tuple(tuple(r) for r in rows),
         summary=summary,
@@ -505,11 +533,16 @@ def run(config: ExperimentConfig) -> ResultRecord:
 
 
 def replay(record_path: str, workers: Optional[int] = None) -> ResultRecord:
-    """Re-run a stored record's config and demand bit-identical rows."""
+    """Re-run a stored record's config at its BLAS thread count and demand
+    bit-identical rows.  A record without one (made before the count was
+    kept) runs at the process's own count in one lane, as it was made."""
     with open(record_path) as fh:
         stored = json.load(fh)
+    threads = stored.get("blas_threads")
+    if threads is not None and not (_is_int(threads) and threads >= 1):
+        raise InvalidConfig(f"blas_threads: invalid value {threads!r}")
     rec = run(ExperimentConfig(**{**stored["config"], "out": record_path + ".replay",
-                                  "workers": workers or 1}))
+                                  "workers": workers or 1}), blas_threads=threads)
     old_rows = stored["rows"]
     new_rows = _jsonify([list(r) for r in rec.rows])
     if len(old_rows) != len(new_rows):

@@ -9,21 +9,29 @@ value.  The experiments measure the spread of the truncated log-product
 at eps = n^(-1/6) and the empirical sigma_n / condition-number tails.
 
 Trials are keyed (seed, n, t).  tail_trial and detconc_trial take a range
-of trial indices and return its rows; keyed_spectra draws the range in
-stacks of at most ensembles._STACK_ENTRIES entries, one sampler call and
-one eigvalsh per stack, and the rows do not depend on how a range is cut.
+of trial indices and return its rows; keyed_spectra cuts the range into
+stacks, and lanes (threads, the caller one of them) take the stacks in
+turn, one sampler call and one solver call per stack, with BLAS pinned to
+one thread.  The solver releases the GIL on every matrix (numpy's
+eigvalsh keeps it whenever stack size x n <= 500, so at n = 200, one
+matrix a stack, every call), so the lanes solve side by side; the stacks
+of all lanes hold at most ensembles._STACK_ENTRIES entries together (at
+least one matrix each).  The rows do not depend on how a range is cut.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ensembles import (_STACK_ENTRIES, SpectralSummary, sample_symmetric,
-                        spectral_summaries)
+from .ensembles import (_STACK_ENTRIES, SpectralSummary, gil_free_solver, openblas_threads,
+                        sample_symmetric, spectral_summaries)
 from .laws import AtomicLaw, Law, SpacingCertificate, verify_spacing
 from .streams import chunk_bounds, key_seed
 
@@ -219,38 +227,96 @@ def _epsilon(n: int, epsilon: Optional[float]) -> float:
     return float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
 
 
-def keyed_spectra(law: Law, F, n: int, seed: int,
-                  trials: Iterable[int]) -> Iterator[Tuple[int, int, SpectralSummary]]:
-    """(t, trial seed, summary) for each trial index t in order: matrix t
-    is keyed key_seed(seed, n, t), and the block is drawn and summarized
-    in stacks of at most _STACK_ENTRIES entries, one sample_symmetric and
-    one eigvalsh call per stack."""
+# the least order keyed_spectra splits into lanes: below it the work that
+# holds the GIL (keys, sampling, summaries) outweighs the solver, and two
+# lanes ran 8-18% slower than one at n = 16..40 on 2 vCPUs; at n = 64 they
+# ran 1.16x faster, at n = 200 1.45-1.6x
+_LANE_MIN_N = 48
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:       # no affinity call (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
+                  row: Callable[[int, int, SpectralSummary], tuple],
+                  lanes: Optional[int] = None, blas_threads: Optional[int] = 1) -> List[tuple]:
+    """row(t, trial seed, summary) for each trial index t, in order; matrix
+    t is keyed key_seed(seed, n, t).
+
+    BLAS runs at blas_threads threads for the call (the old count is
+    restored after).  The trials are cut into stacks of max(1,
+    _STACK_ENTRIES // (lanes n^2)) matrices, each drawn and summarized
+    with one sample_symmetric and one spectral_summaries call, so the
+    entries in flight across the lanes stay within _STACK_ENTRIES.  The
+    `lanes` threads (default usable_cores(), at most one per trial; the
+    caller is one) take the stacks from one queue in turn, so a lane on a
+    slow core holds up no other.  One lane runs below n = _LANE_MIN_N, when
+    blas_threads is None (the BLAS thread count is then left alone), and
+    in a build without a GIL-free solver.  The threads are joined before
+    the call returns, so a process forked after it inherits none.
+    """
     trials = list(trials)
-    per = max(1, _STACK_ENTRIES // (n * n))
-    for _, start, stop in chunk_bounds(len(trials), per):
-        block = trials[start:stop]
+    if blas_threads is None or n < _LANE_MIN_N or not gil_free_solver():
+        lanes = 1
+    lanes = max(1, min(lanes or usable_cores(), len(trials)))
+    per = max(1, _STACK_ENTRIES // (lanes * n * n))
+    blocks = [trials[start:stop] for _, start, stop in chunk_bounds(len(trials), per)]
+
+    def draw(block: List[int]) -> List[tuple]:
         seeds = [key_seed(seed, n, t) for t in block]
         stack = sample_symmetric(law, F, n, seed=seeds, exact=False)
-        yield from zip(block, seeds, spectral_summaries(stack))
+        return list(map(row, block, seeds, spectral_summaries(stack, overwrite=True)))
+
+    with openblas_threads(blas_threads):
+        if lanes == 1:
+            return [r for block in blocks for r in draw(block)]
+        rows = [[] for _ in blocks]
+        todo = queue.SimpleQueue()
+        for i in range(len(blocks)):
+            todo.put(i)
+
+        def lane() -> None:
+            while True:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                rows[i] = draw(blocks[i])
+        # the caller is a lane too: one thread (and malloc arena) fewer
+        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+            others = [pool.submit(lane) for _ in range(lanes - 1)]
+            lane()
+            for f in others:
+                f.result()
+        return [r for block_rows in rows for r in block_rows]
 
 
 def detconc_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
-                  epsilon: Optional[float] = None) -> List[tuple]:
+                  epsilon: Optional[float] = None, lanes: Optional[int] = None,
+                  blas_threads: Optional[int] = 1) -> List[tuple]:
     """Concentration rows (n, t, trial seed, log|det|, kept_sum, dropped,
-    sigma_n, kappa), one per trial index t in trials."""
+    sigma_n, kappa), one per trial index t in trials; lanes and
+    blas_threads as in keyed_spectra."""
     eps = _epsilon(n, epsilon)
-    rows = []
-    for t, trial_seed, summ in keyed_spectra(law, None, n, seed, trials):
+
+    def row(t: int, trial_seed: int, summ: SpectralSummary) -> tuple:
         tld = truncated_log_det(summ, eps)
-        rows.append((n, t, trial_seed, summ.log_abs_det, tld.kept_sum, tld.dropped_count,
-                     summ.sigma_n, summ.kappa))
-    return rows
+        return (n, t, trial_seed, summ.log_abs_det, tld.kept_sum, tld.dropped_count,
+                summ.sigma_n, summ.kappa)
+    return keyed_spectra(law, None, n, seed, trials, row, lanes, blas_threads)
 
 
-def tail_trial(law: Law, F, n: int, seed: int, trials: Iterable[int]) -> List[tuple]:
-    """Tail rows (n, t, sigma_n, kappa), one per trial index t in trials."""
-    return [(n, t, summ.sigma_n, summ.kappa)
-            for t, _, summ in keyed_spectra(law, F, n, seed, trials)]
+def tail_trial(law: Law, F, n: int, seed: int, trials: Iterable[int],
+               lanes: Optional[int] = None, blas_threads: Optional[int] = 1) -> List[tuple]:
+    """Tail rows (n, t, sigma_n, kappa), one per trial index t in trials;
+    lanes and blas_threads as in keyed_spectra."""
+    return keyed_spectra(law, F, n, seed, trials,
+                         lambda t, _, summ: (n, t, summ.sigma_n, summ.kappa), lanes, blas_threads)
 
 
 def check_sizes(key: str, sizes: Sequence[int], least: int = 1) -> None:

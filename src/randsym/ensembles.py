@@ -10,18 +10,31 @@ sigma_n = min |lambda| and kappa = sigma_1 / sigma_n.
 
 Monte Carlo works on stacks: sample_symmetric given a sequence of seeds
 returns a (T, n, n) float stack, each matrix drawn as its seed alone
-would draw it, and spectral_summaries summarizes a stack with one
-eigvalsh call.  Callers keep a stack within _STACK_ENTRIES = 2^16
-entries, so memory does not grow with the number of trials.
+would draw it, and spectral_summaries summarizes a stack with one solver
+call.  Callers keep the entries of all stacks in flight at once (one per
+lane of detconc.keyed_spectra) within _STACK_ENTRIES = 2^16, so memory
+does not grow with the number of trials or lanes.
+
+The solver is LAPACK dsyevd('N', 'L') of the OpenBLAS that numpy bundles,
+called through ctypes: the eigenvalues are those of np.linalg.eigvalsh bit
+for bit, but every call releases the GIL, where numpy's gufunc keeps it
+whenever (stack size x n) <= 500, so threads can solve side by side.
+openblas_threads pins the library's thread count for a block.  Without a
+bundled OpenBLAS (numpy built against Accelerate or a system BLAS) the
+solver is np.linalg.eigvalsh and the thread count is left alone.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +45,7 @@ from .streams import chunk_bounds, substream
 
 
 # entries per stack: the bordered int64 matrices of grow_and_track, the
-# float matrices of a block of keyed Monte Carlo trials
+# float matrices of all the lanes of a block of keyed Monte Carlo trials
 _STACK_ENTRIES = 1 << 16
 
 
@@ -136,7 +149,8 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int]],
     checked once, one sampler call) and returns the float matrices as a
     (T, n, n) stack, matrix t drawn exactly as the single-seed call with
     seed[t] draws it.  A single seed is the T = 1 case.  Callers keep
-    T n^2 within _STACK_ENTRIES (detconc.keyed_spectra does).
+    T n^2, summed over the stacks in flight at once, within _STACK_ENTRIES
+    (detconc.keyed_spectra does).
     """
     single = isinstance(seed, (int, np.integer))
     if not single and exact is True:
@@ -147,14 +161,16 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int]],
     want_exact = (exact is True) or (
         exact == "auto" and isinstance(law, AtomicLaw) and law.is_rational)
     if isinstance(law, AtomicLaw):
-        idx = law.sample_indices(rngs, m)
-        vals_f = law.values_float()[idx]
+        # the indices are narrowed and mirrored before the value lookup, so
+        # the float stack is the one full-size array
+        idx = law.sample_indices(rngs, m).astype(np.min_scalar_type(len(law.values) - 1))
+        X = law.values_float()[np.take(idx, _mirror(n), axis=1)]
     else:
         if exact is True:
             raise ValueError("exact sampling needs a rational atomic law")
-        vals_f = law.sample_values(rngs, m)
+        X = np.take(law.sample_values(rngs, m), _mirror(n), axis=1)
         want_exact = False
-    X = np.take(vals_f, _mirror(n), axis=1).reshape(len(rngs), n, n)
+    X = X.reshape(len(rngs), n, n)
     X += 0.0      # a -0.0 draw reads +0.0, as in any sum with a zero matrix
     if not single:
         return X if F_arr is None else F_arr + X
@@ -191,14 +207,113 @@ class SpectralSummary:
     corank: Optional[int]
 
 
-def spectral_summaries(stack: np.ndarray) -> List[SpectralSummary]:
-    """One summary per matrix of a (T, n, n) stack, from one eigvalsh call;
-    each is reduced from its own eigenvalue row, so it equals the summary
-    of that matrix alone bit for bit.  No exact corank."""
+@lru_cache(maxsize=None)
+def _openblas() -> Optional[ctypes.CDLL]:
+    """The OpenBLAS bundled with numpy (ILP64, symbols prefixed scipy_),
+    its dsyevd and thread-count calls typed; None when numpy has none."""
+    numpy_dir = os.path.dirname(np.__file__)
+    pattern = "libscipy_openblas64_*"
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(numpy_dir), "numpy.libs", pattern))
+                   + glob.glob(os.path.join(numpy_dir, ".dylibs", pattern)))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            dsyevd = lib.scipy_dsyevd_64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and
+        # the hidden lengths of the two character arguments
+        dsyevd.restype = None
+        dsyevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+        get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+        set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+        return lib
+    return None
+
+
+def gil_free_solver() -> bool:
+    """Whether spectral_summaries solves through the bundled OpenBLAS, which
+    releases the GIL on every matrix, so threads can solve side by side."""
+    return _openblas() is not None
+
+
+@contextmanager
+def openblas_threads(count: Optional[int]) -> Iterator[None]:
+    """The bundled OpenBLAS at `count` threads inside the block, its old
+    count restored after; None, or no bundled OpenBLAS, leaves it alone."""
+    lib = _openblas()
+    if count is None or lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(int(count))
     try:
-        lam = np.linalg.eigvalsh(np.asarray(stack, dtype=np.float64))
-    except np.linalg.LinAlgError as e:
-        raise ConvergenceFailure(str(e)) from e
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
+def _dsyevd(lib: ctypes.CDLL, a: np.ndarray, lam: np.ndarray, work: np.ndarray,
+            iwork: np.ndarray, query: bool = False) -> None:
+    """dsyevd('N', 'L') on each matrix of the C-contiguous float64 stack a,
+    which Fortran reads as its transpose, eigenvalues into the rows of lam;
+    query: put the optimal workspace sizes in work[0] and iwork[0]."""
+    n = a.shape[-1]
+    sizes = (-1, -1) if query else (len(work), len(iwork))
+    # the integer arguments n, lda, lwork, liwork and info, by address
+    ints = np.array([n, max(n, 1), *sizes, 0], dtype=np.int64)
+    p_n, p_lda, p_lwork, p_liwork, p_info = range(ints.ctypes.data, ints.ctypes.data + 40, 8)
+    p_a, p_lam = a.ctypes.data, lam.ctypes.data
+    p_work, p_iwork = work.ctypes.data, iwork.ctypes.data
+    dsyevd = lib.scipy_dsyevd_64_
+    for t in range(len(a)):
+        dsyevd(b"N", b"L", p_n, p_a + 8 * n * n * t, p_lda, p_lam + 8 * n * t,
+               p_work, p_lwork, p_iwork, p_liwork, p_info, 1, 1)
+        if ints[4]:
+            raise ConvergenceFailure(f"dsyevd info {int(ints[4])}: eigenvalues did not converge")
+
+
+@lru_cache(maxsize=64)
+def _workspace(n: int) -> Tuple[int, int]:
+    """dsyevd's optimal (lwork, liwork) at order n, queried once per n as
+    numpy queries them (the blocked reduction depends on lwork)."""
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
+    _dsyevd(_openblas(), np.zeros((1, n, n)), np.zeros((1, n)), work, iwork, query=True)
+    return int(work[0]), int(iwork[0])
+
+
+def _eigvalsh(stack: np.ndarray, overwrite: bool) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a (T, n, n) float64 stack,
+    read from its lower triangle: np.linalg.eigvalsh's, bit for bit.
+    overwrite: a C-contiguous stack of exactly symmetric matrices, whose C
+    layout is its Fortran layout, is solved in place (and destroyed)."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"a stack of square matrices is needed, got shape {stack.shape}")
+    lib = _openblas()
+    if lib is None:
+        try:
+            return np.linalg.eigvalsh(stack)
+        except np.linalg.LinAlgError as e:
+            raise ConvergenceFailure(str(e)) from e
+    if not (overwrite and stack.dtype == np.float64 and stack.flags.c_contiguous
+            and stack.flags.writeable):
+        # a Fortran-order copy, as numpy makes
+        stack = np.array(np.swapaxes(stack, -1, -2), dtype=np.float64, order="C")
+    lam = np.empty(stack.shape[:-1])
+    lwork, liwork = _workspace(stack.shape[-1])
+    _dsyevd(lib, stack, lam, np.empty(lwork), np.empty(liwork, dtype=np.int64))
+    return lam
+
+
+def spectral_summaries(stack: np.ndarray, overwrite: bool = False) -> List[SpectralSummary]:
+    """One summary per matrix of a (T, n, n) stack, from one solver call;
+    each is reduced from its own eigenvalue row, so it equals the summary
+    of that matrix alone bit for bit.  No exact corank.  overwrite: the
+    stack holds exactly symmetric matrices the call may destroy (a stack
+    sample_symmetric has just drawn), so no copy is made."""
+    lam = _eigvalsh(np.asarray(stack, dtype=np.float64), overwrite)
     absl = np.abs(lam)
     with np.errstate(divide="ignore"):
         logs = np.log(absl)

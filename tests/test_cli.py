@@ -1,6 +1,10 @@
 import json
+import multiprocessing
 import os
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,12 +161,13 @@ def _contains(new, old) -> bool:
 
 class TestStoredRecords:
     """Records written by an earlier version of the runner, one per
-    experiment: replay must give their rows, CSV bytes, verdict and summary
-    again, with any worker count (three cut rankgrow's trials unevenly)."""
+    experiment, and a tail record at n = 240 made at one BLAS thread:
+    replay must give their rows, CSV bytes, verdict and summary again, with
+    any worker count (three cut rankgrow's trials unevenly)."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment", ["smallball", "tail", "detconc", "decoupling",
-                                            "gapreduce", "rankgrow", "odlyzko"])
+                                            "gapreduce", "rankgrow", "odlyzko", "tail_n240"])
     def test_replay(self, tmp_path, experiment, workers):
         src = os.path.join(RECORDS, experiment)
         path = str(tmp_path / experiment) + ".json"
@@ -173,6 +178,102 @@ class TestStoredRecords:
         assert rec.config_hash == stored["config_hash"]
         assert _contains(json.loads(json.dumps(_jsonify(rec.summary))), stored["summary"])
         assert Path(path + ".replay.csv").read_bytes() == Path(src + ".csv").read_bytes()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(args, threads: str = None, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this checkout's sources, with
+    OPENBLAS_NUM_THREADS set when threads is given; past the timeout its
+    whole process group is killed, forked children too."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    posix = hasattr(os, "killpg")
+    with subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=posix) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            if posix:
+                os.killpg(proc.pid, signal.SIGKILL)
+            else:
+                proc.kill()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+class TestBlasThreads:
+    """Eigenvalues from n = 208 up depend on the BLAS thread count, so rows
+    are computed at one BLAS thread and the record says so."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_replay_n240_at_any_thread_count(self, tmp_path, threads, workers):
+        path = str(tmp_path / "tail_n240.json")
+        shutil.copy(os.path.join(RECORDS, "tail_n240.json"), path)
+        assert json.loads(Path(path).read_text())["blas_threads"] == 1
+        proc = _python(["-m", "randsym.cli", "replay", path, "--workers", workers], threads)
+        assert proc.returncode == 0 and "replay ok: 6 rows" in proc.stdout, proc.stderr
+
+    def test_replay_without_blas_threads_runs_unpinned(self, tmp_path, monkeypatch):
+        import randsym.detconc
+        counts = []
+        pin = randsym.detconc.openblas_threads
+
+        def recording(count):
+            counts.append(count)
+            return pin(count)
+        monkeypatch.setattr(randsym.detconc, "openblas_threads", recording)
+        path = str(tmp_path / "tail.json")
+        shutil.copy(os.path.join(RECORDS, "tail.json"), path)
+        assert "blas_threads" not in json.loads(Path(path).read_text())
+        rec = replay(path, workers=1)
+        assert rec.blas_threads is None and set(counts) == {None}
+        assert json.loads(Path(path + ".replay.json").read_text())["blas_threads"] is None
+        counts.clear()
+        rec = run(cfg(tmp_path, experiment="tail", n_list=(8,), trials=30))
+        assert rec.blas_threads == 1 and set(counts) == {1}
+        assert json.loads((tmp_path / "tail.json").read_text())["blas_threads"] == 1
+
+    def test_bad_blas_threads_named(self, tmp_path):
+        path = str(tmp_path / "tail.json")
+        data = json.loads(Path(os.path.join(RECORDS, "tail.json")).read_text())
+        Path(path).write_text(json.dumps({**data, "blas_threads": "2"}))
+        with pytest.raises(InvalidConfig, match="blas_threads"):
+            replay(path)
+
+    def test_workers_after_lanes_in_one_interpreter(self, tmp_path):
+        # lanes leave no thread pool behind for forked workers to inherit: a
+        # pool kept between calls would leave the workers waiting on threads
+        # that do not exist in them
+        base = ["tail", "--n-list", "64", "--trials", "12", "--seed", "2"]
+        code = (f"import sys; from randsym.cli import main; "
+                f"a = main({base + ['--workers', '1', '--out', str(tmp_path / 'a')]!r}); "
+                f"b = main({base + ['--workers', '2', '--out', str(tmp_path / 'b')]!r}); "
+                f"sys.exit(0 if a == b else 1)")
+        assert _python(["-c", code], timeout=60).returncode == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_process_runs_lanes(self):
+        # a process forked after a call with lanes runs lanes of its own
+        code = """
+import multiprocessing, sys
+from concurrent.futures import ProcessPoolExecutor
+from randsym import bernoulli
+from randsym.detconc import tail_trial
+def rows(_):
+    return tail_trial(bernoulli(), None, 64, 2, range(12), lanes=2)
+a = rows(0)
+with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+    b = pool.submit(rows, 0).result()
+sys.exit(0 if a == b else 1)
+"""
+        assert _python(["-c", code], timeout=60).returncode == 0
 
 
 class TestMain:
@@ -221,7 +322,14 @@ class TestMain:
         pytest.param("smallball", {"method": "fast"}, "invalid value", id="json-method"),
         pytest.param("tail", {"form": "linear"}, "not a config key of tail", id="json-form"),
         pytest.param("tail", "law=foo", "unknown law literal", id="law=foo"),
-        pytest.param("gapreduce", {"values": "1,x"}, "Invalid literal", id="json-values")])
+        pytest.param("gapreduce", {"values": "1,x"}, "Invalid literal", id="json-values"),
+        pytest.param("odlyzko", "c3=2", "invalid value 2.0, needs c3 in [0, 1)", id="c3=2"),
+        pytest.param("smallball", "beta=-1", "invalid value -1.0, needs beta >= 0",
+                     id="smallball-beta=-1"),
+        pytest.param("decoupling", {"beta": -1}, "invalid value -1, needs beta >= 0",
+                     id="json-decoupling-beta"),
+        pytest.param("detconc", "epsilon=-1", "invalid value -1.0, needs epsilon > 0",
+                     id="epsilon=-1")])
     def test_bad_config_value_named(self, tmp_path, capsys, experiment, setting, message):
         # a key=value line is text; a JSON config is typed, so "2" is no int
         conf = tmp_path / "exp.cfg"

@@ -8,7 +8,8 @@ from randsym import (AtomicLaw, CutoffSpec, DegenerateSpectrum, SpacingCertifica
                      cutoff_log, envelope_rule, gaussian, point_mass, sample_symmetric,
                      spectral_summary, spectral_window_count, tail_experiment,
                      truncated_log_det, uniform3, wilson_interval)
-from randsym.detconc import detconc_trial, envelope_norm, loglog_slope, tail_trial
+from randsym.detconc import (_LANE_MIN_N, detconc_trial, envelope_norm, loglog_slope,
+                             tail_trial)
 from randsym.ensembles import _STACK_ENTRIES, spectral_summaries
 from randsym.streams import key_seed, substream
 
@@ -282,6 +283,8 @@ class TestStackedTrials:
         assert repr(got) == repr(oracle_tail_rows(BERN, None, n, 4, trials))
 
     def test_stacks_are_capped(self, monkeypatch):
+        # the stacks in flight across all lanes hold at most _STACK_ENTRIES
+        # entries together, at least one matrix each
         import randsym.detconc
         sizes = []
 
@@ -289,11 +292,55 @@ class TestStackedTrials:
             sizes.append(len(seed))
             return sample_symmetric(law, F, n, seed, **kw)
         monkeypatch.setattr(randsym.detconc, "sample_symmetric", recording)
-        tail_trial(BERN, None, 20, 1, range(330))
+        tail_trial(BERN, None, 20, 1, range(330), lanes=1)
         assert sizes == [163, 163, 4] and 163 * 20 * 20 <= _STACK_ENTRIES < 164 * 20 * 20
         sizes.clear()
-        detconc_trial(BERN, 200, 1, range(2))
+        # two lanes take stacks of 65536 // (2 * 64^2) = 8 matrices in turn
+        tail_trial(BERN, None, 64, 1, range(36), lanes=2)
+        assert sorted(sizes) == [4, 8, 8, 8, 8] and 2 * 8 * 64 * 64 <= _STACK_ENTRIES
+        sizes.clear()
+        # below _LANE_MIN_N one lane draws the range, in full-size stacks
+        tail_trial(BERN, None, 20, 1, range(330), lanes=2)
+        assert sizes == [163, 163, 4]
+        sizes.clear()
+        detconc_trial(BERN, 200, 1, range(2), lanes=1)
         assert sizes == [1, 1]
+
+    @pytest.mark.parametrize("n", [_LANE_MIN_N, 240])
+    def test_rows_do_not_depend_on_lanes(self, n):
+        trials = range(3, 3 + 7)
+        one = tail_trial(BERN, None, n, 5, trials, lanes=1)
+        assert repr(tail_trial(BERN, None, n, 5, trials, lanes=2)) == repr(one)
+        assert repr(tail_trial(BERN, None, n, 5, trials, lanes=3)) == repr(one)
+        one = detconc_trial(uniform3(), n, 5, trials, lanes=1)
+        assert repr(detconc_trial(uniform3(), n, 5, trials, lanes=2)) == repr(one)
+
+    def test_more_lanes_than_cores_under_frequent_switches(self):
+        # lanes share the law, the caches and the BLAS library; five lanes
+        # switching every 10 us must still give the one-lane rows
+        import sys
+        want = repr(detconc_trial(BERN, 64, 9, range(40), lanes=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = repr(detconc_trial(BERN, 64, 9, range(40), lanes=5))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_lanes_joined_and_blas_restored(self):
+        import threading
+        from randsym.ensembles import _openblas
+        get = _openblas().scipy_openblas_get_num_threads64_
+        before, threads = get(), threading.active_count()
+        tail_trial(BERN, None, 64, 2, range(6), lanes=2)
+        assert get() == before and threading.active_count() == threads
+
+    def test_lane_error_surfaces(self):
+        # a lane's exception reaches the caller once every lane has stopped
+        F = np.full((64, 64), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            tail_trial(BERN, F, 64, 2, range(6), lanes=2)
 
     def test_detconc_rows(self):
         for n in (1, 20, 41):

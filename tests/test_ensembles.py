@@ -4,12 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from randsym import (AtomicLaw, BoundViolation, SymmetricSample, bernoulli,
-                     cofactor_expansion_check, cofactor_inequality_check,
+from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSample,
+                     bernoulli, cofactor_expansion_check, cofactor_inequality_check,
                      exact_det, exact_rank, gaussian, grow_and_track, lazy_sign,
                      near_kernel_vector, remove_pivot_row, sample_symmetric,
-                     spectral_summary, subspace_membership_mc)
-from randsym.ensembles import read_matrix_exact, read_matrix_text, write_matrix_text
+                     spectral_summary, subspace_membership_mc, uniform3)
+from randsym.ensembles import (gil_free_solver, openblas_threads, read_matrix_exact,
+                               read_matrix_text, spectral_summaries, write_matrix_text)
 from randsym.exactlinalg import cofactor_matrix, exact_rank as rational_rank, rowspace_membership
 from randsym.streams import substream
 from genutil import fraction_rank, random_symmetric_int_matrix
@@ -135,6 +136,64 @@ class TestSpectralSummary:
         # the corank is n - exact_rank; the spectral summary leaves it unset
         s = exact_sample([[1, 1], [1, 1]])
         assert s.n - exact_rank(s) == 1 and spectral_summary(s).corank is None
+
+
+class TestSolver:
+    """spectral_summaries solves through LAPACK dsyevd of numpy's bundled
+    OpenBLAS: its eigenvalues must be np.linalg.eigvalsh's, bit for bit."""
+
+    def test_bundled_openblas_found(self):
+        # numpy's wheels bundle scipy-openblas; the fallback is for other builds
+        assert gil_free_solver()
+
+    def test_bit_identical_to_numpy(self):
+        # +-1, three-atom and Gaussian entries, with and without a fixed part
+        laws = (BERN, uniform3(), gaussian())
+        for n in range(1, 301):
+            F = np.diag(np.linspace(-1.0, 1.0, n))
+            F[0, -1] = F[-1, 0] = 0.5
+            for fixed in (None, F):
+                stack = sample_symmetric(laws[n % 3], fixed, n, seed=[n], exact=False)
+                want = np.linalg.eigvalsh(stack)
+                got = spectral_summaries(stack, overwrite=True)[0].eigenvalues
+                assert np.array_equal(got, want[0]), (n, fixed is not None)
+
+    def test_non_symmetric_input_is_copied(self):
+        # numpy reads the lower triangle; so does the copy in Fortran order
+        a = np.random.default_rng(3).standard_normal((7, 7))
+        before = a.copy()
+        got = spectral_summary(a).eigenvalues
+        assert np.array_equal(got, np.linalg.eigvalsh(a))
+        assert np.array_equal(a, before)
+        assert not np.array_equal(got, np.linalg.eigvalsh(a.T))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 4, 3), (2, 2, 2, 2)])
+    def test_only_square_stacks_reach_lapack(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            spectral_summaries(np.ones(shape))
+
+    def test_nan_raises_convergence_failure(self):
+        with pytest.raises(ConvergenceFailure):
+            spectral_summary(np.full((3, 3), np.nan))
+
+    def test_thread_count_restored(self):
+        import randsym.ensembles
+        lib = randsym.ensembles._openblas()
+        old = lib.scipy_openblas_get_num_threads64_()
+        with openblas_threads(1):
+            assert lib.scipy_openblas_get_num_threads64_() == 1
+        assert lib.scipy_openblas_get_num_threads64_() == old
+
+    def test_numpy_without_bundled_openblas(self, monkeypatch):
+        import randsym.ensembles
+        stack = sample_symmetric(BERN, None, 9, seed=[1, 2, 3], exact=False)
+        want = [s.eigenvalues for s in spectral_summaries(stack)]
+        monkeypatch.setattr(randsym.ensembles, "_openblas", lambda: None)
+        assert not gil_free_solver()
+        got = [s.eigenvalues for s in spectral_summaries(stack, overwrite=True)]
+        assert all(map(np.array_equal, got, want))
+        with pytest.raises(ConvergenceFailure):
+            spectral_summary(np.full((3, 3), np.nan))
 
 
 class TestExactRank:
