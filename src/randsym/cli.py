@@ -7,8 +7,9 @@ worker count; `replay` re-executes a stored record and checks that.
 
 Outputs: <out>.csv with one row per trial and <out>.json holding the
 canonical config, its hash, the BLAS thread count the rows were computed
-at (blas_threads, 1; outside the hash, like the worker count), rows,
-summary statistics and the verdict.
+at (blas_threads: 1, or null where numpy bundles no OpenBLAS to pin;
+outside the hash, like the worker count), rows, summary statistics and
+the verdict.
 Exit codes: 0 pass, 2 fail, 3 inconclusive, 1 error.  A verdict is
 "inconclusive" whenever a declared bound lies inside the Monte Carlo
 confidence interval.
@@ -34,8 +35,9 @@ import numpy as np
 from . import __version__
 from .detconc import (SpacingUnverified, bound_verdict, check_sizes, concentration_report,
                       detconc_trial, tail_report, tail_trial, usable_cores, wilson_interval)
-from .ensembles import (exact_rank, grow_and_track, read_matrix_text, sample_symmetric,
-                        spectral_summary, subspace_membership_mc, write_matrix_text)
+from .ensembles import (exact_rank, gil_free_solver, grow_and_track, read_matrix_text,
+                        sample_symmetric, spectral_summary, subspace_membership_mc,
+                        write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
 from .laws import AtomicLaw, SpacingCertificate, auto_certificate, parse_law, verify_spacing
 from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
@@ -272,10 +274,9 @@ def _w_trials(args) -> List[tuple]:
 
 
 def _spectra(cfg: Dict[str, object]) -> Dict[str, object]:
-    """keyed_spectra's settings in a run: BLAS at the record's thread count,
-    and the usable cores shared among the processes computing rows."""
-    return {"lanes": max(1, usable_cores() // cfg["workers"]),
-            "blas_threads": cfg["blas_threads"]}
+    """keyed_spectra's settings in a run: BLAS pinned to one thread or
+    not, and the usable cores shared among the processes computing rows."""
+    return {"lanes": max(1, usable_cores() // cfg["workers"]), "pin_blas": cfg["pin_blas"]}
 
 
 def _trial_rows(trial, cfg: Dict[str, object], **kw) -> List[tuple]:
@@ -506,21 +507,23 @@ EXPERIMENTS: Dict[str, Experiment] = {
 }
 
 
-def run(config: ExperimentConfig, blas_threads: Optional[int] = 1) -> ResultRecord:
+def run(config: ExperimentConfig, pin_blas: bool = True) -> ResultRecord:
     """Dispatch to the named experiment; write CSV + JSON; return the record.
-    Eigenvalues are computed with BLAS at blas_threads threads (None: as
-    the process has it, in one lane), since from n = 208 up they depend on
-    the thread count; the record keeps the count."""
+    pin_blas: eigenvalues are computed with BLAS at one thread, since from
+    n = 208 up they depend on the thread count (otherwise at the count the
+    process has, in one lane).  The record keeps the count, 1, when the pin
+    took effect, and None when it did not (no bundled OpenBLAS to pin)."""
     resolved = resolve(config)
+    pin_blas = pin_blas and gil_free_solver()
     t0 = time.monotonic()
     runner = EXPERIMENTS[config.experiment].runner
-    header, rows, summary, verdict = runner({**resolved, "blas_threads": blas_threads})
+    header, rows, summary, verdict = runner({**resolved, "pin_blas": pin_blas})
     wall = time.monotonic() - t0
     rec = ResultRecord(
         experiment=config.experiment,
         config={k: v for k, v in resolved.items() if k not in _HASH_EXCLUDED},
         config_hash=config_hash(resolved),
-        blas_threads=blas_threads,
+        blas_threads=1 if pin_blas else None,
         header=tuple(header),
         rows=tuple(tuple(r) for r in rows),
         summary=summary,
@@ -534,15 +537,16 @@ def run(config: ExperimentConfig, blas_threads: Optional[int] = 1) -> ResultReco
 
 def replay(record_path: str, workers: Optional[int] = None) -> ResultRecord:
     """Re-run a stored record's config at its BLAS thread count and demand
-    bit-identical rows.  A record without one (made before the count was
-    kept) runs at the process's own count in one lane, as it was made."""
+    bit-identical rows.  A record with none (made before the count was
+    kept, or where it could not be pinned) runs at the process's own count
+    in one lane, as it was made; 1 is the only count a record is made at."""
     with open(record_path) as fh:
         stored = json.load(fh)
     threads = stored.get("blas_threads")
-    if threads is not None and not (_is_int(threads) and threads >= 1):
-        raise InvalidConfig(f"blas_threads: invalid value {threads!r}")
+    if threads is not None and not (_is_int(threads) and threads == 1):
+        raise InvalidConfig(f"blas_threads: invalid value {threads!r}, needs 1 or null")
     rec = run(ExperimentConfig(**{**stored["config"], "out": record_path + ".replay",
-                                  "workers": workers or 1}), blas_threads=threads)
+                                  "workers": workers or 1}), pin_blas=threads == 1)
     old_rows = stored["rows"]
     new_rows = _jsonify([list(r) for r in rec.rows])
     if len(old_rows) != len(new_rows):

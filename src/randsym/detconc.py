@@ -12,11 +12,12 @@ Trials are keyed (seed, n, t).  tail_trial and detconc_trial take a range
 of trial indices and return its rows; keyed_spectra cuts the range into
 stacks, and lanes (threads, the caller one of them) take the stacks in
 turn, one sampler call and one solver call per stack, with BLAS pinned to
-one thread.  The solver releases the GIL on every matrix (numpy's
-eigvalsh keeps it whenever stack size x n <= 500, so at n = 200, one
-matrix a stack, every call), so the lanes solve side by side; the stacks
-of all lanes hold at most ensembles._STACK_ENTRIES entries together (at
-least one matrix each).  The rows do not depend on how a range is cut.
+one thread.  Lanes solve their stacks in place through the bundled
+OpenBLAS, which releases the GIL on every matrix (numpy's eigvalsh keeps
+it whenever stack size x n <= 500, so at n = 200, one matrix a stack,
+every call), so they solve side by side; the stacks of all lanes hold at
+most ensembles._STACK_ENTRIES entries together (at least one matrix
+each).  The rows do not depend on how a range is cut or on the lanes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ensembles import (_STACK_ENTRIES, SpectralSummary, gil_free_solver, openblas_threads,
+from .ensembles import (_STACK_ENTRIES, SpectralSummary, gil_free_solver, one_blas_thread,
                         sample_symmetric, spectral_summaries)
 from .laws import AtomicLaw, Law, SpacingCertificate, verify_spacing
 from .streams import chunk_bounds, key_seed
@@ -244,24 +245,26 @@ def usable_cores() -> int:
 
 def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
                   row: Callable[[int, int, SpectralSummary], tuple],
-                  lanes: Optional[int] = None, blas_threads: Optional[int] = 1) -> List[tuple]:
+                  lanes: Optional[int] = None, pin_blas: bool = True) -> List[tuple]:
     """row(t, trial seed, summary) for each trial index t, in order; matrix
     t is keyed key_seed(seed, n, t).
 
-    BLAS runs at blas_threads threads for the call (the old count is
-    restored after).  The trials are cut into stacks of max(1,
+    pin_blas: BLAS runs at one thread for the call (the old count is
+    restored after), so rows from n = 208 up do not depend on the thread
+    count the process has.  The trials are cut into stacks of max(1,
     _STACK_ENTRIES // (lanes n^2)) matrices, each drawn and summarized
     with one sample_symmetric and one spectral_summaries call, so the
     entries in flight across the lanes stay within _STACK_ENTRIES.  The
     `lanes` threads (default usable_cores(), at most one per trial; the
     caller is one) take the stacks from one queue in turn, so a lane on a
-    slow core holds up no other.  One lane runs below n = _LANE_MIN_N, when
-    blas_threads is None (the BLAS thread count is then left alone), and
-    in a build without a GIL-free solver.  The threads are joined before
-    the call returns, so a process forked after it inherits none.
+    slow core holds up no other, and solve in place without the GIL.  One
+    lane runs, through np.linalg.eigvalsh, below n = _LANE_MIN_N, without
+    pin_blas (the BLAS thread count is then left alone), and in a build
+    without a GIL-free solver.  The threads are joined before the call
+    returns, so a process forked after it inherits none.
     """
     trials = list(trials)
-    if blas_threads is None or n < _LANE_MIN_N or not gil_free_solver():
+    if not pin_blas or n < _LANE_MIN_N or not gil_free_solver():
         lanes = 1
     lanes = max(1, min(lanes or usable_cores(), len(trials)))
     per = max(1, _STACK_ENTRIES // (lanes * n * n))
@@ -270,9 +273,9 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
     def draw(block: List[int]) -> List[tuple]:
         seeds = [key_seed(seed, n, t) for t in block]
         stack = sample_symmetric(law, F, n, seed=seeds, exact=False)
-        return list(map(row, block, seeds, spectral_summaries(stack, overwrite=True)))
+        return list(map(row, block, seeds, spectral_summaries(stack, in_place=lanes > 1)))
 
-    with openblas_threads(blas_threads):
+    with one_blas_thread(pin_blas):
         if lanes == 1:
             return [r for block in blocks for r in draw(block)]
         rows = [[] for _ in blocks]
@@ -298,25 +301,25 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
 
 def detconc_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
                   epsilon: Optional[float] = None, lanes: Optional[int] = None,
-                  blas_threads: Optional[int] = 1) -> List[tuple]:
+                  pin_blas: bool = True) -> List[tuple]:
     """Concentration rows (n, t, trial seed, log|det|, kept_sum, dropped,
-    sigma_n, kappa), one per trial index t in trials; lanes and
-    blas_threads as in keyed_spectra."""
+    sigma_n, kappa), one per trial index t in trials; lanes and pin_blas
+    as in keyed_spectra."""
     eps = _epsilon(n, epsilon)
 
     def row(t: int, trial_seed: int, summ: SpectralSummary) -> tuple:
         tld = truncated_log_det(summ, eps)
         return (n, t, trial_seed, summ.log_abs_det, tld.kept_sum, tld.dropped_count,
                 summ.sigma_n, summ.kappa)
-    return keyed_spectra(law, None, n, seed, trials, row, lanes, blas_threads)
+    return keyed_spectra(law, None, n, seed, trials, row, lanes, pin_blas)
 
 
 def tail_trial(law: Law, F, n: int, seed: int, trials: Iterable[int],
-               lanes: Optional[int] = None, blas_threads: Optional[int] = 1) -> List[tuple]:
+               lanes: Optional[int] = None, pin_blas: bool = True) -> List[tuple]:
     """Tail rows (n, t, sigma_n, kappa), one per trial index t in trials;
-    lanes and blas_threads as in keyed_spectra."""
+    lanes and pin_blas as in keyed_spectra."""
     return keyed_spectra(law, F, n, seed, trials,
-                         lambda t, _, summ: (n, t, summ.sigma_n, summ.kappa), lanes, blas_threads)
+                         lambda t, _, summ: (n, t, summ.sigma_n, summ.kappa), lanes, pin_blas)
 
 
 def check_sizes(key: str, sizes: Sequence[int], least: int = 1) -> None:

@@ -15,13 +15,14 @@ call.  Callers keep the entries of all stacks in flight at once (one per
 lane of detconc.keyed_spectra) within _STACK_ENTRIES = 2^16, so memory
 does not grow with the number of trials or lanes.
 
-The solver is LAPACK dsyevd('N', 'L') of the OpenBLAS that numpy bundles,
-called through ctypes: the eigenvalues are those of np.linalg.eigvalsh bit
-for bit, but every call releases the GIL, where numpy's gufunc keeps it
-whenever (stack size x n) <= 500, so threads can solve side by side.
-openblas_threads pins the library's thread count for a block.  Without a
-bundled OpenBLAS (numpy built against Accelerate or a system BLAS) the
-solver is np.linalg.eigvalsh and the thread count is left alone.
+The solver is np.linalg.eigvalsh, whose gufunc keeps the GIL whenever
+(stack size x n) <= 500, so threads cannot solve side by side.  Stacks
+that lanes solve in place are handed to LAPACK dsyevd('N', 'L') of the
+OpenBLAS that numpy bundles, called through ctypes: the eigenvalues are
+np.linalg.eigvalsh's bit for bit, but every call releases the GIL.
+one_blas_thread pins the library to one thread for a block.  Without a
+bundled OpenBLAS (numpy built against Accelerate or a system BLAS)
+np.linalg.eigvalsh solves every stack and the thread count is left alone.
 """
 
 from __future__ import annotations
@@ -161,16 +162,14 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int]],
     want_exact = (exact is True) or (
         exact == "auto" and isinstance(law, AtomicLaw) and law.is_rational)
     if isinstance(law, AtomicLaw):
-        # the indices are narrowed and mirrored before the value lookup, so
-        # the float stack is the one full-size array
-        idx = law.sample_indices(rngs, m).astype(np.min_scalar_type(len(law.values) - 1))
-        X = law.values_float()[np.take(idx, _mirror(n), axis=1)]
+        idx = law.sample_indices(rngs, m)
+        vals_f = law.values_float()[idx]
     else:
         if exact is True:
             raise ValueError("exact sampling needs a rational atomic law")
-        X = np.take(law.sample_values(rngs, m), _mirror(n), axis=1)
+        vals_f = law.sample_values(rngs, m)
         want_exact = False
-    X = X.reshape(len(rngs), n, n)
+    X = np.take(vals_f, _mirror(n), axis=1).reshape(len(rngs), n, n)
     X += 0.0      # a -0.0 draw reads +0.0, as in any sum with a zero matrix
     if not single:
         return X if F_arr is None else F_arr + X
@@ -234,21 +233,22 @@ def _openblas() -> Optional[ctypes.CDLL]:
 
 
 def gil_free_solver() -> bool:
-    """Whether spectral_summaries solves through the bundled OpenBLAS, which
-    releases the GIL on every matrix, so threads can solve side by side."""
+    """Whether numpy bundles an OpenBLAS: in-place spectral_summaries calls
+    then solve through it, releasing the GIL on every matrix so threads can
+    solve side by side, and one_blas_thread pins its thread count."""
     return _openblas() is not None
 
 
 @contextmanager
-def openblas_threads(count: Optional[int]) -> Iterator[None]:
-    """The bundled OpenBLAS at `count` threads inside the block, its old
-    count restored after; None, or no bundled OpenBLAS, leaves it alone."""
+def one_blas_thread(pin: bool = True) -> Iterator[None]:
+    """The bundled OpenBLAS at one thread inside the block, its old count
+    restored after; pin=False, or no bundled OpenBLAS, leaves it alone."""
     lib = _openblas()
-    if count is None or lib is None:
+    if not pin or lib is None:
         yield
         return
     old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(int(count))
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
@@ -284,36 +284,37 @@ def _workspace(n: int) -> Tuple[int, int]:
     return int(work[0]), int(iwork[0])
 
 
-def _eigvalsh(stack: np.ndarray, overwrite: bool) -> np.ndarray:
+def _eigvalsh(stack: np.ndarray, in_place: bool) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a (T, n, n) float64 stack,
-    read from its lower triangle: np.linalg.eigvalsh's, bit for bit.
-    overwrite: a C-contiguous stack of exactly symmetric matrices, whose C
-    layout is its Fortran layout, is solved in place (and destroyed)."""
+    read from its lower triangle.  in_place: the stack is exactly symmetric,
+    so its C layout is its Fortran layout, and the bundled dsyevd solves it
+    in place (destroying it) and releases the GIL; otherwise, and without a
+    bundled OpenBLAS, np.linalg.eigvalsh solves, which is faster per call
+    for small matrices.  The two agree bit for bit."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"a stack of square matrices is needed, got shape {stack.shape}")
-    lib = _openblas()
+    lib = _openblas() if in_place else None
     if lib is None:
         try:
             return np.linalg.eigvalsh(stack)
         except np.linalg.LinAlgError as e:
             raise ConvergenceFailure(str(e)) from e
-    if not (overwrite and stack.dtype == np.float64 and stack.flags.c_contiguous
-            and stack.flags.writeable):
-        # a Fortran-order copy, as numpy makes
-        stack = np.array(np.swapaxes(stack, -1, -2), dtype=np.float64, order="C")
+    if not (stack.flags.c_contiguous and stack.flags.writeable):
+        raise ValueError("an in-place solve needs a writeable C-contiguous stack")
     lam = np.empty(stack.shape[:-1])
     lwork, liwork = _workspace(stack.shape[-1])
     _dsyevd(lib, stack, lam, np.empty(lwork), np.empty(liwork, dtype=np.int64))
     return lam
 
 
-def spectral_summaries(stack: np.ndarray, overwrite: bool = False) -> List[SpectralSummary]:
+def spectral_summaries(stack: np.ndarray, in_place: bool = False) -> List[SpectralSummary]:
     """One summary per matrix of a (T, n, n) stack, from one solver call;
     each is reduced from its own eigenvalue row, so it equals the summary
-    of that matrix alone bit for bit.  No exact corank.  overwrite: the
+    of that matrix alone bit for bit.  No exact corank.  in_place: the
     stack holds exactly symmetric matrices the call may destroy (a stack
-    sample_symmetric has just drawn), so no copy is made."""
-    lam = _eigvalsh(np.asarray(stack, dtype=np.float64), overwrite)
+    sample_symmetric has just drawn), solved without the GIL (see
+    _eigvalsh), as lanes of detconc.keyed_spectra need."""
+    lam = _eigvalsh(np.asarray(stack, dtype=np.float64), in_place)
     absl = np.abs(lam)
     with np.errstate(divide="ignore"):
         logs = np.log(absl)

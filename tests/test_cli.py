@@ -12,6 +12,7 @@ import pytest
 from randsym.cli import (ExperimentConfig, InvalidConfig, ReplayMismatch,
                          UnknownExperiment, _jsonify, config_hash, main, replay,
                          resolve, run)
+from randsym.ensembles import gil_free_solver
 
 
 def cfg(tmp_path, **kw):
@@ -209,6 +210,7 @@ class TestBlasThreads:
     """Eigenvalues from n = 208 up depend on the BLAS thread count, so rows
     are computed at one BLAS thread and the record says so."""
 
+    @pytest.mark.skipif(not gil_free_solver(), reason="numpy bundles no OpenBLAS to pin")
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_replay_n240_at_any_thread_count(self, tmp_path, threads, workers):
@@ -221,28 +223,39 @@ class TestBlasThreads:
     def test_replay_without_blas_threads_runs_unpinned(self, tmp_path, monkeypatch):
         import randsym.detconc
         counts = []
-        pin = randsym.detconc.openblas_threads
+        pin = randsym.detconc.one_blas_thread
 
-        def recording(count):
-            counts.append(count)
-            return pin(count)
-        monkeypatch.setattr(randsym.detconc, "openblas_threads", recording)
+        def recording(on):
+            counts.append(on)
+            return pin(on)
+        monkeypatch.setattr(randsym.detconc, "one_blas_thread", recording)
         path = str(tmp_path / "tail.json")
         shutil.copy(os.path.join(RECORDS, "tail.json"), path)
         assert "blas_threads" not in json.loads(Path(path).read_text())
         rec = replay(path, workers=1)
-        assert rec.blas_threads is None and set(counts) == {None}
+        assert rec.blas_threads is None and set(counts) == {False}
         assert json.loads(Path(path + ".replay.json").read_text())["blas_threads"] is None
         counts.clear()
         rec = run(cfg(tmp_path, experiment="tail", n_list=(8,), trials=30))
-        assert rec.blas_threads == 1 and set(counts) == {1}
-        assert json.loads((tmp_path / "tail.json").read_text())["blas_threads"] == 1
+        # the count is kept only where the pin takes effect
+        pinned = 1 if gil_free_solver() else None
+        assert rec.blas_threads == pinned and set(counts) == {gil_free_solver()}
+        assert json.loads((tmp_path / "tail.json").read_text())["blas_threads"] == pinned
 
-    def test_bad_blas_threads_named(self, tmp_path):
+    def test_unpinned_where_numpy_bundles_no_openblas(self, tmp_path, monkeypatch):
+        import randsym.ensembles
+        monkeypatch.setattr(randsym.ensembles, "_openblas", lambda: None)
+        rec = run(cfg(tmp_path, experiment="tail", n_list=(8,), trials=30))
+        assert rec.blas_threads is None
+        assert json.loads((tmp_path / "tail.json").read_text())["blas_threads"] is None
+
+    @pytest.mark.parametrize("threads", ["2", 2, 0, True, 1.0])
+    def test_bad_blas_threads_named(self, tmp_path, threads):
+        # records are made at one BLAS thread or unpinned; no other count
         path = str(tmp_path / "tail.json")
         data = json.loads(Path(os.path.join(RECORDS, "tail.json")).read_text())
-        Path(path).write_text(json.dumps({**data, "blas_threads": "2"}))
-        with pytest.raises(InvalidConfig, match="blas_threads"):
+        Path(path).write_text(json.dumps({**data, "blas_threads": threads}))
+        with pytest.raises(InvalidConfig, match="blas_threads: invalid value .*needs 1 or null"):
             replay(path)
 
     def test_workers_after_lanes_in_one_interpreter(self, tmp_path):

@@ -10,7 +10,7 @@ from randsym import (AtomicLaw, CutoffSpec, DegenerateSpectrum, SpacingCertifica
                      truncated_log_det, uniform3, wilson_interval)
 from randsym.detconc import (_LANE_MIN_N, detconc_trial, envelope_norm, loglog_slope,
                              tail_trial)
-from randsym.ensembles import _STACK_ENTRIES, spectral_summaries
+from randsym.ensembles import _STACK_ENTRIES, gil_free_solver, spectral_summaries
 from randsym.streams import key_seed, substream
 
 BERN = bernoulli()
@@ -296,8 +296,10 @@ class TestStackedTrials:
         assert sizes == [163, 163, 4] and 163 * 20 * 20 <= _STACK_ENTRIES < 164 * 20 * 20
         sizes.clear()
         # two lanes take stacks of 65536 // (2 * 64^2) = 8 matrices in turn
+        # (without a GIL-free solver one lane takes stacks of 16)
         tail_trial(BERN, None, 64, 1, range(36), lanes=2)
-        assert sorted(sizes) == [4, 8, 8, 8, 8] and 2 * 8 * 64 * 64 <= _STACK_ENTRIES
+        want = [4, 8, 8, 8, 8] if gil_free_solver() else [4, 16, 16]
+        assert sorted(sizes) == want and 2 * 8 * 64 * 64 <= _STACK_ENTRIES
         sizes.clear()
         # below _LANE_MIN_N one lane draws the range, in full-size stacks
         tail_trial(BERN, None, 20, 1, range(330), lanes=2)
@@ -328,6 +330,25 @@ class TestStackedTrials:
             sys.setswitchinterval(interval)
         assert got == want
 
+    def test_only_lanes_solve_in_place(self, monkeypatch):
+        # lanes need the solver that releases the GIL; one lane keeps
+        # np.linalg.eigvalsh, which is faster per call for small matrices
+        import randsym.detconc
+        calls = []
+
+        def recording(stack, in_place=False):
+            calls.append(in_place)
+            return spectral_summaries(stack, in_place)
+        monkeypatch.setattr(randsym.detconc, "spectral_summaries", recording)
+        tail_trial(BERN, None, 64, 1, range(4), lanes=2)
+        assert set(calls) == {gil_free_solver()}
+        calls.clear()
+        tail_trial(BERN, None, 64, 1, range(4), lanes=1)
+        tail_trial(BERN, None, 20, 1, range(4), lanes=2)
+        tail_trial(BERN, None, 64, 1, range(4), lanes=2, pin_blas=False)
+        assert set(calls) == {False}
+
+    @pytest.mark.skipif(not gil_free_solver(), reason="numpy bundles no OpenBLAS")
     def test_lanes_joined_and_blas_restored(self):
         import threading
         from randsym.ensembles import _openblas

@@ -9,7 +9,7 @@ from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSam
                      exact_det, exact_rank, gaussian, grow_and_track, lazy_sign,
                      near_kernel_vector, remove_pivot_row, sample_symmetric,
                      spectral_summary, subspace_membership_mc, uniform3)
-from randsym.ensembles import (gil_free_solver, openblas_threads, read_matrix_exact,
+from randsym.ensembles import (gil_free_solver, one_blas_thread, read_matrix_exact,
                                read_matrix_text, spectral_summaries, write_matrix_text)
 from randsym.exactlinalg import cofactor_matrix, exact_rank as rational_rank, rowspace_membership
 from randsym.streams import substream
@@ -138,14 +138,27 @@ class TestSpectralSummary:
         assert s.n - exact_rank(s) == 1 and spectral_summary(s).corank is None
 
 
+needs_bundled_openblas = pytest.mark.skipif(
+    not gil_free_solver(), reason="numpy bundles no OpenBLAS (Accelerate or system BLAS)")
+
+
 class TestSolver:
-    """spectral_summaries solves through LAPACK dsyevd of numpy's bundled
-    OpenBLAS: its eigenvalues must be np.linalg.eigvalsh's, bit for bit."""
+    """Stacks solved in place go through LAPACK dsyevd of numpy's bundled
+    OpenBLAS, every other stack through np.linalg.eigvalsh: the two must
+    give the same eigenvalues, bit for bit."""
 
     def test_bundled_openblas_found(self):
-        # numpy's wheels bundle scipy-openblas; the fallback is for other builds
+        # numpy built on scipy-openblas must get the GIL-free solver; other
+        # builds fall back to np.linalg.eigvalsh
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy does not report its BLAS")
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy is built on {blas}")
         assert gil_free_solver()
 
+    @needs_bundled_openblas
     def test_bit_identical_to_numpy(self):
         # +-1, three-atom and Gaussian entries, with and without a fixed part
         laws = (BERN, uniform3(), gaussian())
@@ -155,34 +168,47 @@ class TestSolver:
             for fixed in (None, F):
                 stack = sample_symmetric(laws[n % 3], fixed, n, seed=[n], exact=False)
                 want = np.linalg.eigvalsh(stack)
-                got = spectral_summaries(stack, overwrite=True)[0].eigenvalues
+                got = spectral_summaries(stack, in_place=True)[0].eigenvalues
                 assert np.array_equal(got, want[0]), (n, fixed is not None)
 
-    def test_non_symmetric_input_is_copied(self):
-        # numpy reads the lower triangle; so does the copy in Fortran order
+    def test_non_symmetric_input_reads_lower_triangle(self):
         a = np.random.default_rng(3).standard_normal((7, 7))
         before = a.copy()
         got = spectral_summary(a).eigenvalues
-        assert np.array_equal(got, np.linalg.eigvalsh(a))
+        assert np.array_equal(got, np.linalg.eigvalsh(np.tril(a) + np.tril(a, -1).T))
         assert np.array_equal(a, before)
         assert not np.array_equal(got, np.linalg.eigvalsh(a.T))
 
+    @pytest.mark.parametrize("in_place", [False, True])
     @pytest.mark.parametrize("shape", [(2, 3), (1, 4, 3), (2, 2, 2, 2)])
-    def test_only_square_stacks_reach_lapack(self, shape):
+    def test_only_square_stacks_reach_lapack(self, shape, in_place):
         with pytest.raises(ValueError, match="square"):
-            spectral_summaries(np.ones(shape))
+            spectral_summaries(np.ones(shape), in_place=in_place)
 
-    def test_nan_raises_convergence_failure(self):
+    @needs_bundled_openblas
+    def test_in_place_needs_a_writeable_c_stack(self):
+        stack = sample_symmetric(BERN, None, 5, seed=[1, 2], exact=False)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            spectral_summaries(np.swapaxes(stack, 1, 2), in_place=True)
+        stack.flags.writeable = False
+        with pytest.raises(ValueError, match="C-contiguous"):
+            spectral_summaries(stack, in_place=True)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_nan_raises_convergence_failure(self, in_place):
         with pytest.raises(ConvergenceFailure):
-            spectral_summary(np.full((3, 3), np.nan))
+            spectral_summaries(np.full((1, 3, 3), np.nan), in_place=in_place)
 
+    @needs_bundled_openblas
     def test_thread_count_restored(self):
         import randsym.ensembles
         lib = randsym.ensembles._openblas()
         old = lib.scipy_openblas_get_num_threads64_()
-        with openblas_threads(1):
+        with one_blas_thread():
             assert lib.scipy_openblas_get_num_threads64_() == 1
         assert lib.scipy_openblas_get_num_threads64_() == old
+        with one_blas_thread(False):
+            assert lib.scipy_openblas_get_num_threads64_() == old
 
     def test_numpy_without_bundled_openblas(self, monkeypatch):
         import randsym.ensembles
@@ -190,10 +216,11 @@ class TestSolver:
         want = [s.eigenvalues for s in spectral_summaries(stack)]
         monkeypatch.setattr(randsym.ensembles, "_openblas", lambda: None)
         assert not gil_free_solver()
-        got = [s.eigenvalues for s in spectral_summaries(stack, overwrite=True)]
+        with one_blas_thread():
+            got = [s.eigenvalues for s in spectral_summaries(stack, in_place=True)]
         assert all(map(np.array_equal, got, want))
         with pytest.raises(ConvergenceFailure):
-            spectral_summary(np.full((3, 3), np.nan))
+            spectral_summaries(np.full((1, 3, 3), np.nan), in_place=True)
 
 
 class TestExactRank:
