@@ -574,7 +574,10 @@ def _add_keys(parser: _Parser, keys) -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument tree, built once per process: parse_args keeps no state
+    between calls, so every main() call can share it."""
     p = _Parser(prog="randsym", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="experiment", required=True)

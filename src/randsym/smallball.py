@@ -18,23 +18,27 @@ The linear sum is convolved in one of two layouts.  Dense: when its
 support span S has S + 1 <= min(cap, prod m_i), with m_i the distinct
 values of step i (prod m_i bounds any support), it runs on the lattice
 [lo, lo + S] by one shifted slice-add per atom.  Sparse: otherwise, the
-outer sum of each step is aggregated by sort-and-reduceat.  Either way
-counts are int64 while the total count stays below 2**61 and exact Python
-ints (numpy object arrays) beyond, and values likewise, so no size
-changes the arithmetic silently.
+outer sum of each step is aggregated by _aggregate_np, which counts where
+the values span few lattice points per value and sorts where they are
+sparse.  Either way counts are int64 while the total count stays below
+2**61 and exact Python ints (numpy object arrays) beyond, and values
+likewise, so no size changes the arithmetic silently.  The suffix sums of
+suffix_smallball_factors are the partial sums of one pass from the end.
 
 Quadratic and bilinear forms are enumerated over all outcomes by one
 meet-in-the-middle engine (Horowitz-Sahni): z = (x, y) is split at h,
 z^T A z = q_x(x) + q_y(y) + x^T (A_xy + A_yx^T) y, the outcomes of each
 half are tabulated once, and the cross term is one BLAS product per
-block of x outcomes.  The quadratic form splits its coordinates in half;
-the bilinear form x^T A y is the same engine on z = (x, y) with the
-matrix [[0, A], [0, 0]] and h = n.  float64 stays exact because every
-partial sum is an integer of absolute value below val_bound = sum
-|a_ij| max|z_i| max|z_j| + 1 < 2**53 (a coordinate that is always 0
-contributes exact zeros), and counts are int64 below 2**61; inputs past
-either bound, or with more outcomes than the cap, raise
-EnumerationTooLarge.
+block of x outcomes, whose values _aggregate_np counts into their span.
+The quadratic form splits its coordinates in half; the bilinear form
+x^T A y is the same engine on z = (x, y) with the matrix [[0, A], [0, 0]]
+and h = n.  float64 stays exact because every partial sum is an integer
+of absolute value below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 <
+2**53 (a coordinate that is always 0 contributes exact zeros); inputs
+past that bound, or with more outcomes than the cap, raise
+EnumerationTooLarge.  Counts are int64 while the count total stays below
+2**61 and exact Python ints (numpy object arrays) beyond, as in the
+linear engine, so float masses such as 0.1 stay exact.
 
 Monte Carlo variants draw from splittable streams keyed (seed, chunk)
 and carry a Dvoretzky-Kiefer-Wolfowitz half-width at the 95% level.
@@ -42,10 +46,11 @@ and carry a Dvoretzky-Kiefer-Wolfowitz half-width at the 95% level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -157,6 +162,27 @@ class SmallBallEstimate:
 
 
 def _aggregate_np(vals: np.ndarray, cnts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of vals, each with the sum of its counts,
+    in the dtypes of vals and cnts.
+
+    Counting accumulates the counts into an array indexed by value - min
+    with one np.bincount.  It needs int64 values and counts (the values of
+    both engines stay below 2**61 in absolute value, so max - min fits),
+    and its float64 weights are exact only while the call's counts sum
+    below 2**53.  It
+    beats a stable sort and reduceat while the span is under 8 per value
+    aggregated (1.1x to 2.3x at 8, 1.8x to 3.3x at 4 and 2.4x to 9.7x at 1,
+    for 100 to 10**6 uniform random values; timeit, 2-vCPU VM), and that
+    bound also caps the count array at 8 entries per value.  Sparse spans
+    and object dtypes are sorted.  Every count is positive, so a value is
+    present exactly when its accumulated count is nonzero, and both give
+    the same values and counts."""
+    if vals.dtype == cnts.dtype == np.int64:
+        lo = vals.min()
+        if vals.max() - lo < 8 * len(vals) and cnts.sum() < _FLOAT_EXACT:
+            acc = np.bincount(vals - lo, weights=cnts)
+            at = np.flatnonzero(acc)
+            return at + lo, acc[at].astype(np.int64)
     order = np.argsort(vals, kind="stable")
     sv, sc = vals[order], cnts[order]
     starts = np.r_[0, np.flatnonzero(np.diff(sv)) + 1]
@@ -176,9 +202,12 @@ class _ScaledDist:
         return len(self.vals)
 
 
-def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _ScaledDist:
-    """Exact distribution of sum_i a_i x_i by sequential convolution on the
-    dense lattice or the sparse support (module docstring).  The dense
+def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
+                  cap: int) -> Iterator[Callable[[], _ScaledDist]]:
+    """The exact distributions of a_1 x_1 + ... + a_k x_k for k = 1..n in
+    turn, by sequential convolution on the dense lattice or the sparse
+    support (module docstring), each built when its yielded function is
+    called.  The layout and the dtypes follow from all n steps.  The dense
     array never outgrows the cap, so AtomBlowup is a sparse-layout event."""
     if not isinstance(law, AtomicLaw):
         raise ValueError("an exact small ball needs atomic laws")
@@ -186,35 +215,49 @@ def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _S
     step_ints, scale = lattice([[a * v for v in values] for a in coeffs])
     (counts,), _ = lattice([law.masses])
     val_bound = sum(max(abs(x) for x in row) for row in step_ints) + 1
-    ctotal = sum(counts) ** len(coeffs)
+    total = sum(counts)
     vtype = np.int64 if val_bound < _INT64_SAFE else object
-    ctype = np.int64 if ctotal < _INT64_SAFE else object
+    ctype = np.int64 if total ** len(coeffs) < _INT64_SAFE else object
     span = sum(max(row) - min(row) for row in step_ints)
     if span + 1 <= min(cap, math.prod(len(set(row)) for row in step_ints)):
-        cnts = np.ones(1, dtype=ctype)
-        for row in step_ints:
+        cnts, lo = np.ones(1, dtype=ctype), 0
+        for k, row in enumerate(step_ints, 1):
             base = min(row)
             new = np.zeros(len(cnts) + max(row) - base, dtype=ctype)
-            for k, (v, c) in enumerate(zip(row, counts)):
+            for j, (v, c) in enumerate(zip(row, counts)):
                 part = cnts if c == 1 else cnts * c
-                if k:
+                if j:
                     new[v - base:v - base + len(cnts)] += part
                 else:   # the first atom lands on zeros: a copy, not an add
                     new[v - base:v - base + len(cnts)] = part
-            cnts = new
-        at = np.flatnonzero(cnts)
-        lo = sum(min(row) for row in step_ints)
-        return _ScaledDist(at.astype(vtype) + lo, cnts[at], scale, ctotal)
+            cnts, lo = new, lo + base
+            yield functools.partial(_lattice_dist, cnts, lo, vtype, scale, total ** k)
+        return
     vals = np.zeros(1, dtype=vtype)
     cnts = np.ones(1, dtype=ctype)
     carr = np.array(counts, dtype=ctype)
-    for row in step_ints:
+    for k, row in enumerate(step_ints, 1):
         vals = (vals[:, None] + np.array(row, dtype=vtype)[None, :]).ravel()
         cnts = (cnts[:, None] * carr[None, :]).ravel()
         vals, cnts = _aggregate_np(vals, cnts)
         if len(vals) > cap:
             raise AtomBlowup(f"{len(vals)} atoms exceed cap {cap}")
-    return _ScaledDist(vals, cnts, scale, ctotal)
+        yield functools.partial(_ScaledDist, vals, cnts, scale, total ** k)
+
+
+def _lattice_dist(cnts: np.ndarray, lo: int, vtype, scale: Fraction,
+                  ctotal: int) -> _ScaledDist:
+    """The atoms of counts cnts on the lattice lo, lo + 1, ..."""
+    at = np.flatnonzero(cnts)
+    return _ScaledDist(at.astype(vtype) + lo, cnts[at], scale, ctotal)
+
+
+def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _ScaledDist:
+    """Exact distribution of sum_i a_i x_i: the last of the partial sums,
+    the only one built."""
+    for make in _partial_sums(coeffs, law, cap):
+        pass
+    return make()
 
 
 def _window_scan(vals: np.ndarray, cnts: np.ndarray, width):
@@ -318,17 +361,17 @@ def _coordinates(law: AtomicLaw, shifts: Sequence[Fraction]):
     return [(row, counts, sum(counts)) for row in zs], unit
 
 
-def _outcome_table(coords) -> Tuple[np.ndarray, np.ndarray]:
+def _outcome_table(coords, ctype) -> Tuple[np.ndarray, np.ndarray]:
     """Every outcome of independent coordinates as a row of values, with
-    the product of its counts."""
+    the product of its counts in dtype ctype."""
     sizes = [len(vals) for vals, _, _ in coords]
     Z = np.empty(sizes + [len(coords)])
-    cnts = np.ones(sizes, dtype=np.int64)
+    cnts = np.ones(sizes, dtype=ctype)
     for i, (vals, counts, _) in enumerate(coords):
         axis = [1] * len(coords)
         axis[i] = -1
         Z[..., i] = np.array(vals, dtype=np.float64).reshape(axis)
-        cnts *= np.array(counts, dtype=np.int64).reshape(axis)
+        cnts *= np.array(counts, dtype=ctype).reshape(axis)
     return Z.reshape(math.prod(sizes), len(coords)), cnts.ravel()
 
 
@@ -344,13 +387,14 @@ def _split_enumeration(a_int: List[List[int]], coords, h: int, scale: Fraction,
     zmax = [max(abs(v) for v in vals) for vals, _, _ in coords]
     val_bound = sum(abs(a_int[i][j]) * zmax[i] * zmax[j]
                     for i in range(n) for j in range(n)) + 1
-    ctotal = math.prod(total for _, _, total in coords)
-    if val_bound >= _FLOAT_EXACT or ctotal >= _INT64_SAFE:
+    if val_bound >= _FLOAT_EXACT:
         raise EnumerationTooLarge(
             "scaled values too large for exact vectorized enumeration")
+    ctotal = math.prod(total for _, _, total in coords)
+    ctype = np.int64 if ctotal < _INT64_SAFE else object
     A = np.asarray(a_int, dtype=np.float64)
-    X, cx = _outcome_table(coords[:h])
-    Y, cy = _outcome_table(coords[h:])
+    X, cx = _outcome_table(coords[:h], ctype)
+    Y, cy = _outcome_table(coords[h:], ctype)
     qx = np.einsum("ti,ti->t", X @ A[:h, :h], X)
     qy = np.einsum("ti,ti->t", Y @ A[h:, h:], Y)
     B = A[:h, h:] + A[h:, :h].T
@@ -429,15 +473,19 @@ def _bilinear_exact(form: QuadraticForm, law_x: AtomicLaw, law_y: AtomicLaw,
 
 def suffix_smallball_factors(u: Sequence, law: AtomicLaw, beta, n0: int,
                              cap: int = ATOM_CAP) -> List[Fraction]:
-    """rho_beta^(i)(u) = sup_a P(|x_i u_i + ... + x_{n0} u_{n0} - a| <= beta), i = 1..n0."""
+    """rho_beta^(i)(u) = sup_a P(|x_i u_i + ... + x_{n0} u_{n0} - a| <= beta), i = 1..n0.
+
+    One pass from the end: the suffix sums are the partial sums of the
+    reversed coefficients, each scanned as the convolution reaches it.  All
+    suffixes share the lattice of u_1..u_{n0}; rho is exact on any lattice
+    that holds the atoms."""
+    beta = _radius(beta)
     u = [Fraction(x) for x in u]
     if not 1 <= n0 <= len(u):
         raise ValueError("need 1 <= n0 <= len(u)")
-    factors = []
-    for i in range(n0):
-        est = linear_small_ball_exact(LinearForm(tuple(u[i:n0])), law, beta, cap)
-        factors.append(est.rho)
-    return factors
+    factors = [_exact_estimate(make(), beta).rho
+               for make in _partial_sums(u[n0 - 1::-1], law, cap)]
+    return factors[::-1]
 
 
 def truncated_product_bound(u: Sequence, law: AtomicLaw, beta, n0: int,

@@ -305,6 +305,30 @@ class TestMain:
         code = main(["bogus"])
         assert code == 1
 
+    def test_consecutive_calls_share_nothing(self, tmp_path, capsys):
+        # main() builds its parser once per process; no call may leave a
+        # flag or an error behind for the next one
+        import randsym.cli
+        randsym.cli._build_parser.cache_clear()
+        assert main(["ensemble", "sample"]) == 0
+        defaults = capsys.readouterr().out
+        assert len(defaults.splitlines()) == 4
+        assert main(["ensemble", "sample", "--n", "3", "--seed", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert main(["ensemble", "sample"]) == 0
+        assert capsys.readouterr().out == defaults
+        out = str(tmp_path / "o")
+        assert main(["odlyzko", "--n-list", "6", "--trials", "50", "--out", out]) == 0
+        assert main(["odlyzko", "--trials", "50", "--out", out]) == 0
+        capsys.readouterr()
+        config = json.loads(Path(out + ".json").read_text())["config"]
+        assert config["n_list"] == list(resolve(ExperimentConfig("odlyzko"))["n_list"]) != [6]
+        for rejected in (["odlyzko", "--frobnicate", "1"], ["odlyzko", "--trials", "abc"]):
+            assert main(rejected) == 1
+            assert main(["ensemble", "sample"]) == 0
+            assert capsys.readouterr().out == defaults
+        assert randsym.cli._build_parser.cache_info().misses == 1
+
     def test_unknown_config_keys_named(self, tmp_path, capsys):
         conf = tmp_path / "exp.cfg"
         conf.write_text("experiment=odlyzko\nfrobnicate=1\nsize_cap=9\n")

@@ -1,6 +1,7 @@
 import bisect
 import math
 import time
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -205,6 +206,95 @@ class TestLayoutPins:
         return tuple(int(x) for x in np.random.default_rng(n).integers(1, 100, n))
 
 
+class TestSplitLayoutPins:
+    """(rho, witness_center) of the split enumeration on one case per
+    aggregation and count type, and which aggregation ran: counting on a
+    narrow span, sort and reduceat on a sparse span and on object counts.
+    The int64 pins are the Fractions the sort-only engine gave."""
+
+    FLOAT_MASSES = AtomicLaw(((-1, 0.1), (1, 0.9)))
+    P, Q = F(0.1), F(0.9)
+
+    @pytest.mark.parametrize("case, beta, rho, center", [
+        ("narrow", F(0), F(109, 2048), F(5)),
+        ("narrow", F(7, 2), F(13, 128), F(3)),
+        ("sparse", F(0), F(2, 27), F(-605123912, 21)),
+        ("sparse", F(1, 2), F(7, 27), F(1, 2)),
+        # 2xy with signs of masses 0.1 and 0.9 weighed by their sum: the
+        # count total passes 2**61 at n = 2
+        ("object", F(0), (P ** 2 + Q ** 2) / (P + Q) ** 2, F(2)),
+        ("object", F(2), F(1), F(0)),
+    ])
+    def test_pinned(self, case, beta, rho, center, monkeypatch):
+        form, law, counted, count_type = {
+            # entries -3..3 on 12 signs: 4096 values over a span of 21
+            "narrow": (self._narrow(), BERN, True, np.int64),
+            # 27 values spread over ~10**8 lattice points
+            "sparse": (QuadraticForm(((F(1, 3), 3 ** 10, 3 ** 5), (3 ** 10, F(2, 7), 3 ** 15),
+                                      (3 ** 5, 3 ** 15, 1))), uniform3(), False, np.int64),
+            "object": (QuadraticForm(((0, 1), (1, 0))), self.FLOAT_MASSES, False, object),
+        }[case]
+        seen = []
+        real_aggregate, real_bincount = smallball._aggregate_np, np.bincount
+        monkeypatch.setattr(smallball, "_aggregate_np",
+                            lambda v, c: seen.append(c.dtype) or real_aggregate(v, c))
+        monkeypatch.setattr(np, "bincount",
+                            lambda *a, **k: seen.append("counted") or real_bincount(*a, **k))
+        est = quadratic_small_ball_exact(form, law, beta)
+        assert ("counted" in seen) == counted
+        assert {d for d in seen if d != "counted"} == {np.dtype(count_type)}
+        assert (est.rho, est.witness_center) == (rho, center)
+
+    @staticmethod
+    def _narrow():
+        m = np.random.default_rng(16).integers(-3, 4, (12, 12))
+        m = np.triu(m) + np.triu(m, 1).T
+        return QuadraticForm(tuple(tuple(int(x) for x in row) for row in m))
+
+
+def _spread(span, size, seed):
+    """size int64 values in [0, span], both ends present."""
+    vals = np.random.default_rng(seed).integers(0, span + 1, size)
+    vals[:2] = 0, span
+    return vals
+
+
+class TestAggregate:
+    """_aggregate_np against a Counter, and which of its two ways ran:
+    counting for int64 values and counts whose span is under 8 per value
+    and whose counts sum below 2**53, sort and reduceat otherwise."""
+
+    @pytest.mark.parametrize("vals, cnts, counted", [
+        pytest.param(np.arange(-60, -10) * 3 % 41 - 50, np.arange(1, 51), True,
+                     id="negative"),
+        pytest.param(np.array([-7]), np.array([3]), True, id="single"),
+        pytest.param(_spread(799, 100, 1), np.arange(1, 101), True, id="span-799-of-100"),
+        pytest.param(_spread(800, 100, 2), np.arange(1, 101), False, id="span-800-of-100"),
+        # float64 weights hold 2**53 - 1 exactly but round 2**53 + 1 down
+        pytest.param(np.array([4, 4, 6]), np.array([2 ** 52, 2 ** 52 - 2, 1]), True,
+                     id="counts-2**53-1"),
+        pytest.param(np.array([4, 4, 6]), np.array([2 ** 52, 2 ** 52, 1]), False,
+                     id="counts-2**53+1"),
+        pytest.param(np.array([5, -3, 5, 5]), np.array([2 ** 60, 7, 2 ** 60 - 9, 1]), False,
+                     id="counts-2**61-1"),
+        pytest.param(np.array([2, 1, 2]), np.array([2 ** 70, 1, 2 ** 70 + 1], dtype=object),
+                     False, id="object-counts"),
+        pytest.param(np.array([2 ** 70, -2 ** 70, 2 ** 70], dtype=object), np.array([1, 2, 3]),
+                     False, id="object-values"),
+    ])
+    def test_matches_counter(self, vals, cnts, counted, monkeypatch):
+        calls = []
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or real(*a, **k))
+        got_vals, got_cnts = smallball._aggregate_np(vals, cnts)
+        assert bool(calls) == counted
+        assert (got_vals.dtype, got_cnts.dtype) == (vals.dtype, cnts.dtype)
+        oracle = Counter()
+        for v, c in zip(vals.tolist(), cnts.tolist()):
+            oracle[v] += c
+        assert list(zip(got_vals.tolist(), got_cnts.tolist())) == sorted(oracle.items())
+
+
 def test_dense_lattice_time_budget():
     # n = 1000 coefficients 1..99: a ~1e5-point lattice with 1000-bit counts
     # (26 s with a dict per step, under 2 s on the dense lattice, 2-vCPU VM)
@@ -215,6 +305,20 @@ def test_dense_lattice_time_budget():
     # Erdos: nonzero integer coefficients put at most C(n, n/2) / 2^n on a point
     assert 0 < rho <= central_binomial_rho(1000)
     assert elapsed < 15, f"runtime {elapsed:.1f}s over budget 15s"
+
+
+def test_suffix_factors_time_budget():
+    # n0 = 300 coefficients 1..99, one convolution pass from the end (11 to
+    # 14 s suffix by suffix, 0.5 to 0.9 s in one pass, 2-vCPU VM)
+    t0 = time.monotonic()
+    u = tuple(int(x) for x in np.random.default_rng(1).integers(1, 100, 300))
+    factors = suffix_smallball_factors(u, BERN, 0, 300)
+    elapsed = time.monotonic() - t0
+    assert factors[-1] == F(1, 2)
+    # an independent summand never concentrates a sum more
+    assert all(a <= b for a, b in zip(factors, factors[1:]))
+    assert factors[0] == linear_small_ball_exact(LinearForm(u), BERN, 0).rho
+    assert elapsed < 8, f"runtime {elapsed:.1f}s over budget 8s"
 
 
 def test_float_masses_weighed_by_their_sum():
@@ -320,14 +424,16 @@ class TestQuadraticExact:
                     quadratic_small_ball_exact(form, uniform3(), 0)
 
     def test_count_total_boundary(self):
-        # the count total den**n must stay below 2**61
+        # counts are int64 while the count total den**n stays below 2**61
+        # and Python ints beyond; the answer is exact on both sides
         for form, law in ((QuadraticForm(((1, 2), (2, -1))), _two_point(2 ** 30)),
-                          (QuadraticForm(((1,),)), _two_point(2 ** 61 - 1))):
-            est = quadratic_small_ball_exact(form, law, F(1, 2))
-            assert _estimate(est) == \
-                brute_force_quadratic(form.matrix, form.shifts, law, F(1, 2))
-        with pytest.raises(EnumerationTooLarge):
-            quadratic_small_ball_exact(QuadraticForm(((1,),)), _two_point(2 ** 61), 0)
+                          (QuadraticForm(((1, 2), (2, -1))), _two_point(2 ** 31)),
+                          (QuadraticForm(((1,),)), _two_point(2 ** 61 - 1)),
+                          (QuadraticForm(((1,),)), _two_point(2 ** 61))):
+            for beta in (0, F(1, 2)):
+                est = quadratic_small_ball_exact(form, law, beta)
+                assert _estimate(est) == \
+                    brute_force_quadratic(form.matrix, form.shifts, law, beta)
 
 
 class TestBilinear:
@@ -383,13 +489,15 @@ class TestBilinear:
                     bilinear_small_ball(form, BERN, uniform3(), 0)
 
     def test_count_total_boundary(self):
-        # the count total den_x**n * den_y**n must stay below 2**61
-        form = QuadraticForm(((1,),))
-        est = bilinear_small_ball(form, _two_point(2 ** 60 - 1), BERN, 0)
-        assert _estimate(est) == brute_force_bilinear(
-            form.matrix, form.shifts, _two_point(2 ** 60 - 1), BERN, 0)
-        with pytest.raises(EnumerationTooLarge):
-            bilinear_small_ball(form, _two_point(2 ** 60), BERN, 0)
+        # counts are int64 while den_x**n * den_y**n stays below 2**61 and
+        # Python ints beyond; the answer is exact on both sides
+        for form, law_x in ((QuadraticForm(((1,),)), _two_point(2 ** 60 - 1)),
+                            (QuadraticForm(((1,),)), _two_point(2 ** 60)),
+                            (QuadraticForm(((1, 2), (2, -1))), _two_point(2 ** 40))):
+            for beta in (0, 1):
+                est = bilinear_small_ball(form, law_x, BERN, beta)
+                assert _estimate(est) == brute_force_bilinear(
+                    form.matrix, form.shifts, law_x, BERN, beta)
 
     def test_mc_close_to_exact(self):
         form = QuadraticForm(((F(1, 2), F(1, 3)), (F(1, 3), F(-1, 4))))
@@ -448,6 +556,28 @@ class TestTruncatedProducts:
         assert all(r <= F(1, 2) for r in factors)
         prod = truncated_product_bound(u, BERN, beta, len(u))
         assert prod <= F(1, 2) ** len(u)
+
+    @pytest.mark.parametrize("u, layout", [
+        (tuple(range(1, 13)), "dense"),
+        (tuple(F(k, 7) for k in (3, -5, 2, 9, 1, 4, -6, 8)), "dense"),
+        ((0.5, -0.25, 1.0, 0.75, -1.0, 0.25, 0.5, 0.75), "dense"),
+        (tuple(3 ** p for p in range(9)), "sparse"),
+        (tuple(F(1, p) for p in (2, 3, 5, 7, 11, 13)), "sparse"),
+        ((0.1, 0.7, -1.3, 2.9, 0.55), "sparse"),
+    ])
+    def test_suffix_factors_match_each_suffix(self, u, layout, monkeypatch):
+        for law in (BERN, uniform3(), LOPSIDED):
+            for beta in (0, F(1, 2), 3):
+                for n0 in (len(u), len(u) - 2):
+                    want = [linear_small_ball_exact(LinearForm(u[i:n0]), law, beta).rho
+                            for i in range(n0)]
+                    assert suffix_smallball_factors(u, law, beta, n0) == want
+        aggregations = []
+        real = smallball._aggregate_np
+        monkeypatch.setattr(smallball, "_aggregate_np",
+                            lambda v, c: aggregations.append(1) or real(v, c))
+        suffix_smallball_factors(u, BERN, 0, len(u))
+        assert ("sparse" if aggregations else "dense") == layout
 
     def test_prefix_validation(self):
         with pytest.raises(ValueError):
