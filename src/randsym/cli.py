@@ -223,23 +223,30 @@ class ResultRecord:
     wall_clock_s: float
 
     def write(self, out_base: str) -> None:
+        """The rows as CSV, and the record as JSON with one row per line.
+        Rows go through the C encoder and only the cells it cannot encode
+        through _jsonify, so json.load gives what _jsonify of the rows
+        gives."""
         with open(out_base + ".csv", "w") as fh:
             fh.write(",".join(self.header) + "\n")
             for row in self.rows:
-                fh.write(",".join(_csv_cell(x) for x in row) + "\n")
+                fh.write(",".join(map(_csv_cell, row)) + "\n")
+        fields = {
+            "experiment": self.experiment,
+            "config": _jsonify(self.config),
+            "config_hash": self.config_hash,
+            "blas_threads": self.blas_threads,
+            "header": list(self.header),
+            "rows": None,       # written one per line below
+            "summary": _jsonify(self.summary),
+            "verdict": self.verdict,
+            "wall_clock_s": self.wall_clock_s,
+        }
+        rows = ",\n".join(map(json.JSONEncoder(default=_jsonify).encode, self.rows))
         with open(out_base + ".json", "w") as fh:
-            json.dump({
-                "experiment": self.experiment,
-                "config": _jsonify(self.config),
-                "config_hash": self.config_hash,
-                "blas_threads": self.blas_threads,
-                "header": list(self.header),
-                "rows": _jsonify([list(r) for r in self.rows]),
-                "summary": _jsonify(self.summary),
-                "verdict": self.verdict,
-                "wall_clock_s": self.wall_clock_s,
-            }, fh, indent=1)
-            fh.write("\n")
+            fh.write("{\n" + ",\n".join(
+                f"{json.dumps(key)}: " + (f"[\n{rows}\n]" if key == "rows" else json.dumps(val))
+                for key, val in fields.items()) + "\n}\n")
 
 
 def _csv_cell(x) -> str:

@@ -40,12 +40,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exactlinalg import (adjugate, bareiss_det, cofactor_matrix, exact_rank as _rank,
-                          exact_ranks, lattice, rowspace_membership)
+                          lattice, rowspace_membership, trailing_ranks)
 from .laws import AtomicLaw, Law
 from .streams import chunk_bounds, substream
 
 
-# entries per stack: the bordered int64 matrices of grow_and_track, the
+# entries per stack: the grown integer matrices of grow_and_track, the
 # float matrices of all the lanes of a block of keyed Monte Carlo trials
 _STACK_ENTRIES = 1 << 16
 
@@ -479,35 +479,38 @@ def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw
     Each step prepends an independent first row and column (diagonal
     entry plus one entry per old row), drawn from substream (seed, step),
     and records the new exact rank and whether it rose by 2.  The draws
-    do not depend on the ranks, so every step is drawn first.  The matrix
-    after step t is the trailing block of the final one, and zeroing the
-    rest keeps its rank, so all of them form one stack ranked in one
-    call.  Given a sequence of seeds, grows once per seed through the same
-    stacks and returns one list of steps per seed.
+    do not depend on the ranks, so every step is drawn first, step t for
+    every seed of a stack in one sampler call.  The matrix after step t is
+    the trailing block of the final one, so one elimination of the final
+    matrix ranks every step (exactlinalg.trailing_ranks).  Given a
+    sequence of seeds, grows once per seed through the same stacks and
+    returns one list of steps per seed.
     """
     rows = _exact_rows(m)
     if not (isinstance(law, AtomicLaw) and law.is_rational):
         raise ValueError("rational atomic law required")
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     n, size = len(rows), len(rows) + steps
     # one lattice makes M and the atoms integers; the rank is unchanged
     (atoms, *base), _ = lattice([law.values, *rows])
-    atoms = np.array(atoms, dtype=np.int64)
-    per = max(1, _STACK_ENTRIES // ((steps + 1) * size * size))
+    atoms, base = np.array(atoms, dtype=object), np.array(base, dtype=object).reshape(n, n)
+    try:
+        atoms, base = atoms.astype(np.int64), base.astype(np.int64)
+    except OverflowError:       # entries beyond int64 stay Python ints
+        pass
+    per = max(1, _STACK_ENTRIES // (size * size))
     out: List[List[GrowthStep]] = []
     for c0 in range(0, len(seeds), per):
         chunk = seeds[c0:c0 + per]
-        # layer t is the matrix after t steps: the trailing n + t rows and
-        # columns of the grown matrix, the rest left zero
-        layers = np.zeros((len(chunk), steps + 1, size, size), dtype=np.int64)
-        layers[:, :, steps:, steps:] = base
-        for b, sd in enumerate(chunk):
-            for t in range(steps):
-                g = steps - 1 - t
-                new = atoms[law.sample_indices(substream(sd, t), n + t + 1)]
-                layers[b, t + 1:, g, g:] = layers[b, t + 1:, g:, g] = new
-        ranks = exact_ranks(layers.reshape(-1, size, size))
-        ranks = ranks.reshape(len(chunk), steps + 1).tolist()
+        grown = np.zeros((len(chunk), size, size), dtype=base.dtype)
+        grown[:, steps:, steps:] = base
+        for t in range(steps):
+            g = steps - 1 - t
+            new = atoms[law.sample_indices([substream(sd, t) for sd in chunk], n + t + 1)]
+            grown[:, g, g:] = grown[:, g:, g] = new
+        ranks = trailing_ranks(grown, steps).tolist()
         if ranks[0][0] > n - 2:
             raise ValueError(f"rank {ranks[0][0]} > n - 2 = {n - 2}: nothing to grow")
         out += [[GrowthStep(size=n + t + 1, new_rank=r[t + 1], jumped_by_2=r[t + 1] == r[t] + 2)
@@ -583,15 +586,17 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
         raise ValueError("rational atomic law required")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     (atoms,), _ = lattice([law.values])
     vals_int = np.array(atoms, dtype=np.int64)
-    rng = substream(seed, 0)
-    V = vals_int[law.sample_indices(rng, (k, n))]
-    hits = 0
-    for ci, start, stop in chunk_bounds(trials, 4096):
-        rng = substream(seed, 1 + ci)
-        U = vals_int[law.sample_indices(rng, (stop - start, n))]
-        hits += int(np.sum(rowspace_membership(V, U)))
+    V = vals_int[law.sample_indices(substream(seed, 0), (k, n))]
+
+    def chunks():       # one chunk of trial vectors in memory at a time
+        for ci, start, stop in chunk_bounds(trials, 4096):
+            yield vals_int[law.sample_indices(substream(seed, 1 + ci), (stop - start, n))]
+
+    hits = int(np.count_nonzero(rowspace_membership(V, chunks())))
     freq = hits / trials
     se = math.sqrt(freq * (1 - freq) / trials)
     bound = math.sqrt(1 - c3) ** (n - k)

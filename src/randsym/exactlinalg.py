@@ -10,12 +10,19 @@ bound H, which bounds every minor of the matrix:
 * rank is the largest rank seen over the primes used.  Primes are added
   until their product exceeds H or the rank reaches min(r, c).  Were the
   rank below the true rank at every prime, each prime would divide one
-  fixed nonzero minor, so their product would be at most H.
+  fixed nonzero minor, so their product would be at most H.  The kernel
+  can also take its pivots inside the smallest trailing block [g:, g:]
+  whose residual is nonzero, so one elimination ranks every nested
+  trailing block of a matrix (`trailing_ranks`, the bordered matrices of
+  rank growth); each block is certified as a matrix of its own.
 * the determinant is rebuilt by the Chinese remainder theorem from primes
   whose product exceeds 2H, as the symmetric residue.
 * a vector lies in a row space when its residue against the basis
   vanishes at primes that see the full rank of the basis and whose
-  product exceeds H([basis; vector]).
+  product exceeds H([basis; vector]).  The basis is put in echelon form
+  once per prime and prepared as a kernel matrix K, so a chunk of
+  vectors is tested by one product U K; `rowspace_membership` takes any
+  number of chunks and adds primes only when a chunk's entries need more.
 
 Matrices are lists of lists (or arrays) of ints, Fractions or floats
 (taken as the binary rationals they are).  Every exact engine of the
@@ -191,7 +198,7 @@ def _residues(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return a % p[:, None, None]
 
 
-def _eliminate(a: np.ndarray, p: np.ndarray):
+def _eliminate(a: np.ndarray, p: np.ndarray, nested: bool = False):
     """Fraction-free elimination mod p of a (B, r, c) stack, in place.
 
     a[l] holds residues mod p[l] < 2**31.  Step k takes in every layer a
@@ -205,15 +212,27 @@ def _eliminate(a: np.ndarray, p: np.ndarray):
     flat indices i * c + j of the pivots (B, s) and the rows a[i, :] they
     eliminated with (B, s, c); a layer's rank is its number of nonzero
     pivots.
+
+    nested=True takes the pivot instead in the smallest trailing block
+    [g:, g:] whose residual is nonzero, a largest entry there.  With i and
+    j in the block, the update changes the block only through block
+    entries, so its residual is what eliminating the block alone would
+    give: the pivots lie inside [g:, g:] until its residual is zero, and
+    their number is then its rank (`_block_ranks`).  So one elimination
+    ranks every trailing block.
     """
     B, r, c = a.shape
     layer = np.arange(B)
     flat_a = a.reshape(B, r * c)
     pm = p[:, None, None]
+    if nested:
+        # a nonzero entry of the block [g:, g:] with g = min(i, j) outranks
+        # every entry outside that block
+        boost = (np.minimum.outer(np.arange(r), np.arange(c)).ravel() + 1) << 31
     pivots, flats, pivot_rows = [], [], []
     last = min(r, c) - 1
     for k in range(last + 1):
-        flat = flat_a.argmax(axis=1)
+        flat = (boost * (flat_a > 0) + flat_a if nested else flat_a).argmax(axis=1)
         pv = flat_a[layer, flat]
         if not np.count_nonzero(pv):
             break
@@ -233,12 +252,12 @@ def _eliminate(a: np.ndarray, p: np.ndarray):
             np.array(pivot_rows, np.int64).reshape(s, B, c).transpose(1, 0, 2))
 
 
-def _eliminate_layers(a: np.ndarray, p: np.ndarray):
+def _eliminate_layers(a: np.ndarray, p: np.ndarray, nested: bool = False):
     """_eliminate on a[l] mod p[l] for every layer l, _CHUNK entries at a time."""
     per = max(1, _CHUNK // max(1, a.shape[1] * a.shape[2]))
     if len(a) <= per:
-        return _eliminate(_residues(a, p), p)
-    parts = [_eliminate(_residues(a[s:s + per], p[s:s + per]), p[s:s + per])
+        return _eliminate(_residues(a, p), p, nested)
+    parts = [_eliminate(_residues(a[s:s + per], p[s:s + per]), p[s:s + per], nested)
              for s in range(0, len(a), per)]
     steps = max(x[0].shape[1] for x in parts)
 
@@ -246,6 +265,15 @@ def _eliminate_layers(a: np.ndarray, p: np.ndarray):
         return np.pad(x, [(0, 0), (0, steps - x.shape[1])] + [(0, 0)] * (x.ndim - 2))
 
     return tuple(np.concatenate([pad(x[k]) for x in parts]) for k in range(3))
+
+
+def _block_ranks(pivots: np.ndarray, flats: np.ndarray, c: int, grow: int) -> np.ndarray:
+    """(B, grow + 1) ranks mod p of the blocks [grow - t:, grow - t:] from
+    a nested elimination: the number of leading nonzero pivots inside
+    each block."""
+    shell = np.minimum(*np.divmod(flats, c))
+    inside = (pivots != 0)[:, :, None] & (shell[:, :, None] >= np.arange(grow, -1, -1))
+    return np.logical_and.accumulate(inside, axis=1).sum(axis=1)
 
 
 def _det_residues(pivots, flats, n: int, p) -> List[int]:
@@ -297,28 +325,42 @@ def _dets(a: np.ndarray) -> List[int]:
     return [_crt(residues[b * m:(b + 1) * m], PRIMES[:m]) for b in range(B)]
 
 
-def exact_ranks(stack) -> np.ndarray:
-    """Exact ranks of a (B, r, c) stack of integer matrices (int64, or an
-    object array of Python ints).
+def trailing_ranks(stack, grow: int) -> np.ndarray:
+    """Exact ranks of the trailing blocks [grow - t:, grow - t:], t = 0 ..
+    grow, of every matrix of a (B, r, c) integer stack (int64, or an object
+    array of Python ints), as a (B, grow + 1) array.
 
-    Every matrix is eliminated at the first prime; the matrices still
-    below min(r, c) then take, in one stack, the further primes their
-    Hadamard certificate asks for.
+    One nested elimination per prime ranks every block of a matrix.  Every
+    matrix is eliminated at the first prime; the matrices with a block
+    below full size then take, in one stack, the further primes that their
+    Hadamard bound asks for, and each block's rank is the largest seen.
+    The bound of a matrix bounds every minor of its blocks, so it
+    certifies each block as exact_ranks certifies a matrix.
     """
     a = np.asarray(stack)
     B, r, c = a.shape
+    t = np.arange(grow + 1)
+    full = np.minimum(r - grow + t, c - grow + t)
     if B == 0 or min(r, c) == 0:
-        return np.zeros(B, dtype=np.int64)
-    ranks = np.count_nonzero(_eliminate_layers(a, np.full(B, PRIMES[0], np.int64))[0], axis=1)
-    todo = np.flatnonzero(ranks < min(r, c))
+        return np.zeros((B, grow + 1), dtype=np.int64)
+    pivots, flats, _ = _eliminate_layers(a, np.full(B, PRIMES[0], np.int64), grow > 0)
+    ranks = _block_ranks(pivots, flats, c, grow)
+    todo = np.flatnonzero((ranks < full).any(axis=1))
     if todo.size:
         m = _prime_count(_hadamard_bits(a[todo]))
         if m > 1:
-            pivots = _eliminate_layers(np.repeat(a[todo], m - 1, axis=0),
-                                       np.tile(_P[1:m], todo.size))[0]
-            more = np.count_nonzero(pivots, axis=1).reshape(todo.size, m - 1).max(axis=1)
-            ranks[todo] = np.maximum(ranks[todo], more)
+            pivots, flats, _ = _eliminate_layers(np.repeat(a[todo], m - 1, axis=0),
+                                                 np.tile(_P[1:m], todo.size), grow > 0)
+            more = _block_ranks(pivots, flats, c, grow).reshape(todo.size, m - 1, grow + 1)
+            ranks[todo] = np.maximum(ranks[todo], more.max(axis=1))
     return ranks
+
+
+def exact_ranks(stack) -> np.ndarray:
+    """Exact ranks of a (B, r, c) stack of integer matrices (int64, or an
+    object array of Python ints): trailing_ranks with one block, the
+    whole matrix."""
+    return trailing_ranks(stack, 0)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,74 +497,104 @@ def row_echelon_int(mat: Sequence[Sequence], primes: Sequence[int]
     return R * inv[:, :, None] % pm, J, ranks
 
 
-def _in_span_mod(U: np.ndarray, R: np.ndarray, J: np.ndarray, r: int, p: int) -> np.ndarray:
-    """Rows u of U with u = sum_k u[J[k]] R[k] mod p, R[:r] an RREF mod p."""
-    half = p // 2
-    if U.dtype == object or U.min() < -half or U.max() > half:
-        U = _residues(U[None], np.array([p]))[0]
-        U = np.where(U > half, U - p, U)
-    free = np.ones(U.shape[1], dtype=bool)      # pivot columns cancel by construction
-    free[J[:r]] = False
-    Rf = R[:r][:, free]
-    Rf = np.where(Rf > half, Rf - p, Rf)
-    big = max(-int(U.min()), int(U.max()), 1)
-    if r * big * half < 2 ** 52:
-        # every sum below is an integer under 2**53: float64 holds it exactly
-        X = U[:, free].astype(np.float64)
-        Y = U[:, J[:r]].astype(np.float64) @ Rf.astype(np.float64)
-        X -= Y
-        np.rint(np.divide(X, p, out=Y), out=Y)
-        Y *= p
-        X -= Y                             # exact residues, |X| <= p / 2
-        X *= X
-        # a sum of squares vanishes only when every term does
-        return X @ np.ones(X.shape[1]) == 0
-    group = max(1, (1 << 62) // (big * (half + 1)))        # terms per exact int64 product
-    X = U[:, free]
-    for s in range(0, r, group):
-        if s:
-            X = X % p
-        X = X - U[:, J[s:s + group]] @ Rf[s:s + group]
-    return ~np.any(X % p, axis=1)
+class _SpanMod:
+    """The row space mod p of an RREF R[:r] with pivot columns J[:r],
+    prepared once for any number of chunks of vectors.
 
-
-def rowspace_membership(basis: Sequence[Sequence], vectors: np.ndarray) -> np.ndarray:
-    """Exact test of which rows of `vectors` lie in the rational row space.
-
-    `basis` is a rational matrix (k, n), `vectors` an integer array
-    (T, n).  Each vector is reduced against the RREF of the basis modulo
-    primes p at which rank_p(basis) = rank(basis).  A nonzero residue at
-    such a prime proves the vector is outside the span; a vector is a
-    member once its residues vanish at such primes whose product exceeds
-    H([basis; vector]), since otherwise a nonzero minor of order
-    rank + 1 would be divisible by all of them.
+    u lies in the span mod p when its residue u - sum_k u[J[k]] R[k]
+    vanishes on the free columns (it vanishes on the pivot columns by
+    construction), that is when u K = 0 mod p, K being the (n, n - r)
+    kernel matrix: the identity on the free columns and -R[:, free],
+    centred in [-p/2, p/2], on the pivot columns.
     """
-    U = np.asarray(vectors)
-    if U.dtype.kind not in "biO":
-        raise ValueError("vectors must be integers")
-    if U.dtype != object:
-        U = U.astype(np.int64, copy=False)
-    T, n = U.shape
-    V = _integer_matrix(basis)[0].reshape(-1, n)
-    if T == 0:
-        return np.zeros(0, dtype=bool)
-    # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
-    big = max(-U.min(), U.max(), 1)
-    bits = _log2_lengths(V, 1).sum() + 0.5 * math.log2(max(n, 1)) + math.log2(big) + 1.0
-    want = _prime_count(bits)
-    R, J, ranks = [], [], []
-    while True:
-        rank = max(ranks, default=0)
-        good = [q for q, rq in enumerate(ranks) if rq == rank]
-        if len(good) >= want:
-            break
-        more = want - len(good)
-        _check_primes(len(ranks) + more)
-        r_new, j_new, k_new = row_echelon_int(V, PRIMES[len(ranks):len(ranks) + more])
-        R += list(r_new)
-        J += list(j_new)
-        ranks += k_new.tolist()
-    member = np.ones(T, dtype=bool)
-    for q in good[:want]:
-        member &= _in_span_mod(U, R[q], J[q], rank, PRIMES[q])
-    return member
+
+    def __init__(self, R: np.ndarray, J: np.ndarray, r: int, p: int):
+        n = R.shape[1]
+        self.p, self.half, self.J = p, p // 2, J[:r]
+        self.free = np.ones(n, dtype=bool)
+        self.free[self.J] = False
+        Rf = R[:r][:, self.free]
+        self.Rf = np.where(Rf > self.half, Rf - p, Rf)
+        self.KT = np.zeros((n - r, n))      # K transposed
+        self.KT[:, self.free] = np.eye(n - r)
+        self.KT[:, self.J] = -self.Rf.T
+
+    def contains(self, U: np.ndarray, big: int) -> np.ndarray:
+        """Which rows of the integer array U, whose entries are at most big
+        in size, lie in the span mod p."""
+        p, half = self.p, self.half
+        if U.dtype == object or big > half:
+            U = _residues(U[None], np.array([p]))[0]
+            U = np.where(U > half, U - p, U)
+            big = max(-int(U.min()), int(U.max()), 1)
+        if len(self.J) * big * half < 2 ** 52:
+            # Every partial sum of U K is an integer below 2**52 + big in
+            # size, so float64 holds X = (U K)^T exactly.  An entry x that
+            # is k p has |k| < 2**23, so rint(x / p) is k despite rounding,
+            # and k p is exact: x == rint(x / p) p exactly when p divides x.
+            X = self.KT @ U.T.astype(np.float64)
+            Y = X * (1.0 / p)
+            np.rint(Y, out=Y)
+            Y *= p
+            return (X == Y).all(axis=0)
+        group = max(1, (1 << 62) // (big * (half + 1)))    # terms per exact int64 product
+        X = U[:, self.free]
+        for s in range(0, len(self.J), group):
+            if s:
+                X = X % p
+            X = X - U[:, self.J[s:s + group]] @ self.Rf[s:s + group]
+        return ~np.any(X % p, axis=1)
+
+
+def rowspace_membership(basis: Sequence[Sequence], vectors) -> np.ndarray:
+    """Exact test of which vectors lie in the rational row space of a basis.
+
+    `basis` is a rational matrix (k, n).  `vectors` is an integer array
+    (T, n), or an iterable of such arrays (chunks), which are tested in
+    turn against one echelon form of the basis per prime; the answer for
+    chunks is their answers concatenated.  Each vector is reduced against
+    the RREF of the basis modulo primes p at which rank_p(basis) =
+    rank(basis).  A nonzero residue at such a prime proves the vector is
+    outside the span; a vector is a member once its residues vanish at
+    such primes whose product exceeds H([basis; vector]), since otherwise
+    a nonzero minor of order rank + 1 would be divisible by all of them.
+    Primes are added only when a chunk's entries need more.
+    """
+    single = isinstance(vectors, np.ndarray)
+    V = None
+    spans, ranks = [], []       # the prepared test and the rank at each prime
+    out = []
+    for U in ([vectors] if single else vectors):
+        U = np.asarray(U)
+        if U.dtype.kind not in "biO":
+            raise ValueError("vectors must be integers")
+        if U.dtype != object:
+            U = U.astype(np.int64, copy=False)
+        T, n = U.shape
+        if V is None:
+            V = _integer_matrix(basis)[0].reshape(-1, n)
+            V_bits = _log2_lengths(V, 1).sum()
+        if T == 0 or n == 0:
+            out.append(np.full(T, n == 0))
+            continue
+        # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
+        big = max(-int(U.min()), int(U.max()), 1)
+        want = _prime_count(V_bits + 0.5 * math.log2(n) + math.log2(big) + 1.0)
+        while True:
+            rank = max(ranks, default=0)
+            good = [q for q, rq in enumerate(ranks) if rq == rank]
+            if len(good) >= want:
+                break
+            more = want - len(good)
+            _check_primes(len(ranks) + more)
+            primes = PRIMES[len(ranks):len(ranks) + more]
+            R, J, k = row_echelon_int(V, primes)
+            spans += [_SpanMod(R[q], J[q], int(k[q]), p) for q, p in enumerate(primes)]
+            ranks += k.tolist()
+        member = np.ones(T, dtype=bool)
+        for q in good[:want]:
+            member &= spans[q].contains(U, big)
+        out.append(member)
+    if single:
+        return out[0]
+    return np.concatenate(out) if out else np.zeros(0, dtype=bool)

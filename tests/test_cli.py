@@ -5,12 +5,14 @@ import shutil
 import signal
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from randsym.cli import (ExperimentConfig, InvalidConfig, ReplayMismatch,
-                         UnknownExperiment, _jsonify, config_hash, main, replay,
+from randsym.cli import (ExperimentConfig, InvalidConfig, ReplayMismatch, ResultRecord,
+                         UnknownExperiment, _csv_cell, _jsonify, config_hash, main, replay,
                          resolve, run)
 from randsym.ensembles import gil_free_solver
 
@@ -106,6 +108,37 @@ class TestRunRecords:
                 coeffs=str(path), beta=0.0)
         rec = run(c)
         assert rec.summary["rho"] == Fraction(1, 2)
+
+
+class TestRecordFormat:
+    ROWS = ((0, F(1, 3), np.int64(-7), np.float64(0.1), np.bool_(True), ("a", (1, F(-2, 5)))),
+            (1, F(0), np.int64(2 ** 62), np.float64(-2.5e-300), np.bool_(False), ()),
+            (2, None, -3, float("inf"), True, [np.float64(1 / 3), [np.int64(0)]]))
+
+    def record(self, rows):
+        return ResultRecord(experiment="smallball", config={"n": 2, "beta": F(1, 2)},
+                            config_hash="0" * 64, blas_threads=1, header=tuple("abcdef"),
+                            rows=rows, summary={"rho": F(3, 8), "ok": np.bool_(True)},
+                            verdict="pass", wall_clock_s=0.25)
+
+    @pytest.mark.parametrize("rows", [ROWS, ()])
+    def test_loads_as_jsonify_of_the_record(self, tmp_path, rows):
+        rec = self.record(rows)
+        rec.write(str(tmp_path / "r"))
+        text = (tmp_path / "r.json").read_text()
+        assert json.loads(text) == {
+            "experiment": "smallball", "config": {"n": 2, "beta": "1/2"},
+            "config_hash": "0" * 64, "blas_threads": 1, "header": list("abcdef"),
+            "rows": _jsonify([list(r) for r in rows]),
+            "summary": {"rho": "3/8", "ok": "True"}, "verdict": "pass",
+            "wall_clock_s": 0.25}
+        assert json.loads(text)["rows"] == json.loads(json.dumps(_jsonify(list(rows))))
+        lines = text.splitlines()       # one row per line
+        first = lines.index('"rows": [') + 1
+        assert [json.loads(line.rstrip(",")) for line in lines[first:first + len(rows)]] \
+            == _jsonify([list(r) for r in rows])
+        csv = "a,b,c,d,e,f\n" + "".join(",".join(_csv_cell(x) for x in r) + "\n" for r in rows)
+        assert (tmp_path / "r.csv").read_text() == csv
 
 
 class TestConfigHash:

@@ -9,10 +9,11 @@ from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSam
                      exact_det, exact_rank, gaussian, grow_and_track, lazy_sign,
                      near_kernel_vector, remove_pivot_row, sample_symmetric,
                      spectral_summary, subspace_membership_mc, uniform3)
+from randsym import exactlinalg
 from randsym.ensembles import (gil_free_solver, one_blas_thread, read_matrix_exact,
                                read_matrix_text, spectral_summaries, write_matrix_text)
 from randsym.exactlinalg import cofactor_matrix, exact_rank as rational_rank, rowspace_membership
-from randsym.streams import substream
+from randsym.streams import chunk_bounds, substream
 from genutil import fraction_rank, random_symmetric_int_matrix
 
 BERN = bernoulli()
@@ -354,6 +355,41 @@ class TestGrowAndTrack:
                 good += 1
         assert good / trials >= 0.5
 
+    @pytest.mark.parametrize("law, base", [
+        (BERN, [[0] * 5] * 5),
+        (uniform3(), [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        (AtomicLaw(((F(1, 2), F(1, 2)), (-3, F(1, 4)), (0, F(1, 4)))),
+         [[F(1, 3), 0, 0], [0, 0, 0], [0, 0, 0]]),
+        (BERN, [[2 ** 70, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    ])
+    def test_ranks_of_every_bordered_matrix(self, law, base):
+        # the oracle borders the matrix step by step from the same streams
+        # and ranks each bordered matrix on its own
+        n, steps = len(base), 4
+        values = [F(v) for v in law.values]
+        runs = grow_and_track(base, law, steps, seed=list(range(12)))
+        for sd, run in enumerate(runs):
+            mat = [list(map(F, row)) for row in base]
+            for t, st in enumerate(run):
+                new = [values[i] for i in law.sample_indices(substream(sd, t), n + t + 1)]
+                mat = [new] + [[new[i + 1]] + row for i, row in enumerate(mat)]
+                assert (st.size, st.new_rank) == (n + t + 1, fraction_rank(mat, n + t + 1))
+            ranks = [fraction_rank(base, n)] + [st.new_rank for st in run]
+            assert [st.jumped_by_2 for st in run] == [b == a + 2 for a, b in zip(ranks, ranks[1:])]
+        assert runs[3] == grow_and_track(base, law, steps, seed=3)
+
+    def test_no_steps(self):
+        assert grow_and_track(self.zero(3), BERN, 0, seed=[1, 2]) == [[], []]
+        assert grow_and_track(self.zero(3), BERN, 0, seed=1) == []
+
+    def test_bad_steps_fail_before_any_draw(self, monkeypatch):
+        def no_draws(*key):
+            raise AssertionError("drew before checking")
+
+        monkeypatch.setattr("randsym.ensembles.substream", no_draws)
+        with pytest.raises(ValueError, match="steps"):
+            grow_and_track(self.zero(3), BERN, -1, seed=[1])
+
 
 class TestRemovePivotRow:
     def test_diag_with_zero(self):
@@ -453,6 +489,34 @@ class TestMembership:
     def test_bound_formula(self):
         res = subspace_membership_mc(BERN, 8, 5, 100, seed=1, c3=0.5)
         assert res.bound == pytest.approx(math.sqrt(0.5) ** 3)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_bad_trials_fail_before_any_draw(self, trials, monkeypatch):
+        def no_draws(*key):
+            raise AssertionError("drew before checking")
+
+        monkeypatch.setattr("randsym.ensembles.substream", no_draws)
+        with pytest.raises(ValueError, match="trials"):
+            subspace_membership_mc(BERN, 4, 2, trials, seed=1)
+
+    def test_one_echelon_form_per_prime(self, monkeypatch):
+        asked = []
+        real = exactlinalg.row_echelon_int
+
+        def counted(mat, primes):
+            asked.append(list(primes))
+            return real(mat, primes)
+
+        monkeypatch.setattr(exactlinalg, "row_echelon_int", counted)
+        res = subspace_membership_mc(BERN, 8, 4, 20000, seed=2)     # five chunks
+        assert asked == [[exactlinalg.PRIMES[0]]]
+        # the same hits as one call per chunk of the same streams
+        vals = np.array([int(v) for v in BERN.values])
+        V = vals[BERN.sample_indices(substream(2, 0), (4, 8))]
+        hits = sum(int(rowspace_membership(V, vals[BERN.sample_indices(
+            substream(2, 1 + ci), (stop - start, 8))]).sum())
+            for ci, start, stop in chunk_bounds(20000, 4096))
+        assert res.freq == hits / 20000
 
 
 class TestMatrixIO:

@@ -10,7 +10,8 @@ import pytest
 from randsym import exactlinalg
 from randsym.exactlinalg import (PRIMES, OutOfPrimes, adjugate, bareiss_det,
                                  cofactor_matrix, exact_rank, exact_ranks, lattice,
-                                 primitive, row_echelon_int, rowspace_membership)
+                                 primitive, row_echelon_int, rowspace_membership,
+                                 trailing_ranks)
 from genutil import fraction_det, fraction_rank
 
 P1, P2, P3 = PRIMES[:3]
@@ -155,6 +156,66 @@ class TestRank:
             exact_rank([[huge, huge + 1], [2 * huge, 2 * huge + 2]])
 
 
+def bordered(rng, base, atoms, steps: int, count: int, dtype=np.int64) -> np.ndarray:
+    """count symmetric matrices: base bordered steps times with rows and
+    columns of atoms, prepended as grow_and_track prepends them."""
+    n = len(base)
+    size = n + steps
+    out = np.zeros((count, size, size), dtype=dtype)
+    out[:, steps:, steps:] = np.array(base, dtype=dtype)
+    for g in range(steps):
+        new = np.array(atoms, dtype=dtype)[rng.integers(0, len(atoms), (count, size - g))]
+        out[:, g, g:] = out[:, g:, g] = new
+    return out
+
+
+class TestTrailingRanks:
+    """Each column of trailing_ranks is exact_ranks of one trailing block."""
+
+    BASE = [[1, 2, 0, 1], [2, 4, 0, 2], [0, 0, 0, 0], [1, 2, 0, 1]]     # rank 1
+
+    def blockwise(self, stack, steps):
+        return np.column_stack([exact_ranks(stack[:, g:, g:]) for g in range(steps, -1, -1)])
+
+    @pytest.mark.parametrize("atoms", [(-1, 1), (0, 1, 3), (-2, 0, 5)])
+    def test_int64_laws_on_a_nonzero_base(self, atoms, monkeypatch):
+        stack = bordered(np.random.default_rng(len(atoms)), self.BASE, atoms, 6, 60)
+        want = self.blockwise(stack, 6)
+        assert trailing_ranks(stack, 6).tolist() == want.tolist()
+        for m, row in zip(stack[:5], want[:5]):
+            assert row.tolist() == [fraction_rank(m[g:, g:].tolist(), 10 - g)
+                                    for g in range(6, -1, -1)]
+        monkeypatch.setattr(exactlinalg, "_CHUNK", 300)     # several chunks
+        assert trailing_ranks(stack, 6).tolist() == want.tolist()
+
+    def test_object_entries_beyond_int64(self):
+        big = 2 ** 70
+        base = [[big, 1, 0], [1, 0, 0], [0, 0, 0]]
+        stack = bordered(np.random.default_rng(8), base, (-big, 0, 3), 4, 20, dtype=object)
+        want = self.blockwise(stack, 4)
+        assert trailing_ranks(stack, 4).tolist() == want.tolist()
+        assert want[0].tolist() == [fraction_rank(stack[0, g:, g:].tolist(), 7 - g)
+                                    for g in range(4, -1, -1)]
+
+    @pytest.mark.parametrize("base", [[[P1]], [[1, 1], [1, 1 + P1]]])
+    def test_rank_below_full_at_the_first_prime(self, base):
+        # an entry or a 2 x 2 minor equal to P1: the base block has rank
+        # len(base) over Q and less modulo P1, so a further prime must run
+        stack = bordered(np.random.default_rng(2), base, (-1, 0, 1), 3, 30)
+        got = trailing_ranks(stack, 3)
+        assert got[:, 0].tolist() == [len(base)] * 30
+        assert got.tolist() == self.blockwise(stack, 3).tolist()
+        for m, row in zip(stack[:6], got[:6]):
+            n = len(m)
+            assert row.tolist() == [fraction_rank(m[g:, g:].tolist(), n - g)
+                                    for g in range(3, -1, -1)]
+
+    def test_no_steps_is_exact_ranks(self):
+        stack = bordered(np.random.default_rng(3), self.BASE, (-1, 1), 2, 25)
+        assert trailing_ranks(stack, 0)[:, 0].tolist() == exact_ranks(stack).tolist()
+        assert trailing_ranks(stack[:0], 2).shape == (0, 3)
+
+
 class TestDeterminant:
     def test_matches_fraction_oracle(self):
         rng = np.random.default_rng(4)
@@ -245,6 +306,28 @@ class TestMembershipPaths:
         assert rowspace_membership(self.V.tolist(), U).all()
         U[:, 0] += 1
         assert not rowspace_membership(self.V.tolist(), U).any()
+
+    def test_chunks_as_one_call_per_chunk(self, monkeypatch):
+        small = self.C @ self.V
+        beyond = small * 2 ** 40        # entries past 2**31: a second prime
+        beyond[::2, 0] += 1
+        chunks = [small[:25], np.zeros((0, 8), np.int64), beyond,
+                  np.array(small[25:].tolist(), dtype=object) * 2 ** 70]
+        want = np.concatenate([rowspace_membership(self.V, c) for c in chunks])
+        asked = []
+
+        def counted(mat, primes):
+            asked.append(list(primes))
+            return row_echelon_int(mat, primes)
+
+        monkeypatch.setattr(exactlinalg, "row_echelon_int", counted)
+        got = rowspace_membership(self.V, (c for c in chunks))
+        assert got.tolist() == want.tolist()
+        assert want[:25].all() and not want[25:65:2].any() and want[26:65:2].all()
+        # one prime for the first chunk, a second for the third, a third for
+        # the last, each echelon form made once
+        assert asked == [[P1], [P2], [P3]]
+        assert rowspace_membership(self.V, iter([])).shape == (0,)
 
     def test_empty_and_zero_basis(self):
         U = np.array([[0, 0, 0], [1, 0, 0]])
