@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .detconc import (SpacingUnverified, bound_verdict, check_sizes, concentration_report,
                       detconc_trial, tail_report, tail_trial, usable_cores, wilson_interval)
-from .ensembles import (exact_rank, gil_free_solver, grow_and_track, read_matrix_text,
+from .ensembles import (blas_pinnable, exact_rank, grow_and_track, read_matrix_text,
                         sample_symmetric, spectral_summary, subspace_membership_mc,
                         write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
@@ -521,7 +521,7 @@ def run(config: ExperimentConfig, pin_blas: bool = True) -> ResultRecord:
     process has, in one lane).  The record keeps the count, 1, when the pin
     took effect, and None when it did not (no bundled OpenBLAS to pin)."""
     resolved = resolve(config)
-    pin_blas = pin_blas and gil_free_solver()
+    pin_blas = pin_blas and blas_pinnable()
     t0 = time.monotonic()
     runner = EXPERIMENTS[config.experiment].runner
     header, rows, summary, verdict = runner({**resolved, "pin_blas": pin_blas})

@@ -11,13 +11,12 @@ at eps = n^(-1/6) and the empirical sigma_n / condition-number tails.
 Trials are keyed (seed, n, t).  tail_trial and detconc_trial take a range
 of trial indices and return its rows; keyed_spectra cuts the range into
 stacks, and lanes (threads, the caller one of them) take the stacks in
-turn, one sampler call and one solver call per stack, with BLAS pinned to
-one thread.  Lanes solve their stacks in place through the bundled
-OpenBLAS, which releases the GIL on every matrix (numpy's eigvalsh keeps
-it whenever stack size x n <= 500, so at n = 200, one matrix a stack,
-every call), so they solve side by side; the stacks of all lanes hold at
-most ensembles._STACK_ENTRIES entries together (at least one matrix
-each).  The rows do not depend on how a range is cut or on the lanes.
+turn, one sampler call and one np.linalg.eigvalsh call per stack, with
+BLAS pinned to one thread.  numpy releases the GIL for a solve only when
+stack size x n > 500, so a lane's stack holds at least 500 // n + 1
+matrices; otherwise the stacks of all lanes hold at most
+ensembles._STACK_ENTRIES entries together (at least one matrix each).
+The rows do not depend on how a range is cut or on the lanes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ensembles import (_STACK_ENTRIES, SpectralSummary, gil_free_solver, one_blas_thread,
+from .ensembles import (_STACK_ENTRIES, SpectralSummary, blas_pinnable, one_blas_thread,
                         sample_symmetric, spectral_summaries)
 from .laws import AtomicLaw, Law, SpacingCertificate, verify_spacing
 from .streams import chunk_bounds, key_seed
@@ -52,8 +51,8 @@ def cutoff_log(x: float, epsilon: float, sign: str = "plus") -> float:
 
     Lipschitz with constant 1/eps by construction.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     x = float(x)
     if sign == "plus":
         return math.log(max(epsilon, x))
@@ -71,12 +70,14 @@ class CutoffSpec:
     lipschitz_bound: float
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.delta <= 0:
+        if not (self.epsilon > 0 and self.delta > 0):
             raise ValueError("epsilon and delta must be positive")
 
     @classmethod
     def for_matrix(cls, epsilon: float, delta: float, c_const: float, n: int) -> "CutoffSpec":
         """Validate delta against delta0 = 16 C sqrt(pi) |f|_L / n."""
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
         lip = 1.0 / epsilon
         delta0 = 16.0 * c_const * math.sqrt(math.pi) * lip / n
         if delta < delta0:
@@ -109,8 +110,8 @@ def truncated_log_det(summary: SpectralSummary, epsilon: float) -> TruncatedLogD
     (closed); dropped_count is the rest; the small product is bounded
     below by (min |lambda|)^dropped_count.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     lam = summary.eigenvalues
     kept = (lam >= epsilon) | (lam <= -epsilon)
     dropped = int(np.sum(~kept))
@@ -127,6 +128,8 @@ def wilson_interval(hits: int, trials: int, z: float = Z95) -> Tuple[float, floa
     """95% Wilson score interval for a binomial frequency."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= hits <= trials:
+        raise ValueError(f"need 0 <= hits <= trials, got hits {hits}, trials {trials}")
     p = hits / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -224,15 +227,20 @@ class DetConcReport:
 
 
 def _epsilon(n: int, epsilon: Optional[float]) -> float:
-    """The cutoff: epsilon when given, else n^(-1/6)."""
-    return float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
+    """The cutoff: epsilon when given, else n^(-1/6); ValueError unless it
+    is positive (NaN is not), so a bad epsilon fails before any draw."""
+    eps = float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive, got {eps}")
+    return eps
 
 
 # the least order keyed_spectra splits into lanes: below it the work that
-# holds the GIL (keys, sampling, summaries) outweighs the solver, and two
-# lanes ran 8-18% slower than one at n = 16..40 on 2 vCPUs; at n = 64 they
-# ran 1.16x faster, at n = 200 1.45-1.6x
-_LANE_MIN_N = 48
+# holds the GIL (keys, sampling, summaries) outweighs the solver.  Two
+# lanes against one, on 2 vCPUs (medians of 11-21 calls, 2-3 repeats):
+# 0.86-1.10x as fast at n = 8..24, 0.95-1.19x at 28, 1.04-1.28x at 32,
+# 1.19-1.29x at 36..40, 1.38-1.67x at 48..64
+_LANE_MIN_N = 32
 
 
 def usable_cores() -> int:
@@ -254,26 +262,31 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
     count the process has.  The trials are cut into stacks of max(1,
     _STACK_ENTRIES // (lanes n^2)) matrices, each drawn and summarized
     with one sample_symmetric and one spectral_summaries call, so the
-    entries in flight across the lanes stay within _STACK_ENTRIES.  The
-    `lanes` threads (default usable_cores(), at most one per trial; the
-    caller is one) take the stacks from one queue in turn, so a lane on a
-    slow core holds up no other, and solve in place without the GIL.  One
-    lane runs, through np.linalg.eigvalsh, below n = _LANE_MIN_N, without
-    pin_blas (the BLAS thread count is then left alone), and in a build
-    without a GIL-free solver.  The threads are joined before the call
-    returns, so a process forked after it inherits none.
+    entries in flight across the lanes stay within _STACK_ENTRIES; with
+    two or more lanes a stack holds at least 500 // n + 1 matrices, the
+    least that numpy solves without the GIL.  The `lanes` threads (default
+    usable_cores(), at most one per trial; the caller is one) take the
+    stacks from one queue in turn, so a lane on a slow core holds up no
+    other.  One lane runs below n = _LANE_MIN_N, without pin_blas (the
+    BLAS thread count is then left alone), and where the BLAS cannot be
+    pinned.  The threads are joined before the call returns, so a process
+    forked after it inherits none.
     """
     trials = list(trials)
-    if not pin_blas or n < _LANE_MIN_N or not gil_free_solver():
+    if not pin_blas or n < _LANE_MIN_N or not blas_pinnable():
         lanes = 1
     lanes = max(1, min(lanes or usable_cores(), len(trials)))
     per = max(1, _STACK_ENTRIES // (lanes * n * n))
+    if lanes > 1:
+        # numpy's eigvalsh holds the GIL unless stack size x n > 500, and
+        # lanes only run side by side while they solve without it
+        per = max(per, 500 // n + 1)
     blocks = [trials[start:stop] for _, start, stop in chunk_bounds(len(trials), per)]
 
     def draw(block: List[int]) -> List[tuple]:
         seeds = [key_seed(seed, n, t) for t in block]
         stack = sample_symmetric(law, F, n, seed=seeds, exact=False)
-        return list(map(row, block, seeds, spectral_summaries(stack, in_place=lanes > 1)))
+        return list(map(row, block, seeds, spectral_summaries(stack)))
 
     with one_blas_thread(pin_blas):
         if lanes == 1:

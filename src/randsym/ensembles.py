@@ -10,19 +10,17 @@ sigma_n = min |lambda| and kappa = sigma_1 / sigma_n.
 
 Monte Carlo works on stacks: sample_symmetric given a sequence of seeds
 returns a (T, n, n) float stack, each matrix drawn as its seed alone
-would draw it, and spectral_summaries summarizes a stack with one solver
-call.  Callers keep the entries of all stacks in flight at once (one per
-lane of detconc.keyed_spectra) within _STACK_ENTRIES = 2^16, so memory
-does not grow with the number of trials or lanes.
+would draw it, and spectral_summaries summarizes a stack with one
+np.linalg.eigvalsh call, the one eigensolver.  Callers keep the entries
+of all stacks in flight at once (one per lane of detconc.keyed_spectra)
+within _STACK_ENTRIES = 2^16, so memory does not grow with the number of
+trials or lanes.  The cap gives way where it would leave lanes a stack
+that numpy solves holding the GIL (stack size x n <= 500).
 
-The solver is np.linalg.eigvalsh, whose gufunc keeps the GIL whenever
-(stack size x n) <= 500, so threads cannot solve side by side.  Stacks
-that lanes solve in place are handed to LAPACK dsyevd('N', 'L') of the
-OpenBLAS that numpy bundles, called through ctypes: the eigenvalues are
-np.linalg.eigvalsh's bit for bit, but every call releases the GIL.
-one_blas_thread pins the library to one thread for a block.  Without a
-bundled OpenBLAS (numpy built against Accelerate or a system BLAS)
-np.linalg.eigvalsh solves every stack and the thread count is left alone.
+one_blas_thread pins the OpenBLAS that numpy bundles to one thread for a
+block, since from n = 208 up the eigenvalues depend on its thread count.
+Without a bundled OpenBLAS (numpy built against Accelerate or a system
+BLAS) there is nothing to pin and the thread count is left alone.
 """
 
 from __future__ import annotations
@@ -47,6 +45,8 @@ from .streams import chunk_bounds, substream
 
 # entries per stack: the grown integer matrices of grow_and_track, the
 # float matrices of all the lanes of a block of keyed Monte Carlo trials
+# (lanes draw more when this cap would leave a stack that numpy solves
+# with the GIL held; see detconc.keyed_spectra)
 _STACK_ENTRIES = 1 << 16
 
 
@@ -150,7 +150,8 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int]],
     checked once, one sampler call) and returns the float matrices as a
     (T, n, n) stack, matrix t drawn exactly as the single-seed call with
     seed[t] draws it.  A single seed is the T = 1 case.  Callers keep
-    T n^2, summed over the stacks in flight at once, within _STACK_ENTRIES
+    T n^2, summed over the stacks in flight at once, within _STACK_ENTRIES,
+    or T at the least stack that numpy's eigvalsh solves without the GIL
     (detconc.keyed_spectra does).
     """
     single = isinstance(seed, (int, np.integer))
@@ -209,7 +210,7 @@ class SpectralSummary:
 @lru_cache(maxsize=None)
 def _openblas() -> Optional[ctypes.CDLL]:
     """The OpenBLAS bundled with numpy (ILP64, symbols prefixed scipy_),
-    its dsyevd and thread-count calls typed; None when numpy has none."""
+    its thread-count calls typed; None when numpy has none."""
     numpy_dir = os.path.dirname(np.__file__)
     pattern = "libscipy_openblas64_*"
     paths = sorted(glob.glob(os.path.join(os.path.dirname(numpy_dir), "numpy.libs", pattern))
@@ -217,25 +218,19 @@ def _openblas() -> Optional[ctypes.CDLL]:
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
-            dsyevd = lib.scipy_dsyevd_64_
             get_threads = lib.scipy_openblas_get_num_threads64_
             set_threads = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and
-        # the hidden lengths of the two character arguments
-        dsyevd.restype = None
-        dsyevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
         get_threads.restype, get_threads.argtypes = ctypes.c_int, []
         set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
         return lib
     return None
 
 
-def gil_free_solver() -> bool:
-    """Whether numpy bundles an OpenBLAS: in-place spectral_summaries calls
-    then solve through it, releasing the GIL on every matrix so threads can
-    solve side by side, and one_blas_thread pins its thread count."""
+def blas_pinnable() -> bool:
+    """Whether numpy bundles an OpenBLAS, so one_blas_thread can pin its
+    thread count."""
     return _openblas() is not None
 
 
@@ -255,66 +250,18 @@ def one_blas_thread(pin: bool = True) -> Iterator[None]:
         lib.scipy_openblas_set_num_threads64_(old)
 
 
-def _dsyevd(lib: ctypes.CDLL, a: np.ndarray, lam: np.ndarray, work: np.ndarray,
-            iwork: np.ndarray, query: bool = False) -> None:
-    """dsyevd('N', 'L') on each matrix of the C-contiguous float64 stack a,
-    which Fortran reads as its transpose, eigenvalues into the rows of lam;
-    query: put the optimal workspace sizes in work[0] and iwork[0]."""
-    n = a.shape[-1]
-    sizes = (-1, -1) if query else (len(work), len(iwork))
-    # the integer arguments n, lda, lwork, liwork and info, by address
-    ints = np.array([n, max(n, 1), *sizes, 0], dtype=np.int64)
-    p_n, p_lda, p_lwork, p_liwork, p_info = range(ints.ctypes.data, ints.ctypes.data + 40, 8)
-    p_a, p_lam = a.ctypes.data, lam.ctypes.data
-    p_work, p_iwork = work.ctypes.data, iwork.ctypes.data
-    dsyevd = lib.scipy_dsyevd_64_
-    for t in range(len(a)):
-        dsyevd(b"N", b"L", p_n, p_a + 8 * n * n * t, p_lda, p_lam + 8 * n * t,
-               p_work, p_lwork, p_iwork, p_liwork, p_info, 1, 1)
-        if ints[4]:
-            raise ConvergenceFailure(f"dsyevd info {int(ints[4])}: eigenvalues did not converge")
-
-
-@lru_cache(maxsize=64)
-def _workspace(n: int) -> Tuple[int, int]:
-    """dsyevd's optimal (lwork, liwork) at order n, queried once per n as
-    numpy queries them (the blocked reduction depends on lwork)."""
-    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
-    _dsyevd(_openblas(), np.zeros((1, n, n)), np.zeros((1, n)), work, iwork, query=True)
-    return int(work[0]), int(iwork[0])
-
-
-def _eigvalsh(stack: np.ndarray, in_place: bool) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of a (T, n, n) float64 stack,
-    read from its lower triangle.  in_place: the stack is exactly symmetric,
-    so its C layout is its Fortran layout, and the bundled dsyevd solves it
-    in place (destroying it) and releases the GIL; otherwise, and without a
-    bundled OpenBLAS, np.linalg.eigvalsh solves, which is faster per call
-    for small matrices.  The two agree bit for bit."""
+def spectral_summaries(stack: np.ndarray) -> List[SpectralSummary]:
+    """One summary per matrix of a (T, n, n) stack, from one
+    np.linalg.eigvalsh call (it reads the lower triangle); each is reduced
+    from its own eigenvalue row, so it equals the summary of that matrix
+    alone bit for bit.  No exact corank."""
+    stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"a stack of square matrices is needed, got shape {stack.shape}")
-    lib = _openblas() if in_place else None
-    if lib is None:
-        try:
-            return np.linalg.eigvalsh(stack)
-        except np.linalg.LinAlgError as e:
-            raise ConvergenceFailure(str(e)) from e
-    if not (stack.flags.c_contiguous and stack.flags.writeable):
-        raise ValueError("an in-place solve needs a writeable C-contiguous stack")
-    lam = np.empty(stack.shape[:-1])
-    lwork, liwork = _workspace(stack.shape[-1])
-    _dsyevd(lib, stack, lam, np.empty(lwork), np.empty(liwork, dtype=np.int64))
-    return lam
-
-
-def spectral_summaries(stack: np.ndarray, in_place: bool = False) -> List[SpectralSummary]:
-    """One summary per matrix of a (T, n, n) stack, from one solver call;
-    each is reduced from its own eigenvalue row, so it equals the summary
-    of that matrix alone bit for bit.  No exact corank.  in_place: the
-    stack holds exactly symmetric matrices the call may destroy (a stack
-    sample_symmetric has just drawn), solved without the GIL (see
-    _eigvalsh), as lanes of detconc.keyed_spectra need."""
-    lam = _eigvalsh(np.asarray(stack, dtype=np.float64), in_place)
+    try:
+        lam = np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceFailure(str(e)) from e
     absl = np.abs(lam)
     with np.errstate(divide="ignore"):
         logs = np.log(absl)

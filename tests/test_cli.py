@@ -14,7 +14,7 @@ import pytest
 from randsym.cli import (ExperimentConfig, InvalidConfig, ReplayMismatch, ResultRecord,
                          UnknownExperiment, _csv_cell, _jsonify, config_hash, main, replay,
                          resolve, run)
-from randsym.ensembles import gil_free_solver
+from randsym.ensembles import blas_pinnable
 
 
 def cfg(tmp_path, **kw):
@@ -243,7 +243,7 @@ class TestBlasThreads:
     """Eigenvalues from n = 208 up depend on the BLAS thread count, so rows
     are computed at one BLAS thread and the record says so."""
 
-    @pytest.mark.skipif(not gil_free_solver(), reason="numpy bundles no OpenBLAS to pin")
+    @pytest.mark.skipif(not blas_pinnable(), reason="numpy bundles no OpenBLAS to pin")
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_replay_n240_at_any_thread_count(self, tmp_path, threads, workers):
@@ -271,8 +271,8 @@ class TestBlasThreads:
         counts.clear()
         rec = run(cfg(tmp_path, experiment="tail", n_list=(8,), trials=30))
         # the count is kept only where the pin takes effect
-        pinned = 1 if gil_free_solver() else None
-        assert rec.blas_threads == pinned and set(counts) == {gil_free_solver()}
+        pinned = 1 if blas_pinnable() else None
+        assert rec.blas_threads == pinned and set(counts) == {blas_pinnable()}
         assert json.loads((tmp_path / "tail.json").read_text())["blas_threads"] == pinned
 
     def test_unpinned_where_numpy_bundles_no_openblas(self, tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from randsym import (AtomicLaw, CutoffSpec, DegenerateSpectrum, SpacingCertifica
                      truncated_log_det, uniform3, wilson_interval)
 from randsym.detconc import (_LANE_MIN_N, detconc_trial, envelope_norm, loglog_slope,
                              tail_trial)
-from randsym.ensembles import _STACK_ENTRIES, gil_free_solver, spectral_summaries
+from randsym.ensembles import _STACK_ENTRIES, blas_pinnable, spectral_summaries
 from randsym.streams import key_seed, substream
 
 BERN = bernoulli()
@@ -47,6 +47,16 @@ class TestCutoffLog:
         assert spec.lipschitz_bound == 2.0
         with pytest.raises(ValueError):
             CutoffSpec.for_matrix(epsilon=0.5, delta=1e-6, c_const=1.0, n=100)
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_epsilon_must_be_positive(self, eps):
+        # NaN compares false with everything, so it must fail `eps > 0`
+        with pytest.raises(ValueError, match="epsilon"):
+            cutoff_log(2.0, eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            CutoffSpec(eps, 1.0, 1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            CutoffSpec.for_matrix(epsilon=eps, delta=1.0, c_const=1.0, n=100)
 
 
 class TestWindowCount:
@@ -98,6 +108,12 @@ class TestTruncatedLogDet:
         with pytest.raises(DegenerateSpectrum):
             truncated_log_det(spectral_summary(np.diag([1.0, 0.0])), 0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_epsilon_must_be_positive(self, eps):
+        # a NaN cutoff would keep no eigenvalue (kept_sum 0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            truncated_log_det(spectral_summary(np.diag([3.0, -1.0])), eps)
+
     def test_consistency_with_logdet(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -114,6 +130,18 @@ class TestConcentrationExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             concentration_experiment(BERN, [10], trials=10, seed=1)
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_bad_epsilon_fails_before_any_draw(self, monkeypatch, eps):
+        import randsym.detconc
+
+        def no_draw(*args, **kw):
+            raise AssertionError("drew a matrix")
+        monkeypatch.setattr(randsym.detconc, "sample_symmetric", no_draw)
+        with pytest.raises(ValueError, match="epsilon"):
+            detconc_trial(BERN, 4, 1, range(2), epsilon=eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            concentration_experiment(BERN, [4, 8], trials=30, seed=1, epsilon=eps)
 
     def test_single_entry_closed_form(self):
         # n=1, eps=1: |lambda| = 1 always, so the kept sum is exactly 0
@@ -223,6 +251,12 @@ class TestWilson:
             lo, hi = wilson_interval(hits, n)
             assert lo <= hits / n <= hi
 
+    @pytest.mark.parametrize("hits, trials", [(5, 3), (-1, 10), (11, 10)])
+    def test_impossible_counts(self, hits, trials):
+        with pytest.raises(ValueError, match=f"hits {hits}, trials {trials}"):
+            wilson_interval(hits, trials)
+        assert wilson_interval(trials, trials)[1] == 1.0
+
 
 def _oracle_matrix(law, F, n, trial_seed):
     """One keyed matrix built the per-trial way: uniforms of substream(trial
@@ -282,9 +316,9 @@ class TestStackedTrials:
         got = tail_trial(BERN, None, n, 4, trials)
         assert repr(got) == repr(oracle_tail_rows(BERN, None, n, 4, trials))
 
-    def test_stacks_are_capped(self, monkeypatch):
-        # the stacks in flight across all lanes hold at most _STACK_ENTRIES
-        # entries together, at least one matrix each
+    @staticmethod
+    def record_stacks(monkeypatch) -> list:
+        """The size of every stack drawn from now on, in drawing order."""
         import randsym.detconc
         sizes = []
 
@@ -292,13 +326,20 @@ class TestStackedTrials:
             sizes.append(len(seed))
             return sample_symmetric(law, F, n, seed, **kw)
         monkeypatch.setattr(randsym.detconc, "sample_symmetric", recording)
+        return sizes
+
+    def test_stacks_are_capped(self, monkeypatch):
+        # the stacks in flight across all lanes hold at most _STACK_ENTRIES
+        # entries together, at least one matrix each, unless numpy would
+        # solve them holding the GIL
+        sizes = self.record_stacks(monkeypatch)
         tail_trial(BERN, None, 20, 1, range(330), lanes=1)
         assert sizes == [163, 163, 4] and 163 * 20 * 20 <= _STACK_ENTRIES < 164 * 20 * 20
         sizes.clear()
         # two lanes take stacks of 65536 // (2 * 64^2) = 8 matrices in turn
-        # (without a GIL-free solver one lane takes stacks of 16)
+        # (where BLAS cannot be pinned one lane takes stacks of 16)
         tail_trial(BERN, None, 64, 1, range(36), lanes=2)
-        want = [4, 8, 8, 8, 8] if gil_free_solver() else [4, 16, 16]
+        want = [4, 8, 8, 8, 8] if blas_pinnable() else [4, 16, 16]
         assert sorted(sizes) == want and 2 * 8 * 64 * 64 <= _STACK_ENTRIES
         sizes.clear()
         # below _LANE_MIN_N one lane draws the range, in full-size stacks
@@ -307,6 +348,28 @@ class TestStackedTrials:
         sizes.clear()
         detconc_trial(BERN, 200, 1, range(2), lanes=1)
         assert sizes == [1, 1]
+        sizes.clear()
+        # two lanes at n = 200 take stacks of 3, the least with size x n >
+        # 500 (numpy's threshold for releasing the GIL), though the cap is 1
+        tail_trial(BERN, None, 200, 1, range(9), lanes=2)
+        assert sizes == ([3, 3, 3] if blas_pinnable() else [1] * 9)
+
+    @pytest.mark.skipif(not blas_pinnable(), reason="numpy bundles no OpenBLAS: one lane")
+    @pytest.mark.parametrize("lanes", [2, 3, 5])
+    @pytest.mark.parametrize("n", [48, 64, 80, 100, 129, 200, 240])
+    def test_lane_stacks_release_the_gil(self, monkeypatch, n, lanes):
+        # numpy's eigvalsh releases the GIL only for stack size x n > 500,
+        # so every stack lanes draw clears it, but the range's last, which
+        # holds the remainder of the cut; the stacks pass the entries cap
+        # only as far as that needs
+        sizes = self.record_stacks(monkeypatch)
+        trials = range(4 * lanes * (500 // n + 1) + 1)
+        tail_trial(BERN, None, n, 1, trials, lanes=lanes)
+        sizes.sort(reverse=True)
+        per = sizes[0]
+        assert sizes == [per] * (len(trials) // per) + [len(trials) % per]
+        assert per * n > 500
+        assert (per - 1) * n <= 500 or per * lanes * n * n <= _STACK_ENTRIES
 
     @pytest.mark.parametrize("n", [_LANE_MIN_N, 240])
     def test_rows_do_not_depend_on_lanes(self, n):
@@ -330,25 +393,7 @@ class TestStackedTrials:
             sys.setswitchinterval(interval)
         assert got == want
 
-    def test_only_lanes_solve_in_place(self, monkeypatch):
-        # lanes need the solver that releases the GIL; one lane keeps
-        # np.linalg.eigvalsh, which is faster per call for small matrices
-        import randsym.detconc
-        calls = []
-
-        def recording(stack, in_place=False):
-            calls.append(in_place)
-            return spectral_summaries(stack, in_place)
-        monkeypatch.setattr(randsym.detconc, "spectral_summaries", recording)
-        tail_trial(BERN, None, 64, 1, range(4), lanes=2)
-        assert set(calls) == {gil_free_solver()}
-        calls.clear()
-        tail_trial(BERN, None, 64, 1, range(4), lanes=1)
-        tail_trial(BERN, None, 20, 1, range(4), lanes=2)
-        tail_trial(BERN, None, 64, 1, range(4), lanes=2, pin_blas=False)
-        assert set(calls) == {False}
-
-    @pytest.mark.skipif(not gil_free_solver(), reason="numpy bundles no OpenBLAS")
+    @pytest.mark.skipif(not blas_pinnable(), reason="numpy bundles no OpenBLAS")
     def test_lanes_joined_and_blas_restored(self):
         import threading
         from randsym.ensembles import _openblas

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,7 +11,7 @@ from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSam
                      near_kernel_vector, remove_pivot_row, sample_symmetric,
                      spectral_summary, subspace_membership_mc, uniform3)
 from randsym import exactlinalg
-from randsym.ensembles import (gil_free_solver, one_blas_thread, read_matrix_exact,
+from randsym.ensembles import (blas_pinnable, one_blas_thread, read_matrix_exact,
                                read_matrix_text, spectral_summaries, write_matrix_text)
 from randsym.exactlinalg import cofactor_matrix, exact_rank as rational_rank, rowspace_membership
 from randsym.streams import chunk_bounds, substream
@@ -140,37 +141,42 @@ class TestSpectralSummary:
 
 
 needs_bundled_openblas = pytest.mark.skipif(
-    not gil_free_solver(), reason="numpy bundles no OpenBLAS (Accelerate or system BLAS)")
+    not blas_pinnable(), reason="numpy bundles no OpenBLAS (Accelerate or system BLAS)")
 
 
 class TestSolver:
-    """Stacks solved in place go through LAPACK dsyevd of numpy's bundled
-    OpenBLAS, every other stack through np.linalg.eigvalsh: the two must
-    give the same eigenvalues, bit for bit."""
+    """Every stack is solved by one np.linalg.eigvalsh call, whose result
+    for a matrix must not depend on the stack it sits in; the bundled
+    OpenBLAS is only pinned to one thread."""
 
     def test_bundled_openblas_found(self):
-        # numpy built on scipy-openblas must get the GIL-free solver; other
-        # builds fall back to np.linalg.eigvalsh
+        # numpy built on scipy-openblas must be pinnable; other builds
+        # leave the thread count alone
         try:
             blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         except (TypeError, KeyError):
             pytest.skip("numpy does not report its BLAS")
         if blas != "scipy-openblas":
             pytest.skip(f"numpy is built on {blas}")
-        assert gil_free_solver()
+        assert blas_pinnable()
 
-    @needs_bundled_openblas
     def test_bit_identical_to_numpy(self):
-        # +-1, three-atom and Gaussian entries, with and without a fixed part
-        laws = (BERN, uniform3(), gaussian())
-        for n in range(1, 301):
+        # each matrix of a stack gets the eigenvalues of a one-matrix call,
+        # bit for bit, at the stack sizes lanes draw (k n > 500, where numpy
+        # solves without the GIL); +-1, three-atom and Gaussian entries,
+        # with and without a fixed part
+        for n, k in ((80, 7), (200, 3), (240, 3)):
             F = np.diag(np.linspace(-1.0, 1.0, n))
             F[0, -1] = F[-1, 0] = 0.5
-            for fixed in (None, F):
-                stack = sample_symmetric(laws[n % 3], fixed, n, seed=[n], exact=False)
-                want = np.linalg.eigvalsh(stack)
-                got = spectral_summaries(stack, in_place=True)[0].eigenvalues
-                assert np.array_equal(got, want[0]), (n, fixed is not None)
+            for law in (BERN, uniform3(), gaussian()):
+                for fixed in (None, F):
+                    stack = sample_symmetric(law, fixed, n, seed=range(n, n + k), exact=False)
+                    got = spectral_summaries(stack)
+                    for t in range(k):
+                        lone = spectral_summaries(stack[t:t + 1])[0]
+                        assert np.array_equal(got[t].eigenvalues, lone.eigenvalues), (n, t)
+                        assert repr(replace(got[t], eigenvalues=None)) == \
+                            repr(replace(lone, eigenvalues=None)), (n, t)
 
     def test_non_symmetric_input_reads_lower_triangle(self):
         a = np.random.default_rng(3).standard_normal((7, 7))
@@ -180,25 +186,17 @@ class TestSolver:
         assert np.array_equal(a, before)
         assert not np.array_equal(got, np.linalg.eigvalsh(a.T))
 
-    @pytest.mark.parametrize("in_place", [False, True])
+    # pinned: as lanes solve, BLAS at one thread
+    @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("shape", [(2, 3), (1, 4, 3), (2, 2, 2, 2)])
-    def test_only_square_stacks_reach_lapack(self, shape, in_place):
-        with pytest.raises(ValueError, match="square"):
-            spectral_summaries(np.ones(shape), in_place=in_place)
+    def test_only_square_stacks_reach_lapack(self, shape, pinned):
+        with one_blas_thread(pinned), pytest.raises(ValueError, match="square"):
+            spectral_summaries(np.ones(shape))
 
-    @needs_bundled_openblas
-    def test_in_place_needs_a_writeable_c_stack(self):
-        stack = sample_symmetric(BERN, None, 5, seed=[1, 2], exact=False)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            spectral_summaries(np.swapaxes(stack, 1, 2), in_place=True)
-        stack.flags.writeable = False
-        with pytest.raises(ValueError, match="C-contiguous"):
-            spectral_summaries(stack, in_place=True)
-
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_nan_raises_convergence_failure(self, in_place):
-        with pytest.raises(ConvergenceFailure):
-            spectral_summaries(np.full((1, 3, 3), np.nan), in_place=in_place)
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_nan_raises_convergence_failure(self, pinned):
+        with one_blas_thread(pinned), pytest.raises(ConvergenceFailure):
+            spectral_summaries(np.full((1, 3, 3), np.nan))
 
     @needs_bundled_openblas
     def test_thread_count_restored(self):
@@ -216,12 +214,10 @@ class TestSolver:
         stack = sample_symmetric(BERN, None, 9, seed=[1, 2, 3], exact=False)
         want = [s.eigenvalues for s in spectral_summaries(stack)]
         monkeypatch.setattr(randsym.ensembles, "_openblas", lambda: None)
-        assert not gil_free_solver()
+        assert not blas_pinnable()
         with one_blas_thread():
-            got = [s.eigenvalues for s in spectral_summaries(stack, in_place=True)]
+            got = [s.eigenvalues for s in spectral_summaries(stack)]
         assert all(map(np.array_equal, got, want))
-        with pytest.raises(ConvergenceFailure):
-            spectral_summaries(np.full((1, 3, 3), np.nan), in_place=True)
 
 
 class TestExactRank:
