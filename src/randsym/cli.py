@@ -10,9 +10,9 @@ canonical config, its hash, the BLAS thread count the rows were computed
 at (blas_threads: 1, or null where numpy bundles no OpenBLAS to pin;
 outside the hash, like the worker count), rows, summary statistics and
 the verdict.
-Exit codes: 0 pass, 2 fail, 3 inconclusive, 1 error.  A verdict is
-"inconclusive" whenever a declared bound lies inside the Monte Carlo
-confidence interval.
+Exit codes: 0 pass, 2 fail, 3 inconclusive, 1 error.  Every Monte Carlo
+frequency is graded by detconc.bound_verdict: "inconclusive" whenever its
+bound lies inside the frequency's Wilson interval.
 """
 
 from __future__ import annotations
@@ -306,8 +306,8 @@ def _run_tail(cfg: Dict[str, object]):
         raise SpacingUnverified("no spacing certificate passes for this law")
     rep = tail_report(_trial_rows(tail_trial, cfg, F=None, **_spectra(cfg)), cfg["n_list"],
                       cfg["a_exp"], cfg["trials"], cfg["seed"])
-    per_n = {n: {**stats, "verdict": bound_verdict(stats["freq_sigma"], stats["ci_sigma"],
-                                                   cfg["freq_bound"])}
+    per_n = {n: {**stats, "verdict": bound_verdict(round(stats["freq_sigma"] * cfg["trials"]),
+                                                   cfg["trials"], cfg["freq_bound"])}
              for n, stats in rep.per_n.items()}
     summary = {"per_n": per_n, "loglog_slope": rep.loglog_slope}
     return (("n", "trial", "sigma_n", "kappa"), rep.rows, summary,
@@ -319,8 +319,8 @@ def _run_detconc(cfg: Dict[str, object]):
     rows = _trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon"), **_spectra(cfg))
     rep = concentration_report(rows, cfg["n_list"], cfg["trials"], cfg["seed"],
                                cfg.get("epsilon"))
-    per_n = {n: {**stats, "dev_verdict": bound_verdict(stats["dev_freq"], stats["dev_ci"],
-                                                       cfg["dev_bound"])}
+    per_n = {n: {**stats, "dev_verdict": bound_verdict(round(stats["dev_freq"] * cfg["trials"]),
+                                                       cfg["trials"], cfg["dev_bound"])}
              for n, stats in rep.per_n.items()}
     # spread_bound caps the rise of the ratio towards larger n (envelope_rule);
     # a single n carries no shape evidence, a zero std fails the rule
@@ -412,17 +412,17 @@ def _run_rankgrow(cfg: Dict[str, object]):
     n, trials = cfg["n"], cfg["trials"]
     rows = _trial_rows(_rankgrow_trial, cfg)
     header = ("trial", "step", "size", "new_rank", "jumped_by_2")
-    jump1 = sum(1 for r in rows if r[1] == 1 and r[4]) / trials
+    jump1 = sum(1 for r in rows if r[1] == 1 and r[4])
     target_rank = 2 * n - 2
-    chain = sum(1 for r in rows if r[2] == 2 * n - 1 and r[3] == target_rank) / trials
+    chain = sum(1 for r in rows if r[2] == 2 * n - 1 and r[3] == target_rank)
     bound1 = 1 - math.sqrt(1 - float(cert.c3)) ** n
-    se1 = math.sqrt(max(jump1 * (1 - jump1), 1e-12) / trials)
-    v1 = "pass" if jump1 >= bound1 - 3 * se1 else "fail"
-    ci_chain = wilson_interval(int(round(chain * trials)), trials)
-    v2 = "fail" if ci_chain[1] < 0.5 else ("pass" if chain >= 0.5 else "inconclusive")
+    # both claim a frequency of at least a bound: the misses are at most 1 - it
+    v1 = bound_verdict(trials - jump1, trials, 1 - bound1)
+    v2 = bound_verdict(trials - chain, trials, 0.5)
     summary = {
-        "jump1_freq": jump1, "jump1_bound": bound1, "jump1_se": se1,
-        "chain_freq": chain, "chain_target_rank": target_rank,
+        "jump1_freq": jump1 / trials, "jump1_ci": wilson_interval(jump1, trials),
+        "jump1_bound": bound1, "chain_freq": chain / trials,
+        "chain_ci": wilson_interval(chain, trials), "chain_target_rank": target_rank,
         "verdict_jump1": v1, "verdict_chain": v2,
     }
     return header, rows, summary, _worst([v1, v2])
@@ -441,10 +441,11 @@ def _run_odlyzko(cfg: Dict[str, object]):
              for n in cfg["n_list"] for k in range(1, n)]
     rows = _parallel(_w_odlyzko, items, cfg["workers"])
     header = ("n", "k", "freq", "se", "bound")
-    ok = all(r[2] <= r[4] + 3 * r[3] for r in rows)
-    worst = max(((r[2] - r[4]) / r[3] if r[3] > 0 else -math.inf) for r in rows)
-    summary = {"holds_all": ok, "worst_excess_se": worst}
-    return header, rows, summary, "pass" if ok else "fail"
+    trials = cfg["trials"]
+    per_row = [{"n": n, "k": k, "freq": freq, "ci": wilson_interval(round(freq * trials), trials),
+                "verdict": bound_verdict(round(freq * trials), trials, bound)}
+               for n, k, freq, _, bound in rows]
+    return header, rows, {"per_row": per_row}, _worst([r["verdict"] for r in per_row])
 
 
 def _read_coeffs(path: Optional[str], kind: str, n: int):

@@ -139,12 +139,14 @@ def wilson_interval(hits: int, trials: int, z: float = Z95) -> Tuple[float, floa
     return lo, hi
 
 
-def bound_verdict(freq: float, ci: Tuple[float, float], bound: float) -> str:
-    """pass/fail/inconclusive for an upper bound on a MC frequency."""
-    lo, hi = ci
+def bound_verdict(hits: int, trials: int, bound: float) -> str:
+    """pass, fail, or inconclusive while bound lies in the Wilson interval, for
+    the claim that a frequency of hits in trials is at most bound.  At least b
+    is the same call on trials - hits at 1 - b: p -> 1 - p maps the interval."""
+    lo, hi = wilson_interval(hits, trials)
     if lo <= bound <= hi:
         return "inconclusive"
-    return "pass" if freq <= bound else "fail"
+    return "pass" if hits / trials <= bound else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,9 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
                 except queue.Empty:
                     return
                 rows[i] = draw(blocks[i])
-        # the caller is a lane too: one thread (and malloc arena) fewer
+        # the caller is a lane too: one thread and malloc arena fewer.  A pool
+        # map over the blocks, 18 lines shorter, raised mc-serial's peak RSS by
+        # 5% (2 vCPUs, seed 4101, medians of 3 10-s runs: 51.81 -> 54.38 MB)
         with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
             others = [pool.submit(lane) for _ in range(lanes - 1)]
             lane()

@@ -3,9 +3,7 @@
 A GAP is the image of an integer box under the affine map
 k -> g0 + k1*g1 + ... + kr*gr.  Arithmetic is exact rational: generators
 and offsets are fractions (floats are admitted as the exact binary
-rationals they are).  A family whose generators share one irrational
-unit can tag that unit; all the stored numbers are then the rational
-multipliers.  Mixed incommensurable generators have no exact
+rationals they are).  Incommensurable generators have no exact
 representation here and are out of scope.
 
 rank_reduce implements the full-rank reduction: while the witness points
@@ -53,7 +51,6 @@ class Gap:
     generators: Tuple[Fraction, ...]
     lower: Tuple[int, ...]
     upper: Tuple[int, ...]
-    unit: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "offset", Fraction(self.offset))
@@ -67,11 +64,11 @@ class Gap:
                 raise ValueError(f"empty box dimension [{lo}, {hi}]")
 
     @classmethod
-    def symmetric(cls, generators, half_widths, unit=None) -> "Gap":
+    def symmetric(cls, generators, half_widths) -> "Gap":
         hw = tuple(int(h) for h in half_widths)
         if any(h < 0 for h in hw):
             raise ValueError("half widths must be >= 0")
-        return cls(Fraction(0), tuple(generators), tuple(-h for h in hw), hw, unit=unit)
+        return cls(Fraction(0), tuple(generators), tuple(-h for h in hw), hw)
 
     @property
     def rank(self) -> int:
@@ -143,8 +140,7 @@ def beta_close(q: Gap, a, beta, cap: int = ENUM_CAP) -> Optional[LatticePoint]:
     """Some box point whose value is within beta of a, or None.
 
     Ties break toward the smallest |value - a|, then lexicographically
-    smallest coordinates.  For unit-tagged gaps, a is read in the same
-    unit.  Comparison is exact rational.
+    smallest coordinates.  Comparison is exact rational.
     """
     _check_cap(q, cap)
     beta = Fraction(beta)
@@ -221,7 +217,7 @@ def _eliminate_hyperplane(q: Gap, wits: List[LatticePoint], alpha: Sequence[int]
     w = q.generators[piv] / alpha[piv]
     keep = [i for i in range(q.rank) if i != piv]
     gens = tuple(q.generators[i] - alpha[i] * w for i in keep)
-    out = Gap.symmetric(gens, tuple(q.upper[i] for i in keep), unit=q.unit)
+    out = Gap.symmetric(gens, tuple(q.upper[i] for i in keep))
     new_wits = [tuple(p[i] for i in keep) for p in wits]
     return out, new_wits, piv
 
@@ -238,7 +234,7 @@ def _eliminate_relation(q: Gap, wits: List[LatticePoint], rel: Sequence[int]):
     keep = [i for i in range(q.rank) if i != piv]
     gens = tuple(q.generators[i] / s for i in keep)
     half = tuple(abs(s) * q.upper[i] + q.upper[piv] * abs(rel[i]) for i in keep)
-    out = Gap.symmetric(gens, half, unit=q.unit)
+    out = Gap.symmetric(gens, half)
     new_wits = [tuple(p[i] * s - p[piv] * rel[i] for i in keep) for p in wits]
     return out, new_wits, piv
 
@@ -295,8 +291,6 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
     cur = q
     steps: List[ReductionStep] = []
     while cur.rank > 0:
-        if wits and exact_rank([list(p) for p in wits]) == cur.rank:
-            break
         try:
             alpha = primitive_kernel_vector([list(p) for p in wits], cur.rank)
         except FullRank:

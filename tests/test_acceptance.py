@@ -22,6 +22,7 @@ from randsym import (Bipartition, Gap, LinearForm, QuadraticForm, bernoulli,
                      subspace_membership_mc, tail_experiment, uniform3,
                      AtomicLaw, RowMatrixSpec, SpacingCertificate,
                      build_row_matrix, grow_and_track, SymmetricSample)
+from randsym.detconc import bound_verdict
 from genutil import (plant_degenerate_subset, random_proper_symmetric_gap,
                      random_symmetric_int_matrix)
 
@@ -118,7 +119,8 @@ def test_criterion_3_odlyzko_bound():
         for k in range(1, n):
             res = subspace_membership_mc(BERN, n, k, 10 ** 5,
                                          seed=SEED * 1000 + n * 16 + k, c3=0.5)
-            ok = ok and res.freq <= res.bound + 3 * res.se
+            ok = ok and bound_verdict(round(res.freq * res.trials), res.trials,
+                                      res.bound) == "pass"
             worst = max(worst, res.freq - res.bound)
     assert report(3, "Odlyzko membership bound", ok, t0, 60,
                   f"worst freq-bound gap {worst:.4f}")
@@ -145,13 +147,14 @@ def test_criterion_4_rank_growth():
                                seed=SEED * 10 ** 6 + t)
         jump1 += steps[0].jumped_by_2
         chain += steps[-1].size == 2 * n - 1 and steps[-1].new_rank == 2 * n - 2
-    p1 = jump1 / trials
     bound1 = 1 - math.sqrt(1 - 0.5) ** n
-    se1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / trials)
-    pc = chain / trials
-    ok = p1 >= bound1 - 3 * se1 and pc >= 0.5
+    # each frequency is claimed at least its bound: its misses at most 1 - it
+    v1 = bound_verdict(trials - jump1, trials, 1 - bound1)
+    vc = bound_verdict(trials - chain, trials, 0.5)
+    ok = v1 == vc == "pass"
     assert report(4, "rank growth (escape bound + corank chain)", ok, t0, 60,
-                  f"jump1 {p1:.4f} >= {bound1 - 3 * se1:.4f}, chain {pc:.3f}")
+                  f"jump1 {jump1 / trials:.4f} >= {bound1:.4f} {v1}, "
+                  f"chain {chain / trials:.3f} >= 0.5 {vc}")
 
 
 # --------------------------------------------------------------------------
@@ -266,10 +269,9 @@ def test_criterion_9_sigma_tail():
     freqs = {}
     for n in (20, 40, 80):
         freq = rep.per_n[n]["freq_sigma"]
-        lo, hi = rep.per_n[n]["ci_sigma"]
         freqs[n] = freq
-        # inconclusive permitted only when the Wilson interval straddles 0.01
-        ok = ok and (freq <= 0.01 or (lo <= 0.01 <= hi))
+        # inconclusive permitted: 0.01 inside the Wilson interval
+        ok = ok and bound_verdict(round(freq * 10 ** 4), 10 ** 4, 0.01) != "fail"
     assert report(9, "sigma_n tail frequency", ok, t0, 600, f"freqs {freqs}")
 
 

@@ -14,6 +14,7 @@ import pytest
 from randsym.cli import (ExperimentConfig, InvalidConfig, ReplayMismatch, ResultRecord,
                          UnknownExperiment, _csv_cell, _jsonify, config_hash, main, replay,
                          resolve, run)
+from randsym.detconc import wilson_interval
 from randsym.ensembles import blas_pinnable
 
 
@@ -193,11 +194,22 @@ def _contains(new, old) -> bool:
     return new == old
 
 
+# What one verdict rule for every Monte Carlo frequency changed in records
+# made before it: rankgrow's chain, 23 of 40, has 0.5 inside its Wilson
+# interval [0.42, 0.72] and is inconclusive now; the keys of the normal
+# +-3 se rules it replaced (None) are gone.
+_REGRADED = {
+    "rankgrow": {"verdict": "inconclusive", "verdict_chain": "inconclusive", "jump1_se": None},
+    "odlyzko": {"holds_all": None, "worst_excess_se": None},
+}
+
+
 class TestStoredRecords:
     """Records written by an earlier version of the runner, one per
     experiment, and a tail record at n = 240 made at one BLAS thread:
-    replay must give their rows, CSV bytes, verdict and summary again, with
-    any worker count (three cut rankgrow's trials unevenly)."""
+    replay must give their rows, CSV bytes, verdict and summary again
+    (as _REGRADED changed them), with any worker count (three cut
+    rankgrow's trials unevenly)."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment", ["smallball", "tail", "detconc", "decoupling",
@@ -208,10 +220,57 @@ class TestStoredRecords:
         shutil.copy(src + ".json", path)
         stored = json.loads(Path(path).read_text())
         rec = replay(path, workers=workers)
-        assert rec.verdict == stored["verdict"]
+        verdict, summary = stored["verdict"], stored["summary"]
+        for key, value in _REGRADED.get(experiment, {}).items():
+            if key == "verdict":
+                verdict = value
+            elif value is None:
+                del summary[key]
+                assert key not in rec.summary
+            else:
+                summary[key] = value
+        assert rec.verdict == verdict
         assert rec.config_hash == stored["config_hash"]
-        assert _contains(json.loads(json.dumps(_jsonify(rec.summary))), stored["summary"])
+        assert _contains(json.loads(json.dumps(_jsonify(rec.summary))), summary)
         assert Path(path + ".replay.csv").read_bytes() == Path(src + ".csv").read_bytes()
+
+
+class TestVerdicts:
+    """Every Monte Carlo frequency is graded by detconc.bound_verdict: a
+    bound inside the frequency's Wilson interval is inconclusive, exit 3,
+    however many standard errors it lies from the frequency."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["odlyzko", "--n-list", "2", "--trials", "10"], id="odlyzko-n2"),
+        pytest.param(["odlyzko", "--trials", "50"], id="odlyzko-zero-hits"),
+        pytest.param(["rankgrow", "--n", "4", "--trials", "20"], id="rankgrow-chain")])
+    def test_bound_inside_interval_is_inconclusive(self, tmp_path, argv):
+        out = str(tmp_path / "o")
+        assert main([*argv, "--out", out]) == 3
+        record = json.loads(Path(out + ".json").read_text())
+        summary = record["summary"]
+        if argv[0] == "odlyzko":
+            graded = [(g["ci"], r[4], g["verdict"])
+                      for g, r in zip(summary["per_row"], record["rows"])]
+        else:
+            graded = [(summary["chain_ci"], 0.5, summary["verdict_chain"])]
+        assert all(v != "fail" for _, _, v in graded)
+        assert any(lo <= bound <= hi and v == "inconclusive" for (lo, hi), bound, v in graded)
+
+    def test_summaries_carry_wilson_intervals(self, tmp_path):
+        out = str(tmp_path / "r")
+        assert main(["rankgrow", "--n", "8", "--trials", "200", "--out", out]) == 0
+        summary = json.loads(Path(out + ".json").read_text())["summary"]
+        assert summary["jump1_ci"] == list(wilson_interval(200, 200))
+        assert summary["chain_ci"] == list(wilson_interval(round(summary["chain_freq"] * 200),
+                                                           200))
+        assert "jump1_se" not in summary
+        rec = run(cfg(tmp_path, experiment="odlyzko", n_list=(6,), trials=400, seed=3))
+        assert [(g["n"], g["k"], g["freq"]) for g in rec.summary["per_row"]] == \
+            [r[:3] for r in rec.rows]
+        for g, (_, _, freq, _, bound) in zip(rec.summary["per_row"], rec.rows):
+            assert g["ci"] == wilson_interval(round(freq * 400), 400)
+            assert g["verdict"] == "pass" and bound > g["ci"][1]
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -352,7 +411,8 @@ class TestMain:
         assert capsys.readouterr().out == defaults
         out = str(tmp_path / "o")
         assert main(["odlyzko", "--n-list", "6", "--trials", "50", "--out", out]) == 0
-        assert main(["odlyzko", "--trials", "50", "--out", out]) == 0
+        # 0 hits in 50 trials cannot show a bound below 0.071 (Wilson)
+        assert main(["odlyzko", "--trials", "50", "--out", out]) == 3
         capsys.readouterr()
         config = json.loads(Path(out + ".json").read_text())["config"]
         assert config["n_list"] == list(resolve(ExperimentConfig("odlyzko"))["n_list"]) != [6]

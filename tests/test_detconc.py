@@ -8,8 +8,8 @@ from randsym import (AtomicLaw, CutoffSpec, DegenerateSpectrum, SpacingCertifica
                      cutoff_log, envelope_rule, gaussian, point_mass, sample_symmetric,
                      spectral_summary, spectral_window_count, tail_experiment,
                      truncated_log_det, uniform3, wilson_interval)
-from randsym.detconc import (_LANE_MIN_N, detconc_trial, envelope_norm, loglog_slope,
-                             tail_trial)
+from randsym.detconc import (_LANE_MIN_N, bound_verdict, detconc_trial, envelope_norm,
+                             loglog_slope, tail_trial)
 from randsym.ensembles import _STACK_ENTRIES, blas_pinnable, spectral_summaries
 from randsym.streams import key_seed, substream
 
@@ -256,6 +256,59 @@ class TestWilson:
         with pytest.raises(ValueError, match=f"hits {hits}, trials {trials}"):
             wilson_interval(hits, trials)
         assert wilson_interval(trials, trials)[1] == 1.0
+
+
+class TestBoundVerdict:
+    """bound_verdict(hits, trials, bound), the one verdict on a Monte Carlo
+    frequency claimed to be at most bound."""
+
+    @pytest.mark.parametrize("hits, trials", [(5, 50), (0, 50), (50, 50), (1, 1), (23, 40)])
+    def test_interval_edges(self, hits, trials):
+        lo, hi = wilson_interval(hits, trials)
+        assert bound_verdict(hits, trials, lo) == "inconclusive"
+        assert bound_verdict(hits, trials, hi) == "inconclusive"
+        assert bound_verdict(hits, trials, math.nextafter(hi, math.inf)) == "pass"
+        below = math.nextafter(lo, -math.inf)
+        assert bound_verdict(hits, trials, below) == "fail"
+
+    def test_zero_hits(self):
+        # a frequency of 0 in 50 trials shows no bound below 0.0713; a
+        # normal +-3 se interval has width 0 there and passed any bound
+        lo, hi = wilson_interval(0, 50)
+        assert lo == 0.0 and hi == pytest.approx(0.0713, abs=1e-4)
+        assert bound_verdict(0, 50, 0.022) == "inconclusive"
+        assert bound_verdict(0, 50, 0.08) == "pass"
+        assert bound_verdict(0, 10 ** 4, 0.001) == "pass"
+
+    def test_all_hits(self):
+        lo, hi = wilson_interval(40, 40)
+        assert hi == 1.0 and lo == pytest.approx(0.9124, abs=1e-4)
+        assert bound_verdict(40, 40, 1.0) == "inconclusive"
+        assert bound_verdict(40, 40, 0.95) == "inconclusive"
+        assert bound_verdict(40, 40, 0.9) == "fail"
+
+    @pytest.mark.parametrize("hits, verdict", [(23, "inconclusive"), (30, "pass"),
+                                               (12, "fail")])
+    def test_lower_bound_through_misses(self, hits, verdict):
+        # "at least 1/2 of 40" is the claim "at most 1/2" on the misses
+        assert bound_verdict(40 - hits, 40, 0.5) == verdict
+
+    @pytest.mark.parametrize("trials", [1, 7, 40, 1000])
+    def test_misses_mirror_the_interval(self, trials):
+        for hits in range(0, trials + 1, max(1, trials // 40)):
+            lo, hi = wilson_interval(hits, trials)
+            mlo, mhi = wilson_interval(trials - hits, trials)
+            assert (mlo, mhi) == pytest.approx((1 - hi, 1 - lo), abs=1e-12)
+            for b in np.linspace(0.005, 0.995, 67):
+                if min(abs(b - lo), abs(b - hi)) < 1e-9:
+                    continue
+                at_least = "inconclusive" if lo <= b <= hi else \
+                    ("pass" if hits / trials >= b else "fail")
+                assert bound_verdict(trials - hits, trials, 1 - b) == at_least
+
+    def test_impossible_counts(self):
+        with pytest.raises(ValueError, match="hits 5, trials 3"):
+            bound_verdict(5, 3, 0.5)
 
 
 def _oracle_matrix(law, F, n, trial_seed):
