@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__
 from .detconc import (SpacingUnverified, bound_verdict, check_sizes, concentration_report,
                       detconc_trial, tail_report, tail_trial, usable_cores, wilson_interval)
-from .ensembles import (blas_pinnable, exact_rank, grow_and_track, read_matrix_text,
-                        sample_symmetric, spectral_summary, subspace_membership_mc,
-                        write_matrix_text)
+from .ensembles import (MembershipResult, blas_pinnable, exact_rank, grow_and_track,
+                        read_matrix_text, sample_symmetric, spectral_summary,
+                        subspace_membership_mc, write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
 from .laws import AtomicLaw, SpacingCertificate, auto_certificate, parse_law, verify_spacing
 from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
@@ -306,8 +306,8 @@ def _run_tail(cfg: Dict[str, object]):
         raise SpacingUnverified("no spacing certificate passes for this law")
     rep = tail_report(_trial_rows(tail_trial, cfg, F=None, **_spectra(cfg)), cfg["n_list"],
                       cfg["a_exp"], cfg["trials"], cfg["seed"])
-    per_n = {n: {**stats, "verdict": bound_verdict(round(stats["freq_sigma"] * cfg["trials"]),
-                                                   cfg["trials"], cfg["freq_bound"])}
+    per_n = {n: {**stats, "verdict": bound_verdict(stats["hits_sigma"], cfg["trials"],
+                                                   cfg["freq_bound"])}
              for n, stats in rep.per_n.items()}
     summary = {"per_n": per_n, "loglog_slope": rep.loglog_slope}
     return (("n", "trial", "sigma_n", "kappa"), rep.rows, summary,
@@ -319,8 +319,8 @@ def _run_detconc(cfg: Dict[str, object]):
     rows = _trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon"), **_spectra(cfg))
     rep = concentration_report(rows, cfg["n_list"], cfg["trials"], cfg["seed"],
                                cfg.get("epsilon"))
-    per_n = {n: {**stats, "dev_verdict": bound_verdict(round(stats["dev_freq"] * cfg["trials"]),
-                                                       cfg["trials"], cfg["dev_bound"])}
+    per_n = {n: {**stats, "dev_verdict": bound_verdict(stats["dev_hits"], cfg["trials"],
+                                                       cfg["dev_bound"])}
              for n, stats in rep.per_n.items()}
     # spread_bound caps the rise of the ratio towards larger n (envelope_rule);
     # a single n carries no shape evidence, a zero std fails the rule
@@ -343,16 +343,20 @@ def _run_detconc(cfg: Dict[str, object]):
 def _decoupling_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
                       beta) -> List[tuple]:
     """Decoupling rows (t, rho_quad, lhs, constant or -1, rhs, holds), trial
-    t's form (entries in {-3..3}/4) and bipartition from substream(seed, t)."""
-    rows = []
-    for t in trials:
-        rng = substream(seed, t)
+    t's form (entries in {-3..3}/4) and bipartition from substream(seed, t),
+    the range keyed in one block."""
+    def draw(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
         mat = np.zeros((n, n))
         while not np.any(mat):          # redrawn until an entry is off the diagonal
             mat = np.triu(rng.integers(-3, 4, size=(n, n)), 1)
             mat = mat + mat.T
+        return mat, rng.random(n) < 0.5
+
+    trials = list(trials)
+    rows = []
+    for t, (mat, side) in zip(trials, substream(seed, trials).map(draw)):
         form = QuadraticForm(tuple(tuple(Fraction(int(x), 4) for x in row) for row in mat))
-        u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
+        u = Bipartition(tuple(bool(b) for b in side))
         const, checks = decoupling_scan(form, law, beta, u)
         last = checks[-1]
         rows.append((t, float(last.rho_quad), last.lhs, const if const is not None else -1.0,
@@ -400,7 +404,7 @@ def _rankgrow_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int]) ->
     """Rank growth rows (t, step, size, new_rank, jumped_by_2): trial t
     borders the n x n zero matrix n - 1 times, keyed key_seed(seed, t)."""
     trials = list(trials)
-    runs = grow_and_track([[0] * n] * n, law, n - 1, seed=[key_seed(seed, t) for t in trials])
+    runs = grow_and_track([[0] * n] * n, law, n - 1, seed=key_seed(seed, trials))
     return [(t, i + 1, st.size, st.new_rank, st.jumped_by_2)
             for t, steps in zip(trials, runs) for i, st in enumerate(steps)]
 
@@ -428,23 +432,22 @@ def _run_rankgrow(cfg: Dict[str, object]):
     return header, rows, summary, _worst([v1, v2])
 
 
-def _w_odlyzko(args) -> tuple:
+def _w_odlyzko(args) -> MembershipResult:
     law_lit, n, k, trials, seed, c3 = args
-    law = parse_law(law_lit)
-    res = subspace_membership_mc(law, n, k, trials, seed=key_seed(seed, n, k), c3=c3)
-    return (n, k, res.freq, res.se, res.bound)
+    return subspace_membership_mc(parse_law(law_lit), n, k, trials, seed=key_seed(seed, n, k),
+                                  c3=c3)
 
 
 def _run_odlyzko(cfg: Dict[str, object]):
     _atomic_law(cfg["law"])
     items = [(cfg["law"], n, k, cfg["trials"], cfg["seed"], cfg["c3"])
              for n in cfg["n_list"] for k in range(1, n)]
-    rows = _parallel(_w_odlyzko, items, cfg["workers"])
+    results = _parallel(_w_odlyzko, items, cfg["workers"])
     header = ("n", "k", "freq", "se", "bound")
-    trials = cfg["trials"]
-    per_row = [{"n": n, "k": k, "freq": freq, "ci": wilson_interval(round(freq * trials), trials),
-                "verdict": bound_verdict(round(freq * trials), trials, bound)}
-               for n, k, freq, _, bound in rows]
+    rows = [(r.n, r.k, r.freq, r.se, r.bound) for r in results]
+    per_row = [{"n": r.n, "k": r.k, "freq": r.freq, "hits": r.hits,
+                "ci": wilson_interval(r.hits, r.trials),
+                "verdict": bound_verdict(r.hits, r.trials, r.bound)} for r in results]
     return header, rows, {"per_row": per_row}, _worst([r["verdict"] for r in per_row])
 
 
@@ -618,26 +621,28 @@ def _run_ensemble_action(args) -> int:
         for t, steps in itertools.groupby(rows, key=lambda row: row[0]):
             print(f"trial {t}: " + " ".join(f"{row[2]}:{row[3]}" for row in steps))
         return 0
-    # only rank reads the exact matrix
-    exact = "auto" if args.action == "rank" else False
-    for t in range(args.trials):
-        s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t), exact=exact)
+    if args.action == "rank":       # only rank reads the exact matrix: one sample per trial
+        for t in range(args.trials):
+            s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t), exact="auto")
+            print(f"trial {t}: rank {exact_rank(s)}")
+        return 0
+    stack = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, range(args.trials)),
+                             exact=False)
+    for t, mat in enumerate(stack):
         if args.action == "sample":
             if args.out:
-                write_matrix_text(s.matrix, f"{args.out}.{t}.txt" if args.trials > 1
+                write_matrix_text(mat, f"{args.out}.{t}.txt" if args.trials > 1
                                   else args.out + ".txt")
             else:
-                for row in s.matrix:
+                for row in mat:
                     print(" ".join(repr(float(x)) for x in row))
-        elif args.action == "spectrum":
-            summ = spectral_summary(s.matrix)
+        else:
+            summ = spectral_summary(mat)
             print(json.dumps({
                 "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,
                 "kappa": summ.kappa, "log_abs_det": summ.log_abs_det,
                 "eigenvalues": [float(x) for x in summ.eigenvalues],
             }))
-        elif args.action == "rank":
-            print(f"trial {t}: rank {exact_rank(s)}")
     return 0
 
 

@@ -9,10 +9,11 @@ value.  The experiments measure the spread of the truncated log-product
 at eps = n^(-1/6) and the empirical sigma_n / condition-number tails.
 
 Trials are keyed (seed, n, t).  tail_trial and detconc_trial take a range
-of trial indices and return its rows; keyed_spectra cuts the range into
-stacks, and lanes (threads, the caller one of them) take the stacks in
-turn, one sampler call and one np.linalg.eigvalsh call per stack, with
-BLAS pinned to one thread.  numpy releases the GIL for a solve only when
+of trial indices and return its rows; keyed_spectra keys the range in one
+block (streams.key_seed and substream), cuts it into stacks, and lanes
+(threads, the caller one of them) take the stacks in turn, one sampler
+call on a slice of the block and one np.linalg.eigvalsh call per stack,
+with BLAS pinned to one thread.  numpy releases the GIL for a solve only when
 stack size x n > 500, so a lane's stack holds at least 500 // n + 1
 matrices; otherwise the stacks of all lanes hold at most
 ensembles._STACK_ENTRIES entries together (at least one matrix each).
@@ -33,7 +34,7 @@ import numpy as np
 from .ensembles import (_STACK_ENTRIES, SpectralSummary, blas_pinnable, one_blas_thread,
                         sample_symmetric, spectral_summaries)
 from .laws import AtomicLaw, Law, SpacingCertificate, verify_spacing
-from .streams import chunk_bounds, key_seed
+from .streams import chunk_bounds, key_seed, substream
 
 Z95 = 1.959963984540054
 
@@ -238,10 +239,12 @@ def _epsilon(n: int, epsilon: Optional[float]) -> float:
 
 
 # the least order keyed_spectra splits into lanes: below it the work that
-# holds the GIL (keys, sampling, summaries) outweighs the solver.  Two
-# lanes against one, on 2 vCPUs (medians of 11-21 calls, 2-3 repeats):
-# 0.86-1.10x as fast at n = 8..24, 0.95-1.19x at 28, 1.04-1.28x at 32,
-# 1.19-1.29x at 36..40, 1.38-1.67x at 48..64
+# holds the GIL (sampling, summaries) outweighs the solver.  Two lanes
+# against one, on 2 vCPUs, tail_trial of 400 trials (medians of 15
+# alternating calls, 2 repeats), after block keying: 0.81-1.23x as fast
+# at n = 8..16, 1.25-1.54x at 20..28, 1.15-1.42x at 32, 1.40-1.81x at
+# 36..40.  A floor of 20 left mc-serial no faster (21.8 against 22.2
+# ops/s, medians of 4 alternating 10-s pairs), so it stays at 32
 _LANE_MIN_N = 32
 
 
@@ -257,7 +260,8 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
                   row: Callable[[int, int, SpectralSummary], tuple],
                   lanes: Optional[int] = None, pin_blas: bool = True) -> List[tuple]:
     """row(t, trial seed, summary) for each trial index t, in order; matrix
-    t is keyed key_seed(seed, n, t).
+    t is drawn from substream(key_seed(seed, n, t)), the whole range keyed
+    in one block before any stack is drawn.
 
     pin_blas: BLAS runs at one thread for the call (the old count is
     restored after), so rows from n = 208 up do not depend on the thread
@@ -283,12 +287,16 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
         # numpy's eigvalsh holds the GIL unless stack size x n > 500, and
         # lanes only run side by side while they solve without it
         per = max(per, 500 // n + 1)
-    blocks = [trials[start:stop] for _, start, stop in chunk_bounds(len(trials), per)]
+    # the whole range keyed in one pass; each stack draws from a slice
+    seeds = key_seed(seed, n, trials)
+    streams = substream(seeds)
+    seeds = seeds.tolist()
+    blocks = [(start, stop) for _, start, stop in chunk_bounds(len(trials), per)]
 
-    def draw(block: List[int]) -> List[tuple]:
-        seeds = [key_seed(seed, n, t) for t in block]
-        stack = sample_symmetric(law, F, n, seed=seeds, exact=False)
-        return list(map(row, block, seeds, spectral_summaries(stack)))
+    def draw(block: Tuple[int, int]) -> List[tuple]:
+        start, stop = block
+        stack = sample_symmetric(law, F, n, seed=streams[start:stop], exact=False)
+        return list(map(row, trials[start:stop], seeds[start:stop], spectral_summaries(stack)))
 
     with one_blas_thread(pin_blas):
         if lanes == 1:
@@ -314,6 +322,14 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
             for f in others:
                 f.result()
         return [r for block_rows in rows for r in block_rows]
+
+
+def seed_repeats(seed: int, n: int, trials: int) -> int:
+    """Trials of range(trials) whose key_seed(seed, n, t) an earlier trial
+    already has, and with it the whole matrix: about trials^2 / 2^33 (the
+    seed is one 32-bit word)."""
+    # a set, not np.unique, whose sort code adds 0.8 MB to peak RSS
+    return trials - len(set(key_seed(seed, n, range(trials)).tolist()))
 
 
 def detconc_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
@@ -364,9 +380,10 @@ def concentration_experiment(law: AtomicLaw, n_list: Sequence[int], trials: int,
 def concentration_report(rows: Sequence[tuple], n_list: Sequence[int], trials: int,
                          seed: int, epsilon: Optional[float] = None) -> DetConcReport:
     """Summary of detconc_trial rows, trials rows per n in n_list order: per
-    n the std and mean of the kept sum, its ratio to n^(1/3) log n, and the
-    frequency (Wilson interval) of centered deviations >= 2 log n / eps,
-    none at n = 1; then the ratio spread and the fitted exponent."""
+    n the std and mean of the kept sum, its ratio to n^(1/3) log n, the
+    hits and frequency (Wilson interval) of centered deviations >= 2 log n
+    / eps, none at n = 1, and the seed repeats; then the ratio spread and
+    the fitted exponent."""
     per_n: Dict[int, dict] = {}
     for i, n in enumerate(n_list):
         kept = np.array([r[4] for r in rows[i * trials:(i + 1) * trials]])
@@ -380,9 +397,11 @@ def concentration_report(rows: Sequence[tuple], n_list: Sequence[int], trials: i
             "std_kept": std,
             "ratio": std / envelope_norm(n),
             "dev_threshold": thr,
+            "dev_hits": hits,
             "dev_freq": hits / trials,
             "dev_ci": wilson_interval(hits, trials),
             "mean_kept": mean,
+            "seed_repeats": seed_repeats(seed, n, trials),
         }
     ratios = [per_n[n]["ratio"] for n in n_list]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
@@ -422,8 +441,9 @@ def tail_experiment(law: Law, F, n_list: Sequence[int], a_exp: float, trials: in
 def tail_report(rows: Sequence[tuple], n_list: Sequence[int], a_exp: float,
                 trials: int, seed: int) -> TailReport:
     """Summary of tail_trial rows, trials rows per n in n_list order: per n
-    the frequencies (Wilson intervals) of {sigma_n <= n^-A} and {kappa >=
-    n^A}; then the log-log slope of the positive sigma_n frequencies."""
+    the hits and frequencies (Wilson intervals) of {sigma_n <= n^-A} and
+    {kappa >= n^A} and the seed repeats; then the log-log slope of the
+    positive sigma_n frequencies."""
     per_n: Dict[int, dict] = {}
     for i, n in enumerate(n_list):
         block = rows[i * trials:(i + 1) * trials]
@@ -431,10 +451,13 @@ def tail_report(rows: Sequence[tuple], n_list: Sequence[int], a_exp: float,
         hits_s = sum(1 for r in block if r[2] <= thr_sigma)
         hits_k = sum(1 for r in block if r[3] >= thr_kappa)
         per_n[n] = {
+            "hits_sigma": hits_s,
             "freq_sigma": hits_s / trials,
             "ci_sigma": wilson_interval(hits_s, trials),
+            "hits_kappa": hits_k,
             "freq_kappa": hits_k / trials,
             "ci_kappa": wilson_interval(hits_k, trials),
+            "seed_repeats": seed_repeats(seed, n, trials),
         }
     hit = [n for n in n_list if per_n[n]["freq_sigma"] > 0]
     slope = loglog_slope(hit, [per_n[n]["freq_sigma"] for n in hit])

@@ -40,7 +40,7 @@ import numpy as np
 from .exactlinalg import (adjugate, bareiss_det, cofactor_matrix, exact_rank as _rank,
                           lattice, rowspace_membership, trailing_ranks)
 from .laws import AtomicLaw, Law
-from .streams import chunk_bounds, substream
+from .streams import StreamBlock, chunk_bounds, substream
 
 
 # entries per stack: the grown integer matrices of grow_and_track, the
@@ -136,7 +136,7 @@ def _mirror(n: int) -> np.ndarray:
     return pos
 
 
-def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int]],
+def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], StreamBlock],
                      gamma: float = 1.0,
                      exact: Union[bool, str] = "auto") -> Union[SymmetricSample, np.ndarray]:
     """Draw M = F + X; the upper triangle of X (with diagonal) is iid.
@@ -146,31 +146,32 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int]],
     matrix when the law is rational and F is; exact=False skips it
     (cheaper for spectral Monte Carlo), exact=True demands it.
 
-    Given a sequence of T seeds, draws one matrix per seed in one pass (F
+    Given a sequence of T seeds, or their StreamBlock substream(seeds),
+    draws one matrix per seed in one pass (the seeds hashed at once, F
     checked once, one sampler call) and returns the float matrices as a
     (T, n, n) stack, matrix t drawn exactly as the single-seed call with
-    seed[t] draws it.  A single seed is the T = 1 case.  Callers keep
-    T n^2, summed over the stacks in flight at once, within _STACK_ENTRIES,
-    or T at the least stack that numpy's eigvalsh solves without the GIL
-    (detconc.keyed_spectra does).
+    seed[t] draws it.  Callers keep T n^2, summed over the stacks in flight
+    at once, within _STACK_ENTRIES, or T at the least stack that numpy's
+    eigvalsh solves without the GIL (detconc.keyed_spectra does, each
+    stack a slice of one block hashed for the whole trial range).
     """
     single = isinstance(seed, (int, np.integer))
     if not single and exact is True:
         raise ValueError("a sequence of seeds draws float matrices only")
     F_arr = _fixed_part(F, n, gamma)
-    rngs = [substream(sd) for sd in ([seed] if single else seed)]
+    rng = seed if isinstance(seed, StreamBlock) else substream(seed)
     m = n * (n + 1) // 2
     want_exact = (exact is True) or (
         exact == "auto" and isinstance(law, AtomicLaw) and law.is_rational)
     if isinstance(law, AtomicLaw):
-        idx = law.sample_indices(rngs, m)
+        idx = law.sample_indices(rng, m).reshape(-1, m)
         vals_f = law.values_float()[idx]
     else:
         if exact is True:
             raise ValueError("exact sampling needs a rational atomic law")
-        vals_f = law.sample_values(rngs, m)
+        vals_f = law.sample_values(rng, m).reshape(-1, m)
         want_exact = False
-    X = np.take(vals_f, _mirror(n), axis=1).reshape(len(rngs), n, n)
+    X = np.take(vals_f, _mirror(n), axis=1).reshape(len(vals_f), n, n)
     X += 0.0      # a -0.0 draw reads +0.0, as in any sum with a zero matrix
     if not single:
         return X if F_arr is None else F_arr + X
@@ -426,19 +427,20 @@ def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw
     Each step prepends an independent first row and column (diagonal
     entry plus one entry per old row), drawn from substream (seed, step),
     and records the new exact rank and whether it rose by 2.  The draws
-    do not depend on the ranks, so every step is drawn first, step t for
-    every seed of a stack in one sampler call.  The matrix after step t is
-    the trailing block of the final one, so one elimination of the final
-    matrix ranks every step (exactlinalg.trailing_ranks).  Given a
-    sequence of seeds, grows once per seed through the same stacks and
-    returns one list of steps per seed.
+    do not depend on the ranks, so every step is drawn first: the (seed,
+    step) keys of a stack are hashed in one block, and step t is drawn for
+    every seed of the stack in one sampler call.  The matrix after step t
+    is the trailing block of the final one, so one elimination of the
+    final matrix ranks every step (exactlinalg.trailing_ranks).  Given a
+    sequence (or array) of seeds, grows once per seed through the same
+    stacks and returns one list of steps per seed.
     """
     rows = _exact_rows(m)
     if not (isinstance(law, AtomicLaw) and law.is_rational):
         raise ValueError("rational atomic law required")
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
-    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    seeds = np.atleast_1d(np.asarray(seed))
     n, size = len(rows), len(rows) + steps
     # one lattice makes M and the atoms integers; the rank is unchanged
     (atoms, *base), _ = lattice([law.values, *rows])
@@ -451,11 +453,14 @@ def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw
     out: List[List[GrowthStep]] = []
     for c0 in range(0, len(seeds), per):
         chunk = seeds[c0:c0 + per]
-        grown = np.zeros((len(chunk), size, size), dtype=base.dtype)
+        c = len(chunk)
+        # the keys step by step: (chunk[i], t) at t * c + i
+        streams = substream(np.tile(chunk, steps), np.repeat(np.arange(steps), c))
+        grown = np.zeros((c, size, size), dtype=base.dtype)
         grown[:, steps:, steps:] = base
         for t in range(steps):
             g = steps - 1 - t
-            new = atoms[law.sample_indices([substream(sd, t) for sd in chunk], n + t + 1)]
+            new = atoms[law.sample_indices(streams[t * c:(t + 1) * c], n + t + 1)]
             grown[:, g, g:] = grown[:, g:, g] = new
         ranks = trailing_ranks(grown, steps).tolist()
         if ranks[0][0] > n - 2:
@@ -519,6 +524,7 @@ class MembershipResult:
     freq: float
     se: float
     bound: float
+    hits: int
 
 
 def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: int,
@@ -547,7 +553,7 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
     freq = hits / trials
     se = math.sqrt(freq * (1 - freq) / trials)
     bound = math.sqrt(1 - c3) ** (n - k)
-    return MembershipResult(n=n, k=k, trials=trials, freq=freq, se=se, bound=bound)
+    return MembershipResult(n=n, k=k, trials=trials, freq=freq, se=se, bound=bound, hits=hits)
 
 
 # ---------------------------------------------------------------------------

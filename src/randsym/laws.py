@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .streams import chunk_bounds, substream
+from .streams import StreamBlock, chunk_bounds, substream
 
 Scalar = Union[Fraction, float]
 
@@ -131,27 +131,13 @@ class AtomicLaw:
         c.flags.writeable = False
         return c
 
-    def sample_indices(self, rng: np.random.Generator | Sequence[np.random.Generator],
-                       size) -> np.ndarray:
-        """Atom indices of `size` draws from rng; given a sequence of
-        generators, a stack of `size` draws from each in turn."""
-        return atom_indices(self._cum, _uniforms(rng, size))
+    def sample_indices(self, rng: np.random.Generator | StreamBlock, size) -> np.ndarray:
+        """Atom indices of `size` draws from rng; given a StreamBlock, a
+        stack of `size` draws from each of its streams."""
+        return atom_indices(self._cum, rng.random(size))
 
-    def sample_values(self, rng: np.random.Generator | Sequence[np.random.Generator],
-                      size) -> np.ndarray:
+    def sample_values(self, rng: np.random.Generator | StreamBlock, size) -> np.ndarray:
         return self.values_float()[self.sample_indices(rng, size)]
-
-
-def _uniforms(rng: np.random.Generator | Sequence[np.random.Generator],
-              size) -> np.ndarray:
-    """rng.random(size), or one such row per generator of a sequence."""
-    if isinstance(rng, np.random.Generator):
-        return rng.random(size)
-    rngs = list(rng)
-    u = np.empty((len(rngs),) + ((size,) if np.ndim(size) == 0 else tuple(size)))
-    for r, row in zip(rngs, u):
-        r.random(out=row)
-    return u
 
 
 def atom_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -187,11 +173,13 @@ class ContinuousLaw:
 
     is_rational = False
 
-    def sample_values(self, rng: np.random.Generator | Sequence[np.random.Generator],
-                      size) -> np.ndarray:
+    def sample_values(self, rng: np.random.Generator | StreamBlock, size) -> np.ndarray:
+        """sample(rng, size); given a StreamBlock, a stack of one such
+        draw from each of its streams."""
         if isinstance(rng, np.random.Generator):
             return self.sample(rng, size)
-        return np.stack([self.sample(r, size) for r in rng])
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        return np.reshape(rng.map(lambda g: self.sample(g, size)), (len(rng),) + shape)
 
 
 Law = Union[AtomicLaw, ContinuousLaw]

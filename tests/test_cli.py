@@ -518,7 +518,8 @@ class TestMain:
 
         def recording(*args, **kwargs):
             s = sample_symmetric(*args, **kwargs)
-            kinds.append(s.entry_kind)
+            # one float stack for every trial, or one sample per trial
+            kinds.extend(["float"] * len(s) if isinstance(s, np.ndarray) else [s.entry_kind])
             return s
         monkeypatch.setattr(randsym.cli, "sample_symmetric", recording)
         assert main(["ensemble", action, "--n", "5", "--trials", "2"]) == 0

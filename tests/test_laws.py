@@ -10,7 +10,7 @@ from randsym import (AtomicLaw, DegenerateLaw, RejectionDiverges, SamplerConfig,
                      lazy_sign, parse_law, point_mass, sample_truncated,
                      standardize, uniform3, verify_spacing)
 from randsym.laws import _count_atoms, atom_indices
-from randsym.streams import key_seed, substream
+from randsym.streams import _block_state, key_seed, substream
 
 
 def atoms_of(law):
@@ -261,16 +261,17 @@ class TestAtomIndices:
         atom_indices(cum33, np.random.default_rng(0).random(20100))
         assert counted == [20100]
 
-    def test_generator_sequence_stacks_rows(self):
+    def test_stream_block_stacks_rows(self):
         law = uniform3()
         seeds = [3, 4, 5]
-        stack = law.sample_indices([substream(s) for s in seeds], (2, 6))
+        stack = law.sample_indices(substream(seeds), (2, 6))
         assert stack.shape == (3, 2, 6)
         for s, row in zip(seeds, stack):
             assert np.array_equal(row, law.sample_indices(substream(s), (2, 6)))
-        vals = gaussian().sample_values([substream(s) for s in seeds], 4)
+        vals = gaussian().sample_values(substream(seeds), 4)
         assert vals.shape == (3, 4)
         assert np.array_equal(vals[1], gaussian().sample_values(substream(4), 4))
+        assert gaussian().sample_values(substream([]), (2, 3)).shape == (0, 2, 3)
 
 
 class TestStreamKeys:
@@ -284,3 +285,57 @@ class TestStreamKeys:
         assert key_seed(*key) == int(want.generate_state(1)[0])
         assert np.array_equal(substream(*key).random(5),
                               np.random.default_rng(want).random(5))
+        # a block of one key, its last part an array of one
+        with np.errstate(all="raise"):
+            block = (*key[:-1], [key[-1]])
+            assert key_seed(*block).tolist() == [key_seed(*key)]
+            assert np.array_equal(substream(*block).random(5)[0], substream(*key).random(5))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63])
+    def test_blocks_are_numpy_streams(self, seed):
+        # 3 x 700 keys per seed, 10,500 in all; at n = 20 the trials cross 2^32,
+        # where the last part grows from one word to two
+        with np.errstate(all="raise"):
+            for n in (1, 20, 200):
+                trials = range(2 ** 32 - 350, 2 ** 32 + 350) if n == 20 else range(700)
+                seeds = key_seed(seed, n, trials)
+                words = _block_state((seed, n, trials), 8)
+                block = substream(seed, n, trials)
+                states = block.map(lambda g: g.bit_generator.state)
+                draws = block.random(3)
+                reseeded = substream(seeds).random(2)
+                for i, t in enumerate(trials):
+                    want = np.random.SeedSequence([seed, n, t])
+                    assert np.array_equal(words[:, i], want.generate_state(8))
+                    assert seeds[i] == want.generate_state(1)[0] == key_seed(seed, n, t)
+                    assert states[i] == np.random.PCG64(want).state
+                    assert np.array_equal(draws[i], substream(seed, n, t).random(3))
+                    assert np.array_equal(reseeded[i], substream(int(seeds[i])).random(2))
+
+    def test_array_parts_broadcast(self):
+        with np.errstate(all="raise"):
+            firsts = np.array([0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3], dtype=np.uint64)
+            steps = np.array([0, 1, 2, 3, 2 ** 33])
+            got = key_seed(firsts, steps, 9)
+            assert got.dtype == np.int64
+            assert got.tolist() == [key_seed(int(f), int(s), 9) for f, s in zip(firsts, steps)]
+            one = key_seed(firsts, 7)
+            assert one.tolist() == [key_seed(int(f), 7) for f in firsts]
+            rows = substream(7, firsts).random((2, 3))
+            assert rows.shape == (5, 2, 3)
+            for f, row in zip(firsts, rows):
+                assert np.array_equal(row, substream(7, int(f)).random((2, 3)))
+
+    def test_empty_block_and_slices(self):
+        empty = substream(4, 2, range(0))
+        assert len(empty) == 0 and empty.random(3).shape == (0, 3) and empty.map(id) == []
+        assert key_seed(4, 2, []).shape == (0,)
+        block = substream(4, range(10))
+        whole = block.random(6)
+        assert np.array_equal(block[3:7].random(6), whole[3:7])
+        assert np.array_equal(block.random(6), whole)
+
+    @pytest.mark.parametrize("part", [[3, -1], range(-2, 3), np.array([1.5]), [[1, 2]]])
+    def test_bad_array_parts(self, part):
+        with pytest.raises(ValueError):
+            key_seed(1, part)
