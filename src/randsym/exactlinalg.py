@@ -103,7 +103,7 @@ def lattice(rows: Sequence[Sequence]) -> Tuple[List[List[int]], Fraction]:
     whatever c is.  Entries are ints, Fractions or floats (the binary
     rationals they are); rows may differ in length.
     """
-    fr = [[Fraction(x) for x in row] for row in rows]
+    fr = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
     num = math.gcd(*(x.numerator for row in fr for x in row))
     if not num:
         return [[0] * len(row) for row in fr], Fraction(1)

@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .exactlinalg import lattice
 from .streams import StreamBlock, chunk_bounds, substream
 
 Scalar = Union[Fraction, float]
@@ -47,7 +48,11 @@ def _as_scalar(x) -> Scalar:
 def _values_close(a: Scalar, b: Scalar) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
-    fa, fb = float(a), float(b)
+    try:
+        fa, fb = float(a), float(b)
+    except OverflowError:       # a rational beyond the float range: compare exactly
+        a, b = Fraction(a), Fraction(b)
+        return abs(a - b) <= Fraction(MERGE_REL_TOL) * max(1, abs(a), abs(b))
     return abs(fa - fb) <= MERGE_REL_TOL * max(1.0, abs(fa), abs(fb))
 
 
@@ -62,7 +67,7 @@ def _canonical_atoms(pairs) -> Tuple[Tuple[Scalar, Scalar], ...]:
         cleaned.append((v, p))
     if not cleaned:
         raise ValueError("law needs at least one atom of positive mass")
-    cleaned.sort(key=lambda a: float(a[0]))
+    cleaned.sort(key=lambda a: a[0])     # Fractions and floats compare exactly
     merged: List[Tuple[Scalar, Scalar]] = []
     for v, p in cleaned:
         if merged and _values_close(merged[-1][0], v):
@@ -78,7 +83,7 @@ def _canonical_atoms(pairs) -> Tuple[Tuple[Scalar, Scalar], ...]:
 
 @dataclass(frozen=True)
 class AtomicLaw:
-    """A finitely supported probability law, canonically ordered."""
+    """A finitely supported probability law, its atoms ascending by exact value."""
 
     atoms: Tuple[Tuple[Scalar, Scalar], ...]
     label: str = ""
@@ -123,6 +128,24 @@ class AtomicLaw:
         c = np.cumsum(np.array([float(p) for p in self.masses], dtype=np.float64))
         c[-1] = 1.0
         return c
+
+    @cached_property
+    def _lattice(self) -> Tuple[Tuple[Fraction, ...], Tuple[int, ...], Fraction,
+                                Tuple[int, ...], int]:
+        """(values, value_ints, unit, counts, total), built once per law for
+        the exact engines: the atom values as Fractions, the same values on
+        their lattice (values[k] == value_ints[k] * unit), and the masses
+        as integer counts with their total."""
+        values = tuple(Fraction(v) for v in self.values)
+        (ints,), unit = lattice([values])
+        (counts,), _ = lattice([self.masses])
+        return values, tuple(ints), unit, tuple(counts), sum(counts)
+
+    @cached_property
+    def _difference(self) -> "AtomicLaw":
+        """difference_law(self), built once per law."""
+        out = _convolve(self, self, negate_b=True)
+        return AtomicLaw(out.atoms, label=f"diff({self.label})" if self.label else "diff")
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -360,9 +383,9 @@ def _convolve(a: AtomicLaw, b: AtomicLaw, negate_b: bool = False) -> AtomicLaw:
 
 
 def difference_law(law: AtomicLaw) -> AtomicLaw:
-    """Exact law of xi - xi' for independent copies."""
-    out = _convolve(law, law, negate_b=True)
-    return AtomicLaw(out.atoms, label=f"diff({law.label})" if law.label else "diff")
+    """Exact law of xi - xi' for independent copies, built once per law
+    object (the same object on every call)."""
+    return law._difference
 
 
 def lazy_difference_law(law: AtomicLaw, mu) -> AtomicLaw:

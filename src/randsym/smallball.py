@@ -25,20 +25,29 @@ sparse.  Either way counts are int64 while the total count stays below
 likewise, so no size changes the arithmetic silently.  The suffix sums of
 suffix_smallball_factors are the partial sums of one pass from the end.
 
-Quadratic and bilinear forms are enumerated over all outcomes by one
-meet-in-the-middle engine (Horowitz-Sahni): z = (x, y) is split at h,
-z^T A z = q_x(x) + q_y(y) + x^T (A_xy + A_yx^T) y, the outcomes of each
-half are tabulated once, and the cross term is one BLAS product per
-block of x outcomes, whose values _aggregate_np counts into their span.
-The quadratic form splits its coordinates in half; the bilinear form
-x^T A y is the same engine on z = (x, y) with the matrix [[0, A], [0, 0]]
-and h = n.  float64 stays exact because every partial sum is an integer
-of absolute value below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 <
-2**53 (a coordinate that is always 0 contributes exact zeros); inputs
-past that bound, or with more outcomes than the cap, raise
-EnumerationTooLarge.  Counts are int64 while the count total stays below
-2**61 and exact Python ints (numpy object arrays) beyond, as in the
-linear engine, so float masses such as 0.1 stay exact.
+Quadratic and bilinear forms are enumerated over all outcomes, block by
+block.  Coordinates i and j are coupled when a_ij or a_ji != 0; the
+connected blocks of that graph are independent, so the distribution of
+z^T A z is the convolution of theirs (outer sums, aggregated by
+_aggregate_np), and a coordinate that no entry touches is not enumerated.
+The bilinear form x^T A y is z^T [[0, A], [0, 0]] z on z = (x, y); the
+mask A_U of the decoupling check splits it into at least {x_U, y_U^c}
+and {x_U^c, y_U}, so one check at n = 5 under the difference law of
+signs enumerates 2 * 3**5 outcomes instead of 3**10.  Each block is
+enumerated by one meet-in-the-middle engine (Horowitz-Sahni): its
+coordinates are split in half, z = (x, y), z^T A z = q_x(x) + q_y(y) +
+x^T (A_xy + A_yx^T) y, the outcomes of each half are tabulated once, and
+the cross term is one BLAS product per block of x outcomes, whose values
+_aggregate_np counts into their span; a dense form is one block.  The
+cap and the float-exactness bound are judged on the whole form: float64
+stays exact because every partial sum is an integer of absolute value
+below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 < 2**53 (a coordinate
+that is always 0 contributes exact zeros); inputs past that bound, or
+with more outcomes in all than the cap, raise EnumerationTooLarge.
+Counts are int64 while the count total of the enumerated coordinates
+stays below 2**61 and exact Python ints (numpy object arrays) beyond, as
+in the linear engine, so float masses such as 0.1 stay exact.  A law's
+atoms and masses go on their lattices once per law object.
 
 Monte Carlo variants draw from splittable streams keyed (seed, chunk)
 and carry a Dvoretzky-Kiefer-Wolfowitz half-width at the 95% level.
@@ -113,7 +122,8 @@ class QuadraticForm:
     shifts: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        mat = tuple(tuple(Fraction(a) for a in row) for row in self.matrix)
+        mat = tuple(tuple(a if type(a) is Fraction else Fraction(a) for a in row)
+                    for row in self.matrix)
         n = len(mat)
         if not n:
             raise ValueError("form needs at least one row")
@@ -211,11 +221,9 @@ def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
     array never outgrows the cap, so AtomBlowup is a sparse-layout event."""
     if not isinstance(law, AtomicLaw):
         raise ValueError("an exact small ball needs atomic laws")
-    values = [Fraction(v) for v in law.values]
+    values, _, _, counts, total = law._lattice
     step_ints, scale = lattice([[a * v for v in values] for a in coeffs])
-    (counts,), _ = lattice([law.masses])
     val_bound = sum(max(abs(x) for x in row) for row in step_ints) + 1
-    total = sum(counts)
     vtype = np.int64 if val_bound < _INT64_SAFE else object
     ctype = np.int64 if total ** len(coeffs) < _INT64_SAFE else object
     span = sum(max(row) - min(row) for row in step_ints)
@@ -352,13 +360,19 @@ def linear_small_ball_mc(form: LinearForm, sampler: Law, beta, trials: int,
 
 def _coordinates(law: AtomicLaw, shifts: Sequence[Fraction]):
     """Per-coordinate shifted atom values (x + f_i) on one integer lattice,
-    each with the law's integer counts and their total, and the lattice unit."""
+    each with the law's integer counts and their total, and the lattice
+    unit: the law's own lattice when every shift is 0, else one lattice
+    row per distinct shift."""
     if not isinstance(law, AtomicLaw):
         raise ValueError("an exact small ball needs atomic laws")
-    values = [Fraction(v) for v in law.values]
-    zs, unit = lattice([[v + f for v in values] for f in shifts])
-    (counts,), _ = lattice([law.masses])
-    return [(row, counts, sum(counts)) for row in zs], unit
+    values, ints, unit, counts, total = law._lattice
+    distinct = list(set(shifts))
+    if distinct == [0]:
+        rows = {0: ints}
+    else:
+        zs, unit = lattice([[v + f for v in values] for f in distinct])
+        rows = dict(zip(distinct, zs))
+    return [(rows[f], counts, total) for f in shifts], unit
 
 
 def _outcome_table(coords, ctype) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,11 +389,60 @@ def _outcome_table(coords, ctype) -> Tuple[np.ndarray, np.ndarray]:
     return Z.reshape(math.prod(sizes), len(coords)), cnts.ravel()
 
 
-def _split_enumeration(a_int: List[List[int]], coords, h: int, scale: Fraction,
+def _blocks(A: np.ndarray) -> List[np.ndarray]:
+    """The ascending coordinates of each connected block of the coupling
+    graph of A, in which i and j are coupled when a_ij or a_ji != 0; a
+    coordinate that no entry touches is in no block."""
+    coupled = A != 0
+    coupled |= coupled.T
+    reach = coupled | np.eye(len(A), dtype=bool)
+    while True:     # paths of twice the length, until no path is added
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    root = reach.argmax(axis=1)     # the least coordinate of each block
+    touched = coupled.any(axis=1)
+    return [np.flatnonzero(touched & (root == r))
+            for r in np.flatnonzero(touched & (root == np.arange(len(A))))]
+
+
+def _aggregate_rows(rows: int, width: int, piece) -> Tuple[np.ndarray, np.ndarray]:
+    """_aggregate_np over the rows x width (values, counts) that piece(part)
+    gives for slices part of the rows, aggregated at most 2**21 at a time."""
+    step = max(1, (1 << 21) // width)
+    pieces = [_aggregate_np(*piece(slice(start, start + step)))
+              for start in range(0, rows, step)]
+    return pieces[0] if len(pieces) == 1 else \
+        _aggregate_np(*map(np.concatenate, zip(*pieces)))
+
+
+def _block_dist(A: np.ndarray, coords, ctype) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of z^T A z over one block of coordinates,
+    with their counts, by meet in the middle: x = z[:h], y = z[h:] at
+    h = len(coords) // 2 (module docstring)."""
+    h = len(coords) // 2
+    X, cx = _outcome_table(coords[:h], ctype)
+    Y, cy = _outcome_table(coords[h:], ctype)
+    qx = np.einsum("ti,ti->t", X @ A[:h, :h], X)
+    qy = np.einsum("ti,ti->t", Y @ A[h:, h:], Y)
+    B = A[:h, h:] + A[h:, :h].T
+
+    def piece(part):
+        vals = (X[part] @ B) @ Y.T
+        vals += qx[part, None]
+        vals += qy
+        return vals.astype(np.int64).ravel(), np.outer(cx[part], cy).ravel()
+    return _aggregate_rows(len(X), len(Y), piece)
+
+
+def _split_enumeration(a_int: List[List[int]], coords, scale: Fraction,
                        cap: int) -> _ScaledDist:
     """Exact distribution of z^T A z over independent integer coordinates,
-    each (values, counts, count total), split into x = z[:h] and y = z[h:]
-    (module docstring)."""
+    each (values, counts, count total): each block of the coupling graph
+    enumerated apart and the block distributions convolved, with the cap
+    and the float-exactness bound judged on the whole form (module
+    docstring)."""
     outcomes = math.prod(len(vals) for vals, _, _ in coords)
     if outcomes > cap:
         raise EnumerationTooLarge(f"{outcomes} outcomes exceed cap {cap}")
@@ -390,25 +453,17 @@ def _split_enumeration(a_int: List[List[int]], coords, h: int, scale: Fraction,
     if val_bound >= _FLOAT_EXACT:
         raise EnumerationTooLarge(
             "scaled values too large for exact vectorized enumeration")
-    ctotal = math.prod(total for _, _, total in coords)
-    ctype = np.int64 if ctotal < _INT64_SAFE else object
     A = np.asarray(a_int, dtype=np.float64)
-    X, cx = _outcome_table(coords[:h], ctype)
-    Y, cy = _outcome_table(coords[h:], ctype)
-    qx = np.einsum("ti,ti->t", X @ A[:h, :h], X)
-    qy = np.einsum("ti,ti->t", Y @ A[h:, h:], Y)
-    B = A[:h, h:] + A[h:, :h].T
-    pieces = []
-    block = max(1, (1 << 21) // len(Y))
-    for start in range(0, len(X), block):
-        part = slice(start, start + block)
-        vals = (X[part] @ B) @ Y.T
-        vals += qx[part, None]
-        vals += qy
-        pieces.append(_aggregate_np(vals.astype(np.int64).ravel(),
-                                    np.outer(cx[part], cy).ravel()))
-    vals, cnts = pieces[0] if len(pieces) == 1 else \
-        _aggregate_np(*map(np.concatenate, zip(*pieces)))
+    blocks = _blocks(A)
+    # an untouched coordinate leaves every value as it is: its counts are
+    # left out of the counts and of their total alike
+    ctotal = math.prod(coords[i][2] for block in blocks for i in block)
+    ctype = np.int64 if ctotal < _INT64_SAFE else object
+    vals, cnts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=ctype)
+    for k, block in enumerate(blocks):
+        bv, bc = _block_dist(A[np.ix_(block, block)], [coords[i] for i in block], ctype)
+        vals, cnts = (bv, bc) if not k else _aggregate_rows(len(vals), len(bv), lambda part: (
+            (vals[part, None] + bv).ravel(), (cnts[part, None] * bc).ravel()))
     return _ScaledDist(vals, cnts, scale, ctotal)
 
 
@@ -418,8 +473,7 @@ def quadratic_small_ball_exact(form: QuadraticForm, law: AtomicLaw, beta,
     beta = _radius(beta)
     a_int, ga = lattice(form.matrix)
     coords, gz = _coordinates(law, form.shifts)
-    return _exact_estimate(
-        _split_enumeration(a_int, coords, form.n // 2, ga * gz * gz, cap), beta)
+    return _exact_estimate(_split_enumeration(a_int, coords, ga * gz * gz, cap), beta)
 
 
 def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int,
@@ -456,15 +510,14 @@ def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
 
 def _bilinear_exact(form: QuadraticForm, law_x: AtomicLaw, law_y: AtomicLaw,
                     beta: Fraction, cap: int) -> SmallBallEstimate:
-    """x^T A y is z^T [[0, A], [0, 0]] z on z = (x, y), split at h = n; each
-    side keeps its own lattice unit."""
+    """x^T A y is z^T [[0, A], [0, 0]] z on z = (x, y); each side keeps
+    its own lattice unit."""
     n = form.n
     a_int, ga = lattice(form.matrix)
     cx, gzx = _coordinates(law_x, form.shifts)
     cy, gzy = _coordinates(law_y, form.shifts)
     joint = [[0] * n + row for row in a_int] + [[0] * (2 * n)] * n
-    return _exact_estimate(
-        _split_enumeration(joint, cx + cy, n, ga * gzx * gzy, cap), beta)
+    return _exact_estimate(_split_enumeration(joint, cx + cy, ga * gzx * gzy, cap), beta)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,12 @@ class DecouplingCheck:
     holds: bool
 
 
+def _check_radius_constant(c) -> None:
+    """ValueError naming radius_constant unless c is finite and >= 0."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"radius_constant must be finite and >= 0, got {c!r}")
+
+
 def verify_decoupling(form: QuadraticForm, law: AtomicLaw, beta, u: Bipartition,
                       radius_constant: float = 1.0) -> DecouplingCheck:
     """Check rho_quad^8 / ((2pi)^{7/2} exp(4pi)) <= bilinear rho of A_U.
@@ -184,8 +190,10 @@ def verify_decoupling(form: QuadraticForm, law: AtomicLaw, beta, u: Bipartition,
     The bilinear side is evaluated at radius radius_constant * beta *
     sqrt(log n) under independent copies of xi - xi'.  Both small-ball
     probabilities are exact (fractions); only the universal constant and
-    the radius are floating.
+    the radius are floating.  A radius constant that is not finite or is
+    below 0 is rejected before any enumeration.
     """
+    _check_radius_constant(radius_constant)
     rho_q = quadratic_small_ball_exact(form, law, beta).rho
     lhs = float(rho_q) ** 8 / DECOUPLING_CONST
     n = form.n
@@ -202,8 +210,11 @@ def decoupling_scan(form: QuadraticForm, law: AtomicLaw, beta, u: Bipartition,
     """Smallest radius constant making the decoupling inequality hold.
 
     Returns (constant or None, per-constant checks); None flags an
-    instance needing more than the scanned constants.
+    instance needing more than the scanned constants.  Every constant is
+    checked before the first enumeration.
     """
+    for c in constants:
+        _check_radius_constant(c)
     checks = []
     for c in constants:
         chk = verify_decoupling(form, law, beta, u, radius_constant=c)

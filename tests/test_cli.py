@@ -206,14 +206,17 @@ _REGRADED = {
 
 class TestStoredRecords:
     """Records written by an earlier version of the runner, one per
-    experiment, and a tail record at n = 240 made at one BLAS thread:
+    experiment, a tail record at n = 240 made at one BLAS thread, and a
+    decoupling record at n = 5 (the benchmark's size, whose masked forms
+    split into blocks) made before the block enumeration:
     replay must give their rows, CSV bytes, verdict and summary again
     (as _REGRADED changed them), with any worker count (three cut
     rankgrow's trials unevenly)."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment", ["smallball", "tail", "detconc", "decoupling",
-                                            "gapreduce", "rankgrow", "odlyzko", "tail_n240"])
+                                            "gapreduce", "rankgrow", "odlyzko", "tail_n240",
+                                            "decoupling_n5"])
     def test_replay(self, tmp_path, experiment, workers):
         src = os.path.join(RECORDS, experiment)
         path = str(tmp_path / experiment) + ".json"

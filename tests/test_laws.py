@@ -211,6 +211,34 @@ class TestCanonicalization:
         vals = [float(v) for v in law.values]
         assert vals == sorted(vals)
 
+    def test_order_is_exact_whatever_the_input_order(self):
+        # 1 + 2**-60 and 1 are the same float: ordered by float(value) the
+        # law kept its input order, so the two inputs below gave unequal
+        # laws, and unequal draws from the same uniforms
+        atoms = ((1 + F(1, 2 ** 60), F(1, 2)), (F(1), F(1, 2)))
+        a, b = AtomicLaw(atoms), AtomicLaw(atoms[::-1])
+        assert a == b
+        assert a.values == (F(1), 1 + F(1, 2 ** 60))
+        u = np.random.default_rng(2).random(50)
+        assert (atom_indices(a._cum, u) == atom_indices(b._cum, u)).all()
+
+    def test_mixed_floats_and_fractions_ordered_exactly(self):
+        law = AtomicLaw(((0.5, F(1, 4)), (F(1, 3), F(1, 4)), (-0.25, F(1, 2))))
+        assert law.values == (-0.25, F(1, 3), 0.5)
+
+    def test_rational_beyond_float_range(self):
+        # float(10**400) overflows; ordering and merging stay exact
+        huge = F(10 ** 400)
+        law = AtomicLaw(((huge, F(1, 2)), (F(1), F(1, 4)), (huge, F(1, 4))))
+        assert atoms_of(law) == ((F(1), F(1, 4)), (huge, F(3, 4)))
+        assert AtomicLaw(((huge, F(1, 2)), (2.5, F(1, 2)))).values == (2.5, huge)
+        assert difference_law(law).values == (-huge + 1, F(0), huge - 1)
+
+    def test_difference_law_built_once_per_law(self):
+        law = uniform3()
+        assert difference_law(law) is difference_law(law)
+        assert difference_law(law) == difference_law(uniform3())
+
 
 def _searched(cum, u):
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)

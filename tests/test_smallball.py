@@ -8,9 +8,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from randsym import (AtomBlowup, AtomicLaw, EnumerationTooLarge, LinearForm,
-                     QuadraticForm, bernoulli, bilinear_small_ball,
-                     central_binomial_rho, gaussian, lazy_sign, linear_small_ball_exact,
+from randsym import (AtomBlowup, AtomicLaw, Bipartition, EnumerationTooLarge, LinearForm,
+                     QuadraticForm, bernoulli, bilinear_small_ball, bipartition_matrix,
+                     central_binomial_rho, difference_law, gaussian, lazy_sign,
+                     linear_small_ball_exact,
                      linear_small_ball_mc, linear_window_mass,
                      quadratic_small_ball_exact, quadratic_small_ball_mc,
                      suffix_smallball_factors, truncated_product_bound, uniform3)
@@ -41,10 +42,13 @@ def brute_force_window(laws, value, beta):
         outcomes.append((value([F(v) for v, _ in atoms]), mass))
     outcomes.sort()
     sums = [v for v, _ in outcomes]
+    prefix = [F(0)]
+    for _, m in outcomes:
+        prefix.append(prefix[-1] + m)
     best, center = F(0), None
     for j, v in enumerate(sums):
         r = bisect.bisect_right(sums, v + 2 * F(beta))
-        tot = sum(m for _, m in outcomes[j:r])
+        tot = prefix[r] - prefix[j]
         if tot > best:
             best, center = tot, (v + sums[r - 1]) / 2
     return best, center
@@ -505,6 +509,173 @@ class TestBilinear:
         mc = bilinear_small_ball(form, BERN, BERN, 0.125, method="mc",
                                  trials=10 ** 5, seed=4)
         assert abs(mc.rho - float(exact.rho)) <= mc.ci_halfwidth
+
+
+def _block_diagonal(*blocks):
+    """The symmetric Fraction matrix with the given square blocks on its diagonal."""
+    n = sum(len(b) for b in blocks)
+    m = [[F(0)] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                m[k + i][k + j] = F(x)
+        k += len(b)
+    return tuple(tuple(row) for row in m)
+
+
+def _random_symmetric(rng, n, den):
+    m = rng.integers(-3, 4, size=(n, n))
+    m = np.triu(m) + np.triu(m, 1).T
+    return tuple(tuple(F(int(x), den) for x in row) for row in m)
+
+
+class TestBlocks:
+    """The exact quadratic and bilinear small balls enumerate each connected
+    block of the form's coupling graph apart (i and j coupled when a_ij or
+    a_ji != 0, an untouched coordinate enumerated not at all) and convolve
+    the block distributions: checked against the Fraction oracles on forms
+    of several blocks, while the outcome cap and the float-exactness bound
+    stay judged on the whole form."""
+
+    LAWS = (BERN, uniform3(), LOPSIDED, lazy_sign(F(1, 3)))
+
+    def test_blocks_of_the_coupling_graph(self):
+        a = np.array([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 5]], float)
+        assert [b.tolist() for b in smallball._blocks(a)] == [[0, 2], [3]]
+        joint = np.zeros((4, 4))        # an entry above the diagonal couples both ends
+        joint[0, 3] = joint[1, 2] = 1
+        assert [b.tolist() for b in smallball._blocks(joint)] == [[0, 3], [1, 2]]
+        path = np.eye(6, k=1)           # a path needs more than one widening
+        assert [b.tolist() for b in smallball._blocks(path)] == [list(range(6))]
+        assert smallball._blocks(np.zeros((3, 3))) == []
+
+    def test_quadratic_block_diagonal(self):
+        rng = np.random.default_rng(51)
+        for trial in range(16):
+            sizes = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(2, 4)))]
+            while sum(sizes) > 6:
+                sizes.pop()
+            mat = _block_diagonal(*(_random_symmetric(rng, k, 3) for k in sizes))
+            shifts = tuple(F(int(rng.integers(-2, 3)), 2) for _ in mat) if trial % 2 else ()
+            law = self.LAWS[trial % 4]
+            beta = F(int(rng.integers(0, 3)), 4)
+            form = QuadraticForm(mat, shifts=shifts)
+            est = quadratic_small_ball_exact(form, law, beta)
+            assert _estimate(est) == brute_force_quadratic(mat, form.shifts, law, beta), trial
+
+    def test_zero_rows_are_not_enumerated(self):
+        rng = np.random.default_rng(52)
+        for trial in range(12):
+            n = int(rng.integers(2, 5))
+            m = np.array(_random_symmetric(rng, n, 2), dtype=object)
+            for i in rng.choice(n, size=int(rng.integers(1, n)), replace=False):
+                m[i, :] = m[:, i] = F(0)
+            mat = tuple(tuple(row) for row in m)
+            shifts = tuple(F(int(rng.integers(-2, 3)), 3) for _ in range(n))
+            law = self.LAWS[trial % 4]
+            beta = F(int(rng.integers(0, 3)), 4)
+            est = quadratic_small_ball_exact(QuadraticForm(mat, shifts=shifts), law, beta)
+            assert _estimate(est) == brute_force_quadratic(mat, shifts, law, beta), trial
+            est = bilinear_small_ball(QuadraticForm(mat), law, BERN, beta)
+            assert _estimate(est) == \
+                brute_force_bilinear(mat, (0,) * n, law, BERN, beta), trial
+
+    def test_bipartition_masked(self):
+        # A_U of the decoupling check: under the difference law it splits
+        # into {x_U, y_U^c} and {x_U^c, y_U}
+        diff = difference_law(BERN)
+        rng = np.random.default_rng(53)
+        for trial in range(6):
+            n = int(rng.integers(2, 5))
+            m = np.triu(rng.integers(-3, 4, size=(n, n)), 1)
+            m = m + m.T
+            u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
+            mat = bipartition_matrix(tuple(tuple(F(int(x), 4) for x in row) for row in m), u)
+            beta = F(int(rng.integers(0, 4)), 4)
+            law = (diff, uniform3())[trial % 2]
+            est = bilinear_small_ball(QuadraticForm(mat), law, law, beta)
+            assert _estimate(est) == \
+                brute_force_bilinear(mat, (0,) * n, law, law, beta), trial
+            est = quadratic_small_ball_exact(QuadraticForm(mat), law, beta)
+            assert _estimate(est) == brute_force_quadratic(mat, (0,) * n, law, beta), trial
+
+    def test_masked_form_enumerates_its_blocks(self, monkeypatch):
+        # n = 5 under xi - xi' of signs: the two blocks of A_U hold
+        # 3**5 = 243 outcomes each, against 3**10 = 59,049 unsplit (the
+        # stored decoupling_n5 record pins the answers at this size)
+        m = _random_symmetric(np.random.default_rng(54), 5, 4)
+        mat = bipartition_matrix(m, Bipartition((True, False, True, False, False)))
+        diff = difference_law(BERN)
+        tables = []
+        real = smallball._outcome_table
+        monkeypatch.setattr(smallball, "_outcome_table",
+                            lambda c, t: tables.append(len(c)) or real(c, t))
+        bilinear_small_ball(QuadraticForm(mat), diff, diff, F(1, 4))
+        assert sum(3 ** a * 3 ** b for a, b in zip(tables[::2], tables[1::2])) == 2 * 243
+
+    def test_bilinear_different_laws_with_shifts(self):
+        rng = np.random.default_rng(55)
+        for trial in range(12):
+            sizes = (1, 2) if trial % 2 else (1, 1, 1)
+            mat = _block_diagonal(*(_random_symmetric(rng, k, 2) for k in sizes))
+            shifts = tuple(F(int(rng.integers(-2, 3)), 3) for _ in mat)
+            law_x, law_y = self.LAWS[trial % 4], self.LAWS[(trial + 1 + trial // 4 % 3) % 4]
+            beta = F(int(rng.integers(0, 4)), 4)
+            form = QuadraticForm(mat, shifts=shifts)
+            est = bilinear_small_ball(form, law_x, law_y, beta)
+            assert _estimate(est) == \
+                brute_force_bilinear(mat, shifts, law_x, law_y, beta), trial
+
+    @pytest.mark.parametrize("kind, den, count_type", [
+        ("quadratic", 2 ** 20, np.int64), ("quadratic", 2 ** 21, object),
+        ("bilinear", 2 ** 19, np.int64), ("bilinear", 2 ** 20, object)])
+    def test_count_total_boundary(self, kind, den, count_type, monkeypatch):
+        # two blocks and one coordinate (of each side) that no entry
+        # touches: the counts of the three touched coordinates total den**3
+        # (quadratic) or den**3 * 2**3 (bilinear, y signs), 2**60 or 2**63
+        law = _two_point(den)
+        mat = _block_diagonal(((1, 2), (2, -1)), ((0,),), ((3,),))
+        seen = []
+        real = smallball._aggregate_np
+        monkeypatch.setattr(smallball, "_aggregate_np",
+                            lambda v, c: seen.append(c.dtype) or real(v, c))
+        for beta in (0, F(1, 2), 3):
+            if kind == "quadratic":
+                est = quadratic_small_ball_exact(QuadraticForm(mat), law, beta)
+                want = brute_force_quadratic(mat, (0,) * 4, law, beta)
+            else:
+                est = bilinear_small_ball(QuadraticForm(mat), law, BERN, beta)
+                want = brute_force_bilinear(mat, (0,) * 4, law, BERN, beta)
+            assert _estimate(est) == want
+        assert set(seen) == {np.dtype(count_type)}
+
+    def test_enumeration_cap_boundary(self):
+        # caps judged on every outcome of the whole form: 3**4 = 81 for the
+        # quadratic form, 2**3 * 3**3 = 216 for the bilinear one, though each
+        # block alone enumerates far fewer
+        quad = QuadraticForm(_block_diagonal(((1, 1), (1, 0)), ((0, 2), (2, 1))))
+        want = brute_force_quadratic(quad.matrix, quad.shifts, uniform3(), 1)
+        assert _estimate(quadratic_small_ball_exact(quad, uniform3(), 1, cap=81)) == want
+        with pytest.raises(EnumerationTooLarge):
+            quadratic_small_ball_exact(quad, uniform3(), 1, cap=80)
+        bil = QuadraticForm(_block_diagonal(((1, 2), (2, -1)), ((3,),)))
+        want = brute_force_bilinear(bil.matrix, bil.shifts, BERN, uniform3(), 1)
+        assert _estimate(bilinear_small_ball(bil, BERN, uniform3(), 1, cap=216)) == want
+        with pytest.raises(EnumerationTooLarge):
+            bilinear_small_ball(bil, BERN, uniform3(), 1, cap=215)
+
+    def test_float_exactness_judged_on_the_whole_form(self):
+        # each block's values stay far below 2**53, but the whole form's
+        # bound 1 + 2c + 1 + 1 + 2c + 1 does not
+        c = 2 ** 51
+        half = ((1, c), (c, 0))
+        fits = QuadraticForm(_block_diagonal(half, ((0,),)))
+        assert _estimate(quadratic_small_ball_exact(fits, uniform3(), 0)) == \
+            brute_force_quadratic(fits.matrix, fits.shifts, uniform3(), 0)
+        with pytest.raises(EnumerationTooLarge):
+            quadratic_small_ball_exact(QuadraticForm(_block_diagonal(half, half)),
+                                       uniform3(), 0)
 
 
 class TestMonteCarloPins:

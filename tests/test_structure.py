@@ -150,6 +150,28 @@ class TestDecoupling:
             const, _ = decoupling_scan(form, BERN, F(1, 10), u)
             assert const is not None and const <= 4
 
+    @pytest.mark.parametrize("bad", [-1.0, F(-1, 4), float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_bad_radius_constant_rejected_before_work(self, bad, monkeypatch):
+        from randsym import structure
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumeration started before the constant was checked")
+        monkeypatch.setattr(structure, "quadratic_small_ball_exact", no_work)
+        monkeypatch.setattr(structure, "bilinear_small_ball", no_work)
+        form = QuadraticForm(((0, 1), (1, 0)))
+        u = Bipartition((True, False))
+        with pytest.raises(ValueError, match="radius_constant"):
+            verify_decoupling(form, BERN, 0.1, u, radius_constant=bad)
+        # a bad constant anywhere in the scan is found before the first check
+        with pytest.raises(ValueError, match="radius_constant"):
+            decoupling_scan(form, BERN, 0.1, u, constants=(1.0, bad))
+
+    def test_zero_radius_constant_allowed(self):
+        chk = verify_decoupling(QuadraticForm(((0, 1), (1, 0))), BERN, 0.1,
+                                Bipartition((True, False)), radius_constant=0)
+        assert chk.radius == 0 and chk.radius_constant == 0
+
 
 class TestInverseSearch:
     def test_arithmetic_progression(self):
