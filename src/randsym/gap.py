@@ -111,29 +111,36 @@ def _points_array(q: Gap) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _scaled_values(q: Gap) -> Tuple[np.ndarray, Fraction]:
-    """(values, unit): the integers Phi(p) / unit aligned with _points_array,
-    unit being the lattice unit of the offset and generators.  int64 while
-    every value fits, else an object array of Python ints."""
+def _scaled_values(q: Gap) -> Tuple[np.ndarray, Fraction, np.ndarray]:
+    """(values, unit, points): the integers Phi(p) / unit aligned with the
+    points _points_array(q), unit being the lattice unit of the offset and
+    generators.  The values are int64 while every value fits, else an
+    object array of Python ints."""
     ((g0, *gens),), unit = lattice([(q.offset,) + q.generators])
     bound = abs(g0) + sum(max(abs(lo), abs(hi)) * abs(g)
                           for lo, hi, g in zip(q.lower, q.upper, gens))
     dtype = np.int64 if bound < _INT64_SAFE else object
-    return _points_array(q).astype(dtype, copy=False) @ np.array(gens, dtype=dtype) + g0, unit
+    pts = _points_array(q)
+    return pts.astype(dtype, copy=False) @ np.array(gens, dtype=dtype) + g0, unit, pts
 
 
 def enumerate_values(q: Gap, cap: int = ENUM_CAP) -> List[Fraction]:
     """All Phi(p) over the box, with multiplicity, sorted."""
     _check_cap(q, cap)
-    vals, unit = _scaled_values(q)
+    vals, unit, _ = _scaled_values(q)
     return sorted(int(v) * unit for v in vals)
+
+
+def _distinct(vals: np.ndarray) -> bool:
+    """True iff no two values are equal: sorted, no neighbours are."""
+    vals = np.sort(vals)
+    return not (vals[1:] == vals[:-1]).any()
 
 
 def is_proper(q: Gap, cap: int = ENUM_CAP) -> bool:
     """True iff the affine map is injective on the box (exact comparison)."""
     _check_cap(q, cap)
-    vals, _ = _scaled_values(q)
-    return len(np.unique(vals)) == q.volume
+    return _distinct(_scaled_values(q)[0])
 
 
 def beta_close(q: Gap, a, beta, cap: int = ENUM_CAP) -> Optional[LatticePoint]:
@@ -146,8 +153,12 @@ def beta_close(q: Gap, a, beta, cap: int = ENUM_CAP) -> Optional[LatticePoint]:
     beta = Fraction(beta)
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    vals, unit = _scaled_values(q)
-    pts = _points_array(q)
+    return _closest(*_scaled_values(q), a, beta)
+
+
+def _closest(vals: np.ndarray, unit: Fraction, pts: np.ndarray, a,
+             beta: Fraction) -> Optional[LatticePoint]:
+    """beta_close on the enumeration _scaled_values of a gap."""
     target = Fraction(a) / unit
     width = beta / unit
     idx = np.nonzero((vals >= math.ceil(target - width)) & (vals <= math.floor(target + width)))[0]
@@ -244,8 +255,7 @@ def _collision_relation(q: Gap, cap: int) -> Tuple[int, ...]:
 
     Deterministic: the first duplicate in (value, point) order.
     """
-    vals, _ = _scaled_values(q)
-    pts = _points_array(q)
+    vals, _, pts = _scaled_values(q)
     order = sorted(range(len(pts)), key=lambda i: (int(vals[i]), tuple(pts[i])))
     prev = None
     for i in order:
@@ -270,13 +280,14 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
     if not q.is_symmetric:
         raise ValueError("rank_reduce needs a symmetric gap")
     _check_cap(q, cap)
-    if not is_proper(q, cap):
+    enum = _scaled_values(q)    # one enumeration for properness and the witnesses
+    if not _distinct(enum[0]):
         raise ValueError("rank_reduce needs a proper gap")
     vals = [Fraction(v) for v in values]
     if witnesses is None:
         wits = []
         for v in vals:
-            p = beta_close(q, v, 0, cap)
+            p = _closest(*enum, v, Fraction(0))
             if p is None:
                 raise ValueError(f"value {v} is not an element of the gap")
             wits.append(p)

@@ -16,14 +16,20 @@ attains the sup.
 
 The linear sum is convolved in one of two layouts.  Dense: when its
 support span S has S + 1 <= min(cap, prod m_i), with m_i the distinct
-values of step i (prod m_i bounds any support), it runs on the lattice
-[lo, lo + S] by one shifted slice-add per atom.  Sparse: otherwise, the
-outer sum of each step is aggregated by _aggregate_np, which counts where
-the values span few lattice points per value and sorts where they are
-sparse.  Either way counts are int64 while the total count stays below
-2**61 and exact Python ints (numpy object arrays) beyond, and values
-likewise, so no size changes the arithmetic silently.  The suffix sums of
-suffix_smallball_factors are the partial sums of one pass from the end.
+values of step i (prod m_i bounds any support), it runs in place on the
+lattice lo + stride * [0, S / stride], stride the gcd of the law's atom
+gaps (2 for signs).  Sparse: otherwise, the outer sum of each step is
+aggregated by _aggregate_np, which counts where the values span few
+lattice points per value and sorts where they are sparse.  Either way a
+count is held as L nonnegative int64 limbs of 16 bits, an (L, m) array,
+L no more than the count total total**k of step k needs, and a law's
+count past 2**16 enters as its 16-bit digits.  The limbs carry only
+before a step that could pass 2**62.  A distribution, when built, joins
+its limbs into int64 counts while the count total stays below 2**61 and
+into exact Python ints (numpy object arrays) beyond; values are int64 or
+Python ints by the same bound, so no size changes the arithmetic
+silently.  The suffix sums of suffix_smallball_factors are the partial
+sums of one pass from the end.
 
 Quadratic and bilinear forms are enumerated over all outcomes, block by
 block.  Coordinates i and j are coupled when a_ij or a_ji != 0; the
@@ -41,12 +47,13 @@ the cross term is one BLAS product per block of x outcomes, whose values
 _aggregate_np counts into their span; a dense form is one block.  The
 cap and the float-exactness bound are judged on the whole form: float64
 stays exact because every partial sum is an integer of absolute value
-below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 < 2**53 (a coordinate
-that is always 0 contributes exact zeros); inputs past that bound, or
-with more outcomes in all than the cap, raise EnumerationTooLarge.
-Counts are int64 while the count total of the enumerated coordinates
-stays below 2**61 and exact Python ints (numpy object arrays) beyond, as
-in the linear engine, so float masses such as 0.1 stay exact.  A law's
+below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 < 2**53, summed over
+the nonzero a_ij (a coordinate that is always 0 contributes exact
+zeros); inputs past that bound, or with more outcomes in all than the
+cap, raise EnumerationTooLarge.  Counts are int64 while the count total
+of the enumerated coordinates stays below 2**61 and exact Python ints
+(numpy object arrays) beyond, as the linear engine yields them, so float
+masses such as 0.1 stay exact.  A law's
 atoms and masses go on their lattices once per law object.
 
 Monte Carlo variants draw from splittable streams keyed (seed, chunk)
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import compress, repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple, Union
@@ -70,6 +78,9 @@ from .streams import chunk_bounds, substream
 ATOM_CAP = 10 ** 7
 _FLOAT_EXACT = 2 ** 53
 _INT64_SAFE = 2 ** 61   # leaves room for value + clamped window width in int64
+_LIMB_BITS = 16         # linear counts are int64 limbs of this many bits, one uint16 each
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_ROOM = 2 ** 62    # the most a limb may hold between carries
 DKW_DELTA = 0.05
 
 
@@ -173,30 +184,33 @@ class SmallBallEstimate:
 
 def _aggregate_np(vals: np.ndarray, cnts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of vals, each with the sum of its counts,
-    in the dtypes of vals and cnts.
+    in the dtypes of vals and cnts, which is one row of counts or a stack
+    of limb rows (module docstring), summed row by row.
 
-    Counting accumulates the counts into an array indexed by value - min
+    Counting accumulates each row into an array indexed by value - min
     with one np.bincount.  It needs int64 values and counts (the values of
     both engines stay below 2**61 in absolute value, so max - min fits),
-    and its float64 weights are exact only while the call's counts sum
-    below 2**53.  It
-    beats a stable sort and reduceat while the span is under 8 per value
-    aggregated (1.1x to 2.3x at 8, 1.8x to 3.3x at 4 and 2.4x to 9.7x at 1,
-    for 100 to 10**6 uniform random values; timeit, 2-vCPU VM), and that
-    bound also caps the count array at 8 entries per value.  Sparse spans
-    and object dtypes are sorted.  Every count is positive, so a value is
-    present exactly when its accumulated count is nonzero, and both give
+    and its float64 weights are exact only while each row of the call sums
+    below 2**53, which a float64 sum tells exactly.  It beats a stable
+    sort and reduceat while the span is under 8 per value aggregated (1.1x
+    to 2.3x at 8, 1.8x to 3.3x at 4 and 2.4x to 9.7x at 1, for 100 to
+    10**6 uniform random values; timeit, 2-vCPU VM), and that bound also
+    caps the count array at 8 entries per value.  Sparse spans and object
+    dtypes are sorted.  Every count is positive, so a value is present
+    exactly when some row's accumulated count is nonzero, and both give
     the same values and counts."""
     if vals.dtype == cnts.dtype == np.int64:
         lo = vals.min()
-        if vals.max() - lo < 8 * len(vals) and cnts.sum() < _FLOAT_EXACT:
-            acc = np.bincount(vals - lo, weights=cnts)
-            at = np.flatnonzero(acc)
-            return at + lo, acc[at].astype(np.int64)
+        if vals.max() - lo < 8 * len(vals) and \
+                (cnts.sum(axis=-1, dtype=np.float64) < _FLOAT_EXACT).all():
+            at = vals - lo
+            acc = np.array([np.bincount(at, weights=row) for row in cnts.reshape(-1, len(vals))])
+            at = np.flatnonzero(acc.any(axis=0))
+            return at + lo, acc[:, at].astype(np.int64).reshape(cnts.shape[:-1] + at.shape)
     order = np.argsort(vals, kind="stable")
-    sv, sc = vals[order], cnts[order]
+    sv, sc = vals[order], cnts[..., order]
     starts = np.r_[0, np.flatnonzero(np.diff(sv)) + 1]
-    return sv[starts], np.add.reduceat(sc, starts)
+    return sv[starts], np.add.reduceat(sc, starts, axis=-1)
 
 
 @dataclass
@@ -212,52 +226,124 @@ class _ScaledDist:
         return len(self.vals)
 
 
+def _limbs(total: int) -> int:
+    """How many limbs hold any count up to total."""
+    return (total.bit_length() - 1) // _LIMB_BITS + 1
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """limbs carried in place, each below 2**_LIMB_BITS if the rows hold
+    every count: the same counts."""
+    for low, high in zip(limbs, limbs[1:]):
+        high += low >> _LIMB_BITS
+        low &= _LIMB_MASK
+    return limbs
+
+
+def _limb_dist(vals: np.ndarray, limbs: np.ndarray, scale: Fraction,
+               ctotal: int) -> _ScaledDist:
+    """The atoms vals with the counts their limb rows hold: int64 while
+    the count total is below 2**61, exact Python ints beyond, each read
+    from its carried limbs as little-endian bytes."""
+    if ctotal < _INT64_SAFE:    # then so is every limb's share of a count
+        return _ScaledDist(vals, (limbs << _LIMB_BITS * np.arange(len(limbs))[:, None])
+                           .sum(axis=0), scale, ctotal)
+    raw = np.empty((limbs.shape[1], _limbs(ctotal)), dtype="<u2")
+    carry = 0
+    for r in range(raw.shape[1]):   # carried limb by limb into raw's columns
+        part = limbs[r] + carry if r < len(limbs) else carry
+        raw[:, r] = part & _LIMB_MASK
+        carry = part >> _LIMB_BITS
+    data = raw.view(f"S{raw.itemsize * raw.shape[1]}").ravel().tolist()
+    return _ScaledDist(vals, np.fromiter(map(int.from_bytes, data, repeat("little")),
+                                         dtype=object, count=len(data)), scale, ctotal)
+
+
 def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
                   cap: int) -> Iterator[Callable[[], _ScaledDist]]:
     """The exact distributions of a_1 x_1 + ... + a_k x_k for k = 1..n in
-    turn, by sequential convolution on the dense lattice or the sparse
-    support (module docstring), each built when its yielded function is
-    called.  The layout and the dtypes follow from all n steps.  The dense
-    array never outgrows the cap, so AtomBlowup is a sparse-layout event."""
+    turn, by sequential convolution of int64 limb counts on the dense
+    lattice or the sparse support (module docstring).  Each is built when
+    its yielded function is called, which must be before the generator
+    advances: the dense layout updates its counts in place.  The layout
+    and the value dtype follow from all n steps.  The dense array never
+    outgrows the cap, so AtomBlowup is a sparse-layout event."""
     if not isinstance(law, AtomicLaw):
         raise ValueError("an exact small ball needs atomic laws")
-    values, _, _, counts, total = law._lattice
-    step_ints, scale = lattice([[a * v for v in values] for a in coeffs])
+    _, ints, unit, counts, total = law._lattice
+    # the steps a_k x on their lattice: primitive coefficients times atoms
+    (a_ints,), a_unit = lattice([coeffs])
+    step_ints, scale = [[a * v for v in ints] for a in a_ints], a_unit * unit
     val_bound = sum(max(abs(x) for x in row) for row in step_ints) + 1
     vtype = np.int64 if val_bound < _INT64_SAFE else object
-    ctype = np.int64 if total ** len(coeffs) < _INT64_SAFE else object
+    # each count as its nonzero limb digits (atom, limb, digit); atom 0's
+    # lowest digit comes first even if it is 0
+    digits = [(j, d, (c >> _LIMB_BITS * d) & _LIMB_MASK)
+              for j, c in enumerate(counts) for d in range(_limbs(c))]
+    terms = digits[:1] + [t for t in digits[1:] if t[2]]
+    weight = sum(c for _, _, c in terms)
+    top_digit = max(d for _, d, _ in terms)
+    if weight * _LIMB_MASK > _LIMB_ROOM:
+        raise ValueError("the law's counts are too large for int64 limbs")
     span = sum(max(row) - min(row) for row in step_ints)
-    if span + 1 <= min(cap, math.prod(len(set(row)) for row in step_ints)):
-        cnts, lo = np.ones(1, dtype=ctype), 0
-        for k, row in enumerate(step_ints, 1):
+    dense = span + 1 <= min(cap, math.prod(len(set(row)) for row in step_ints))
+    if dense:   # every sum lies on lo + stride * Z
+        stride = math.gcd(*(v - ints[0] for v in ints)) or 1
+        cnts = np.zeros((_limbs(total ** len(coeffs)), span // stride + 1), dtype=np.int64)
+        cnts[0, 0], live, lo = 1, 1, 0
+    else:
+        vals, cnts = np.zeros(1, dtype=vtype), np.ones((1, 1), dtype=np.int64)
+    rows = bound = ctotal = 1
+    for row in step_ints:
+        # Every limb stays <= bound <= 2**62, so no sum overflows int64: a
+        # step multiplies the bound by weight, and the limbs carry (each
+        # then below 2**_LIMB_BITS) only when that could pass 2**62.
+        if bound * weight > _LIMB_ROOM:
+            rows = _limbs(ctotal)
+            if dense:
+                _carry(cnts[:rows, :live])
+            else:
+                cnts = _carry(np.pad(cnts, ((0, rows - len(cnts)), (0, 0))))
+            bound = _LIMB_MASK
+        bound *= weight
+        ctotal *= total
+        rows = min(_limbs(ctotal), rows + top_digit)    # the limbs in use
+        if dense:
             base = min(row)
-            new = np.zeros(len(cnts) + max(row) - base, dtype=ctype)
-            for j, (v, c) in enumerate(zip(row, counts)):
-                part = cnts if c == 1 else cnts * c
-                if j:
-                    new[v - base:v - base + len(cnts)] += part
-                else:   # the first atom lands on zeros: a copy, not an add
-                    new[v - base:v - base + len(cnts)] = part
-            cnts, lo = new, lo + base
-            yield functools.partial(_lattice_dist, cnts, lo, vtype, scale, total ** k)
-        return
-    vals = np.zeros(1, dtype=vtype)
-    cnts = np.ones(1, dtype=ctype)
-    carr = np.array(counts, dtype=ctype)
-    for k, row in enumerate(step_ints, 1):
+            offs = [(v - base) // stride for v in row]
+            o, c0 = offs[0], terms[0][2]
+            for r in range(rows - 1, -1, -1):   # top down: row r reads itself and rows below
+                cur = cnts[r]
+                old = cur[:live].copy()     # the live counts, for the atoms past the first
+                if o or c0 != 1:    # atom 0's lowest digit, in place
+                    cur[o:o + live] = old if c0 == 1 else old * c0
+                    cur[:o] = 0
+                for j, d, c in terms[1:]:
+                    if d <= r:
+                        part = cnts[r - d, :live] if d else old
+                        cur[offs[j]:offs[j] + live] += part if c == 1 else part * c
+            live += (max(row) - base) // stride
+            lo += base
+            yield functools.partial(_lattice_dist, cnts[:rows, :live], lo, stride, vtype,
+                                    scale, ctotal)
+            continue
+        parts = np.zeros((rows, len(vals), len(row)), dtype=np.int64)
+        for j, d, c in terms:
+            part = cnts[:rows - d]
+            parts[d:d + len(part), :, j] += part * c
         vals = (vals[:, None] + np.array(row, dtype=vtype)[None, :]).ravel()
-        cnts = (cnts[:, None] * carr[None, :]).ravel()
-        vals, cnts = _aggregate_np(vals, cnts)
+        vals, cnts = _aggregate_np(vals, parts.reshape(rows, -1))
         if len(vals) > cap:
             raise AtomBlowup(f"{len(vals)} atoms exceed cap {cap}")
-        yield functools.partial(_ScaledDist, vals, cnts, scale, total ** k)
+        yield functools.partial(_limb_dist, vals, cnts, scale, ctotal)
 
 
-def _lattice_dist(cnts: np.ndarray, lo: int, vtype, scale: Fraction,
+def _lattice_dist(cnts: np.ndarray, lo: int, stride: int, vtype, scale: Fraction,
                   ctotal: int) -> _ScaledDist:
-    """The atoms of counts cnts on the lattice lo, lo + 1, ..."""
-    at = np.flatnonzero(cnts)
-    return _ScaledDist(at.astype(vtype) + lo, cnts[at], scale, ctotal)
+    """The atoms of limb counts cnts on the lattice lo, lo + stride, ..."""
+    at = np.flatnonzero(cnts.any(axis=0))
+    return _limb_dist(at.astype(vtype) * stride + lo,
+                      cnts if len(at) == cnts.shape[1] else cnts[:, at], scale, ctotal)
 
 
 def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _ScaledDist:
@@ -312,7 +398,7 @@ def linear_small_ball_exact(form: LinearForm, law: AtomicLaw, beta,
                             cap: int = ATOM_CAP) -> SmallBallEstimate:
     """Exact sup_a P(|sum a_i (x_i + f_i) - a| <= beta) for an atomic law."""
     beta = _radius(beta)
-    shift = sum((a * f for a, f in zip(form.coefficients, form.shifts)), Fraction(0))
+    shift = sum((a * f for a, f in zip(form.coefficients, form.shifts) if f), Fraction(0))
     return _exact_estimate(_linear_sum_dist(form.coefficients, law, cap), beta, shift)
 
 
@@ -321,7 +407,7 @@ def linear_window_mass(form: LinearForm, law: AtomicLaw, center, beta,
     """Exact P(|sum a_i (x_i + f_i) - center| <= beta): re-evaluates a witness."""
     beta = _radius(beta)
     center = Fraction(center)
-    shift = sum((a * f for a, f in zip(form.coefficients, form.shifts)), Fraction(0))
+    shift = sum((a * f for a, f in zip(form.coefficients, form.shifts) if f), Fraction(0))
     dist = _linear_sum_dist(form.coefficients, law, cap)
     c0 = center - shift
     return Fraction(_interval_count(dist, c0 - beta, c0 + beta), dist.ctotal)
@@ -446,10 +532,9 @@ def _split_enumeration(a_int: List[List[int]], coords, scale: Fraction,
     outcomes = math.prod(len(vals) for vals, _, _ in coords)
     if outcomes > cap:
         raise EnumerationTooLarge(f"{outcomes} outcomes exceed cap {cap}")
-    n = len(coords)
     zmax = [max(abs(v) for v in vals) for vals, _, _ in coords]
-    val_bound = sum(abs(a_int[i][j]) * zmax[i] * zmax[j]
-                    for i in range(n) for j in range(n)) + 1
+    val_bound = sum(zi * sum(abs(a) * zj for a, zj in compress(zip(row, zmax), row))
+                    for row, zi in zip(a_int, zmax)) + 1
     if val_bound >= _FLOAT_EXACT:
         raise EnumerationTooLarge(
             "scaled values too large for exact vectorized enumeration")

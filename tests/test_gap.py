@@ -61,6 +61,30 @@ class TestIsProper:
     def test_rank1_nonzero(self):
         assert is_proper(Gap.symmetric((F(7, 3),), (25,)))
 
+    @pytest.mark.parametrize("q", [
+        WIDE, NARROW, LINE3, Gap.symmetric((), ()), Gap.symmetric((0,), (2,)),
+        Gap(F(5, 2), (F(3, 2), F(1, 4), F(-7, 4)), (-2, 0, -1), (1, 3, 2)),
+        # values past 2**61: an object array, one proper and one not
+        Gap.symmetric((1, 2 ** 62 + 1), (3, 3)),
+        Gap.symmetric((2 ** 62, 2 ** 63), (2, 2)),      # 2 * 2**62 = 1 * 2**63
+    ])
+    def test_matches_set_oracle(self, q):
+        box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(q.lower, q.upper)))
+        values = [evaluate(q, p) for p in box]
+        assert is_proper(q) == (len(set(values)) == len(values) == q.volume)
+
+    def test_random_gaps_match_set_oracle(self):
+        rng = np.random.default_rng(19)
+        seen = set()
+        for _ in range(40):
+            rank = int(rng.integers(1, 4))
+            q = Gap.symmetric(tuple(int(g) for g in rng.integers(-12, 13, rank)),
+                              tuple(int(h) for h in rng.integers(0, 4, rank)))
+            values = enumerate_values(q)
+            seen.add(is_proper(q))
+            assert is_proper(q) == (len(set(values)) == q.volume)
+        assert seen == {True, False}
+
 
 class TestBetaClose:
     def test_hit(self):
@@ -153,6 +177,19 @@ class TestRankReduce:
     def test_witnesses_found_when_omitted(self):
         red = rank_reduce(WIDE, [11, 22])
         assert red.gap.generators == (F(11),)
+
+    def test_starting_gap_enumerated_once(self, monkeypatch):
+        # properness and every omitted witness share one enumeration, and
+        # the witnesses are beta_close's, tie-breaks included
+        q = Gap.symmetric((1, 5, 25), (2, 2, 2))     # proper: balanced base 5
+        values = [6, 12, 13]
+        wits = [beta_close(q, v, 0) for v in values]
+        enumerated = []
+        real = gap._points_array
+        monkeypatch.setattr(gap, "_points_array", lambda g: enumerated.append(g) or real(g))
+        red = rank_reduce(q, values)
+        assert enumerated.count(q) == 1
+        assert red == rank_reduce(q, values, wits)
 
     def test_collision_restoration_end_to_end(self):
         # a hidden generator relation surfaces once the degenerate

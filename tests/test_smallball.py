@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 import time
 from collections import Counter
@@ -210,6 +211,100 @@ class TestLayoutPins:
         return tuple(int(x) for x in np.random.default_rng(n).integers(1, 100, n))
 
 
+def _layout(coeffs, law, monkeypatch):
+    """The distribution of sum a_i x_i and the layout that built it."""
+    aggregations = []
+    real = smallball._aggregate_np
+    monkeypatch.setattr(smallball, "_aggregate_np",
+                        lambda v, c: aggregations.append(1) or real(v, c))
+    dist = _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
+    monkeypatch.setattr(smallball, "_aggregate_np", real)
+    return dist, "sparse" if aggregations else "dense"
+
+
+class TestLimbs:
+    """The int64 limb counts of the linear engine against the Fraction
+    oracle: count totals on both sides of 2**61 and of each limb boundary
+    2**(16 k), laws whose counts take several limbs, and carries at their
+    edge and at every step, in both layouts."""
+
+    # counts 1, 2 and 4: three atoms of unequal weight
+    UNEQUAL = AtomicLaw(((-1, F(1, 7)), (0, F(2, 7)), (2, F(4, 7))))
+    # counts 2**16 and 1: the lowest limb digit of atom 0 is 0
+    HIGH_FIRST = AtomicLaw(((-1, F(2 ** 16, 2 ** 16 + 1)), (1, F(1, 2 ** 16 + 1))))
+
+    @staticmethod
+    def _check(coeffs, law, layout, monkeypatch, betas=(0, F(1, 2), 3)):
+        dist, built = _layout(coeffs, law, monkeypatch)
+        assert built == layout
+        assert dist.cnts.dtype == (np.int64 if dist.ctotal < 2 ** 61 else object)
+        for beta in betas:
+            est = linear_small_ball_exact(LinearForm(coeffs), law, beta)
+            assert _estimate(est) == brute_force_linear(coeffs, (0,) * len(coeffs), law, beta)
+        return dist
+
+    @pytest.mark.parametrize("den, n", [(1518500249, 2), (1518500250, 2),
+                                        (1321122, 3), (1321123, 3)])
+    def test_count_total_around_2_61(self, den, n, monkeypatch):
+        # den**n just below and just above 2**61
+        law = _two_point(den)
+        for coeffs, layout in (((1,) * n, "dense"), ((1, 3, 9)[:n], "sparse")):
+            dist = self._check(coeffs, law, layout, monkeypatch)
+            assert dist.ctotal == den ** n and (dist.ctotal < 2 ** 61) == (den ** n < 2 ** 61)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("den", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    def test_limb_boundaries(self, k, den, monkeypatch):
+        # den**k on both sides of 2**(16 k); den = 2**16 + 1 has the count
+        # 2**16, one limb up
+        law = _two_point(den)
+        self._check((1,) * k, law, "dense", monkeypatch)
+        self._check((1, 3, 9, 27, 81)[:k], law, "dense" if k == 1 else "sparse", monkeypatch)
+
+    @pytest.mark.parametrize("law", [TestLayoutPins.TINY, UNEQUAL, HIGH_FIRST],
+                             ids=["tiny", "unequal", "high-first"])
+    @pytest.mark.parametrize("coeffs, layout", [
+        ((1, 2, 3, 1, 2), "dense"),
+        # negative coefficients: atom 0 lands off the start, and every
+        # shifted slice overlaps the live counts
+        ((2, -1, 3, -2, 1, -3), "dense"),
+        ((1, 3, 9, 27, 81), "sparse"),
+    ])
+    def test_laws_with_large_or_unequal_counts(self, law, coeffs, layout, monkeypatch):
+        self._check(coeffs, law, layout, monkeypatch)
+
+    @pytest.mark.parametrize("n, carries", [(62, 0), (63, 1), (64, 1)])
+    def test_carry_at_its_edge(self, n, carries, monkeypatch):
+        # zero coefficients: one count 2**k on one limb, the bound 2**k
+        # exact, so the first carry comes right before the step to 2**63
+        calls = []
+        real = smallball._carry
+        monkeypatch.setattr(smallball, "_carry", lambda limbs: calls.append(1) or real(limbs))
+        dist = _linear_sum_dist([F(0)] * n, BERN, ATOM_CAP)
+        assert len(calls) == carries
+        assert dist.cnts.tolist() == [2 ** n] and dist.ctotal == 2 ** n
+        assert linear_small_ball_exact(LinearForm((0,) * n), BERN, 0).rho == 1
+
+    @pytest.mark.parametrize("coeffs, layout", [((1, 2, 3, -1, 2), "dense"),
+                                                ((1, 3, 9, 27, 81), "sparse")])
+    def test_carries_at_every_step(self, coeffs, layout, monkeypatch):
+        # the least room the law's counts allow: a carry before every step
+        # past the first
+        law = TestLayoutPins.TINY      # limb digits 1 and 2**16 - 1, twice
+        weight = 1 + 2 * smallball._LIMB_MASK
+        monkeypatch.setattr(smallball, "_LIMB_ROOM", weight * smallball._LIMB_MASK)
+        calls = []
+        real = smallball._carry
+        monkeypatch.setattr(smallball, "_carry", lambda limbs: calls.append(1) or real(limbs))
+        self._check(coeffs, law, layout, monkeypatch)
+        calls.clear()
+        _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
+        assert len(calls) == len(coeffs) - 1
+        monkeypatch.setattr(smallball, "_LIMB_ROOM", weight * smallball._LIMB_MASK - 1)
+        with pytest.raises(ValueError, match="too large for int64 limbs"):
+            _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
+
+
 class TestSplitLayoutPins:
     """(rho, witness_center) of the split enumeration on one case per
     aggregation and count type, and which aggregation ran: counting on a
@@ -298,6 +393,30 @@ class TestAggregate:
             oracle[v] += c
         assert list(zip(got_vals.tolist(), got_cnts.tolist())) == sorted(oracle.items())
 
+    @pytest.mark.parametrize("vals, limbs, counted", [
+        # value 4 holds nothing in the lowest limb, only in the next one
+        pytest.param(np.array([4, 4, 6, 5]), [[0, 0, 3, 65535], [1, 2, 0, 7]], True,
+                     id="limbs-counted"),
+        pytest.param(np.array([400, 4, 6, 400]), [[0, 0, 3, 65535], [1, 2, 0, 7]], False,
+                     id="limbs-sparse"),
+        # the lowest limb sums to 2**53 + 1, the next to 3
+        pytest.param(np.array([4, 4, 6]), [[2 ** 52, 2 ** 52, 1], [1, 2, 0]], False,
+                     id="limbs-2**53+1"),
+    ])
+    def test_limb_rows_match_counter(self, vals, limbs, counted, monkeypatch):
+        calls = []
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or real(*a, **k))
+        limbs = np.array(limbs, dtype=np.int64)
+        got_vals, got_limbs = smallball._aggregate_np(vals, limbs)
+        assert bool(calls) == counted
+        assert got_limbs.dtype == np.int64 and got_limbs.shape == (2, len(got_vals))
+        oracle = Counter()
+        for v, low, high in zip(vals.tolist(), *limbs.tolist()):
+            oracle[v] += low + (high << 16)
+        got = [low + (high << 16) for low, high in zip(*got_limbs.tolist())]
+        assert list(zip(got_vals.tolist(), got)) == sorted(oracle.items())
+
 
 def test_dense_lattice_time_budget():
     # n = 1000 coefficients 1..99: a ~1e5-point lattice with 1000-bit counts
@@ -318,6 +437,9 @@ def test_suffix_factors_time_budget():
     u = tuple(int(x) for x in np.random.default_rng(1).integers(1, 100, 300))
     factors = suffix_smallball_factors(u, BERN, 0, 300)
     elapsed = time.monotonic() - t0
+    # the factors of the engine with Python-int counts, bit for bit
+    assert hashlib.sha256(repr(factors).encode()).hexdigest() == \
+        "bb33b52cef9195c7154326e4384001c59bd118884ec14d53dea74ec8c87c9117"
     assert factors[-1] == F(1, 2)
     # an independent summand never concentrates a sum more
     assert all(a <= b for a, b in zip(factors, factors[1:]))
