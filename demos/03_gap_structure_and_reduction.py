@@ -40,8 +40,8 @@ assert spans(red.gap, red.witnesses)
 assert evaluate(red.gap, red.witnesses[0]) == 11
 
 # The inverse direction at desk scale: coefficients in arithmetic
-# progression are recovered (rank-1 search over continued-fraction
-# approximants of coefficient ratios)...
+# progression are recovered (rank-1 search over the submultiples 1/100,
+# 1/200, 1/300 of the least coefficient, q <= sqrt(closeness_budget))...
 form = LinearForm(tuple(F(i, 100) for i in range(1, 101)))
 rep = inverse_lo_search(form, law, F(1, 1000), rank_cap=1,
                         closeness_budget=10, size_cap=301)

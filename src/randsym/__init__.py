@@ -23,10 +23,10 @@ from .laws import (AtomicLaw, ContinuousLaw, DegenerateLaw, RejectionDiverges,
                    lazy_difference_law, lazy_sign, parse_law, point_mass,
                    sample_truncated, standardize, uniform3, uniform_continuous,
                    verify_spacing)
-from .gap import (Gap, GapReduction, OutOfBox, ReductionStalled, VolumeTooLarge,
-                  beta_close, enumerate_values, evaluate, format_gap,
+from .gap import (FullRank, Gap, GapReduction, OutOfBox, ReductionStalled,
+                  VolumeTooLarge, beta_close, enumerate_values, evaluate, format_gap,
                   integer_hyperplane, is_proper, parse_gap, rank_reduce, spans)
-from .exactlinalg import FullRank, bareiss_det, exact_rank as rational_rank
+from .exactlinalg import bareiss_det, exact_rank as rational_rank
 from .smallball import (AtomBlowup, EnumerationTooLarge, LinearForm,
                         QuadraticForm, SmallBallEstimate, bilinear_small_ball,
                         central_binomial_rho, linear_small_ball_exact,

@@ -47,10 +47,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 
-class FullRank(Exception):
-    """No nonzero integer kernel vector exists."""
-
-
 class OutOfPrimes(ArithmeticError):
     """A certificate needs more primes than PRIMES holds."""
 
@@ -446,21 +442,6 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
             v[pc] = -m[ri][fc]
         basis.append(v)
     return basis
-
-
-def primitive_kernel_vector(points: Sequence[Sequence[int]], dim: int) -> Tuple[int, ...]:
-    """Deterministic primitive integer vector annihilating all points.
-
-    Choice rule: take the canonical RREF kernel basis, primitivize each
-    vector with the last nonzero entry positive, return the
-    lexicographically smallest.  Raises FullRank when the points span.
-    """
-    basis = kernel_basis(points, dim) if points else \
-        [[Fraction(1) if j == i else Fraction(0) for j in range(dim)] for i in range(dim)]
-    if not basis:
-        raise FullRank(f"points span all of rank {dim}")
-    candidates = sorted(primitive(v) for v in basis)
-    return candidates[0]
 
 
 # ---------------------------------------------------------------------------

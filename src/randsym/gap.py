@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactlinalg import FullRank, exact_rank, lattice, primitive, primitive_kernel_vector
+from .exactlinalg import exact_rank, kernel_basis, lattice, primitive
 
 ENUM_CAP = 10 ** 7
 _INT64_SAFE = 2 ** 62
@@ -30,6 +30,10 @@ _INT64_SAFE = 2 ** 62
 
 class VolumeTooLarge(Exception):
     """Box volume exceeds the enumeration cap."""
+
+
+class FullRank(Exception):
+    """No nonzero integer kernel vector exists."""
 
 
 class OutOfBox(Exception):
@@ -86,14 +90,20 @@ class Gap:
         return self.offset == 0 and all(lo == -hi for lo, hi in zip(self.lower, self.upper))
 
 
-def evaluate(q: Gap, point: Sequence[int]) -> Fraction:
-    """Exact value of the affine map at a box point."""
+def _box_point(q: Gap, point: Sequence[int]) -> LatticePoint:
+    """point as a tuple of ints; OutOfBox unless it is a point of q's box."""
     point = tuple(int(k) for k in point)
     if len(point) != q.rank:
         raise OutOfBox(f"point has {len(point)} coordinates, gap has rank {q.rank}")
     for k, lo, hi in zip(point, q.lower, q.upper):
         if not lo <= k <= hi:
             raise OutOfBox(f"coordinate {k} outside [{lo}, {hi}]")
+    return point
+
+
+def evaluate(q: Gap, point: Sequence[int]) -> Fraction:
+    """Exact value of the affine map at a box point."""
+    point = _box_point(q, point)
     return q.offset + sum((Fraction(k) * g for k, g in zip(point, q.generators)), Fraction(0))
 
 
@@ -171,15 +181,7 @@ def _closest(vals: np.ndarray, unit: Fraction, pts: np.ndarray, a,
 
 def spans(q: Gap, points: Sequence[Sequence[int]]) -> bool:
     """True iff the coordinate vectors have full rank over the rationals."""
-    pts = []
-    for p in points:
-        p = tuple(int(k) for k in p)
-        if len(p) != q.rank:
-            raise OutOfBox(f"point of length {len(p)} in rank-{q.rank} gap")
-        for k, lo, hi in zip(p, q.lower, q.upper):
-            if not lo <= k <= hi:
-                raise OutOfBox(f"coordinate {k} outside [{lo}, {hi}]")
-        pts.append(list(p))
+    pts = [list(_box_point(q, p)) for p in points]
     if q.rank == 0:
         return True
     if not pts:
@@ -193,14 +195,18 @@ def integer_hyperplane(points: Sequence[Sequence[int]], rank: Optional[int] = No
     gcd of the entries is 1 and the last nonzero entry is positive.  The
     deterministic choice among several degenerate directions is the
     lexicographically smallest primitivized vector of the canonical
-    kernel basis.  Raises FullRank when the points span.
+    kernel basis (the identity basis when there are no points).  Raises
+    FullRank when the points span.
     """
     pts = [list(int(k) for k in p) for p in points]
     if rank is None:
         if not pts:
             raise ValueError("rank needed when the point list is empty")
         rank = len(pts[0])
-    return primitive_kernel_vector(pts, rank)
+    basis = kernel_basis(pts, rank)
+    if not basis:
+        raise FullRank(f"points span all of rank {rank}")
+    return min(primitive(v) for v in basis)
 
 
 @dataclass(frozen=True)
@@ -250,7 +256,7 @@ def _eliminate_relation(q: Gap, wits: List[LatticePoint], rel: Sequence[int]):
     return out, new_wits, piv
 
 
-def _collision_relation(q: Gap, cap: int) -> Tuple[int, ...]:
+def _collision_relation(q: Gap) -> Tuple[int, ...]:
     """Primitive relation sum d_i g_i = 0 exhibited by a duplicate value.
 
     Deterministic: the first duplicate in (value, point) order.
@@ -303,7 +309,7 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
     steps: List[ReductionStep] = []
     while cur.rank > 0:
         try:
-            alpha = primitive_kernel_vector([list(p) for p in wits], cur.rank)
+            alpha = integer_hyperplane(wits, cur.rank)
         except FullRank:
             break
         cur, wits, piv = _eliminate_hyperplane(cur, wits, alpha)
@@ -319,7 +325,7 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
                 break
             if retries >= 3:
                 raise ReductionStalled("properness not restored in 3 collision steps")
-            rel = _collision_relation(cur, cap)
+            rel = _collision_relation(cur)
             cur, wits, piv = _eliminate_relation(cur, wits, rel)
             steps.append(ReductionStep("collision", rel, piv))
             for v, p in zip(vals, wits):

@@ -144,8 +144,13 @@ class AtomicLaw:
     @cached_property
     def _difference(self) -> "AtomicLaw":
         """difference_law(self), built once per law."""
-        out = _convolve(self, self, negate_b=True)
-        return AtomicLaw(out.atoms, label=f"diff({self.label})" if self.label else "diff")
+        acc = {}
+        for v1, p1 in self.atoms:
+            for v2, p2 in self.atoms:
+                v = v1 - v2
+                acc[v] = acc.get(v, 0) + p1 * p2
+        label = f"diff({self.label})" if self.label else "diff"
+        return AtomicLaw(tuple(acc.items()), label=label)
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -371,15 +376,6 @@ def standardize(law: AtomicLaw) -> AtomicLaw:
         else:
             atoms.append((float(centered) * float(scale), p))
     return AtomicLaw(tuple(atoms), label=law.label or "standardized")
-
-
-def _convolve(a: AtomicLaw, b: AtomicLaw, negate_b: bool = False) -> AtomicLaw:
-    acc = {}
-    for v1, p1 in a.atoms:
-        for v2, p2 in b.atoms:
-            v = v1 - v2 if negate_b else v1 + v2
-            acc[v] = acc.get(v, 0) + p1 * p2
-    return AtomicLaw(tuple(acc.items()))
 
 
 def difference_law(law: AtomicLaw) -> AtomicLaw:

@@ -5,14 +5,16 @@ unit diagonal elsewhere, off-diagonal support in the designated columns
 with a sign split), the random-bipartition mask A_U, the decoupling
 inequality harness (quadratic rho^8 / ((2pi)^{7/2} exp(4pi)) against the
 bilinear small ball of A_U at an inflated radius), a rank <= 2 inverse
-search driven by continued-fraction approximation of coefficient ratios,
-and the certified forward bound for GAP-structured coefficients.
+search over submultiples of the least nonzero coefficient, and the
+certified forward bound for GAP-structured coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -228,21 +230,6 @@ def decoupling_scan(form: QuadraticForm, law: AtomicLaw, beta, u: Bipartition,
 # inverse search (rank <= 2) and the forward bound
 
 
-def _convergents(x: Fraction, qmax: int) -> List[Fraction]:
-    """Continued-fraction convergents of x with denominator <= qmax."""
-    out: List[Fraction] = []
-    num, den = x.numerator, x.denominator
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while den != 0:
-        a = num // den
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > qmax:
-            break
-        out.append(Fraction(p1, q1))
-        num, den = den, num - a * den
-    return out
-
-
 def _round_frac(x: Fraction) -> int:
     """Nearest integer, half away from zero."""
     n, d = x.numerator, x.denominator
@@ -301,14 +288,27 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
     """Search for a proper symmetric GAP of rank <= rank_cap covering the
     coefficients.
 
-    At least n - closeness_budget coefficients must come beta-close.
-    Candidate generators are built from continued-fraction approximants
-    p/q (q <= sqrt(closeness_budget)) of coefficient ratios; absence of a
-    covering gap within the size cap is a value, not an error.
+    At least n - closeness_budget coefficients must come beta-close.  The
+    candidate generators are the submultiples |a_ref| / q of the nonzero
+    coefficient a_ref of least modulus, q from 1 to
+    isqrt(closeness_budget), at least to 1 and at most to 64.  Each is
+    tried as a rank-1 generator; when rank 1 covers too few and rank_cap
+    is 2, every pair of the 8 candidates that cover the most is tried,
+    kept only if the gap is proper.  The best gap covers the most, then
+    has the least volume, then the smallest generators.  Absence of a
+    covering gap within the size cap is a value, not an error; beta < 0,
+    a closeness_budget that is not an integer >= 0 and a size_cap < 1
+    are rejected before any work.
     """
     if rank_cap not in (1, 2):
         raise ValueError("rank_cap must be 1 or 2")
     beta = Fraction(beta)
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not isinstance(closeness_budget, numbers.Integral) or closeness_budget < 0:
+        raise ValueError(f"closeness_budget must be an integer >= 0, got {closeness_budget!r}")
+    if size_cap is not None and size_cap < 1:
+        raise ValueError(f"size_cap must be >= 1, got {size_cap!r}")
     a = [Fraction(x) for x in form.coefficients]
     n = len(a)
     budget = int(closeness_budget)
@@ -322,30 +322,12 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
         zero_gap = Gap.symmetric((), ())
         return InverseLOReport(zero_gap, tuple(range(n)), n, needed, size_cap, 0,
                                note="all coefficients zero")
-    qmax = max(1, math.isqrt(max(budget, 1)))
     ref = min(nonzero)[1]
     half_cap = max(1, (size_cap - 1) // 2)
-    cands: List[Fraction] = []
-    for q in range(1, qmax + 1):
-        cands.append(abs(a[ref]) / q)
-    for i, ai in enumerate(a):
-        if i == ref or ai == 0:
-            continue
-        for conv in _convergents(abs(ai / a[ref]), qmax):
-            if conv != 0 and conv.denominator <= qmax:
-                cands.append(abs(a[ref]) / conv.denominator)
-    seen = set()
-    pool: List[Fraction] = []
-    for g in sorted(cands, reverse=True):
-        if g > 0 and g not in seen:
-            seen.add(g)
-            pool.append(g)
-    pool = pool[:64]
-    best = None  # (coverage, volume, gens tuple, gap, covered)
-    tried = 0
+    pool = [abs(a[ref]) / q for q in range(1, min(max(1, math.isqrt(budget)), 64) + 1)]
+    best = None  # (key, gap, covered), key = (-coverage, volume, generators)
     scored: List[Tuple[int, Fraction]] = []
     for g in pool:
-        tried += 1
         covered, ks = _rank1_cover(a, g, beta, half_cap)
         scored.append((len(covered), g))
         if not covered:
@@ -357,23 +339,20 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
         key = (-len(covered), q1.volume, (g,))
         if best is None or key < best[0]:
             best = (key, q1, tuple(covered))
+    tried = len(pool)
     if rank_cap >= 2 and (best is None or -best[0][0] < needed):
         top = [g for _, g in sorted(scored, key=lambda t: (-t[0], t[1]))[:8]]
-        for x1 in range(len(top)):
-            for x2 in range(x1 + 1, len(top)):
-                g1, g2 = top[x1], top[x2]
-                if g1 == g2:
-                    continue
-                tried += 1
-                covered, ks, halves = _rank2_cover(a, g1, g2, beta, size_cap)
-                if halves is None or not covered:
-                    continue
-                q2 = Gap.symmetric((g1, g2), halves)
-                if not is_proper(q2, ENUM_CAP):
-                    continue
-                key = (-len(covered), q2.volume, (g1, g2))
-                if best is None or key < best[0]:
-                    best = (key, q2, tuple(covered))
+        for g1, g2 in itertools.combinations(top, 2):
+            tried += 1
+            covered, ks, halves = _rank2_cover(a, g1, g2, beta, size_cap)
+            if halves is None or not covered:
+                continue
+            q2 = Gap.symmetric((g1, g2), halves)
+            if not is_proper(q2, ENUM_CAP):
+                continue
+            key = (-len(covered), q2.volume, (g1, g2))
+            if best is None or key < best[0]:
+                best = (key, q2, tuple(covered))
     if best is None or -best[0][0] < needed:
         cov = () if best is None else best[2]
         return InverseLOReport(None, cov, len(cov), needed, size_cap, tried,
@@ -395,9 +374,12 @@ def forward_lo_bound(q: Gap, assignments: Sequence[Sequence[int]], law: AtomicLa
 
     Rounding each coefficient to its assigned gap element changes the sum
     by at most beta * n * max|atom|, so the exact small ball of the
-    rounded form at radius 0 survives at the derived radius.
+    rounded form at radius 0 survives at the derived radius.  beta < 0 is
+    rejected.
     """
     beta = Fraction(beta)
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     pts = [tuple(int(k) for k in p) for p in assignments]
     if coefficients is not None:
         coeffs = [Fraction(c) for c in coefficients]

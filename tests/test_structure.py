@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from randsym import (Bipartition, DECOUPLING_CONST, Gap, LinearForm, OverlapError,
-                     QuadraticForm, RowMatrixSpec, bernoulli, beta_close,
+from randsym import (Bipartition, DECOUPLING_CONST, Gap, InverseLOReport, LinearForm,
+                     OverlapError, QuadraticForm, RowMatrixSpec, bernoulli, beta_close,
                      bipartition_matrix, build_row_matrix, central_binomial_rho,
                      conditioning_check, decoupling_scan, forward_lo_bound,
                      inverse_lo_search, row_matrix_det, verify_decoupling)
@@ -207,13 +207,88 @@ class TestInverseSearch:
             assert beta_close(rep.gap, form.coefficients[i], F(1, 100)) is not None
 
     def test_rank2_two_scale_instance(self):
-        # coefficients k1 * 1 + k2 * sqrt-free 1/97 mixture: rank-1 cannot
-        # cover both scales with a small box, rank-2 can
+        # 1..6 and 1/97..6/97: rank 1 decides this one, since g = 1/97
+        # covers both scales at half width 582, volume 1165 <= 2100
         coeffs = tuple(F(k) for k in range(1, 7)) + tuple(F(k, 97) for k in range(1, 7))
         rep = inverse_lo_search(LinearForm(coeffs), BERN, 0, rank_cap=2,
                                 closeness_budget=1, size_cap=2100)
-        assert rep.gap is not None
+        assert rep.gap == Gap.symmetric((F(1, 97),), (582,))
         assert rep.coverage >= len(coeffs) - 1
+
+    def test_rank2_needs_two_generators(self):
+        # every coefficient is k1/4 + k2/3 with |k1| <= 5, |k2| <= 1; no
+        # single submultiple 1/q (q <= 4) of the least one covers 14
+        base = (F(1), F(13, 12), F(5, 4), F(4, 3), F(19, 12))
+        form = LinearForm(tuple(s * x for x in base for s in (1, -1)) * 3)
+        one = inverse_lo_search(form, BERN, 0, rank_cap=1, closeness_budget=16,
+                                size_cap=100)
+        assert one == InverseLOReport(None, (0, 1, 6, 7, 10, 11, 16, 17, 20, 21, 26, 27),
+                                      12, 14, 100, 4,
+                                      note="no candidate covers enough coefficients")
+        two = inverse_lo_search(form, BERN, 0, rank_cap=2, closeness_budget=16,
+                                size_cap=100)
+        assert two == InverseLOReport(Gap.symmetric((F(1, 4), F(1, 3)), (5, 1)),
+                                      tuple(range(30)), 30, 14, 100, 10)
+
+    # (coefficients, beta, rank_cap, closeness_budget, size_cap, seed) and
+    # the whole report they give
+    GOLDEN = {
+        "ap": ((tuple(F(i, 100) for i in range(1, 101)), F(1, 1000), 1, 10, 301, 0),
+               InverseLOReport(Gap.symmetric((F(1, 100),), (100,)), tuple(range(100)),
+                               100, 90, 301, 3)),
+        # isqrt(5000) = 70 submultiples, cut at 64
+        "budget5000": ((tuple(F(3 * i, 7) for i in range(1, 41)), 0, 2, 5000, 121, 0),
+                       InverseLOReport(Gap.symmetric((F(3, 7),), (40,)), tuple(range(40)),
+                                       40, 0, 121, 64)),
+        # no box fits: 64 rank-1 candidates, then the 28 pairs of the top 8
+        "budget5000_rank2": ((tuple(F(i * i, 11) for i in range(1, 31)), 0, 2, 5000, 2, 0),
+                             InverseLOReport(None, (), 0, 0, 2, 92,
+                                             note="no candidate covers enough coefficients")),
+        "budget0": ((tuple(F(i * i, 11) for i in range(1, 31)), 0, 2, 0, 1, 0),
+                    InverseLOReport(None, (), 0, 30, 1, 1,
+                                    note="no candidate covers enough coefficients")),
+        "mc_size_cap": (((1,) * 10 + (2,) * 10 + (F(1, 3),), 0, 1, 4, None, 7),
+                        InverseLOReport(Gap.symmetric((F(1, 3),), (6,)), tuple(range(21)),
+                                        21, 17, 33, 2)),
+        "mc_size_cap_rank2": ((tuple(range(1, 9)) + (F(1, 2),), F(1, 10), 2, 2, None, 11),
+                              InverseLOReport(Gap.symmetric((F(1, 2),), (16,)),
+                                              tuple(range(9)), 9, 7, 100, 1)),
+        "floats": ((tuple(0.1 * i for i in range(1, 21)), 1e-9, 1, 2, 101, 0),
+                   InverseLOReport(Gap.symmetric((F(0.1),), (20,)), tuple(range(20)),
+                                   20, 18, 101, 1)),
+        "gaussian_rank2": ((tuple(float(x) for x in np.random.default_rng(3).standard_normal(100)),
+                            1e-6, 2, 25, 50, 5),
+                           InverseLOReport(None, (96,), 1, 75, 50, 15,
+                                           note="no candidate covers enough coefficients")),
+        "zeros": (((0,) * 5, 0, 2, 1, 9, 0),
+                  InverseLOReport(Gap.symmetric((), ()), tuple(range(5)), 5, 4, 9, 0,
+                                  note="all coefficients zero")),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_report(self, name):
+        (coeffs, beta, rank_cap, budget, size_cap, seed), expected = self.GOLDEN[name]
+        rep = inverse_lo_search(LinearForm(coeffs), BERN, beta, rank_cap=rank_cap,
+                                closeness_budget=budget, size_cap=size_cap, seed=seed)
+        assert rep == expected
+
+    @pytest.mark.parametrize("kwargs, name", [
+        pytest.param(dict(beta=-1, size_cap=9), "beta", id="negative_beta_given_cap"),
+        pytest.param(dict(beta=F(-1, 100)), "beta", id="negative_beta_mc_cap"),
+        pytest.param(dict(closeness_budget=-3), "closeness_budget", id="negative_budget"),
+        pytest.param(dict(closeness_budget=2.5), "closeness_budget", id="fractional_budget"),
+        pytest.param(dict(size_cap=0), "size_cap", id="zero_size_cap"),
+        pytest.param(dict(size_cap=-5), "size_cap", id="negative_size_cap"),
+    ])
+    def test_bad_input_rejected_before_work(self, kwargs, name, monkeypatch):
+        from randsym import structure
+
+        def no_work(*args, **kw):
+            raise AssertionError("search started before the inputs were checked")
+        monkeypatch.setattr(structure, "linear_small_ball_mc", no_work)
+        monkeypatch.setattr(structure, "_rank1_cover", no_work)
+        with pytest.raises(ValueError, match=name):
+            inverse_lo_search(LinearForm((1,) * 20), BERN, **{"beta": 0, **kwargs})
 
 
 class TestForwardBound:
@@ -243,3 +318,7 @@ class TestForwardBound:
         q = Gap.symmetric((1,), (3,))
         with pytest.raises(ValueError):
             forward_lo_bound(q, [(1,)], BERN, F(1, 100), coefficients=[F(3, 2)])
+
+    def test_negative_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            forward_lo_bound(Gap.symmetric((1,), (3,)), [(1,), (2,)], BERN, -1)
