@@ -30,9 +30,9 @@ from .exactlinalg import bareiss_det, exact_rank as rational_rank
 from .smallball import (AtomBlowup, EnumerationTooLarge, LinearForm,
                         QuadraticForm, SmallBallEstimate, bilinear_small_ball,
                         central_binomial_rho, linear_small_ball_exact,
-                        linear_small_ball_mc, linear_window_mass,
-                        quadratic_small_ball_exact, quadratic_small_ball_mc,
-                        suffix_smallball_factors, truncated_product_bound)
+                        linear_small_ball_mc, quadratic_small_ball_exact,
+                        quadratic_small_ball_mc, suffix_smallball_factors,
+                        truncated_product_bound)
 from .structure import (Bipartition, DecouplingCheck, DECOUPLING_CONST,
                         ForwardBound, InverseLOReport, OverlapError,
                         RowMatrixSpec, bipartition_matrix, build_row_matrix,
@@ -43,10 +43,9 @@ from .ensembles import (BoundViolation, ConvergenceFailure, NoPivot,
                         cofactor_inequality_check, exact_det, exact_rank,
                         grow_and_track, near_kernel_vector, remove_pivot_row,
                         sample_symmetric, spectral_summary, subspace_membership_mc)
-from .detconc import (CutoffSpec, DegenerateSpectrum, DetConcReport,
-                      EnvelopeVerdict, SpacingUnverified, TailReport,
-                      concentration_experiment, cutoff_log, envelope_rule,
-                      spectral_window_count, tail_experiment,
-                      truncated_log_det, wilson_interval)
+from .detconc import (DegenerateSpectrum, DetConcReport, EnvelopeVerdict,
+                      SpacingUnverified, TailReport, concentration_experiment,
+                      cutoff_log, envelope_rule, spectral_window_count,
+                      tail_experiment, truncated_log_det, wilson_interval)
 
 __version__ = "0.1.0"

@@ -62,30 +62,6 @@ def cutoff_log(x: float, epsilon: float, sign: str = "plus") -> float:
     raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Cutoff eps, deviation scale delta, and the Lipschitz bound 1/eps."""
-
-    epsilon: float
-    delta: float
-    lipschitz_bound: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0 and self.delta > 0):
-            raise ValueError("epsilon and delta must be positive")
-
-    @classmethod
-    def for_matrix(cls, epsilon: float, delta: float, c_const: float, n: int) -> "CutoffSpec":
-        """Validate delta against delta0 = 16 C sqrt(pi) |f|_L / n."""
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        lip = 1.0 / epsilon
-        delta0 = 16.0 * c_const * math.sqrt(math.pi) * lip / n
-        if delta < delta0:
-            raise ValueError(f"delta {delta} below delta0 {delta0}")
-        return cls(epsilon=epsilon, delta=delta, lipschitz_bound=lip)
-
-
 def spectral_window_count(summary: SpectralSummary, interval: Tuple[float, float]) -> int:
     """N_I = #{i : lambda_i in [a, b]} by binary search on the sorted spectrum."""
     a, b = float(interval[0]), float(interval[1])

@@ -12,7 +12,9 @@ exact binary rationals they are.  The supremum over window centers is
 realized as a maximum over closed windows whose left edge sits on an
 atom: sliding any window right until its left edge hits an atom never
 loses mass, so the finite scan, shared with the Monte Carlo estimates,
-attains the sup.
+attains the sup.  Every exact distribution holds its counts as int64
+limb rows, count k = sum_r cnts[r, k] << 16 r, each row summing below
+2**62, and the window scan reads the rows themselves.
 
 The linear sum is convolved in one of two layouts.  Dense: when its
 support span S has S + 1 <= min(cap, prod m_i), with m_i the distinct
@@ -20,16 +22,14 @@ values of step i (prod m_i bounds any support), it runs in place on the
 lattice lo + stride * [0, S / stride], stride the gcd of the law's atom
 gaps (2 for signs).  Sparse: otherwise, the outer sum of each step is
 aggregated by _aggregate_np, which counts where the values span few
-lattice points per value and sorts where they are sparse.  Either way a
-count is held as L nonnegative int64 limbs of 16 bits, an (L, m) array,
-L no more than the count total total**k of step k needs, and a law's
-count past 2**16 enters as its 16-bit digits.  The limbs carry only
-before a step that could pass 2**62.  A distribution, when built, joins
-its limbs into int64 counts while the count total stays below 2**61 and
-into exact Python ints (numpy object arrays) beyond; values are int64 or
-Python ints by the same bound, so no size changes the arithmetic
-silently.  The suffix sums of suffix_smallball_factors are the partial
-sums of one pass from the end.
+lattice points per value and sorts where they are sparse.  Either way
+the limbs in use are no more than the count total total**k of step k
+needs, a law's count past 2**16 enters as its 16-bit digits, and the
+limbs carry only before a step that could pass 2**62; a distribution
+takes them as they are, or carried in a copy if a row could sum to
+2**62.  Values are int64 below 2**61 and Python ints beyond, so no size
+changes the arithmetic silently.  The suffix sums of
+suffix_smallball_factors are the partial sums of one pass from the end.
 
 Quadratic and bilinear forms are enumerated over all outcomes, block by
 block.  Coordinates i and j are coupled when a_ij or a_ji != 0; the
@@ -50,11 +50,10 @@ stays exact because every partial sum is an integer of absolute value
 below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 < 2**53, summed over
 the nonzero a_ij (a coordinate that is always 0 contributes exact
 zeros); inputs past that bound, or with more outcomes in all than the
-cap, raise EnumerationTooLarge.  Counts are int64 while the count total
-of the enumerated coordinates stays below 2**61 and exact Python ints
-(numpy object arrays) beyond, as the linear engine yields them, so float
-masses such as 0.1 stay exact.  A law's
-atoms and masses go on their lattices once per law object.
+cap, raise EnumerationTooLarge.  The counts are one row while the count
+total of the enumerated coordinates stays below 2**61 and carried 16-bit
+limbs beyond (_limb_product), so float masses such as 0.1 stay exact.  A
+law's atoms and masses go on their lattices once per law object.
 
 Monte Carlo variants draw from splittable streams keyed (seed, chunk)
 and carry a Dvoretzky-Kiefer-Wolfowitz half-width at the 95% level.
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import compress, repeat
+from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple, Union
@@ -78,7 +77,7 @@ from .streams import chunk_bounds, substream
 ATOM_CAP = 10 ** 7
 _FLOAT_EXACT = 2 ** 53
 _INT64_SAFE = 2 ** 61   # leaves room for value + clamped window width in int64
-_LIMB_BITS = 16         # linear counts are int64 limbs of this many bits, one uint16 each
+_LIMB_BITS = 16         # counts past one row are int64 limbs of this many bits
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_ROOM = 2 ** 62    # the most a limb may hold between carries
 DKW_DELTA = 0.05
@@ -184,8 +183,8 @@ class SmallBallEstimate:
 
 def _aggregate_np(vals: np.ndarray, cnts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of vals, each with the sum of its counts,
-    in the dtypes of vals and cnts, which is one row of counts or a stack
-    of limb rows (module docstring), summed row by row.
+    in the dtypes of vals and cnts, which is a stack of limb rows (module
+    docstring) summed row by row, or one row.
 
     Counting accumulates each row into an array indexed by value - min
     with one np.bincount.  It needs int64 values and counts (the values of
@@ -196,7 +195,7 @@ def _aggregate_np(vals: np.ndarray, cnts: np.ndarray) -> Tuple[np.ndarray, np.nd
     to 2.3x at 8, 1.8x to 3.3x at 4 and 2.4x to 9.7x at 1, for 100 to
     10**6 uniform random values; timeit, 2-vCPU VM), and that bound also
     caps the count array at 8 entries per value.  Sparse spans and object
-    dtypes are sorted.  Every count is positive, so a value is present
+    values are sorted.  Every count is positive, so a value is present
     exactly when some row's accumulated count is nonzero, and both give
     the same values and counts."""
     if vals.dtype == cnts.dtype == np.int64:
@@ -215,15 +214,13 @@ def _aggregate_np(vals: np.ndarray, cnts: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 @dataclass
 class _ScaledDist:
-    """Integer atoms: value = vals[k] * scale, mass = cnts[k] / ctotal."""
+    """Integer atoms: value = vals[k] * scale, mass = count k / ctotal, with
+    count k = sum_r cnts[r, k] << 16 r, each row of cnts summing below 2**62."""
 
     vals: np.ndarray        # sorted ascending, unique
-    cnts: np.ndarray        # positive
+    cnts: np.ndarray        # (rows, len(vals)) int64 limbs, each count positive
     scale: Fraction         # positive lattice unit
     ctotal: int
-
-    def __len__(self) -> int:
-        return len(self.vals)
 
 
 def _limbs(total: int) -> int:
@@ -232,31 +229,36 @@ def _limbs(total: int) -> int:
 
 
 def _carry(limbs: np.ndarray) -> np.ndarray:
-    """limbs carried in place, each below 2**_LIMB_BITS if the rows hold
-    every count: the same counts."""
+    """limbs carried in place, each below 2**_LIMB_BITS but the top row,
+    which keeps the rest: the same counts."""
     for low, high in zip(limbs, limbs[1:]):
         high += low >> _LIMB_BITS
         low &= _LIMB_MASK
     return limbs
 
 
-def _limb_dist(vals: np.ndarray, limbs: np.ndarray, scale: Fraction,
-               ctotal: int) -> _ScaledDist:
-    """The atoms vals with the counts their limb rows hold: int64 while
-    the count total is below 2**61, exact Python ints beyond, each read
-    from its carried limbs as little-endian bytes."""
-    if ctotal < _INT64_SAFE:    # then so is every limb's share of a count
-        return _ScaledDist(vals, (limbs << _LIMB_BITS * np.arange(len(limbs))[:, None])
-                           .sum(axis=0), scale, ctotal)
-    raw = np.empty((limbs.shape[1], _limbs(ctotal)), dtype="<u2")
-    carry = 0
-    for r in range(raw.shape[1]):   # carried limb by limb into raw's columns
-        part = limbs[r] + carry if r < len(limbs) else carry
-        raw[:, r] = part & _LIMB_MASK
-        carry = part >> _LIMB_BITS
-    data = raw.view(f"S{raw.itemsize * raw.shape[1]}").ravel().tolist()
-    return _ScaledDist(vals, np.fromiter(map(int.from_bytes, data, repeat("little")),
-                                         dtype=object, count=len(data)), scale, ctotal)
+def _limb_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The carried limb rows of the broadcast products of the counts of a
+    and b (limb rows first), one product per pair of limbs: both are carried
+    in the rows every product needs, so no limb product passes the top row."""
+    rows = len(a)
+    if rows == 1:
+        return a * b
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for r in range(rows):
+        for s in range(rows - r):
+            out[r + s] += a[r] * b[s]
+    return _carry(out)
+
+
+def _limb_dist(vals: np.ndarray, limbs: np.ndarray, scale: Fraction, ctotal: int,
+               bound: int) -> _ScaledDist:
+    """The atoms vals with the linear engine's limb rows, each limb at most
+    bound: the rows themselves while none can sum to 2**62 (row r sums to
+    at most ctotal >> 16 r), else a carried copy in every limb ctotal needs."""
+    if min(ctotal, bound * len(vals)) >= _LIMB_ROOM:
+        limbs = _carry(np.pad(limbs, ((0, _limbs(ctotal) - len(limbs)), (0, 0))))
+    return _ScaledDist(vals, limbs, scale, ctotal)
 
 
 def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
@@ -264,10 +266,11 @@ def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
     """The exact distributions of a_1 x_1 + ... + a_k x_k for k = 1..n in
     turn, by sequential convolution of int64 limb counts on the dense
     lattice or the sparse support (module docstring).  Each is built when
-    its yielded function is called, which must be before the generator
-    advances: the dense layout updates its counts in place.  The layout
-    and the value dtype follow from all n steps.  The dense array never
-    outgrows the cap, so AtomBlowup is a sparse-layout event."""
+    its yielded function is called and may hold the dense layout's counts,
+    which it updates in place, so it must be built and read before the
+    generator advances.  The layout and the value dtype follow from all n
+    steps.  The dense array never outgrows the cap, so AtomBlowup is a
+    sparse-layout event."""
     if not isinstance(law, AtomicLaw):
         raise ValueError("an exact small ball needs atomic laws")
     _, ints, unit, counts, total = law._lattice
@@ -325,7 +328,7 @@ def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
             live += (max(row) - base) // stride
             lo += base
             yield functools.partial(_lattice_dist, cnts[:rows, :live], lo, stride, vtype,
-                                    scale, ctotal)
+                                    scale, ctotal, bound)
             continue
         parts = np.zeros((rows, len(vals), len(row)), dtype=np.int64)
         for j, d, c in terms:
@@ -335,15 +338,15 @@ def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
         vals, cnts = _aggregate_np(vals, parts.reshape(rows, -1))
         if len(vals) > cap:
             raise AtomBlowup(f"{len(vals)} atoms exceed cap {cap}")
-        yield functools.partial(_limb_dist, vals, cnts, scale, ctotal)
+        yield functools.partial(_limb_dist, vals, cnts, scale, ctotal, bound)
 
 
 def _lattice_dist(cnts: np.ndarray, lo: int, stride: int, vtype, scale: Fraction,
-                  ctotal: int) -> _ScaledDist:
+                  ctotal: int, bound: int) -> _ScaledDist:
     """The atoms of limb counts cnts on the lattice lo, lo + stride, ..."""
     at = np.flatnonzero(cnts.any(axis=0))
     return _limb_dist(at.astype(vtype) * stride + lo,
-                      cnts if len(at) == cnts.shape[1] else cnts[:, at], scale, ctotal)
+                      cnts if len(at) == cnts.shape[1] else cnts[:, at], scale, ctotal, bound)
 
 
 def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _ScaledDist:
@@ -356,17 +359,30 @@ def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _S
 
 def _window_scan(vals: np.ndarray, cnts: np.ndarray, width):
     """The fullest closed window [v, v + width] anchored at a value v of the
-    ascending array vals, whose entries weigh cnts: (its weight, the lowest
+    ascending array vals, whose entries weigh the counts of the limb rows
+    cnts, each row summing below 2**62: (its weight as an int, the lowest
     and the highest value it holds), the first such window from the left.
 
     Anchoring at values attains the sup over all windows: sliding a window
-    right until its left edge hits a value never loses weight.
+    right until its left edge hits a value never loses weight.  The window
+    totals of each row, carried, rank the windows from the top row down.
     """
-    prefix = np.r_[0, np.cumsum(cnts)]
     rights = np.searchsorted(vals, vals + width, side="right")
-    totals = prefix[rights] - prefix[:-1]
-    j = int(np.argmax(totals))
-    return totals[j], vals[j], vals[rights[j] - 1]
+    totals = np.empty(cnts.shape, dtype=np.int64)
+    prefix = np.zeros(len(vals) + 1, dtype=np.int64)
+    for row, out in zip(cnts, totals):      # one row's prefix sums at a time
+        np.cumsum(row, out=prefix[1:])
+        np.subtract(prefix.take(rights), prefix[:-1], out=out)
+    _carry(totals)
+    j = int(np.argmax(totals[-1]))
+    if len(totals) > 1:     # of the windows tied so far, the fullest one row down
+        best = np.flatnonzero(totals[-1] == totals[-1, j])
+        for row in totals[-2::-1]:
+            part = row[best]
+            best = best[part == part.max()]
+        j = int(best[0])
+    weight = sum(int(row[j]) << _LIMB_BITS * r for r, row in enumerate(totals))
+    return weight, vals[j], vals[rights[j] - 1]
 
 
 def _exact_estimate(dist: _ScaledDist, beta: Fraction, shift=Fraction(0)) -> SmallBallEstimate:
@@ -376,22 +392,8 @@ def _exact_estimate(dist: _ScaledDist, beta: Fraction, shift=Fraction(0)) -> Sma
     span = int(dist.vals[-1]) - int(dist.vals[0])
     width = min(math.floor(2 * beta / dist.scale), span)   # wider windows cover everything
     best, lo, hi = _window_scan(dist.vals, dist.cnts, width)
-    return SmallBallEstimate(Fraction(int(best), dist.ctotal), beta, "exact", 0.0,
+    return SmallBallEstimate(Fraction(best, dist.ctotal), beta, "exact", 0.0,
                              Fraction(int(lo) + int(hi), 2) * dist.scale + shift)
-
-
-def _interval_count(dist: _ScaledDist, lo: Fraction, hi: Fraction) -> int:
-    """Exact mass count of atoms with lo <= value <= hi (values in scale units)."""
-    lo_i = math.ceil(lo / dist.scale)
-    hi_i = math.floor(hi / dist.scale)
-    # clamp to the atom range so huge bounds stay inside int64
-    vmin, vmax = int(dist.vals[0]), int(dist.vals[-1])
-    if hi_i < vmin or lo_i > vmax:
-        return 0
-    prefix = np.r_[0, np.cumsum(dist.cnts)]
-    a = np.searchsorted(dist.vals, max(lo_i, vmin), side="left")
-    b = np.searchsorted(dist.vals, min(hi_i, vmax), side="right")
-    return int(prefix[b] - prefix[a])
 
 
 def linear_small_ball_exact(form: LinearForm, law: AtomicLaw, beta,
@@ -400,17 +402,6 @@ def linear_small_ball_exact(form: LinearForm, law: AtomicLaw, beta,
     beta = _radius(beta)
     shift = sum((a * f for a, f in zip(form.coefficients, form.shifts) if f), Fraction(0))
     return _exact_estimate(_linear_sum_dist(form.coefficients, law, cap), beta, shift)
-
-
-def linear_window_mass(form: LinearForm, law: AtomicLaw, center, beta,
-                       cap: int = ATOM_CAP) -> Fraction:
-    """Exact P(|sum a_i (x_i + f_i) - center| <= beta): re-evaluates a witness."""
-    beta = _radius(beta)
-    center = Fraction(center)
-    shift = sum((a * f for a, f in zip(form.coefficients, form.shifts) if f), Fraction(0))
-    dist = _linear_sum_dist(form.coefficients, law, cap)
-    c0 = center - shift
-    return Fraction(_interval_count(dist, c0 - beta, c0 + beta), dist.ctotal)
 
 
 def _mc_estimate(draw, beta, trials: int, seed: int) -> SmallBallEstimate:
@@ -425,9 +416,9 @@ def _mc_estimate(draw, beta, trials: int, seed: int) -> SmallBallEstimate:
     for ci, start, stop in chunk_bounds(trials):
         vals[start:stop] = draw(substream(seed, ci), stop - start)
     vals.sort(kind="stable")
-    hits, lo, hi = _window_scan(vals, np.ones(trials, dtype=np.int64), 2 * beta)
+    hits, lo, hi = _window_scan(vals, np.ones((1, trials), dtype=np.int64), 2 * beta)
     ci_half = math.sqrt(math.log(2 / DKW_DELTA) / (2 * trials))
-    return SmallBallEstimate(float(hits) / trials, beta, "monte_carlo", ci_half,
+    return SmallBallEstimate(hits / trials, beta, "monte_carlo", ci_half,
                              0.5 * (float(lo) + float(hi)))
 
 
@@ -461,18 +452,19 @@ def _coordinates(law: AtomicLaw, shifts: Sequence[Fraction]):
     return [(rows[f], counts, total) for f in shifts], unit
 
 
-def _outcome_table(coords, ctype) -> Tuple[np.ndarray, np.ndarray]:
-    """Every outcome of independent coordinates as a row of values, with
-    the product of its counts in dtype ctype."""
+def _outcome_table(coords, one: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every outcome of independent coordinates, each (values, limb rows of
+    its counts, count total), as a row of values, with the product of its
+    counts in carried limb rows, as many as the count 1 has in `one`."""
     sizes = [len(vals) for vals, _, _ in coords]
     Z = np.empty(sizes + [len(coords)])
-    cnts = np.ones(sizes, dtype=ctype)
-    for i, (vals, counts, _) in enumerate(coords):
+    cnts = one.reshape([len(one)] + [1] * len(coords))
+    for i, (vals, limbs, _) in enumerate(coords):
         axis = [1] * len(coords)
         axis[i] = -1
         Z[..., i] = np.array(vals, dtype=np.float64).reshape(axis)
-        cnts *= np.array(counts, dtype=ctype).reshape(axis)
-    return Z.reshape(math.prod(sizes), len(coords)), cnts.ravel()
+        cnts = _limb_product(cnts, limbs.reshape([len(one)] + axis))
+    return Z.reshape(math.prod(sizes), len(coords)), cnts.reshape(len(one), -1)
 
 
 def _blocks(A: np.ndarray) -> List[np.ndarray]:
@@ -494,22 +486,24 @@ def _blocks(A: np.ndarray) -> List[np.ndarray]:
 
 
 def _aggregate_rows(rows: int, width: int, piece) -> Tuple[np.ndarray, np.ndarray]:
-    """_aggregate_np over the rows x width (values, counts) that piece(part)
-    gives for slices part of the rows, aggregated at most 2**21 at a time."""
+    """_aggregate_np over the rows x width (values, limb counts) that
+    piece(part) gives for slices part of the rows, aggregated at most 2**21
+    at a time; the counts come out carried."""
     step = max(1, (1 << 21) // width)
     pieces = [_aggregate_np(*piece(slice(start, start + step)))
               for start in range(0, rows, step)]
-    return pieces[0] if len(pieces) == 1 else \
-        _aggregate_np(*map(np.concatenate, zip(*pieces)))
+    vals, cnts = pieces[0] if len(pieces) == 1 else \
+        _aggregate_np(*(np.concatenate(part, axis=-1) for part in zip(*pieces)))
+    return vals, _carry(cnts)
 
 
-def _block_dist(A: np.ndarray, coords, ctype) -> Tuple[np.ndarray, np.ndarray]:
+def _block_dist(A: np.ndarray, coords, one: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of z^T A z over one block of coordinates,
-    with their counts, by meet in the middle: x = z[:h], y = z[h:] at
-    h = len(coords) // 2 (module docstring)."""
+    with their counts in the limb rows of `one`, by meet in the middle:
+    x = z[:h], y = z[h:] at h = len(coords) // 2 (module docstring)."""
     h = len(coords) // 2
-    X, cx = _outcome_table(coords[:h], ctype)
-    Y, cy = _outcome_table(coords[h:], ctype)
+    X, cx = _outcome_table(coords[:h], one)
+    Y, cy = _outcome_table(coords[h:], one)
     qx = np.einsum("ti,ti->t", X @ A[:h, :h], X)
     qy = np.einsum("ti,ti->t", Y @ A[h:, h:], Y)
     B = A[:h, h:] + A[h:, :h].T
@@ -518,7 +512,8 @@ def _block_dist(A: np.ndarray, coords, ctype) -> Tuple[np.ndarray, np.ndarray]:
         vals = (X[part] @ B) @ Y.T
         vals += qx[part, None]
         vals += qy
-        return vals.astype(np.int64).ravel(), np.outer(cx[part], cy).ravel()
+        return vals.astype(np.int64).ravel(), \
+            _limb_product(cx[:, part, None], cy[:, None]).reshape(len(one), -1)
     return _aggregate_rows(len(X), len(Y), piece)
 
 
@@ -543,12 +538,18 @@ def _split_enumeration(a_int: List[List[int]], coords, scale: Fraction,
     # an untouched coordinate leaves every value as it is: its counts are
     # left out of the counts and of their total alike
     ctotal = math.prod(coords[i][2] for block in blocks for i in block)
-    ctype = np.int64 if ctotal < _INT64_SAFE else object
-    vals, cnts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=ctype)
+    rows = 1 if ctotal < _INT64_SAFE else _limbs(ctotal)   # one row of whole counts, or limbs
+    limbs = {counts: np.array([[c >> _LIMB_BITS * r & (_LIMB_MASK if r < rows - 1 else -1)
+                                for c in counts] for r in range(rows)], dtype=np.int64)
+             for counts in {counts for _, counts, _ in coords}}     # the top row keeps the rest
+    coords = [(vals, limbs[counts], total) for vals, counts, total in coords]
+    one = np.eye(rows, 1, dtype=np.int64)   # the count 1
+    vals, cnts = np.zeros(1, dtype=np.int64), one
     for k, block in enumerate(blocks):
-        bv, bc = _block_dist(A[np.ix_(block, block)], [coords[i] for i in block], ctype)
+        bv, bc = _block_dist(A[np.ix_(block, block)], [coords[i] for i in block], one)
         vals, cnts = (bv, bc) if not k else _aggregate_rows(len(vals), len(bv), lambda part: (
-            (vals[part, None] + bv).ravel(), (cnts[part, None] * bc).ravel()))
+            (vals[part, None] + bv).ravel(),
+            _limb_product(cnts[:, part, None], bc[:, None]).reshape(rows, -1)))
     return _ScaledDist(vals, cnts, scale, ctotal)
 
 
@@ -633,10 +634,7 @@ def truncated_product_bound(u: Sequence, law: AtomicLaw, beta, n0: int,
     Upper-bounds the probability that a vector stays nearly orthogonal to
     n0 exposed rows.
     """
-    prod = Fraction(1)
-    for rho in suffix_smallball_factors(u, law, beta, n0, cap):
-        prod *= rho
-    return prod
+    return math.prod(suffix_smallball_factors(u, law, beta, n0, cap), start=Fraction(1))
 
 
 def central_binomial_rho(n: int) -> Fraction:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randsym import (AtomicLaw, CutoffSpec, DegenerateSpectrum, SpacingCertificate,
+from randsym import (AtomicLaw, DegenerateSpectrum, SpacingCertificate,
                      SpacingUnverified, bernoulli, concentration_experiment,
                      cutoff_log, envelope_rule, gaussian, point_mass, sample_symmetric,
                      spectral_summary, spectral_window_count, tail_experiment,
@@ -42,21 +42,11 @@ class TestCutoffLog:
                 got = cutoff_log(x, eps) + cutoff_log(x, eps, "minus") - math.log(eps)
                 assert got == pytest.approx(math.log(abs(x)), abs=1e-12)
 
-    def test_cutoff_spec_validation(self):
-        spec = CutoffSpec.for_matrix(epsilon=0.5, delta=1.0, c_const=1.0, n=100)
-        assert spec.lipschitz_bound == 2.0
-        with pytest.raises(ValueError):
-            CutoffSpec.for_matrix(epsilon=0.5, delta=1e-6, c_const=1.0, n=100)
-
     @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
     def test_epsilon_must_be_positive(self, eps):
         # NaN compares false with everything, so it must fail `eps > 0`
         with pytest.raises(ValueError, match="epsilon"):
             cutoff_log(2.0, eps)
-        with pytest.raises(ValueError, match="epsilon"):
-            CutoffSpec(eps, 1.0, 1.0)
-        with pytest.raises(ValueError, match="epsilon"):
-            CutoffSpec.for_matrix(epsilon=eps, delta=1.0, c_const=1.0, n=100)
 
 
 class TestWindowCount:

@@ -12,12 +12,11 @@ import pytest
 from randsym import (AtomBlowup, AtomicLaw, Bipartition, EnumerationTooLarge, LinearForm,
                      QuadraticForm, bernoulli, bilinear_small_ball, bipartition_matrix,
                      central_binomial_rho, difference_law, gaussian, lazy_sign,
-                     linear_small_ball_exact,
-                     linear_small_ball_mc, linear_window_mass,
+                     linear_small_ball_exact, linear_small_ball_mc,
                      quadratic_small_ball_exact, quadratic_small_ball_mc,
                      suffix_smallball_factors, truncated_product_bound, uniform3)
 from randsym import smallball
-from randsym.smallball import ATOM_CAP, _linear_sum_dist
+from randsym.smallball import ATOM_CAP, _linear_sum_dist, _partial_sums
 
 BERN = bernoulli()
 # two atoms with a third and two thirds: a lattice content of 1/4
@@ -53,6 +52,25 @@ def brute_force_window(laws, value, beta):
         if tot > best:
             best, center = tot, (v + sums[r - 1]) / 2
     return best, center
+
+
+def brute_force_mass(laws, value, center, beta):
+    """Independent oracle: P(|value(x) - center| <= beta) over every
+    outcome of independent coordinates, in Fraction arithmetic."""
+    mass = F(0)
+    for atoms in product(*(law.atoms for law in laws)):
+        if abs(value([F(v) for v, _ in atoms]) - F(center)) <= beta:
+            mass += math.prod(F(p) for _, p in atoms)
+    return mass
+
+
+def linear_value(coeffs):
+    return lambda x: sum(F(a) * v for a, v in zip(coeffs, x))
+
+
+def _joined(cnts):
+    """The counts that limb rows hold, row r weighing 2**(16 r), as ints."""
+    return [sum(x << 16 * r for r, x in enumerate(col)) for col in cnts.T.tolist()]
 
 
 def brute_force_linear(coeffs, shifts, law, beta):
@@ -121,7 +139,8 @@ class TestLinearExact:
             form = LinearForm(a)
             beta = F(int(rng.integers(0, 3)), 4)
             est = linear_small_ball_exact(form, BERN, beta)
-            assert linear_window_mass(form, BERN, est.witness_center, beta) == est.rho
+            assert brute_force_mass([BERN] * n, linear_value(a), est.witness_center,
+                                    beta) == est.rho
 
     def test_monotone_in_beta(self):
         form = LinearForm((F(1), F(5, 3), F(-2, 7), 1, 2))
@@ -161,8 +180,8 @@ class TestLinearExact:
             for beta in (F(0), F(1), F(3, 2), F(2 ** 70)):
                 est = linear_small_ball_exact(LinearForm(coeffs), law, beta)
                 assert _estimate(est) == brute_force_linear(coeffs, (0,) * 3, law, beta)
-                assert linear_window_mass(LinearForm(coeffs), law,
-                                          est.witness_center, beta) == est.rho
+                assert brute_force_mass([law] * 3, linear_value(coeffs), est.witness_center,
+                                        beta) == est.rho
 
     def test_huge_window_covers_everything(self):
         est = linear_small_ball_exact(LinearForm((F(1, 2 ** 40),)), BERN, 10 ** 9)
@@ -171,8 +190,9 @@ class TestLinearExact:
 
 class TestLayoutPins:
     """(rho, witness_center) of the exact linear engine on one case per
-    layout and count type, to the exact Fractions the sparse-only engine
-    with its dict fallback gave before the dense lattice."""
+    layout and count form (one row of whole counts, or 16-bit limbs), to
+    the exact Fractions the sparse-only engine with its dict fallback gave
+    before the dense lattice."""
 
     TINY = AtomicLaw(((-1, F(1, 2 ** 32)), (1, 1 - F(1, 2 ** 32))))
 
@@ -188,13 +208,15 @@ class TestLayoutPins:
                               340282366920938463463374607431768211456), F(37)),
     ])
     def test_pinned(self, case, beta, rho, center, monkeypatch):
-        coeffs, law, layout, count_type = {
-            # integer coefficients 1..99: the support fills a dense lattice
-            "int48": (self._ints(48), BERN, "dense", np.int64),
-            "int120": (self._ints(120), BERN, "dense", object),
-            # powers of 3 with two atoms: 2^k atoms spread over 3^k points
-            "pow3-bernoulli": (tuple(3 ** p for p in range(12)), BERN, "sparse", np.int64),
-            "pow3-tiny": (tuple(3 ** p for p in range(4)), self.TINY, "sparse", object),
+        coeffs, law, layout, rows = {
+            # integer coefficients 1..99: the support fills a dense lattice;
+            # count totals 2**48 and 2**120, on the limbs in use
+            "int48": (self._ints(48), BERN, "dense", 1),
+            "int120": (self._ints(120), BERN, "dense", 7),
+            # powers of 3 with two atoms: 2^k atoms spread over 3^k points;
+            # count totals 2**12 and 2**128
+            "pow3-bernoulli": (tuple(3 ** p for p in range(12)), BERN, "sparse", 1),
+            "pow3-tiny": (tuple(3 ** p for p in range(4)), self.TINY, "sparse", 8),
         }[case]
         aggregations = []
         real = smallball._aggregate_np
@@ -202,7 +224,7 @@ class TestLayoutPins:
                             lambda v, c: aggregations.append(1) or real(v, c))
         dist = _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
         assert ("sparse" if aggregations else "dense") == layout
-        assert dist.cnts.dtype == count_type
+        assert dist.cnts.dtype == np.int64 and dist.cnts.shape == (rows, len(dist.vals))
         est = linear_small_ball_exact(LinearForm(coeffs), law, beta)
         assert (est.rho, est.witness_center) == (rho, center)
 
@@ -237,7 +259,13 @@ class TestLimbs:
     def _check(coeffs, law, layout, monkeypatch, betas=(0, F(1, 2), 3)):
         dist, built = _layout(coeffs, law, monkeypatch)
         assert built == layout
-        assert dist.cnts.dtype == (np.int64 if dist.ctotal < 2 ** 61 else object)
+        # int64 limb rows, no more than the count total needs, each row
+        # summing below 2**62 so that its prefix sums fit
+        rows, atoms = dist.cnts.shape
+        assert dist.cnts.dtype == np.int64 and atoms == len(dist.vals)
+        assert rows <= (dist.ctotal.bit_length() + 15) // 16
+        assert all(0 <= min(row) and sum(row) < 2 ** 62 for row in dist.cnts.tolist())
+        assert sum(_joined(dist.cnts)) == dist.ctotal
         for beta in betas:
             est = linear_small_ball_exact(LinearForm(coeffs), law, beta)
             assert _estimate(est) == brute_force_linear(coeffs, (0,) * len(coeffs), law, beta)
@@ -276,13 +304,16 @@ class TestLimbs:
     @pytest.mark.parametrize("n, carries", [(62, 0), (63, 1), (64, 1)])
     def test_carry_at_its_edge(self, n, carries, monkeypatch):
         # zero coefficients: one count 2**k on one limb, the bound 2**k
-        # exact, so the first carry comes right before the step to 2**63
+        # exact, so the first carry comes right before the step to 2**63;
+        # the carries counted are the engine's own, none of them a build's
         calls = []
         real = smallball._carry
         monkeypatch.setattr(smallball, "_carry", lambda limbs: calls.append(1) or real(limbs))
-        dist = _linear_sum_dist([F(0)] * n, BERN, ATOM_CAP)
+        for make in _partial_sums([F(0)] * n, BERN, ATOM_CAP):
+            pass
         assert len(calls) == carries
-        assert dist.cnts.tolist() == [2 ** n] and dist.ctotal == 2 ** n
+        dist = make()
+        assert _joined(dist.cnts) == [2 ** n] and dist.ctotal == 2 ** n
         assert linear_small_ball_exact(LinearForm((0,) * n), BERN, 0).rho == 1
 
     @pytest.mark.parametrize("coeffs, layout", [((1, 2, 3, -1, 2), "dense"),
@@ -298,18 +329,120 @@ class TestLimbs:
         monkeypatch.setattr(smallball, "_carry", lambda limbs: calls.append(1) or real(limbs))
         self._check(coeffs, law, layout, monkeypatch)
         calls.clear()
-        _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
+        for _ in _partial_sums([F(a) for a in coeffs], law, ATOM_CAP):
+            pass
         assert len(calls) == len(coeffs) - 1
         monkeypatch.setattr(smallball, "_LIMB_ROOM", weight * smallball._LIMB_MASK - 1)
         with pytest.raises(ValueError, match="too large for int64 limbs"):
             _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
 
 
+def scan_oracle(vals, counts, width):
+    """Independent oracle: (weight, lowest value, highest value) of the
+    first fullest closed window [v, v + width] anchored at a value v, by
+    direct sums of Python ints."""
+    best = None
+    for v in vals:
+        inside = [k for k, w in enumerate(vals) if v <= w <= v + width]
+        weight = sum(counts[k] for k in inside)
+        if best is None or weight > best[0]:
+            best = (weight, v, vals[inside[-1]])
+    return best
+
+
+def _limb_rows(counts, rows):
+    """counts as `rows` carried 16-bit limb rows, the top row keeping the rest."""
+    return np.array([[c >> 16 * r & (0xFFFF if r < rows - 1 else -1) for c in counts]
+                     for r in range(rows)], dtype=np.int64)
+
+
+class TestWindowScan:
+    """The window scan on int64 limb rows against direct sums of Python
+    ints: window totals carried across rows, the argmax taken from the top
+    row down with the leftmost window winning ties, and the engines'
+    limbs carried before a scan when a row could sum to 2**62."""
+
+    @staticmethod
+    def _scan(vals, cnts, width):
+        weight, lo, hi = smallball._window_scan(np.array(vals), cnts, width)
+        return weight, int(lo), int(hi)
+
+    def test_low_limbs_carry(self):
+        # the first window's low limbs sum to 3 * 65535, which carries 2
+        # into a middle limb that alone would lose, 10 against 12
+        vals = [0, 1, 2, 10, 11, 12]
+        counts = [65535 + (3 << 16), 65535 + (3 << 16), 65535 + (4 << 16)] + [4 << 16] * 3
+        got = self._scan(vals, _limb_rows(counts, 3), 2)
+        assert got == scan_oracle(vals, counts, 2) == (3 * 65535 + (10 << 16), 0, 2)
+
+    def test_ties_in_the_top_limbs(self):
+        # equal top limbs: the lower limbs decide, the leftmost of equal
+        # windows wins, and an exact tie goes to the leftmost window
+        vals = [0, 5, 9, 14]
+        for counts, width, want in (
+                ([(1 << 32) + 5, (1 << 32) + 7, (1 << 32) + 7, 3], 0, 1),
+                ([(1 << 32) + 5, (1 << 32) + 7, (1 << 32) + 7, 3], 4, 1),
+                ([(2 << 32) + 1] * 4, 0, 0),
+                ([(2 << 32) + 1] * 4, 5, 0)):
+            got = self._scan(vals, _limb_rows(counts, 3), width)
+            assert got == scan_oracle(vals, counts, width)
+            assert got[1] == vals[want]
+
+    def test_one_int64_row(self):
+        # whole counts up to 2**57 in one row, as the block engine and the
+        # Monte Carlo scan hold them
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            vals = sorted({int(v) for v in rng.integers(-50, 50, 12)})
+            counts = [int(c) for c in rng.integers(1, 2 ** 57, len(vals))]
+            width = int(rng.integers(0, 30))
+            got = self._scan(vals, np.array([counts], dtype=np.int64), width)
+            assert got == scan_oracle(vals, counts, width)
+
+    def test_random_rows(self):
+        # carried limbs, and raw limbs as large as a row summing below
+        # 2**62 allows, the linear engine's between carries
+        rng = np.random.default_rng(62)
+        for trial in range(40):
+            vals = sorted({int(v) for v in rng.integers(-40, 40, 10)})
+            rows = int(rng.integers(1, 6))
+            if trial % 2:
+                cnts = rng.integers(0, 2 ** 62 // len(vals), (rows, len(vals)))
+                cnts[0] += 1
+            else:   # one row holds whole counts, which must sum below 2**62 too
+                top = 2 ** 62 // len(vals) if rows == 1 else 2 ** 62
+                cnts = _limb_rows([int(c) for c in rng.integers(1, top, len(vals))], rows)
+            counts = _joined(cnts)
+            width = int(rng.integers(0, 20))
+            assert self._scan(vals, cnts, width) == scan_oracle(vals, counts, width)
+
+    @pytest.mark.parametrize("coeffs, layout", [((1,) * 5, "dense"), ((1, 3, 9, 27), "sparse")])
+    def test_limbs_at_2_62_before_a_carry(self, coeffs, layout, monkeypatch):
+        # zero coefficients multiply every count by 3, the count total of
+        # LOPSIDED: the limbs reach ~2**62 at step 68, the last before the
+        # engine's second carry, and a row then sums past 2**63, which an
+        # uncarried prefix sum would overflow
+        padded = coeffs + (0,) * (68 - len(coeffs))
+        handed = []
+        real = smallball._limb_dist
+        monkeypatch.setattr(smallball, "_limb_dist", lambda vals, limbs, *rest: handed.append(
+            [sum(row) for row in limbs.tolist()]) or real(vals, limbs, *rest))
+        dist, built = _layout(padded, LOPSIDED, monkeypatch)
+        assert built == layout
+        assert max(handed[-1]) >= 2 ** 63 and dist.ctotal == 3 ** 68
+        for beta in (0, F(1, 4), F(5, 4), 3):
+            est = linear_small_ball_exact(LinearForm(padded), LOPSIDED, beta)
+            assert _estimate(est) == brute_force_linear(coeffs, (0,) * len(coeffs),
+                                                        LOPSIDED, beta)
+
+
 class TestSplitLayoutPins:
     """(rho, witness_center) of the split enumeration on one case per
-    aggregation and count type, and which aggregation ran: counting on a
-    narrow span, sort and reduceat on a sparse span and on object counts.
-    The int64 pins are the Fractions the sort-only engine gave."""
+    aggregation and count form, and which aggregation ran: counting on a
+    narrow span, with one row of counts or with limbs, and sort and
+    reduceat on a sparse span.
+    The one-row pins are the Fractions the sort-only engine gave, the
+    limb pins those of its Python-int counts."""
 
     FLOAT_MASSES = AtomicLaw(((-1, 0.1), (1, 0.9)))
     P, Q = F(0.1), F(0.9)
@@ -320,28 +453,28 @@ class TestSplitLayoutPins:
         ("sparse", F(0), F(2, 27), F(-605123912, 21)),
         ("sparse", F(1, 2), F(7, 27), F(1, 2)),
         # 2xy with signs of masses 0.1 and 0.9 weighed by their sum: the
-        # count total passes 2**61 at n = 2
-        ("object", F(0), (P ** 2 + Q ** 2) / (P + Q) ** 2, F(2)),
-        ("object", F(2), F(1), F(0)),
+        # count total (about 2**110) passes 2**61 at n = 2
+        ("limbs", F(0), (P ** 2 + Q ** 2) / (P + Q) ** 2, F(2)),
+        ("limbs", F(2), F(1), F(0)),
     ])
     def test_pinned(self, case, beta, rho, center, monkeypatch):
-        form, law, counted, count_type = {
+        form, law, counted, rows = {
             # entries -3..3 on 12 signs: 4096 values over a span of 21
-            "narrow": (self._narrow(), BERN, True, np.int64),
+            "narrow": (self._narrow(), BERN, True, 1),
             # 27 values spread over ~10**8 lattice points
             "sparse": (QuadraticForm(((F(1, 3), 3 ** 10, 3 ** 5), (3 ** 10, F(2, 7), 3 ** 15),
-                                      (3 ** 5, 3 ** 15, 1))), uniform3(), False, np.int64),
-            "object": (QuadraticForm(((0, 1), (1, 0))), self.FLOAT_MASSES, False, object),
+                                      (3 ** 5, 3 ** 15, 1))), uniform3(), False, 1),
+            "limbs": (QuadraticForm(((0, 1), (1, 0))), self.FLOAT_MASSES, True, 7),
         }[case]
         seen = []
         real_aggregate, real_bincount = smallball._aggregate_np, np.bincount
         monkeypatch.setattr(smallball, "_aggregate_np",
-                            lambda v, c: seen.append(c.dtype) or real_aggregate(v, c))
+                            lambda v, c: seen.append(c.shape[0]) or real_aggregate(v, c))
         monkeypatch.setattr(np, "bincount",
                             lambda *a, **k: seen.append("counted") or real_bincount(*a, **k))
         est = quadratic_small_ball_exact(form, law, beta)
         assert ("counted" in seen) == counted
-        assert {d for d in seen if d != "counted"} == {np.dtype(count_type)}
+        assert {d for d in seen if d != "counted"} == {rows}
         assert (est.rho, est.witness_center) == (rho, center)
 
     @staticmethod
@@ -432,7 +565,9 @@ def test_dense_lattice_time_budget():
 
 def test_suffix_factors_time_budget():
     # n0 = 300 coefficients 1..99, one convolution pass from the end (11 to
-    # 14 s suffix by suffix, 0.5 to 0.9 s in one pass, 2-vCPU VM)
+    # 14 s suffix by suffix; in one pass 0.4 to 0.6 s with the window scan
+    # on limb rows, against 0.7 to 1.0 s joining each suffix into Python
+    # ints, 2-vCPU VM)
     t0 = time.monotonic()
     u = tuple(int(x) for x in np.random.default_rng(1).integers(1, 100, 300))
     factors = suffix_smallball_factors(u, BERN, 0, 300)
@@ -749,19 +884,22 @@ class TestBlocks:
             assert _estimate(est) == \
                 brute_force_bilinear(mat, shifts, law_x, law_y, beta), trial
 
-    @pytest.mark.parametrize("kind, den, count_type", [
-        ("quadratic", 2 ** 20, np.int64), ("quadratic", 2 ** 21, object),
-        ("bilinear", 2 ** 19, np.int64), ("bilinear", 2 ** 20, object)])
-    def test_count_total_boundary(self, kind, den, count_type, monkeypatch):
+    @pytest.mark.parametrize("kind, den, rows", [
+        ("quadratic", 2 ** 20, 1), ("quadratic", 2 ** 21, 4),
+        ("bilinear", 2 ** 19, 1), ("bilinear", 2 ** 20, 4)],
+        ids=["quadratic-1048576-int64", "quadratic-2097152-limbs",
+             "bilinear-524288-int64", "bilinear-1048576-limbs"])
+    def test_count_total_boundary(self, kind, den, rows, monkeypatch):
         # two blocks and one coordinate (of each side) that no entry
         # touches: the counts of the three touched coordinates total den**3
-        # (quadratic) or den**3 * 2**3 (bilinear, y signs), 2**60 or 2**63
+        # (quadratic) or den**3 * 2**3 (bilinear, y signs), 2**60 (one row
+        # of int64 counts) or 2**63 (four 16-bit limbs)
         law = _two_point(den)
         mat = _block_diagonal(((1, 2), (2, -1)), ((0,),), ((3,),))
         seen = []
         real = smallball._aggregate_np
         monkeypatch.setattr(smallball, "_aggregate_np",
-                            lambda v, c: seen.append(c.dtype) or real(v, c))
+                            lambda v, c: seen.append(c.shape[0]) or real(v, c))
         for beta in (0, F(1, 2), 3):
             if kind == "quadratic":
                 est = quadratic_small_ball_exact(QuadraticForm(mat), law, beta)
@@ -770,7 +908,28 @@ class TestBlocks:
                 est = bilinear_small_ball(QuadraticForm(mat), law, BERN, beta)
                 want = brute_force_bilinear(mat, (0,) * 4, law, BERN, beta)
             assert _estimate(est) == want
-        assert set(seen) == {np.dtype(count_type)}
+        assert set(seen) == {rows}
+
+    def test_limb_products_carry(self, monkeypatch):
+        # counts 1 and 2**16 - 2 on six coupled coordinates: a count total
+        # just below 2**96 in six limbs, whose outcome tables of three
+        # coordinates each hold counts near 2**48; their products pass
+        # 2**63 unless the limbs carry, and the distribution's rows come
+        # out carried
+        law = _two_point(2 ** 16 - 1)
+        m = _random_symmetric(np.random.default_rng(56), 6, 1)
+        mat = tuple(tuple(x if i == j else x or F(1) for j, x in enumerate(row))
+                    for i, row in enumerate(m))
+        dists = []
+        real = smallball._exact_estimate
+        monkeypatch.setattr(smallball, "_exact_estimate",
+                            lambda dist, *rest: dists.append(dist) or real(dist, *rest))
+        for beta in (0, F(1, 2), 2):
+            est = quadratic_small_ball_exact(QuadraticForm(mat), law, beta)
+            assert _estimate(est) == brute_force_quadratic(mat, (0,) * 6, law, beta)
+        cnts = dists[0].cnts
+        assert cnts.shape[0] == 6 and (cnts[:-1] < 2 ** 16).all()
+        assert sum(_joined(cnts)) == dists[0].ctotal == (2 ** 16 - 1) ** 6
 
     def test_enumeration_cap_boundary(self):
         # caps judged on every outcome of the whole form: 3**4 = 81 for the
@@ -905,14 +1064,13 @@ class TestNegativeBeta:
 
     @pytest.mark.parametrize("call", [
         lambda b: linear_small_ball_exact(TestNegativeBeta.LIN, BERN, b),
-        lambda b: linear_window_mass(TestNegativeBeta.LIN, BERN, 0, b),
         lambda b: linear_small_ball_mc(TestNegativeBeta.LIN, BERN, b, 100, seed=0),
         lambda b: quadratic_small_ball_exact(TestNegativeBeta.QUAD, BERN, b),
         lambda b: quadratic_small_ball_mc(TestNegativeBeta.QUAD, BERN, b, 100, seed=0),
         lambda b: bilinear_small_ball(TestNegativeBeta.QUAD, BERN, BERN, b),
         lambda b: bilinear_small_ball(TestNegativeBeta.QUAD, BERN, BERN, b,
                                       method="mc", trials=100),
-    ], ids=["linear-exact", "linear-window-mass", "linear-mc", "quadratic-exact",
+    ], ids=["linear-exact", "linear-mc", "quadratic-exact",
             "quadratic-mc", "bilinear-exact", "bilinear-mc"])
     @pytest.mark.parametrize("beta", [-1, F(-1, 4), -1e-300])
     def test_rejected_before_work(self, call, beta, monkeypatch):
