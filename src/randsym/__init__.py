@@ -38,10 +38,9 @@ from .structure import (Bipartition, DecouplingCheck, DECOUPLING_CONST,
                         RowMatrixSpec, bipartition_matrix, build_row_matrix,
                         conditioning_check, decoupling_scan, forward_lo_bound,
                         inverse_lo_search, row_matrix_det, verify_decoupling)
-from .ensembles import (BoundViolation, ConvergenceFailure, NoPivot,
-                        SpectralSummary, SymmetricSample, cofactor_expansion_check,
-                        cofactor_inequality_check, exact_det, exact_rank,
-                        grow_and_track, near_kernel_vector, remove_pivot_row,
+from .ensembles import (BoundViolation, ConvergenceFailure, SpectralSummary,
+                        SymmetricSample, cofactor_expansion_check, exact_det,
+                        exact_rank, grow_and_track, near_kernel_vector,
                         sample_symmetric, spectral_summary, subspace_membership_mc)
 from .detconc import (DegenerateSpectrum, DetConcReport, EnvelopeVerdict,
                       SpacingUnverified, TailReport, concentration_experiment,

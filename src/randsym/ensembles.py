@@ -37,7 +37,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exactlinalg import (adjugate, bareiss_det, cofactor_matrix, exact_rank as _rank,
+from .exactlinalg import (adjugate, bareiss_det, exact_rank as _rank,
                           lattice, rowspace_membership, trailing_ranks)
 from .laws import AtomicLaw, Law
 from .streams import StreamBlock, chunk_bounds, substream
@@ -56,10 +56,6 @@ class BoundViolation(Exception):
 
 class ConvergenceFailure(Exception):
     """Eigensolver did not converge."""
-
-
-class NoPivot(Exception):
-    """No row removal preserves rank >= n-2 (impossible; arithmetic bug)."""
 
 
 @dataclass(frozen=True)
@@ -297,7 +293,7 @@ def exact_det(m: Union[SymmetricSample, Sequence[Sequence]]):
 
 
 # ---------------------------------------------------------------------------
-# cofactor identities and the tail-chain audit
+# the bordered cofactor identity
 
 
 @dataclass(frozen=True)
@@ -328,84 +324,6 @@ def cofactor_expansion_check(m: Union[SymmetricSample, Sequence[Sequence]]) -> C
     det_a = sum(A[0][j] * adj[j][0] for j in range(n - 1))     # Laplace, first row
     rhs = rows[0][0] * det_a - quad
     return CofactorIdentity(lhs, rhs, lhs == rhs)
-
-
-def _power_leq(lhs, n: int, expo: Fraction, rhs) -> bool:
-    """Exact check lhs <= n^expo * rhs for rationals lhs, rhs >= 0."""
-    expo = Fraction(expo)
-    p, q = expo.numerator, expo.denominator
-    left = Fraction(lhs) ** q
-    right = Fraction(n) ** p * Fraction(rhs) ** q
-    return left <= right
-
-
-@dataclass(frozen=True)
-class CofactorAudit:
-    hypothesis: bool
-    checks: dict
-    ok: bool
-
-
-def cofactor_inequality_check(m: SymmetricSample, a_exp: float, b_exp: float,
-                              gamma: float) -> CofactorAudit:
-    """Audit the cofactor tail chain on one sampled instance.
-
-    Vacuous (ok) when the hypothesis sigma_n <= n^-a_exp fails or the
-    entry bounds are not met.  Otherwise, with the rows permuted so the
-    first row attains the largest cofactor row sum, check exactly:
-
-    * row bound: sum_j c_1j(M)^2 >= n^(2A-1) det(M)^2,
-    * Cauchy-Schwarz column expansions of c_1j against M_{n-1} cofactors
-      with the n^(2B+2gamma+3) entry-bound factor,
-    * the chain conclusion sum c_ij(M_{n-1})^2 >= n^(2A-2B-2gamma-4)/2
-      * det(M)^2 (the explicit 1/2 from summing the two column bounds is
-      absorbed asymptotically; the audit keeps it).
-    """
-    rows = m.exact_rows()
-    n = m.n
-    if n > 8:
-        raise ValueError("exact cofactor audit is limited to n <= 8")
-    a_exp = Fraction(a_exp)
-    sn = spectral_summary(m).sigma_n
-    hyp = sn <= float(n) ** float(-a_exp)
-    hyp = hyp and np.max(np.abs(m.noise)) <= float(n) ** (float(b_exp) + 1)
-    hyp = hyp and np.max(np.abs(m.fixed)) <= float(n) ** float(gamma)
-    if not hyp:
-        return CofactorAudit(False, {}, True)
-    C = cofactor_matrix(rows)
-    row_sums = [sum(c * c for c in r) for r in C]
-    r_star = max(range(n), key=lambda i: (row_sums[i], -i))
-    if r_star != 0:
-        # cofactors follow a symmetric permutation: C(P M P^T) = P C(M) P^T
-        order = [r_star] + [i for i in range(n) if i != r_star]
-        rows = [[rows[i][j] for j in order] for i in order]
-        C = [[C[i][j] for j in order] for i in order]
-    det = sum(x * c for x, c in zip(rows[0], C[0]))       # Laplace, first row
-    det2 = Fraction(det) ** 2
-    b_fac = 2 * Fraction(b_exp) + 2 * Fraction(gamma) + 3
-    checks = {}
-    # row bound: sum_j c_1j^2 >= n^(2A-1) det^2, flipped for _power_leq
-    checks["row_bound"] = _power_leq(det2, n, 1 - 2 * a_exp, Fraction(row_sums[r_star]))
-    sub = [row[1:] for row in rows[1:]]
-    Csub = cofactor_matrix(sub) if n >= 2 else []
-    col1_sq = sum(Fraction(rows[i][0]) ** 2 for i in range(1, n))
-    col2_sq = sum(Fraction(rows[i][1]) ** 2 for i in range(1, n)) if n >= 2 else Fraction(0)
-    cs_ok = True
-    for j in range(1, n):
-        target = sum(Fraction(Csub[i][j - 1]) ** 2 for i in range(n - 1))
-        cs_ok = cs_ok and Fraction(C[0][j]) ** 2 <= col1_sq * target
-        cs_ok = cs_ok and _power_leq(Fraction(C[0][j]) ** 2, n, b_fac, target)
-    checks["cs_offdiag"] = cs_ok
-    if n >= 2:
-        target2 = sum(Fraction(Csub[i][0]) ** 2 for i in range(n - 1))
-        first_ok = Fraction(C[0][0]) ** 2 <= col2_sq * target2
-        first_ok = first_ok and _power_leq(Fraction(C[0][0]) ** 2, n, b_fac, target2)
-        checks["cs_first"] = first_ok
-        total = sum(Fraction(c) ** 2 for r in Csub for c in r)
-        chain_expo = 2 * a_exp - 2 * Fraction(b_exp) - 2 * Fraction(gamma) - 4
-        checks["chain"] = _power_leq(det2 / 2, n, -chain_expo, total)
-    ok = all(checks.values())
-    return CofactorAudit(True, checks, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +386,6 @@ def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw
         out += [[GrowthStep(size=n + t + 1, new_rank=r[t + 1], jumped_by_2=r[t + 1] == r[t] + 2)
                  for t in range(steps)] for r in ranks]
     return out[0] if isinstance(seed, (int, np.integer)) else out
-
-
-def remove_pivot_row(m: SymmetricSample) -> int:
-    """Index whose symmetric removal keeps rank >= n - 2 (first such)."""
-    rows = m.exact_rows()
-    n = m.n
-    if _rank(rows) != n - 1:
-        raise ValueError("rank must be exactly n - 1")
-    for i in range(n):
-        sub = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
-        if not sub or _rank(sub) >= n - 2:
-            return i
-    raise NoPivot("no symmetric removal preserves rank n - 2")
 
 
 # ---------------------------------------------------------------------------

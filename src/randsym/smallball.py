@@ -154,11 +154,6 @@ class QuadraticForm:
     def n(self) -> int:
         return len(self.matrix)
 
-    @property
-    def is_normalized(self) -> bool:
-        s = sum(a * a for row in self.matrix for a in row)
-        return abs(float(s) - 1.0) <= 1e-12
-
 
 @dataclass(frozen=True)
 class SmallBallEstimate:

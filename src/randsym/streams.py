@@ -252,6 +252,8 @@ def _entropy(parts: Tuple[Part, ...]) -> Tuple[np.ndarray, np.ndarray]:
 
 def chunk_bounds(count: int, chunk: int = CHUNK) -> Iterator[Tuple[int, int, int]]:
     """Yield (chunk_index, start, stop) covering range(count)."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
     i = 0
     start = 0
     while start < count:

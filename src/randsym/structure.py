@@ -12,7 +12,6 @@ certified forward bound for GAP-structured coefficients.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -83,18 +82,6 @@ class RowMatrixSpec:
             entries = [abs(self.k)] + [abs(v) for v in self.coeffs.values()]
             if any(e > bound for e in entries):
                 raise ValueError(f"entry exceeds declared bound n^{self.bound_exponent}")
-
-    @classmethod
-    def from_json(cls, path: str) -> "RowMatrixSpec":
-        """Load {n, I, I0p, I0pp, k, coeffs: [[i, i0, v], ...]}."""
-        with open(path) as fh:
-            data = json.load(fh)
-        coeffs = {(int(i), int(j)): int(v) for i, j, v in data.get("coeffs", [])}
-        return cls(n=int(data["n"]), rows=tuple(data["I"]),
-                   cols_plus=tuple(data.get("I0p", ())),
-                   cols_minus=tuple(data.get("I0pp", ())),
-                   k=int(data["k"]), coeffs=coeffs,
-                   bound_exponent=data.get("bound_exponent"))
 
 
 def build_row_matrix(spec: RowMatrixSpec) -> np.ndarray:
@@ -296,7 +283,8 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
     is 2, every pair of the 8 candidates that cover the most is tried,
     kept only if the gap is proper.  The best gap covers the most, then
     has the least volume, then the smallest generators.  Absence of a
-    covering gap within the size cap is a value, not an error; beta < 0,
+    covering gap within the size cap is a value, not an error, and a
+    size_cap below 3 gives it before any candidate is tried; beta < 0,
     a closeness_budget that is not an integer >= 0 and a size_cap < 1
     are rejected before any work.
     """
@@ -322,8 +310,11 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
         zero_gap = Gap.symmetric((), ())
         return InverseLOReport(zero_gap, tuple(range(n)), n, needed, size_cap, 0,
                                note="all coefficients zero")
+    if size_cap < 3:    # a box of rank >= 1 has volume at least 3
+        return InverseLOReport(None, (), 0, needed, size_cap, 0,
+                               note="no candidate covers enough coefficients")
     ref = min(nonzero)[1]
-    half_cap = max(1, (size_cap - 1) // 2)
+    half_cap = (size_cap - 1) // 2
     pool = [abs(a[ref]) / q for q in range(1, min(max(1, math.isqrt(budget)), 64) + 1)]
     best = None  # (key, gap, covered), key = (-coverage, volume, generators)
     scored: List[Tuple[int, Fraction]] = []
@@ -333,8 +324,6 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
         if not covered:
             continue
         half = max(1, max(abs(k) for k in ks))
-        if 2 * half + 1 > size_cap:
-            continue
         q1 = Gap.symmetric((g,), (half,))
         key = (-len(covered), q1.volume, (g,))
         if best is None or key < best[0]:

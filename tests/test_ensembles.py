@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSample,
-                     bernoulli, cofactor_expansion_check, cofactor_inequality_check,
-                     exact_det, exact_rank, gaussian, grow_and_track, lazy_sign,
-                     near_kernel_vector, remove_pivot_row, sample_symmetric,
+                     bernoulli, cofactor_expansion_check, exact_det, exact_rank, gaussian,
+                     grow_and_track, lazy_sign, near_kernel_vector, sample_symmetric,
                      spectral_summary, subspace_membership_mc, uniform3)
 from randsym import exactlinalg
 from randsym.ensembles import (blas_pinnable, one_blas_thread, read_matrix_exact,
                                read_matrix_text, spectral_summaries, write_matrix_text)
-from randsym.exactlinalg import cofactor_matrix, exact_rank as rational_rank, rowspace_membership
+from randsym.exactlinalg import exact_rank as rational_rank, rowspace_membership
 from randsym.streams import chunk_bounds, substream
-from genutil import fraction_rank, random_symmetric_int_matrix
+from genutil import fraction_det, fraction_rank, random_symmetric_int_matrix
 
 BERN = bernoulli()
 
@@ -255,49 +254,18 @@ class TestCofactorExpansion:
             assert chk.equal
             assert chk.lhs == exact_det(rows)
 
+    def test_singular_trailing_block(self):
+        # A singular with adj(A) = v v^T, v = (2, -1, 0): det M = -(x.v)^2
+        A = [[1, 2, 3], [2, 4, 6], [3, 6, 10]]
+        for m11, x in [(5, [1, 0, 2]), (0, [1, 0, 2]), (-3, [3, 1, 7]), (7, [2, 4, 1])]:
+            rows = [[m11] + x] + [[xi] + row for xi, row in zip(x, A)]
+            chk = cofactor_expansion_check(rows)
+            assert chk.equal and chk.lhs == fraction_det(rows) == -(2 * x[0] - x[1]) ** 2
+
     def test_size_guard(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
             cofactor_expansion_check(random_symmetric_int_matrix(rng, 11))
-
-
-class TestCofactorInequalities:
-    def test_vacuous_when_sigma_large(self):
-        audit = cofactor_inequality_check(exact_sample([[5, 0], [0, 5]]),
-                                          a_exp=2, b_exp=1, gamma=1)
-        assert not audit.hypothesis and audit.ok
-
-    def test_planted_near_singular(self):
-        eps = F(1, 1000)
-        rows = [[1 + (eps if i == j else 0) for j in range(4)] for i in range(4)]
-        s = exact_sample(rows)
-        audit = cofactor_inequality_check(s, a_exp=1, b_exp=1, gamma=1)
-        assert audit.hypothesis
-        assert audit.ok, audit.checks
-
-    def test_float_pair_instance(self):
-        rows = [[F(1), F(1)], [F(1), F(1) + F(10 ** -6)]]
-        s = exact_sample(rows)
-        assert spectral_summary(s).sigma_n == pytest.approx(5e-7, rel=1e-2)
-        audit = cofactor_inequality_check(s, a_exp=3, b_exp=1, gamma=1)
-        assert audit.hypothesis and audit.ok
-
-    def test_largest_row_moved_first(self):
-        # the audit moves the row of largest cofactor row sum to the front
-        # and permutes its cofactors; the moved matrix is audited unmoved
-        rng = np.random.default_rng(17)
-        audited = 0
-        while audited < 6:
-            rows = random_symmetric_int_matrix(rng, 5, -2, 2)
-            sums = [sum(c * c for c in r) for r in cofactor_matrix(rows)]
-            r_star = max(range(5), key=lambda i: (sums[i], -i))
-            audit = cofactor_inequality_check(exact_sample(rows), a_exp=0, b_exp=0, gamma=1)
-            if r_star == 0 or not audit.hypothesis:
-                continue
-            order = [r_star] + [i for i in range(5) if i != r_star]
-            moved = exact_sample([[rows[i][j] for j in order] for i in order])
-            assert audit == cofactor_inequality_check(moved, a_exp=0, b_exp=0, gamma=1)
-            audited += 1
 
 
 class TestGrowAndTrack:
@@ -385,40 +353,6 @@ class TestGrowAndTrack:
         monkeypatch.setattr("randsym.ensembles.substream", no_draws)
         with pytest.raises(ValueError, match="steps"):
             grow_and_track(self.zero(3), BERN, -1, seed=[1])
-
-
-class TestRemovePivotRow:
-    def test_diag_with_zero(self):
-        assert remove_pivot_row(exact_sample([[1, 0, 0], [0, 1, 0], [0, 0, 0]])) == 0
-
-    def test_all_ones_pair(self):
-        assert remove_pivot_row(exact_sample([[1, 1], [1, 1]])) == 0
-
-    def test_random_corank_one(self):
-        rng = np.random.default_rng(40)
-        for _ in range(10):
-            S = random_symmetric_int_matrix(rng, 5)
-            if rational_rank(S) != 5:
-                continue
-            c = [int(x) for x in rng.integers(-3, 4, size=5)]
-            ext = [[None] * 6 for _ in range(6)]
-            for i in range(5):
-                for j in range(5):
-                    ext[i][j] = S[i][j]
-            for i in range(5):
-                ext[i][5] = sum(S[i][j] * c[j] for j in range(5))
-                ext[5][i] = ext[i][5]
-            ext[5][5] = sum(c[i] * S[i][j] * c[j] for i in range(5) for j in range(5))
-            s = exact_sample(ext)
-            assert exact_rank(s) == 5
-            i = remove_pivot_row(s)
-            sub = [[ext[r][c2] for c2 in range(6) if c2 != i]
-                   for r in range(6) if r != i]
-            assert rational_rank(sub) >= 4
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(ValueError):
-            remove_pivot_row(exact_sample([[1, 0], [0, 1]]))
 
 
 class TestNearKernel:

@@ -278,6 +278,31 @@ class TestCofactors:
             for j in range(3):
                 assert sum(rows[i][k] * adj[k][j] for k in range(3)) == (det if i == j else 0)
 
+    @staticmethod
+    def adjugate_oracle(rows):
+        n = len(rows)
+        return [[(-1) ** (i + j) * fraction_det([[rows[a][b] for b in range(n) if b != i]
+                                                 for a in range(n) if a != j])
+                 for j in range(n)] for i in range(n)]
+
+    def test_corank_one_adjugate_is_rank_one(self):
+        # adj(M) = c v v^T for the kernel vector v, and M adj(M) = adj(M) M = 0
+        rows = [[1, 2, 3], [2, 4, 6], [3, 6, 10]]
+        adj = adjugate(rows)
+        assert fraction_det(rows) == 0 and adj == self.adjugate_oracle(rows)
+        v = [2, -1, 0]
+        c = F(adj[0][0], v[0] * v[0])
+        assert c != 0
+        assert adj == [[c * vi * vj for vj in v] for vi in v]
+        for i in range(3):
+            for j in range(3):
+                assert sum(rows[i][k] * adj[k][j] for k in range(3)) == 0
+                assert sum(adj[i][k] * rows[k][j] for k in range(3)) == 0
+
+    def test_corank_two_adjugate_vanishes(self):
+        rows = [[1] * 3] * 3
+        assert adjugate(rows) == self.adjugate_oracle(rows) == [[0] * 3] * 3
+
     def test_degenerate_shapes(self):
         assert cofactor_matrix([]) == []
         assert cofactor_matrix([[7]]) == [[1]]

@@ -10,7 +10,7 @@ from randsym import (AtomicLaw, DegenerateLaw, RejectionDiverges, SamplerConfig,
                      lazy_sign, parse_law, point_mass, sample_truncated,
                      standardize, uniform3, verify_spacing)
 from randsym.laws import _count_atoms, atom_indices
-from randsym.streams import _block_state, key_seed, substream
+from randsym.streams import _block_state, chunk_bounds, key_seed, substream
 
 
 def atoms_of(law):
@@ -367,3 +367,11 @@ class TestStreamKeys:
     def test_bad_array_parts(self, part):
         with pytest.raises(ValueError):
             key_seed(1, part)
+
+
+class TestChunkBounds:
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        # a chunk below 1 never advances: it must fail at the first step
+        with pytest.raises(ValueError, match="chunk"):
+            next(chunk_bounds(5, chunk))

@@ -1041,11 +1041,6 @@ class TestForms:
         with pytest.raises(ValueError):
             QuadraticForm(((0, 1), (2, 0)))
 
-    def test_normalized_flag(self):
-        c = 1 / math.sqrt(2)
-        assert QuadraticForm(((0, c), (c, 0))).is_normalized
-        assert not QuadraticForm(((0, 1), (1, 0))).is_normalized
-
     def test_shift_length_checked(self):
         with pytest.raises(ValueError):
             LinearForm((1, 2), shifts=(0,))

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction as F
 
@@ -66,15 +65,6 @@ class TestRowMatrix:
         with pytest.raises(ValueError):
             RowMatrixSpec(n=4, rows=(3,), cols_plus=(0,), cols_minus=(), k=2,
                           coeffs={(3, 0): 1000}, bound_exponent=2.0)
-
-    def test_json_loader(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
-            "n": 4, "I": [2, 3], "I0p": [0], "I0pp": [],
-            "k": 2, "coeffs": [[2, 0, 5], [3, 0, -1]],
-        }))
-        spec = RowMatrixSpec.from_json(str(path))
-        assert spec == example_spec()
 
 
 class TestConditioning:
@@ -240,12 +230,12 @@ class TestInverseSearch:
         "budget5000": ((tuple(F(3 * i, 7) for i in range(1, 41)), 0, 2, 5000, 121, 0),
                        InverseLOReport(Gap.symmetric((F(3, 7),), (40,)), tuple(range(40)),
                                        40, 0, 121, 64)),
-        # no box fits: 64 rank-1 candidates, then the 28 pairs of the top 8
+        # no box fits below a size cap of 3: no candidate is tried
         "budget5000_rank2": ((tuple(F(i * i, 11) for i in range(1, 31)), 0, 2, 5000, 2, 0),
-                             InverseLOReport(None, (), 0, 0, 2, 92,
+                             InverseLOReport(None, (), 0, 0, 2, 0,
                                              note="no candidate covers enough coefficients")),
         "budget0": ((tuple(F(i * i, 11) for i in range(1, 31)), 0, 2, 0, 1, 0),
-                    InverseLOReport(None, (), 0, 30, 1, 1,
+                    InverseLOReport(None, (), 0, 30, 1, 0,
                                     note="no candidate covers enough coefficients")),
         "mc_size_cap": (((1,) * 10 + (2,) * 10 + (F(1, 3),), 0, 1, 4, None, 7),
                         InverseLOReport(Gap.symmetric((F(1, 3),), (6,)), tuple(range(21)),
@@ -271,6 +261,20 @@ class TestInverseSearch:
         rep = inverse_lo_search(LinearForm(coeffs), BERN, beta, rank_cap=rank_cap,
                                 closeness_budget=budget, size_cap=size_cap, seed=seed)
         assert rep == expected
+
+    @pytest.mark.parametrize("size_cap", [1, 2])
+    def test_size_cap_below_three_tries_nothing(self, size_cap, monkeypatch):
+        # a box of rank >= 1 has volume at least 3: the answer needs no candidate
+        from randsym import structure
+
+        def no_work(*args, **kw):
+            raise AssertionError("a candidate was tried")
+        monkeypatch.setattr(structure, "_rank1_cover", no_work)
+        monkeypatch.setattr(structure, "_rank2_cover", no_work)
+        rep = inverse_lo_search(LinearForm((1,) * 20), BERN, 0, closeness_budget=20,
+                                size_cap=size_cap)
+        assert rep == InverseLOReport(None, (), 0, 0, size_cap, 0,
+                                      note="no candidate covers enough coefficients")
 
     @pytest.mark.parametrize("kwargs, name", [
         pytest.param(dict(beta=-1, size_cap=9), "beta", id="negative_beta_given_cap"),
