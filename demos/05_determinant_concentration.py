@@ -7,9 +7,9 @@ concentration consumes), the rest are bounded through sigma_n.
 
 import math
 
-from randsym import (SpacingCertificate, bernoulli, concentration_experiment,
-                     cutoff_log, sample_symmetric, spectral_summary,
-                     spectral_window_count, tail_experiment, truncated_log_det)
+from randsym import (bernoulli, cutoff_log, sample_symmetric, spectral_summary,
+                     spectral_window_count, truncated_log_det)
+from randsym.cli import ExperimentConfig, run
 
 law = bernoulli()
 
@@ -36,26 +36,31 @@ counts = [spectral_window_count(
     window) for i in range(20)]
 print("N_[-0.5,0.5] over 20 draws:", counts)
 
-# The concentration experiment: spread of the kept log sum against
-# n^(1/3) log n, and the frequency of large centered deviations.
-# n^(1/3) log n is an upper envelope, not a predicted growth rate: the std
-# grows about like sqrt(log n), so the ratio falls with n.  The shape rule
-# lets the ratio rise by at most 1.5x and asks the std to grow.
-rep = concentration_experiment(law, (20, 40, 80), trials=60, seed=1)
+# The experiments run through the `randsym` runner: `randsym detconc` and
+# `randsym tail` on the command line, `randsym.cli.run` here.  Each writes
+# its record, randsym_<experiment>.csv and .json, to the working directory,
+# and grades every frequency by its Wilson interval.
+#
+# detconc: spread of the kept log sum against n^(1/3) log n, and the
+# frequency of large centered deviations.  n^(1/3) log n is an upper
+# envelope, not a predicted growth rate: the std grows about like
+# sqrt(log n), so the ratio falls with n.  The shape rule lets the ratio
+# rise by at most 1.5x and asks the std to grow.
+rec = run(ExperimentConfig("detconc", n_list=(20, 40, 80), trials=60, seed=1))
 for n in (20, 40, 80):
-    stats = rep.per_n[n]
+    stats = rec.summary["per_n"][n]
     print(f"n={n}: std(kept)={stats['std_kept']:.3f} ratio={stats['ratio']:.4f} "
-          f"dev_freq={stats['dev_freq']:.3f}")
-shape = rep.shape(rise_bound=1.5)
-print("fitted std growth exponent:", round(rep.fitted_exponent, 3),
-      " largest ratio rise:", round(shape.max_rise, 3),
-      " shape", "ok" if shape.ok else "violated")
+          f"dev_freq={stats['dev_freq']:.3f} ({stats['dev_verdict']})")
+print("fitted std growth exponent:", round(rec.summary["fitted_exponent"], 3),
+      " largest ratio rise:", round(rec.summary["max_rise"], 3),
+      " shape", rec.summary["shape_verdict"], " verdict", rec.verdict)
 
-# The tail experiment: P(sigma_n <= n^-A) and P(kappa >= n^A) with Wilson
-# intervals; Bernoulli entries need the spacing certificate (2, 2, 1/2).
-tail = tail_experiment(law, None, (20, 40), a_exp=3.0, trials=400, seed=1,
-                       cert=SpacingCertificate(2, 2, 0.5))
+# tail: P(sigma_n <= n^-A) and P(kappa >= n^A) with Wilson intervals;
+# Bernoulli entries pass the spacing certificate (2, 2, 1/2), which the
+# runner derives from the law.
+rec = run(ExperimentConfig("tail", n_list=(20, 40), a_exp=3.0, trials=400, seed=1))
+print("spacing certificate:", [rec.config[c] for c in ("c1", "c2", "c3")])
 for n in (20, 40):
-    stats = tail.per_n[n]
+    stats = rec.summary["per_n"][n]
     print(f"n={n}: P(sigma_n <= n^-3) ~ {stats['freq_sigma']:.4f} "
-          f"CI {tuple(round(c, 4) for c in stats['ci_sigma'])}")
+          f"CI {tuple(round(c, 4) for c in stats['ci_sigma'])} ({stats['verdict']})")

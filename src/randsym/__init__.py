@@ -12,9 +12,9 @@ Layout:
               Littlewood-Offord search, forward bounds
 * ensembles   random symmetric matrices, spectra, exact ranks,
               cofactor identities, rank growth, subspace membership
-* detconc     cutoff log-determinants, spectral window counts, the
-              concentration and tail experiments
-* cli         the `randsym` experiment runner
+* detconc     cutoff log-determinants, spectral window counts, the keyed
+              trials and reports of the tail and detconc experiments
+* cli         the `randsym` experiment runner, the one way to run them
 """
 
 from .laws import (AtomicLaw, ContinuousLaw, DegenerateLaw, RejectionDiverges,
@@ -43,8 +43,7 @@ from .ensembles import (BoundViolation, ConvergenceFailure, SpectralSummary,
                         exact_rank, grow_and_track, near_kernel_vector,
                         sample_symmetric, spectral_summary, subspace_membership_mc)
 from .detconc import (DegenerateSpectrum, DetConcReport, EnvelopeVerdict,
-                      SpacingUnverified, TailReport, concentration_experiment,
-                      cutoff_log, envelope_rule, spectral_window_count,
-                      tail_experiment, truncated_log_det, wilson_interval)
+                      SpacingUnverified, TailReport, cutoff_log, envelope_rule,
+                      spectral_window_count, truncated_log_det, wilson_interval)
 
 __version__ = "0.1.0"

@@ -33,10 +33,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .detconc import (SpacingUnverified, bound_verdict, check_sizes, concentration_report,
-                      detconc_trial, tail_report, tail_trial, usable_cores, wilson_interval)
-from .ensembles import (MembershipResult, blas_pinnable, exact_rank, grow_and_track,
-                        read_matrix_text, sample_symmetric, spectral_summary,
+from .detconc import (SpacingUnverified, bound_verdict, concentration_report, detconc_trial,
+                      tail_report, tail_trial, usable_cores, wilson_interval)
+from .ensembles import (MembershipResult, blas_pinnable, check_atom_bound, exact_rank,
+                        grow_and_track, read_matrix_text, sample_symmetric, spectral_summary,
                         subspace_membership_mc, write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
 from .laws import AtomicLaw, SpacingCertificate, auto_certificate, parse_law, verify_spacing
@@ -132,10 +132,9 @@ def _checked(key: str, value, least: int):
     if not ok:
         raise InvalidConfig(f"{key}: invalid value {value!r}")
     if kind in ("size", "sizes"):
-        try:
-            check_sizes(key, value if kind == "sizes" else (value,), least)
-        except ValueError as e:
-            raise InvalidConfig(str(e)) from None
+        sizes = value if kind == "sizes" else (value,)
+        if not sizes or min(sizes) < least:
+            raise InvalidConfig(f"{key}: needs sizes >= {least}, got {list(sizes)}")
     elif callable(kind):
         try:
             kind(value)
@@ -201,6 +200,8 @@ def _jsonify(x):
         return int(x)
     if isinstance(x, (np.floating,)):
         return float(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
     if isinstance(x, (tuple, list)):
         return [_jsonify(v) for v in x]
     if isinstance(x, dict):
@@ -250,10 +251,9 @@ class ResultRecord:
 
 
 def _csv_cell(x) -> str:
+    # str of a float is its repr since Python 3.2; of a numpy scalar, its value
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
@@ -439,7 +439,7 @@ def _w_odlyzko(args) -> MembershipResult:
 
 
 def _run_odlyzko(cfg: Dict[str, object]):
-    _atomic_law(cfg["law"])
+    check_atom_bound(_atomic_law(cfg["law"]), cfg["c3"])     # before any worker starts
     items = [(cfg["law"], n, k, cfg["trials"], cfg["seed"], cfg["c3"])
              for n in cfg["n_list"] for k in range(1, n)]
     results = _parallel(_w_odlyzko, items, cfg["workers"])

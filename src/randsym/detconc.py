@@ -5,8 +5,14 @@ The log-determinant is split at a cutoff eps: eigenvalues with
 f+(x) = log(max(eps, x)) and f-(x) = log(max(eps, -x)) are 1/eps-Lipschitz,
 which is what the spectral concentration inequality consumes), while the
 small-eigenvalue product is bounded below through the least singular
-value.  The experiments measure the spread of the truncated log-product
-at eps = n^(-1/6) and the empirical sigma_n / condition-number tails.
+value.
+
+The `randsym tail` and `randsym detconc` experiments (randsym.cli) are
+built from this module: per n, one tail_trial or detconc_trial range of
+rows, summarized by tail_report or concentration_report (the empirical
+sigma_n / condition-number tails, and the spread of the truncated
+log-product at eps = n^(-1/6)), then graded by bound_verdict and
+envelope_rule.
 
 Trials are keyed (seed, n, t).  tail_trial and detconc_trial take a range
 of trial indices and return its rows; keyed_spectra keys the range in one
@@ -33,7 +39,7 @@ import numpy as np
 
 from .ensembles import (_STACK_ENTRIES, SpectralSummary, blas_pinnable, one_blas_thread,
                         sample_symmetric, spectral_summaries)
-from .laws import AtomicLaw, Law, SpacingCertificate, verify_spacing
+from .laws import AtomicLaw, Law
 from .streams import chunk_bounds, key_seed, substream
 
 Z95 = 1.959963984540054
@@ -196,7 +202,6 @@ class DetConcReport:
     # envelope, not a predicted growth rate, so a falling ratio is no fault
     # and shape() is the rule
     ratio_spread: float
-    fitted_exponent: Optional[float]
 
     def shape(self, rise_bound: float = 1.5) -> EnvelopeVerdict:
         """The envelope rule applied to this report's per-n stds."""
@@ -331,35 +336,13 @@ def tail_trial(law: Law, F, n: int, seed: int, trials: Iterable[int],
                          lambda t, _, summ: (n, t, summ.sigma_n, summ.kappa), lanes, pin_blas)
 
 
-def check_sizes(key: str, sizes: Sequence[int], least: int = 1) -> None:
-    """ValueError naming the key unless there is a size and every one is
-    >= least: the one size check of the experiments and the CLI."""
-    if not len(sizes) or min(sizes) < least:
-        raise ValueError(f"{key}: needs sizes >= {least}, got {list(sizes)}")
-
-
-def concentration_experiment(law: AtomicLaw, n_list: Sequence[int], trials: int,
-                             seed: int, epsilon: Optional[float] = None) -> DetConcReport:
-    """Spread of the truncated log-determinant at eps = n^(-1/6): one
-    detconc_trial row per n and trial, summarized by concentration_report.
-    n^(1/3) log n is an upper envelope, not a predicted growth rate: the
-    std grows more slowly, so the ratio falls with n; shape() is the rule.
-    """
-    if not isinstance(law, AtomicLaw):
-        raise ValueError("a bounded atomic law is required")
-    check_sizes("trials", (trials,), 30)
-    check_sizes("n_list", n_list)
-    rows = [row for n in n_list for row in detconc_trial(law, n, seed, range(trials), epsilon)]
-    return concentration_report(rows, n_list, trials, seed, epsilon)
-
-
 def concentration_report(rows: Sequence[tuple], n_list: Sequence[int], trials: int,
                          seed: int, epsilon: Optional[float] = None) -> DetConcReport:
     """Summary of detconc_trial rows, trials rows per n in n_list order: per
     n the std and mean of the kept sum, its ratio to n^(1/3) log n, the
     hits and frequency (Wilson interval) of centered deviations >= 2 log n
-    / eps, none at n = 1, and the seed repeats; then the ratio spread and
-    the fitted exponent."""
+    / eps, none at n = 1, and the seed repeats; then the ratio spread.
+    shape() fits the exponent."""
     per_n: Dict[int, dict] = {}
     for i, n in enumerate(n_list):
         kept = np.array([r[4] for r in rows[i * trials:(i + 1) * trials]])
@@ -381,9 +364,7 @@ def concentration_report(rows: Sequence[tuple], n_list: Sequence[int], trials: i
         }
     ratios = [per_n[n]["ratio"] for n in n_list]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    fitted = loglog_slope(n_list, [per_n[n]["std_kept"] for n in n_list])
-    return DetConcReport(tuple(n_list), trials, seed, tuple(rows), per_n,
-                         spread, fitted)
+    return DetConcReport(tuple(n_list), trials, seed, tuple(rows), per_n, spread)
 
 
 @dataclass(frozen=True)
@@ -395,23 +376,6 @@ class TailReport:
     rows: Tuple[tuple, ...]                # (n, trial, sigma_n, kappa)
     per_n: Dict[int, dict]
     loglog_slope: Optional[float]
-
-
-def tail_experiment(law: Law, F, n_list: Sequence[int], a_exp: float, trials: int,
-                    seed: int, cert: SpacingCertificate) -> TailReport:
-    """Empirical tails of {sigma_n <= n^-A} and {kappa >= n^A}.
-
-    The law must pass the anti-concentration spacing check for the given
-    certificate; point masses and other failing laws raise
-    SpacingUnverified.  Rows are keyed (seed, n, trial).
-    """
-    if not verify_spacing(law, cert):
-        raise SpacingUnverified(
-            f"law does not satisfy the spacing condition at {cert}")
-    check_sizes("trials", (trials,))
-    check_sizes("n_list", n_list)
-    rows = [row for n in n_list for row in tail_trial(law, F, n, seed, range(trials))]
-    return tail_report(rows, n_list, a_exp, trials, seed)
 
 
 def tail_report(rows: Sequence[tuple], n_list: Sequence[int], a_exp: float,

@@ -432,13 +432,22 @@ class MembershipResult:
     hits: int
 
 
+def check_atom_bound(law: AtomicLaw, c3: float) -> None:
+    """ValueError unless the largest atom mass m has m^2 <= 1 - c3 (the rule of
+    laws.atom_bound_holds): only then does Odlyzko's (max_a P(xi = a))^(n - k)
+    give the bound (sqrt(1 - c3))^(n - k)."""
+    if not law.max_atom_mass ** 2 <= 1 - c3:
+        raise ValueError(f"c3 = {c3}: the largest atom mass {law.max_atom_mass} "
+                         f"exceeds sqrt(1 - c3)")
+
+
 def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: int,
                            c3: float = 0.5) -> MembershipResult:
     """Frequency of a random row landing in the span of k earlier rows.
 
     H is the span of k iid law vectors (drawn once from (seed, 0));
     membership of each trial vector is decided exactly over the
-    rationals.  The reference bound is (sqrt(1 - c3))^(n - k).
+    rationals.  The reference bound is (sqrt(1 - c3))^(n - k) (check_atom_bound).
     """
     if not law.is_rational:
         raise ValueError("rational atomic law required")
@@ -446,6 +455,7 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
         raise ValueError("need 1 <= k <= n")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    check_atom_bound(law, c3)
     (atoms,), _ = lattice([law.values])
     vals_int = np.array(atoms, dtype=np.int64)
     V = vals_int[law.sample_indices(substream(seed, 0), (k, n))]

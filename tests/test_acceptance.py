@@ -15,13 +15,14 @@ import pytest
 
 from randsym import (Bipartition, Gap, LinearForm, QuadraticForm, bernoulli,
                      beta_close, central_binomial_rho, cofactor_expansion_check,
-                     concentration_experiment, conditioning_check,
+                     conditioning_check,
                      decoupling_scan, evaluate, exact_det,
                      linear_small_ball_exact, is_proper, rank_reduce,
                      row_matrix_det, spans, spectral_summary,
-                     subspace_membership_mc, tail_experiment, uniform3,
-                     AtomicLaw, RowMatrixSpec, SpacingCertificate,
+                     subspace_membership_mc, uniform3,
+                     AtomicLaw, RowMatrixSpec,
                      build_row_matrix, grow_and_track, SymmetricSample)
+from randsym.cli import ExperimentConfig, run
 from randsym.detconc import bound_verdict
 from genutil import (plant_degenerate_subset, random_proper_symmetric_gap,
                      random_symmetric_int_matrix)
@@ -260,44 +261,48 @@ def test_criterion_8_row_matrix():
 # 9. sigma_n tail
 
 
-def test_criterion_9_sigma_tail():
+def test_criterion_9_sigma_tail(tmp_path):
     t0 = time.monotonic()
-    rep = tail_experiment(BERN, None, (20, 40, 80), a_exp=3.0, trials=10 ** 4,
-                          seed=SEED, cert=SpacingCertificate(2, 2, F(1, 2)))
-    ok = True
-    freqs = {}
-    for n in (20, 40, 80):
-        freq = rep.per_n[n]["freq_sigma"]
-        freqs[n] = freq
-        # inconclusive permitted: 0.01 inside the Wilson interval
-        ok = ok and bound_verdict(rep.per_n[n]["hits_sigma"], 10 ** 4, 0.01) != "fail"
-    assert report(9, "sigma_n tail frequency", ok, t0, 600, f"freqs {freqs}")
+    rec = run(ExperimentConfig("tail", law="bernoulli", n_list=(20, 40, 80), a_exp=3.0,
+                               trials=10 ** 4, seed=SEED, c1=2, c2=2, c3=0.5,
+                               freq_bound=0.01, out=str(tmp_path / "tail")))
+    per_n = rec.summary["per_n"]
+    freqs = {n: per_n[n]["freq_sigma"] for n in (20, 40, 80)}
+    # inconclusive permitted: 0.01 inside the Wilson interval
+    ok = all(per_n[n]["verdict"] != "fail" for n in (20, 40, 80)) and rec.verdict != "fail"
+    assert report(9, "sigma_n tail frequency", ok, t0, 600,
+                  f"freqs {freqs}, verdicts {[per_n[n]['verdict'] for n in (20, 40, 80)]}")
 
 
 # --------------------------------------------------------------------------
 # 10. determinant concentration shape
 
 
-def test_criterion_10_determinant_concentration():
+def test_criterion_10_determinant_concentration(tmp_path):
     t0 = time.monotonic()
-    rep = concentration_experiment(BERN, (50, 100, 200), trials=200, seed=SEED)
-    ratios = [rep.per_n[n]["ratio"] for n in (50, 100, 200)]
+    rec = run(ExperimentConfig("detconc", law="bernoulli", n_list=(50, 100, 200),
+                               trials=200, seed=SEED, spread_bound=1.5, dev_bound=0.05,
+                               out=str(tmp_path / "detconc")))
+    per_n, summary = rec.summary["per_n"], rec.summary
+    ratios = [per_n[n]["ratio"] for n in (50, 100, 200)]
     # n^(1/3) log n is an upper envelope, not a growth law: the ratio may
     # fall, may rise by at most 1.5x towards larger n, and the std itself
     # must be positive and grow (positive log-log slope)
-    shape = rep.shape(rise_bound=1.5)
     envelope_ok = all(ratios[j] <= 1.5 * ratios[i]
                       for i in range(3) for j in range(i + 1, 3))
-    growth_ok = (all(rep.per_n[n]["std_kept"] > 0 for n in (50, 100, 200))
-                 and rep.fitted_exponent > 0)
-    shape_ok = envelope_ok and growth_ok and shape.ok
-    dev_ok = all(rep.per_n[n]["dev_freq"] <= 0.05 for n in (50, 100, 200))
-    ok = shape_ok and dev_ok
+    growth_ok = (all(per_n[n]["std_kept"] > 0 for n in (50, 100, 200))
+                 and summary["fitted_exponent"] > 0)
+    shape_ok = envelope_ok and growth_ok and summary["shape_verdict"] == "pass"
+    dev_ok = all(per_n[n]["dev_freq"] <= 0.05 for n in (50, 100, 200))
+    # the record's verdict: every deviation frequency below 0.05 by its
+    # Wilson interval, and the shape rule
+    ok = shape_ok and dev_ok and rec.verdict == "pass"
     assert report(
         10, "determinant concentration shape", ok, t0, 900,
-        f"ratios {[round(r, 4) for r in ratios]} spread {max(ratios)/min(ratios):.3f}, "
-        f"largest rise {shape.max_rise:.3f}, fitted exponent {rep.fitted_exponent:.3f}, "
-        f"dev freqs {[rep.per_n[n]['dev_freq'] for n in (50, 100, 200)]}")
+        f"ratios {[round(r, 4) for r in ratios]} spread {summary['ratio_spread']:.3f}, "
+        f"largest rise {summary['max_rise']:.3f}, "
+        f"fitted exponent {summary['fitted_exponent']:.3f}, "
+        f"dev freqs {[per_n[n]['dev_freq'] for n in (50, 100, 200)]}, verdict {rec.verdict}")
 
 
 # --------------------------------------------------------------------------

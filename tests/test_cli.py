@@ -42,31 +42,6 @@ class TestRunRecords:
         csv2 = (tmp_path / "w3.csv").read_bytes()
         assert csv1 == csv2
 
-    def test_detconc_shape_rule_matches_library(self, tmp_path):
-        from randsym import bernoulli, concentration_experiment
-        rec = run(cfg(tmp_path, experiment="detconc", n_list=(8, 12), trials=32,
-                      seed=3))
-        lib = concentration_experiment(bernoulli(), (8, 12), trials=32, seed=3)
-        shape = lib.shape(rise_bound=1.5)
-        assert rec.summary["max_rise"] == shape.max_rise
-        assert rec.summary["fitted_exponent"] == shape.fitted_exponent
-        assert rec.summary["ratio_spread"] == lib.ratio_spread
-        assert "spread_bound" in rec.summary
-        assert rec.rows == lib.rows
-        for n in (8, 12):
-            assert rec.summary["per_n"][n].items() >= lib.per_n[n].items()
-
-    def test_tail_summary_matches_library(self, tmp_path):
-        from randsym import SpacingCertificate, bernoulli, tail_experiment
-        rec = run(cfg(tmp_path, experiment="tail", n_list=(6, 8), a_exp=0.5, trials=40,
-                      seed=3))
-        lib = tail_experiment(bernoulli(), None, (6, 8), 0.5, 40, 3,
-                              SpacingCertificate(2, 2, 0.5))
-        assert rec.summary["loglog_slope"] == lib.loglog_slope is not None
-        assert rec.rows == lib.rows
-        for n in (6, 8):
-            assert rec.summary["per_n"][n].items() >= lib.per_n[n].items()
-
     def test_detconc_shape_verdicts(self, tmp_path):
         # n = 1 has a zero std: no exponent, and the shape rule fails
         rec = run(cfg(tmp_path, experiment="detconc", n_list=(1, 4), trials=30, seed=2))
@@ -77,10 +52,10 @@ class TestRunRecords:
         assert rec.summary["shape_verdict"] == "inconclusive"
 
     def test_detconc_no_deviation_at_n1(self, tmp_path):
-        from randsym import bernoulli, concentration_experiment
+        # the threshold 2 log 1 / eps is 0 at n = 1: no trial counts as a deviation
         rec = run(cfg(tmp_path, experiment="detconc", n_list=(1, 4), trials=30, seed=2))
-        lib = concentration_experiment(bernoulli(), (1, 4), trials=30, seed=2)
-        assert rec.summary["per_n"][1]["dev_freq"] == lib.per_n[1]["dev_freq"] == 0.0
+        stats = rec.summary["per_n"][1]
+        assert stats["dev_hits"] == 0 and stats["dev_freq"] == 0.0
 
     def test_gapreduce_worked_instance(self, tmp_path):
         c = cfg(tmp_path, experiment="gapreduce",
@@ -131,7 +106,7 @@ class TestRecordFormat:
             "experiment": "smallball", "config": {"n": 2, "beta": "1/2"},
             "config_hash": "0" * 64, "blas_threads": 1, "header": list("abcdef"),
             "rows": _jsonify([list(r) for r in rows]),
-            "summary": {"rho": "3/8", "ok": "True"}, "verdict": "pass",
+            "summary": {"rho": "3/8", "ok": True}, "verdict": "pass",
             "wall_clock_s": 0.25}
         assert json.loads(text)["rows"] == json.loads(json.dumps(_jsonify(list(rows))))
         lines = text.splitlines()       # one row per line
@@ -140,6 +115,16 @@ class TestRecordFormat:
             == _jsonify([list(r) for r in rows])
         csv = "a,b,c,d,e,f\n" + "".join(",".join(_csv_cell(x) for x in r) + "\n" for r in rows)
         assert (tmp_path / "r.csv").read_text() == csv
+
+
+    def test_numpy_scalars_written_as_values(self):
+        # numpy 2's repr of a scalar names its type: np.float64(0.1)
+        assert _csv_cell(np.float64(0.1)) == "0.1" == _csv_cell(0.1)
+        assert _csv_cell(np.float64(-2.5e-300)) == repr(-2.5e-300)
+        assert _csv_cell(np.bool_(True)) == "True" == _csv_cell(True)
+        assert _jsonify(np.bool_(True)) is True and _jsonify(np.bool_(False)) is False
+        assert json.dumps(_jsonify({"ok": np.bool_(True), "rows": [np.bool_(False)]})) \
+            == '{"ok": true, "rows": [false]}'
 
 
 class TestConfigHash:
@@ -181,6 +166,15 @@ class TestReplay:
         Path(path).write_text(json.dumps(data))
         with pytest.raises(ReplayMismatch):
             replay(path)
+
+    def test_deleted_row_mismatch(self, tmp_path, capsys):
+        run(cfg(tmp_path, experiment="tail", n_list=(8,), trials=30, seed=9))
+        path = str(tmp_path / "tail") + ".json"
+        data = json.loads(Path(path).read_text())
+        del data["rows"][7]
+        Path(path).write_text(json.dumps(data))
+        assert main(["replay", path]) == 1
+        assert capsys.readouterr().err == "replay mismatch: row count changed: 29 -> 30\n"
 
 
 RECORDS = os.path.join(os.path.dirname(__file__), "records")
@@ -543,6 +537,74 @@ class TestMain:
         monkeypatch.setattr(randsym.cli, "grow_and_track", no_sampling)
         assert main(["ensemble"] + argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+    def test_refusals_exit_1(self, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "r")]
+        # a point mass has no spacing certificate: tail and rankgrow refuse it
+        assert main(["tail", "--law", "atoms[(1,1)]", *out]) == 1
+        assert capsys.readouterr().err == \
+            "error: SpacingUnverified: no spacing certificate passes for this law\n"
+        assert main(["rankgrow", "--law", "atoms[(1,1)]", *out]) == 1
+        assert capsys.readouterr().err.startswith("error: law: needs a spacing certificate")
+        assert main(["gapreduce", "--gap", "gap{g0=0; g=[1,10]; K=[-2,-2]; K'=[2,2]}",
+                     *out]) == 1
+        assert capsys.readouterr().err.startswith("error: gap, values: both required")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, mass", [
+        (["--law", "lazy(1/10)", "--n-list", "8", "--trials", "2000"], "9/10"),
+        (["--c3", "0.9"], "1/2")])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_odlyzko_outside_atom_bound_refused(self, tmp_path, capsys, monkeypatch, argv,
+                                                mass, workers):
+        import randsym.cli
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("worker started")
+        monkeypatch.setattr(randsym.cli, "_parallel", no_worker)
+        assert main(["odlyzko", *argv, "--workers", workers,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: c3 = ") and f"atom mass {mass} " in err
+        assert not list(tmp_path.iterdir())
+
+    def test_ensemble_sample_files(self, tmp_path, capsys):
+        from randsym import bernoulli, sample_symmetric
+        from randsym.ensembles import read_matrix_text
+        from randsym.streams import key_seed
+        out = str(tmp_path / "X")
+        assert main(["ensemble", "sample", "--n", "5", "--seed", "3", "--trials", "2",
+                     "--out", out]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["X.0.txt", "X.1.txt"]
+        drawn = sample_symmetric(bernoulli(), None, 5, seed=key_seed(3, range(2)), exact=False)
+        for t in range(2):
+            assert np.array_equal(read_matrix_text(f"{out}.{t}.txt"), drawn[t])
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_smallball_quadratic(self, tmp_path, method):
+        from randsym import (QuadraticForm, bernoulli, quadratic_small_ball_exact,
+                             quadratic_small_ball_mc)
+
+        def library(rows):
+            form = QuadraticForm(tuple(tuple(F(x) for x in row) for row in rows))
+            if method == "exact":
+                return quadratic_small_ball_exact(form, bernoulli(), 0.25)
+            return quadratic_small_ball_mc(form, bernoulli(), 0.25, 3000, 6)
+
+        path = tmp_path / "coeffs.txt"
+        path.write_text("1 1/2 0\n1/2 -1 2\n0 2 1/3\n")
+        base = dict(experiment="smallball", form="quadratic", method=method, beta=0.25,
+                    trials=3000, seed=6)
+        rec = run(cfg(tmp_path, **base, coeffs=str(path)))
+        est = library([["1", "1/2", "0"], ["1/2", "-1", "2"], ["0", "2", "1/3"]])
+        assert rec.rows == (("quadratic", est.method, est.rho, est.beta, est.ci_halfwidth,
+                             est.witness_center),)
+        # without a coeffs file the form is [[0, 1/2], [1/2, 0]], whatever n is
+        rec = run(cfg(tmp_path, **base, n=7))
+        est = library([[0, F(1, 2)], [F(1, 2), 0]])
+        assert rec.summary == {"rho": est.rho, "beta": est.beta, "method": est.method,
+                               "ci": est.ci_halfwidth, "witness_center": est.witness_center}
 
     def test_ensemble_utilities(self, tmp_path, capsys):
         assert main(["ensemble", "sample", "--n", "3", "--seed", "5"]) == 0

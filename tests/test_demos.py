@@ -1,5 +1,6 @@
 """Every demo runs clean under -W error, and a demo that has a file in
-demos/expected/ prints exactly that file."""
+demos/expected/ prints exactly that file.  Each runs in a temporary
+working directory, where the records of the experiments it runs land."""
 
 import os
 import subprocess
@@ -17,11 +18,11 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo(demo):
+def test_demo(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env,
-                         capture_output=True, text=True, timeout=300)
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     expected = ROOT / "demos" / "expected" / f"{demo.stem}.txt"
     if expected.exists():

@@ -3,17 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from randsym import (AtomicLaw, DegenerateSpectrum, SpacingCertificate,
-                     SpacingUnverified, bernoulli, concentration_experiment,
-                     cutoff_log, envelope_rule, gaussian, point_mass, sample_symmetric,
-                     spectral_summary, spectral_window_count, tail_experiment,
-                     truncated_log_det, uniform3, wilson_interval)
-from randsym.detconc import (_LANE_MIN_N, bound_verdict, detconc_trial, envelope_norm,
-                             loglog_slope, tail_trial)
+from randsym import (AtomicLaw, DegenerateSpectrum, SpacingUnverified, bernoulli,
+                     cutoff_log, envelope_rule, gaussian, sample_symmetric,
+                     spectral_summary, spectral_window_count, truncated_log_det, uniform3,
+                     wilson_interval)
+from randsym.cli import ExperimentConfig, InvalidConfig, run
+from randsym.detconc import (_LANE_MIN_N, bound_verdict, concentration_report, detconc_trial,
+                             envelope_norm, loglog_slope, tail_trial)
 from randsym.ensembles import _STACK_ENTRIES, blas_pinnable, spectral_summaries
 from randsym.streams import key_seed, substream
 
 BERN = bernoulli()
+
+
+def record(tmp_path, experiment, **kw):
+    """The record of `randsym <experiment>` run with the given keys."""
+    return run(ExperimentConfig(experiment, out=str(tmp_path / experiment), **kw))
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail if a matrix is drawn."""
+    import randsym.detconc
+
+    def fail(*args, **kw):
+        raise AssertionError("drew a matrix")
+    monkeypatch.setattr(randsym.detconc, "sample_symmetric", fail)
 
 
 class TestCutoffLog:
@@ -117,31 +132,25 @@ class TestTruncatedLogDet:
 
 
 class TestConcentrationExperiment:
-    def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            concentration_experiment(BERN, [10], trials=10, seed=1)
+    def test_trials_floor(self, no_draw):
+        with pytest.raises(InvalidConfig, match="trials: needs sizes >= 30"):
+            ExperimentConfig("detconc", n_list=(10,), trials=10)
 
     @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
-    def test_bad_epsilon_fails_before_any_draw(self, monkeypatch, eps):
-        import randsym.detconc
-
-        def no_draw(*args, **kw):
-            raise AssertionError("drew a matrix")
-        monkeypatch.setattr(randsym.detconc, "sample_symmetric", no_draw)
+    def test_bad_epsilon_fails_before_any_draw(self, tmp_path, no_draw, eps):
         with pytest.raises(ValueError, match="epsilon"):
             detconc_trial(BERN, 4, 1, range(2), epsilon=eps)
-        with pytest.raises(ValueError, match="epsilon"):
-            concentration_experiment(BERN, [4, 8], trials=30, seed=1, epsilon=eps)
+        with pytest.raises(InvalidConfig, match="epsilon"):
+            record(tmp_path, "detconc", n_list=(4, 8), trials=30, seed=1, epsilon=eps)
 
-    def test_single_entry_closed_form(self):
+    def test_single_entry_closed_form(self, tmp_path):
         # n=1, eps=1: |lambda| = 1 always, so the kept sum is exactly 0
-        rep = concentration_experiment(BERN, [1], trials=40, seed=3)
-        assert rep.per_n[1]["std_kept"] == 0.0
-        assert all(row[4] == 0.0 for row in rep.rows)
+        rec = record(tmp_path, "detconc", n_list=(1,), trials=40, seed=3)
+        assert rec.summary["per_n"][1]["std_kept"] == 0.0
+        assert all(row[4] == 0.0 for row in rec.rows)
 
     def test_survival_monotone(self):
-        rep = concentration_experiment(BERN, [16], trials=40, seed=5)
-        kept = np.array([row[4] for row in rep.rows])
+        kept = np.array([row[4] for row in detconc_trial(BERN, 16, 5, range(40))])
         devs = np.abs(kept - kept.mean())
         last = 1.0
         for thr in np.linspace(0, devs.max() + 1, 12):
@@ -149,11 +158,12 @@ class TestConcentrationExperiment:
             assert freq <= last + 1e-12
             last = freq
 
-    def test_rows_shape_and_determinism(self):
-        rep1 = concentration_experiment(BERN, [8, 12], trials=30, seed=7)
-        rep2 = concentration_experiment(BERN, [8, 12], trials=30, seed=7)
-        assert rep1.rows == rep2.rows
-        assert len(rep1.rows) == 60
+    def test_rows_shape_and_determinism(self, tmp_path):
+        rec1 = record(tmp_path, "detconc", n_list=(8, 12), trials=30, seed=7)
+        rec2 = run(ExperimentConfig("detconc", n_list=(8, 12), trials=30, seed=7,
+                                    out=str(tmp_path / "again")))
+        assert rec1.rows == rec2.rows
+        assert len(rec1.rows) == 60
 
 
 class TestEnvelopeRule:
@@ -206,28 +216,30 @@ class TestEnvelopeRule:
             assert v.fitted_exponent is None and not v.ok
 
     def test_report_shape_matches_rule(self):
-        rep = concentration_experiment(BERN, [8, 12], trials=30, seed=7)
+        rows = detconc_trial(BERN, 8, 7, range(30)) + detconc_trial(BERN, 12, 7, range(30))
+        rep = concentration_report(rows, [8, 12], 30, 7)
+        stds = [rep.per_n[n]["std_kept"] for n in (8, 12)]
         v = rep.shape()
-        assert v == envelope_rule([8, 12], [rep.per_n[n]["std_kept"] for n in (8, 12)])
-        assert v.fitted_exponent == rep.fitted_exponent
+        assert v == envelope_rule([8, 12], stds)
+        assert v.fitted_exponent == loglog_slope([8, 12], stds) is not None
 
 
 class TestTailExperiment:
-    def test_point_mass_unverified(self):
+    def test_point_mass_unverified(self, tmp_path, no_draw):
         with pytest.raises(SpacingUnverified):
-            tail_experiment(point_mass(1), None, [8], 3.0, 30, 1,
-                            SpacingCertificate(1, 2, 0.1))
+            record(tmp_path, "tail", law="atoms[(1,1)]", n_list=(8,), trials=30, seed=1,
+                   c1=1, c2=2, c3=0.1)
 
-    def test_direction_check_at_zero_exponent(self):
-        cert = SpacingCertificate(2, 2, 0.5)
-        rep = tail_experiment(BERN, None, [8], 0.0, 60, 2, cert)
+    def test_direction_check_at_zero_exponent(self, tmp_path):
+        rec = record(tmp_path, "tail", n_list=(8,), a_exp=0.0, trials=60, seed=2,
+                     c1=2, c2=2, c3=0.5)
         # threshold sigma_n <= 1 is typical for small +-1 matrices
-        assert rep.per_n[8]["freq_sigma"] >= 0.5
+        assert rec.summary["per_n"][8]["freq_sigma"] >= 0.5
 
-    def test_loglog_fit_present_when_nonzero(self):
-        cert = SpacingCertificate(2, 2, 0.5)
-        rep = tail_experiment(BERN, None, [6, 8], 0.0, 60, 3, cert)
-        assert rep.loglog_slope is not None
+    def test_loglog_fit_present_when_nonzero(self, tmp_path):
+        rec = record(tmp_path, "tail", n_list=(6, 8), a_exp=0.0, trials=60, seed=3,
+                     c1=2, c2=2, c3=0.5)
+        assert rec.summary["loglog_slope"] is not None
 
 
 class TestWilson:
@@ -467,17 +479,17 @@ class TestStackedTrials:
         F = np.diag(np.linspace(-2, 2, n))
         F[0, 3] = F[3, 0] = 0.25
         F[1, 2] = F[2, 1] = -0.0
-        rep = tail_experiment(BERN, F, (n,), 1.0, 200, 5, SpacingCertificate(2, 2, 0.5))
-        assert repr(list(rep.rows)) == repr(oracle_tail_rows(BERN, F, n, 5, range(200)))
+        got = tail_trial(BERN, F, n, 5, range(200))
+        assert repr(got) == repr(oracle_tail_rows(BERN, F, n, 5, range(200)))
 
     def test_continuous_law(self):
         law = gaussian()
         got = tail_trial(law, None, 7, 3, range(300))
         assert repr(got) == repr(oracle_tail_rows(law, None, 7, 3, range(300)))
 
-    def test_library_rows_are_the_blocks(self):
-        rep = concentration_experiment(BERN, (4, 9), trials=30, seed=2)
-        assert list(rep.rows) == detconc_trial(BERN, 4, 2, range(30)) + \
+    def test_library_rows_are_the_blocks(self, tmp_path):
+        rec = record(tmp_path, "detconc", n_list=(4, 9), trials=30, seed=2)
+        assert list(rec.rows) == detconc_trial(BERN, 4, 2, range(30)) + \
             detconc_trial(BERN, 9, 2, range(30))
 
     def test_stack_matches_single_samples(self):
@@ -493,8 +505,8 @@ class TestStackedTrials:
                 repr((summ.sigma_1, summ.sigma_n, summ.kappa, summ.log_abs_det))
             assert np.array_equal(one.eigenvalues, summ.eigenvalues)
 
-    def test_sizes_checked_before_sampling(self):
-        with pytest.raises(ValueError, match="trials"):
-            tail_experiment(BERN, None, [8], 1.0, 0, 1, SpacingCertificate(2, 2, 0.5))
-        with pytest.raises(ValueError, match="n_list"):
-            concentration_experiment(BERN, [8, 0], trials=30, seed=1)
+    def test_sizes_checked_before_sampling(self, tmp_path, no_draw):
+        with pytest.raises(InvalidConfig, match="trials"):
+            record(tmp_path, "tail", n_list=(8,), a_exp=1.0, trials=0, seed=1)
+        with pytest.raises(InvalidConfig, match="n_list"):
+            record(tmp_path, "detconc", n_list=(8, 0), trials=30, seed=1)

@@ -429,6 +429,23 @@ class TestMembership:
         with pytest.raises(ValueError, match="trials"):
             subspace_membership_mc(BERN, 4, 2, trials, seed=1)
 
+    @pytest.mark.parametrize("law, c3, mass", [
+        (lazy_sign(F(1, 10)), 0.5, "9/10"), (BERN, 0.9, "1/2")])
+    def test_atom_bound_outside_fails_before_any_draw(self, law, c3, mass, monkeypatch):
+        # (sqrt(1 - c3))^(n - k) bounds membership only when the largest
+        # atom mass is at most sqrt(1 - c3), as laws.atom_bound_holds states
+        def no_draws(*key):
+            raise AssertionError("drew before checking")
+
+        monkeypatch.setattr("randsym.ensembles.substream", no_draws)
+        with pytest.raises(ValueError, match=f"c3 = {c3}: the largest atom mass {mass} "):
+            subspace_membership_mc(law, 8, 2, 100, seed=1, c3=c3)
+
+    def test_atom_bound_at_its_edge_runs(self):
+        # Bernoulli: (1/2)^2 = 1 - 3/4 exactly
+        res = subspace_membership_mc(BERN, 6, 2, 100, seed=1, c3=0.75)
+        assert res.bound == 0.5 ** 4
+
     def test_one_echelon_form_per_prime(self, monkeypatch):
         asked = []
         real = exactlinalg.row_echelon_int
