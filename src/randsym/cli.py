@@ -93,6 +93,10 @@ _COMMON: Dict[str, object] = {"law": "bernoulli", "seed": 1, "workers": 1, "out"
 # and stay out of the canonical form so a replay may change them
 _HASH_EXCLUDED = {"workers", "out"}
 
+# decoupling trials per decoupling_scan call, a stack enumerated at once:
+# a worker's memory does not grow with its share of the trials
+_DECOUPLING_STACK = 64
+
 
 def _int_list(text: str) -> Tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -344,7 +348,7 @@ def _decoupling_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
                       beta) -> List[tuple]:
     """Decoupling rows (t, rho_quad, lhs, constant or -1, rhs, holds), trial
     t's form (entries in {-3..3}/4) and bipartition from substream(seed, t),
-    the range keyed in one block."""
+    the range keyed and checked in stacks of _DECOUPLING_STACK trials."""
     def draw(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
         mat = np.zeros((n, n))
         while not np.any(mat):          # redrawn until an entry is off the diagonal
@@ -353,14 +357,18 @@ def _decoupling_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
         return mat, rng.random(n) < 0.5
 
     trials = list(trials)
+    quarter = {k: Fraction(k, 4) for k in range(-3, 4)}
     rows = []
-    for t, (mat, side) in zip(trials, substream(seed, trials).map(draw)):
-        form = QuadraticForm(tuple(tuple(Fraction(int(x), 4) for x in row) for row in mat))
-        u = Bipartition(tuple(bool(b) for b in side))
-        const, checks = decoupling_scan(form, law, beta, u)
-        last = checks[-1]
-        rows.append((t, float(last.rho_quad), last.lhs, const if const is not None else -1.0,
-                     float(last.rhs), const is not None))
+    for _, start, stop in chunk_bounds(len(trials), _DECOUPLING_STACK):
+        stack = trials[start:stop]
+        draws = substream(seed, stack).map(draw)
+        forms = [QuadraticForm(tuple(tuple(quarter[int(x)] for x in row) for row in mat))
+                 for mat, _ in draws]
+        us = [Bipartition(tuple(bool(b) for b in side)) for _, side in draws]
+        consts, checks = decoupling_scan(forms, law, beta, us)
+        rows += [(t, float(chks[-1].rho_quad), chks[-1].lhs, const if const is not None else -1.0,
+                  float(chks[-1].rhs), const is not None)
+                 for t, const, chks in zip(stack, consts, checks)]
     return rows
 
 

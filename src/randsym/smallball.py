@@ -32,28 +32,37 @@ changes the arithmetic silently.  The suffix sums of
 suffix_smallball_factors are the partial sums of one pass from the end.
 
 Quadratic and bilinear forms are enumerated over all outcomes, block by
-block.  Coordinates i and j are coupled when a_ij or a_ji != 0; the
-connected blocks of that graph are independent, so the distribution of
-z^T A z is the convolution of theirs (outer sums, aggregated by
-_aggregate_np), and a coordinate that no entry touches is not enumerated.
-The bilinear form x^T A y is z^T [[0, A], [0, 0]] z on z = (x, y); the
-mask A_U of the decoupling check splits it into at least {x_U, y_U^c}
-and {x_U^c, y_U}, so one check at n = 5 under the difference law of
-signs enumerates 2 * 3**5 outcomes instead of 3**10.  Each block is
-enumerated by one meet-in-the-middle engine (Horowitz-Sahni): its
-coordinates are split in half, z = (x, y), z^T A z = q_x(x) + q_y(y) +
-x^T (A_xy + A_yx^T) y, the outcomes of each half are tabulated once, and
-the cross term is one BLAS product per block of x outcomes, whose values
-_aggregate_np counts into their span; a dense form is one block.  The
-cap and the float-exactness bound are judged on the whole form: float64
-stays exact because every partial sum is an integer of absolute value
-below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 < 2**53, summed over
-the nonzero a_ij (a coordinate that is always 0 contributes exact
-zeros); inputs past that bound, or with more outcomes in all than the
-cap, raise EnumerationTooLarge.  The counts are one row while the count
-total of the enumerated coordinates stays below 2**61 and carried 16-bit
-limbs beyond (_limb_product), so float masses such as 0.1 stay exact.  A
-law's atoms and masses go on their lattices once per law object.
+block, by one engine (_form_stack) that takes a stack of forms sharing
+their coordinates (one law per side, the same shifts); a single form is
+the stack of one.  Coordinates i and j are coupled when a_ij or a_ji !=
+0; the connected blocks of that graph are independent, so the
+distribution of z^T A z is the convolution of theirs, and a coordinate
+that no entry touches is not enumerated.  The bilinear form x^T A y is
+z^T [[0, A], [0, 0]] z on z = (x, y); the mask A_U of the decoupling
+check splits it into at least {x_U, y_U^c} and {x_U^c, y_U}, so one check
+at n = 5 under the difference law of signs enumerates 2 * 3**5 outcomes
+instead of 3**10.  The blocks of every form of the stack are grouped by
+the kinds of the coordinates they hold (values and counts), and each
+group is enumerated together by meet in the middle (Horowitz-Sahni):
+the coordinates split in half, z = (x, y), z^T A z = q_x(x) + q_y(y) +
+x^T (A_xy + A_yx^T) y, the outcomes of each half are tabulated once for
+the whole stack, and q_x, q_y and the cross term are BLAS products over
+the stacked block matrices.  The values of the blocks of a group, then
+the outer sums convolving the blocks of each form, are aggregated
+together by _aggregate_np, each block or form moved by its own offset
+into a value range of its own (_packed), at most 2**21 values at a time;
+each form's distribution is then scanned on its own.  The cap and the
+float-exactness bound are judged on every whole form before any
+enumeration: float64 stays exact because every partial sum is an integer
+of absolute value below val_bound = sum |a_ij| max|z_i| max|z_j| + 1 <
+2**53 (a coordinate that is always 0 contributes exact zeros); inputs
+past that bound, or with more outcomes in all than the cap, raise
+EnumerationTooLarge.  The forms of a stack are packed in runs whose
+offsets stay below 2**61.  The counts are one row while the largest
+count total of the enumerated coordinates stays below 2**61 and carried
+16-bit limbs beyond (_limb_product), so float masses such as 0.1 stay
+exact.  A law's atoms and masses go on their lattices once per law
+object, a form's matrix once per form.
 
 Monte Carlo variants draw from splittable streams keyed (seed, chunk)
 and carry a Dvoretzky-Kiefer-Wolfowitz half-width at the 95% level.
@@ -63,7 +72,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple, Union
@@ -81,6 +89,8 @@ _LIMB_BITS = 16         # counts past one row are int64 limbs of this many bits
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_ROOM = 2 ** 62    # the most a limb may hold between carries
 DKW_DELTA = 0.05
+_ZERO = Fraction(0)
+_TOO_LARGE = "scaled values too large for exact vectorized enumeration"
 
 
 class AtomBlowup(Exception):
@@ -141,10 +151,10 @@ class QuadraticForm:
             raise ValueError("matrix must be square")
         for i in range(n):
             for j in range(i + 1, n):
-                if mat[i][j] != mat[j][i]:
+                a, b = mat[i][j], mat[j][i]
+                if a is not b and a != b:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
-        shifts = tuple(Fraction(f) for f in self.shifts) if self.shifts else \
-            tuple(Fraction(0) for _ in range(n))
+        shifts = tuple(Fraction(f) for f in self.shifts) if self.shifts else (_ZERO,) * n
         if len(shifts) != n:
             raise ValueError("shifts must match dimension")
         object.__setattr__(self, "matrix", mat)
@@ -153,6 +163,12 @@ class QuadraticForm:
     @property
     def n(self) -> int:
         return len(self.matrix)
+
+    @functools.cached_property
+    def _lattice(self) -> Tuple[List[List[int]], Fraction]:
+        """The matrix on its integer lattice (exactlinalg.lattice), built
+        once per form for the exact engines."""
+        return lattice(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -462,99 +478,236 @@ def _outcome_table(coords, one: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return Z.reshape(math.prod(sizes), len(coords)), cnts.reshape(len(one), -1)
 
 
-def _blocks(A: np.ndarray) -> List[np.ndarray]:
-    """The ascending coordinates of each connected block of the coupling
-    graph of A, in which i and j are coupled when a_ij or a_ji != 0; a
-    coordinate that no entry touches is in no block."""
+def _blocks(A: np.ndarray) -> List[List[np.ndarray]]:
+    """For each matrix of the stack A, the ascending coordinates of each
+    connected block of its coupling graph, in which i and j are coupled
+    when a_ij or a_ji != 0; a coordinate that no entry touches is in no
+    block."""
     coupled = A != 0
-    coupled |= coupled.T
-    reach = coupled | np.eye(len(A), dtype=bool)
+    coupled |= coupled.transpose(0, 2, 1)
+    reach = coupled | np.eye(A.shape[-1], dtype=bool)
     while True:     # paths of twice the length, until no path is added
         wider = reach @ reach
         if np.array_equal(wider, reach):
             break
         reach = wider
-    root = reach.argmax(axis=1)     # the least coordinate of each block
-    touched = coupled.any(axis=1)
-    return [np.flatnonzero(touched & (root == r))
-            for r in np.flatnonzero(touched & (root == np.arange(len(A))))]
+    root = reach.argmax(axis=-1)    # the least coordinate of each block
+    touched = coupled.any(axis=-1)
+    lead = touched & (root == np.arange(A.shape[-1]))
+    return [[np.flatnonzero(t & (r == k)) for k in np.flatnonzero(ld)]
+            for t, r, ld in zip(touched, root, lead)]
 
 
-def _aggregate_rows(rows: int, width: int, piece) -> Tuple[np.ndarray, np.ndarray]:
-    """_aggregate_np over the rows x width (values, limb counts) that
-    piece(part) gives for slices part of the rows, aggregated at most 2**21
-    at a time; the counts come out carried."""
-    step = max(1, (1 << 21) // width)
-    pieces = [_aggregate_np(*piece(slice(start, start + step)))
-              for start in range(0, rows, step)]
-    vals, cnts = pieces[0] if len(pieces) == 1 else \
-        _aggregate_np(*(np.concatenate(part, axis=-1) for part in zip(*pieces)))
+def _aggregated(pieces) -> Tuple[np.ndarray, np.ndarray]:
+    """_aggregate_np of the (values, limb counts) pieces together, each
+    aggregated apart first, so no more values are in flight at once than
+    a piece holds; the counts come out carried."""
+    parts = [_aggregate_np(vals, cnts) for vals, cnts in pieces]
+    vals, cnts = parts[0] if len(parts) == 1 else \
+        _aggregate_np(*(np.concatenate(part, axis=-1) for part in zip(*parts)))
     return vals, _carry(cnts)
 
 
-def _block_dist(A: np.ndarray, coords, one: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of z^T A z over one block of coordinates,
-    with their counts in the limb rows of `one`, by meet in the middle:
-    x = z[:h], y = z[h:] at h = len(coords) // 2 (module docstring)."""
-    h = len(coords) // 2
-    X, cx = _outcome_table(coords[:h], one)
-    Y, cy = _outcome_table(coords[h:], one)
-    qx = np.einsum("ti,ti->t", X @ A[:h, :h], X)
-    qy = np.einsum("ti,ti->t", Y @ A[h:, h:], Y)
-    B = A[:h, h:] + A[h:, :h].T
-
-    def piece(part):
-        vals = (X[part] @ B) @ Y.T
-        vals += qx[part, None]
-        vals += qy
-        return vals.astype(np.int64).ravel(), \
-            _limb_product(cx[:, part, None], cy[:, None]).reshape(len(one), -1)
-    return _aggregate_rows(len(X), len(Y), piece)
+def _packed(bounds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(offsets, edges): value v of segment s, |v| < bounds[s], moves to v +
+    offsets[s], in [edges[s], edges[s + 1]); the first segment stays put."""
+    b = np.asarray(bounds, dtype=np.int64)
+    offsets = 2 * np.cumsum(b) - b - b[0]
+    return offsets, offsets - b + 1
 
 
-def _split_enumeration(a_int: List[List[int]], coords, scale: Fraction,
-                       cap: int) -> _ScaledDist:
-    """Exact distribution of z^T A z over independent integer coordinates,
-    each (values, counts, count total): each block of the coupling graph
-    enumerated apart and the block distributions convolved, with the cap
-    and the float-exactness bound judged on the whole form (module
+def _unpacked(vals: np.ndarray, cnts: np.ndarray, offsets: np.ndarray,
+              edges: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The (values, counts) of each segment of an aggregate of _packed values."""
+    cut = [0, *np.searchsorted(vals, edges[1:]).tolist(), len(vals)]
+    return [(vals[a:b] - o, cnts[:, a:b]) for a, b, o in zip(cut, cut[1:], offsets.tolist())]
+
+
+def _group_dists(A: np.ndarray, x_table, y_table,
+                 bounds: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The sorted distinct values of z^T A z with their limb counts for
+    every k x k block matrix of the stack A, the blocks alike in their
+    coordinates, by meet in the middle (module docstring): x = z[:h] and
+    y = z[h:] at h = k // 2, with the outcome tables (values, counts) of
+    the halves.  |z^T A z| < bounds[g] for block g.  A piece of the
+    enumeration is whole blocks, or x outcomes of one block, 2**21 values
+    at most."""
+    (X, cx), (Y, cy) = x_table, y_table
+    G, h, tx = len(A), X.shape[1], len(X)
+    qx = np.einsum("gti,ti->gt", X @ A[:, :h, :h], X).ravel()
+    qy = np.einsum("gti,ti->gt", Y @ A[:, h:, h:], Y)
+    XB = (X @ (A[:, :h, h:] + A[:, h:, :h].transpose(0, 2, 1))).reshape(G * tx, -1)
+    offsets, edges = _packed(bounds)
+    step = (1 << 21) // len(Y)          # x outcomes in flight at once
+    cut = list(range(0, G * tx, step // tx * tx)) if step >= tx else \
+        [g * tx + t for g in range(G) for t in range(0, tx, max(step, 1))]
+
+    def piece(start, stop):
+        g0, g1 = start // tx, -(-stop // tx)
+        vals = XB[start:stop] @ Y.T
+        vals += qx[start:stop, None]
+        vals = vals.reshape(g1 - g0, -1, len(Y))
+        vals += qy[g0:g1, None]
+        vals = vals.astype(np.int64)
+        if offsets[g1 - 1]:     # the offsets ascend from 0: all 0 otherwise
+            vals += offsets[g0:g1, None, None]
+        t0 = start - g0 * tx
+        cnts = _limb_product(cx[:, t0:t0 + min(stop - start, tx), None], cy[:, None])
+        cnts = cnts.reshape(len(cx), -1)
+        return vals.ravel(), cnts if g1 - g0 == 1 else np.tile(cnts, g1 - g0)
+    return _unpacked(*_aggregated(piece(a, b) for a, b in zip(cut, cut[1:] + [G * tx])),
+                     offsets, edges)
+
+
+def _convolved(left, right, bounds: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The distribution of the sum of left[g] and right[g], both (values,
+    limb counts), for every g, whose values stay below bounds[g] in
+    absolute value: all outer sums aggregated together, each pair's values
+    moved apart (_packed), 2**21 at most in flight."""
+    offsets, edges = _packed(bounds)
+    lens = np.array([len(v) for v, _ in right])
+    g = np.repeat(np.arange(len(left)), [len(v) for v, _ in left])  # the pair of each left value
+    lv = np.concatenate([v for v, _ in left]) + offsets[g]
+    lc = np.concatenate([c for _, c in left], axis=1)
+    rv = np.concatenate([v for v, _ in right])
+    rc = np.concatenate([c for _, c in right], axis=1)
+    wide, first = lens[g], (np.cumsum(lens) - lens)[g]
+
+    def piece(i):
+        w = wide[i]
+        li = np.repeat(i, w)
+        ri = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w - first[i], w)
+        return lv[li] + rv[ri], _limb_product(lc[:, li], rc[:, ri])
+    step = max(1, (1 << 21) // int(lens.max()))
+    return _unpacked(*_aggregated(piece(np.arange(start, min(start + step, len(lv))))
+                                  for start in range(0, len(lv), step)), offsets, edges)
+
+
+def _floats(ints) -> np.ndarray:
+    """Integers as float64; one past the float range is past the
+    float-exactness bound too (EnumerationTooLarge)."""
+    try:
+        return np.asarray(ints, dtype=np.float64)
+    except OverflowError:
+        raise EnumerationTooLarge(_TOO_LARGE) from None
+
+
+def _form_stack(A: np.ndarray, coords, scales: Sequence[Fraction],
+                cap: int) -> Callable[[], List[_ScaledDist]]:
+    """Exact distributions of z^T A z for every integer matrix A of the
+    float64 stack A over the same independent integer coordinates, each
+    (values, counts, count total), with the lattice unit of each: the
+    enumeration as a function, returned once the cap and the
+    float-exactness bound are judged on every whole form (module
     docstring)."""
     outcomes = math.prod(len(vals) for vals, _, _ in coords)
     if outcomes > cap:
         raise EnumerationTooLarge(f"{outcomes} outcomes exceed cap {cap}")
-    zmax = [max(abs(v) for v in vals) for vals, _, _ in coords]
-    val_bound = sum(zi * sum(abs(a) * zj for a, zj in compress(zip(row, zmax), row))
-                    for row, zi in zip(a_int, zmax)) + 1
-    if val_bound >= _FLOAT_EXACT:
-        raise EnumerationTooLarge(
-            "scaled values too large for exact vectorized enumeration")
-    A = np.asarray(a_int, dtype=np.float64)
+    zmax = _floats([max(abs(v) for v in vals) for vals, _, _ in coords])
+    bounds = _value_bounds(A, zmax)
+    if not (bounds < _FLOAT_EXACT).all():
+        raise EnumerationTooLarge(_TOO_LARGE)
+    return functools.partial(_enumerate, A, coords, scales, bounds.astype(np.int64), zmax)
+
+
+def _value_bounds(A: np.ndarray, zmax: np.ndarray) -> np.ndarray:
+    """sum_ij |a_ij| zmax_i zmax_j + 1 for each matrix of the stack A: each
+    product and partial sum is an integer, exact below 2**53, and float
+    rounding is monotone, so a bound at or past 2**53 never comes out
+    below it."""
+    return np.einsum("...ij,...i,...j->...", np.abs(A), zmax, zmax) + 1
+
+
+def _runs(costs: Sequence[int]) -> List[List[int]]:
+    """Consecutive runs of the indices of costs, each run's costs summing
+    to at most 2**61 unless one cost alone passes it."""
+    runs, total = [[]], 0
+    for i, cost in enumerate(costs):
+        if runs[-1] and total + cost > _INT64_SAFE:
+            runs.append([])
+            total = 0
+        runs[-1].append(i)
+        total += cost
+    return runs
+
+
+def _enumerate(A: np.ndarray, coords, scales: Sequence[Fraction], bounds: np.ndarray,
+               zmax: np.ndarray) -> List[_ScaledDist]:
+    """_form_stack's enumeration: the blocks of every form grouped by the
+    coordinates they hold, each group's outcome tables built once and its
+    blocks enumerated together, then the blocks of each form convolved,
+    all forms at once, in runs whose packed values stay below 2**61."""
     blocks = _blocks(A)
     # an untouched coordinate leaves every value as it is: its counts are
     # left out of the counts and of their total alike
-    ctotal = math.prod(coords[i][2] for block in blocks for i in block)
-    rows = 1 if ctotal < _INT64_SAFE else _limbs(ctotal)   # one row of whole counts, or limbs
+    ctotals = [math.prod(coords[i][2] for block in form for i in block) for form in blocks]
+    rows = max(1 if t < _INT64_SAFE else _limbs(t) for t in ctotals)  # one row, or limbs
     limbs = {counts: np.array([[c >> _LIMB_BITS * r & (_LIMB_MASK if r < rows - 1 else -1)
                                 for c in counts] for r in range(rows)], dtype=np.int64)
              for counts in {counts for _, counts, _ in coords}}     # the top row keeps the rest
+    kinds = {}      # coordinates alike in values and counts share a kind
+    kind = np.array([kinds.setdefault((tuple(vals), counts), len(kinds))
+                     for vals, counts, _ in coords])
     coords = [(vals, limbs[counts], total) for vals, counts, total in coords]
     one = np.eye(rows, 1, dtype=np.int64)   # the count 1
-    vals, cnts = np.zeros(1, dtype=np.int64), one
-    for k, block in enumerate(blocks):
-        bv, bc = _block_dist(A[np.ix_(block, block)], [coords[i] for i in block], one)
-        vals, cnts = (bv, bc) if not k else _aggregate_rows(len(vals), len(bv), lambda part: (
-            (vals[part, None] + bv).ravel(),
-            _limb_product(cnts[:, part, None], bc[:, None]).reshape(rows, -1)))
-    return _ScaledDist(vals, cnts, scale, ctotal)
+    tables = {}
+
+    def table(idx):
+        key = tuple(kind[idx].tolist())
+        if key not in tables:
+            tables[key] = _outcome_table([coords[i] for i in idx], one)
+        return tables[key]
+
+    dists = []
+    for run in _runs((2 * bounds + 2 * len(coords)).tolist()):
+        groups = {}     # signature -> [(form, block)]
+        for f in run:
+            for block in blocks[f]:
+                groups.setdefault(tuple(kind[block].tolist()), []).append((f, block))
+        parts = {f: [] for f in run}
+        for members in groups.values():
+            form = np.array([f for f, _ in members])
+            idx = np.array([block for _, block in members])
+            sub = A[form[:, None, None], idx[:, :, None], idx[:, None, :]]
+            h = idx.shape[1] // 2
+            bnd = _value_bounds(sub, zmax[idx]).astype(np.int64)
+            for f, dist in zip(form.tolist(), _group_dists(sub, table(idx[0, :h]),
+                                                           table(idx[0, h:]), bnd)):
+                parts[f].append(dist)
+        cur = {f: ps[0] if ps else (np.zeros(1, dtype=np.int64), one) for f, ps in parts.items()}
+        for k in range(1, max(len(ps) for ps in parts.values())):
+            due = [f for f in run if len(parts[f]) > k]
+            for f, dist in zip(due, _convolved([cur[f] for f in due], [parts[f][k] for f in due],
+                                               [bounds[f] for f in due])):
+                cur[f] = dist
+        dists += [_ScaledDist(*cur[f], scales[f], ctotals[f]) for f in run]
+    return dists
+
+
+def _shared_shifts(forms: Sequence[QuadraticForm]) -> Tuple[Fraction, ...]:
+    """The shifts every form of a nonempty stack has."""
+    if not forms:
+        raise ValueError("a stack needs at least one form")
+    shifts = forms[0].shifts
+    if any(f.shifts != shifts for f in forms):
+        raise ValueError("the forms of a stack must share their shifts")
+    return shifts
+
+
+def _quadratic_stack(forms: Sequence[QuadraticForm], law: AtomicLaw,
+                     cap: int) -> Callable[[], List[_ScaledDist]]:
+    """_form_stack of quadratic forms sharing their shifts."""
+    coords, gz = _coordinates(law, _shared_shifts(forms))
+    unit = gz * gz
+    return _form_stack(_floats([f._lattice[0] for f in forms]), coords,
+                       [f._lattice[1] * unit for f in forms], cap)
 
 
 def quadratic_small_ball_exact(form: QuadraticForm, law: AtomicLaw, beta,
                                cap: int = ATOM_CAP) -> SmallBallEstimate:
     """Exact sup_a P(|sum a_ij (x_i+f_i)(x_j+f_j) - a| <= beta) by full enumeration."""
     beta = _radius(beta)
-    a_int, ga = lattice(form.matrix)
-    coords, gz = _coordinates(law, form.shifts)
-    return _exact_estimate(_split_enumeration(a_int, coords, ga * gz * gz, cap), beta)
+    return _exact_estimate(_quadratic_stack([form], law, cap)()[0], beta)
 
 
 def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int,
@@ -583,22 +736,28 @@ def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
                         seed: int = 0, cap: int = ATOM_CAP) -> SmallBallEstimate:
     """sup_a P(|sum a_ij (x_i+f_i)(y_j+f_j) - a| <= beta), x and y independent."""
     if method == "exact":
-        return _bilinear_exact(form, law_x, law_y, _radius(beta), cap)
+        beta = _radius(beta)
+        return _exact_estimate(_bilinear_stack([form], law_x, law_y, cap)()[0], beta)
     if method == "mc":
         return _mc_matrix_form(form, law_x, law_y, beta, trials, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _bilinear_exact(form: QuadraticForm, law_x: AtomicLaw, law_y: AtomicLaw,
-                    beta: Fraction, cap: int) -> SmallBallEstimate:
-    """x^T A y is z^T [[0, A], [0, 0]] z on z = (x, y); each side keeps
-    its own lattice unit."""
-    n = form.n
-    a_int, ga = lattice(form.matrix)
-    cx, gzx = _coordinates(law_x, form.shifts)
-    cy, gzy = _coordinates(law_y, form.shifts)
-    joint = [[0] * n + row for row in a_int] + [[0] * (2 * n)] * n
-    return _exact_estimate(_split_enumeration(joint, cx + cy, ga * gzx * gzy, cap), beta)
+def _bilinear_stack(forms: Sequence[QuadraticForm], law_x: AtomicLaw, law_y: AtomicLaw,
+                    cap: int, keep=None) -> Callable[[], List[_ScaledDist]]:
+    """_form_stack of bilinear forms sharing their shifts: x^T A y is
+    z^T [[0, A], [0, 0]] z on z = (x, y), each side on its own lattice.
+    Where the boolean stack keep is false, a_ij is left out (the mask A_U)."""
+    shifts = _shared_shifts(forms)
+    n = len(shifts)
+    cx, gzx = _coordinates(law_x, shifts)
+    cy, gzy = _coordinates(law_y, shifts)
+    joint = np.zeros((len(forms), 2 * n, 2 * n))
+    joint[:, :n, n:] = _floats([f._lattice[0] for f in forms])
+    if keep is not None:
+        joint[:, :n, n:] *= keep
+    unit = gzx * gzy
+    return _form_stack(joint, cx + cy, [f._lattice[1] * unit for f in forms], cap)
 
 
 # ---------------------------------------------------------------------------

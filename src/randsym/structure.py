@@ -23,9 +23,9 @@ import numpy as np
 from .exactlinalg import bareiss_det
 from .gap import ENUM_CAP, Gap, evaluate, is_proper
 from .laws import AtomicLaw, difference_law
-from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
-                        linear_small_ball_exact, linear_small_ball_mc,
-                        quadratic_small_ball_exact)
+from .smallball import (ATOM_CAP, LinearForm, QuadraticForm, _bilinear_stack,
+                        _exact_estimate, _quadratic_stack, _radius,
+                        linear_small_ball_exact, linear_small_ball_mc)
 from .streams import substream
 
 #: (2*pi)^(7/2) * exp(4*pi), the decoupling loss constant (~1.784e8)
@@ -172,45 +172,83 @@ def _check_radius_constant(c) -> None:
         raise ValueError(f"radius_constant must be finite and >= 0, got {c!r}")
 
 
-def verify_decoupling(form: QuadraticForm, law: AtomicLaw, beta, u: Bipartition,
-                      radius_constant: float = 1.0) -> DecouplingCheck:
+def _stack(form, u) -> Tuple[List[QuadraticForm], List[Bipartition], bool]:
+    """(forms, bipartitions, whether one pair was given) of one (form,
+    bipartition) pair or of equal-length nonempty sequences of them."""
+    single = isinstance(form, QuadraticForm)
+    forms, us = ([form], [u]) if single else (list(form), list(u))
+    if not forms or len(forms) != len(us):
+        raise ValueError(f"need as many bipartitions as forms, at least one: "
+                         f"{len(forms)} forms, {len(us)} bipartitions")
+    if any(f.n != b.n for f, b in zip(forms, us)):
+        raise ValueError("matrix and bipartition sizes disagree")
+    return forms, us, single
+
+
+def verify_decoupling(form, law: AtomicLaw, beta, u, radius_constant: float = 1.0):
     """Check rho_quad^8 / ((2pi)^{7/2} exp(4pi)) <= bilinear rho of A_U.
 
     The bilinear side is evaluated at radius radius_constant * beta *
     sqrt(log n) under independent copies of xi - xi'.  Both small-ball
     probabilities are exact (fractions); only the universal constant and
-    the radius are floating.  A radius constant that is not finite or is
-    below 0 is rejected before any enumeration.
+    the radius are floating.  form and u are one quadratic form and its
+    bipartition, giving one check, or equal-length sequences of forms of
+    one size and shifts and of their bipartitions, giving one check per
+    form: every quadratic and every bilinear distribution of the stack is
+    enumerated together.  A radius constant that is not finite or is below
+    0, an empty stack, sequences of unequal length and a form that needs
+    more outcomes than the cap or values past the float-exactness bound
+    are rejected before any enumeration.
     """
+    forms, us, single = _stack(form, u)
     _check_radius_constant(radius_constant)
-    rho_q = quadratic_small_ball_exact(form, law, beta).rho
-    lhs = float(rho_q) ** 8 / DECOUPLING_CONST
-    n = form.n
-    radius = radius_constant * float(beta) * math.sqrt(math.log(n)) if n > 1 else 0.0
+    beta = _radius(beta)
+    quadratic = _quadratic_stack(forms, law, ATOM_CAP)
     diff = difference_law(law)
-    masked = bipartition_matrix(form.matrix, u)
-    bil_form = QuadraticForm(masked)
-    rhs = bilinear_small_ball(bil_form, diff, diff, radius, method="exact").rho
-    return DecouplingCheck(rho_q, lhs, rhs, radius, radius_constant, bool(rhs >= lhs))
+    sides = np.array([u.membership for u in us])
+    bilinear = _bilinear_stack(forms, diff, diff, ATOM_CAP,
+                               keep=sides[:, :, None] != sides[:, None, :])
+    n = forms[0].n
+    radius = radius_constant * float(beta) * math.sqrt(math.log(n)) if n > 1 else 0.0
+    wide = _radius(radius)
+    checks = []
+    for q, b in zip(quadratic(), bilinear()):
+        rho_q = _exact_estimate(q, beta).rho
+        lhs = float(rho_q) ** 8 / DECOUPLING_CONST
+        rhs = _exact_estimate(b, wide).rho
+        checks.append(DecouplingCheck(rho_q, lhs, rhs, radius, radius_constant, bool(rhs >= lhs)))
+    return checks[0] if single else checks
 
 
-def decoupling_scan(form: QuadraticForm, law: AtomicLaw, beta, u: Bipartition,
+def decoupling_scan(form, law: AtomicLaw, beta, u,
                     constants: Sequence[float] = (1.0, 2.0, 4.0)):
     """Smallest radius constant making the decoupling inequality hold.
 
-    Returns (constant or None, per-constant checks); None flags an
-    instance needing more than the scanned constants.  Every constant is
-    checked before the first enumeration.
+    For one (form, bipartition) pair, returns (constant or None,
+    per-constant checks); None flags an instance needing more than the
+    scanned constants.  For equal-length sequences of them (as
+    verify_decoupling takes), returns (the constant or None of each form,
+    the checks of each form).  Each constant is one verify_decoupling
+    call on the forms that do not hold yet.  Every constant and the stack
+    are checked before the first enumeration.
     """
     for c in constants:
         _check_radius_constant(c)
-    checks = []
+    forms, us, single = _stack(form, u)
+    found = [None] * len(forms)
+    checks = [[] for _ in forms]
+    due = list(range(len(forms)))
     for c in constants:
-        chk = verify_decoupling(form, law, beta, u, radius_constant=c)
-        checks.append(chk)
-        if chk.holds:
-            return c, checks
-    return None, checks
+        new = verify_decoupling([forms[g] for g in due], law, beta, [us[g] for g in due],
+                                radius_constant=c)
+        for g, chk in zip(due, new):
+            checks[g].append(chk)
+            if chk.holds:
+                found[g] = c
+        due = [g for g in due if found[g] is None]
+        if not due:
+            break
+    return (found[0], checks[0]) if single else (found, checks)
 
 
 # ---------------------------------------------------------------------------

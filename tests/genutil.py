@@ -3,7 +3,9 @@
 Everything is driven by seeded numpy generators so failures reproduce.
 """
 
+import bisect
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -94,3 +96,30 @@ def fraction_det(rows) -> Fraction:
 def fraction_rank(rows, ncols: int) -> int:
     """ncols minus the dimension of the kernel from the Fraction RREF."""
     return ncols - len(kernel_basis(rows, ncols))
+
+
+def brute_force_window(laws, value, beta):
+    """Small-ball oracle: enumerate every outcome of independent
+    coordinates (coordinate i drawn from laws[i]) with itertools.product in
+    Fraction arithmetic and scan closed windows of width 2*beta whose left
+    edge sits on an outcome.  Returns (sup mass, witness centre) of the
+    first best window from the left, centred between the extreme outcomes
+    it holds."""
+    outcomes = []
+    for atoms in product(*(law.atoms for law in laws)):
+        mass = Fraction(1)
+        for _, p in atoms:
+            mass *= Fraction(p)
+        outcomes.append((value([Fraction(v) for v, _ in atoms]), mass))
+    outcomes.sort()
+    sums = [v for v, _ in outcomes]
+    prefix = [Fraction(0)]
+    for _, m in outcomes:
+        prefix.append(prefix[-1] + m)
+    best, center = Fraction(0), None
+    for j, v in enumerate(sums):
+        r = bisect.bisect_right(sums, v + 2 * Fraction(beta))
+        tot = prefix[r] - prefix[j]
+        if tot > best:
+            best, center = tot, (v + sums[r - 1]) / 2
+    return best, center

@@ -231,6 +231,16 @@ class TestStoredRecords:
         assert _contains(json.loads(json.dumps(_jsonify(rec.summary))), summary)
         assert Path(path + ".replay.csv").read_bytes() == Path(src + ".csv").read_bytes()
 
+    def test_decoupling_in_small_stacks(self, tmp_path, monkeypatch):
+        # the 25 trials checked in stacks of 4, the last of one trial
+        from randsym import cli
+        monkeypatch.setattr(cli, "_DECOUPLING_STACK", 4)
+        src = os.path.join(RECORDS, "decoupling_n5")
+        path = str(tmp_path / "decoupling_n5.json")
+        shutil.copy(src + ".json", path)
+        replay(path, workers=1)
+        assert Path(path + ".replay.csv").read_bytes() == Path(src + ".csv").read_bytes()
+
 
 class TestVerdicts:
     """Every Monte Carlo frequency is graded by detconc.bound_verdict: a

@@ -1,4 +1,3 @@
-import bisect
 import hashlib
 import math
 import time
@@ -16,7 +15,8 @@ from randsym import (AtomBlowup, AtomicLaw, Bipartition, EnumerationTooLarge, Li
                      quadratic_small_ball_exact, quadratic_small_ball_mc,
                      suffix_smallball_factors, truncated_product_bound, uniform3)
 from randsym import smallball
-from randsym.smallball import ATOM_CAP, _linear_sum_dist, _partial_sums
+from randsym.smallball import ATOM_CAP, _linear_sum_dist, _partial_sums, _radius
+from genutil import brute_force_window
 
 BERN = bernoulli()
 # two atoms with a third and two thirds: a lattice content of 1/4
@@ -26,32 +26,6 @@ LOPSIDED = AtomicLaw(((F(-1, 2), F(1, 3)), (F(3, 4), F(2, 3))))
 def _two_point(den):
     """Atoms 0 and 1 with masses 1/den and 1 - 1/den: count total den."""
     return AtomicLaw(((0, F(1, den)), (1, 1 - F(1, den))))
-
-
-def brute_force_window(laws, value, beta):
-    """Independent oracle: enumerate every outcome of independent
-    coordinates (coordinate i drawn from laws[i]) in Fraction arithmetic
-    and scan closed windows of width 2*beta whose left edge sits on an
-    outcome.  Returns (sup mass, witness centre) of the first best window
-    from the left, centred between the extreme outcomes it holds."""
-    outcomes = []
-    for atoms in product(*(law.atoms for law in laws)):
-        mass = F(1)
-        for _, p in atoms:
-            mass *= F(p)
-        outcomes.append((value([F(v) for v, _ in atoms]), mass))
-    outcomes.sort()
-    sums = [v for v, _ in outcomes]
-    prefix = [F(0)]
-    for _, m in outcomes:
-        prefix.append(prefix[-1] + m)
-    best, center = F(0), None
-    for j, v in enumerate(sums):
-        r = bisect.bisect_right(sums, v + 2 * F(beta))
-        tot = prefix[r] - prefix[j]
-        if tot > best:
-            best, center = tot, (v + sums[r - 1]) / 2
-    return best, center
 
 
 def brute_force_mass(laws, value, center, beta):
@@ -799,13 +773,13 @@ class TestBlocks:
 
     def test_blocks_of_the_coupling_graph(self):
         a = np.array([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 5]], float)
-        assert [b.tolist() for b in smallball._blocks(a)] == [[0, 2], [3]]
         joint = np.zeros((4, 4))        # an entry above the diagonal couples both ends
         joint[0, 3] = joint[1, 2] = 1
-        assert [b.tolist() for b in smallball._blocks(joint)] == [[0, 3], [1, 2]]
+        assert [[b.tolist() for b in form] for form in smallball._blocks(np.stack([a, joint]))] \
+            == [[[0, 2], [3]], [[0, 3], [1, 2]]]
         path = np.eye(6, k=1)           # a path needs more than one widening
-        assert [b.tolist() for b in smallball._blocks(path)] == [list(range(6))]
-        assert smallball._blocks(np.zeros((3, 3))) == []
+        assert [b.tolist() for b in smallball._blocks(path[None])[0]] == [list(range(6))]
+        assert smallball._blocks(np.zeros((1, 3, 3))) == [[]]
 
     def test_quadratic_block_diagonal(self):
         rng = np.random.default_rng(51)
@@ -864,12 +838,12 @@ class TestBlocks:
         m = _random_symmetric(np.random.default_rng(54), 5, 4)
         mat = bipartition_matrix(m, Bipartition((True, False, True, False, False)))
         diff = difference_law(BERN)
-        tables = []
-        real = smallball._outcome_table
-        monkeypatch.setattr(smallball, "_outcome_table",
-                            lambda c, t: tables.append(len(c)) or real(c, t))
+        outcomes = []
+        real = smallball._group_dists
+        monkeypatch.setattr(smallball, "_group_dists", lambda A, X, Y, b: outcomes.append(
+            len(A) * len(X[0]) * len(Y[0])) or real(A, X, Y, b))
         bilinear_small_ball(QuadraticForm(mat), diff, diff, F(1, 4))
-        assert sum(3 ** a * 3 ** b for a, b in zip(tables[::2], tables[1::2])) == 2 * 243
+        assert sum(outcomes) == 2 * 243
 
     def test_bilinear_different_laws_with_shifts(self):
         rng = np.random.default_rng(55)
@@ -957,6 +931,117 @@ class TestBlocks:
         with pytest.raises(EnumerationTooLarge):
             quadratic_small_ball_exact(QuadraticForm(_block_diagonal(half, half)),
                                        uniform3(), 0)
+
+
+class TestStacks:
+    """The exact quadratic and bilinear engines on a stack of forms that
+    share their coordinates (one law per side, the same shifts): every
+    form's (rho, witness_center) from one enumeration of the stack against
+    the Fraction oracle and against the stack-of-one calls, over mixed
+    block structures, untouched coordinates, nonzero shifts, a 3-atom law
+    of unequal masses and count totals past 2**61."""
+
+    THREE = AtomicLaw(((-1, F(1, 6)), (0, F(1, 3)), (2, F(1, 2))))
+    LAWS = (BERN, THREE, LOPSIDED, lazy_sign(F(1, 3)))
+
+    @staticmethod
+    def _stack_forms(rng, count, n, shifts):
+        forms = []
+        for _ in range(count):
+            m = np.array(_random_symmetric(rng, n, int(rng.integers(1, 4))), dtype=object)
+            m[rng.random((n, n)) < 0.4] = F(0)        # blocks of several shapes
+            m = np.triu(m) + np.triu(m, 1).T
+            for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False):
+                m[i, :] = m[:, i] = F(0)                # coordinates no entry touches
+            forms.append(QuadraticForm(tuple(tuple(row) for row in m), shifts=shifts))
+        return forms
+
+    def test_quadratic_stack(self):
+        rng = np.random.default_rng(71)
+        for trial in range(12):
+            n = int(rng.integers(2, 5))
+            shifts = tuple(F(int(rng.integers(-2, 3)), 3) for _ in range(n)) if trial % 2 else ()
+            forms = self._stack_forms(rng, int(rng.integers(2, 6)), n, shifts)
+            law = self.LAWS[trial % 4]
+            beta = F(int(rng.integers(0, 4)), 4)
+            stack = [smallball._exact_estimate(d, beta)
+                     for d in smallball._quadratic_stack(forms, law, ATOM_CAP)()]
+            for form, est in zip(forms, stack):
+                want = brute_force_quadratic(form.matrix, form.shifts, law, beta)
+                assert _estimate(est) == want, trial
+                assert _estimate(quadratic_small_ball_exact(form, law, beta)) == want, trial
+
+    def test_bilinear_stack(self):
+        rng = np.random.default_rng(72)
+        for trial in range(12):
+            n = int(rng.integers(2, 4))
+            shifts = tuple(F(int(rng.integers(-2, 3)), 2) for _ in range(n)) if trial % 2 else ()
+            forms = self._stack_forms(rng, int(rng.integers(2, 5)), n, shifts)
+            law_x, law_y = self.LAWS[trial % 4], self.LAWS[(trial + 1 + trial // 4) % 4]
+            beta = F(int(rng.integers(0, 4)), 4)
+            stack = [smallball._exact_estimate(d, beta)
+                     for d in smallball._bilinear_stack(forms, law_x, law_y, ATOM_CAP)()]
+            for form, est in zip(forms, stack):
+                want = brute_force_bilinear(form.matrix, form.shifts, law_x, law_y, beta)
+                assert _estimate(est) == want, trial
+                assert _estimate(bilinear_small_ball(form, law_x, law_y, beta)) == want, trial
+
+    def test_limbs_shared_by_the_stack(self):
+        # the first form touches three coordinates, whose counts total
+        # 2**63 (four 16-bit limbs); the second touches two (2**42) and one
+        # only the diagonal: the stack holds every count in four limbs
+        law = _two_point(2 ** 21)
+        forms = [QuadraticForm(_block_diagonal(((1, 2), (2, -1)), ((0,),), ((3,),))),
+                 QuadraticForm(_block_diagonal(((0, 1), (1, 0)), ((0,),), ((0,),))),
+                 QuadraticForm(_block_diagonal(((2, 0), (0, 0)), ((0,),), ((0,),)))]
+        dists = smallball._quadratic_stack(forms, law, ATOM_CAP)()
+        assert [d.cnts.shape[0] for d in dists] == [4] * 3
+        assert [d.ctotal for d in dists] == [2 ** 63, 2 ** 42, 2 ** 21]
+        for beta in (0, F(1, 2), 3):
+            for form, dist in zip(forms, dists):
+                assert _estimate(smallball._exact_estimate(dist, _radius(beta))) == \
+                    brute_force_quadratic(form.matrix, form.shifts, law, beta)
+
+    def test_one_row_stack_past_2_63(self):
+        # ten forms on two coordinates, each of count total 2**60, one int64
+        # row: the counts the stack aggregates together sum past 2**63, and
+        # every form's counts stay exact
+        rng = np.random.default_rng(74)
+        law = _two_point(2 ** 30)
+        forms = []
+        while len(forms) < 10:
+            m = _random_symmetric(rng, 2, 2)
+            if m[0][1]:         # both coordinates touched
+                forms.append(QuadraticForm(m))
+        dists = smallball._quadratic_stack(forms, law, ATOM_CAP)()
+        assert [d.cnts.shape[0] for d in dists] == [1] * 10
+        assert sum(d.ctotal for d in dists) == 10 * 2 ** 60 > 2 ** 63
+        for beta in (0, F(1, 2), 2):
+            for form, dist in zip(forms, dists):
+                want = brute_force_quadratic(form.matrix, form.shifts, law, beta)
+                assert _estimate(smallball._exact_estimate(dist, _radius(beta))) == want
+                assert _estimate(quadratic_small_ball_exact(form, law, beta)) == want
+
+    def test_outcome_tables_built_once_per_kind(self, monkeypatch):
+        # five n = 4 forms of one block each: the tables of the two halves
+        # (both two coordinates of one kind) are built once for the stack
+        rng = np.random.default_rng(73)
+        forms = [QuadraticForm(_random_symmetric(rng, 4, 1)) for _ in range(5)]
+        for form in forms:
+            assert len(smallball._blocks(np.array(form.matrix, dtype=float)[None])[0]) == 1
+        tables = []
+        real = smallball._outcome_table
+        monkeypatch.setattr(smallball, "_outcome_table",
+                            lambda c, t: tables.append(len(c)) or real(c, t))
+        smallball._quadratic_stack(forms, BERN, ATOM_CAP)()
+        assert tables == [2]
+
+    def test_stack_needs_shared_shifts(self):
+        forms = [QuadraticForm(((0, 1), (1, 0))), QuadraticForm(((0, 1), (1, 0)), shifts=(1, 0))]
+        with pytest.raises(ValueError, match="shifts"):
+            smallball._quadratic_stack(forms, BERN, ATOM_CAP)
+        with pytest.raises(ValueError, match="at least one"):
+            smallball._bilinear_stack([], BERN, BERN, ATOM_CAP)
 
 
 class TestMonteCarloPins:
@@ -1071,8 +1156,8 @@ class TestNegativeBeta:
     def test_rejected_before_work(self, call, beta, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before beta was checked")
-        for name in ("_linear_sum_dist", "_split_enumeration", "substream"):
-            monkeypatch.setattr(smallball, name, no_work, raising=False)
+        for name in ("_linear_sum_dist", "_form_stack", "substream"):
+            monkeypatch.setattr(smallball, name, no_work)
         with pytest.raises(ValueError, match="beta"):
             call(beta)
 

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from randsym import (Bipartition, DECOUPLING_CONST, Gap, InverseLOReport, LinearForm,
-                     OverlapError, QuadraticForm, RowMatrixSpec, bernoulli, beta_close,
+from randsym import (Bipartition, DECOUPLING_CONST, EnumerationTooLarge, Gap,
+                     InverseLOReport, LinearForm, OverlapError, QuadraticForm,
+                     RowMatrixSpec, bernoulli, beta_close,
                      bipartition_matrix, build_row_matrix, central_binomial_rho,
                      conditioning_check, decoupling_scan, forward_lo_bound,
-                     inverse_lo_search, row_matrix_det, verify_decoupling)
+                     inverse_lo_search, row_matrix_det, uniform3, verify_decoupling)
 
 BERN = bernoulli()
 
@@ -147,8 +148,8 @@ class TestDecoupling:
 
         def no_work(*args, **kwargs):
             raise AssertionError("enumeration started before the constant was checked")
-        monkeypatch.setattr(structure, "quadratic_small_ball_exact", no_work)
-        monkeypatch.setattr(structure, "bilinear_small_ball", no_work)
+        monkeypatch.setattr(structure, "_quadratic_stack", no_work)
+        monkeypatch.setattr(structure, "_bilinear_stack", no_work)
         form = QuadraticForm(((0, 1), (1, 0)))
         u = Bipartition((True, False))
         with pytest.raises(ValueError, match="radius_constant"):
@@ -161,6 +162,103 @@ class TestDecoupling:
         chk = verify_decoupling(QuadraticForm(((0, 1), (1, 0))), BERN, 0.1,
                                 Bipartition((True, False)), radius_constant=0)
         assert chk.radius == 0 and chk.radius_constant == 0
+
+    # n = 3 forms (entries above the diagonal, in quarters) and their
+    # bipartitions under signs at beta = 1/2 which, at a decoupling constant
+    # of 0.11 in place of (2pi)^{7/2} e^{4pi}, hold first at radius
+    # constant 1, 2, 4 and at none of them: rho_quad 3/4, 3/4, 3/4 and 1
+    # against rhs 1 | 25/32, 31/32 | 351/512, 443/512, 503/512 | 25/32,
+    # 31/32, 1
+    STOPS = (((3, 2, 2), (True, True, True)), ((-1, -1, 0), (True, False, True)),
+             ((0, 1, -1), (True, True, False)), ((0, 0, -1), (True, True, False)))
+
+    @staticmethod
+    def _form(upper):
+        a01, a02, a12 = (F(x, 4) for x in upper)
+        return QuadraticForm(((0, a01, a02), (a01, 0, a12), (a02, a12, 0)))
+
+    def test_scan_across_radius_constants(self, monkeypatch):
+        from randsym import smallball, structure
+        monkeypatch.setattr(structure, "DECOUPLING_CONST", 0.11)
+        forms = [self._form(upper) for upper, _ in self.STOPS]
+        us = [Bipartition(side) for _, side in self.STOPS]
+        beta = F(1, 2)
+        one_by_one = []
+        for form, u in zip(forms, us):
+            checks = []
+            for c in (1.0, 2.0, 4.0):
+                checks.append(verify_decoupling(form, BERN, beta, u, radius_constant=c))
+                if checks[-1].holds:
+                    break
+            one_by_one.append((checks[-1].radius_constant if checks[-1].holds else None, checks))
+        enumerated = []     # (coordinates, forms) of each enumeration
+        real = smallball._enumerate
+        monkeypatch.setattr(smallball, "_enumerate", lambda A, *rest: enumerated.append(
+            A.shape[::2]) or real(A, *rest))
+        consts, checks = decoupling_scan(forms, BERN, beta, us)
+        assert consts == [1.0, 2.0, 4.0, None]
+        assert list(zip(consts, checks)) == one_by_one
+        # at each constant, one quadratic (3 coordinates) and one bilinear
+        # (6) enumeration of the forms that do not hold yet
+        assert enumerated == [(4, 3), (4, 6), (3, 3), (3, 6), (2, 3), (2, 6)]
+
+    def test_stack_matches_one_by_one(self):
+        rng = np.random.default_rng(33)
+        for law in (BERN, uniform3()):
+            for n in (2, 4):
+                forms, us = [], []
+                for _ in range(6):
+                    m = np.triu(rng.integers(-3, 4, size=(n, n)), 1)
+                    m = m + m.T
+                    forms.append(QuadraticForm(tuple(tuple(F(int(x), 4) for x in row)
+                                                     for row in m)))
+                    us.append(Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5)))
+                stacked = verify_decoupling(forms, law, 0.1, us, radius_constant=0.5)
+                assert stacked == [verify_decoupling(f, law, 0.1, u, radius_constant=0.5)
+                                   for f, u in zip(forms, us)]
+                const, checks = decoupling_scan(forms, law, F(1, 10), us)
+                assert list(zip(const, checks)) == [decoupling_scan(f, law, F(1, 10), u)
+                                                    for f, u in zip(forms, us)]
+
+    def test_stack_fails_before_any_enumeration(self, monkeypatch):
+        from randsym import smallball
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumeration started before the stack was judged")
+        monkeypatch.setattr(smallball, "_enumerate", no_work)
+        small = QuadraticForm(((0, 1), (1, 0)))
+        u = Bipartition((True, False))
+        # the last form's values pass 2**53 on both sides: on the lattice
+        # of its entries 2**52 stays 2**52 beside the 1
+        huge = QuadraticForm(((1, 2 ** 52), (2 ** 52, 0)))
+        for call in (verify_decoupling, decoupling_scan):
+            with pytest.raises(EnumerationTooLarge, match="too large for exact"):
+                call([small, small, huge], BERN, 0.1, [u, u, u])
+        # n = 8: 2**8 quadratic outcomes, but 3**16 bilinear ones under the
+        # difference law of signs, past the cap: no quadratic enumeration
+        # either (every form of a stack has the same outcomes)
+        m = np.triu(np.ones((8, 8), dtype=int), 1)
+        wide = QuadraticForm(tuple(tuple(int(x) for x in row) for row in m + m.T))
+        side = Bipartition((True, False) * 4)
+        with pytest.raises(EnumerationTooLarge, match="43046721 outcomes exceed cap"):
+            verify_decoupling([wide, wide], BERN, 0.1, [side, side])
+
+    @pytest.mark.parametrize("forms, us", [([], []), ([0], [0, 0]), ([0, 0], [0])],
+                             ids=["empty", "more-bipartitions", "more-forms"])
+    def test_stack_shape_rejected(self, forms, us, monkeypatch):
+        from randsym import smallball
+        monkeypatch.setattr(smallball, "_enumerate", None)
+        form, u = QuadraticForm(((0, 1), (1, 0))), Bipartition((True, False))
+        forms, us = [form for _ in forms], [u for _ in us]
+        for call in (verify_decoupling, decoupling_scan):
+            with pytest.raises(ValueError, match="bipartitions"):
+                call(forms, BERN, 0.1, us)
+
+    def test_stack_of_mixed_sizes_rejected(self):
+        forms = [QuadraticForm(((0, 1), (1, 0))), QuadraticForm(((0, 1, 0), (1, 0, 0), (0, 0, 0)))]
+        us = [Bipartition((True, False)), Bipartition((True, False, False))]
+        with pytest.raises(ValueError, match="shifts"):
+            verify_decoupling(forms, BERN, 0.1, us)
 
 
 class TestInverseSearch:
