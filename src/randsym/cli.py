@@ -255,8 +255,10 @@ class ResultRecord:
 
 
 def _csv_cell(x) -> str:
-    # str of a float is its repr since Python 3.2; of a numpy scalar, its value
-    if isinstance(x, Fraction):
+    # str of a float is its repr since Python 3.2; of a numpy scalar, its
+    # value.  A type test, as Fraction's metaclass is ABCMeta, whose
+    # isinstance check every int and float cell would pay
+    if type(x) is Fraction:
         return f"{x.numerator}/{x.denominator}"
     return str(x)
 

@@ -448,6 +448,13 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
     H is the span of k iid law vectors (drawn once from (seed, 0));
     membership of each trial vector is decided exactly over the
     rationals.  The reference bound is (sqrt(1 - c3))^(n - k) (check_atom_bound).
+
+    The trials are tested by rowspace_membership in chunks of 4096 drawn
+    from (seed, 1 + chunk) against one echelon form per prime, the primes
+    picked once from the largest lattice atom.  A chunk is built from its
+    uniforms as the float64 lattice values of AtomicLaw.lattice_values, the
+    array the span test multiplies; a law with lattice atoms beyond 2**52
+    is drawn as int64 atom values instead, or Python ints past int64.
     """
     if not law.is_rational:
         raise ValueError("rational atomic law required")
@@ -456,15 +463,18 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     check_atom_bound(law, c3)
-    (atoms,), _ = lattice([law.values])
-    vals_int = np.array(atoms, dtype=np.int64)
+    atoms = law._lattice[1]
+    big = max(map(abs, atoms))
+    vals_int = np.array(atoms, dtype=np.int64 if big < 2 ** 63 else object)
     V = vals_int[law.sample_indices(substream(seed, 0), (k, n))]
 
     def chunks():       # one chunk of trial vectors in memory at a time
         for ci, start, stop in chunk_bounds(trials, 4096):
-            yield vals_int[law.sample_indices(substream(seed, 1 + ci), (stop - start, n))]
+            rng, size = substream(seed, 1 + ci), (stop - start, n)
+            yield law.lattice_values(rng, size) if big <= 2 ** 52 else \
+                vals_int[law.sample_indices(rng, size)]
 
-    hits = int(np.count_nonzero(rowspace_membership(V, chunks())))
+    hits = int(np.count_nonzero(rowspace_membership(V, chunks(), big)))
     freq = hits / trials
     se = math.sqrt(freq * (1 - freq) / trials)
     bound = math.sqrt(1 - c3) ** (n - k)

@@ -22,7 +22,8 @@ bound H, which bounds every minor of the matrix:
   product exceeds H([basis; vector]).  The basis is put in echelon form
   once per prime and prepared as a kernel matrix K, so a chunk of
   vectors is tested by one product U K; `rowspace_membership` takes any
-  number of chunks and adds primes only when a chunk's entries need more.
+  number of chunks and adds primes only when a chunk's entries need more,
+  or, given a bound on every entry, picks them once from it.
 
 Matrices are lists of lists (or arrays) of ints, Fractions or floats
 (taken as the binary rationals they are).  Every exact engine of the
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -501,24 +502,37 @@ class _SpanMod:
         self.KT[:, self.J] = -self.Rf.T
 
     def contains(self, U: np.ndarray, big: int) -> np.ndarray:
-        """Which rows of the integer array U, whose entries are at most big
-        in size, lie in the span mod p."""
+        """Which rows of U, whose entries are integers at most big in size,
+        lie in the span mod p.  U is an integer array, or a float64 array
+        of integers, tested as it is when the float test is exact and as
+        int64 otherwise."""
         p, half = self.p, self.half
+        if U.dtype.kind == "f" and len(self.J) * big * half >= 2 ** 52:
+            U = U.astype(np.int64)
         if U.dtype == object or big > half:
             U = _residues(U[None], np.array([p]))[0]
             U = np.where(U > half, U - p, U)
             big = max(-int(U.min()), int(U.max()), 1)
         if len(self.J) * big * half < 2 ** 52:
-            # Every partial sum of U K is an integer below 2**52 + big in
-            # size, so float64 holds X = (U K)^T exactly.  An entry x that
-            # is k p has |k| < 2**23, so rint(x / p) is k despite rounding,
-            # and k p is exact: x == rint(x / p) p exactly when p divides x.
-            X = self.KT @ U.T.astype(np.float64)
-            Y = X * (1.0 / p)
-            np.rint(Y, out=Y)
-            Y *= p
-            return (X == Y).all(axis=0)
-        group = max(1, (1 << 62) // (big * (half + 1)))    # terms per exact int64 product
+            return self._float_test(U)
+        return self._grouped_test(U, big)
+
+    def _float_test(self, U: np.ndarray) -> np.ndarray:
+        # Every partial sum of U K is an integer below 2**52 + big in
+        # size, so float64 holds X = (U K)^T exactly.  An entry x that
+        # is k p has |k| < 2**23, so rint(x / p) is k despite rounding,
+        # and k p is exact: x == rint(x / p) p exactly when p divides x.
+        p = self.p
+        X = self.KT @ U.T.astype(np.float64, copy=False)
+        Y = X * (1.0 / p)
+        np.rint(Y, out=Y)
+        Y *= p
+        return (X == Y).all(axis=0)
+
+    def _grouped_test(self, U: np.ndarray, big: int) -> np.ndarray:
+        # int64 products, reduced mod p after every group of terms
+        p = self.p
+        group = max(1, (1 << 62) // (big * (self.half + 1)))    # terms per exact product
         X = U[:, self.free]
         for s in range(0, len(self.J), group):
             if s:
@@ -527,7 +541,8 @@ class _SpanMod:
         return ~np.any(X % p, axis=1)
 
 
-def rowspace_membership(basis: Sequence[Sequence], vectors) -> np.ndarray:
+def rowspace_membership(basis: Sequence[Sequence], vectors, big: Optional[int] = None
+                        ) -> np.ndarray:
     """Exact test of which vectors lie in the rational row space of a basis.
 
     `basis` is a rational matrix (k, n).  `vectors` is an integer array
@@ -539,18 +554,25 @@ def rowspace_membership(basis: Sequence[Sequence], vectors) -> np.ndarray:
     outside the span; a vector is a member once its residues vanish at
     such primes whose product exceeds H([basis; vector]), since otherwise
     a nonzero minor of order rank + 1 would be divisible by all of them.
-    Primes are added only when a chunk's entries need more.
+
+    Without `big`, each chunk is scanned for its largest entry and primes
+    are added when a chunk's entries need more.  Given `big`, a bound on
+    the size of every entry, the primes are picked from it at the first
+    chunk and no chunk is scanned, and a chunk may also be a float64 array
+    of integers (AtomicLaw.lattice_values), tested in floating point as it
+    is wherever _SpanMod's float test is exact.
     """
     single = isinstance(vectors, np.ndarray)
     V = None
     spans, ranks = [], []       # the prepared test and the rank at each prime
+    tests = None                # the spans a chunk is tested against
     out = []
     for U in ([vectors] if single else vectors):
         U = np.asarray(U)
-        if U.dtype.kind not in "biO":
-            raise ValueError("vectors must be integers")
-        if U.dtype != object:
+        if U.dtype.kind in "bi":
             U = U.astype(np.int64, copy=False)
+        elif U.dtype != object and (big is None or U.dtype != np.float64):
+            raise ValueError("vectors must be integers")
         T, n = U.shape
         if V is None:
             V = _integer_matrix(basis)[0].reshape(-1, n)
@@ -558,24 +580,27 @@ def rowspace_membership(basis: Sequence[Sequence], vectors) -> np.ndarray:
         if T == 0 or n == 0:
             out.append(np.full(T, n == 0))
             continue
-        # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
-        big = max(-int(U.min()), int(U.max()), 1)
-        want = _prime_count(V_bits + 0.5 * math.log2(n) + math.log2(big) + 1.0)
-        while True:
-            rank = max(ranks, default=0)
-            good = [q for q, rq in enumerate(ranks) if rq == rank]
-            if len(good) >= want:
-                break
-            more = want - len(good)
-            _check_primes(len(ranks) + more)
-            primes = PRIMES[len(ranks):len(ranks) + more]
-            R, J, k = row_echelon_int(V, primes)
-            spans += [_SpanMod(R[q], J[q], int(k[q]), p) for q, p in enumerate(primes)]
-            ranks += k.tolist()
+        if tests is None or big is None:
+            size = max(-int(U.min()), int(U.max()), 1) if big is None else max(big, 1)
+            # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
+            want = _prime_count(V_bits + 0.5 * math.log2(n) + math.log2(size) + 1.0)
+            while True:
+                rank = max(ranks, default=0)
+                good = [q for q, rq in enumerate(ranks) if rq == rank]
+                if len(good) >= want:
+                    break
+                more = want - len(good)
+                _check_primes(len(ranks) + more)
+                primes = PRIMES[len(ranks):len(ranks) + more]
+                R, J, k = row_echelon_int(V, primes)
+                spans += [_SpanMod(R[q], J[q], int(k[q]), p) for q, p in enumerate(primes)]
+                ranks += k.tolist()
+            tests = [spans[q] for q in good[:want]]
         member = np.ones(T, dtype=bool)
-        for q in good[:want]:
-            member &= spans[q].contains(U, big)
+        for test in tests:
+            member &= test.contains(U, size)
         out.append(member)
+        del U           # freed before the next chunk is drawn
     if single:
         return out[0]
     return np.concatenate(out) if out else np.zeros(0, dtype=bool)

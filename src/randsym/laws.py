@@ -159,10 +159,32 @@ class AtomicLaw:
         c.flags.writeable = False
         return c
 
+    @cached_property
+    def _steps(self) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
+        """(a0, ((c_j, d_j), ...)), the step form of the lattice values,
+        built once per law: a uniform u draws the atom of lattice value
+        a0 + sum_j d_j [u >= c_j].  The cut points c_j are _cum[:-1] and
+        the test is atom_indices' own, and the d_j are the rises between
+        neighbouring value_ints, so the sum is value_ints[atom_indices(
+        _cum, u)]; in float64 exactly while every lattice value is at most
+        2**52 in size (lattice_values)."""
+        ints = self._lattice[1]
+        rises = (float(b - a) for a, b in zip(ints, ints[1:]))
+        return float(ints[0]), tuple(zip(self._cum[:-1].tolist(), rises))
+
     def sample_indices(self, rng: np.random.Generator | StreamBlock, size) -> np.ndarray:
         """Atom indices of `size` draws from rng; given a StreamBlock, a
         stack of `size` draws from each of its streams."""
         return atom_indices(self._cum, rng.random(size))
+
+    def lattice_values(self, rng: np.random.Generator, size) -> np.ndarray:
+        """value_ints[sample_indices(rng, size)] as float64, from the same
+        uniforms by the step form (_steps), which needs no index array;
+        above 2**52 a lattice value would round, and ValueError is raised."""
+        if max(map(abs, self._lattice[1])) > 2 ** 52:
+            raise ValueError("lattice values beyond 2**52 are not exact in float64")
+        u = rng.random(size)
+        return step_values(self._steps, u, out=u)
 
     def sample_values(self, rng: np.random.Generator | StreamBlock, size) -> np.ndarray:
         return self.values_float()[self.sample_indices(rng, size)]
@@ -187,6 +209,28 @@ def _count_atoms(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     for c in cum[:-1]:
         idx += u >= c
     return idx
+
+
+def step_values(steps: Tuple[float, Tuple[Tuple[float, float], ...]], u: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a0 + sum_j d_j [u >= c_j] for the step form (a0, ((c_j, d_j), ...))
+    of AtomicLaw._steps, one pass per cut point as in _count_atoms, written
+    to out (a new array if None; u itself may be passed, as every test
+    [u >= c_j] is taken before out is written).  The partial sums are the
+    lattice values themselves, so they are exact wherever those are."""
+    a0, cuts = steps
+    masks = [u >= c for c, _ in cuts]
+    if out is None:
+        out = np.empty(u.shape)
+    if not masks:
+        out.fill(a0)
+        return out
+    np.copyto(out, masks[0])        # a cast from bool beats bool * float
+    out *= cuts[0][1]
+    out += a0
+    for m, (_, d) in zip(masks[1:], cuts[1:]):
+        out += m * d
+    return out
 
 
 @dataclass(frozen=True)

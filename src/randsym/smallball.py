@@ -396,14 +396,22 @@ def _window_scan(vals: np.ndarray, cnts: np.ndarray, width):
     return weight, vals[j], vals[rights[j] - 1]
 
 
-def _exact_estimate(dist: _ScaledDist, beta: Fraction, shift=Fraction(0)) -> SmallBallEstimate:
-    """The window scan at W = floor(2 * beta / scale), exact because atoms
-    are integers.  The center reported is the midpoint of the extreme
-    captured atoms, which the closed window around it still covers."""
+def _exact_scan(dist: _ScaledDist, beta: Fraction):
+    """(rho, lo, hi): the window scan at W = floor(2 * beta / scale), exact
+    because atoms are integers; rho as a Fraction, lo and hi the extreme
+    atoms the fullest window captures."""
     span = int(dist.vals[-1]) - int(dist.vals[0])
     width = min(math.floor(2 * beta / dist.scale), span)   # wider windows cover everything
     best, lo, hi = _window_scan(dist.vals, dist.cnts, width)
-    return SmallBallEstimate(Fraction(best, dist.ctotal), beta, "exact", 0.0,
+    return Fraction(best, dist.ctotal), lo, hi
+
+
+def _exact_estimate(dist: _ScaledDist, beta: Fraction, shift=Fraction(0)) -> SmallBallEstimate:
+    """The estimate of _exact_scan.  The center reported is the midpoint of
+    the extreme captured atoms, which the closed window around it still
+    covers."""
+    rho, lo, hi = _exact_scan(dist, beta)
+    return SmallBallEstimate(rho, beta, "exact", 0.0,
                              Fraction(int(lo) + int(hi), 2) * dist.scale + shift)
 
 
@@ -776,7 +784,7 @@ def suffix_smallball_factors(u: Sequence, law: AtomicLaw, beta, n0: int,
     u = [Fraction(x) for x in u]
     if not 1 <= n0 <= len(u):
         raise ValueError("need 1 <= n0 <= len(u)")
-    factors = [_exact_estimate(make(), beta).rho
+    factors = [_exact_scan(make(), beta)[0]
                for make in _partial_sums(u[n0 - 1::-1], law, cap)]
     return factors[::-1]
 

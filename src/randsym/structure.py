@@ -24,7 +24,7 @@ from .exactlinalg import bareiss_det
 from .gap import ENUM_CAP, Gap, evaluate, is_proper
 from .laws import AtomicLaw, difference_law
 from .smallball import (ATOM_CAP, LinearForm, QuadraticForm, _bilinear_stack,
-                        _exact_estimate, _quadratic_stack, _radius,
+                        _exact_scan, _quadratic_stack, _radius,
                         linear_small_ball_exact, linear_small_ball_mc)
 from .streams import substream
 
@@ -213,9 +213,9 @@ def verify_decoupling(form, law: AtomicLaw, beta, u, radius_constant: float = 1.
     wide = _radius(radius)
     checks = []
     for q, b in zip(quadratic(), bilinear()):
-        rho_q = _exact_estimate(q, beta).rho
+        rho_q = _exact_scan(q, beta)[0]      # the rho alone: no witness center
         lhs = float(rho_q) ** 8 / DECOUPLING_CONST
-        rhs = _exact_estimate(b, wide).rho
+        rhs = _exact_scan(b, wide)[0]
         checks.append(DecouplingCheck(rho_q, lhs, rhs, radius, radius_constant, bool(rhs >= lhs)))
     return checks[0] if single else checks
 

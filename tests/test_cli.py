@@ -200,9 +200,11 @@ _REGRADED = {
 
 class TestStoredRecords:
     """Records written by an earlier version of the runner, one per
-    experiment, a tail record at n = 240 made at one BLAS thread, and a
+    experiment, a tail record at n = 240 made at one BLAS thread, a
     decoupling record at n = 5 (the benchmark's size, whose masked forms
-    split into blocks) made before the block enumeration:
+    split into blocks) made before the block enumeration, and an odlyzko
+    record at its defaults (five chunks of trial rows per row) made
+    before the float chunks:
     replay must give their rows, CSV bytes, verdict and summary again
     (as _REGRADED changed them), with any worker count (three cut
     rankgrow's trials unevenly)."""
@@ -210,7 +212,7 @@ class TestStoredRecords:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment", ["smallball", "tail", "detconc", "decoupling",
                                             "gapreduce", "rankgrow", "odlyzko", "tail_n240",
-                                            "decoupling_n5"])
+                                            "decoupling_n5", "odlyzko_default"])
     def test_replay(self, tmp_path, experiment, workers):
         src = os.path.join(RECORDS, experiment)
         path = str(tmp_path / experiment) + ".json"

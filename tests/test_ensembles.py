@@ -7,7 +7,8 @@ import pytest
 
 from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSample,
                      bernoulli, cofactor_expansion_check, exact_det, exact_rank, gaussian,
-                     grow_and_track, lazy_sign, near_kernel_vector, sample_symmetric,
+                     grow_and_track, lazy_sign, near_kernel_vector, parse_law,
+                     sample_symmetric,
                      spectral_summary, subspace_membership_mc, uniform3)
 from randsym import exactlinalg
 from randsym.ensembles import (blas_pinnable, one_blas_thread, read_matrix_exact,
@@ -464,6 +465,50 @@ class TestMembership:
             substream(2, 1 + ci), (stop - start, 8))]).sum())
             for ci, start, stop in chunk_bounds(20000, 4096))
         assert res.freq == hits / 20000
+
+
+    @pytest.mark.parametrize("lit, paths", [
+        ("uniform3", {("contains", "f"), ("_float_test", "f")}),
+        ("atoms[(-3,1/5),(1,3/10),(7/2,1/2)]",              # unit 1/2: -6, 2, 7
+         {("contains", "f"), ("_float_test", "f")}),
+        # rank 4 times 10**7 times p/2 passes 2**52: the float test would
+        # not be exact, and the chunks are tested as int64
+        ("atoms[(1,1/2),(10000000,1/2)]", {("contains", "f"), ("_grouped_test", "i")}),
+        # 2**70: Python ints, reduced mod p to int64, whose size then
+        # picks the test at each prime
+        ("atoms[(1,1/2),(1180591620717411303424,1/2)]",
+         {("contains", "O"), ("_grouped_test", "i"), ("_float_test", "i")})])
+    def test_chunks_match_the_reference(self, lit, paths, monkeypatch):
+        # the chunks of float lattice values, or of int64 and Python-int
+        # atom values where those are not exact, give the hits of one
+        # rowspace_membership call per chunk of atom values
+        law = parse_law(lit)
+        span = exactlinalg._SpanMod
+        asked, seen = [], set()
+
+        def spy(name):
+            real = getattr(span, name)
+
+            def wrapped(self, U, *rest):
+                seen.add((name, U.dtype.kind))
+                return real(self, U, *rest)
+            monkeypatch.setattr(span, name, wrapped)
+
+        real_echelon = exactlinalg.row_echelon_int
+        monkeypatch.setattr(exactlinalg, "row_echelon_int",
+                            lambda mat, primes: asked.append(primes) or real_echelon(mat, primes))
+        for name in ("contains", "_float_test", "_grouped_test"):
+            spy(name)
+        res = subspace_membership_mc(law, 8, 4, 20000, seed=2)     # five chunks
+        assert len(asked) == 1          # the primes picked once
+        assert seen == paths
+        monkeypatch.undo()
+        vals = np.array(law._lattice[1], dtype=object if ("contains", "O") in paths else np.int64)
+        V = vals[law.sample_indices(substream(2, 0), (4, 8))]
+        hits = sum(int(rowspace_membership(V, vals[law.sample_indices(
+            substream(2, 1 + ci), (stop - start, 8))]).sum())
+            for ci, start, stop in chunk_bounds(20000, 4096))
+        assert res.hits == hits
 
 
 class TestMatrixIO:

@@ -354,6 +354,35 @@ class TestMembershipPaths:
         assert asked == [[P1], [P2], [P3]]
         assert rowspace_membership(self.V, iter([])).shape == (0,)
 
+    def test_float_chunks_under_a_bound(self, monkeypatch):
+        # given a bound on every entry, the primes are picked from it once,
+        # and float64 chunks of integers answer as their int64 copies do:
+        # tested as floats while that is exact, as int64 past the guard
+        # (entries near 2**27, rank 5 and p/2 multiply past 2**52)
+        small = self.C @ self.V                 # entries at most 3 * 5
+        wide = small * 2 ** 23
+        wide[::2, 0] += 1
+        tests = []
+        for name in ("_float_test", "_grouped_test"):
+            real = getattr(exactlinalg._SpanMod, name)
+            monkeypatch.setattr(exactlinalg._SpanMod, name,
+                                lambda self, U, *rest, name=name, real=real:
+                                tests.append((name, U.dtype.kind)) or real(self, U, *rest))
+        for ints, big, test in ((small, 15, ("_float_test", "f")),
+                                (wide, 15 * 2 ** 23 + 1, ("_grouped_test", "i"))):
+            want = rowspace_membership(self.V, ints)
+            asked, tests[:] = [], []
+            with monkeypatch.context() as m:
+                m.setattr(exactlinalg, "row_echelon_int",
+                          lambda mat, primes: asked.append(primes) or row_echelon_int(mat, primes))
+                got = rowspace_membership(
+                    self.V, (c.astype(np.float64) for c in (ints[:15], ints[15:])), big)
+            assert got.tolist() == want.tolist() and len(asked) == 1
+            assert set(tests) == {test}
+        assert not want[::2].any() and want[1::2].all()
+        with pytest.raises(ValueError, match="integers"):
+            rowspace_membership(self.V, small.astype(np.float64))      # floats need a bound
+
     def test_empty_and_zero_basis(self):
         U = np.array([[0, 0, 0], [1, 0, 0]])
         assert rowspace_membership([], U).tolist() == [True, False]

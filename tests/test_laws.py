@@ -9,7 +9,7 @@ from randsym import (AtomicLaw, DegenerateLaw, RejectionDiverges, SamplerConfig,
                      bernoulli, difference_law, gaussian, lazy_difference_law,
                      lazy_sign, parse_law, point_mass, sample_truncated,
                      standardize, uniform3, verify_spacing)
-from randsym.laws import _count_atoms, atom_indices
+from randsym.laws import _count_atoms, atom_indices, step_values
 from randsym.streams import _block_state, chunk_bounds, key_seed, substream
 
 
@@ -300,6 +300,43 @@ class TestAtomIndices:
         assert vals.shape == (3, 4)
         assert np.array_equal(vals[1], gaussian().sample_values(substream(4), 4))
         assert gaussian().sample_values(substream([]), (2, 3)).shape == (0, 2, 3)
+
+
+class TestStepForm:
+    """The step form a0 + sum_j d_j [u >= c_j] gives the lattice value of
+    the atom atom_indices picks for u, bit for bit: on random uniforms, on
+    0, on every cut point c_j and just below it, and on the largest
+    uniform 1 - 2**-53."""
+
+    @pytest.mark.parametrize("law", [
+        bernoulli(), uniform3(), lazy_sign(F(1, 10)),
+        parse_law("atoms[(-1,1/3),(0,2/7),(1,8/21)]"),      # masses not dyadic
+        parse_law("atoms[(-3,1/5),(1,3/10),(7/2,1/2)]"),    # unit 1/2: -6, 2, 7
+    ], ids=["bernoulli", "uniform3", "lazy", "non-dyadic", "non-unit-lattice"])
+    def test_step_form_is_the_lattice_value(self, law):
+        ints = np.array(law._lattice[1], dtype=np.int64)
+        cuts = np.array([c for c, _ in law._steps[1]])
+        assert np.array_equal(cuts, law._cum[:-1])
+        edges = np.concatenate([[0.0, 1 - 2 ** -53], cuts, np.nextafter(cuts, 0)])
+        for u in (np.random.default_rng(7).random(5000), edges, edges[:, None]):
+            got = step_values(law._steps, u)
+            assert got.dtype == np.float64 and got.shape == u.shape
+            assert np.array_equal(got, ints[atom_indices(law._cum, u)])
+        # the same uniforms as sample_indices, searched (15 draws) or counted
+        for size in ((3, 5), (4096, 8)):
+            assert np.array_equal(law.lattice_values(substream(3), size),
+                                  ints[law.sample_indices(substream(3), size)])
+
+    def test_one_atom(self):
+        law = point_mass(F(-5, 2))
+        assert np.array_equal(law.lattice_values(substream(1), 4), [-1.0] * 4)
+
+    def test_values_past_2_52_rejected(self):
+        law = AtomicLaw(((1, F(1, 2)), (2 ** 52, F(1, 2))))
+        assert law.lattice_values(substream(1), 3).max() <= 2 ** 52
+        law = AtomicLaw(((1, F(1, 2)), (2 ** 52 + 1, F(1, 2))))
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            law.lattice_values(substream(1), 3)
 
 
 class TestStreamKeys:
