@@ -40,7 +40,7 @@ for k in (1, 4, 7):
     print(f"n=8 k={k}: freq {res.freq:.4f} <= bound {res.bound:.4f}")
 
 # The near-kernel vector of a sample and its row residuals:
-nk = near_kernel_vector(sample_symmetric(law, None, 60, seed=9, exact=False))
+nk = near_kernel_vector(sample_symmetric(law, None, 60, seed=9))
 print(f"lambda_min={nk.lambda_min:.4f}, residual l2 norm="
       f"{float(np.linalg.norm(nk.residuals)):.4f}")
 

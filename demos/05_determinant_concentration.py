@@ -22,7 +22,7 @@ print("reassembled log|x| =",
       cutoff_log(x, eps) + cutoff_log(x, eps, "minus") - math.log(eps))
 
 # One sample: split the spectrum at the cutoff.
-s = sample_symmetric(law, None, 100, seed=3, exact=False)
+s = sample_symmetric(law, None, 100, seed=3)
 summ = spectral_summary(s)
 t = truncated_log_det(summ, 100 ** (-1 / 6))
 print(f"n=100: log|det| = {summ.log_abs_det:.2f}, kept sum = {t.kept_sum:.2f}, "
@@ -32,7 +32,7 @@ print(f"n=100: log|det| = {summ.log_abs_det:.2f}, kept sum = {t.kept_sum:.2f}, "
 # Eigenvalue counts in short windows stay O(sqrt(n) |I|):
 window = (-0.5, 0.5)
 counts = [spectral_window_count(
-    spectral_summary(sample_symmetric(law, None, 100, seed=10 + i, exact=False)),
+    spectral_summary(sample_symmetric(law, None, 100, seed=10 + i)),
     window) for i in range(20)]
 print("N_[-0.5,0.5] over 20 draws:", counts)
 

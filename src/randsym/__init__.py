@@ -42,8 +42,8 @@ from .ensembles import (BoundViolation, ConvergenceFailure, SpectralSummary,
                         SymmetricSample, cofactor_expansion_check, exact_det,
                         exact_rank, grow_and_track, near_kernel_vector,
                         sample_symmetric, spectral_summary, subspace_membership_mc)
-from .detconc import (DegenerateSpectrum, DetConcReport, EnvelopeVerdict,
-                      SpacingUnverified, TailReport, cutoff_log, envelope_rule,
-                      spectral_window_count, truncated_log_det, wilson_interval)
+from .detconc import (DetConcReport, EnvelopeVerdict, SpacingUnverified, TailReport,
+                      cutoff_log, envelope_rule, spectral_window_count,
+                      truncated_log_det, wilson_interval)
 
 __version__ = "0.1.0"

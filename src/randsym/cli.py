@@ -73,8 +73,9 @@ def _fractions(text: str) -> List[Fraction]:
 _KEYS: Dict[str, object] = {
     "law": parse_law, "n": "size", "n_list": "sizes", "trials": "size", "seed": "int",
     "workers": "size", "out": "text", "beta": "nonnegative", "a_exp": "real",
-    "freq_bound": "real", "epsilon": "positive", "spread_bound": "real", "dev_bound": "real",
-    "c1": "real", "c2": "real", "c3": "unit", "form": ("linear", "quadratic", "bilinear"),
+    "freq_bound": "probability", "epsilon": "positive", "spread_bound": "positive",
+    "dev_bound": "probability", "c1": "real", "c2": "real", "c3": "unit",
+    "form": ("linear", "quadratic", "bilinear"),
     "coeffs": "text", "method": ("exact", "mc"), "gap": parse_gap, "values": _fractions,
 }
 
@@ -84,6 +85,7 @@ _RANGES: Dict[str, Tuple[Callable[[float], bool], str]] = {
     "nonnegative": (lambda v: v >= 0, ">= 0"),
     "positive": (lambda v: v > 0, "> 0"),
     "unit": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "probability": (lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
 # keys every experiment takes, with their defaults
@@ -633,11 +635,10 @@ def _run_ensemble_action(args) -> int:
         return 0
     if args.action == "rank":       # only rank reads the exact matrix: one sample per trial
         for t in range(args.trials):
-            s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t), exact="auto")
+            s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t))
             print(f"trial {t}: rank {exact_rank(s)}")
         return 0
-    stack = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, range(args.trials)),
-                             exact=False)
+    stack = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, range(args.trials)))
     for t, mat in enumerate(stack):
         if args.action == "sample":
             if args.out:

@@ -45,10 +45,6 @@ from .streams import chunk_bounds, key_seed, substream
 Z95 = 1.959963984540054
 
 
-class DegenerateSpectrum(Exception):
-    """log of a zero eigenvalue requested."""
-
-
 class SpacingUnverified(Exception):
     """No spacing certificate passes for the entry law."""
 
@@ -91,7 +87,8 @@ def truncated_log_det(summary: SpectralSummary, epsilon: float) -> TruncatedLogD
 
     kept_sum runs over S_eps^- u S_eps^+ = {lambda <= -eps} u {lambda >= eps}
     (closed); dropped_count is the rest; the small product is bounded
-    below by (min |lambda|)^dropped_count.
+    below by (min |lambda|)^dropped_count, whose log is -inf when an
+    eigenvalue is exactly zero.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -99,21 +96,20 @@ def truncated_log_det(summary: SpectralSummary, epsilon: float) -> TruncatedLogD
     kept = (lam >= epsilon) | (lam <= -epsilon)
     dropped = int(np.sum(~kept))
     min_abs = float(np.min(np.abs(lam)))
-    if dropped > 0 and min_abs == 0.0:
-        raise DegenerateSpectrum("zero eigenvalue below the cutoff")
     kept_sum = float(np.sum(np.log(np.abs(lam[kept])))) if kept.any() else 0.0
-    bound = dropped * math.log(min_abs) if dropped else 0.0
+    bound = (dropped * math.log(min_abs) if min_abs else -math.inf) if dropped else 0.0
     return TruncatedLogDet(kept_sum=kept_sum, dropped_count=dropped,
                            small_product_bound=bound)
 
 
-def wilson_interval(hits: int, trials: int, z: float = Z95) -> Tuple[float, float]:
+def wilson_interval(hits: int, trials: int) -> Tuple[float, float]:
     """95% Wilson score interval for a binomial frequency."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= hits <= trials:
         raise ValueError(f"need 0 <= hits <= trials, got hits {hits}, trials {trials}")
     p = hits / trials
+    z = Z95
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -276,7 +272,7 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
 
     def draw(block: Tuple[int, int]) -> List[tuple]:
         start, stop = block
-        stack = sample_symmetric(law, F, n, seed=streams[start:stop], exact=False)
+        stack = sample_symmetric(law, F, n, seed=streams[start:stop])
         return list(map(row, trials[start:stop], seeds[start:stop], spectral_summaries(stack)))
 
     with one_blas_thread(pin_blas):

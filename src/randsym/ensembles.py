@@ -1,12 +1,15 @@
 """Random symmetric matrices M = F + X and their measurements.
 
 The upper triangle of X (diagonal included) is iid from an entry law;
-draws are keyed by seed.  Rational laws with integer-valued fixed parts
-produce an exact matrix alongside the floating mirror, enabling exact
-rank, cofactor and determinant work over the rationals (fraction-free
-elimination).  Spectral quantities use the symmetric eigendecomposition:
-for symmetric matrices the singular values are the |eigenvalues|, so
-sigma_n = min |lambda| and kappa = sigma_1 / sigma_n.
+draws are keyed by seed.  One seed draws one sample; a rational atomic
+law with an exact fixed part gives its exact matrix alongside the
+floating mirror, enabling exact rank, cofactor and determinant work over
+the rationals (fraction-free elimination).  Subspace membership (the
+Odlyzko bound) is decided exactly too, against one echelon form per
+prime, the primes picked once from the largest lattice atom.  Spectral
+quantities use the symmetric eigendecomposition: for symmetric matrices
+the singular values are the |eigenvalues|, so sigma_n = min |lambda| and
+kappa = sigma_1 / sigma_n.
 
 Monte Carlo works on stacks: sample_symmetric given a sequence of seeds
 returns a (T, n, n) float stack, each matrix drawn as its seed alone
@@ -60,19 +63,11 @@ class ConvergenceFailure(Exception):
 
 @dataclass(frozen=True)
 class SymmetricSample:
-    """M = F + X with X symmetric iid-upper-triangle."""
+    """M = F + X with X symmetric iid-upper-triangle; exact rows or None."""
 
     n: int
-    fixed: np.ndarray
-    noise: np.ndarray
     matrix: np.ndarray
     exact: Optional[Tuple[Tuple[Union[int, Fraction], ...], ...]]
-    gamma: float
-    seed: int
-
-    @property
-    def entry_kind(self) -> str:
-        return "exact" if self.exact is not None else "float"
 
     def exact_rows(self) -> List[List[Union[int, Fraction]]]:
         if self.exact is None:
@@ -133,14 +128,13 @@ def _mirror(n: int) -> np.ndarray:
 
 
 def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], StreamBlock],
-                     gamma: float = 1.0,
-                     exact: Union[bool, str] = "auto") -> Union[SymmetricSample, np.ndarray]:
+                     gamma: float = 1.0) -> Union[SymmetricSample, np.ndarray]:
     """Draw M = F + X; the upper triangle of X (with diagonal) is iid.
 
     Deterministic in seed: the n(n+1)/2 upper entries, row by row, are the
-    first draws of substream(seed).  exact="auto" builds the exact rational
-    matrix when the law is rational and F is; exact=False skips it
-    (cheaper for spectral Monte Carlo), exact=True demands it.
+    first draws of substream(seed).  One seed gives a SymmetricSample,
+    with the exact rational matrix when the law is a rational atomic law
+    and F is exact.
 
     Given a sequence of T seeds, or their StreamBlock substream(seeds),
     draws one matrix per seed in one pass (the seeds hashed at once, F
@@ -151,34 +145,23 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], Stream
     eigvalsh solves without the GIL (detconc.keyed_spectra does, each
     stack a slice of one block hashed for the whole trial range).
     """
-    single = isinstance(seed, (int, np.integer))
-    if not single and exact is True:
-        raise ValueError("a sequence of seeds draws float matrices only")
     F_arr = _fixed_part(F, n, gamma)
     rng = seed if isinstance(seed, StreamBlock) else substream(seed)
     m = n * (n + 1) // 2
-    want_exact = (exact is True) or (
-        exact == "auto" and isinstance(law, AtomicLaw) and law.is_rational)
     if isinstance(law, AtomicLaw):
         idx = law.sample_indices(rng, m).reshape(-1, m)
         vals_f = law.values_float()[idx]
     else:
-        if exact is True:
-            raise ValueError("exact sampling needs a rational atomic law")
         vals_f = law.sample_values(rng, m).reshape(-1, m)
-        want_exact = False
     X = np.take(vals_f, _mirror(n), axis=1).reshape(len(vals_f), n, n)
     X += 0.0      # a -0.0 draw reads +0.0, as in any sum with a zero matrix
-    if not single:
-        return X if F_arr is None else F_arr + X
-    fixed = F_arr if F_arr is not None else np.zeros((n, n))
+    M = X if F_arr is None else F_arr + X
+    if not isinstance(seed, (int, np.integer)):
+        return M
     exact_rows = None
-    if want_exact:
+    if isinstance(law, AtomicLaw) and law.is_rational:
         f_exact = None if F is None else _exact_fixed(F)
-        if F is not None and f_exact is None:
-            if exact is True:
-                raise ValueError("fixed part is not exactly representable")
-        else:
+        if F is None or f_exact is not None:
             values = [v if isinstance(v, Fraction) else Fraction(v) for v in law.values]
             as_int = all(v.denominator == 1 for v in values)
             atoms = np.array([int(v) if as_int else v for v in values], dtype=object)
@@ -186,8 +169,7 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], Stream
             if f_exact is not None:
                 entries = f_exact + entries
             exact_rows = tuple(map(tuple, entries.tolist()))
-    return SymmetricSample(n=n, fixed=fixed, noise=X[0], matrix=fixed + X[0],
-                           exact=exact_rows, gamma=float(gamma), seed=int(seed))
+    return SymmetricSample(n=n, matrix=M[0], exact=exact_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +379,9 @@ class NearKernel:
     u: np.ndarray
     residuals: np.ndarray          # |<u, row_i>| sorted descending
     lambda_min: float
-    budget_max: float              # largest residual among the n - budget smallest
 
 
-def near_kernel_vector(m: Union[SymmetricSample, np.ndarray],
-                       row_budget: int = 0) -> NearKernel:
+def near_kernel_vector(m: Union[SymmetricSample, np.ndarray]) -> NearKernel:
     """Unit eigenvector of the smallest |eigenvalue| with its row residuals."""
     mat = m.matrix if isinstance(m, SymmetricSample) else np.asarray(m, dtype=np.float64)
     try:
@@ -411,10 +391,7 @@ def near_kernel_vector(m: Union[SymmetricSample, np.ndarray],
     j = int(np.argmin(np.abs(lam)))
     u = vec[:, j]
     res = np.sort(np.abs(mat @ u))[::-1]
-    n = len(res)
-    budget = min(max(int(row_budget), 0), n - 1)
-    budget_max = float(np.sort(res)[: n - budget][-1]) if n - budget > 0 else 0.0
-    return NearKernel(u=u, residuals=res, lambda_min=float(lam[j]), budget_max=budget_max)
+    return NearKernel(u=u, residuals=res, lambda_min=float(lam[j]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ bound H, which bounds every minor of the matrix:
   product exceeds H([basis; vector]).  The basis is put in echelon form
   once per prime and prepared as a kernel matrix K, so a chunk of
   vectors is tested by one product U K; `rowspace_membership` takes any
-  number of chunks and adds primes only when a chunk's entries need more,
-  or, given a bound on every entry, picks them once from it.
+  number of chunks and a bound on every entry, and picks the primes once
+  from that bound.
 
 Matrices are lists of lists (or arrays) of ints, Fractions or floats
 (taken as the binary rationals they are).  Every exact engine of the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -541,49 +541,42 @@ class _SpanMod:
         return ~np.any(X % p, axis=1)
 
 
-def rowspace_membership(basis: Sequence[Sequence], vectors, big: Optional[int] = None
-                        ) -> np.ndarray:
+def rowspace_membership(basis: Sequence[Sequence], chunks, big: int) -> np.ndarray:
     """Exact test of which vectors lie in the rational row space of a basis.
 
-    `basis` is a rational matrix (k, n).  `vectors` is an integer array
-    (T, n), or an iterable of such arrays (chunks), which are tested in
-    turn against one echelon form of the basis per prime; the answer for
-    chunks is their answers concatenated.  Each vector is reduced against
-    the RREF of the basis modulo primes p at which rank_p(basis) =
-    rank(basis).  A nonzero residue at such a prime proves the vector is
-    outside the span; a vector is a member once its residues vanish at
-    such primes whose product exceeds H([basis; vector]), since otherwise
-    a nonzero minor of order rank + 1 would be divisible by all of them.
-
-    Without `big`, each chunk is scanned for its largest entry and primes
-    are added when a chunk's entries need more.  Given `big`, a bound on
-    the size of every entry, the primes are picked from it at the first
-    chunk and no chunk is scanned, and a chunk may also be a float64 array
-    of integers (AtomicLaw.lattice_values), tested in floating point as it
-    is wherever _SpanMod's float test is exact.
+    `basis` is a rational matrix (k, n).  `chunks` is an iterable of arrays
+    (T, n) of integers at most `big` in size: int64, Python ints in an
+    object array, or float64 (AtomicLaw.lattice_values), tested in
+    floating point as they are wherever _SpanMod's float test is exact.
+    The chunks are tested in turn against one echelon form of the basis
+    per prime, and the answer is their answers concatenated.  Each vector
+    is reduced against the RREF of the basis modulo primes p at which
+    rank_p(basis) = rank(basis).  A nonzero residue at such a prime proves
+    the vector is outside the span; a vector is a member once its
+    residues vanish at such primes whose product exceeds H([basis;
+    vector]), since otherwise a nonzero minor of order rank + 1 would be
+    divisible by all of them.  The primes are picked from `big` at the
+    first chunk, and no chunk is scanned.
     """
-    single = isinstance(vectors, np.ndarray)
-    V = None
-    spans, ranks = [], []       # the prepared test and the rank at each prime
-    tests = None                # the spans a chunk is tested against
+    size = max(big, 1)
+    tests = None                # the spans every chunk is tested against
     out = []
-    for U in ([vectors] if single else vectors):
+    for U in chunks:
         U = np.asarray(U)
         if U.dtype.kind in "bi":
             U = U.astype(np.int64, copy=False)
-        elif U.dtype != object and (big is None or U.dtype != np.float64):
+        elif U.dtype not in (object, np.float64):
             raise ValueError("vectors must be integers")
         T, n = U.shape
-        if V is None:
-            V = _integer_matrix(basis)[0].reshape(-1, n)
-            V_bits = _log2_lengths(V, 1).sum()
         if T == 0 or n == 0:
             out.append(np.full(T, n == 0))
             continue
-        if tests is None or big is None:
-            size = max(-int(U.min()), int(U.max()), 1) if big is None else max(big, 1)
+        if tests is None:
+            V = _integer_matrix(basis)[0].reshape(-1, n)
             # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
-            want = _prime_count(V_bits + 0.5 * math.log2(n) + math.log2(size) + 1.0)
+            want = _prime_count(_log2_lengths(V, 1).sum() + 0.5 * math.log2(n)
+                                + math.log2(size) + 1.0)
+            spans, ranks = [], []       # the prepared test and the rank at each prime
             while True:
                 rank = max(ranks, default=0)
                 good = [q for q, rq in enumerate(ranks) if rq == rank]
@@ -601,6 +594,4 @@ def rowspace_membership(basis: Sequence[Sequence], vectors, big: Optional[int] =
             member &= test.contains(U, size)
         out.append(member)
         del U           # freed before the next chunk is drawn
-    if single:
-        return out[0]
     return np.concatenate(out) if out else np.zeros(0, dtype=bool)

@@ -132,11 +132,6 @@ class Bipartition:
         rng = substream(seed)
         return cls(tuple(bool(b) for b in rng.random(n) < 0.5))
 
-    @classmethod
-    def from_indices(cls, n: int, members: Sequence[int]) -> "Bipartition":
-        s = set(int(i) for i in members)
-        return cls(tuple(i in s for i in range(n)))
-
 
 def bipartition_matrix(a: Sequence[Sequence], u: Bipartition):
     """A_U: keep a_ij exactly when i and j sit on opposite sides of U."""
@@ -164,12 +159,6 @@ class DecouplingCheck:
     radius: float
     radius_constant: float
     holds: bool
-
-
-def _check_radius_constant(c) -> None:
-    """ValueError naming radius_constant unless c is finite and >= 0."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"radius_constant must be finite and >= 0, got {c!r}")
 
 
 def _stack(form, u) -> Tuple[List[QuadraticForm], List[Bipartition], bool]:
@@ -201,7 +190,8 @@ def verify_decoupling(form, law: AtomicLaw, beta, u, radius_constant: float = 1.
     are rejected before any enumeration.
     """
     forms, us, single = _stack(form, u)
-    _check_radius_constant(radius_constant)
+    if not (math.isfinite(radius_constant) and radius_constant >= 0):
+        raise ValueError(f"radius_constant must be finite and >= 0, got {radius_constant!r}")
     beta = _radius(beta)
     quadratic = _quadratic_stack(forms, law, ATOM_CAP)
     diff = difference_law(law)
@@ -220,25 +210,23 @@ def verify_decoupling(form, law: AtomicLaw, beta, u, radius_constant: float = 1.
     return checks[0] if single else checks
 
 
-def decoupling_scan(form, law: AtomicLaw, beta, u,
-                    constants: Sequence[float] = (1.0, 2.0, 4.0)):
-    """Smallest radius constant making the decoupling inequality hold.
+def decoupling_scan(form, law: AtomicLaw, beta, u):
+    """Smallest radius constant of 1, 2 and 4 making the decoupling
+    inequality hold.
 
     For one (form, bipartition) pair, returns (constant or None,
     per-constant checks); None flags an instance needing more than the
     scanned constants.  For equal-length sequences of them (as
     verify_decoupling takes), returns (the constant or None of each form,
     the checks of each form).  Each constant is one verify_decoupling
-    call on the forms that do not hold yet.  Every constant and the stack
-    are checked before the first enumeration.
+    call on the forms that do not hold yet.  The stack is checked before
+    the first enumeration.
     """
-    for c in constants:
-        _check_radius_constant(c)
     forms, us, single = _stack(form, u)
     found = [None] * len(forms)
     checks = [[] for _ in forms]
     due = list(range(len(forms)))
-    for c in constants:
+    for c in (1.0, 2.0, 4.0):
         new = verify_decoupling([forms[g] for g in due], law, beta, [us[g] for g in due],
                                 radius_constant=c)
         for g, chk in zip(due, new):

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 
 from randsym import Gap, evaluate, is_proper
-from randsym.exactlinalg import kernel_basis
+from randsym.exactlinalg import kernel_basis, rowspace_membership
 
 # verdict lines the acceptance suite registers for the terminal summary
 ACCEPTANCE_LINES = []
@@ -96,6 +96,13 @@ def fraction_det(rows) -> Fraction:
 def fraction_rank(rows, ncols: int) -> int:
     """ncols minus the dimension of the kernel from the Fraction RREF."""
     return ncols - len(kernel_basis(rows, ncols))
+
+
+def membership(basis, U):
+    """rowspace_membership of one array of integers, bounded by its own
+    largest entry."""
+    U = np.asarray(U)
+    return rowspace_membership(basis, [U], max((abs(int(x)) for x in U.flat), default=0))
 
 
 def brute_force_window(laws, value, beta):

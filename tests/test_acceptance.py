@@ -131,10 +131,8 @@ def test_criterion_3_odlyzko_bound():
 
 
 def _zero_exact_sample(n):
-    z = np.zeros((n, n))
     exact = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    return SymmetricSample(n=n, fixed=z, noise=z, matrix=z, exact=exact,
-                           gamma=1.0, seed=0)
+    return SymmetricSample(n=n, matrix=np.zeros((n, n)), exact=exact)
 
 
 def test_criterion_4_rank_growth():
@@ -182,7 +180,7 @@ def test_criterion_5_decoupling():
         form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
         u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
         law = laws[i % 2]
-        const, _ = decoupling_scan(form, law, F(1, 10), u, constants=(1, 2, 4))
+        const, _ = decoupling_scan(form, law, F(1, 10), u)
         ok = ok and const is not None
         worst_c = max(worst_c, const or math.inf)
     assert report(5, "decoupling rho^8 bound", ok, t0, 120,

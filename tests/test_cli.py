@@ -528,7 +528,8 @@ class TestMain:
         def recording(*args, **kwargs):
             s = sample_symmetric(*args, **kwargs)
             # one float stack for every trial, or one sample per trial
-            kinds.extend(["float"] * len(s) if isinstance(s, np.ndarray) else [s.entry_kind])
+            kinds.extend(["float"] * len(s) if isinstance(s, np.ndarray)
+                         else ["exact" if s.exact is not None else "float"])
             return s
         monkeypatch.setattr(randsym.cli, "sample_symmetric", recording)
         assert main(["ensemble", action, "--n", "5", "--trials", "2"]) == 0
@@ -563,6 +564,30 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: gap, values: both required")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("experiment, flag, value, need", [
+        ("tail", "--freq-bound", "2", "in [0, 1]"),
+        ("tail", "--freq-bound", "-0.5", "in [0, 1]"),
+        ("detconc", "--dev-bound", "1.5", "in [0, 1]"),
+        ("detconc", "--spread-bound", "0", "> 0")])
+    def test_bound_out_of_range_refused(self, tmp_path, capsys, experiment, flag, value, need):
+        # a frequency bound past 1 would pass every n, one below 0 fail every n
+        key = flag[2:].replace("-", "_")
+        assert main([experiment, flag, value, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {key}: invalid value {float(value)!r}, needs {key} {need}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        *(["--n-list", "2", "--trials", "30", "--seed", str(s)] for s in range(1, 6)),
+        ["--n-list", "6", "--trials", "30", "--seed", "5"],
+        ["--law", "uniform3", "--n-list", "8", "--trials", "200", "--seed", "1"]])
+    def test_detconc_takes_exactly_singular_samples(self, tmp_path, argv):
+        # each run draws a matrix with an exactly zero eigenvalue below the
+        # cutoff; its small product is bounded below by 0, not an error
+        assert main(["detconc", *argv, "--out", str(tmp_path / "r")]) in (0, 2, 3)
+        rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+        assert len(rows) == int(argv[argv.index("--trials") + 1])
+
     @pytest.mark.parametrize("argv, mass", [
         (["--law", "lazy(1/10)", "--n-list", "8", "--trials", "2000"], "9/10"),
         (["--c3", "0.9"], "1/2")])
@@ -589,7 +614,7 @@ class TestMain:
                      "--out", out]) == 0
         assert capsys.readouterr().out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["X.0.txt", "X.1.txt"]
-        drawn = sample_symmetric(bernoulli(), None, 5, seed=key_seed(3, range(2)), exact=False)
+        drawn = sample_symmetric(bernoulli(), None, 5, seed=key_seed(3, range(2)))
         for t in range(2):
             assert np.array_equal(read_matrix_text(f"{out}.{t}.txt"), drawn[t])
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from randsym import (AtomicLaw, DegenerateSpectrum, SpacingUnverified, bernoulli,
-                     cutoff_log, envelope_rule, gaussian, sample_symmetric,
-                     spectral_summary, spectral_window_count, truncated_log_det, uniform3,
-                     wilson_interval)
+from randsym import (AtomicLaw, SpacingUnverified, bernoulli, cutoff_log, envelope_rule,
+                     gaussian, sample_symmetric, spectral_summary, spectral_window_count,
+                     truncated_log_det, uniform3, wilson_interval)
 from randsym.cli import ExperimentConfig, InvalidConfig, run
 from randsym.detconc import (_LANE_MIN_N, bound_verdict, concentration_report, detconc_trial,
                              envelope_norm, loglog_slope, tail_trial)
@@ -75,7 +74,7 @@ class TestWindowCount:
         n = 400
         ratios = []
         for t in range(100):
-            s = sample_symmetric(bernoulli(), None, n, seed=900 + t, exact=False)
+            s = sample_symmetric(bernoulli(), None, n, seed=900 + t)
             summ = spectral_summary(s)
             half = 0.1 * math.sqrt(n)
             count = spectral_window_count(summ, (-half, half))
@@ -110,8 +109,11 @@ class TestTruncatedLogDet:
         assert t.kept_sum == pytest.approx(summ.log_abs_det)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSpectrum):
-            truncated_log_det(spectral_summary(np.diag([1.0, 0.0])), 0.1)
+        # an exactly zero eigenvalue below the cutoff: the small product is
+        # bounded below by 0, whose log is -inf
+        t = truncated_log_det(spectral_summary(np.diag([1.0, 0.0])), 0.1)
+        assert t.kept_sum == 0.0 and t.dropped_count == 1
+        assert t.small_product_bound == -math.inf
 
     @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
     def test_epsilon_must_be_positive(self, eps):
@@ -494,7 +496,7 @@ class TestStackedTrials:
 
     def test_stack_matches_single_samples(self):
         seeds = [key_seed(3, 5, t) for t in range(6)]
-        stack = sample_symmetric(uniform3(), None, 5, seed=seeds, exact=False)
+        stack = sample_symmetric(uniform3(), None, 5, seed=seeds)
         assert stack.shape == (6, 5, 5)
         for sd, mat in zip(seeds, stack):
             assert np.array_equal(mat, sample_symmetric(uniform3(), None, 5, seed=sd).matrix)

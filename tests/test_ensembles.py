@@ -13,29 +13,24 @@ from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSam
 from randsym import exactlinalg
 from randsym.ensembles import (blas_pinnable, one_blas_thread, read_matrix_exact,
                                read_matrix_text, spectral_summaries, write_matrix_text)
-from randsym.exactlinalg import exact_rank as rational_rank, rowspace_membership
+from randsym.exactlinalg import exact_rank as rational_rank
 from randsym.streams import chunk_bounds, substream
-from genutil import fraction_det, fraction_rank, random_symmetric_int_matrix
+from genutil import fraction_det, fraction_rank, membership, random_symmetric_int_matrix
 
 BERN = bernoulli()
 
 
-def exact_sample(rows, noise=None) -> SymmetricSample:
-    """Wrap an explicit exact matrix as a sample (fixed part zero)."""
-    n = len(rows)
+def exact_sample(rows) -> SymmetricSample:
+    """Wrap an explicit exact matrix as a sample."""
     mat = np.array([[float(x) for x in r] for r in rows])
-    z = np.zeros((n, n))
-    return SymmetricSample(n=n, fixed=z, noise=noise if noise is not None else mat,
-                           matrix=mat, exact=tuple(tuple(r) for r in rows),
-                           gamma=10.0, seed=0)
+    return SymmetricSample(n=len(rows), matrix=mat, exact=tuple(tuple(r) for r in rows))
 
 
 class TestSampling:
     def test_one_by_one(self):
         F1 = np.array([[0.5]])
         s = sample_symmetric(BERN, F1, 1, seed=3)
-        assert s.matrix[0, 0] == 0.5 + s.noise[0, 0]
-        assert abs(s.noise[0, 0]) == 1.0
+        assert abs((s.matrix - F1)[0, 0]) == 1.0
 
     def test_symmetric_structure_and_reproducibility(self):
         a = sample_symmetric(BERN, None, 3, seed=11)
@@ -43,7 +38,7 @@ class TestSampling:
         assert (a.matrix == b.matrix).all()
         assert (a.matrix == a.matrix.T).all()
         assert set(np.unique(a.matrix)) <= {-1.0, 1.0}
-        assert a.entry_kind == "exact"
+        assert a.exact is not None
 
     def test_fixed_part_bound(self):
         Fbad = np.zeros((3, 3))
@@ -56,17 +51,15 @@ class TestSampling:
         (np.eye(3), F), ([[F(1, 2)] * 3] * 3, F)])
     def test_exact_entries_keep_their_type(self, fixed, kind):
         # ints (Python or numpy) stay Python ints, Fractions and floats are Fractions
-        for exact in ("auto", True):
-            s = sample_symmetric(BERN, fixed, 3, seed=1, exact=exact)
-            assert s.entry_kind == "exact"
-            assert {type(x) for row in s.exact for x in row} == {kind}
-            assert [[float(x) for x in row] for row in s.exact] == s.matrix.tolist()
+        s = sample_symmetric(BERN, fixed, 3, seed=1)
+        assert {type(x) for row in s.exact for x in row} == {kind}
+        assert [[float(x) for x in row] for row in s.exact] == s.matrix.tolist()
 
     def test_continuous_law_floats_only(self):
         s = sample_symmetric(gaussian(), None, 4, seed=2)
-        assert s.entry_kind == "float"
-        with pytest.raises(ValueError):
-            sample_symmetric(gaussian(), None, 4, seed=2, exact=True)
+        assert s.exact is None
+        with pytest.raises(ValueError, match="floating entries only"):
+            s.exact_rows()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_fixed_part_must_be_finite(self, bad):
@@ -74,16 +67,14 @@ class TestSampling:
         Fbad[0, 1] = Fbad[1, 0] = bad
         for seed in (1, [1, 2]):
             with pytest.raises(ValueError, match="fixed part must be finite"):
-                sample_symmetric(BERN, Fbad, 3, seed=seed, exact=False)
+                sample_symmetric(BERN, Fbad, 3, seed=seed)
 
     def test_seed_sequence_gives_float_stack(self):
         fixed = np.eye(4)
-        stack = sample_symmetric(BERN, fixed, 4, seed=[7, 8, 9], exact=False)
+        stack = sample_symmetric(BERN, fixed, 4, seed=[7, 8, 9])
         assert stack.shape == (3, 4, 4) and stack.dtype == np.float64
         for sd, mat in zip((7, 8, 9), stack):
             assert np.array_equal(mat, sample_symmetric(BERN, fixed, 4, seed=sd).matrix)
-        with pytest.raises(ValueError):
-            sample_symmetric(BERN, None, 4, seed=[7, 8], exact=True)
 
     def test_negative_zero_draws_read_positive_zero(self):
         # a -0.0 atom gives +0.0 entries, as the sum X + triu(X, 1).T did,
@@ -91,7 +82,7 @@ class TestSampling:
         law = AtomicLaw(((-0.0, 0.5), (1.0, 0.5)))
         s = sample_symmetric(law, None, 6, seed=3)
         stack = sample_symmetric(law, None, 6, seed=[3, 4])
-        for mat in (s.noise, s.matrix, *stack):
+        for mat in (s.matrix, *stack):
             assert (mat == 0).any() and not np.signbit(mat).any()
 
     @pytest.mark.parametrize("law, fixed", [
@@ -127,7 +118,7 @@ class TestSpectralSummary:
         assert summ.sigma_n == pytest.approx(1.0)
 
     def test_trace_identities(self):
-        s = sample_symmetric(BERN, None, 50, seed=4, exact=False)
+        s = sample_symmetric(BERN, None, 50, seed=4)
         summ = spectral_summary(s)
         n = 50
         assert abs(summ.eigenvalues.sum() - np.trace(s.matrix)) <= 1e-9 * n
@@ -170,7 +161,7 @@ class TestSolver:
             F[0, -1] = F[-1, 0] = 0.5
             for law in (BERN, uniform3(), gaussian()):
                 for fixed in (None, F):
-                    stack = sample_symmetric(law, fixed, n, seed=range(n, n + k), exact=False)
+                    stack = sample_symmetric(law, fixed, n, seed=range(n, n + k))
                     got = spectral_summaries(stack)
                     for t in range(k):
                         lone = spectral_summaries(stack[t:t + 1])[0]
@@ -211,7 +202,7 @@ class TestSolver:
 
     def test_numpy_without_bundled_openblas(self, monkeypatch):
         import randsym.ensembles
-        stack = sample_symmetric(BERN, None, 9, seed=[1, 2, 3], exact=False)
+        stack = sample_symmetric(BERN, None, 9, seed=[1, 2, 3])
         want = [s.eigenvalues for s in spectral_summaries(stack)]
         monkeypatch.setattr(randsym.ensembles, "_openblas", lambda: None)
         assert not blas_pinnable()
@@ -271,11 +262,7 @@ class TestCofactorExpansion:
 
 class TestGrowAndTrack:
     def zero(self, n):
-        z = np.zeros((n, n))
-        return SymmetricSample(n=n, fixed=z, noise=z, matrix=z,
-                               exact=tuple(tuple(0 for _ in range(n))
-                                           for _ in range(n)),
-                               gamma=1.0, seed=0)
+        return exact_sample([[0] * n for _ in range(n)])
 
     def test_first_step_bound_two_by_two(self):
         # from the 2x2 zero matrix the new off-diagonal pair is never zero,
@@ -367,7 +354,7 @@ class TestNearKernel:
         assert np.max(nk.residuals) <= 1e-12
 
     def test_eigen_residual_identity(self):
-        s = sample_symmetric(BERN, None, 100, seed=8, exact=False)
+        s = sample_symmetric(BERN, None, 100, seed=8)
         nk = near_kernel_vector(s)
         lam = abs(nk.lambda_min)
         # residuals are |lambda_min| * |u_i| and their l2 norm is |lambda_min|
@@ -376,17 +363,13 @@ class TestNearKernel:
         assert np.max(np.abs(resid - expect)) <= 1e-9
         assert np.linalg.norm(nk.residuals) == pytest.approx(lam, abs=1e-9)
 
-    def test_budget_max(self):
-        nk = near_kernel_vector(np.diag([5.0, 1e-8]), row_budget=1)
-        assert nk.budget_max == 0.0
-
 
 class TestMembership:
     def test_matches_rank_oracle(self):
         rng = np.random.default_rng(17)
         V = (rng.integers(0, 2, size=(3, 6)) * 2 - 1).tolist()
         U = rng.integers(0, 2, size=(100, 6)) * 2 - 1
-        got = rowspace_membership(V, U)
+        got = membership(V, U)
         for row, flag in zip(U, got):
             aug = V + [[int(x) for x in row]]
             assert flag == (fraction_rank(aug, 6) == fraction_rank(V, 6))
@@ -396,20 +379,20 @@ class TestMembership:
         rng = np.random.default_rng(25)
         V = rng.integers(0, 2, size=(25, 50)) * 2 - 1
         U = rng.integers(-3, 4, size=(200, 25)) @ V
-        assert rowspace_membership(V.tolist(), U).all()
+        assert membership(V.tolist(), U).all()
         e1 = np.eye(50, dtype=np.int64)[0]
         assert fraction_rank(V.tolist() + [e1.tolist()], 50) == 26
-        assert not rowspace_membership(V.tolist(), U + e1).any()
+        assert not membership(V.tolist(), U + e1).any()
 
     def test_nearly_square_basis(self):
         # k = 39 rows in n = 40: minors up to 40^19.5, far beyond int64
         rng = np.random.default_rng(39)
         V = rng.integers(0, 2, size=(39, 40)) * 2 - 1
         U = rng.integers(-2, 3, size=(30, 39)) @ V
-        assert rowspace_membership(V.tolist(), U).all()
+        assert membership(V.tolist(), U).all()
         e1 = np.eye(40, dtype=np.int64)[0]
         inside = fraction_rank(V.tolist() + [e1.tolist()], 40) == fraction_rank(V.tolist(), 40)
-        assert rowspace_membership(V.tolist(), U + e1).tolist() == [inside] * 30
+        assert membership(V.tolist(), U + e1).tolist() == [inside] * 30
 
     def test_span_of_one_vector(self):
         res = subspace_membership_mc(BERN, 8, 1, 20000, seed=3)
@@ -461,7 +444,7 @@ class TestMembership:
         # the same hits as one call per chunk of the same streams
         vals = np.array([int(v) for v in BERN.values])
         V = vals[BERN.sample_indices(substream(2, 0), (4, 8))]
-        hits = sum(int(rowspace_membership(V, vals[BERN.sample_indices(
+        hits = sum(int(membership(V, vals[BERN.sample_indices(
             substream(2, 1 + ci), (stop - start, 8))]).sum())
             for ci, start, stop in chunk_bounds(20000, 4096))
         assert res.freq == hits / 20000
@@ -505,7 +488,7 @@ class TestMembership:
         monkeypatch.undo()
         vals = np.array(law._lattice[1], dtype=object if ("contains", "O") in paths else np.int64)
         V = vals[law.sample_indices(substream(2, 0), (4, 8))]
-        hits = sum(int(rowspace_membership(V, vals[law.sample_indices(
+        hits = sum(int(membership(V, vals[law.sample_indices(
             substream(2, 1 + ci), (stop - start, 8))]).sum())
             for ci, start, stop in chunk_bounds(20000, 4096))
         assert res.hits == hits

@@ -12,7 +12,7 @@ from randsym.exactlinalg import (PRIMES, OutOfPrimes, adjugate, bareiss_det,
                                  cofactor_matrix, exact_rank, exact_ranks, lattice,
                                  primitive, row_echelon_int, rowspace_membership,
                                  trailing_ranks)
-from genutil import fraction_det, fraction_rank
+from genutil import fraction_det, fraction_rank, membership
 
 P1, P2, P3 = PRIMES[:3]
 
@@ -322,23 +322,24 @@ class TestMembershipPaths:
 
     def test_large_entries_take_the_int64_path(self):
         U = self.C @ self.V * 2 ** 40
-        assert rowspace_membership(self.V, U).all()
+        assert membership(self.V, U).all()
         U[:, 0] += 1
-        assert not rowspace_membership(self.V, U).any()
+        assert not membership(self.V, U).any()
 
     def test_python_int_vectors(self):
         U = np.array((self.C @ self.V).tolist(), dtype=object) * 2 ** 70
-        assert rowspace_membership(self.V.tolist(), U).all()
+        assert membership(self.V.tolist(), U).all()
         U[:, 0] += 1
-        assert not rowspace_membership(self.V.tolist(), U).any()
+        assert not membership(self.V.tolist(), U).any()
 
     def test_chunks_as_one_call_per_chunk(self, monkeypatch):
         small = self.C @ self.V
-        beyond = small * 2 ** 40        # entries past 2**31: a second prime
+        beyond = small * 2 ** 40
         beyond[::2, 0] += 1
         chunks = [small[:25], np.zeros((0, 8), np.int64), beyond,
                   np.array(small[25:].tolist(), dtype=object) * 2 ** 70]
-        want = np.concatenate([rowspace_membership(self.V, c) for c in chunks])
+        want = np.concatenate([membership(self.V, c) for c in chunks])
+        big = 15 * 2 ** 70      # past 2**60: three primes
         asked = []
 
         def counted(mat, primes):
@@ -346,13 +347,12 @@ class TestMembershipPaths:
             return row_echelon_int(mat, primes)
 
         monkeypatch.setattr(exactlinalg, "row_echelon_int", counted)
-        got = rowspace_membership(self.V, (c for c in chunks))
+        got = rowspace_membership(self.V, (c for c in chunks), big)
         assert got.tolist() == want.tolist()
         assert want[:25].all() and not want[25:65:2].any() and want[26:65:2].all()
-        # one prime for the first chunk, a second for the third, a third for
-        # the last, each echelon form made once
-        assert asked == [[P1], [P2], [P3]]
-        assert rowspace_membership(self.V, iter([])).shape == (0,)
+        # the primes picked once from the bound, their echelon forms made once
+        assert asked == [[P1, P2, P3]]
+        assert rowspace_membership(self.V, iter([]), big).shape == (0,)
 
     def test_float_chunks_under_a_bound(self, monkeypatch):
         # given a bound on every entry, the primes are picked from it once,
@@ -370,7 +370,7 @@ class TestMembershipPaths:
                                 tests.append((name, U.dtype.kind)) or real(self, U, *rest))
         for ints, big, test in ((small, 15, ("_float_test", "f")),
                                 (wide, 15 * 2 ** 23 + 1, ("_grouped_test", "i"))):
-            want = rowspace_membership(self.V, ints)
+            want = membership(self.V, ints)
             asked, tests[:] = [], []
             with monkeypatch.context() as m:
                 m.setattr(exactlinalg, "row_echelon_int",
@@ -381,9 +381,9 @@ class TestMembershipPaths:
             assert set(tests) == {test}
         assert not want[::2].any() and want[1::2].all()
         with pytest.raises(ValueError, match="integers"):
-            rowspace_membership(self.V, small.astype(np.float64))      # floats need a bound
+            rowspace_membership(self.V, [small.astype(np.float32)], 15)
 
     def test_empty_and_zero_basis(self):
         U = np.array([[0, 0, 0], [1, 0, 0]])
-        assert rowspace_membership([], U).tolist() == [True, False]
-        assert rowspace_membership([[0, 0, 0]], U).tolist() == [True, False]
+        assert membership([], U).tolist() == [True, False]
+        assert membership([[0, 0, 0]], U).tolist() == [True, False]
