@@ -4,8 +4,14 @@ Rank, determinant, cofactors and row-space membership all run through one
 elimination kernel (`_eliminate`).  It works on a numpy int64 stack
 (B, r, c) with one prime p < 2**31 per layer: fraction-free elimination
 mod p with full pivoting, so every layer steps in lockstep and every
-product stays below 2**62.  Each answer is certified by the Hadamard
-bound H, which bounds every minor of the matrix:
+product stays below 2**62.  A step reduces its products as x - (x // q) q,
+once for each run of consecutive layers that share one prime q: numpy
+divides by a scalar through a precomputed multiplier, where a remainder
+by a per-layer array of primes costs one hardware division per entry.
+So every caller lays its layers out prime-major, all the layers of a
+prime together, which makes at most one run per distinct prime.  Each
+answer is certified by the Hadamard bound H, which bounds every minor of
+the matrix:
 
 * rank is the largest rank seen over the primes used.  Primes are added
   until their product exceeds H or the rank reaches min(r, c).  Were the
@@ -41,6 +47,7 @@ keeps its Fraction RREF.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -188,11 +195,33 @@ def _prime_count(bits: np.ndarray) -> int:
     return _check_primes(int(np.max(bits, initial=0.0)) // _PRIME_BITS + 1)
 
 
+def _runs(p: np.ndarray) -> List[Tuple[int, int, int]]:
+    """(start, stop, q) of each run of consecutive layers that share one
+    prime q, q a Python int."""
+    runs, e = [], 0
+    for q, layers in itertools.groupby(p.tolist()):
+        s, e = e, e + len(list(layers))
+        runs.append((s, e, q))
+    return runs
+
+
+def _reduce(x: np.ndarray, runs, buf: np.ndarray) -> None:
+    """x[l] mod p[l] in place, as x - (x // q) q with the scalar prime q
+    of each run of p; buf is scratch of x's shape."""
+    for s, e, q in runs:
+        quot = np.floor_divide(x[s:e], q, out=buf[s:e])
+        quot *= q
+    x -= buf
+
+
 def _residues(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a[l] mod p[l] as int64; Python ints are reduced before the cast."""
+    """a[l] mod p[l] as a new int64 array; Python ints are reduced before
+    the cast."""
     if a.dtype == object:
         return (a % p.astype(object)[:, None, None]).astype(np.int64)
-    return a % p[:, None, None]
+    x = a.astype(np.int64)
+    _reduce(x, _runs(p), np.empty_like(x))
+    return x
 
 
 def _eliminate(a: np.ndarray, p: np.ndarray, nested: bool = False):
@@ -203,12 +232,16 @@ def _eliminate(a: np.ndarray, p: np.ndarray, nested: bool = False):
     layer by pivot * a - a[:, j] a[i, :] mod p.  That clears row i and
     column j and scales the remaining rows by the nonzero pivot, so the
     rank drops by exactly one; products of two residues stay below 2**62.
-    A layer that has reached zero gets zero pivots from then on and stays
-    zero, so no layer needs a mask, and the loop ends once every layer is
-    zero.  Returns, for each of the s steps taken, the pivots (B, s), the
-    flat indices i * c + j of the pivots (B, s) and the rows a[i, :] they
-    eliminated with (B, s, c); a layer's rank is its number of nonzero
-    pivots.
+    The step reduces x = pivot * a - a[:, j] a[i, :] as x - (x // q) q,
+    once per run of consecutive layers that share a prime q (`_reduce`),
+    so callers lay the layers out prime-major: all the layers of one
+    prime together, at most one run per distinct prime.  The residues
+    are those of x % p, bit for bit.  A layer that has reached zero gets
+    zero pivots from then on and stays zero, so no layer needs a mask,
+    and the loop ends once every layer is zero.  Returns, for each of the
+    s steps taken, the pivots (B, s), the flat indices i * c + j of the
+    pivots (B, s) and the rows a[i, :] they eliminated with (B, s, c); a
+    layer's rank is its number of nonzero pivots.
 
     nested=True takes the pivot instead in the smallest trailing block
     [g:, g:] whose residual is nonzero, a largest entry there.  With i and
@@ -221,7 +254,8 @@ def _eliminate(a: np.ndarray, p: np.ndarray, nested: bool = False):
     B, r, c = a.shape
     layer = np.arange(B)
     flat_a = a.reshape(B, r * c)
-    pm = p[:, None, None]
+    runs = _runs(p)
+    buf = np.empty_like(a)      # the products a[:, j] a[i, :], then the quotients
     if nested:
         # a nonzero entry of the block [g:, g:] with g = min(i, j) outranks
         # every entry outside that block
@@ -239,10 +273,10 @@ def _eliminate(a: np.ndarray, p: np.ndarray, nested: bool = False):
         flats.append(flat)
         pivot_rows.append(prow)
         if k < last:            # the last pivot leaves nothing to eliminate
-            pcol = a[layer, :, j]
-            a *= pv[:, None, None]
-            a -= pcol[:, :, None] * prow[:, None, :]
-            a %= pm
+            np.multiply(a[layer, :, j][:, :, None], prow[:, None, :], out=buf)
+            flat_a *= pv[:, None]
+            a -= buf
+            _reduce(a, runs, buf)
     s = len(pivots)
     return (np.array(pivots, np.int64).reshape(s, B).T,
             np.array(flats, np.int64).reshape(s, B).T,
@@ -317,9 +351,9 @@ def _dets(a: np.ndarray) -> List[int]:
     if n == 0:
         return [1] * B
     m = _prime_count(_hadamard_bits(a) + 1.0)      # product > 2H
-    p = np.tile(_P[:m], B)
-    residues = _det_residues(*_eliminate_layers(np.repeat(a, m, axis=0), p)[:2], n, p)
-    return [_crt(residues[b * m:(b + 1) * m], PRIMES[:m]) for b in range(B)]
+    p = np.repeat(_P[:m], B)                        # prime-major: layer k * B + b
+    residues = _det_residues(*_eliminate_layers(np.tile(a, (m, 1, 1)), p)[:2], n, p)
+    return [_crt(residues[b::B], PRIMES[:m]) for b in range(B)]
 
 
 def trailing_ranks(stack, grow: int) -> np.ndarray:
@@ -346,10 +380,11 @@ def trailing_ranks(stack, grow: int) -> np.ndarray:
     if todo.size:
         m = _prime_count(_hadamard_bits(a[todo]))
         if m > 1:
-            pivots, flats, _ = _eliminate_layers(np.repeat(a[todo], m - 1, axis=0),
-                                                 np.tile(_P[1:m], todo.size), grow > 0)
-            more = _block_ranks(pivots, flats, c, grow).reshape(todo.size, m - 1, grow + 1)
-            ranks[todo] = np.maximum(ranks[todo], more.max(axis=1))
+            # prime-major: layer k * todo.size + b
+            pivots, flats, _ = _eliminate_layers(np.tile(a[todo], (m - 1, 1, 1)),
+                                                 np.repeat(_P[1:m], todo.size), grow > 0)
+            more = _block_ranks(pivots, flats, c, grow).reshape(m - 1, todo.size, grow + 1)
+            ranks[todo] = np.maximum(ranks[todo], more.max(axis=0))
     return ranks
 
 
@@ -464,19 +499,24 @@ def row_echelon_int(mat: Sequence[Sequence], primes: Sequence[int]
     pivots, flats, R = _eliminate_layers(np.repeat(a[None], P, axis=0), p)
     J = flats % a.shape[1]
     ranks = np.count_nonzero(pivots, axis=1)
-    layer = np.arange(P)
-    pm = p[:, None, None]
+    runs = _runs(p)
+    # unit pivots (a row past the rank is zero and stays zero); contiguous,
+    # so that the rows R[:, :k] of a layer are one block
+    inv = np.array([[pow(v, -1, q) if v else 0 for v in row]
+                    for row, q in zip(pivots.tolist(), p.tolist())],
+                   dtype=np.int64).reshape(pivots.shape)
+    R = np.ascontiguousarray(R)
+    R *= inv[:, :, None]
+    buf = np.empty_like(R)
+    _reduce(R, runs, buf)
     # back-substitution: clear column J[:, k] from the rows above row k
+    layer = np.arange(P)
     for k in range(R.shape[1] - 1, 0, -1):
-        pv = R[layer, k, J[:, k]]
-        pv = np.where(pv == 0, 1, pv)       # past the rank: row k is zero
         above = R[layer[:, None], np.arange(k)[None, :], J[:, k, None]]
-        R[:, :k] = (pv[:, None, None] * R[:, :k]
-                    - above[:, :, None] * R[:, k, None, :]) % pm
-    inv = np.array([[pow(int(R[q, k, J[q, k]]), -1, int(p[q])) if k < ranks[q] else 0
-                     for k in range(R.shape[1])] for q in range(P)],
-                   dtype=np.int64).reshape(P, R.shape[1])
-    return R * inv[:, :, None] % pm, J, ranks
+        upper = R[:, :k]
+        upper -= above[:, :, None] * R[:, k, None, :]
+        _reduce(upper, runs, buf[:, :k])
+    return R, J, ranks
 
 
 class _SpanMod:

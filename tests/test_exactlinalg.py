@@ -308,6 +308,152 @@ class TestCofactors:
         assert cofactor_matrix([[7]]) == [[1]]
 
 
+def eliminate_by_remainder(a, p, nested=False):
+    """The elimination kernel with x % p taken per entry at every step:
+    the reference that _eliminate's division-free reduction must match
+    bit for bit."""
+    B, r, c = a.shape
+    layer = np.arange(B)
+    flat_a = a.reshape(B, r * c)
+    if nested:
+        boost = (np.minimum.outer(np.arange(r), np.arange(c)).ravel() + 1) << 31
+    pivots, flats, pivot_rows = [], [], []
+    last = min(r, c) - 1
+    for k in range(last + 1):
+        flat = (boost * (flat_a > 0) + flat_a if nested else flat_a).argmax(axis=1)
+        pv = flat_a[layer, flat]
+        if not np.count_nonzero(pv):
+            break
+        i, j = np.divmod(flat, c)
+        prow = a[layer, i]
+        pivots.append(pv)
+        flats.append(flat)
+        pivot_rows.append(prow)
+        if k < last:
+            pcol = a[layer, :, j]
+            a = (pv[:, None, None] * a - pcol[:, :, None] * prow[:, None, :]) % p[:, None, None]
+            flat_a = a.reshape(B, r * c)
+    s = len(pivots)
+    return (np.array(pivots, np.int64).reshape(s, B).T,
+            np.array(flats, np.int64).reshape(s, B).T,
+            np.array(pivot_rows, np.int64).reshape(s, B, c).transpose(1, 0, 2))
+
+
+def prime_major(rng, primes, per, shape, near_top=False):
+    """A stack of per layers for each prime in turn, with residues mod
+    that prime: random, or p - 1 - {0, 1, 2, 3} (the largest products)."""
+    p = np.repeat(np.array(primes, dtype=np.int64), per)
+    if near_top:
+        a = p[:, None, None] - 1 - rng.integers(0, 4, (len(p),) + shape)
+    else:
+        a = rng.integers(0, 2 ** 31, (len(p),) + shape) % p[:, None, None]
+    return a, p
+
+
+def runs_of(p) -> list:
+    return [int(q) for k, q in enumerate(p.tolist()) if k == 0 or q != p[k - 1]]
+
+
+class TestKernelReduction:
+    """_eliminate reduces each step by one scalar prime per run of layers;
+    its outputs are those of x % p, and every caller hands it prime-major
+    runs."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (9, 4), (1, 7), (12, 12)])
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("near_top", [False, True])
+    def test_matches_remainder_reference(self, shape, nested, near_top):
+        rng = np.random.default_rng(sum(shape) + 2 * nested + near_top)
+        a, p = prime_major(rng, PRIMES[:4], 5, shape, near_top)
+        if nested:      # rank-deficient layers stop early, and zero blocks nest
+            a[::3, :, 0] = 0
+            a[1::4, 0, :] = 0
+        want = eliminate_by_remainder(a.copy(), p, nested)
+        got = exactlinalg._eliminate(a.copy(), p, nested)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_low_rank_layers_at_the_largest_residues(self):
+        rng = np.random.default_rng(11)
+        p = np.repeat(np.array(PRIMES[:3], dtype=np.int64), 4)
+        a = np.array(low_rank(rng, 8 * 12, 8, 3, -2, 1)).reshape(12, 8, 8)
+        a %= p[:, None, None]           # negative entries become p - 1, p - 2, ...
+        got = exactlinalg._eliminate(a.copy(), p)
+        want = eliminate_by_remainder(a.copy(), p)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert (np.count_nonzero(got[0], axis=1) <= 3).all()
+
+    def test_residues_at_the_int64_extremes(self):
+        # x - (x // q) q wraps past -2**63 on the way and lands on x % q
+        big = np.iinfo(np.int64)
+        row = [big.min, big.max, big.min + 1, -1, 0, 2 ** 62, -2 ** 62]
+        p = np.array(PRIMES[:3], dtype=np.int64)
+        got = exactlinalg._residues(np.array([[row]] * 3), p)
+        assert got.tolist() == [[[x % q for x in row]] for q in PRIMES[:3]]
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_a_run_across_a_chunk_boundary(self, nested, monkeypatch):
+        rng = np.random.default_rng(12)
+        a, p = prime_major(rng, PRIMES[:3], 7, (5, 5))
+        a[2::5, 3:, :] = 0              # some layers stop before the others
+        want = eliminate_by_remainder(a.copy(), p, nested)
+        monkeypatch.setattr(exactlinalg, "_CHUNK", 4 * 25)     # runs of 7, chunks of 4
+        got = exactlinalg._eliminate_layers(a, p, nested)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @staticmethod
+    def recording(monkeypatch):
+        seen = []
+        real = exactlinalg._eliminate
+
+        def record(a, p, nested=False):
+            seen.append(p.copy())
+            return real(a, p, nested)
+        monkeypatch.setattr(exactlinalg, "_eliminate", record)
+        return seen
+
+    def test_determinants_take_one_run_per_prime(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        stack = rng.integers(-1000, 1001, (6, 12, 12))
+        stack[1] = np.array(low_rank(rng, 12, 12, 11, -30, 30))        # det 0
+        seen = self.recording(monkeypatch)
+        got = exactlinalg._dets(stack)
+        (p,) = seen
+        m = len(set(p.tolist()))
+        assert m >= 2 and runs_of(p) == list(PRIMES[:m])
+        assert got == [fraction_det(mat.tolist()) for mat in stack] and got[1] == 0
+        seen.clear()
+        assert bareiss_det(stack[0].tolist()) == got[0]
+        assert runs_of(seen[0]) == list(PRIMES[:len(seen[0])])
+
+    def test_cofactors_take_one_run_per_prime(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        rows = rng.integers(-1000, 1001, (8, 8)).tolist()
+        seen = self.recording(monkeypatch)
+        got = cofactor_matrix(rows)
+        assert seen and all(len(runs_of(p)) == len(set(p.tolist())) >= 2 for p in seen)
+        for i in range(8):
+            for j in range(8):
+                minor = [[rows[a][b] for b in range(8) if b != j] for a in range(8) if a != i]
+                assert got[i][j] == (-1) ** (i + j) * fraction_det(minor)
+
+    @pytest.mark.parametrize("grow", [0, 3])
+    def test_further_primes_of_ranks_take_one_run_each(self, grow, monkeypatch):
+        rng = np.random.default_rng(15 + grow)
+        stack = np.array([low_rank(rng, 12, 12, int(k), -30, 30)
+                          for k in rng.integers(8, 13, 10)])
+        seen = self.recording(monkeypatch)
+        got = trailing_ranks(stack, grow)
+        first, more = seen      # every matrix at P1, then the rank-deficient ones
+        assert set(first.tolist()) == {P1}
+        assert runs_of(more) == list(PRIMES[1:len(runs_of(more)) + 1])
+        assert len(runs_of(more)) >= 2
+        assert len(more) == len(runs_of(more)) * np.count_nonzero(got[:, -1] < 12)
+        for mat, row in zip(stack, got):
+            assert row.tolist() == [fraction_rank(mat[g:, g:].tolist(), 12 - g)
+                                    for g in range(grow, -1, -1)]
+
+
 class TestMembershipPaths:
     def setup_method(self):
         rng = np.random.default_rng(9)
