@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .detconc import (SpacingUnverified, bound_verdict, concentration_report, detconc_trial,
                       tail_report, tail_trial, usable_cores, wilson_interval)
-from .ensembles import (MembershipResult, blas_pinnable, check_atom_bound, exact_ranks,
+from .ensembles import (MembershipResult, blas_pinnable, check_atom_bound, exact_rank,
                         grow_and_track, read_matrix_text, sample_symmetric, spectral_summary,
                         subspace_membership_mc, write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
@@ -248,23 +248,15 @@ class ResultRecord:
             "verdict": self.verdict,
             "wall_clock_s": self.wall_clock_s,
         }
-        encode = _row_encoder()
-        rows = ",\n".join([encode(row) for row in self.rows])
+        # JSONEncoder(default=_jsonify).encode's C encoder, which encode
+        # remakes on every call
+        encode = json.encoder.c_make_encoder({}, _jsonify, json.encoder.encode_basestring_ascii,
+                                             None, ": ", ", ", False, False, True)
+        rows = ",\n".join(["".join(encode(row, 0)) for row in self.rows])
         with open(out_base + ".json", "w") as fh:
             fh.write("{\n" + ",\n".join(
                 f"{json.dumps(key)}: " + (f"[\n{rows}\n]" if key == "rows" else json.dumps(val))
                 for key, val in fields.items()) + "\n}\n")
-
-
-def _row_encoder() -> Callable[[tuple], str]:
-    """JSONEncoder(default=_jsonify).encode as one C encoder for every row
-    of a write, where encode makes a new one per call; the same text."""
-    make = json.encoder.c_make_encoder
-    if make is None:            # an interpreter without the C accelerator
-        return json.JSONEncoder(default=_jsonify).encode
-    enc = make({}, _jsonify, json.encoder.encode_basestring_ascii, None, ": ", ", ",
-               False, False, True)
-    return lambda row: "".join(enc(row, 0))
 
 
 def _csv_cell(x) -> str:
@@ -645,10 +637,9 @@ def _run_ensemble_action(args) -> int:
             print(f"trial {t}: " + " ".join(f"{row[2]}:{row[3]}" for row in steps))
         return 0
     if args.action == "rank":       # only rank reads the exact matrix: one sample per trial
-        ranks = exact_ranks(sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t))
-                            for t in range(args.trials))
-        for t, rank in enumerate(ranks):
-            print(f"trial {t}: rank {rank}")
+        for t in range(args.trials):
+            s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t))
+            print(f"trial {t}: rank {exact_rank(s)}")
         return 0
     stack = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, range(args.trials)))
     for t, mat in enumerate(stack):

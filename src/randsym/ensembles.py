@@ -36,13 +36,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exactlinalg import (_integer_matrix, adjugate, bareiss_det, exact_rank as _rank,
-                          exact_ranks as _ranks, lattice, rowspace_membership,
-                          trailing_ranks)
+from .exactlinalg import (adjugate, bareiss_det, exact_rank as _rank,
+                          lattice, rowspace_membership, trailing_ranks)
 from .laws import AtomicLaw, Law
 from .streams import StreamBlock, chunk_bounds, substream
 
@@ -269,14 +268,6 @@ def _exact_rows(m: Union[SymmetricSample, Sequence[Sequence]]) -> List[list]:
 def exact_rank(m: Union[SymmetricSample, Sequence[Sequence]]) -> int:
     """Rank over the rationals (fraction-free elimination)."""
     return _rank(_exact_rows(m))
-
-
-def exact_ranks(ms: Iterable[Union[SymmetricSample, Sequence[Sequence]]]) -> List[int]:
-    """Ranks over the rationals of exact samples or matrices of one shape,
-    eliminated as one stack; each matrix is put on its own lattice, which
-    keeps its rank."""
-    mats = [_integer_matrix(_exact_rows(m))[0] for m in ms]
-    return _ranks(np.stack(mats)).tolist() if mats else []
 
 
 def exact_det(m: Union[SymmetricSample, Sequence[Sequence]]):

@@ -538,24 +538,6 @@ class TestMain:
         assert main(["ensemble", action, "--n", "5", "--trials", "2"]) == 0
         assert kinds == [kind, kind]
 
-    def test_ensemble_rank_ranks_every_trial_in_one_stack(self, capsys, monkeypatch):
-        import randsym.ensembles
-        from randsym import exact_rank, parse_law, sample_symmetric
-        from randsym.streams import key_seed
-        law = parse_law("lazy(1/2)")
-        want = [exact_rank(sample_symmetric(law, None, 7, seed=key_seed(3, t))) for t in range(6)]
-        assert len(set(want)) > 1
-        stacks = []
-        real = randsym.ensembles._ranks
-        monkeypatch.setattr(randsym.ensembles, "_ranks",
-                            lambda a: stacks.append(a.shape) or real(a))
-        argv = ["ensemble", "rank", "--law", "lazy(1/2)", "--n", "7", "--trials", "6",
-                "--seed", "3"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == "".join(f"trial {t}: rank {r}\n"
-                                                  for t, r in enumerate(want))
-        assert stacks == [(6, 7, 7)]
-
     @pytest.mark.parametrize("argv, key", [
         (["sample", "--n", "0"], "n"),
         (["rank", "--n", "-2"], "n"),
