@@ -35,9 +35,8 @@ print("growth:", [(st.size, st.new_rank) for st in steps])
 
 # Membership of a fresh +-1 row in a fixed k-dimensional span is rare:
 # the Odlyzko bound (1/sqrt2)^(n-k) caps the frequency.
-for k in (1, 4, 7):
-    res = subspace_membership_mc(law, 8, k, 20000, seed=4)
-    print(f"n=8 k={k}: freq {res.freq:.4f} <= bound {res.bound:.4f}")
+for res in subspace_membership_mc(law, 8, (1, 4, 7), 20000, seeds=[4, 4, 4]):
+    print(f"n=8 k={res.k}: freq {res.freq:.4f} <= bound {res.bound:.4f}")
 
 # The near-kernel vector of a sample and its row residuals:
 nk = near_kernel_vector(sample_symmetric(law, None, 60, seed=9))

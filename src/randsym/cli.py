@@ -447,17 +447,22 @@ def _run_rankgrow(cfg: Dict[str, object]):
     return header, rows, summary, _worst([v1, v2])
 
 
-def _w_odlyzko(args) -> MembershipResult:
-    law_lit, n, k, trials, seed, c3 = args
-    return subspace_membership_mc(parse_law(law_lit), n, k, trials, seed=key_seed(seed, n, k),
+def _w_odlyzko(args) -> List[MembershipResult]:
+    law_lit, n, k0, k1, trials, seed, c3 = args
+    ks = range(k0, k1)
+    return subspace_membership_mc(parse_law(law_lit), n, ks, trials, key_seed(seed, n, ks),
                                   c3=c3)
 
 
 def _run_odlyzko(cfg: Dict[str, object]):
+    """Rows (n, k) for k = 1 .. n - 1, n by n in n_list order: each n's k's
+    cut into one contiguous block per worker; each row depends on the key
+    (seed, n, k) only."""
     check_atom_bound(_atomic_law(cfg["law"]), cfg["c3"])     # before any worker starts
-    items = [(cfg["law"], n, k, cfg["trials"], cfg["seed"], cfg["c3"])
-             for n in cfg["n_list"] for k in range(1, n)]
-    results = _parallel(_w_odlyzko, items, cfg["workers"])
+    items = [(cfg["law"], n, 1 + k0, 1 + k1, cfg["trials"], cfg["seed"], cfg["c3"])
+             for n in cfg["n_list"]
+             for _, k0, k1 in chunk_bounds(n - 1, -(-(n - 1) // cfg["workers"]))]
+    results = [r for block in _parallel(_w_odlyzko, items, cfg["workers"]) for r in block]
     header = ("n", "k", "freq", "se", "bound")
     rows = [(r.n, r.k, r.freq, r.se, r.bound) for r in results]
     per_row = [{"n": r.n, "k": r.k, "freq": r.freq, "hits": r.hits,

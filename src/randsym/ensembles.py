@@ -5,11 +5,11 @@ draws are keyed by seed.  One seed draws one sample; a rational atomic
 law with an exact fixed part gives its exact matrix alongside the
 floating mirror, enabling exact rank, cofactor and determinant work over
 the rationals (fraction-free elimination).  Subspace membership (the
-Odlyzko bound) is decided exactly too, against one echelon form per
-prime, the primes picked once from the largest lattice atom.  Spectral
-quantities use the symmetric eigendecomposition: for symmetric matrices
-the singular values are the |eigenvalues|, so sigma_n = min |lambda| and
-kappa = sigma_1 / sigma_n.
+Odlyzko bound) is decided exactly too, a block of k's at a time, against
+one stacked echelon form of their bases per prime, the primes picked once
+from the largest lattice atom.  Spectral quantities use the symmetric
+eigendecomposition: for symmetric matrices the singular values are the
+|eigenvalues|, so sigma_n = min |lambda| and kappa = sigma_1 / sigma_n.
 
 Monte Carlo works on stacks: sample_symmetric given a sequence of seeds
 returns a (T, n, n) float stack, each matrix drawn as its seed alone
@@ -418,16 +418,20 @@ def check_atom_bound(law: AtomicLaw, c3: float) -> None:
                          f"exceeds sqrt(1 - c3)")
 
 
-def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: int,
-                           c3: float = 0.5) -> MembershipResult:
-    """Frequency of a random row landing in the span of k earlier rows.
+def subspace_membership_mc(law: AtomicLaw, n: int, ks: Sequence[int], trials: int,
+                           seeds: Sequence[int], c3: float = 0.5) -> List[MembershipResult]:
+    """Frequency of a random row landing in the span of k earlier rows, for
+    each k of a block ks, keyed by its own seed s_k of `seeds`.
 
-    H is the span of k iid law vectors (drawn once from (seed, 0));
+    H_k is the span of k iid law vectors (drawn once from (s_k, 0));
     membership of each trial vector is decided exactly over the
     rationals.  The reference bound is (sqrt(1 - c3))^(n - k) (check_atom_bound).
 
-    The trials are tested by rowspace_membership in chunks of 4096 drawn
-    from (seed, 1 + chunk) against one echelon form per prime, the primes
+    The block's streams are keyed as streams.substream blocks: the bases
+    from (seeds, 0), and chunk ci of 4096 trials from (seeds, 1 + ci),
+    each k's chunk drawn, tested by rowspace_membership against its own
+    basis and dropped before the next is drawn.  Every basis of the block
+    is put in echelon form in one stack per round of primes, the primes
     picked once from the largest lattice atom.  A chunk is built from its
     uniforms as the float64 lattice values of AtomicLaw.lattice_values, the
     array the span test multiplies; a law with lattice atoms beyond 2**52
@@ -435,27 +439,39 @@ def subspace_membership_mc(law: AtomicLaw, n: int, k: int, trials: int, seed: in
     """
     if not law.is_rational:
         raise ValueError("rational atomic law required")
-    if not 1 <= k <= n:
+    ks = list(ks)
+    if not all(1 <= k <= n for k in ks):
         raise ValueError("need 1 <= k <= n")
+    if len(seeds) != len(ks):
+        raise ValueError("need one seed per k")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     check_atom_bound(law, c3)
+    if not ks:
+        return []
+    seeds = np.asarray(seeds, dtype=np.int64)
     atoms = law._lattice[1]
     big = max(map(abs, atoms))
     vals_int = np.array(atoms, dtype=np.int64 if big < 2 ** 63 else object)
-    V = vals_int[law.sample_indices(substream(seed, 0), (k, n))]
+    bases = [vals_int[law.sample_indices(rng, (k, n))]
+             for k, rng in zip(ks, substream(seeds, 0))]
 
     def chunks():       # one chunk of trial vectors in memory at a time
         for ci, start, stop in chunk_bounds(trials, 4096):
-            rng, size = substream(seed, 1 + ci), (stop - start, n)
-            yield law.lattice_values(rng, size) if big <= 2 ** 52 else \
-                vals_int[law.sample_indices(rng, size)]
+            size = (stop - start, n)
+            for b, rng in enumerate(substream(seeds, 1 + ci)):
+                yield b, law.lattice_values(rng, size) if big <= 2 ** 52 else \
+                    vals_int[law.sample_indices(rng, size)]
 
-    hits = int(np.count_nonzero(rowspace_membership(V, chunks(), big)))
-    freq = hits / trials
-    se = math.sqrt(freq * (1 - freq) / trials)
-    bound = math.sqrt(1 - c3) ** (n - k)
-    return MembershipResult(n=n, k=k, trials=trials, freq=freq, se=se, bound=bound, hits=hits)
+    out = []
+    for k, member in zip(ks, rowspace_membership(bases, chunks(), big)):
+        hits = int(np.count_nonzero(member))
+        freq = hits / trials
+        se = math.sqrt(freq * (1 - freq) / trials)
+        bound = math.sqrt(1 - c3) ** (n - k)
+        out.append(MembershipResult(n=n, k=k, trials=trials, freq=freq, se=se, bound=bound,
+                                    hits=hits))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,17 @@ the matrix:
   whose product exceeds 2H, as the symmetric residue.
 * a vector lies in a row space when its residue against the basis
   vanishes at primes that see the full rank of the basis and whose
-  product exceeds H([basis; vector]).  The basis is put in echelon form
-  once per prime and prepared as a kernel matrix K, so a chunk of
-  vectors is tested by one product U K; `rowspace_membership` takes any
-  number of chunks and a bound on every entry, and picks the primes once
-  from that bound.
+  product exceeds H([basis; vector]).  `rowspace_membership` takes a
+  block of bases, any number of chunks of vectors, each tagged with its
+  basis, and a bound on every entry, and picks the primes once from that
+  bound.  The bases are zero-padded into one stack and put in echelon
+  form by one `row_echelon_int` call per round of primes; a basis whose
+  Hadamard bound asks for more primes takes them in the same call, and
+  one whose rank rose at a later prime in a further round.  Each echelon
+  form is prepared as a kernel matrix K, so a chunk is tested by the
+  product U K, after a sieve: one fixed combination c = K w of its
+  columns drops, after one matrix-vector product U c, every vector with
+  u c != 0 mod p, and only the survivors take the full product.
 
 Matrices are lists of lists (or arrays) of ints, Fractions or floats
 (taken as the binary rationals they are).  Every exact engine of the
@@ -50,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -484,20 +491,22 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
 # row-space membership
 
 
-def row_echelon_int(mat: Sequence[Sequence], primes: Sequence[int]
+def row_echelon_int(stack, primes: Sequence[int]
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced row echelon form of a rational matrix modulo each prime.
+    """Reduced row echelon form of each layer of an integer stack modulo
+    its prime.
 
-    The matrix is put on its lattice first, which keeps the row space.
-    Returns (R, J, ranks), stacked over the primes: for the q-th prime,
-    rows R[q, :ranks[q]] are the RREF mod primes[q], with R[q, k, J[q, l]]
-    = 1 if k == l and 0 otherwise; the later rows are zero.
+    `stack` is (L, r, c), int64 or an object array of Python ints, and
+    layer l is reduced mod primes[l]; the layers are laid out prime-major,
+    as `_eliminate` asks.  Returns (R, J, ranks): rows R[l, :ranks[l]] are
+    the RREF of layer l mod primes[l], with R[l, k, J[l, m]] = 1 if k == m
+    and 0 otherwise; the later rows are zero.
     """
-    a = _integer_matrix(mat)[0]
+    a = np.asarray(stack)
     p = np.asarray(primes, dtype=np.int64)
     P = len(p)
-    pivots, flats, R = _eliminate_layers(np.repeat(a[None], P, axis=0), p)
-    J = flats % a.shape[1]
+    pivots, flats, R = _eliminate_layers(a, p)
+    J = flats % a.shape[2]
     ranks = np.count_nonzero(pivots, axis=1)
     runs = _runs(p)
     # unit pivots (a row past the rank is zero and stays zero); contiguous,
@@ -519,6 +528,14 @@ def row_echelon_int(mat: Sequence[Sequence], primes: Sequence[int]
     return R, J, ranks
 
 
+@lru_cache(maxsize=None)
+def _sieve_weights(m: int) -> Tuple[int, ...]:
+    """m fixed weights in [1, PRIMES[-1]), the sieve's combination of the
+    kernel columns: drawn once per m from a generator of their own, so
+    every run sieves alike and no experiment stream is drawn from."""
+    return tuple(np.random.default_rng([0x51E7E, m]).integers(1, PRIMES[-1], m).tolist())
+
+
 class _SpanMod:
     """The row space mod p of an RREF R[:r] with pivot columns J[:r],
     prepared once for any number of chunks of vectors.
@@ -528,80 +545,143 @@ class _SpanMod:
     construction), that is when u K = 0 mod p, K being the (n, n - r)
     kernel matrix: the identity on the free columns and -R[:, free],
     centred in [-p/2, p/2], on the pivot columns.
+
+    A sieve runs first.  For the fixed weights w of `_sieve_weights`, the
+    column c = K w mod p (centred) gives s = u c, and u K = 0 implies
+    s = 0 mod p, so a row with s != 0 is no member and is dropped after one
+    matrix-vector product.  Only the survivors, the members and about a
+    1/p share of the others, take the full n - r column test.  When
+    n - r <= 1 the sieve would be the test, and it is skipped.
     """
 
     def __init__(self, R: np.ndarray, J: np.ndarray, r: int, p: int):
         n = R.shape[1]
-        self.p, self.half, self.J = p, p // 2, J[:r]
-        self.free = np.ones(n, dtype=bool)
-        self.free[self.J] = False
-        Rf = R[:r][:, self.free]
-        self.Rf = np.where(Rf > self.half, Rf - p, Rf)
-        self.KT = np.zeros((n - r, n))      # K transposed
-        self.KT[:, self.free] = np.eye(n - r)
-        self.KT[:, self.J] = -self.Rf.T
+        self.p, self.half = p, p // 2
+        free = np.ones(n, dtype=bool)
+        free[J[:r]] = False
+        Rf = R[:r][:, free]
+        self.K = np.zeros((n, n - r), dtype=np.int64)
+        self.K[free] = np.eye(n - r, dtype=np.int64)
+        self.K[J[:r]] = np.where(Rf > self.half, p - Rf, -Rf)
+        c = self.K.astype(object) @ np.array(_sieve_weights(n - r), dtype=object) % p
+        self.c = np.array([x - p if x > self.half else x for x in c.tolist()],
+                          dtype=np.int64).reshape(n, 1)
 
     def contains(self, U: np.ndarray, big: int) -> np.ndarray:
         """Which rows of U, whose entries are integers at most big in size,
         lie in the span mod p.  U is an integer array, or a float64 array
-        of integers, tested as it is when the float test is exact and as
-        int64 otherwise."""
+        of integers, tested as it is when the float test is exact
+        (n big p/2 < 2**52) and as int64 otherwise."""
         p, half = self.p, self.half
-        if U.dtype.kind == "f" and len(self.J) * big * half >= 2 ** 52:
+        if U.dtype.kind == "f" and U.shape[1] * big * half >= 2 ** 52:
             U = U.astype(np.int64)
         if U.dtype == object or big > half:
             U = _residues(U[None], np.array([p]))[0]
             U = np.where(U > half, U - p, U)
             big = max(-int(U.min()), int(U.max()), 1)
-        if len(self.J) * big * half < 2 ** 52:
-            return self._float_test(U)
-        return self._grouped_test(U, big)
 
-    def _float_test(self, U: np.ndarray) -> np.ndarray:
-        # Every partial sum of U K is an integer below 2**52 + big in
-        # size, so float64 holds X = (U K)^T exactly.  An entry x that
-        # is k p has |k| < 2**23, so rint(x / p) is k despite rounding,
-        # and k p is exact: x == rint(x / p) p exactly when p divides x.
+        def test(V, M):
+            if U.shape[1] * big * half < 2 ** 52:
+                return self._float_test(V, M)
+            return self._grouped_test(V, M, big)
+
+        if self.K.shape[1] <= 1:
+            return test(U, self.K)
+        member = test(U, self.c)
+        rest = np.flatnonzero(member)
+        if rest.size:
+            member[rest] = test(U[rest], self.K)
+        return member
+
+    def _float_test(self, U: np.ndarray, M: np.ndarray) -> np.ndarray:
+        # Which rows of U M vanish mod p.  Every partial sum of U M is an
+        # integer below n big p/2 < 2**52 in size, so float64 holds X = U M
+        # exactly.  An entry x that is k p has |k| < 2**23, so rint(x / p)
+        # is k despite rounding, and k p is exact: x == rint(x / p) p
+        # exactly when p divides x.
         p = self.p
-        X = self.KT @ U.T.astype(np.float64, copy=False)
+        X = U.astype(np.float64, copy=False) @ M.astype(np.float64)
         Y = X * (1.0 / p)
         np.rint(Y, out=Y)
         Y *= p
-        return (X == Y).all(axis=0)
+        return (X == Y).all(axis=1)
 
-    def _grouped_test(self, U: np.ndarray, big: int) -> np.ndarray:
-        # int64 products, reduced mod p after every group of terms
+    def _grouped_test(self, U: np.ndarray, M: np.ndarray, big: int) -> np.ndarray:
+        # int64 products, reduced mod p as x - (x // p) p (numpy divides by
+        # the scalar p through a multiplier) after every group of terms
         p = self.p
         group = max(1, (1 << 62) // (big * (self.half + 1)))    # terms per exact product
-        X = U[:, self.free]
-        for s in range(0, len(self.J), group):
-            if s:
-                X = X % p
-            X = X - U[:, self.J[s:s + group]] @ self.Rf[s:s + group]
-        return ~np.any(X % p, axis=1)
+        X = U[:, :group] @ M[:group]
+        for s in range(group, U.shape[1], group):
+            X -= X // p * p
+            X += U[:, s:s + group] @ M[s:s + group]
+        X -= X // p * p
+        return ~X.any(axis=1)
 
 
-def rowspace_membership(basis: Sequence[Sequence], chunks, big: int) -> np.ndarray:
-    """Exact test of which vectors lie in the rational row space of a basis.
+def _prepared_spans(bases, n: int, size: int) -> List[List[_SpanMod]]:
+    """For each basis, the spans it is tested against: its echelon forms at
+    primes p where rank_p(basis) = rank(basis), as many as the Hadamard
+    bound of the basis with a vector of entries at most `size` appended
+    asks for.
 
-    `basis` is a rational matrix (k, n).  `chunks` is an iterable of arrays
-    (T, n) of integers at most `big` in size: int64, Python ints in an
-    object array, or float64 (AtomicLaw.lattice_values), tested in
-    floating point as they are wherever _SpanMod's float test is exact.
-    The chunks are tested in turn against one echelon form of the basis
-    per prime, and the answer is their answers concatenated.  Each vector
-    is reduced against the RREF of the basis modulo primes p at which
-    rank_p(basis) = rank(basis).  A nonzero residue at such a prime proves
-    the vector is outside the span; a vector is a member once its
+    The bases are zero-padded into one (B, k, n) stack, which keeps each
+    row space.  A round eliminates, in one row_echelon_int call, every
+    basis at the further primes it still needs; a basis whose rank rose at
+    a later prime needs more, and takes them in a later round.
+    """
+    mats = [_integer_matrix(V)[0].reshape(-1, n) for V in bases]
+    obj = any(V.dtype == object for V in mats)
+    stack = np.zeros((len(mats), max(map(len, mats)), n), dtype=object if obj else np.int64)
+    for layer, V in zip(stack, mats):
+        layer[:len(V)] = V
+    # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
+    bits = _log2_lengths(stack, 2).sum(axis=1) + 0.5 * math.log2(n) + math.log2(size) + 1.0
+    want = (bits // _PRIME_BITS).astype(int) + 1
+    done = [[] for _ in mats]           # (R, J, rank, p) at each prime tried
+    while True:
+        layers = []                     # (prime index, basis) of this round
+        for b, tried in enumerate(done):
+            ranks = [form[2] for form in tried]
+            more = want[b] - ranks.count(max(ranks, default=0))
+            layers += [(q, b) for q in range(len(tried), _check_primes(len(tried) + more))]
+        if not layers:
+            break
+        q, b = np.array(sorted(layers)).T       # prime-major
+        R, J, k = row_echelon_int(stack[b], _P[q])
+        for l, (ql, bl) in enumerate(zip(q.tolist(), b.tolist())):
+            done[bl].append((R[l], J[l], int(k[l]), PRIMES[ql]))
+    spans = []
+    for tried, m in zip(done, want):
+        rank = max(form[2] for form in tried)
+        spans.append([_SpanMod(*form) for form in tried if form[2] == rank][:m])
+    return spans
+
+
+def rowspace_membership(bases: Sequence[Sequence[Sequence]], chunks, big: int
+                        ) -> List[np.ndarray]:
+    """Exact test of which vectors lie in the rational row spaces of bases.
+
+    `bases` is a sequence of rational matrices (k_b, n).  `chunks` is an
+    iterable of pairs (b, U), U an array (T, n) of integers at most `big`
+    in size to test against basis b: int64, Python ints in an object
+    array, or float64 (AtomicLaw.lattice_values), tested in floating point
+    as they are wherever _SpanMod's float test is exact.  The answer for
+    basis b is the answers of its chunks concatenated in turn.  Each
+    vector is reduced against the RREF of its basis modulo primes p at
+    which rank_p(basis) = rank(basis).  A nonzero residue at such a prime
+    proves the vector is outside the span; a vector is a member once its
     residues vanish at such primes whose product exceeds H([basis;
     vector]), since otherwise a nonzero minor of order rank + 1 would be
     divisible by all of them.  The primes are picked from `big` at the
-    first chunk, and no chunk is scanned.
+    first chunk, every basis put in echelon form at them in one stack
+    (`_prepared_spans`), and no chunk is scanned; a chunk is dropped
+    before the next is drawn.
     """
     size = max(big, 1)
-    tests = None                # the spans every chunk is tested against
-    out = []
-    for U in chunks:
+    spans = None
+    out = [[] for _ in bases]
+    for b, U in chunks:
         U = np.asarray(U)
         if U.dtype.kind in "bi":
             U = U.astype(np.int64, copy=False)
@@ -609,29 +689,16 @@ def rowspace_membership(basis: Sequence[Sequence], chunks, big: int) -> np.ndarr
             raise ValueError("vectors must be integers")
         T, n = U.shape
         if T == 0 or n == 0:
-            out.append(np.full(T, n == 0))
+            out[b].append(np.full(T, n == 0))
             continue
-        if tests is None:
-            V = _integer_matrix(basis)[0].reshape(-1, n)
-            # H([V; u]) <= H(V) * |u|, and |u| <= sqrt(n) max |u_i|
-            want = _prime_count(_log2_lengths(V, 1).sum() + 0.5 * math.log2(n)
-                                + math.log2(size) + 1.0)
-            spans, ranks = [], []       # the prepared test and the rank at each prime
-            while True:
-                rank = max(ranks, default=0)
-                good = [q for q, rq in enumerate(ranks) if rq == rank]
-                if len(good) >= want:
-                    break
-                more = want - len(good)
-                _check_primes(len(ranks) + more)
-                primes = PRIMES[len(ranks):len(ranks) + more]
-                R, J, k = row_echelon_int(V, primes)
-                spans += [_SpanMod(R[q], J[q], int(k[q]), p) for q, p in enumerate(primes)]
-                ranks += k.tolist()
-            tests = [spans[q] for q in good[:want]]
-        member = np.ones(T, dtype=bool)
-        for test in tests:
-            member &= test.contains(U, size)
-        out.append(member)
+        if spans is None:
+            spans = _prepared_spans(bases, n, size)
+        first, *others = spans[b]
+        member = first.contains(U, size)
+        for test in others:         # only the members so far
+            rest = np.flatnonzero(member)
+            if rest.size:
+                member[rest] = test.contains(U[rest], size)
+        out[b].append(member)
         del U           # freed before the next chunk is drawn
-    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
+    return [np.concatenate(o) if o else np.zeros(0, dtype=bool) for o in out]

@@ -108,8 +108,10 @@ class StreamBlock:
     def __getitem__(self, index: slice) -> "StreamBlock":
         return StreamBlock(self._states[index])
 
-    def _each(self) -> Iterator[np.random.Generator]:
-        """The block's generator, set to each key's stream in turn."""
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        """The block's generator, set to each key's stream in turn: it
+        moves to the next stream when the next one is asked for, so a
+        caller must be done with it by then."""
         if self._gen is None:
             self._gen = np.random.Generator(np.random.PCG64(0))
         bits = self._gen.bit_generator
@@ -124,7 +126,7 @@ class StreamBlock:
         """A (T, *size) stack: row i is stream i's random(size)."""
         shape = (size,) if np.ndim(size) == 0 else tuple(size)
         out = np.empty((len(self),) + shape)
-        for gen, row in zip(self._each(), out):
+        for gen, row in zip(self, out):
             gen.random(out=row)
         return out
 
@@ -132,7 +134,7 @@ class StreamBlock:
         """draw(generator of stream i) for each stream in turn; the
         generator moves to the next stream when draw returns, so draw must
         not keep it."""
-        return [draw(gen) for gen in self._each()]
+        return [draw(gen) for gen in self]
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,11 @@ def fraction_rank(rows, ncols: int) -> int:
 
 
 def membership(basis, U):
-    """rowspace_membership of one array of integers, bounded by its own
-    largest entry."""
+    """rowspace_membership of one array of integers against one basis,
+    bounded by its own largest entry."""
     U = np.asarray(U)
-    return rowspace_membership(basis, [U], max((abs(int(x)) for x in U.flat), default=0))
+    return rowspace_membership([basis], [(0, U)],
+                               max((abs(int(x)) for x in U.flat), default=0))[0]
 
 
 def brute_force_window(laws, value, beta):

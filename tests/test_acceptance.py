@@ -117,9 +117,9 @@ def test_criterion_3_odlyzko_bound():
     ok = True
     worst = -math.inf
     for n in (8, 12):
-        for k in range(1, n):
-            res = subspace_membership_mc(BERN, n, k, 10 ** 5,
-                                         seed=SEED * 1000 + n * 16 + k, c3=0.5)
+        ks = range(1, n)
+        for res in subspace_membership_mc(BERN, n, ks, 10 ** 5,
+                                          seeds=[SEED * 1000 + n * 16 + k for k in ks], c3=0.5):
             ok = ok and bound_verdict(res.hits, res.trials, res.bound) == "pass"
             worst = max(worst, res.freq - res.bound)
     assert report(3, "Odlyzko membership bound", ok, t0, 60,

@@ -14,7 +14,7 @@ from randsym import exactlinalg
 from randsym.ensembles import (blas_pinnable, one_blas_thread, read_matrix_exact,
                                read_matrix_text, spectral_summaries, write_matrix_text)
 from randsym.exactlinalg import exact_rank as rational_rank
-from randsym.streams import chunk_bounds, substream
+from randsym.streams import chunk_bounds, key_seed, substream
 from genutil import fraction_det, fraction_rank, membership, random_symmetric_int_matrix
 
 BERN = bernoulli()
@@ -395,13 +395,13 @@ class TestMembership:
         assert membership(V.tolist(), U + e1).tolist() == [inside] * 30
 
     def test_span_of_one_vector(self):
-        res = subspace_membership_mc(BERN, 8, 1, 20000, seed=3)
+        res, = subspace_membership_mc(BERN, 8, [1], 20000, seeds=[3])
         # only +-v land in span(v): true frequency 2/2^8
         assert abs(res.freq - 2 / 256) <= 5 * math.sqrt(res.freq * (1 - res.freq) / 20000) + 1e-3
         assert res.freq <= res.bound + 3 * res.se
 
     def test_bound_formula(self):
-        res = subspace_membership_mc(BERN, 8, 5, 100, seed=1, c3=0.5)
+        res, = subspace_membership_mc(BERN, 8, [5], 100, seeds=[1], c3=0.5)
         assert res.bound == pytest.approx(math.sqrt(0.5) ** 3)
 
     @pytest.mark.parametrize("trials", [0, -5])
@@ -411,7 +411,18 @@ class TestMembership:
 
         monkeypatch.setattr("randsym.ensembles.substream", no_draws)
         with pytest.raises(ValueError, match="trials"):
-            subspace_membership_mc(BERN, 4, 2, trials, seed=1)
+            subspace_membership_mc(BERN, 4, [2], trials, seeds=[1])
+
+    @pytest.mark.parametrize("ks, seeds, match", [
+        ([0, 2], [1, 2], "1 <= k <= n"), ([2, 5], [1, 2], "1 <= k <= n"),
+        ([1, 2], [1], "one seed per k")])
+    def test_bad_block_fails_before_any_draw(self, ks, seeds, match, monkeypatch):
+        def no_draws(*key):
+            raise AssertionError("drew before checking")
+
+        monkeypatch.setattr("randsym.ensembles.substream", no_draws)
+        with pytest.raises(ValueError, match=match):
+            subspace_membership_mc(BERN, 4, ks, 100, seeds=seeds)
 
     @pytest.mark.parametrize("law, c3, mass", [
         (lazy_sign(F(1, 10)), 0.5, "9/10"), (BERN, 0.9, "1/2")])
@@ -423,38 +434,55 @@ class TestMembership:
 
         monkeypatch.setattr("randsym.ensembles.substream", no_draws)
         with pytest.raises(ValueError, match=f"c3 = {c3}: the largest atom mass {mass} "):
-            subspace_membership_mc(law, 8, 2, 100, seed=1, c3=c3)
+            subspace_membership_mc(law, 8, [2], 100, seeds=[1], c3=c3)
 
     def test_atom_bound_at_its_edge_runs(self):
         # Bernoulli: (1/2)^2 = 1 - 3/4 exactly
-        res = subspace_membership_mc(BERN, 6, 2, 100, seed=1, c3=0.75)
+        res, = subspace_membership_mc(BERN, 6, [2], 100, seeds=[1], c3=0.75)
         assert res.bound == 0.5 ** 4
 
-    def test_one_echelon_form_per_prime(self, monkeypatch):
+    @staticmethod
+    def reference_hits(law, n, k, seed, trials, dtype=np.int64):
+        """Hits of one rowspace_membership call per chunk of atom values,
+        the basis drawn from (seed, 0) and chunk ci from (seed, 1 + ci),
+        each keyed alone."""
+        vals = np.array(law._lattice[1], dtype=dtype)
+        V = vals[law.sample_indices(substream(seed, 0), (k, n))]
+        return sum(int(membership(V, vals[law.sample_indices(
+            substream(seed, 1 + ci), (stop - start, n))]).sum())
+            for ci, start, stop in chunk_bounds(trials, 4096))
+
+    @staticmethod
+    def echelon_calls(monkeypatch):
+        """The primes handed to each row_echelon_int call."""
         asked = []
         real = exactlinalg.row_echelon_int
 
-        def counted(mat, primes):
+        def counted(stack, primes):
             asked.append(list(primes))
-            return real(mat, primes)
+            return real(stack, primes)
 
         monkeypatch.setattr(exactlinalg, "row_echelon_int", counted)
-        res = subspace_membership_mc(BERN, 8, 4, 20000, seed=2)     # five chunks
-        assert asked == [[exactlinalg.PRIMES[0]]]
-        # the same hits as one call per chunk of the same streams
-        vals = np.array([int(v) for v in BERN.values])
-        V = vals[BERN.sample_indices(substream(2, 0), (4, 8))]
-        hits = sum(int(membership(V, vals[BERN.sample_indices(
-            substream(2, 1 + ci), (stop - start, 8))]).sum())
-            for ci, start, stop in chunk_bounds(20000, 4096))
-        assert res.freq == hits / 20000
+        return asked
 
+    def test_one_echelon_form_per_prime(self, monkeypatch):
+        # every k of a block is put in echelon form in one stacked call
+        ks = range(1, 8)
+        seeds = key_seed(2, 8, ks)
+        asked = self.echelon_calls(monkeypatch)
+        res = subspace_membership_mc(BERN, 8, ks, 20000, seeds=seeds)     # five chunks
+        assert asked == [[exactlinalg.PRIMES[0]] * 7]
+        monkeypatch.undo()
+        # the same hits as one call per chunk of the same streams
+        assert [r.k for r in res] == list(ks)
+        assert [r.hits for r in res] == [self.reference_hits(BERN, 8, k, int(s), 20000)
+                                         for k, s in zip(ks, seeds)]
 
     @pytest.mark.parametrize("lit, paths", [
         ("uniform3", {("contains", "f"), ("_float_test", "f")}),
         ("atoms[(-3,1/5),(1,3/10),(7/2,1/2)]",              # unit 1/2: -6, 2, 7
          {("contains", "f"), ("_float_test", "f")}),
-        # rank 4 times 10**7 times p/2 passes 2**52: the float test would
+        # n = 8 times 10**7 times p/2 passes 2**52: the float test would
         # not be exact, and the chunks are tested as int64
         ("atoms[(1,1/2),(10000000,1/2)]", {("contains", "f"), ("_grouped_test", "i")}),
         # 2**70: Python ints, reduced mod p to int64, whose size then
@@ -467,7 +495,7 @@ class TestMembership:
         # rowspace_membership call per chunk of atom values
         law = parse_law(lit)
         span = exactlinalg._SpanMod
-        asked, seen = [], set()
+        seen = set()
 
         def spy(name):
             real = getattr(span, name)
@@ -477,21 +505,41 @@ class TestMembership:
                 return real(self, U, *rest)
             monkeypatch.setattr(span, name, wrapped)
 
-        real_echelon = exactlinalg.row_echelon_int
-        monkeypatch.setattr(exactlinalg, "row_echelon_int",
-                            lambda mat, primes: asked.append(primes) or real_echelon(mat, primes))
+        asked = self.echelon_calls(monkeypatch)
         for name in ("contains", "_float_test", "_grouped_test"):
             spy(name)
-        res = subspace_membership_mc(law, 8, 4, 20000, seed=2)     # five chunks
-        assert len(asked) == 1          # the primes picked once
+        ks = (1, 4, 7)
+        res = subspace_membership_mc(law, 8, ks, 20000, seeds=[2, 3, 4])     # five chunks
+        assert len(asked) == 1          # the primes picked once, one echelon call
         assert seen == paths
         monkeypatch.undo()
-        vals = np.array(law._lattice[1], dtype=object if ("contains", "O") in paths else np.int64)
-        V = vals[law.sample_indices(substream(2, 0), (4, 8))]
-        hits = sum(int(membership(V, vals[law.sample_indices(
-            substream(2, 1 + ci), (stop - start, 8))]).sum())
-            for ci, start, stop in chunk_bounds(20000, 4096))
-        assert res.hits == hits
+        dtype = object if ("contains", "O") in paths else np.int64
+        assert [r.hits for r in res] == [self.reference_hits(law, 8, k, s, 20000, dtype)
+                                         for k, s in zip(ks, (2, 3, 4))]
+
+    @pytest.mark.parametrize("lit, n, dtype", [
+        # Bernoulli at n = 16: one prime up to k = 13, two from k = 14
+        ("bernoulli", 16, np.int64),
+        # lattice atoms past 2**52 are drawn as int64 atom values
+        ("atoms[(1,1/2),(1152921504606846976,1/2)]", 8, np.int64),
+        # past int64: Python ints in object chunks
+        ("atoms[(1,1/2),(1180591620717411303424,1/2)]", 8, object)])
+    def test_mixed_prime_counts(self, lit, n, dtype, monkeypatch):
+        # a block whose bases ask for different numbers of primes is put in
+        # echelon form in one prime-major call, and each k answers as one
+        # rowspace_membership call per chunk of its own streams
+        law = parse_law(lit)
+        ks = range(1, n)
+        seeds = key_seed(5, n, ks)
+        asked = self.echelon_calls(monkeypatch)
+        res = subspace_membership_mc(law, n, ks, 5000, seeds=seeds)     # two chunks
+        monkeypatch.undo()
+        primes, = asked
+        assert primes == sorted(primes, reverse=True)       # prime-major
+        counts = [primes.count(q) for q in dict.fromkeys(primes)]
+        assert counts[0] == len(ks) > counts[-1]            # mixed counts
+        assert [r.hits for r in res] == [self.reference_hits(law, n, k, int(s), 5000, dtype)
+                                         for k, s in zip(ks, seeds)]
 
 
 class TestMatrixIO:

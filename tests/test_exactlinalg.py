@@ -461,10 +461,24 @@ class TestMembershipPaths:
         self.C = rng.integers(-3, 4, (40, 5))
 
     def test_echelon_is_reduced(self):
-        R, J, ranks = row_echelon_int(self.V, PRIMES[:2])
+        R, J, ranks = row_echelon_int(np.repeat(self.V[None], 2, axis=0), PRIMES[:2])
         assert ranks.tolist() == [5, 5]
         for q in range(2):
             assert (R[q][:, J[q]] == np.eye(5, dtype=np.int64)).all()
+
+    def test_stacked_echelon_forms_are_each_layers_own(self):
+        # bases of ranks 1 .. 5, zero-padded into one stack at two primes
+        # laid out prime-major, reduce as each basis alone does
+        rng = np.random.default_rng(4)
+        bases = [np.array(low_rank(rng, 5, 8, k, -3, 3)) for k in range(1, 6)]
+        stack = np.array(bases * 2)
+        R, J, ranks = row_echelon_int(stack, [P1] * 5 + [P2] * 5)
+        for layer, (V, p) in enumerate(zip(bases * 2, [P1] * 5 + [P2] * 5)):
+            R1, J1, r1 = row_echelon_int(V[None], [p])
+            r = r1[0]
+            assert ranks[layer] == r == fraction_rank(V.tolist(), 8)
+            assert (R[layer, :r] == R1[0, :r]).all() and not R[layer, r:].any()
+            assert (J[layer, :r] == J1[0, :r]).all()
 
     def test_large_entries_take_the_int64_path(self):
         U = self.C @ self.V * 2 ** 40
@@ -493,18 +507,52 @@ class TestMembershipPaths:
             return row_echelon_int(mat, primes)
 
         monkeypatch.setattr(exactlinalg, "row_echelon_int", counted)
-        got = rowspace_membership(self.V, (c for c in chunks), big)
+        got, = rowspace_membership([self.V], ((0, c) for c in chunks), big)
         assert got.tolist() == want.tolist()
         assert want[:25].all() and not want[25:65:2].any() and want[26:65:2].all()
         # the primes picked once from the bound, their echelon forms made once
         assert asked == [[P1, P2, P3]]
-        assert rowspace_membership(self.V, iter([]), big).shape == (0,)
+        assert [a.shape for a in rowspace_membership([self.V], iter([]), big)] == [(0,)]
+
+    def test_chunks_of_several_bases(self, monkeypatch):
+        # chunks tagged with their basis are tested against that basis
+        # alone, in one echelon call for all the bases
+        rng = np.random.default_rng(12)
+        other = np.array(low_rank(rng, 6, 8, 2, -2, 2))
+        bases = [self.V, other, []]
+        members = [self.C @ self.V, rng.integers(-2, 3, (40, 6)) @ other,
+                   np.zeros((3, 8), np.int64)]
+        chunks = [(b, U[:20]) for b, U in enumerate(members)] + \
+            [(b, U[20:]) for b, U in enumerate(members)] + [(0, members[1])]
+        asked = []
+        monkeypatch.setattr(exactlinalg, "row_echelon_int",
+                            lambda stack, primes: asked.append(len(stack)) or
+                            row_echelon_int(stack, primes))
+        got = rowspace_membership(bases, iter(chunks), 15)
+        assert asked == [3]
+        assert [g.tolist() for g in got] == [[True] * 40 + membership(self.V, members[1]).tolist(),
+                                            [True] * 40, [True] * 3]
+        assert not membership(self.V, members[1]).all()
+
+    def test_rank_drop_takes_a_further_round(self, monkeypatch):
+        # [[1, 0, 0], [0, P1, 0]] has rank 2 but rank 1 mod P1: its bound asks
+        # for two primes, P1 is no good, so a second round takes P3; the
+        # other basis needs one prime and is done after the first round
+        bases = [[[1, 0, 0], [0, P1, 0]], [[1, 1, 0], [1, -1, 0]]]
+        U = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        asked = []
+        monkeypatch.setattr(exactlinalg, "row_echelon_int",
+                            lambda stack, primes: asked.append(list(primes)) or
+                            row_echelon_int(stack, primes))
+        got = rowspace_membership(bases, [(0, U), (1, U)], 1)
+        assert asked == [[P1, P1, P2], [P3]]
+        assert [g.tolist() for g in got] == [[True, True, False, True]] * 2
 
     def test_float_chunks_under_a_bound(self, monkeypatch):
         # given a bound on every entry, the primes are picked from it once,
         # and float64 chunks of integers answer as their int64 copies do:
         # tested as floats while that is exact, as int64 past the guard
-        # (entries near 2**27, rank 5 and p/2 multiply past 2**52)
+        # (entries near 2**27, n = 8 and p/2 multiply past 2**52)
         small = self.C @ self.V                 # entries at most 3 * 5
         wide = small * 2 ** 23
         wide[::2, 0] += 1
@@ -520,16 +568,123 @@ class TestMembershipPaths:
             asked, tests[:] = [], []
             with monkeypatch.context() as m:
                 m.setattr(exactlinalg, "row_echelon_int",
-                          lambda mat, primes: asked.append(primes) or row_echelon_int(mat, primes))
-                got = rowspace_membership(
-                    self.V, (c.astype(np.float64) for c in (ints[:15], ints[15:])), big)
+                          lambda stack, primes: asked.append(primes) or
+                          row_echelon_int(stack, primes))
+                got, = rowspace_membership(
+                    [self.V], ((0, c.astype(np.float64)) for c in (ints[:15], ints[15:])), big)
             assert got.tolist() == want.tolist() and len(asked) == 1
             assert set(tests) == {test}
         assert not want[::2].any() and want[1::2].all()
         with pytest.raises(ValueError, match="integers"):
-            rowspace_membership(self.V, [small.astype(np.float32)], 15)
+            rowspace_membership([self.V], [(0, small.astype(np.float32))], 15)
 
     def test_empty_and_zero_basis(self):
         U = np.array([[0, 0, 0], [1, 0, 0]])
         assert membership([], U).tolist() == [True, False]
         assert membership([[0, 0, 0]], U).tolist() == [True, False]
+
+
+def span_of(V, p=P1):
+    """The prepared span mod p of one integer basis."""
+    R, J, k = row_echelon_int(np.asarray(V, dtype=np.int64)[None], [p])
+    return exactlinalg._SpanMod(R[0], J[0], int(k[0]), p)
+
+
+def signs_and_members(rng, V, count=300, planted=60):
+    """Random +-1 rows, then integer combinations of the rows of V."""
+    signs = rng.integers(0, 2, (count, V.shape[1])) * 2 - 1
+    return np.concatenate([signs, rng.integers(-2, 3, (planted, len(V))) @ V])
+
+
+class TestSieve:
+    """_SpanMod.contains drops the rows with u (K w) != 0 mod p after one
+    matrix-vector product and takes only the others to the full test."""
+
+    @staticmethod
+    def products(monkeypatch):
+        """(rows, columns) of each test product, in order."""
+        made = []
+        for name in ("_float_test", "_grouped_test"):
+            real = getattr(exactlinalg._SpanMod, name)
+            monkeypatch.setattr(exactlinalg._SpanMod, name,
+                                lambda self, U, M, *rest, real=real:
+                                made.append((len(U), M.shape[1])) or real(self, U, M, *rest))
+        return made
+
+    @staticmethod
+    def oracle(V, U):
+        rank = fraction_rank(V.tolist(), V.shape[1])
+        return [fraction_rank(V.tolist() + [u.tolist()], V.shape[1]) == rank for u in U]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sieve_matches_the_full_test(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        V = rng.integers(0, 2, (2 + seed, 8)) * 2 - 1
+        U = signs_and_members(rng, V)
+        span = span_of(V)
+        free = span.K.shape[1]
+        made = self.products(monkeypatch)
+        got = span.contains(U, 2 * len(V))
+        monkeypatch.undo()
+        assert got.tolist() == span._float_test(U, span.K).tolist() == self.oracle(V, U)
+        assert got[300:].all() and not got[:300].all()
+        # every row meets the sieve, only its survivors (here the members)
+        # the full test
+        assert free >= 2 and made == [(360, 1), (int(got.sum()), free)]
+
+    def test_int64_rows_match_the_full_test(self):
+        # entries past the float guard take the grouped int64 products in
+        # both the sieve and the full test
+        rng = np.random.default_rng(8)
+        V = rng.integers(0, 2, (4, 8)) * 2 - 1
+        U = signs_and_members(rng, V) * 2 ** 40
+        span = span_of(V)
+        got = span.contains(U, 2 ** 43)
+        assert got.tolist() == span._grouped_test(U, span.K, 2 ** 43).tolist()
+        assert got.tolist() == self.oracle(V, U)
+
+    def test_rank_zero_and_full_rank(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        U = rng.integers(-3, 4, (50, 6))
+        U[::5] = 0
+        made = self.products(monkeypatch)
+        zero = span_of(np.zeros((2, 6)))           # only the zero vector is a member
+        assert zero.contains(U, 3).tolist() == (~U.any(axis=1)).tolist()
+        assert made == [(50, 1), (10, 6)]
+        made.clear()
+        full = span_of(np.triu(np.ones((6, 6))))   # rank 6: everything is a member
+        assert full.K.shape == (6, 0)
+        assert full.contains(U, 3).all()
+        assert made == [(50, 0)]                    # no sieve before a test of no column
+
+    def test_one_free_column_skips_the_sieve(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        V = np.triu(np.ones((5, 6), np.int64))     # rank 5 in 6 columns
+        U = signs_and_members(rng, V, 40, 20)
+        span = span_of(V)
+        made = self.products(monkeypatch)
+        got = span.contains(U, 10)
+        assert span.K.shape == (6, 1) and made == [(60, 1)]
+        assert got.tolist() == self.oracle(V, U)
+
+    def test_false_positive_is_rejected(self, monkeypatch):
+        # weights chosen so that one non-member u passes the sieve: with
+        # x = u K != 0 mod p, w = (x_j, -x_i) on two columns i, j makes
+        # u K w = 0 mod p; the full test must still reject u
+        rng = np.random.default_rng(6)
+        V = rng.integers(0, 2, (3, 8)) * 2 - 1
+        U = signs_and_members(rng, V, 40, 10)
+        want = self.oracle(V, U)
+        u = want.index(False)
+        x = U[u] @ span_of(V).K % P1
+        i, j = np.flatnonzero(x)[:2]
+        w = [0] * len(x)
+        w[i], w[j] = int(x[j]), int(-x[i] % P1)
+        monkeypatch.setattr(exactlinalg, "_sieve_weights", lambda m: tuple(w))
+        span = span_of(V)
+        assert int(U[u] @ span.c[:, 0]) % P1 == 0
+        made = self.products(monkeypatch)
+        got = span.contains(U, 6)
+        assert got.tolist() == want
+        members = sum(want)
+        assert made == [(50, 1), (made[1][0], 5)] and made[1][0] > members
