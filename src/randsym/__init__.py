@@ -39,8 +39,8 @@ from .structure import (Bipartition, DecouplingCheck, DECOUPLING_CONST,
                         conditioning_check, decoupling_scan, forward_lo_bound,
                         inverse_lo_search, row_matrix_det, verify_decoupling)
 from .ensembles import (BoundViolation, ConvergenceFailure, SpectralSummary,
-                        SymmetricSample, cofactor_expansion_check, exact_det,
-                        exact_rank, grow_and_track, near_kernel_vector,
+                        cofactor_expansion_check, exact_det, exact_rank,
+                        exact_sample, grow_and_track, near_kernel_vector,
                         sample_symmetric, spectral_summary, subspace_membership_mc)
 from .detconc import (DetConcReport, EnvelopeVerdict, SpacingUnverified, TailReport,
                       cutoff_log, envelope_rule, spectral_window_count,

@@ -36,8 +36,8 @@ from . import __version__
 from .detconc import (SpacingUnverified, bound_verdict, concentration_report, detconc_trial,
                       tail_report, tail_trial, usable_cores, wilson_interval)
 from .ensembles import (MembershipResult, blas_pinnable, check_atom_bound, exact_rank,
-                        grow_and_track, read_matrix_text, sample_symmetric, spectral_summary,
-                        subspace_membership_mc, write_matrix_text)
+                        exact_sample, grow_and_track, read_matrix_exact, sample_symmetric,
+                        spectral_summary, subspace_membership_mc, write_matrix_text)
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
 from .laws import AtomicLaw, SpacingCertificate, auto_certificate, parse_law, verify_spacing
 from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
@@ -419,7 +419,7 @@ def _rankgrow_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int]) ->
     """Rank growth rows (t, step, size, new_rank, jumped_by_2): trial t
     borders the n x n zero matrix n - 1 times, keyed key_seed(seed, t)."""
     trials = list(trials)
-    runs = grow_and_track([[0] * n] * n, law, n - 1, seed=key_seed(seed, trials))
+    runs = grow_and_track([[0] * n] * n, law, n - 1, seeds=key_seed(seed, trials))
     return [(t, i + 1, st.size, st.new_rank, st.jumped_by_2)
             for t, steps in zip(trials, runs) for i, st in enumerate(steps)]
 
@@ -477,7 +477,6 @@ def _read_coeffs(path: Optional[str], kind: str, n: int):
             return [Fraction(1)] * n
         return [[Fraction(1, 2) if i != j else Fraction(0) for j in range(2)]
                 for i in range(2)]
-    from .ensembles import read_matrix_exact
     rows = read_matrix_exact(path)
     if kind == "linear":
         return [x for row in rows for x in row]
@@ -635,16 +634,18 @@ def _run_ensemble_action(args) -> int:
         # grow borders n - 1 times, as rankgrow does
         _checked(key, getattr(args, key), 2 if (key, args.action) == ("n", "grow") else 1)
     law = (_atomic_law if args.action in ("rank", "grow") else parse_law)(args.law)
-    fixed = read_matrix_text(args.fixed) if args.fixed else None
     if args.action == "grow":
+        if args.fixed:
+            raise InvalidConfig("F: grow borders the zero matrix and takes no fixed part")
         rows = _rankgrow_trial(law, args.n, args.seed, range(args.trials))
         for t, steps in itertools.groupby(rows, key=lambda row: row[0]):
             print(f"trial {t}: " + " ".join(f"{row[2]}:{row[3]}" for row in steps))
         return 0
-    if args.action == "rank":       # only rank reads the exact matrix: one sample per trial
+    fixed = read_matrix_exact(args.fixed) if args.fixed else None
+    if args.action == "rank":       # only rank reads the exact matrix
         for t in range(args.trials):
-            s = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, t))
-            print(f"trial {t}: rank {exact_rank(s)}")
+            rows = exact_sample(law, fixed, args.n, key_seed(args.seed, t))
+            print(f"trial {t}: rank {exact_rank(rows)}")
         return 0
     stack = sample_symmetric(law, fixed, args.n, seed=key_seed(args.seed, range(args.trials)))
     for t, mat in enumerate(stack):

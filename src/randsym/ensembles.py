@@ -1,15 +1,19 @@
 """Random symmetric matrices M = F + X and their measurements.
 
 The upper triangle of X (diagonal included) is iid from an entry law;
-draws are keyed by seed.  One seed draws one sample; a rational atomic
-law with an exact fixed part gives its exact matrix alongside the
-floating mirror, enabling exact rank, cofactor and determinant work over
-the rationals (fraction-free elimination).  Subspace membership (the
-Odlyzko bound) is decided exactly too, a block of k's at a time, against
-one stacked echelon form of their bases per prime, the primes picked once
-from the largest lattice atom.  Spectral quantities use the symmetric
-eigendecomposition: for symmetric matrices the singular values are the
-|eigenvalues|, so sigma_n = min |lambda| and kappa = sigma_1 / sigma_n.
+draws are keyed by seed.  A sample comes in one of two forms, from one
+index draw: sample_symmetric gives float arrays, which the spectral
+functions take, and exact_sample (rational atomic laws only) the exact
+rows of the same matrix, which exact rank, determinant, cofactor and
+growth work takes, over the rationals by fraction-free elimination.
+sample_symmetric takes one seed or a block of them; grow_and_track and
+subspace_membership_mc take a sequence of seeds only.  Subspace
+membership (the Odlyzko bound) is decided exactly too, a block of k's at
+a time, against one stacked echelon form of their bases per prime, the
+primes picked once from the largest lattice atom.  Spectral quantities
+use the symmetric eigendecomposition: for symmetric matrices the
+singular values are the |eigenvalues|, so sigma_n = min |lambda| and
+kappa = sigma_1 / sigma_n.
 
 Monte Carlo works on stacks: sample_symmetric given a sequence of seeds
 returns a (T, n, n) float stack, each matrix drawn as its seed alone
@@ -36,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,49 +65,14 @@ class ConvergenceFailure(Exception):
     """Eigensolver did not converge."""
 
 
-@dataclass(frozen=True)
-class SymmetricSample:
-    """M = F + X with X symmetric iid-upper-triangle; exact rows or None."""
-
-    n: int
-    matrix: np.ndarray
-    exact: Optional[Tuple[Tuple[Union[int, Fraction], ...], ...]]
-
-    def exact_rows(self) -> List[List[Union[int, Fraction]]]:
-        if self.exact is None:
-            raise ValueError("sample has floating entries only")
-        return [list(r) for r in self.exact]
-
-
-def _exact_fixed(F) -> Optional[np.ndarray]:
-    """Exact fixed part as an object array: ints (Python or numpy) stay
-    Python ints, Fractions stay Fractions, and floats are taken as the
-    binary rationals they are; None if an entry is none of these."""
-    rows = []
-    for r in F:
-        row = []
-        for x in r:
-            if isinstance(x, (int, np.integer)):
-                row.append(int(x))
-            elif isinstance(x, Fraction):
-                row.append(x)
-            elif isinstance(x, (float, np.floating)) and math.isfinite(x):
-                row.append(Fraction(float(x)))
-            else:
-                return None
-        rows.append(row)
-    return np.array(rows, dtype=object)
-
-
 def _fixed_part(F, n: int, gamma: float) -> Optional[np.ndarray]:
     """F as a checked float array (finite, n x n, symmetric, entries at most
     n^gamma); None when there is no fixed part."""
     if F is None:
         return None
-    F_arr = np.asarray([[float(x) for x in row] for row in F], dtype=np.float64) \
-        if not isinstance(F, np.ndarray) else F.astype(np.float64)
-    if F_arr.shape != (n, n):
+    if len(F) != n or any(np.shape(row) != (n,) for row in F):
         raise ValueError(f"fixed part must be {n} x {n}")
+    F_arr = np.array(F, dtype=np.float64)
     if not np.isfinite(F_arr).all():
         raise ValueError("fixed part must be finite")
     if not (F_arr == F_arr.T).all():
@@ -127,49 +96,69 @@ def _mirror(n: int) -> np.ndarray:
     return pos
 
 
+def _upper_draws(law: Law, n: int, seed) -> np.ndarray:
+    """The n(n+1)/2 upper entries of X per seed, row by row, as one row of a
+    (T, n(n+1)/2) array: the first draws of substream(seed), atom indices
+    under an atomic law and values under any other."""
+    rng = seed if isinstance(seed, StreamBlock) else substream(seed)
+    m = n * (n + 1) // 2
+    draw = law.sample_indices if isinstance(law, AtomicLaw) else law.sample_values
+    return draw(rng, m).reshape(-1, m)
+
+
 def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], StreamBlock],
-                     gamma: float = 1.0) -> Union[SymmetricSample, np.ndarray]:
-    """Draw M = F + X; the upper triangle of X (with diagonal) is iid.
+                     gamma: float = 1.0) -> np.ndarray:
+    """Draw M = F + X as floats; the upper triangle of X (with diagonal) is iid.
 
     Deterministic in seed: the n(n+1)/2 upper entries, row by row, are the
-    first draws of substream(seed).  One seed gives a SymmetricSample,
-    with the exact rational matrix when the law is a rational atomic law
-    and F is exact.
+    first draws of substream(seed).  One seed gives the (n, n) matrix, the
+    reference the stacked form is held to; exact_sample gives its exact
+    rows.
 
     Given a sequence of T seeds, or their StreamBlock substream(seeds),
     draws one matrix per seed in one pass (the seeds hashed at once, F
-    checked once, one sampler call) and returns the float matrices as a
-    (T, n, n) stack, matrix t drawn exactly as the single-seed call with
-    seed[t] draws it.  Callers keep T n^2, summed over the stacks in flight
-    at once, within _STACK_ENTRIES, or T at the least stack that numpy's
-    eigvalsh solves without the GIL (detconc.keyed_spectra does, each
-    stack a slice of one block hashed for the whole trial range).
+    checked once, one sampler call) and returns them as a (T, n, n) stack,
+    matrix t drawn exactly as the single-seed call with seed[t] draws it.
+    Callers keep T n^2, summed over the stacks in flight at once, within
+    _STACK_ENTRIES, or T at the least stack that numpy's eigvalsh solves
+    without the GIL (detconc.keyed_spectra does, each stack a slice of one
+    block hashed for the whole trial range).
     """
     F_arr = _fixed_part(F, n, gamma)
-    rng = seed if isinstance(seed, StreamBlock) else substream(seed)
-    m = n * (n + 1) // 2
+    vals = _upper_draws(law, n, seed)
     if isinstance(law, AtomicLaw):
-        idx = law.sample_indices(rng, m).reshape(-1, m)
-        vals_f = law.values_float()[idx]
-    else:
-        vals_f = law.sample_values(rng, m).reshape(-1, m)
-    X = np.take(vals_f, _mirror(n), axis=1).reshape(len(vals_f), n, n)
+        vals = law.values_float()[vals]
+    X = np.take(vals, _mirror(n), axis=1).reshape(len(vals), n, n)
     X += 0.0      # a -0.0 draw reads +0.0, as in any sum with a zero matrix
     M = X if F_arr is None else F_arr + X
+    return M[0] if isinstance(seed, (int, np.integer)) else M
+
+
+def exact_sample(law: AtomicLaw, F, n: int, seed: int, gamma: float = 1.0) -> List[list]:
+    """The exact rows of the matrix sample_symmetric(law, F, n, seed) draws,
+    from the same index draw.
+
+    X holds the atoms of a rational atomic law (ints when every atom is an
+    integer, Fractions otherwise); F is checked as sample_symmetric checks
+    it and read exactly: int entries stay ints, Fractions stay Fractions and
+    floats are the binary rationals they are.
+    """
+    if not (isinstance(law, AtomicLaw) and law.is_rational):
+        raise ValueError("rational atomic law required")
     if not isinstance(seed, (int, np.integer)):
-        return M
-    exact_rows = None
-    if isinstance(law, AtomicLaw) and law.is_rational:
-        f_exact = None if F is None else _exact_fixed(F)
-        if F is None or f_exact is not None:
-            values = [v if isinstance(v, Fraction) else Fraction(v) for v in law.values]
-            as_int = all(v.denominator == 1 for v in values)
-            atoms = np.array([int(v) if as_int else v for v in values], dtype=object)
-            entries = atoms[idx[0][_mirror(n)]].reshape(n, n)
-            if f_exact is not None:
-                entries = f_exact + entries
-            exact_rows = tuple(map(tuple, entries.tolist()))
-    return SymmetricSample(n=n, matrix=M[0], exact=exact_rows)
+        raise ValueError(f"exact rows are drawn one seed at a time, got {seed!r}")
+    _fixed_part(F, n, gamma)
+    idx, = _upper_draws(law, n, seed)
+    as_int = all(v.denominator == 1 for v in law.values)      # Fractions all
+    atoms = np.array([int(v) if as_int else v for v in law.values], dtype=object)
+    entries = atoms[idx[_mirror(n)]].reshape(n, n)
+    if F is not None:
+        f = np.array([[int(x) if isinstance(x, (int, np.integer)) else Fraction(x) for x in row]
+                      for row in F], dtype=object)
+        if (f != f.T).any():        # entries that differ past float precision
+            raise ValueError("fixed part must be symmetric")
+        entries = f + entries
+    return entries.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +242,19 @@ def spectral_summaries(stack: np.ndarray) -> List[SpectralSummary]:
     return out
 
 
-def spectral_summary(m: Union[SymmetricSample, np.ndarray]) -> SpectralSummary:
-    """Eigenvalues and the derived sigma_1, sigma_n, kappa, log|det|; no
-    exact corank (n - exact_rank gives it)."""
-    mat = m.matrix if isinstance(m, SymmetricSample) else np.asarray(m, dtype=np.float64)
-    return spectral_summaries(mat[None])[0]
+def spectral_summary(m: np.ndarray) -> SpectralSummary:
+    """Eigenvalues of a float matrix and the derived sigma_1, sigma_n,
+    kappa, log|det|; no exact corank (n - exact_rank gives it)."""
+    return spectral_summaries(np.asarray(m, dtype=np.float64)[None])[0]
 
 
-def _exact_rows(m: Union[SymmetricSample, Sequence[Sequence]]) -> List[list]:
-    """The exact entries of a sample, or the rows of an exact matrix."""
-    return m.exact_rows() if isinstance(m, SymmetricSample) else [list(r) for r in m]
-
-
-def exact_rank(m: Union[SymmetricSample, Sequence[Sequence]]) -> int:
+def exact_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals (fraction-free elimination)."""
-    return _rank(_exact_rows(m))
+    return _rank(rows)
 
 
-def exact_det(m: Union[SymmetricSample, Sequence[Sequence]]):
-    return bareiss_det(_exact_rows(m))
+def exact_det(rows: Sequence[Sequence]):
+    return bareiss_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +268,14 @@ class CofactorIdentity:
     equal: bool
 
 
-def cofactor_expansion_check(m: Union[SymmetricSample, Sequence[Sequence]]) -> CofactorIdentity:
+def cofactor_expansion_check(m: Sequence[Sequence]) -> CofactorIdentity:
     """Verify det(M) = m11 * det(A) - x^T adj(A) x exactly.
 
     A is M with the first row and column removed, x the off-diagonal top
     row.  This is the bordered-determinant identity the symmetric
     quadratic expansion folds into.
     """
-    rows = _exact_rows(m)
+    rows = [list(r) for r in m]
     n = len(rows)
     if n > 10:
         raise ValueError("exact expansion check is limited to n <= 10")
@@ -319,10 +302,10 @@ class GrowthStep:
     jumped_by_2: bool
 
 
-def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw,
-                   steps: int, seed: Union[int, Sequence[int]]):
-    """Border M, an exact sample or matrix, with fresh symmetric rows and
-    columns, tracking exact rank.
+def grow_and_track(rows: Sequence[Sequence], law: AtomicLaw, steps: int,
+                   seeds: Sequence[int]) -> List[List[GrowthStep]]:
+    """Border the exact matrix M with fresh symmetric rows and columns,
+    once per seed, tracking exact rank; one list of steps per seed.
 
     Each step prepends an independent first row and column (diagonal
     entry plus one entry per old row), drawn from substream (seed, step),
@@ -331,16 +314,15 @@ def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw
     step) keys of a stack are hashed in one block, and step t is drawn for
     every seed of the stack in one sampler call.  The matrix after step t
     is the trailing block of the final one, so one elimination of the
-    final matrix ranks every step (exactlinalg.trailing_ranks).  Given a
-    sequence (or array) of seeds, grows once per seed through the same
-    stacks and returns one list of steps per seed.
+    final matrix ranks every step (exactlinalg.trailing_ranks).
     """
-    rows = _exact_rows(m)
+    seeds = np.asarray(seeds)
+    if seeds.ndim != 1:
+        raise ValueError("seeds must be a sequence")
     if not (isinstance(law, AtomicLaw) and law.is_rational):
         raise ValueError("rational atomic law required")
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
-    seeds = np.atleast_1d(np.asarray(seed))
     n, size = len(rows), len(rows) + steps
     # one lattice makes M and the atoms integers; the rank is unchanged
     (atoms, *base), _ = lattice([law.values, *rows])
@@ -367,7 +349,7 @@ def grow_and_track(m: Union[SymmetricSample, Sequence[Sequence]], law: AtomicLaw
             raise ValueError(f"rank {ranks[0][0]} > n - 2 = {n - 2}: nothing to grow")
         out += [[GrowthStep(size=n + t + 1, new_rank=r[t + 1], jumped_by_2=r[t + 1] == r[t] + 2)
                  for t in range(steps)] for r in ranks]
-    return out[0] if isinstance(seed, (int, np.integer)) else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +363,10 @@ class NearKernel:
     lambda_min: float
 
 
-def near_kernel_vector(m: Union[SymmetricSample, np.ndarray]) -> NearKernel:
-    """Unit eigenvector of the smallest |eigenvalue| with its row residuals."""
-    mat = m.matrix if isinstance(m, SymmetricSample) else np.asarray(m, dtype=np.float64)
+def near_kernel_vector(m: np.ndarray) -> NearKernel:
+    """Unit eigenvector of the smallest |eigenvalue| of a float matrix, with
+    its row residuals."""
+    mat = np.asarray(m, dtype=np.float64)
     try:
         lam, vec = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as e:
@@ -480,11 +463,6 @@ def subspace_membership_mc(law: AtomicLaw, n: int, ks: Sequence[int], trials: in
 
 def write_matrix_text(mat: np.ndarray, path: str) -> None:
     np.savetxt(path, np.asarray(mat, dtype=np.float64), fmt="%.17g")
-
-
-def read_matrix_text(path: str) -> np.ndarray:
-    out = np.loadtxt(path, dtype=np.float64)
-    return out.reshape(1, 1) if out.ndim == 0 else np.atleast_2d(out)
 
 
 def read_matrix_exact(path: str) -> List[List[Fraction]]:

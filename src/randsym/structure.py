@@ -161,35 +161,36 @@ class DecouplingCheck:
     holds: bool
 
 
-def _stack(form, u) -> Tuple[List[QuadraticForm], List[Bipartition], bool]:
-    """(forms, bipartitions, whether one pair was given) of one (form,
-    bipartition) pair or of equal-length nonempty sequences of them."""
-    single = isinstance(form, QuadraticForm)
-    forms, us = ([form], [u]) if single else (list(form), list(u))
+def _stack(forms: Sequence[QuadraticForm], us: Sequence[Bipartition]):
+    """The forms and bipartitions as lists, checked: equal-length,
+    nonempty, each bipartition the size of its form."""
+    forms, us = list(forms), list(us)
     if not forms or len(forms) != len(us):
         raise ValueError(f"need as many bipartitions as forms, at least one: "
                          f"{len(forms)} forms, {len(us)} bipartitions")
     if any(f.n != b.n for f, b in zip(forms, us)):
         raise ValueError("matrix and bipartition sizes disagree")
-    return forms, us, single
+    return forms, us
 
 
-def verify_decoupling(form, law: AtomicLaw, beta, u, radius_constant: float = 1.0):
-    """Check rho_quad^8 / ((2pi)^{7/2} exp(4pi)) <= bilinear rho of A_U.
+def verify_decoupling(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
+                      us: Sequence[Bipartition],
+                      radius_constant: float = 1.0) -> List[DecouplingCheck]:
+    """Check rho_quad^8 / ((2pi)^{7/2} exp(4pi)) <= bilinear rho of A_U,
+    one check per form.
 
     The bilinear side is evaluated at radius radius_constant * beta *
     sqrt(log n) under independent copies of xi - xi'.  Both small-ball
     probabilities are exact (fractions); only the universal constant and
-    the radius are floating.  form and u are one quadratic form and its
-    bipartition, giving one check, or equal-length sequences of forms of
-    one size and shifts and of their bipartitions, giving one check per
-    form: every quadratic and every bilinear distribution of the stack is
-    enumerated together.  A radius constant that is not finite or is below
-    0, an empty stack, sequences of unequal length and a form that needs
-    more outcomes than the cap or values past the float-exactness bound
-    are rejected before any enumeration.
+    the radius are floating.  forms is a sequence of quadratic forms of one
+    size and shifts, us the bipartition of each: every quadratic and every
+    bilinear distribution of the stack is enumerated together.  A radius
+    constant that is not finite or is below 0, an empty stack, sequences
+    of unequal length and a form that needs more outcomes than the cap or
+    values past the float-exactness bound are rejected before any
+    enumeration.
     """
-    forms, us, single = _stack(form, u)
+    forms, us = _stack(forms, us)
     if not (math.isfinite(radius_constant) and radius_constant >= 0):
         raise ValueError(f"radius_constant must be finite and >= 0, got {radius_constant!r}")
     beta = _radius(beta)
@@ -207,22 +208,21 @@ def verify_decoupling(form, law: AtomicLaw, beta, u, radius_constant: float = 1.
         lhs = float(rho_q) ** 8 / DECOUPLING_CONST
         rhs = _exact_scan(b, wide)[0]
         checks.append(DecouplingCheck(rho_q, lhs, rhs, radius, radius_constant, bool(rhs >= lhs)))
-    return checks[0] if single else checks
+    return checks
 
 
-def decoupling_scan(form, law: AtomicLaw, beta, u):
+def decoupling_scan(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
+                    us: Sequence[Bipartition]):
     """Smallest radius constant of 1, 2 and 4 making the decoupling
-    inequality hold.
+    inequality hold, for each form.
 
-    For one (form, bipartition) pair, returns (constant or None,
-    per-constant checks); None flags an instance needing more than the
-    scanned constants.  For equal-length sequences of them (as
-    verify_decoupling takes), returns (the constant or None of each form,
-    the checks of each form).  Each constant is one verify_decoupling
-    call on the forms that do not hold yet.  The stack is checked before
-    the first enumeration.
+    Takes the sequences verify_decoupling takes and returns (the constant
+    of each form, the per-constant checks of each form); a constant of
+    None flags a form needing more than the scanned constants.  Each
+    constant is one verify_decoupling call on the forms that do not hold
+    yet.  The stack is checked before the first enumeration.
     """
-    forms, us, single = _stack(form, u)
+    forms, us = _stack(forms, us)
     found = [None] * len(forms)
     checks = [[] for _ in forms]
     due = list(range(len(forms)))
@@ -236,7 +236,7 @@ def decoupling_scan(form, law: AtomicLaw, beta, u):
         due = [g for g in due if found[g] is None]
         if not due:
             break
-    return (found[0], checks[0]) if single else (found, checks)
+    return found, checks
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from randsym import (Bipartition, Gap, LinearForm, QuadraticForm, bernoulli,
                      row_matrix_det, spans, spectral_summary,
                      subspace_membership_mc, uniform3,
                      AtomicLaw, RowMatrixSpec,
-                     build_row_matrix, grow_and_track, SymmetricSample)
+                     build_row_matrix, grow_and_track)
 from randsym.cli import ExperimentConfig, run
 from randsym.detconc import bound_verdict
 from genutil import (plant_degenerate_subset, random_proper_symmetric_gap,
@@ -130,19 +130,14 @@ def test_criterion_3_odlyzko_bound():
 # 4. rank growth
 
 
-def _zero_exact_sample(n):
-    exact = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    return SymmetricSample(n=n, matrix=np.zeros((n, n)), exact=exact)
-
-
 def test_criterion_4_rank_growth():
     t0 = time.monotonic()
     n = 4
     trials = 10 ** 4
     jump1 = chain = 0
     # trial t grows from seed SEED * 10^6 + t, all trials in one call
-    for steps in grow_and_track(_zero_exact_sample(n), BERN, n - 1,
-                                seed=SEED * 10 ** 6 + np.arange(trials)):
+    for steps in grow_and_track([[0] * n] * n, BERN, n - 1,
+                                seeds=SEED * 10 ** 6 + np.arange(trials)):
         jump1 += steps[0].jumped_by_2
         chain += steps[-1].size == 2 * n - 1 and steps[-1].new_rank == 2 * n - 2
     bound1 = 1 - math.sqrt(1 - 0.5) ** n
@@ -180,7 +175,7 @@ def test_criterion_5_decoupling():
         form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
         u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
         law = laws[i % 2]
-        const, _ = decoupling_scan(form, law, F(1, 10), u)
+        (const,), _ = decoupling_scan([form], law, F(1, 10), [u])
         ok = ok and const is not None
         worst_c = max(worst_c, const or math.inf)
     assert report(5, "decoupling rho^8 bound", ok, t0, 120,

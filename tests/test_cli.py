@@ -499,44 +499,90 @@ class TestMain:
                      "--out", out]) == 0
         assert main(["replay", out + ".json"]) == 0
 
+    @staticmethod
+    def spectrum_lines(stack) -> str:
+        """What `ensemble spectrum` prints for a stack of matrices."""
+        from randsym import spectral_summary
+        lines = []
+        for t, mat in enumerate(stack):
+            summ = spectral_summary(mat)
+            lines.append(json.dumps({
+                "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,
+                "kappa": summ.kappa, "log_abs_det": summ.log_abs_det,
+                "eigenvalues": [float(x) for x in summ.eigenvalues]}))
+        return "".join(line + "\n" for line in lines)
+
     def test_ensemble_spectrum_computes_no_exact_rank(self, capsys, monkeypatch):
         import randsym.ensembles
-        from randsym import bernoulli, exact_rank, sample_symmetric, spectral_summary
+        from randsym import bernoulli, sample_symmetric
         from randsym.streams import key_seed
         samples = [sample_symmetric(bernoulli(), None, 6, seed=key_seed(4, t)) for t in range(3)]
-        # exact samples: exact_rank reads them (a float sample raises)
-        assert all(exact_rank(s) <= 6 for s in samples)
 
         def no_rank(rows):
             raise AssertionError("exact rank computed")
         monkeypatch.setattr(randsym.ensembles, "_rank", no_rank)
         # neither the library summary nor the command pays for an exact corank
-        lines = []
-        for t, s in enumerate(samples):
-            summ = spectral_summary(s)
-            lines.append(json.dumps({
-                "trial": t, "sigma_1": summ.sigma_1, "sigma_n": summ.sigma_n,
-                "kappa": summ.kappa, "log_abs_det": summ.log_abs_det,
-                "eigenvalues": [float(x) for x in summ.eigenvalues]}))
+        lines = self.spectrum_lines(samples)
         assert main(["ensemble", "spectrum", "--n", "6", "--seed", "4", "--trials", "3"]) == 0
-        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert capsys.readouterr().out == lines
 
     @pytest.mark.parametrize("action, kind", [
         ("sample", "float"), ("spectrum", "float"), ("rank", "exact")])
     def test_ensemble_builds_exact_matrix_only_for_rank(self, action, kind, capsys, monkeypatch):
         import randsym.cli
-        from randsym import sample_symmetric
         kinds = []
 
-        def recording(*args, **kwargs):
-            s = sample_symmetric(*args, **kwargs)
-            # one float stack for every trial, or one sample per trial
-            kinds.extend(["float"] * len(s) if isinstance(s, np.ndarray)
-                         else ["exact" if s.exact is not None else "float"])
-            return s
-        monkeypatch.setattr(randsym.cli, "sample_symmetric", recording)
+        def recording(sampler, kind):
+            def call(*args, **kwargs):
+                out = sampler(*args, **kwargs)
+                # one float stack for every trial, or one exact matrix per trial
+                kinds.extend([kind] * (len(out) if kind == "float" else 1))
+                return out
+            return call
+        monkeypatch.setattr(randsym.cli, "sample_symmetric",
+                            recording(randsym.cli.sample_symmetric, "float"))
+        monkeypatch.setattr(randsym.cli, "exact_sample",
+                            recording(randsym.cli.exact_sample, "exact"))
         assert main(["ensemble", action, "--n", "5", "--trials", "2"]) == 0
         assert kinds == [kind, kind]
+
+    @pytest.mark.parametrize("law, rank_of_F", [("bernoulli", None), ("atoms[(0,1)]", 1)])
+    def test_ensemble_rank_reads_F_exactly(self, law, rank_of_F, tmp_path, capsys):
+        from randsym import exact_rank, exact_sample, parse_law
+        from randsym.streams import key_seed
+        # rank 1 over the rationals (1/9 = (1/3)^2), rank 2 as floats
+        path = tmp_path / "F.txt"
+        path.write_text("1/9 1/3\n1/3 1\n")
+        fixed = [[F(1, 9), F(1, 3)], [F(1, 3), F(1)]]
+        assert main(["ensemble", "rank", "--n", "2", "--trials", "4", "--seed", "5",
+                     "--law", law, "--F", str(path)]) == 0
+        want = [exact_rank(exact_sample(parse_law(law), fixed, 2, key_seed(5, t)))
+                for t in range(4)]
+        assert capsys.readouterr().out == "".join(f"trial {t}: rank {r}\n"
+                                                  for t, r in enumerate(want))
+        if rank_of_F is not None:       # X = 0: the rank of F itself
+            assert want == [rank_of_F] * 4
+
+    @pytest.mark.parametrize("action", ["sample", "spectrum"])
+    def test_ensemble_floats_with_F(self, action, tmp_path, capsys):
+        from randsym import bernoulli, sample_symmetric
+        from randsym.streams import key_seed
+        path = tmp_path / "F.txt"
+        path.write_text("0.5 1/3 0\n1/3 -2 0.1\n0 0.1 3\n")
+        fixed = [[0.5, 1 / 3, 0.0], [1 / 3, -2.0, 0.1], [0.0, 0.1, 3.0]]
+        assert main(["ensemble", action, "--n", "3", "--trials", "2", "--seed", "6",
+                     "--F", str(path)]) == 0
+        stack = sample_symmetric(bernoulli(), fixed, 3, seed=key_seed(6, range(2)))
+        want = self.spectrum_lines(stack) if action == "spectrum" else "".join(
+            " ".join(repr(float(x)) for x in row) + "\n" for mat in stack for row in mat)
+        assert capsys.readouterr().out == want
+
+    def test_ensemble_grow_refuses_F(self, tmp_path, capsys):
+        path = tmp_path / "F.txt"
+        path.write_text("5 0\n0 5\n")
+        assert main(["ensemble", "grow", "--n", "2", "--trials", "2", "--F", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: F:")
 
     @pytest.mark.parametrize("argv, key", [
         (["sample", "--n", "0"], "n"),
@@ -549,8 +595,8 @@ class TestMain:
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled")
-        monkeypatch.setattr(randsym.cli, "sample_symmetric", no_sampling)
-        monkeypatch.setattr(randsym.cli, "grow_and_track", no_sampling)
+        for name in ("sample_symmetric", "exact_sample", "grow_and_track"):
+            monkeypatch.setattr(randsym.cli, name, no_sampling)
         assert main(["ensemble"] + argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}:")
 
@@ -610,7 +656,6 @@ class TestMain:
 
     def test_ensemble_sample_files(self, tmp_path, capsys):
         from randsym import bernoulli, sample_symmetric
-        from randsym.ensembles import read_matrix_text
         from randsym.streams import key_seed
         out = str(tmp_path / "X")
         assert main(["ensemble", "sample", "--n", "5", "--seed", "3", "--trials", "2",
@@ -619,7 +664,7 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["X.0.txt", "X.1.txt"]
         drawn = sample_symmetric(bernoulli(), None, 5, seed=key_seed(3, range(2)))
         for t in range(2):
-            assert np.array_equal(read_matrix_text(f"{out}.{t}.txt"), drawn[t])
+            assert np.array_equal(np.loadtxt(f"{out}.{t}.txt"), drawn[t])
 
     @pytest.mark.parametrize("method", ["exact", "mc"])
     def test_smallball_quadratic(self, tmp_path, method):

@@ -499,7 +499,7 @@ class TestStackedTrials:
         stack = sample_symmetric(uniform3(), None, 5, seed=seeds)
         assert stack.shape == (6, 5, 5)
         for sd, mat in zip(seeds, stack):
-            assert np.array_equal(mat, sample_symmetric(uniform3(), None, 5, seed=sd).matrix)
+            assert np.array_equal(mat, sample_symmetric(uniform3(), None, 5, seed=sd))
         summaries = spectral_summaries(stack)
         for mat, summ in zip(stack, summaries):
             one = spectral_summary(mat)

@@ -5,14 +5,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, SymmetricSample,
-                     bernoulli, cofactor_expansion_check, exact_det, exact_rank, gaussian,
+from randsym import (AtomicLaw, BoundViolation, ConvergenceFailure, bernoulli,
+                     cofactor_expansion_check, exact_det, exact_rank, exact_sample, gaussian,
                      grow_and_track, lazy_sign, near_kernel_vector, parse_law,
-                     sample_symmetric,
-                     spectral_summary, subspace_membership_mc, uniform3)
+                     sample_symmetric, spectral_summary, subspace_membership_mc, uniform3)
 from randsym import exactlinalg
 from randsym.ensembles import (blas_pinnable, one_blas_thread, read_matrix_exact,
-                               read_matrix_text, spectral_summaries, write_matrix_text)
+                               spectral_summaries, write_matrix_text)
 from randsym.exactlinalg import exact_rank as rational_rank
 from randsym.streams import chunk_bounds, key_seed, substream
 from genutil import fraction_det, fraction_rank, membership, random_symmetric_int_matrix
@@ -20,25 +19,21 @@ from genutil import fraction_det, fraction_rank, membership, random_symmetric_in
 BERN = bernoulli()
 
 
-def exact_sample(rows) -> SymmetricSample:
-    """Wrap an explicit exact matrix as a sample."""
-    mat = np.array([[float(x) for x in r] for r in rows])
-    return SymmetricSample(n=len(rows), matrix=mat, exact=tuple(tuple(r) for r in rows))
-
-
 class TestSampling:
     def test_one_by_one(self):
         F1 = np.array([[0.5]])
         s = sample_symmetric(BERN, F1, 1, seed=3)
-        assert abs((s.matrix - F1)[0, 0]) == 1.0
+        assert s.shape == (1, 1) and abs((s - F1)[0, 0]) == 1.0
 
     def test_symmetric_structure_and_reproducibility(self):
         a = sample_symmetric(BERN, None, 3, seed=11)
         b = sample_symmetric(BERN, None, 3, seed=11)
-        assert (a.matrix == b.matrix).all()
-        assert (a.matrix == a.matrix.T).all()
-        assert set(np.unique(a.matrix)) <= {-1.0, 1.0}
-        assert a.exact is not None
+        assert a.shape == (3, 3) and a.dtype == np.float64
+        assert (a == b).all()
+        assert (a == a.T).all()
+        assert set(np.unique(a)) <= {-1.0, 1.0}
+        # the exact rows are the same matrix, from the same draws
+        assert exact_sample(BERN, None, 3, seed=11) == a.astype(int).tolist()
 
     def test_fixed_part_bound(self):
         Fbad = np.zeros((3, 3))
@@ -51,15 +46,35 @@ class TestSampling:
         (np.eye(3), F), ([[F(1, 2)] * 3] * 3, F)])
     def test_exact_entries_keep_their_type(self, fixed, kind):
         # ints (Python or numpy) stay Python ints, Fractions and floats are Fractions
-        s = sample_symmetric(BERN, fixed, 3, seed=1)
-        assert {type(x) for row in s.exact for x in row} == {kind}
-        assert [[float(x) for x in row] for row in s.exact] == s.matrix.tolist()
+        rows = exact_sample(BERN, fixed, 3, seed=1)
+        assert {type(x) for row in rows for x in row} == {kind}
+        assert [[float(x) for x in row] for row in rows] == \
+            sample_symmetric(BERN, fixed, 3, seed=1).tolist()
 
     def test_continuous_law_floats_only(self):
-        s = sample_symmetric(gaussian(), None, 4, seed=2)
-        assert s.exact is None
-        with pytest.raises(ValueError, match="floating entries only"):
-            s.exact_rows()
+        # a continuous law, like an atomic law with irrational atoms, has no exact rows
+        for law in (gaussian(), AtomicLaw(((-math.sqrt(2), 0.5), (math.sqrt(2), 0.5)))):
+            assert sample_symmetric(law, None, 4, seed=2).shape == (4, 4)
+            with pytest.raises(ValueError, match="rational atomic law required"):
+                exact_sample(law, None, 4, seed=2)
+
+    def test_exact_rows_of_one_seed_only(self):
+        with pytest.raises(ValueError, match="one seed at a time"):
+            exact_sample(BERN, None, 3, seed=[1, 2])
+
+    def test_exact_fixed_part_must_be_exactly_symmetric(self):
+        # equal as floats, unequal as rationals
+        fixed = [[0, F(1, 3)], [F(1, 3) + F(1, 10 ** 30), 0]]
+        assert sample_symmetric(BERN, fixed, 2, seed=1).shape == (2, 2)
+        with pytest.raises(ValueError, match="fixed part must be symmetric"):
+            exact_sample(BERN, fixed, 2, seed=1)
+
+    @pytest.mark.parametrize("fixed", [np.zeros((2, 3)), np.zeros(3),
+                                       [[0, 1, 0], [1, 0], [0, 0, 0]]])
+    def test_fixed_part_must_be_n_by_n(self, fixed):
+        for sample in (sample_symmetric, exact_sample):
+            with pytest.raises(ValueError, match="fixed part must be 3 x 3"):
+                sample(BERN, fixed, 3, seed=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_fixed_part_must_be_finite(self, bad):
@@ -68,13 +83,15 @@ class TestSampling:
         for seed in (1, [1, 2]):
             with pytest.raises(ValueError, match="fixed part must be finite"):
                 sample_symmetric(BERN, Fbad, 3, seed=seed)
+        with pytest.raises(ValueError, match="fixed part must be finite"):
+            exact_sample(BERN, Fbad, 3, seed=1)
 
     def test_seed_sequence_gives_float_stack(self):
         fixed = np.eye(4)
         stack = sample_symmetric(BERN, fixed, 4, seed=[7, 8, 9])
         assert stack.shape == (3, 4, 4) and stack.dtype == np.float64
         for sd, mat in zip((7, 8, 9), stack):
-            assert np.array_equal(mat, sample_symmetric(BERN, fixed, 4, seed=sd).matrix)
+            assert np.array_equal(mat, sample_symmetric(BERN, fixed, 4, seed=sd))
 
     def test_negative_zero_draws_read_positive_zero(self):
         # a -0.0 atom gives +0.0 entries, as the sum X + triu(X, 1).T did,
@@ -82,14 +99,14 @@ class TestSampling:
         law = AtomicLaw(((-0.0, 0.5), (1.0, 0.5)))
         s = sample_symmetric(law, None, 6, seed=3)
         stack = sample_symmetric(law, None, 6, seed=[3, 4])
-        for mat in (s.matrix, *stack):
+        for mat in (s, *stack):
             assert (mat == 0).any() and not np.signbit(mat).any()
 
     @pytest.mark.parametrize("law, fixed", [
         (BERN, None), (lazy_sign(F(1, 3)), [[F(1, 2)] * 5] * 5),
         (AtomicLaw(((F(-1, 2), F(1, 3)), (0, F(1, 3)), (3, F(1, 3)))), np.eye(5, dtype=int))])
     def test_exact_rows_match_entrywise_oracle(self, law, fixed):
-        s = sample_symmetric(law, fixed, 5, seed=12)
+        rows = exact_sample(law, fixed, 5, seed=12)
         # the upper triangle, row by row, holds the draws; F adds exactly
         as_int = all(v.denominator == 1 for v in law.values)
         atoms = [int(v) if as_int else v for v in law.values]
@@ -101,8 +118,8 @@ class TestSampling:
             f = 0 if fixed is None else fixed[i][j]
             f = int(f) if isinstance(f, (int, np.integer)) else f
             want[i][j] = want[j][i] = f + atoms[k]
-        assert [list(r) for r in s.exact] == want
-        assert [[type(x) for x in r] for r in s.exact] == [[type(x) for x in r] for r in want]
+        assert rows == want
+        assert [[type(x) for x in r] for r in rows] == [[type(x) for x in r] for r in want]
 
 
 class TestSpectralSummary:
@@ -121,14 +138,14 @@ class TestSpectralSummary:
         s = sample_symmetric(BERN, None, 50, seed=4)
         summ = spectral_summary(s)
         n = 50
-        assert abs(summ.eigenvalues.sum() - np.trace(s.matrix)) <= 1e-9 * n
+        assert abs(summ.eigenvalues.sum() - np.trace(s)) <= 1e-9 * n
         assert abs((summ.eigenvalues ** 2).sum() -
-                   (s.matrix ** 2).sum()) <= 1e-9 * n * n
+                   (s ** 2).sum()) <= 1e-9 * n * n
 
     def test_exact_corank(self):
         # the corank is n - exact_rank; the spectral summary leaves it unset
-        s = exact_sample([[1, 1], [1, 1]])
-        assert s.n - exact_rank(s) == 1 and spectral_summary(s).corank is None
+        rows = [[1, 1], [1, 1]]
+        assert 2 - exact_rank(rows) == 1 and spectral_summary(rows).corank is None
 
 
 needs_bundled_openblas = pytest.mark.skipif(
@@ -262,24 +279,21 @@ class TestCofactorExpansion:
 
 class TestGrowAndTrack:
     def zero(self, n):
-        return exact_sample([[0] * n for _ in range(n)])
+        return [[0] * n for _ in range(n)]
 
     def test_first_step_bound_two_by_two(self):
         # from the 2x2 zero matrix the new off-diagonal pair is never zero,
         # so the first bordering always jumps by 2; the escape bound is 1/2
-        hits = 0
         trials = 2000
-        for t in range(trials):
-            steps = grow_and_track(self.zero(2), BERN, 1, seed=t)
-            hits += steps[0].jumped_by_2
+        hits = sum(steps[0].jumped_by_2
+                   for steps in grow_and_track(self.zero(2), BERN, 1, seeds=range(trials)))
         bound = 1 - math.sqrt(1 / 2) ** 2
         se = math.sqrt(0.25 / trials)
         assert hits / trials >= bound - 3 * se
 
     def test_full_rank_rejected(self):
-        s = exact_sample([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
-            grow_and_track(s, BERN, 1, seed=0)
+            grow_and_track([[1, 0], [0, 1]], BERN, 1, seeds=[0])
 
     def test_jump_bound_from_rank_two_start(self):
         # rank-2 start in dimension 6: escape bound 1 - (1/sqrt2)^(6-2)
@@ -287,24 +301,18 @@ class TestGrowAndTrack:
         w = [1, 1, -1, 1, 1, -1]
         rows = [[v[i] * v[j] + w[i] * w[j] for j in range(6)] for i in range(6)]
         assert rational_rank(rows) == 2
-        base = exact_sample(rows)
         trials = 600
-        hits = 0
-        for t in range(trials):
-            steps = grow_and_track(base, BERN, 1, seed=5000 + t)
-            hits += steps[0].jumped_by_2
+        hits = sum(steps[0].jumped_by_2
+                   for steps in grow_and_track(rows, BERN, 1, seeds=range(5000, 5000 + trials)))
         bound = 1 - math.sqrt(0.5) ** 4
         se = math.sqrt(max(hits / trials * (1 - hits / trials), 1e-9) / trials)
         assert hits / trials >= bound - 3 * se
 
     def test_chain_reaches_corank_one(self):
         n = 4
-        good = 0
         trials = 300
-        for t in range(trials):
-            steps = grow_and_track(self.zero(n), BERN, n - 1, seed=t)
-            if steps[-1].size == 2 * n - 1 and steps[-1].new_rank == 2 * n - 2:
-                good += 1
+        good = sum(steps[-1].size == 2 * n - 1 and steps[-1].new_rank == 2 * n - 2
+                   for steps in grow_and_track(self.zero(n), BERN, n - 1, seeds=range(trials)))
         assert good / trials >= 0.5
 
     @pytest.mark.parametrize("law, base", [
@@ -319,7 +327,7 @@ class TestGrowAndTrack:
         # and ranks each bordered matrix on its own
         n, steps = len(base), 4
         values = [F(v) for v in law.values]
-        runs = grow_and_track(base, law, steps, seed=list(range(12)))
+        runs = grow_and_track(base, law, steps, seeds=list(range(12)))
         for sd, run in enumerate(runs):
             mat = [list(map(F, row)) for row in base]
             for t, st in enumerate(run):
@@ -328,11 +336,15 @@ class TestGrowAndTrack:
                 assert (st.size, st.new_rank) == (n + t + 1, fraction_rank(mat, n + t + 1))
             ranks = [fraction_rank(base, n)] + [st.new_rank for st in run]
             assert [st.jumped_by_2 for st in run] == [b == a + 2 for a, b in zip(ranks, ranks[1:])]
-        assert runs[3] == grow_and_track(base, law, steps, seed=3)
+        assert [runs[3]] == grow_and_track(base, law, steps, seeds=[3])
 
     def test_no_steps(self):
-        assert grow_and_track(self.zero(3), BERN, 0, seed=[1, 2]) == [[], []]
-        assert grow_and_track(self.zero(3), BERN, 0, seed=1) == []
+        assert grow_and_track(self.zero(3), BERN, 0, seeds=[1, 2]) == [[], []]
+        assert grow_and_track(self.zero(3), BERN, 2, seeds=[]) == []
+
+    def test_one_seed_rejected(self):
+        with pytest.raises(ValueError, match="seeds must be a sequence"):
+            grow_and_track(self.zero(3), BERN, 1, seeds=1)
 
     def test_bad_steps_fail_before_any_draw(self, monkeypatch):
         def no_draws(*key):
@@ -340,7 +352,7 @@ class TestGrowAndTrack:
 
         monkeypatch.setattr("randsym.ensembles.substream", no_draws)
         with pytest.raises(ValueError, match="steps"):
-            grow_and_track(self.zero(3), BERN, -1, seed=[1])
+            grow_and_track(self.zero(3), BERN, -1, seeds=[1])
 
 
 class TestNearKernel:
@@ -358,7 +370,7 @@ class TestNearKernel:
         nk = near_kernel_vector(s)
         lam = abs(nk.lambda_min)
         # residuals are |lambda_min| * |u_i| and their l2 norm is |lambda_min|
-        resid = np.sort(np.abs(s.matrix @ nk.u))[::-1]
+        resid = np.sort(np.abs(s @ nk.u))[::-1]
         expect = np.sort(lam * np.abs(nk.u))[::-1]
         assert np.max(np.abs(resid - expect)) <= 1e-9
         assert np.linalg.norm(nk.residuals) == pytest.approx(lam, abs=1e-9)
@@ -547,7 +559,7 @@ class TestMatrixIO:
         m = np.array([[1.5, -2.0], [-2.0, 0.25]])
         p = tmp_path / "m.txt"
         write_matrix_text(m, str(p))
-        assert (read_matrix_text(str(p)) == m).all()
+        assert (np.loadtxt(str(p)) == m).all()
 
     def test_exact_roundtrip(self, tmp_path):
         p = tmp_path / "m.frac"

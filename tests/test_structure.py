@@ -114,8 +114,8 @@ class TestDecoupling:
         assert DECOUPLING_CONST == pytest.approx(1.7829327e8, rel=1e-6)
 
     def test_zero_form_holds(self):
-        chk = verify_decoupling(QuadraticForm(((0, 0), (0, 0))), BERN, 0.1,
-                                Bipartition((True, False)))
+        chk, = verify_decoupling([QuadraticForm(((0, 0), (0, 0)))], BERN, 0.1,
+                                 [Bipartition((True, False))])
         assert chk.rho_quad == 1 and chk.rhs == 1 and chk.holds
 
     def test_irrational_unit_form_exact(self):
@@ -125,7 +125,7 @@ class TestDecoupling:
         m = np.triu(m, 1)
         m = m + m.T
         form = QuadraticForm(tuple(tuple(row) for row in m))
-        chk = verify_decoupling(form, BERN, 0.1, Bipartition.random(4, 17))
+        chk, = verify_decoupling([form], BERN, 0.1, [Bipartition.random(4, 17)])
         assert chk.holds
         assert isinstance(chk.rhs, F)        # both sides exact counts
 
@@ -138,7 +138,7 @@ class TestDecoupling:
             m = m + m.T
             form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
             u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
-            const, _ = decoupling_scan(form, BERN, F(1, 10), u)
+            (const,), _ = decoupling_scan([form], BERN, F(1, 10), [u])
             assert const is not None and const <= 4
 
     @pytest.mark.parametrize("bad", [-1.0, F(-1, 4), float("nan"), float("inf"),
@@ -153,11 +153,11 @@ class TestDecoupling:
         form = QuadraticForm(((0, 1), (1, 0)))
         u = Bipartition((True, False))
         with pytest.raises(ValueError, match="radius_constant"):
-            verify_decoupling(form, BERN, 0.1, u, radius_constant=bad)
+            verify_decoupling([form], BERN, 0.1, [u], radius_constant=bad)
 
     def test_zero_radius_constant_allowed(self):
-        chk = verify_decoupling(QuadraticForm(((0, 1), (1, 0))), BERN, 0.1,
-                                Bipartition((True, False)), radius_constant=0)
+        chk, = verify_decoupling([QuadraticForm(((0, 1), (1, 0)))], BERN, 0.1,
+                                 [Bipartition((True, False))], radius_constant=0)
         assert chk.radius == 0 and chk.radius_constant == 0
 
     # n = 3 forms (entries above the diagonal, in quarters) and their
@@ -184,7 +184,7 @@ class TestDecoupling:
         for form, u in zip(forms, us):
             checks = []
             for c in (1.0, 2.0, 4.0):
-                checks.append(verify_decoupling(form, BERN, beta, u, radius_constant=c))
+                checks += verify_decoupling([form], BERN, beta, [u], radius_constant=c)
                 if checks[-1].holds:
                     break
             one_by_one.append((checks[-1].radius_constant if checks[-1].holds else None, checks))
@@ -211,11 +211,13 @@ class TestDecoupling:
                                                      for row in m)))
                     us.append(Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5)))
                 stacked = verify_decoupling(forms, law, 0.1, us, radius_constant=0.5)
-                assert stacked == [verify_decoupling(f, law, 0.1, u, radius_constant=0.5)
-                                   for f, u in zip(forms, us)]
+                assert stacked == [chk for f, u in zip(forms, us)
+                                   for chk in verify_decoupling([f], law, 0.1, [u],
+                                                                radius_constant=0.5)]
                 const, checks = decoupling_scan(forms, law, F(1, 10), us)
-                assert list(zip(const, checks)) == [decoupling_scan(f, law, F(1, 10), u)
-                                                    for f, u in zip(forms, us)]
+                alone = [decoupling_scan([f], law, F(1, 10), [u]) for f, u in zip(forms, us)]
+                assert const == [c for (c,), _ in alone]
+                assert checks == [chk for _, (chk,) in alone]
 
     def test_stack_fails_before_any_enumeration(self, monkeypatch):
         from randsym import smallball
