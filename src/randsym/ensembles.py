@@ -70,17 +70,39 @@ def _fixed_part(F, n: int, gamma: float) -> Optional[np.ndarray]:
     n^gamma); None when there is no fixed part."""
     if F is None:
         return None
-    if len(F) != n or any(np.shape(row) != (n,) for row in F):
-        raise ValueError(f"fixed part must be {n} x {n}")
+    _check_square(F, n)
     F_arr = np.array(F, dtype=np.float64)
     if not np.isfinite(F_arr).all():
         raise ValueError("fixed part must be finite")
-    if not (F_arr == F_arr.T).all():
+    return _symmetric_within(F_arr, float(n) ** float(gamma))
+
+
+def _exact_fixed_part(F, n: int) -> Optional[np.ndarray]:
+    """F as an (n, n) object array of ints and Fractions, checked as
+    _fixed_part checks it at gamma = 1 but exactly; None without F."""
+    if F is None:
+        return None
+    _check_square(F, n)
+    try:
+        f = np.array([[int(x) if isinstance(x, (int, np.integer)) else Fraction(x) for x in row]
+                      for row in F], dtype=object)
+    except (OverflowError, ValueError):     # Fraction of an inf or a nan
+        raise ValueError("fixed part must be finite") from None
+    return _symmetric_within(f, n)
+
+
+def _check_square(F, n: int) -> None:
+    if len(F) != n or any(np.shape(row) != (n,) for row in F):
+        raise ValueError(f"fixed part must be {n} x {n}")
+
+
+def _symmetric_within(f: np.ndarray, bound) -> np.ndarray:
+    """f, once it is symmetric with entries at most bound in absolute value."""
+    if (f != f.T).any():
         raise ValueError("fixed part must be symmetric")
-    bound = float(n) ** float(gamma)
-    if np.max(np.abs(F_arr)) > bound:
+    if np.max(np.abs(f)) > bound:
         raise BoundViolation(f"|f_ij| exceeds n^gamma = {bound}")
-    return F_arr
+    return f
 
 
 @lru_cache(maxsize=64)
@@ -134,31 +156,25 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], Stream
     return M[0] if isinstance(seed, (int, np.integer)) else M
 
 
-def exact_sample(law: AtomicLaw, F, n: int, seed: int, gamma: float = 1.0) -> List[list]:
+def exact_sample(law: AtomicLaw, F, n: int, seed: int) -> List[list]:
     """The exact rows of the matrix sample_symmetric(law, F, n, seed) draws,
     from the same index draw.
 
     X holds the atoms of a rational atomic law (ints when every atom is an
-    integer, Fractions otherwise); F is checked as sample_symmetric checks
-    it and read exactly: int entries stay ints, Fractions stay Fractions and
-    floats are the binary rationals they are.
+    integer, Fractions otherwise).  F is read exactly and checked before
+    the draw, its entries bounded by n: int entries stay ints, Fractions
+    stay Fractions and floats are the binary rationals they are.
     """
     if not (isinstance(law, AtomicLaw) and law.is_rational):
         raise ValueError("rational atomic law required")
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"exact rows are drawn one seed at a time, got {seed!r}")
-    _fixed_part(F, n, gamma)
+    f = _exact_fixed_part(F, n)
     idx, = _upper_draws(law, n, seed)
     as_int = all(v.denominator == 1 for v in law.values)      # Fractions all
     atoms = np.array([int(v) if as_int else v for v in law.values], dtype=object)
     entries = atoms[idx[_mirror(n)]].reshape(n, n)
-    if F is not None:
-        f = np.array([[int(x) if isinstance(x, (int, np.integer)) else Fraction(x) for x in row]
-                      for row in F], dtype=object)
-        if (f != f.T).any():        # entries that differ past float precision
-            raise ValueError("fixed part must be symmetric")
-        entries = f + entries
-    return entries.tolist()
+    return (entries if f is None else f + entries).tolist()
 
 
 # ---------------------------------------------------------------------------

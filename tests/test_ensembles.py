@@ -40,6 +40,13 @@ class TestSampling:
         Fbad[0, 1] = Fbad[1, 0] = 3.0 ** 1.0 + 1
         with pytest.raises(BoundViolation):
             sample_symmetric(BERN, Fbad, 3, seed=1, gamma=1.0)
+        with pytest.raises(BoundViolation):
+            exact_sample(BERN, Fbad, 3, seed=1)
+        # exact_sample holds F to the bound n exactly
+        Fbad = [[0, 0, 0], [0, F(3) + F(1, 10 ** 30), 0], [0, 0, 0]]
+        assert sample_symmetric(BERN, Fbad, 3, seed=1).shape == (3, 3)
+        with pytest.raises(BoundViolation):
+            exact_sample(BERN, Fbad, 3, seed=1)
 
     @pytest.mark.parametrize("fixed, kind", [
         (None, int), (np.eye(3, dtype=int), int), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], int),
@@ -62,10 +69,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="one seed at a time"):
             exact_sample(BERN, None, 3, seed=[1, 2])
 
-    def test_exact_fixed_part_must_be_exactly_symmetric(self):
+    def test_exact_fixed_part_must_be_exactly_symmetric(self, monkeypatch):
         # equal as floats, unequal as rationals
         fixed = [[0, F(1, 3)], [F(1, 3) + F(1, 10 ** 30), 0]]
         assert sample_symmetric(BERN, fixed, 2, seed=1).shape == (2, 2)
+        # refused before any draw
+        monkeypatch.setattr("randsym.ensembles._upper_draws", None)
         with pytest.raises(ValueError, match="fixed part must be symmetric"):
             exact_sample(BERN, fixed, 2, seed=1)
 
