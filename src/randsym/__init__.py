@@ -13,7 +13,7 @@ Layout:
 * ensembles   random symmetric matrices, spectra, exact ranks,
               cofactor identities, rank growth, subspace membership
 * detconc     cutoff log-determinants, spectral window counts, the keyed
-              trials and reports of the tail and detconc experiments
+              trials of the tail and detconc experiments and their rules
 * cli         the `randsym` experiment runner, the one way to run them
 """
 
@@ -42,8 +42,7 @@ from .ensembles import (BoundViolation, ConvergenceFailure, SpectralSummary,
                         cofactor_expansion_check, exact_det, exact_rank,
                         exact_sample, grow_and_track, near_kernel_vector,
                         sample_symmetric, spectral_summary, subspace_membership_mc)
-from .detconc import (DetConcReport, EnvelopeVerdict, SpacingUnverified, TailReport,
-                      cutoff_log, envelope_rule, spectral_window_count,
-                      truncated_log_det, wilson_interval)
+from .detconc import (EnvelopeVerdict, SpacingUnverified, cutoff_log, envelope_rule,
+                      spectral_window_count, truncated_log_det, wilson_interval)
 
 __version__ = "0.1.0"

@@ -33,8 +33,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .detconc import (SpacingUnverified, bound_verdict, concentration_report, detconc_trial,
-                      tail_report, tail_trial, usable_cores, wilson_interval)
+from .detconc import (SpacingUnverified, bound_verdict, cutoff_epsilon, detconc_trial,
+                      envelope_norm, envelope_rule, loglog_slope, seed_repeats, tail_trial,
+                      usable_cores, wilson_interval)
 from .ensembles import (MembershipResult, blas_pinnable, check_atom_bound, exact_rank,
                         exact_sample, grow_and_track, read_matrix_exact, sample_symmetric,
                         spectral_summary, subspace_membership_mc, write_matrix_text)
@@ -63,13 +64,13 @@ def _fractions(text: str) -> List[Fraction]:
     return [Fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
-# Every config key, in the order of a resolved config, with its kind: int,
-# size (an int of at least 1, or of the experiment's `least` for the key),
-# sizes (a non-empty list of them), real (a finite int or float), a range
-# of reals (_RANGES), text, a parser the text must pass, or a tuple of the
-# words allowed; reals and text are kept as given, so that records hash
-# as before.  Flags and key=value lines are text; JSON and records are
-# typed.
+# Every config key, in the order of a resolved config, with its kind: int
+# (an int of at least 0), size (an int of at least 1, or of the
+# experiment's `least` for the key), sizes (a non-empty list of distinct
+# sizes), real (a finite int or float), a range of reals (_RANGES), text, a
+# parser the text must pass, or a tuple of the words allowed; reals and
+# text are kept as given, so that records hash as before.  Flags and
+# key=value lines are text; JSON and records are typed.
 _KEYS: Dict[str, object] = {
     "law": parse_law, "n": "size", "n_list": "sizes", "trials": "size", "seed": "int",
     "workers": "size", "out": "text", "beta": "nonnegative", "a_exp": "real",
@@ -128,6 +129,8 @@ def _checked(key: str, value, least: int):
         value = tuple(value) if ok else value
     elif kind in ("int", "size"):
         ok = _is_int(value)
+        if ok and kind == "int" and value < 0:
+            raise InvalidConfig(f"{key}: invalid value {value!r}, needs {key} >= 0")
     elif kind in _RANGES:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
             and math.isfinite(value)
@@ -141,6 +144,8 @@ def _checked(key: str, value, least: int):
         sizes = value if kind == "sizes" else (value,)
         if not sizes or min(sizes) < least:
             raise InvalidConfig(f"{key}: needs sizes >= {least}, got {list(sizes)}")
+        if len(set(sizes)) < len(sizes):
+            raise InvalidConfig(f"{key}: needs distinct sizes, got {list(sizes)}")
     elif callable(kind):
         try:
             kind(value)
@@ -310,45 +315,77 @@ def _trial_rows(trial, cfg: Dict[str, object], **kw) -> List[tuple]:
 
 
 def _run_tail(cfg: Dict[str, object]):
+    """Per n the hits and frequencies (Wilson intervals) of {sigma_n <= n^-A}
+    and {kappa >= n^A}, the seed repeats and the sigma_n verdict; then the
+    log-log slope of the positive sigma_n frequencies."""
     law = parse_law(cfg["law"])
     cert = SpacingCertificate(cfg["c1"], cfg["c2"], cfg["c3"]) \
         if {"c1", "c2", "c3"} <= cfg.keys() else None
     if cert is None or not verify_spacing(law, cert):
         raise SpacingUnverified("no spacing certificate passes for this law")
-    rep = tail_report(_trial_rows(tail_trial, cfg, F=None, **_spectra(cfg)), cfg["n_list"],
-                      cfg["a_exp"], cfg["trials"], cfg["seed"])
-    per_n = {n: {**stats, "verdict": bound_verdict(stats["hits_sigma"], cfg["trials"],
-                                                   cfg["freq_bound"])}
-             for n, stats in rep.per_n.items()}
-    summary = {"per_n": per_n, "loglog_slope": rep.loglog_slope}
-    return (("n", "trial", "sigma_n", "kappa"), rep.rows, summary,
+    rows = _trial_rows(tail_trial, cfg, F=None, **_spectra(cfg))
+    trials, a_exp = cfg["trials"], float(cfg["a_exp"])
+    per_n: Dict[int, dict] = {}
+    for i, n in enumerate(cfg["n_list"]):
+        block = rows[i * trials:(i + 1) * trials]
+        thr_sigma, thr_kappa = float(n) ** -a_exp, float(n) ** a_exp
+        hits_s = sum(1 for r in block if r[2] <= thr_sigma)
+        hits_k = sum(1 for r in block if r[3] >= thr_kappa)
+        per_n[n] = {
+            "hits_sigma": hits_s, "freq_sigma": hits_s / trials,
+            "ci_sigma": wilson_interval(hits_s, trials),
+            "hits_kappa": hits_k, "freq_kappa": hits_k / trials,
+            "ci_kappa": wilson_interval(hits_k, trials),
+            "seed_repeats": seed_repeats(cfg["seed"], n, trials),
+            "verdict": bound_verdict(hits_s, trials, cfg["freq_bound"]),
+        }
+    hit = [n for n, stats in per_n.items() if stats["hits_sigma"]]
+    summary = {"per_n": per_n,
+               "loglog_slope": loglog_slope(hit, [per_n[n]["freq_sigma"] for n in hit])}
+    return (("n", "trial", "sigma_n", "kappa"), rows, summary,
             _worst([stats["verdict"] for stats in per_n.values()]))
 
 
 def _run_detconc(cfg: Dict[str, object]):
+    """Per n the std and mean of the kept sum, its ratio to n^(1/3) log n,
+    the hits and frequency (Wilson interval) of centered deviations >=
+    2 log n / eps, none at n = 1, with their verdict, and the seed
+    repeats; then the ratio spread and the envelope rule's shape verdict."""
     _atomic_law(cfg["law"])
     rows = _trial_rows(detconc_trial, cfg, epsilon=cfg.get("epsilon"), **_spectra(cfg))
-    rep = concentration_report(rows, cfg["n_list"], cfg["trials"], cfg["seed"],
-                               cfg.get("epsilon"))
-    per_n = {n: {**stats, "dev_verdict": bound_verdict(stats["dev_hits"], cfg["trials"],
-                                                       cfg["dev_bound"])}
-             for n, stats in rep.per_n.items()}
-    # spread_bound caps the rise of the ratio towards larger n (envelope_rule);
-    # a single n carries no shape evidence, a zero std fails the rule
-    shape = rep.shape(cfg["spread_bound"])
-    if len(set(cfg["n_list"])) < 2:
-        shape_verdict = "inconclusive"
-    else:
-        shape_verdict = "pass" if shape.ok else "fail"
+    n_list, trials = cfg["n_list"], cfg["trials"]
+    per_n: Dict[int, dict] = {}
+    for i, n in enumerate(n_list):
+        kept = np.array([r[4] for r in rows[i * trials:(i + 1) * trials]])
+        eps = cutoff_epsilon(n, cfg.get("epsilon"))
+        std, mean = float(kept.std(ddof=1)), float(kept.mean())
+        thr = 2.0 * math.log(n) / eps
+        hits = int(np.sum(np.abs(kept - mean) >= thr)) if n > 1 else 0
+        per_n[n] = {
+            "epsilon": eps, "std_kept": std, "ratio": std / envelope_norm(n),
+            "dev_threshold": thr, "dev_hits": hits, "dev_freq": hits / trials,
+            "dev_ci": wilson_interval(hits, trials), "mean_kept": mean,
+            "seed_repeats": seed_repeats(cfg["seed"], n, trials),
+            "dev_verdict": bound_verdict(hits, trials, cfg["dev_bound"]),
+        }
+    # max/min of the ratios, kept as a summary: n^(1/3) log n is an envelope,
+    # not a predicted growth rate, so a falling ratio is no fault.  The rule
+    # is envelope_rule, whose spread_bound caps the ratio's rise towards
+    # larger n; a single n carries no shape evidence, a zero std fails it
+    ratios = [stats["ratio"] for stats in per_n.values()]
+    shape = envelope_rule(n_list, [stats["std_kept"] for stats in per_n.values()],
+                          cfg["spread_bound"])
+    shape_verdict = "inconclusive" if len(n_list) < 2 else "pass" if shape.ok else "fail"
     summary = {
-        "per_n": per_n, "ratio_spread": rep.ratio_spread,
+        "per_n": per_n,
+        "ratio_spread": max(ratios) / min(ratios) if min(ratios) > 0 else math.inf,
         "spread_bound": cfg["spread_bound"], "max_rise": shape.max_rise,
         "fitted_exponent": shape.fitted_exponent, "shape_verdict": shape_verdict,
     }
     header = ("n", "trial", "seed", "log_abs_det", "kept_sum",
               "dropped_count", "sigma_n", "kappa")
     verdicts = [stats["dev_verdict"] for stats in per_n.values()] + [shape_verdict]
-    return header, rep.rows, summary, _worst(verdicts)
+    return header, rows, summary, _worst(verdicts)
 
 
 def _decoupling_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],

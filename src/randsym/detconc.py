@@ -7,12 +7,12 @@ which is what the spectral concentration inequality consumes), while the
 small-eigenvalue product is bounded below through the least singular
 value.
 
-The `randsym tail` and `randsym detconc` experiments (randsym.cli) are
-built from this module: per n, one tail_trial or detconc_trial range of
-rows, summarized by tail_report or concentration_report (the empirical
-sigma_n / condition-number tails, and the spread of the truncated
-log-product at eps = n^(-1/6)), then graded by bound_verdict and
-envelope_rule.
+The `randsym tail` and `randsym detconc` experiments (randsym.cli) run
+this module's trials: per n, one tail_trial or detconc_trial range of
+rows.  Their runners summarize each n's rows (the empirical sigma_n /
+condition-number tails, and the spread of the truncated log-product at
+cutoff_epsilon) and grade them by the rules stated here: bound_verdict,
+envelope_rule and loglog_slope.
 
 Trials are keyed (seed, n, t).  tail_trial and detconc_trial take a range
 of trial indices and return its rows; keyed_spectra keys the range in one
@@ -33,7 +33,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,26 +187,7 @@ def envelope_rule(n_list: Sequence[int], std_kept: Sequence[float],
     return EnvelopeVerdict(max_rise, fitted, max_rise <= rise_bound, grows)
 
 
-@dataclass(frozen=True)
-class DetConcReport:
-    n_list: Tuple[int, ...]
-    trials: int
-    seed: int
-    rows: Tuple[tuple, ...]   # (n, trial, seed, log_abs_det, kept_sum, dropped, sigma_n, kappa)
-    per_n: Dict[int, dict]
-    # max/min of std / (n^(1/3) log n), kept as a summary; n^(1/3) log n is an
-    # envelope, not a predicted growth rate, so a falling ratio is no fault
-    # and shape() is the rule
-    ratio_spread: float
-
-    def shape(self, rise_bound: float = 1.5) -> EnvelopeVerdict:
-        """The envelope rule applied to this report's per-n stds."""
-        return envelope_rule(self.n_list,
-                             [self.per_n[n]["std_kept"] for n in self.n_list],
-                             rise_bound)
-
-
-def _epsilon(n: int, epsilon: Optional[float]) -> float:
+def cutoff_epsilon(n: int, epsilon: Optional[float]) -> float:
     """The cutoff: epsilon when given, else n^(-1/6); ValueError unless it
     is positive (NaN is not), so a bad epsilon fails before any draw."""
     eps = float(epsilon) if epsilon is not None else float(n) ** (-1.0 / 6.0)
@@ -315,7 +296,7 @@ def detconc_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
     """Concentration rows (n, t, trial seed, log|det|, kept_sum, dropped,
     sigma_n, kappa), one per trial index t in trials; lanes and pin_blas
     as in keyed_spectra."""
-    eps = _epsilon(n, epsilon)
+    eps = cutoff_epsilon(n, epsilon)
 
     def row(t: int, trial_seed: int, summ: SpectralSummary) -> tuple:
         tld = truncated_log_det(summ, eps)
@@ -330,72 +311,3 @@ def tail_trial(law: Law, F, n: int, seed: int, trials: Iterable[int],
     lanes and pin_blas as in keyed_spectra."""
     return keyed_spectra(law, F, n, seed, trials,
                          lambda t, _, summ: (n, t, summ.sigma_n, summ.kappa), lanes, pin_blas)
-
-
-def concentration_report(rows: Sequence[tuple], n_list: Sequence[int], trials: int,
-                         seed: int, epsilon: Optional[float] = None) -> DetConcReport:
-    """Summary of detconc_trial rows, trials rows per n in n_list order: per
-    n the std and mean of the kept sum, its ratio to n^(1/3) log n, the
-    hits and frequency (Wilson interval) of centered deviations >= 2 log n
-    / eps, none at n = 1, and the seed repeats; then the ratio spread.
-    shape() fits the exponent."""
-    per_n: Dict[int, dict] = {}
-    for i, n in enumerate(n_list):
-        kept = np.array([r[4] for r in rows[i * trials:(i + 1) * trials]])
-        eps = _epsilon(n, epsilon)
-        std = float(kept.std(ddof=1))
-        mean = float(kept.mean())
-        thr = 2.0 * math.log(n) / eps
-        hits = int(np.sum(np.abs(kept - mean) >= thr)) if n > 1 else 0
-        per_n[n] = {
-            "epsilon": eps,
-            "std_kept": std,
-            "ratio": std / envelope_norm(n),
-            "dev_threshold": thr,
-            "dev_hits": hits,
-            "dev_freq": hits / trials,
-            "dev_ci": wilson_interval(hits, trials),
-            "mean_kept": mean,
-            "seed_repeats": seed_repeats(seed, n, trials),
-        }
-    ratios = [per_n[n]["ratio"] for n in n_list]
-    spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    return DetConcReport(tuple(n_list), trials, seed, tuple(rows), per_n, spread)
-
-
-@dataclass(frozen=True)
-class TailReport:
-    n_list: Tuple[int, ...]
-    a_exp: float
-    trials: int
-    seed: int
-    rows: Tuple[tuple, ...]                # (n, trial, sigma_n, kappa)
-    per_n: Dict[int, dict]
-    loglog_slope: Optional[float]
-
-
-def tail_report(rows: Sequence[tuple], n_list: Sequence[int], a_exp: float,
-                trials: int, seed: int) -> TailReport:
-    """Summary of tail_trial rows, trials rows per n in n_list order: per n
-    the hits and frequencies (Wilson intervals) of {sigma_n <= n^-A} and
-    {kappa >= n^A} and the seed repeats; then the log-log slope of the
-    positive sigma_n frequencies."""
-    per_n: Dict[int, dict] = {}
-    for i, n in enumerate(n_list):
-        block = rows[i * trials:(i + 1) * trials]
-        thr_sigma, thr_kappa = float(n) ** (-float(a_exp)), float(n) ** float(a_exp)
-        hits_s = sum(1 for r in block if r[2] <= thr_sigma)
-        hits_k = sum(1 for r in block if r[3] >= thr_kappa)
-        per_n[n] = {
-            "hits_sigma": hits_s,
-            "freq_sigma": hits_s / trials,
-            "ci_sigma": wilson_interval(hits_s, trials),
-            "hits_kappa": hits_k,
-            "freq_kappa": hits_k / trials,
-            "ci_kappa": wilson_interval(hits_k, trials),
-            "seed_repeats": seed_repeats(seed, n, trials),
-        }
-    hit = [n for n in n_list if per_n[n]["freq_sigma"] > 0]
-    slope = loglog_slope(hit, [per_n[n]["freq_sigma"] for n in hit])
-    return TailReport(tuple(n_list), float(a_exp), trials, seed, tuple(rows),
-                      per_n, slope)

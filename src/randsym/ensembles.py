@@ -58,28 +58,28 @@ _STACK_ENTRIES = 1 << 16
 
 
 class BoundViolation(Exception):
-    """Fixed part exceeds its declared n^gamma entry bound."""
+    """Fixed part has an entry above n in absolute value."""
 
 
 class ConvergenceFailure(Exception):
     """Eigensolver did not converge."""
 
 
-def _fixed_part(F, n: int, gamma: float) -> Optional[np.ndarray]:
+def _fixed_part(F, n: int) -> Optional[np.ndarray]:
     """F as a checked float array (finite, n x n, symmetric, entries at most
-    n^gamma); None when there is no fixed part."""
+    n); None when there is no fixed part."""
     if F is None:
         return None
     _check_square(F, n)
     F_arr = np.array(F, dtype=np.float64)
     if not np.isfinite(F_arr).all():
         raise ValueError("fixed part must be finite")
-    return _symmetric_within(F_arr, float(n) ** float(gamma))
+    return _symmetric_within(F_arr, n)
 
 
 def _exact_fixed_part(F, n: int) -> Optional[np.ndarray]:
     """F as an (n, n) object array of ints and Fractions, checked as
-    _fixed_part checks it at gamma = 1 but exactly; None without F."""
+    _fixed_part checks it but exactly; None without F."""
     if F is None:
         return None
     _check_square(F, n)
@@ -96,12 +96,12 @@ def _check_square(F, n: int) -> None:
         raise ValueError(f"fixed part must be {n} x {n}")
 
 
-def _symmetric_within(f: np.ndarray, bound) -> np.ndarray:
-    """f, once it is symmetric with entries at most bound in absolute value."""
+def _symmetric_within(f: np.ndarray, n: int) -> np.ndarray:
+    """f, once it is symmetric with entries at most n in absolute value."""
     if (f != f.T).any():
         raise ValueError("fixed part must be symmetric")
-    if np.max(np.abs(f)) > bound:
-        raise BoundViolation(f"|f_ij| exceeds n^gamma = {bound}")
+    if np.max(np.abs(f)) > n:
+        raise BoundViolation(f"|f_ij| exceeds n = {n}")
     return f
 
 
@@ -128,8 +128,8 @@ def _upper_draws(law: Law, n: int, seed) -> np.ndarray:
     return draw(rng, m).reshape(-1, m)
 
 
-def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], StreamBlock],
-                     gamma: float = 1.0) -> np.ndarray:
+def sample_symmetric(law: Law, F, n: int,
+                     seed: Union[int, Sequence[int], StreamBlock]) -> np.ndarray:
     """Draw M = F + X as floats; the upper triangle of X (with diagonal) is iid.
 
     Deterministic in seed: the n(n+1)/2 upper entries, row by row, are the
@@ -146,7 +146,7 @@ def sample_symmetric(law: Law, F, n: int, seed: Union[int, Sequence[int], Stream
     without the GIL (detconc.keyed_spectra does, each stack a slice of one
     block hashed for the whole trial range).
     """
-    F_arr = _fixed_part(F, n, gamma)
+    F_arr = _fixed_part(F, n)
     vals = _upper_draws(law, n, seed)
     if isinstance(law, AtomicLaw):
         vals = law.values_float()[vals]

@@ -47,8 +47,8 @@ class TestRunRecords:
         rec = run(cfg(tmp_path, experiment="detconc", n_list=(1, 4), trials=30, seed=2))
         assert rec.summary["fitted_exponent"] is None
         assert rec.summary["shape_verdict"] == "fail" and rec.verdict == "fail"
-        # fewer than two distinct n carry no shape evidence
-        rec = run(cfg(tmp_path, experiment="detconc", n_list=(6, 6), trials=30, seed=2))
+        # a single n carries no shape evidence (a repeated n is refused)
+        rec = run(cfg(tmp_path, experiment="detconc", n_list=(6,), trials=30, seed=2))
         assert rec.summary["shape_verdict"] == "inconclusive"
 
     def test_detconc_no_deviation_at_n1(self, tmp_path):
@@ -245,6 +245,27 @@ class TestStoredRecords:
         shutil.copy(src + ".json", path)
         replay(path, workers=1)
         assert Path(path + ".replay.csv").read_bytes() == Path(src + ".csv").read_bytes()
+
+
+PINS = os.path.join(os.path.dirname(__file__), "pins", "summaries.json")
+
+
+def test_tail_and_detconc_summaries_pinned(tmp_path):
+    """The exit code, verdict and whole summary of twelve tail and detconc
+    runs, captured while detconc still built these summaries (the stored
+    records are checked for rows and lack later summary keys): the
+    defaults, the stored records' configs, n = 1, n = 200, infinite
+    spreads at n = 1, 2, a point mass, a continuous law, an explicit
+    epsilon at two workers, and A = 1.5."""
+    pins = json.loads(Path(PINS).read_text())
+    got = []
+    for i, pin in enumerate(pins):
+        out = str(tmp_path / f"pin{i}")
+        code = main(pin["argv"] + ["--out", out])
+        rec = json.loads(Path(out + ".json").read_text())
+        got.append({"argv": pin["argv"], "exit": code, "verdict": rec["verdict"],
+                    "summary": rec["summary"]})
+    assert got == pins
 
 
 class TestVerdicts:
@@ -471,7 +492,13 @@ class TestMain:
         pytest.param("decoupling", {"beta": -1}, "invalid value -1, needs beta >= 0",
                      id="json-decoupling-beta"),
         pytest.param("detconc", "epsilon=-1", "invalid value -1.0, needs epsilon > 0",
-                     id="epsilon=-1")])
+                     id="epsilon=-1"),
+        pytest.param("tail", "seed=-1", "invalid value -1, needs seed >= 0", id="seed=-1"),
+        pytest.param("gapreduce", {"seed": -1}, "invalid value -1, needs seed >= 0",
+                     id="json-seed"),
+        pytest.param("tail", "n_list=4,4", "needs distinct sizes, got [4, 4]", id="n_list=4,4"),
+        pytest.param("odlyzko", {"n_list": [3, 8, 3]}, "needs distinct sizes, got [3, 8, 3]",
+                     id="json-n_list-repeat")])
     def test_bad_config_value_named(self, tmp_path, capsys, experiment, setting, message):
         # a key=value line is text; a JSON config is typed, so "2" is no int
         conf = tmp_path / "exp.cfg"
@@ -589,7 +616,8 @@ class TestMain:
         (["rank", "--n", "-2"], "n"),
         (["grow", "--n", "0"], "n"),
         (["grow", "--n", "1"], "n"),
-        (["spectrum", "--trials", "0"], "trials")])
+        (["spectrum", "--trials", "0"], "trials"),
+        (["rank", "--seed", "-1"], "seed")])
     def test_ensemble_bad_sizes_named(self, capsys, monkeypatch, argv, key):
         import randsym.cli
 
@@ -742,7 +770,8 @@ class TestTrialBlocks:
         (["rankgrow", "--law", "uniform"], "law"),
         (["odlyzko", "--law", "gaussian"], "law"),
         (["ensemble", "rank", "--law", "gaussian"], "law"),
-        (["ensemble", "grow", "--law", "gaussian"], "law")])
+        (["ensemble", "grow", "--law", "gaussian"], "law"),
+        (["tail", "--seed", "-1", "--workers", "2"], "seed")])
     def test_bad_law_named_before_any_trial(self, tmp_path, capsys, monkeypatch, argv, key):
         import randsym.cli
 

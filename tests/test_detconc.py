@@ -7,8 +7,8 @@ from randsym import (AtomicLaw, SpacingUnverified, bernoulli, cutoff_log, envelo
                      gaussian, sample_symmetric, spectral_summary, spectral_window_count,
                      truncated_log_det, uniform3, wilson_interval)
 from randsym.cli import ExperimentConfig, InvalidConfig, run
-from randsym.detconc import (_LANE_MIN_N, bound_verdict, concentration_report, detconc_trial,
-                             envelope_norm, loglog_slope, tail_trial)
+from randsym.detconc import (_LANE_MIN_N, bound_verdict, detconc_trial, envelope_norm,
+                             loglog_slope, tail_trial)
 from randsym.ensembles import _STACK_ENTRIES, blas_pinnable, spectral_summaries
 from randsym.streams import key_seed, substream
 
@@ -216,14 +216,6 @@ class TestEnvelopeRule:
         for n_list in ((50,), (50, 50)):
             v = envelope_rule(n_list, [1.0] * len(n_list))
             assert v.fitted_exponent is None and not v.ok
-
-    def test_report_shape_matches_rule(self):
-        rows = detconc_trial(BERN, 8, 7, range(30)) + detconc_trial(BERN, 12, 7, range(30))
-        rep = concentration_report(rows, [8, 12], 30, 7)
-        stds = [rep.per_n[n]["std_kept"] for n in (8, 12)]
-        v = rep.shape()
-        assert v == envelope_rule([8, 12], stds)
-        assert v.fitted_exponent == loglog_slope([8, 12], stds) is not None
 
 
 class TestTailExperiment:

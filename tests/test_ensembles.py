@@ -39,7 +39,7 @@ class TestSampling:
         Fbad = np.zeros((3, 3))
         Fbad[0, 1] = Fbad[1, 0] = 3.0 ** 1.0 + 1
         with pytest.raises(BoundViolation):
-            sample_symmetric(BERN, Fbad, 3, seed=1, gamma=1.0)
+            sample_symmetric(BERN, Fbad, 3, seed=1)
         with pytest.raises(BoundViolation):
             exact_sample(BERN, Fbad, 3, seed=1)
         # exact_sample holds F to the bound n exactly
