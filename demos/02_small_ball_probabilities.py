@@ -9,8 +9,7 @@ from fractions import Fraction as F
 
 from randsym import (LinearForm, QuadraticForm, bernoulli, bilinear_small_ball,
                      central_binomial_rho, gaussian, linear_small_ball_exact,
-                     linear_small_ball_mc, quadratic_small_ball_exact,
-                     suffix_smallball_factors, truncated_product_bound)
+                     linear_small_ball_mc, quadratic_small_ball_exact)
 
 law = bernoulli()
 
@@ -42,10 +41,3 @@ print("rho((x1 y1 + x2 y2)/sqrt2)   =", bil.rho)
 # central-binomial value: rho(n) * sqrt(n) settles near sqrt(2/pi) ~ 0.7979.
 for n in (16, 100, 1000):
     print(f"rho({n}) * sqrt(n) = {float(central_binomial_rho(n)) * math.sqrt(n):.4f}")
-
-# Products of suffix small balls bound the chance a vector is nearly
-# orthogonal to many exposed rows; each factor is an exact fraction.
-u = tuple(F(k, 4) for k in range(2, 11))
-factors = suffix_smallball_factors(u, law, F(1, 4), len(u))
-print("suffix factors:", [str(r) for r in factors[:4]], "...")
-print("product bound:", truncated_product_bound(u, law, F(1, 4), len(u)))

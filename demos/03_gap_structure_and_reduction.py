@@ -11,8 +11,8 @@ from fractions import Fraction as F
 import numpy as np
 
 from randsym import (Gap, LinearForm, bernoulli, beta_close, enumerate_values,
-                     evaluate, format_gap, forward_lo_bound, inverse_lo_search,
-                     is_proper, rank_reduce, spans)
+                     evaluate, format_gap, inverse_lo_search, is_proper,
+                     rank_reduce, spans)
 
 law = bernoulli()
 
@@ -54,8 +54,3 @@ rep2 = inverse_lo_search(noise, law, 1e-6, rank_cap=2,
                          closeness_budget=25, size_cap=50, seed=5)
 print("gaussian coefficients ->", rep2.gap, f"(covered {rep2.coverage},"
       f" needed {rep2.needed})")
-
-# The forward direction certifies a small-ball lower bound from structure:
-q = Gap.symmetric((1,), (3,))
-fb = forward_lo_bound(q, [(1,), (2,), (3,)], law, 0, coefficients=[1, 2, 3])
-print("forward bound for {1,2,3}:", fb.bound, "at radius", fb.radius)

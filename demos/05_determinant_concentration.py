@@ -5,21 +5,10 @@ the cutoff enter through 1/eps-Lipschitz cutoff logs (the shape spectral
 concentration consumes), the rest are bounded through sigma_n.
 """
 
-import math
-
-from randsym import (bernoulli, cutoff_log, sample_symmetric, spectral_summary,
-                     spectral_window_count, truncated_log_det)
+from randsym import bernoulli, sample_symmetric, spectral_summary, truncated_log_det
 from randsym.cli import ExperimentConfig, run
 
 law = bernoulli()
-
-# Cutoff logs: f+(x) = log(max(eps, x)), f-(x) = log(max(eps, -x)); for
-# |x| >= eps they reassemble log|x|.
-eps = 0.1
-x = -2.0
-print("f+(x) =", cutoff_log(x, eps), " f-(x) =", cutoff_log(x, eps, "minus"))
-print("reassembled log|x| =",
-      cutoff_log(x, eps) + cutoff_log(x, eps, "minus") - math.log(eps))
 
 # One sample: split the spectrum at the cutoff.
 s = sample_symmetric(law, None, 100, seed=3)
@@ -28,13 +17,6 @@ t = truncated_log_det(summ, 100 ** (-1 / 6))
 print(f"n=100: log|det| = {summ.log_abs_det:.2f}, kept sum = {t.kept_sum:.2f}, "
       f"dropped {t.dropped_count} eigenvalues, small product >= "
       f"exp({t.small_product_bound:.2f})")
-
-# Eigenvalue counts in short windows stay O(sqrt(n) |I|):
-window = (-0.5, 0.5)
-counts = [spectral_window_count(
-    spectral_summary(sample_symmetric(law, None, 100, seed=10 + i)),
-    window) for i in range(20)]
-print("N_[-0.5,0.5] over 20 draws:", counts)
 
 # The experiments run through the `randsym` runner: `randsym detconc` and
 # `randsym tail` on the command line, `randsym.cli.run` here.  Each writes

@@ -4,25 +4,22 @@ and measured by reproducible Monte Carlo.
 
 Layout:
 
-* laws        entry laws, spacing certificates, truncated sampling
+* laws        entry laws and their literals, spacing certificates
 * gap         generalized arithmetic progressions and rank reduction
 * smallball   exact / Monte Carlo concentration of linear, bilinear
               and quadratic forms
 * structure   row-rewrite matrices, bipartition decoupling, inverse
-              Littlewood-Offord search, forward bounds
+              Littlewood-Offord search
 * ensembles   random symmetric matrices, spectra, exact ranks,
               cofactor identities, rank growth, subspace membership
-* detconc     cutoff log-determinants, spectral window counts, the keyed
-              trials of the tail and detconc experiments and their rules
+* detconc     cutoff log-determinants, the keyed trials of the tail and
+              detconc experiments and their rules
 * cli         the `randsym` experiment runner, the one way to run them
 """
 
-from .laws import (AtomicLaw, ContinuousLaw, DegenerateLaw, RejectionDiverges,
-                   SamplerConfig, SpacingCertificate, atom_bound_holds,
-                   auto_certificate, bernoulli, difference_law, gaussian,
-                   lazy_difference_law, lazy_sign, parse_law, point_mass,
-                   sample_truncated, standardize, uniform3, uniform_continuous,
-                   verify_spacing)
+from .laws import (AtomicLaw, ContinuousLaw, SpacingCertificate, atom_bound_holds,
+                   auto_certificate, bernoulli, difference_law, gaussian, lazy_sign,
+                   parse_law, uniform3, uniform_continuous, verify_spacing)
 from .gap import (FullRank, Gap, GapReduction, OutOfBox, ReductionStalled,
                   VolumeTooLarge, beta_close, enumerate_values, evaluate, format_gap,
                   integer_hyperplane, is_proper, parse_gap, rank_reduce, spans)
@@ -31,18 +28,16 @@ from .smallball import (AtomBlowup, EnumerationTooLarge, LinearForm,
                         QuadraticForm, SmallBallEstimate, bilinear_small_ball,
                         central_binomial_rho, linear_small_ball_exact,
                         linear_small_ball_mc, quadratic_small_ball_exact,
-                        quadratic_small_ball_mc, suffix_smallball_factors,
-                        truncated_product_bound)
+                        quadratic_small_ball_mc)
 from .structure import (Bipartition, DecouplingCheck, DECOUPLING_CONST,
-                        ForwardBound, InverseLOReport, OverlapError,
-                        RowMatrixSpec, bipartition_matrix, build_row_matrix,
-                        conditioning_check, decoupling_scan, forward_lo_bound,
+                        InverseLOReport, OverlapError, RowMatrixSpec,
+                        build_row_matrix, conditioning_check, decoupling_scan,
                         inverse_lo_search, row_matrix_det, verify_decoupling)
 from .ensembles import (BoundViolation, ConvergenceFailure, SpectralSummary,
                         cofactor_expansion_check, exact_det, exact_rank,
                         exact_sample, grow_and_track, near_kernel_vector,
                         sample_symmetric, spectral_summary, subspace_membership_mc)
-from .detconc import (EnvelopeVerdict, SpacingUnverified, cutoff_log, envelope_rule,
-                      spectral_window_count, truncated_log_det, wilson_interval)
+from .detconc import (EnvelopeVerdict, SpacingUnverified, envelope_rule,
+                      truncated_log_det, wilson_interval)
 
 __version__ = "0.1.0"

@@ -49,32 +49,6 @@ class SpacingUnverified(Exception):
     """No spacing certificate passes for the entry law."""
 
 
-def cutoff_log(x: float, epsilon: float, sign: str = "plus") -> float:
-    """f+(x) = log(max(eps, x)) or f-(x) = log(max(eps, -x)).
-
-    Lipschitz with constant 1/eps by construction.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    x = float(x)
-    if sign == "plus":
-        return math.log(max(epsilon, x))
-    if sign == "minus":
-        return math.log(max(epsilon, -x))
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-
-
-def spectral_window_count(summary: SpectralSummary, interval: Tuple[float, float]) -> int:
-    """N_I = #{i : lambda_i in [a, b]} by binary search on the sorted spectrum."""
-    a, b = float(interval[0]), float(interval[1])
-    if b < a:
-        return 0
-    lam = summary.eigenvalues
-    lo = int(np.searchsorted(lam, a, side="left"))
-    hi = int(np.searchsorted(lam, b, side="right"))
-    return hi - lo
-
-
 @dataclass(frozen=True)
 class TruncatedLogDet:
     kept_sum: float

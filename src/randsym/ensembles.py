@@ -46,7 +46,7 @@ import numpy as np
 
 from .exactlinalg import (adjugate, bareiss_det, exact_rank as _rank,
                           lattice, rowspace_membership, trailing_ranks)
-from .laws import AtomicLaw, Law
+from .laws import AtomicLaw, Law, atom_bound_holds
 from .streams import StreamBlock, chunk_bounds, substream
 
 
@@ -409,10 +409,9 @@ class MembershipResult:
 
 
 def check_atom_bound(law: AtomicLaw, c3: float) -> None:
-    """ValueError unless the largest atom mass m has m^2 <= 1 - c3 (the rule of
-    laws.atom_bound_holds): only then does Odlyzko's (max_a P(xi = a))^(n - k)
-    give the bound (sqrt(1 - c3))^(n - k)."""
-    if not law.max_atom_mass ** 2 <= 1 - c3:
+    """ValueError unless laws.atom_bound_holds: only then does Odlyzko's
+    (max_a P(xi = a))^(n - k) give the bound (sqrt(1 - c3))^(n - k)."""
+    if not atom_bound_holds(law, c3):
         raise ValueError(f"c3 = {c3}: the largest atom mass {law.max_atom_mass} "
                          f"exceeds sqrt(1 - c3)")
 

@@ -2,9 +2,9 @@
 
 Finitely supported laws are kept exact: atom values and masses are
 fractions.Fraction whenever the inputs are rational (floats are accepted
-and treated as the exact binary rationals they are).  Derived laws
-(xi - xi', the lazy symmetrization eta^(mu) * (xi - xi')) and the
-anti-concentration spacing check are computed by exact convolution.
+and treated as the exact binary rationals they are).  The derived law
+xi - xi' and the anti-concentration spacing check are computed by exact
+convolution.
 
 Continuous laws are represented as samplers plus a closed-form (or
 quadrature) mass function for |xi - xi'|; their spacing check carries a
@@ -22,21 +22,12 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .exactlinalg import lattice
-from .streams import StreamBlock, chunk_bounds, substream
+from .streams import StreamBlock
 
 Scalar = Union[Fraction, float]
 
 MERGE_REL_TOL = 1e-12
 MASS_TOL = 1e-12
-RETRY_CAP = 10 ** 6
-
-
-class DegenerateLaw(Exception):
-    """Law has zero variance where a spread is required."""
-
-
-class RejectionDiverges(Exception):
-    """Truncated rejection sampling cannot produce an in-bound draw."""
 
 
 def _as_scalar(x) -> Scalar:
@@ -275,25 +266,6 @@ class SpacingCertificate:
             raise ValueError("need 0 < c3 <= 1")
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Seeded truncated-sampling configuration (exponent B, size n)."""
-
-    seed: int
-    truncation_exponent: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not math.isfinite(self.bound) or self.bound <= 0:
-            raise ValueError("truncation bound n^(B+1) must be finite and positive")
-
-    @property
-    def bound(self) -> float:
-        return float(self.n) ** (float(self.truncation_exponent) + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # presets and the config-file law literals
 
@@ -313,10 +285,6 @@ def lazy_sign(mu) -> AtomicLaw:
     if not (0 <= mu <= 1):
         raise ValueError("mu must lie in [0, 1]")
     return AtomicLaw(((-1, mu / 2), (0, 1 - mu), (1, mu / 2)), label=f"lazy({float(mu)})")
-
-
-def point_mass(v=0) -> AtomicLaw:
-    return AtomicLaw(((v, Fraction(1)),), label=f"point({v})")
 
 
 def gaussian() -> ContinuousLaw:
@@ -366,7 +334,12 @@ def parse_law(text: str) -> Law:
     if t == "uniform":
         return uniform_continuous()
     if t.startswith("lazy(") and t.endswith(")"):
-        return lazy_sign(Fraction(t[5:-1]))
+        try:
+            mu = Fraction(t[5:-1])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad mu {t[5:-1]!r} in {text!r}: need a rational "
+                             "such as 1/2") from None
+        return lazy_sign(mu)
     if t.startswith("atoms[") and t.endswith("]"):
         body = t[6:-1].strip()
         pairs = []
@@ -374,8 +347,12 @@ def parse_law(text: str) -> Law:
             chunk = chunk.strip("()")
             if not chunk:
                 continue
-            v, p = chunk.split(",")
-            pairs.append((Fraction(v), Fraction(p)))
+            try:
+                v, p = chunk.split(",")
+                pairs.append((Fraction(v), Fraction(p)))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad atom ({chunk}) in {text!r}: need (value,mass) "
+                                 "with rational entries such as 1/2") from None
         return AtomicLaw(tuple(pairs), label=text)
     raise ValueError(f"unknown law literal: {text!r}")
 
@@ -384,63 +361,10 @@ def parse_law(text: str) -> Law:
 # derived laws
 
 
-def _sqrt_exact(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def standardize(law: AtomicLaw) -> AtomicLaw:
-    """Affine rescale to zero mean and unit variance.
-
-    Exact when the variance is the square of a rational; otherwise the
-    scale is a float and atom values come out floating.
-    """
-    if len(law.atoms) < 2:
-        raise DegenerateLaw("a single atom has zero variance")
-    var = law.variance
-    if var == 0:
-        raise DegenerateLaw("zero-variance law cannot be standardized")
-    mean = law.mean
-    scale: Scalar
-    if isinstance(var, Fraction):
-        root = _sqrt_exact(var)
-        scale = 1 / root if root is not None else 1.0 / math.sqrt(float(var))
-    else:
-        scale = 1.0 / math.sqrt(float(var))
-    atoms = []
-    for v, p in law.atoms:
-        centered = v - mean
-        if isinstance(scale, Fraction) and isinstance(centered, Fraction):
-            atoms.append((centered * scale, p))
-        else:
-            atoms.append((float(centered) * float(scale), p))
-    return AtomicLaw(tuple(atoms), label=law.label or "standardized")
-
-
 def difference_law(law: AtomicLaw) -> AtomicLaw:
     """Exact law of xi - xi' for independent copies, built once per law
     object (the same object on every call)."""
     return law._difference
-
-
-def lazy_difference_law(law: AtomicLaw, mu) -> AtomicLaw:
-    """Exact law of eta^(mu) * (xi - xi')."""
-    mu = _as_scalar(mu)
-    if not (0 <= mu <= 1):
-        raise ValueError("mu must lie in [0, 1]")
-    d = difference_law(law)
-    acc = {Fraction(0): 1 - mu}
-    for v, p in d.atoms:
-        for s in (1, -1):
-            key = v * s
-            acc[key] = acc.get(key, 0) + p * (mu / 2)
-    label = f"lazydiff({law.label},{float(mu)})" if law.label else "lazydiff"
-    return AtomicLaw(tuple(acc.items()), label=label)
 
 
 def verify_spacing(law: Law, cert: SpacingCertificate) -> bool:
@@ -459,10 +383,9 @@ def verify_spacing(law: Law, cert: SpacingCertificate) -> bool:
     return mass >= float(cert.c3) - 1e-9
 
 
-def atom_bound_holds(law: AtomicLaw, cert: SpacingCertificate) -> bool:
+def atom_bound_holds(law: AtomicLaw, c3: Scalar) -> bool:
     """Largest-atom bound sup_a P(xi = a) <= sqrt(1 - c3), squared to stay exact."""
-    m = law.max_atom_mass
-    return m * m <= 1 - cert.c3
+    return law.max_atom_mass ** 2 <= 1 - c3
 
 
 def auto_certificate(law: Law) -> Optional[SpacingCertificate]:
@@ -487,41 +410,3 @@ def auto_certificate(law: Law) -> Optional[SpacingCertificate]:
     if mass <= 0:
         return None
     return SpacingCertificate(0.5, 4.0, mass)
-
-
-# ---------------------------------------------------------------------------
-# truncated sampling
-
-
-def sample_truncated(source: Law, cfg: SamplerConfig, count: int) -> np.ndarray:
-    """iid draws with |draw| <= n^(B+1) enforced by per-index rejection.
-
-    The value at index i is a pure function of (cfg.seed, i): draws are
-    generated from chunked substreams keyed (seed, chunk), so any worker
-    split along chunk boundaries reproduces the serial stream bit for
-    bit.  A law whose entire in-bound mass is zero raises
-    RejectionDiverges (the retry cap would be exhausted anyway).
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    bound = cfg.bound
-    if isinstance(source, AtomicLaw):
-        inside = sum(p for v, p in source.atoms if abs(float(v)) <= bound)
-        if float(inside) == 0.0:
-            raise RejectionDiverges(
-                f"no mass of {source.label or 'law'} inside |x| <= {bound}")
-    out = np.empty(count, dtype=np.float64)
-    for ci, start, stop in chunk_bounds(count):
-        rng = substream(cfg.seed, ci)
-        block = source.sample_values(rng, stop - start)
-        bad = np.abs(block) > bound
-        tries = 0
-        while bad.any():
-            tries += 1
-            if tries > RETRY_CAP:
-                raise RejectionDiverges(
-                    f"rejection cap {RETRY_CAP} exceeded at bound {bound}")
-            block[bad] = source.sample_values(rng, int(bad.sum()))
-            bad = np.abs(block) > bound
-        out[start:stop] = block
-    return out

@@ -28,8 +28,7 @@ needs, a law's count past 2**16 enters as its 16-bit digits, and the
 limbs carry only before a step that could pass 2**62; a distribution
 takes them as they are, or carried in a copy if a row could sum to
 2**62.  Values are int64 below 2**61 and Python ints beyond, so no size
-changes the arithmetic silently.  The suffix sums of
-suffix_smallball_factors are the partial sums of one pass from the end.
+changes the arithmetic silently.
 
 Quadratic and bilinear forms are enumerated over all outcomes, block by
 block, by one engine (_form_stack) that takes a stack of forms sharing
@@ -769,34 +768,7 @@ def _bilinear_stack(forms: Sequence[QuadraticForm], law_x: AtomicLaw, law_y: Ato
 
 
 # ---------------------------------------------------------------------------
-# truncated products over suffixes
-
-
-def suffix_smallball_factors(u: Sequence, law: AtomicLaw, beta, n0: int,
-                             cap: int = ATOM_CAP) -> List[Fraction]:
-    """rho_beta^(i)(u) = sup_a P(|x_i u_i + ... + x_{n0} u_{n0} - a| <= beta), i = 1..n0.
-
-    One pass from the end: the suffix sums are the partial sums of the
-    reversed coefficients, each scanned as the convolution reaches it.  All
-    suffixes share the lattice of u_1..u_{n0}; rho is exact on any lattice
-    that holds the atoms."""
-    beta = _radius(beta)
-    u = [Fraction(x) for x in u]
-    if not 1 <= n0 <= len(u):
-        raise ValueError("need 1 <= n0 <= len(u)")
-    factors = [_exact_scan(make(), beta)[0]
-               for make in _partial_sums(u[n0 - 1::-1], law, cap)]
-    return factors[::-1]
-
-
-def truncated_product_bound(u: Sequence, law: AtomicLaw, beta, n0: int,
-                            cap: int = ATOM_CAP) -> Fraction:
-    """Product of the suffix small-ball factors over i = 1..n0.
-
-    Upper-bounds the probability that a vector stays nearly orthogonal to
-    n0 exposed rows.
-    """
-    return math.prod(suffix_smallball_factors(u, law, beta, n0, cap), start=Fraction(1))
+# the extremal all-ones form
 
 
 def central_binomial_rho(n: int) -> Fraction:

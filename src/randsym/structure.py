@@ -4,9 +4,8 @@ Covers the integer row-rewrite matrix R (diagonal k on rewritten rows,
 unit diagonal elsewhere, off-diagonal support in the designated columns
 with a sign split), the random-bipartition mask A_U, the decoupling
 inequality harness (quadratic rho^8 / ((2pi)^{7/2} exp(4pi)) against the
-bilinear small ball of A_U at an inflated radius), a rank <= 2 inverse
-search over submultiples of the least nonzero coefficient, and the
-certified forward bound for GAP-structured coefficients.
+bilinear small ball of A_U at an inflated radius), and a rank <= 2 inverse
+search over submultiples of the least nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exactlinalg import bareiss_det
-from .gap import ENUM_CAP, Gap, evaluate, is_proper
+from .gap import ENUM_CAP, Gap, is_proper
 from .laws import AtomicLaw, difference_law
 from .smallball import (ATOM_CAP, LinearForm, QuadraticForm, _bilinear_stack,
-                        _exact_scan, _quadratic_stack, _radius,
-                        linear_small_ball_exact, linear_small_ball_mc)
+                        _exact_scan, _quadratic_stack, _radius, linear_small_ball_mc)
 from .streams import substream
 
 #: (2*pi)^(7/2) * exp(4*pi), the decoupling loss constant (~1.784e8)
@@ -133,24 +131,6 @@ class Bipartition:
         return cls(tuple(bool(b) for b in rng.random(n) < 0.5))
 
 
-def bipartition_matrix(a: Sequence[Sequence], u: Bipartition):
-    """A_U: keep a_ij exactly when i and j sit on opposite sides of U."""
-    rows = [list(r) for r in a]
-    n = len(rows)
-    if any(len(r) != n for r in rows) or n != u.n:
-        raise ValueError("matrix and bipartition sizes disagree")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"matrix not symmetric at ({i},{j})")
-    zero = 0 * rows[0][0]
-    out = [[rows[i][j] if u.membership[i] != u.membership[j] else zero
-            for j in range(n)] for i in range(n)]
-    if isinstance(a, np.ndarray):
-        return np.array(out, dtype=a.dtype)
-    return tuple(tuple(r) for r in out)
-
-
 @dataclass(frozen=True)
 class DecouplingCheck:
     rho_quad: Union[Fraction, float]
@@ -240,7 +220,7 @@ def decoupling_scan(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
 
 
 # ---------------------------------------------------------------------------
-# inverse search (rank <= 2) and the forward bound
+# inverse search (rank <= 2)
 
 
 def _round_frac(x: Fraction) -> int:
@@ -373,39 +353,3 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
         return InverseLOReport(None, cov, len(cov), needed, size_cap, tried,
                                note="no candidate covers enough coefficients")
     return InverseLOReport(best[1], best[2], len(best[2]), needed, size_cap, tried)
-
-
-@dataclass(frozen=True)
-class ForwardBound:
-    """Certified small-ball lower bound at the stated radius."""
-
-    bound: Union[Fraction, float]
-    radius: Union[Fraction, float]
-
-
-def forward_lo_bound(q: Gap, assignments: Sequence[Sequence[int]], law: AtomicLaw,
-                     beta, coefficients: Optional[Sequence] = None) -> ForwardBound:
-    """Lower bound on rho from GAP-rounded coefficients.
-
-    Rounding each coefficient to its assigned gap element changes the sum
-    by at most beta * n * max|atom|, so the exact small ball of the
-    rounded form at radius 0 survives at the derived radius.  beta < 0 is
-    rejected.
-    """
-    beta = Fraction(beta)
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    pts = [tuple(int(k) for k in p) for p in assignments]
-    if coefficients is not None:
-        coeffs = [Fraction(c) for c in coefficients]
-        if len(coeffs) != len(pts):
-            raise ValueError("one assignment per coefficient required")
-        for c, p in zip(coeffs, pts):
-            if abs(c - evaluate(q, p)) > beta:
-                raise ValueError(f"coefficient {c} is not beta-close at {p}")
-    if not pts:
-        return ForwardBound(Fraction(1), Fraction(0))
-    rounded = [evaluate(q, p) for p in pts]
-    est = linear_small_ball_exact(LinearForm(tuple(rounded)), law, 0)
-    radius = beta * len(pts) * Fraction(law.support_radius)
-    return ForwardBound(est.rho, radius)

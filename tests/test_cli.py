@@ -485,6 +485,7 @@ class TestMain:
         pytest.param("smallball", {"method": "fast"}, "invalid value", id="json-method"),
         pytest.param("tail", {"form": "linear"}, "not a config key of tail", id="json-form"),
         pytest.param("tail", "law=foo", "unknown law literal", id="law=foo"),
+        pytest.param("tail", "law=atoms[(1/0,1)]", "bad atom (1/0,1)", id="law=atoms-1/0"),
         pytest.param("gapreduce", {"values": "1,x"}, "Invalid literal", id="json-values"),
         pytest.param("odlyzko", "c3=2", "invalid value 2.0, needs c3 in [0, 1)", id="c3=2"),
         pytest.param("smallball", "beta=-1", "invalid value -1.0, needs beta >= 0",

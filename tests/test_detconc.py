@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from randsym import (AtomicLaw, SpacingUnverified, bernoulli, cutoff_log, envelope_rule,
-                     gaussian, sample_symmetric, spectral_summary, spectral_window_count,
-                     truncated_log_det, uniform3, wilson_interval)
+from randsym import (AtomicLaw, SpacingUnverified, bernoulli, envelope_rule, gaussian,
+                     sample_symmetric, spectral_summary, truncated_log_det, uniform3,
+                     wilson_interval)
 from randsym.cli import ExperimentConfig, InvalidConfig, run
 from randsym.detconc import (_LANE_MIN_N, bound_verdict, detconc_trial, envelope_norm,
                              loglog_slope, tail_trial)
@@ -28,71 +28,6 @@ def no_draw(monkeypatch):
     def fail(*args, **kw):
         raise AssertionError("drew a matrix")
     monkeypatch.setattr(randsym.detconc, "sample_symmetric", fail)
-
-
-class TestCutoffLog:
-    def test_below_cutoff(self):
-        assert cutoff_log(0.05, 0.1) == pytest.approx(math.log(0.1))
-
-    def test_above_cutoff(self):
-        assert cutoff_log(1.0, 0.1) == 0.0
-
-    def test_minus_branch(self):
-        assert cutoff_log(-2.0, 0.1, "minus") == pytest.approx(math.log(2.0))
-
-    def test_lipschitz(self):
-        rng = np.random.default_rng(12)
-        eps = 0.1
-        for _ in range(200):
-            x, y = rng.uniform(-5, 5, size=2)
-            for sign in ("plus", "minus"):
-                d = abs(cutoff_log(x, eps, sign) - cutoff_log(y, eps, sign))
-                assert d <= abs(x - y) / eps + 1e-12
-
-    def test_reconstruction_identity(self):
-        eps = 0.125
-        for x in (-3.0, -eps, eps, 0.7, 42.0):
-            if abs(x) >= eps:
-                got = cutoff_log(x, eps) + cutoff_log(x, eps, "minus") - math.log(eps)
-                assert got == pytest.approx(math.log(abs(x)), abs=1e-12)
-
-    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
-    def test_epsilon_must_be_positive(self, eps):
-        # NaN compares false with everything, so it must fail `eps > 0`
-        with pytest.raises(ValueError, match="epsilon"):
-            cutoff_log(2.0, eps)
-
-
-class TestWindowCount:
-    def test_middle(self):
-        summ = spectral_summary(np.diag([1.0, 2.0, 3.0]))
-        assert spectral_window_count(summ, (1.5, 2.5)) == 1
-
-    def test_short_window_scaling(self):
-        # counts in the window [-0.1, 0.1] * sqrt(n) stay below sqrt(n)|I|
-        from randsym import sample_symmetric
-        n = 400
-        ratios = []
-        for t in range(100):
-            s = sample_symmetric(bernoulli(), None, n, seed=900 + t)
-            summ = spectral_summary(s)
-            half = 0.1 * math.sqrt(n)
-            count = spectral_window_count(summ, (-half, half))
-            ratios.append(count / (math.sqrt(n) * 2 * half))
-        assert np.mean(ratios) <= 1.0
-
-    def test_empty_interval(self):
-        summ = spectral_summary(np.diag([1.0, 2.0, 3.0]))
-        assert spectral_window_count(summ, (5.0, 4.0)) == 0
-
-    def test_partition_sums_to_n(self):
-        s = spectral_summary(np.diag(np.linspace(-4, 4, 17)))
-        cuts = [-math.inf, -2.0, -0.5, 0.3, 1.7, math.inf]
-        total = 0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            # half-open pieces [a, b) stitched as closed [a, prev(b)]
-            total += spectral_window_count(s, (a, np.nextafter(b, -math.inf)))
-        assert total == 17
 
 
 class TestTruncatedLogDet:

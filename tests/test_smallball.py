@@ -1,4 +1,3 @@
-import hashlib
 import math
 import time
 from collections import Counter
@@ -8,12 +7,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from randsym import (AtomBlowup, AtomicLaw, Bipartition, EnumerationTooLarge, LinearForm,
-                     QuadraticForm, bernoulli, bilinear_small_ball, bipartition_matrix,
-                     central_binomial_rho, difference_law, gaussian, lazy_sign,
-                     linear_small_ball_exact, linear_small_ball_mc,
-                     quadratic_small_ball_exact, quadratic_small_ball_mc,
-                     suffix_smallball_factors, truncated_product_bound, uniform3)
+from randsym import (AtomBlowup, AtomicLaw, EnumerationTooLarge, LinearForm, QuadraticForm,
+                     bernoulli, bilinear_small_ball, central_binomial_rho, difference_law,
+                     gaussian, lazy_sign, linear_small_ball_exact, linear_small_ball_mc,
+                     quadratic_small_ball_exact, quadratic_small_ball_mc, uniform3)
 from randsym import smallball
 from randsym.smallball import ATOM_CAP, _linear_sum_dist, _partial_sums, _radius
 from genutil import brute_force_window
@@ -537,23 +534,17 @@ def test_dense_lattice_time_budget():
     assert elapsed < 15, f"runtime {elapsed:.1f}s over budget 15s"
 
 
-def test_suffix_factors_time_budget():
-    # n0 = 300 coefficients 1..99, one convolution pass from the end (11 to
-    # 14 s suffix by suffix; in one pass 0.4 to 0.6 s with the window scan
-    # on limb rows, against 0.7 to 1.0 s joining each suffix into Python
-    # ints, 2-vCPU VM)
+def test_300_coefficients_pinned():
+    # coefficients 1..99 on the dense lattice with 300-bit counts: the rho
+    # of the engine with Python-int counts, bit for bit
     t0 = time.monotonic()
     u = tuple(int(x) for x in np.random.default_rng(1).integers(1, 100, 300))
-    factors = suffix_smallball_factors(u, BERN, 0, 300)
+    est = linear_small_ball_exact(LinearForm(u), BERN, 0)
     elapsed = time.monotonic() - t0
-    # the factors of the engine with Python-int counts, bit for bit
-    assert hashlib.sha256(repr(factors).encode()).hexdigest() == \
-        "bb33b52cef9195c7154326e4384001c59bd118884ec14d53dea74ec8c87c9117"
-    assert factors[-1] == F(1, 2)
-    # an independent summand never concentrates a sum more
-    assert all(a <= b for a, b in zip(factors, factors[1:]))
-    assert factors[0] == linear_small_ball_exact(LinearForm(u), BERN, 0).rho
-    assert elapsed < 8, f"runtime {elapsed:.1f}s over budget 8s"
+    assert est.rho == F(int("399682757486600411719955118436399526253799256781391242520"
+                            "750312505086496277761277144023"), 2 ** 298)
+    assert est.witness_center == 0
+    assert elapsed < 2, f"runtime {elapsed:.1f}s over budget 2s"
 
 
 def test_float_masses_weighed_by_their_sum():
@@ -821,8 +812,9 @@ class TestBlocks:
             n = int(rng.integers(2, 5))
             m = np.triu(rng.integers(-3, 4, size=(n, n)), 1)
             m = m + m.T
-            u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
-            mat = bipartition_matrix(tuple(tuple(F(int(x), 4) for x in row) for row in m), u)
+            sides = rng.random(n) < 0.5     # membership in U
+            m = np.where(sides[:, None] != sides[None, :], m, 0)
+            mat = tuple(tuple(F(int(x), 4) for x in row) for row in m)
             beta = F(int(rng.integers(0, 4)), 4)
             law = (diff, uniform3())[trial % 2]
             est = bilinear_small_ball(QuadraticForm(mat), law, law, beta)
@@ -836,7 +828,9 @@ class TestBlocks:
         # 3**5 = 243 outcomes each, against 3**10 = 59,049 unsplit (the
         # stored decoupling_n5 record pins the answers at this size)
         m = _random_symmetric(np.random.default_rng(54), 5, 4)
-        mat = bipartition_matrix(m, Bipartition((True, False, True, False, False)))
+        sides = (True, False, True, False, False)
+        mat = tuple(tuple(x if si != sj else F(0) for x, sj in zip(row, sides))
+                    for row, si in zip(m, sides))
         diff = difference_law(BERN)
         outcomes = []
         real = smallball._group_dists
@@ -1072,53 +1066,6 @@ class TestMonteCarloPins:
                                   0.3, method="mc", trials=3000, seed=13)
         assert (est.rho, est.witness_center, est.ci_halfwidth) == \
             (0.07933333333333334, 0.73538757749132, 0.024795427851769823)
-
-
-class TestTruncatedProducts:
-    def test_pair(self):
-        assert truncated_product_bound((1, 1), BERN, 0, 2) == F(1, 4)
-
-    def test_single_factor(self):
-        assert truncated_product_bound((5,), BERN, 0, 1) == F(1, 2)
-
-    def test_suffix_factors_bounded_when_tail_large(self):
-        # u_{n0} >= 1/(2 sqrt(n-1)) and beta < c1/(2 sqrt(n-1)) with c1 = 2:
-        # every factor stays <= 1 - c3 = 1/2 (checked, not assumed)
-        n = 10
-        lim = F(1, 2 * 3)     # 1/(2*sqrt(9))
-        u = tuple(F(int(k), 4) for k in range(2, 11))
-        assert u[-1] >= lim
-        beta = F(1, 4)        # < c1/(2 sqrt(n-1)) = 1/3
-        factors = suffix_smallball_factors(u, BERN, beta, len(u))
-        assert all(r <= F(1, 2) for r in factors)
-        prod = truncated_product_bound(u, BERN, beta, len(u))
-        assert prod <= F(1, 2) ** len(u)
-
-    @pytest.mark.parametrize("u, layout", [
-        (tuple(range(1, 13)), "dense"),
-        (tuple(F(k, 7) for k in (3, -5, 2, 9, 1, 4, -6, 8)), "dense"),
-        ((0.5, -0.25, 1.0, 0.75, -1.0, 0.25, 0.5, 0.75), "dense"),
-        (tuple(3 ** p for p in range(9)), "sparse"),
-        (tuple(F(1, p) for p in (2, 3, 5, 7, 11, 13)), "sparse"),
-        ((0.1, 0.7, -1.3, 2.9, 0.55), "sparse"),
-    ])
-    def test_suffix_factors_match_each_suffix(self, u, layout, monkeypatch):
-        for law in (BERN, uniform3(), LOPSIDED):
-            for beta in (0, F(1, 2), 3):
-                for n0 in (len(u), len(u) - 2):
-                    want = [linear_small_ball_exact(LinearForm(u[i:n0]), law, beta).rho
-                            for i in range(n0)]
-                    assert suffix_smallball_factors(u, law, beta, n0) == want
-        aggregations = []
-        real = smallball._aggregate_np
-        monkeypatch.setattr(smallball, "_aggregate_np",
-                            lambda v, c: aggregations.append(1) or real(v, c))
-        suffix_smallball_factors(u, BERN, 0, len(u))
-        assert ("sparse" if aggregations else "dense") == layout
-
-    def test_prefix_validation(self):
-        with pytest.raises(ValueError):
-            truncated_product_bound((1, 2), BERN, 0, 3)
 
 
 class TestForms:

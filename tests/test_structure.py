@@ -6,10 +6,9 @@ import pytest
 
 from randsym import (Bipartition, DECOUPLING_CONST, EnumerationTooLarge, Gap,
                      InverseLOReport, LinearForm, OverlapError, QuadraticForm,
-                     RowMatrixSpec, bernoulli, beta_close,
-                     bipartition_matrix, build_row_matrix, central_binomial_rho,
-                     conditioning_check, decoupling_scan, forward_lo_bound,
-                     inverse_lo_search, row_matrix_det, uniform3, verify_decoupling)
+                     RowMatrixSpec, bernoulli, beta_close, build_row_matrix,
+                     conditioning_check, decoupling_scan, inverse_lo_search,
+                     row_matrix_det, uniform3, verify_decoupling)
 
 BERN = bernoulli()
 
@@ -77,36 +76,6 @@ class TestConditioning:
 
     def test_zero_matrix(self):
         assert not conditioning_check(np.zeros((3, 3)), 5.0)
-
-
-class TestBipartition:
-    def test_two_by_two(self):
-        u = Bipartition((True, False))
-        out = bipartition_matrix(((F(7), F(3)), (F(3), F(9))), u)
-        assert out == ((F(0), F(3)), (F(3), F(0)))
-
-    def test_empty_side_zeroes(self):
-        u = Bipartition((False, False))
-        out = bipartition_matrix(((1, 2), (2, 1)), u)
-        assert out == ((0, 0), (0, 0))
-
-    def test_block_structure(self):
-        rng = np.random.default_rng(2)
-        a = rng.integers(-5, 6, size=(4, 4))
-        a = np.triu(a) + np.triu(a, 1).T
-        u = Bipartition((True, True, False, False))
-        out = np.array(bipartition_matrix(a, u), dtype=int)
-        assert (out[:2, :2] == 0).all() and (out[2:, 2:] == 0).all()
-        assert (out[:2, 2:] == a[:2, 2:]).all()
-
-    def test_remask_idempotent(self):
-        rng = np.random.default_rng(6)
-        a = rng.integers(-5, 6, size=(5, 5))
-        a = np.triu(a) + np.triu(a, 1).T
-        u = Bipartition.random(5, seed=3)
-        once = bipartition_matrix(a, u)
-        twice = bipartition_matrix(np.array(once, dtype=int), u)
-        assert (np.array(once) == np.array(twice)).all()
 
 
 class TestDecoupling:
@@ -390,36 +359,3 @@ class TestInverseSearch:
         monkeypatch.setattr(structure, "_rank1_cover", no_work)
         with pytest.raises(ValueError, match=name):
             inverse_lo_search(LinearForm((1,) * 20), BERN, **{"beta": 0, **kwargs})
-
-
-class TestForwardBound:
-    def test_all_at_one(self):
-        q = Gap.symmetric((1,), (1,))
-        n = 12
-        fb = forward_lo_bound(q, [(1,)] * n, BERN, 0, coefficients=[1] * n)
-        assert fb.bound == central_binomial_rho(n)
-
-    def test_empty(self):
-        fb = forward_lo_bound(Gap.symmetric((1,), (1,)), [], BERN, 0.5)
-        assert fb.bound == 1 and fb.radius == 0
-
-    def test_one_two_three(self):
-        q = Gap.symmetric((1,), (3,))
-        fb = forward_lo_bound(q, [(1,), (2,), (3,)], BERN, 0,
-                              coefficients=[1, 2, 3])
-        assert fb.bound == F(1, 4)
-
-    def test_radius_accounts_for_perturbation(self):
-        q = Gap.symmetric((1,), (3,))
-        fb = forward_lo_bound(q, [(1,), (2,)], BERN, F(1, 10),
-                              coefficients=[F(11, 10), F(19, 10)])
-        assert fb.radius == F(1, 10) * 2 * 1
-
-    def test_precondition_checked(self):
-        q = Gap.symmetric((1,), (3,))
-        with pytest.raises(ValueError):
-            forward_lo_bound(q, [(1,)], BERN, F(1, 100), coefficients=[F(3, 2)])
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            forward_lo_bound(Gap.symmetric((1,), (3,)), [(1,), (2,)], BERN, -1)
