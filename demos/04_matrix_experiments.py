@@ -60,7 +60,6 @@ m = np.triu(m, 1)
 m = m + m.T
 form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
 u = Bipartition.random(5, seed=8)
-(const,), (checks,) = decoupling_scan([form], law, F(1, 10), [u])
-last = checks[-1]
-print(f"decoupling at constant {const}: rho_quad={float(last.rho_quad):.4f}, "
-      f"lhs={last.lhs:.3e} <= rhs={float(last.rhs):.4f}")
+(const,), ((chk,),) = decoupling_scan([form], law, F(1, 10), [u])
+print(f"decoupling at constant {const}: rho_quad={float(chk.rho_quad):.4f}, "
+      f"lhs={chk.lhs:.3e} <= rhs={float(chk.rhs):.4f}")

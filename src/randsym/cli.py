@@ -410,9 +410,9 @@ def _decoupling_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
                  for mat, _ in draws]
         us = [Bipartition(tuple(bool(b) for b in side)) for _, side in draws]
         consts, checks = decoupling_scan(forms, law, beta, us)
-        rows += [(t, float(chks[-1].rho_quad), chks[-1].lhs, const if const is not None else -1.0,
-                  float(chks[-1].rhs), const is not None)
-                 for t, const, chks in zip(stack, consts, checks)]
+        rows += [(t, float(chk.rho_quad), chk.lhs, const if const is not None else -1.0,
+                  float(chk.rhs), const is not None)
+                 for t, const, (chk,) in zip(stack, consts, checks)]
     return rows
 
 

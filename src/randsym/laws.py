@@ -96,21 +96,8 @@ class AtomicLaw:
                    for v, p in self.atoms)
 
     @property
-    def mean(self) -> Scalar:
-        return sum(v * p for v, p in self.atoms)
-
-    @property
-    def variance(self) -> Scalar:
-        m = self.mean
-        return sum((v - m) * (v - m) * p for v, p in self.atoms)
-
-    @property
     def max_atom_mass(self) -> Scalar:
         return max(self.masses)
-
-    @property
-    def support_radius(self) -> Scalar:
-        return max(abs(v) for v in self.values)
 
     def values_float(self) -> np.ndarray:
         return np.array([float(v) for v in self.values], dtype=np.float64)
@@ -231,8 +218,6 @@ class ContinuousLaw:
     label: str
     sample: Callable[[np.random.Generator, object], np.ndarray]
     diff_interval_mass: Optional[Callable[[float, float], float]] = None
-    mean: float = 0.0
-    variance: float = 1.0
 
     is_rational = False
 

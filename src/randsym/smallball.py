@@ -73,7 +73,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -271,15 +271,12 @@ def _limb_dist(vals: np.ndarray, limbs: np.ndarray, scale: Fraction, ctotal: int
     return _ScaledDist(vals, limbs, scale, ctotal)
 
 
-def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
-                  cap: int) -> Iterator[Callable[[], _ScaledDist]]:
-    """The exact distributions of a_1 x_1 + ... + a_k x_k for k = 1..n in
-    turn, by sequential convolution of int64 limb counts on the dense
-    lattice or the sparse support (module docstring).  Each is built when
-    its yielded function is called and may hold the dense layout's counts,
-    which it updates in place, so it must be built and read before the
-    generator advances.  The layout and the value dtype follow from all n
-    steps.  The dense array never outgrows the cap, so AtomBlowup is a
+def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _ScaledDist:
+    """The exact distribution of a_1 x_1 + ... + a_n x_n, by sequential
+    convolution of int64 limb counts on the dense lattice or the sparse
+    support (module docstring).  The layout and the value dtype follow
+    from all n steps, and the distribution is built once, after the last.
+    The dense array never outgrows the cap, so AtomBlowup is a
     sparse-layout event."""
     if not isinstance(law, AtomicLaw):
         raise ValueError("an exact small ball needs atomic laws")
@@ -337,8 +334,6 @@ def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
                         cur[offs[j]:offs[j] + live] += part if c == 1 else part * c
             live += (max(row) - base) // stride
             lo += base
-            yield functools.partial(_lattice_dist, cnts[:rows, :live], lo, stride, vtype,
-                                    scale, ctotal, bound)
             continue
         parts = np.zeros((rows, len(vals), len(row)), dtype=np.int64)
         for j, d, c in terms:
@@ -348,23 +343,13 @@ def _partial_sums(coeffs: Sequence[Fraction], law: AtomicLaw,
         vals, cnts = _aggregate_np(vals, parts.reshape(rows, -1))
         if len(vals) > cap:
             raise AtomBlowup(f"{len(vals)} atoms exceed cap {cap}")
-        yield functools.partial(_limb_dist, vals, cnts, scale, ctotal, bound)
-
-
-def _lattice_dist(cnts: np.ndarray, lo: int, stride: int, vtype, scale: Fraction,
-                  ctotal: int, bound: int) -> _ScaledDist:
-    """The atoms of limb counts cnts on the lattice lo, lo + stride, ..."""
-    at = np.flatnonzero(cnts.any(axis=0))
-    return _limb_dist(at.astype(vtype) * stride + lo,
-                      cnts if len(at) == cnts.shape[1] else cnts[:, at], scale, ctotal, bound)
-
-
-def _linear_sum_dist(coeffs: Sequence[Fraction], law: AtomicLaw, cap: int) -> _ScaledDist:
-    """Exact distribution of sum_i a_i x_i: the last of the partial sums,
-    the only one built."""
-    for make in _partial_sums(coeffs, law, cap):
-        pass
-    return make()
+    if dense:   # the atoms of the live counts, on the lattice lo, lo + stride, ...
+        cnts = cnts[:rows, :live]
+        at = np.flatnonzero(cnts.any(axis=0))
+        vals = at.astype(vtype) * stride + lo
+        if len(at) < live:
+            cnts = cnts[:, at]
+    return _limb_dist(vals, cnts, scale, ctotal, bound)
 
 
 def _window_scan(vals: np.ndarray, cnts: np.ndarray, width):

@@ -3,9 +3,10 @@
 Covers the integer row-rewrite matrix R (diagonal k on rewritten rows,
 unit diagonal elsewhere, off-diagonal support in the designated columns
 with a sign split), the random-bipartition mask A_U, the decoupling
-inequality harness (quadratic rho^8 / ((2pi)^{7/2} exp(4pi)) against the
-bilinear small ball of A_U at an inflated radius), and a rank <= 2 inverse
-search over submultiples of the least nonzero coefficient.
+inequality check (quadratic rho^8 / ((2pi)^{7/2} exp(4pi)) against the
+bilinear small ball of A_U at radius beta sqrt(log n), one check per
+form), and a rank <= 2 inverse search over submultiples of the least
+nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -137,42 +138,30 @@ class DecouplingCheck:
     lhs: float
     rhs: Union[Fraction, float]
     radius: float
-    radius_constant: float
     holds: bool
 
 
-def _stack(forms: Sequence[QuadraticForm], us: Sequence[Bipartition]):
-    """The forms and bipartitions as lists, checked: equal-length,
-    nonempty, each bipartition the size of its form."""
+def verify_decoupling(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
+                      us: Sequence[Bipartition]) -> List[DecouplingCheck]:
+    """Check rho_quad^8 / ((2pi)^{7/2} exp(4pi)) <= bilinear rho of A_U,
+    one check per form.
+
+    The bilinear side is evaluated at radius beta * sqrt(log n) under
+    independent copies of xi - xi'.  Both small-ball probabilities are
+    exact (fractions); only the universal constant and the radius are
+    floating.  forms is a sequence of quadratic forms of one size and
+    shifts, us the bipartition of each: every quadratic and every bilinear
+    distribution of the stack is enumerated together.  An empty stack,
+    sequences of unequal length and a form that needs more outcomes than
+    the cap or values past the float-exactness bound are rejected before
+    any enumeration.
+    """
     forms, us = list(forms), list(us)
     if not forms or len(forms) != len(us):
         raise ValueError(f"need as many bipartitions as forms, at least one: "
                          f"{len(forms)} forms, {len(us)} bipartitions")
     if any(f.n != b.n for f, b in zip(forms, us)):
         raise ValueError("matrix and bipartition sizes disagree")
-    return forms, us
-
-
-def verify_decoupling(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
-                      us: Sequence[Bipartition],
-                      radius_constant: float = 1.0) -> List[DecouplingCheck]:
-    """Check rho_quad^8 / ((2pi)^{7/2} exp(4pi)) <= bilinear rho of A_U,
-    one check per form.
-
-    The bilinear side is evaluated at radius radius_constant * beta *
-    sqrt(log n) under independent copies of xi - xi'.  Both small-ball
-    probabilities are exact (fractions); only the universal constant and
-    the radius are floating.  forms is a sequence of quadratic forms of one
-    size and shifts, us the bipartition of each: every quadratic and every
-    bilinear distribution of the stack is enumerated together.  A radius
-    constant that is not finite or is below 0, an empty stack, sequences
-    of unequal length and a form that needs more outcomes than the cap or
-    values past the float-exactness bound are rejected before any
-    enumeration.
-    """
-    forms, us = _stack(forms, us)
-    if not (math.isfinite(radius_constant) and radius_constant >= 0):
-        raise ValueError(f"radius_constant must be finite and >= 0, got {radius_constant!r}")
     beta = _radius(beta)
     quadratic = _quadratic_stack(forms, law, ATOM_CAP)
     diff = difference_law(law)
@@ -180,43 +169,30 @@ def verify_decoupling(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
     bilinear = _bilinear_stack(forms, diff, diff, ATOM_CAP,
                                keep=sides[:, :, None] != sides[:, None, :])
     n = forms[0].n
-    radius = radius_constant * float(beta) * math.sqrt(math.log(n)) if n > 1 else 0.0
+    radius = float(beta) * math.sqrt(math.log(n)) if n > 1 else 0.0
     wide = _radius(radius)
     checks = []
     for q, b in zip(quadratic(), bilinear()):
         rho_q = _exact_scan(q, beta)[0]      # the rho alone: no witness center
         lhs = float(rho_q) ** 8 / DECOUPLING_CONST
         rhs = _exact_scan(b, wide)[0]
-        checks.append(DecouplingCheck(rho_q, lhs, rhs, radius, radius_constant, bool(rhs >= lhs)))
+        checks.append(DecouplingCheck(rho_q, lhs, rhs, radius, bool(rhs >= lhs)))
     return checks
 
 
 def decoupling_scan(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
                     us: Sequence[Bipartition]):
-    """Smallest radius constant of 1, 2 and 4 making the decoupling
-    inequality hold, for each form.
+    """The radius constant making the decoupling inequality hold, for each
+    form: (1.0 where verify_decoupling's check holds, None where it fails,
+    for each form; the one-element list of each form's check).
 
-    Takes the sequences verify_decoupling takes and returns (the constant
-    of each form, the per-constant checks of each form); a constant of
-    None flags a form needing more than the scanned constants.  Each
-    constant is one verify_decoupling call on the forms that do not hold
-    yet.  The stack is checked before the first enumeration.
+    Constant 1 always holds: every bilinear distribution the outcome cap
+    admits has at most ATOM_CAP atoms, so its rho is at least 1 / ATOM_CAP
+    = 1e-7, while rho_quad^8 / DECOUPLING_CONST is at most 1 /
+    DECOUPLING_CONST ~ 5.6e-9.  A larger constant is never needed.
     """
-    forms, us = _stack(forms, us)
-    found = [None] * len(forms)
-    checks = [[] for _ in forms]
-    due = list(range(len(forms)))
-    for c in (1.0, 2.0, 4.0):
-        new = verify_decoupling([forms[g] for g in due], law, beta, [us[g] for g in due],
-                                radius_constant=c)
-        for g, chk in zip(due, new):
-            checks[g].append(chk)
-            if chk.holds:
-                found[g] = c
-        due = [g for g in due if found[g] is None]
-        if not due:
-            break
-    return found, checks
+    checks = verify_decoupling(forms, law, beta, us)
+    return [1.0 if chk.holds else None for chk in checks], [[chk] for chk in checks]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from randsym import (AtomBlowup, AtomicLaw, EnumerationTooLarge, LinearForm, Qua
                      gaussian, lazy_sign, linear_small_ball_exact, linear_small_ball_mc,
                      quadratic_small_ball_exact, quadratic_small_ball_mc, uniform3)
 from randsym import smallball
-from randsym.smallball import ATOM_CAP, _linear_sum_dist, _partial_sums, _radius
+from randsym.smallball import ATOM_CAP, _linear_sum_dist, _radius
 from genutil import brute_force_window
 
 BERN = bernoulli()
@@ -272,18 +272,34 @@ class TestLimbs:
     def test_laws_with_large_or_unequal_counts(self, law, coeffs, layout, monkeypatch):
         self._check(coeffs, law, layout, monkeypatch)
 
+    @staticmethod
+    def _engine_carries(monkeypatch):
+        """The list that each _carry call of the linear engine's steps
+        appends to; the carried copy of the final build (_limb_dist) is
+        not counted."""
+        calls = []
+        carry, build = smallball._carry, smallball._limb_dist
+
+        def counted(limbs):
+            calls.append(1)
+            return carry(limbs)
+
+        def uncounted(*args):
+            mark = len(calls)
+            dist = build(*args)
+            del calls[mark:]
+            return dist
+        monkeypatch.setattr(smallball, "_carry", counted)
+        monkeypatch.setattr(smallball, "_limb_dist", uncounted)
+        return calls
+
     @pytest.mark.parametrize("n, carries", [(62, 0), (63, 1), (64, 1)])
     def test_carry_at_its_edge(self, n, carries, monkeypatch):
         # zero coefficients: one count 2**k on one limb, the bound 2**k
-        # exact, so the first carry comes right before the step to 2**63;
-        # the carries counted are the engine's own, none of them a build's
-        calls = []
-        real = smallball._carry
-        monkeypatch.setattr(smallball, "_carry", lambda limbs: calls.append(1) or real(limbs))
-        for make in _partial_sums([F(0)] * n, BERN, ATOM_CAP):
-            pass
+        # exact, so the first carry comes right before the step to 2**63
+        calls = self._engine_carries(monkeypatch)
+        dist = _linear_sum_dist([F(0)] * n, BERN, ATOM_CAP)
         assert len(calls) == carries
-        dist = make()
         assert _joined(dist.cnts) == [2 ** n] and dist.ctotal == 2 ** n
         assert linear_small_ball_exact(LinearForm((0,) * n), BERN, 0).rho == 1
 
@@ -295,13 +311,9 @@ class TestLimbs:
         law = TestLayoutPins.TINY      # limb digits 1 and 2**16 - 1, twice
         weight = 1 + 2 * smallball._LIMB_MASK
         monkeypatch.setattr(smallball, "_LIMB_ROOM", weight * smallball._LIMB_MASK)
-        calls = []
-        real = smallball._carry
-        monkeypatch.setattr(smallball, "_carry", lambda limbs: calls.append(1) or real(limbs))
         self._check(coeffs, law, layout, monkeypatch)
-        calls.clear()
-        for _ in _partial_sums([F(a) for a in coeffs], law, ATOM_CAP):
-            pass
+        calls = self._engine_carries(monkeypatch)
+        _linear_sum_dist([F(a) for a in coeffs], law, ATOM_CAP)
         assert len(calls) == len(coeffs) - 1
         monkeypatch.setattr(smallball, "_LIMB_ROOM", weight * smallball._LIMB_MASK - 1)
         with pytest.raises(ValueError, match="too large for int64 limbs"):

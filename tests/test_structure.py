@@ -9,6 +9,7 @@ from randsym import (Bipartition, DECOUPLING_CONST, EnumerationTooLarge, Gap,
                      RowMatrixSpec, bernoulli, beta_close, build_row_matrix,
                      conditioning_check, decoupling_scan, inverse_lo_search,
                      row_matrix_det, uniform3, verify_decoupling)
+from randsym.smallball import ATOM_CAP
 
 BERN = bernoulli()
 
@@ -108,65 +109,13 @@ class TestDecoupling:
             form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
             u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
             (const,), _ = decoupling_scan([form], BERN, F(1, 10), [u])
-            assert const is not None and const <= 4
+            assert const == 1.0
 
-    @pytest.mark.parametrize("bad", [-1.0, F(-1, 4), float("nan"), float("inf"),
-                                     float("-inf")])
-    def test_bad_radius_constant_rejected_before_work(self, bad, monkeypatch):
-        from randsym import structure
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("enumeration started before the constant was checked")
-        monkeypatch.setattr(structure, "_quadratic_stack", no_work)
-        monkeypatch.setattr(structure, "_bilinear_stack", no_work)
-        form = QuadraticForm(((0, 1), (1, 0)))
-        u = Bipartition((True, False))
-        with pytest.raises(ValueError, match="radius_constant"):
-            verify_decoupling([form], BERN, 0.1, [u], radius_constant=bad)
-
-    def test_zero_radius_constant_allowed(self):
-        chk, = verify_decoupling([QuadraticForm(((0, 1), (1, 0)))], BERN, 0.1,
-                                 [Bipartition((True, False))], radius_constant=0)
-        assert chk.radius == 0 and chk.radius_constant == 0
-
-    # n = 3 forms (entries above the diagonal, in quarters) and their
-    # bipartitions under signs at beta = 1/2 which, at a decoupling constant
-    # of 0.11 in place of (2pi)^{7/2} e^{4pi}, hold first at radius
-    # constant 1, 2, 4 and at none of them: rho_quad 3/4, 3/4, 3/4 and 1
-    # against rhs 1 | 25/32, 31/32 | 351/512, 443/512, 503/512 | 25/32,
-    # 31/32, 1
-    STOPS = (((3, 2, 2), (True, True, True)), ((-1, -1, 0), (True, False, True)),
-             ((0, 1, -1), (True, True, False)), ((0, 0, -1), (True, True, False)))
-
-    @staticmethod
-    def _form(upper):
-        a01, a02, a12 = (F(x, 4) for x in upper)
-        return QuadraticForm(((0, a01, a02), (a01, 0, a12), (a02, a12, 0)))
-
-    def test_scan_across_radius_constants(self, monkeypatch):
-        from randsym import smallball, structure
-        monkeypatch.setattr(structure, "DECOUPLING_CONST", 0.11)
-        forms = [self._form(upper) for upper, _ in self.STOPS]
-        us = [Bipartition(side) for _, side in self.STOPS]
-        beta = F(1, 2)
-        one_by_one = []
-        for form, u in zip(forms, us):
-            checks = []
-            for c in (1.0, 2.0, 4.0):
-                checks += verify_decoupling([form], BERN, beta, [u], radius_constant=c)
-                if checks[-1].holds:
-                    break
-            one_by_one.append((checks[-1].radius_constant if checks[-1].holds else None, checks))
-        enumerated = []     # (coordinates, forms) of each enumeration
-        real = smallball._enumerate
-        monkeypatch.setattr(smallball, "_enumerate", lambda A, *rest: enumerated.append(
-            A.shape[::2]) or real(A, *rest))
-        consts, checks = decoupling_scan(forms, BERN, beta, us)
-        assert consts == [1.0, 2.0, 4.0, None]
-        assert list(zip(consts, checks)) == one_by_one
-        # at each constant, one quadratic (3 coordinates) and one bilinear
-        # (6) enumeration of the forms that do not hold yet
-        assert enumerated == [(4, 3), (4, 6), (3, 3), (3, 6), (2, 3), (2, 6)]
+    def test_constant_one_always_holds(self):
+        # decoupling_scan's premise: a bilinear rho the outcome cap admits
+        # is at least 1 / ATOM_CAP, and the left side at most
+        # 1 / DECOUPLING_CONST
+        assert 1 / ATOM_CAP > 1 / DECOUPLING_CONST
 
     def test_stack_matches_one_by_one(self):
         rng = np.random.default_rng(33)
@@ -179,10 +128,9 @@ class TestDecoupling:
                     forms.append(QuadraticForm(tuple(tuple(F(int(x), 4) for x in row)
                                                      for row in m)))
                     us.append(Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5)))
-                stacked = verify_decoupling(forms, law, 0.1, us, radius_constant=0.5)
+                stacked = verify_decoupling(forms, law, 0.1, us)
                 assert stacked == [chk for f, u in zip(forms, us)
-                                   for chk in verify_decoupling([f], law, 0.1, [u],
-                                                                radius_constant=0.5)]
+                                   for chk in verify_decoupling([f], law, 0.1, [u])]
                 const, checks = decoupling_scan(forms, law, F(1, 10), us)
                 alone = [decoupling_scan([f], law, F(1, 10), [u]) for f, u in zip(forms, us)]
                 assert const == [c for (c,), _ in alone]
