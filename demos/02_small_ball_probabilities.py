@@ -34,7 +34,7 @@ print(f"gaussian window mass = {gs.rho:.4f} (true {math.erf(0.5 / math.sqrt(2)):
 c = 1 / math.sqrt(2)
 quad = quadratic_small_ball_exact(QuadraticForm(((0, c), (c, 0))), law, 0.1)
 print("rho(sqrt2 * x1 x2, beta=0.1) =", quad.rho)
-bil = bilinear_small_ball(QuadraticForm(((c, 0), (0, c))), law, law, 0)
+bil = bilinear_small_ball(QuadraticForm(((c, 0), (0, c))), law, 0)
 print("rho((x1 y1 + x2 y2)/sqrt2)   =", bil.rho)
 
 # The Erdos-Littlewood-Offord n^(-1/2) scaling is visible in the exact

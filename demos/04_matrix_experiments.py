@@ -6,12 +6,13 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from randsym import (Bipartition, QuadraticForm, bernoulli,
+from randsym import (QuadraticForm, bernoulli,
                      build_row_matrix, cofactor_expansion_check,
                      conditioning_check, decoupling_scan, exact_rank,
                      exact_sample, grow_and_track, near_kernel_vector, row_matrix_det,
                      RowMatrixSpec, sample_symmetric, spectral_summary,
                      subspace_membership_mc)
+from randsym.streams import substream
 
 law = bernoulli()
 
@@ -53,13 +54,14 @@ print("det R =", row_matrix_det(spec), "conditioned:",
       conditioning_check(build_row_matrix(spec), 2.0))
 
 # Decoupling: the quadratic small ball of a form controls the bilinear
-# small ball of its random bipartition mask, at an eighth-power loss.
+# small ball of its mask A_U, U a random half of the indices (a boolean
+# row of membership), at an eighth-power loss.
 rng = np.random.default_rng(5)
 m = rng.integers(-3, 4, size=(5, 5))
 m = np.triu(m, 1)
 m = m + m.T
 form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
-u = Bipartition.random(5, seed=8)
+u = substream(8).random(5) < 0.5
 (const,), ((chk,),) = decoupling_scan([form], law, F(1, 10), [u])
 print(f"decoupling at constant {const}: rho_quad={float(chk.rho_quad):.4f}, "
       f"lhs={chk.lhs:.3e} <= rhs={float(chk.rhs):.4f}")

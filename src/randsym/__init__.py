@@ -8,7 +8,7 @@ Layout:
 * gap         generalized arithmetic progressions and rank reduction
 * smallball   exact / Monte Carlo concentration of linear, bilinear
               and quadratic forms
-* structure   row-rewrite matrices, bipartition decoupling, inverse
+* structure   row-rewrite matrices, decoupling checks, inverse
               Littlewood-Offord search
 * ensembles   random symmetric matrices, spectra, exact ranks,
               cofactor identities, rank growth, subspace membership
@@ -26,10 +26,10 @@ from .gap import (FullRank, Gap, GapReduction, OutOfBox, ReductionStalled,
 from .exactlinalg import bareiss_det, exact_rank as rational_rank
 from .smallball import (AtomBlowup, EnumerationTooLarge, LinearForm,
                         QuadraticForm, SmallBallEstimate, bilinear_small_ball,
-                        central_binomial_rho, linear_small_ball_exact,
-                        linear_small_ball_mc, quadratic_small_ball_exact,
-                        quadratic_small_ball_mc)
-from .structure import (Bipartition, DecouplingCheck, DECOUPLING_CONST,
+                        bilinear_small_ball_mc, central_binomial_rho,
+                        linear_small_ball_exact, linear_small_ball_mc,
+                        quadratic_small_ball_exact, quadratic_small_ball_mc)
+from .structure import (DecouplingCheck, DECOUPLING_CONST,
                         InverseLOReport, OverlapError, RowMatrixSpec,
                         build_row_matrix, conditioning_check, decoupling_scan,
                         inverse_lo_search, row_matrix_det, verify_decoupling)

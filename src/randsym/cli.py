@@ -42,10 +42,11 @@ from .ensembles import (MembershipResult, blas_pinnable, check_atom_bound, exact
 from .gap import beta_close, format_gap, parse_gap, rank_reduce, spans
 from .laws import AtomicLaw, SpacingCertificate, auto_certificate, parse_law, verify_spacing
 from .smallball import (LinearForm, QuadraticForm, bilinear_small_ball,
-                        linear_small_ball_exact, linear_small_ball_mc,
-                        quadratic_small_ball_exact, quadratic_small_ball_mc)
+                        bilinear_small_ball_mc, linear_small_ball_exact,
+                        linear_small_ball_mc, quadratic_small_ball_exact,
+                        quadratic_small_ball_mc)
 from .streams import chunk_bounds, key_seed, substream
-from .structure import Bipartition, decoupling_scan
+from .structure import decoupling_scan
 
 
 class UnknownExperiment(Exception):
@@ -356,7 +357,8 @@ def _run_detconc(cfg: Dict[str, object]):
     n_list, trials = cfg["n_list"], cfg["trials"]
     per_n: Dict[int, dict] = {}
     for i, n in enumerate(n_list):
-        kept = np.array([r[4] for r in rows[i * trials:(i + 1) * trials]])
+        block = rows[i * trials:(i + 1) * trials]
+        kept = np.array([r[4] for r in block])
         eps = cutoff_epsilon(n, cfg.get("epsilon"))
         std, mean = float(kept.std(ddof=1)), float(kept.mean())
         thr = 2.0 * math.log(n) / eps
@@ -365,7 +367,8 @@ def _run_detconc(cfg: Dict[str, object]):
             "epsilon": eps, "std_kept": std, "ratio": std / envelope_norm(n),
             "dev_threshold": thr, "dev_hits": hits, "dev_freq": hits / trials,
             "dev_ci": wilson_interval(hits, trials), "mean_kept": mean,
-            "seed_repeats": seed_repeats(cfg["seed"], n, trials),
+            # the rows carry each trial's seed: no second hash of the keys
+            "seed_repeats": trials - len({r[2] for r in block}),
             "dev_verdict": bound_verdict(hits, trials, cfg["dev_bound"]),
         }
     # max/min of the ratios, kept as a summary: n^(1/3) log n is an envelope,
@@ -408,8 +411,7 @@ def _decoupling_trial(law: AtomicLaw, n: int, seed: int, trials: Iterable[int],
         draws = substream(seed, stack).map(draw)
         forms = [QuadraticForm(tuple(tuple(quarter[int(x)] for x in row) for row in mat))
                  for mat, _ in draws]
-        us = [Bipartition(tuple(bool(b) for b in side)) for _, side in draws]
-        consts, checks = decoupling_scan(forms, law, beta, us)
+        consts, checks = decoupling_scan(forms, law, beta, [side for _, side in draws])
         rows += [(t, float(chk.rho_quad), chk.lhs, const if const is not None else -1.0,
                   float(chk.rhs), const is not None)
                  for t, const, (chk,) in zip(stack, consts, checks)]
@@ -536,8 +538,8 @@ def _run_smallball(cfg: Dict[str, object]):
             else quadratic_small_ball_mc(form, law, beta, trials, seed)
     else:
         form = QuadraticForm(tuple(tuple(r) for r in coeffs))
-        est = bilinear_small_ball(form, law, law, beta, method=method,
-                                  trials=trials, seed=seed)
+        est = bilinear_small_ball(form, law, beta) if method == "exact" \
+            else bilinear_small_ball_mc(form, law, beta, trials, seed)
     header = ("form", "method", "rho", "beta", "ci", "witness_center")
     rows = [(kind, est.method, est.rho, est.beta, est.ci_halfwidth, est.witness_center)]
     summary = {

@@ -259,7 +259,8 @@ def keyed_spectra(law: Law, F, n: int, seed: int, trials: Iterable[int],
 def seed_repeats(seed: int, n: int, trials: int) -> int:
     """Trials of range(trials) whose key_seed(seed, n, t) an earlier trial
     already has, and with it the whole matrix: about trials^2 / 2^33 (the
-    seed is one 32-bit word)."""
+    seed is one 32-bit word).  For tail, whose rows hold no seed; detconc
+    counts the seeds its rows carry."""
     # a set, not np.unique, whose sort code adds 0.8 MB to peak RSS
     return trials - len(set(key_seed(seed, n, range(trials)).tolist()))
 

@@ -107,9 +107,9 @@ def evaluate(q: Gap, point: Sequence[int]) -> Fraction:
     return q.offset + sum((Fraction(k) * g for k, g in zip(point, q.generators)), Fraction(0))
 
 
-def _check_cap(q: Gap, cap: int) -> None:
-    if q.volume > cap:
-        raise VolumeTooLarge(f"volume {q.volume} exceeds cap {cap}")
+def _check_cap(q: Gap) -> None:
+    if q.volume > ENUM_CAP:
+        raise VolumeTooLarge(f"volume {q.volume} exceeds cap {ENUM_CAP}")
 
 
 def _points_array(q: Gap) -> np.ndarray:
@@ -134,9 +134,9 @@ def _scaled_values(q: Gap) -> Tuple[np.ndarray, Fraction, np.ndarray]:
     return pts.astype(dtype, copy=False) @ np.array(gens, dtype=dtype) + g0, unit, pts
 
 
-def enumerate_values(q: Gap, cap: int = ENUM_CAP) -> List[Fraction]:
+def enumerate_values(q: Gap) -> List[Fraction]:
     """All Phi(p) over the box, with multiplicity, sorted."""
-    _check_cap(q, cap)
+    _check_cap(q)
     vals, unit, _ = _scaled_values(q)
     return sorted(int(v) * unit for v in vals)
 
@@ -147,19 +147,19 @@ def _distinct(vals: np.ndarray) -> bool:
     return not (vals[1:] == vals[:-1]).any()
 
 
-def is_proper(q: Gap, cap: int = ENUM_CAP) -> bool:
+def is_proper(q: Gap) -> bool:
     """True iff the affine map is injective on the box (exact comparison)."""
-    _check_cap(q, cap)
+    _check_cap(q)
     return _distinct(_scaled_values(q)[0])
 
 
-def beta_close(q: Gap, a, beta, cap: int = ENUM_CAP) -> Optional[LatticePoint]:
+def beta_close(q: Gap, a, beta) -> Optional[LatticePoint]:
     """Some box point whose value is within beta of a, or None.
 
     Ties break toward the smallest |value - a|, then lexicographically
     smallest coordinates.  Comparison is exact rational.
     """
-    _check_cap(q, cap)
+    _check_cap(q)
     beta = Fraction(beta)
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -189,8 +189,8 @@ def spans(q: Gap, points: Sequence[Sequence[int]]) -> bool:
     return exact_rank(pts) == q.rank
 
 
-def integer_hyperplane(points: Sequence[Sequence[int]], rank: Optional[int] = None) -> Tuple[int, ...]:
-    """Primitive integer normal vector annihilating all the points.
+def integer_hyperplane(points: Sequence[Sequence[int]], rank: int) -> Tuple[int, ...]:
+    """Primitive integer normal vector in Z^rank annihilating all the points.
 
     gcd of the entries is 1 and the last nonzero entry is positive.  The
     deterministic choice among several degenerate directions is the
@@ -199,10 +199,6 @@ def integer_hyperplane(points: Sequence[Sequence[int]], rank: Optional[int] = No
     FullRank when the points span.
     """
     pts = [list(int(k) for k in p) for p in points]
-    if rank is None:
-        if not pts:
-            raise ValueError("rank needed when the point list is empty")
-        rank = len(pts[0])
     basis = kernel_basis(pts, rank)
     if not basis:
         raise FullRank(f"points span all of rank {rank}")
@@ -272,20 +268,20 @@ def _collision_relation(q: Gap) -> Tuple[int, ...]:
     raise AssertionError("collision requested on a proper gap")
 
 
-def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[int]]] = None,
-                cap: int = ENUM_CAP) -> GapReduction:
+def rank_reduce(q: Gap, values: Sequence,
+                witnesses: Optional[Sequence[Sequence[int]]] = None) -> GapReduction:
     """Reduce to a proper symmetric gap that the given values span.
 
     Returns a gap of rank <= rank(q) containing every input value
     exactly, new witness points that span it, and the volume inflation
     factor.  When witnesses are omitted they are located with
     beta_close at radius 0.  Raises ReductionStalled when the bounded
-    properness search (3 collision eliminations per step, volume capped)
-    gives out.
+    properness search (3 collision eliminations per step, volume capped
+    at ENUM_CAP) gives out.
     """
     if not q.is_symmetric:
         raise ValueError("rank_reduce needs a symmetric gap")
-    _check_cap(q, cap)
+    _check_cap(q)
     enum = _scaled_values(q)    # one enumeration for properness and the witnesses
     if not _distinct(enum[0]):
         raise ValueError("rank_reduce needs a proper gap")
@@ -318,10 +314,10 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
             assert evaluate(cur, p) == v, "reduction identity violated"
         retries = 0
         while cur.rank > 0:
-            if cur.volume > cap:
+            if cur.volume > ENUM_CAP:
                 raise ReductionStalled(
-                    f"volume {cur.volume} exceeded cap {cap} during restoration")
-            if is_proper(cur, cap):
+                    f"volume {cur.volume} exceeded cap {ENUM_CAP} during restoration")
+            if is_proper(cur):
                 break
             if retries >= 3:
                 raise ReductionStalled("properness not restored in 3 collision steps")
@@ -331,8 +327,8 @@ def rank_reduce(q: Gap, values: Sequence, witnesses: Optional[Sequence[Sequence[
             for v, p in zip(vals, wits):
                 assert evaluate(cur, p) == v, "reduction identity violated"
             retries += 1
-    if cur.volume > cap:
-        raise ReductionStalled(f"final volume {cur.volume} exceeds cap {cap}")
+    if cur.volume > ENUM_CAP:
+        raise ReductionStalled(f"final volume {cur.volume} exceeds cap {ENUM_CAP}")
     for v, p in zip(vals, wits):
         if evaluate(cur, p) != v:
             raise ReductionStalled("containment lost (arithmetic bug)")

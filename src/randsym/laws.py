@@ -217,7 +217,7 @@ class ContinuousLaw:
 
     label: str
     sample: Callable[[np.random.Generator, object], np.ndarray]
-    diff_interval_mass: Optional[Callable[[float, float], float]] = None
+    diff_interval_mass: Callable[[float, float], float]
 
     is_rational = False
 
@@ -362,8 +362,6 @@ def verify_spacing(law: Law, cert: SpacingCertificate) -> bool:
         d = difference_law(law)
         mass = sum(p for v, p in d.atoms if cert.c1 <= abs(v) <= cert.c2)
         return mass >= cert.c3
-    if law.diff_interval_mass is None:
-        raise ValueError(f"law {law.label!r} has no difference-mass function")
     mass = law.diff_interval_mass(float(cert.c1), float(cert.c2))
     return mass >= float(cert.c3) - 1e-9
 
@@ -389,8 +387,6 @@ def auto_certificate(law: Law) -> Optional[SpacingCertificate]:
         c2 = max(v for v, _ in nz)
         c3 = 2 * sum(p for _, p in nz)
         return SpacingCertificate(c1, c2, c3)
-    if law.diff_interval_mass is None:
-        return None
     mass = law.diff_interval_mass(0.5, 4.0)
     if mass <= 0:
         return None

@@ -32,11 +32,13 @@ changes the arithmetic silently.
 
 Quadratic and bilinear forms are enumerated over all outcomes, block by
 block, by one engine (_form_stack) that takes a stack of forms sharing
-their coordinates (one law per side, the same shifts); a single form is
-the stack of one.  Coordinates i and j are coupled when a_ij or a_ji !=
-0; the connected blocks of that graph are independent, so the
-distribution of z^T A z is the convolution of theirs, and a coordinate
-that no entry touches is not enumerated.  The bilinear form x^T A y is
+their coordinates (one law, the same shifts); a single form is the stack
+of one.  The bilinear form is the decoupled form of the proof, x and y
+independent with one law and no shifts (they cancel in the decoupling).
+Coordinates i and j are coupled when a_ij or a_ji != 0; the connected
+blocks of that graph are independent, so the distribution of z^T A z is
+the convolution of theirs, and a coordinate that no entry touches is not
+enumerated.  The bilinear form x^T A y is
 z^T [[0, A], [0, 0]] z on z = (x, y); the mask A_U of the decoupling
 check splits it into at least {x_U, y_U^c} and {x_U^c, y_U}, so one check
 at n = 5 under the difference law of signs enumerates 2 * 3**5 outcomes
@@ -399,12 +401,11 @@ def _exact_estimate(dist: _ScaledDist, beta: Fraction, shift=Fraction(0)) -> Sma
                              Fraction(int(lo) + int(hi), 2) * dist.scale + shift)
 
 
-def linear_small_ball_exact(form: LinearForm, law: AtomicLaw, beta,
-                            cap: int = ATOM_CAP) -> SmallBallEstimate:
+def linear_small_ball_exact(form: LinearForm, law: AtomicLaw, beta) -> SmallBallEstimate:
     """Exact sup_a P(|sum a_i (x_i + f_i) - a| <= beta) for an atomic law."""
     beta = _radius(beta)
     shift = sum((a * f for a, f in zip(form.coefficients, form.shifts) if f), Fraction(0))
-    return _exact_estimate(_linear_sum_dist(form.coefficients, law, cap), beta, shift)
+    return _exact_estimate(_linear_sum_dist(form.coefficients, law, ATOM_CAP), beta, shift)
 
 
 def _mc_estimate(draw, beta, trials: int, seed: int) -> SmallBallEstimate:
@@ -695,61 +696,69 @@ def _quadratic_stack(forms: Sequence[QuadraticForm], law: AtomicLaw,
                        [f._lattice[1] * unit for f in forms], cap)
 
 
-def quadratic_small_ball_exact(form: QuadraticForm, law: AtomicLaw, beta,
-                               cap: int = ATOM_CAP) -> SmallBallEstimate:
+def quadratic_small_ball_exact(form: QuadraticForm, law: AtomicLaw, beta) -> SmallBallEstimate:
     """Exact sup_a P(|sum a_ij (x_i+f_i)(x_j+f_j) - a| <= beta) by full enumeration."""
     beta = _radius(beta)
-    return _exact_estimate(_quadratic_stack([form], law, cap)()[0], beta)
+    return _exact_estimate(_quadratic_stack([form], law, ATOM_CAP)()[0], beta)
 
 
 def quadratic_small_ball_mc(form: QuadraticForm, sampler: Law, beta, trials: int,
                             seed: int) -> SmallBallEstimate:
     """Monte Carlo counterpart of quadratic_small_ball_exact."""
-    return _mc_matrix_form(form, sampler, None, beta, trials, seed)
+    return _mc_matrix_form(form, sampler, False, beta, trials, seed)
 
 
-def _mc_matrix_form(form: QuadraticForm, law_x: Law, law_y, beta, trials: int,
+def _mc_matrix_form(form: QuadraticForm, law: Law, bilinear: bool, beta, trials: int,
                     seed: int) -> SmallBallEstimate:
-    """Monte Carlo small ball of (x + f)^T A (y + f); law_y None takes y = x,
-    the quadratic form."""
+    """Monte Carlo small ball of (x + f)^T A (y + f): y = x, the quadratic
+    form, or with bilinear drawn after x from the same stream."""
     A = np.array([[float(a) for a in row] for row in form.matrix])
     f = np.array([float(x) for x in form.shifts])
 
     def draw(rng, size):
-        X = law_x.sample_values(rng, (size, form.n)) + f
-        Y = X if law_y is None else law_y.sample_values(rng, (size, form.n)) + f
+        X = law.sample_values(rng, (size, form.n)) + f
+        Y = law.sample_values(rng, (size, form.n)) + f if bilinear else X
         return np.einsum("ti,ij,tj->t", X, A, Y)
 
     return _mc_estimate(draw, beta, trials, seed)
 
 
-def bilinear_small_ball(form: QuadraticForm, law_x: Law, law_y: Law, beta,
-                        method: str = "exact", trials: int = 10 ** 5,
-                        seed: int = 0, cap: int = ATOM_CAP) -> SmallBallEstimate:
-    """sup_a P(|sum a_ij (x_i+f_i)(y_j+f_j) - a| <= beta), x and y independent."""
-    if method == "exact":
-        beta = _radius(beta)
-        return _exact_estimate(_bilinear_stack([form], law_x, law_y, cap)()[0], beta)
-    if method == "mc":
-        return _mc_matrix_form(form, law_x, law_y, beta, trials, seed)
-    raise ValueError(f"unknown method {method!r}")
+def _unshifted(form: QuadraticForm) -> None:
+    if any(form.shifts):
+        raise ValueError("the bilinear small ball takes the decoupled form: shifts must be 0")
 
 
-def _bilinear_stack(forms: Sequence[QuadraticForm], law_x: AtomicLaw, law_y: AtomicLaw,
-                    cap: int, keep=None) -> Callable[[], List[_ScaledDist]]:
-    """_form_stack of bilinear forms sharing their shifts: x^T A y is
-    z^T [[0, A], [0, 0]] z on z = (x, y), each side on its own lattice.
-    Where the boolean stack keep is false, a_ij is left out (the mask A_U)."""
-    shifts = _shared_shifts(forms)
-    n = len(shifts)
-    cx, gzx = _coordinates(law_x, shifts)
-    cy, gzy = _coordinates(law_y, shifts)
+def bilinear_small_ball(form: QuadraticForm, law: AtomicLaw, beta) -> SmallBallEstimate:
+    """Exact sup_a P(|sum a_ij x_i y_j - a| <= beta) by full enumeration, x
+    and y independent with the one law; the form has no shifts."""
+    _unshifted(form)
+    beta = _radius(beta)
+    return _exact_estimate(_bilinear_stack([form], law, ATOM_CAP)()[0], beta)
+
+
+def bilinear_small_ball_mc(form: QuadraticForm, law: Law, beta, trials: int,
+                           seed: int) -> SmallBallEstimate:
+    """Monte Carlo counterpart of bilinear_small_ball."""
+    _unshifted(form)
+    return _mc_matrix_form(form, law, True, beta, trials, seed)
+
+
+def _bilinear_stack(forms: Sequence[QuadraticForm], law: AtomicLaw, cap: int,
+                    keep=None) -> Callable[[], List[_ScaledDist]]:
+    """_form_stack of the decoupled forms x^T A y of a stack of forms of one
+    size: z^T [[0, A], [0, 0]] z on z = (x, y), all 2n coordinates of the
+    law on its own lattice.  The forms' shifts are left out.  Where the
+    boolean stack keep is false, a_ij is left out (the mask A_U)."""
+    if not forms:
+        raise ValueError("a stack needs at least one form")
+    n = forms[0].n
+    coords, gz = _coordinates(law, (_ZERO,) * (2 * n))
     joint = np.zeros((len(forms), 2 * n, 2 * n))
     joint[:, :n, n:] = _floats([f._lattice[0] for f in forms])
     if keep is not None:
         joint[:, :n, n:] *= keep
-    unit = gzx * gzy
-    return _form_stack(joint, cx + cy, [f._lattice[1] * unit for f in forms], cap)
+    unit = gz * gz
+    return _form_stack(joint, coords, [f._lattice[1] * unit for f in forms], cap)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Covers the integer row-rewrite matrix R (diagonal k on rewritten rows,
 unit diagonal elsewhere, off-diagonal support in the designated columns
-with a sign split), the random-bipartition mask A_U, the decoupling
-inequality check (quadratic rho^8 / ((2pi)^{7/2} exp(4pi)) against the
-bilinear small ball of A_U at radius beta sqrt(log n), one check per
-form), and a rank <= 2 inverse search over submultiples of the least
-nonzero coefficient.
+with a sign split), the decoupling inequality check (quadratic rho^8 /
+((2pi)^{7/2} exp(4pi)) against the bilinear small ball of the mask A_U
+at radius beta sqrt(log n), one check per form, U given by a boolean
+row of membership), and a rank <= 2 inverse search over submultiples of
+the least nonzero coefficient.  The bilinear side is the decoupled form
+in the differences x_i - x'_i, one law on both sides: the form's shifts
+cancel there and enter only the quadratic side.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .gap import ENUM_CAP, Gap, is_proper
 from .laws import AtomicLaw, difference_law
 from .smallball import (ATOM_CAP, LinearForm, QuadraticForm, _bilinear_stack,
                         _exact_scan, _quadratic_stack, _radius, linear_small_ball_mc)
-from .streams import substream
 
 #: (2*pi)^(7/2) * exp(4*pi), the decoupling loss constant (~1.784e8)
 DECOUPLING_CONST = (2 * math.pi) ** 3.5 * math.exp(4 * math.pi)
@@ -54,7 +55,6 @@ class RowMatrixSpec:
     cols_minus: Tuple[int, ...]
     k: int
     coeffs: Mapping[Tuple[int, int], int]
-    bound_exponent: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(sorted(int(i) for i in self.rows)))
@@ -76,11 +76,6 @@ class RowMatrixSpec:
         for (i, j) in self.coeffs:
             if i not in set(self.rows) or j not in cols:
                 raise ValueError(f"coefficient at ({i},{j}) outside rows x cols")
-        if self.bound_exponent is not None:
-            bound = float(self.n) ** float(self.bound_exponent)
-            entries = [abs(self.k)] + [abs(v) for v in self.coeffs.values()]
-            if any(e > bound for e in entries):
-                raise ValueError(f"entry exceeds declared bound n^{self.bound_exponent}")
 
 
 def build_row_matrix(spec: RowMatrixSpec) -> np.ndarray:
@@ -113,23 +108,7 @@ def conditioning_check(R: np.ndarray, c: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bipartition mask and decoupling
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Index split: membership[i] says whether i is in U."""
-
-    membership: Tuple[bool, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.membership)
-
-    @classmethod
-    def random(cls, n: int, seed: int) -> "Bipartition":
-        rng = substream(seed)
-        return cls(tuple(bool(b) for b in rng.random(n) < 0.5))
+# decoupling
 
 
 @dataclass(frozen=True)
@@ -137,51 +116,47 @@ class DecouplingCheck:
     rho_quad: Union[Fraction, float]
     lhs: float
     rhs: Union[Fraction, float]
-    radius: float
     holds: bool
 
 
 def verify_decoupling(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
-                      us: Sequence[Bipartition]) -> List[DecouplingCheck]:
+                      sides) -> List[DecouplingCheck]:
     """Check rho_quad^8 / ((2pi)^{7/2} exp(4pi)) <= bilinear rho of A_U,
     one check per form.
 
-    The bilinear side is evaluated at radius beta * sqrt(log n) under
-    independent copies of xi - xi'.  Both small-ball probabilities are
-    exact (fractions); only the universal constant and the radius are
-    floating.  forms is a sequence of quadratic forms of one size and
-    shifts, us the bipartition of each: every quadratic and every bilinear
-    distribution of the stack is enumerated together.  An empty stack,
-    sequences of unequal length and a form that needs more outcomes than
-    the cap or values past the float-exactness bound are rejected before
-    any enumeration.
+    sides is a (T, n) boolean array-like, row t the membership in U of
+    form t's indices.  The bilinear side is evaluated at radius beta *
+    sqrt(log n) under independent copies of xi - xi', on the decoupled
+    form: the shifts, which the quadratic side keeps, are left out.  Both
+    small-ball probabilities are exact (fractions); only the universal
+    constant and the radius are floating.  The forms are of one size and
+    shifts, and every quadratic and every bilinear distribution of the
+    stack is enumerated together.  An empty stack, sides of another shape
+    and a form that needs more outcomes than ATOM_CAP or values past the
+    float-exactness bound are rejected before any enumeration.
     """
-    forms, us = list(forms), list(us)
-    if not forms or len(forms) != len(us):
-        raise ValueError(f"need as many bipartitions as forms, at least one: "
-                         f"{len(forms)} forms, {len(us)} bipartitions")
-    if any(f.n != b.n for f, b in zip(forms, us)):
-        raise ValueError("matrix and bipartition sizes disagree")
+    forms, sides = list(forms), np.asarray(sides, dtype=bool)
+    if not forms:
+        raise ValueError("a decoupling check needs at least one form")
+    n = forms[0].n
+    if sides.shape != (len(forms), n):
+        raise ValueError(f"sides have shape {sides.shape}; {len(forms)} forms of size "
+                         f"{n} need shape {(len(forms), n)}")
     beta = _radius(beta)
     quadratic = _quadratic_stack(forms, law, ATOM_CAP)
-    diff = difference_law(law)
-    sides = np.array([u.membership for u in us])
-    bilinear = _bilinear_stack(forms, diff, diff, ATOM_CAP,
+    bilinear = _bilinear_stack(forms, difference_law(law), ATOM_CAP,
                                keep=sides[:, :, None] != sides[:, None, :])
-    n = forms[0].n
-    radius = float(beta) * math.sqrt(math.log(n)) if n > 1 else 0.0
-    wide = _radius(radius)
+    wide = _radius(float(beta) * math.sqrt(math.log(n)) if n > 1 else 0.0)
     checks = []
     for q, b in zip(quadratic(), bilinear()):
         rho_q = _exact_scan(q, beta)[0]      # the rho alone: no witness center
         lhs = float(rho_q) ** 8 / DECOUPLING_CONST
         rhs = _exact_scan(b, wide)[0]
-        checks.append(DecouplingCheck(rho_q, lhs, rhs, radius, bool(rhs >= lhs)))
+        checks.append(DecouplingCheck(rho_q, lhs, rhs, bool(rhs >= lhs)))
     return checks
 
 
-def decoupling_scan(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
-                    us: Sequence[Bipartition]):
+def decoupling_scan(forms: Sequence[QuadraticForm], law: AtomicLaw, beta, sides):
     """The radius constant making the decoupling inequality hold, for each
     form: (1.0 where verify_decoupling's check holds, None where it fails,
     for each form; the one-element list of each form's check).
@@ -191,7 +166,7 @@ def decoupling_scan(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
     = 1e-7, while rho_quad^8 / DECOUPLING_CONST is at most 1 /
     DECOUPLING_CONST ~ 5.6e-9.  A larger constant is never needed.
     """
-    checks = verify_decoupling(forms, law, beta, us)
+    checks = verify_decoupling(forms, law, beta, sides)
     return [1.0 if chk.holds else None for chk in checks], [[chk] for chk in checks]
 
 
@@ -319,7 +294,7 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
             if halves is None or not covered:
                 continue
             q2 = Gap.symmetric((g1, g2), halves)
-            if not is_proper(q2, ENUM_CAP):
+            if not is_proper(q2):
                 continue
             key = (-len(covered), q2.volume, (g1, g2))
             if best is None or key < best[0]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randsym import (Bipartition, Gap, LinearForm, QuadraticForm, bernoulli,
+from randsym import (Gap, LinearForm, QuadraticForm, bernoulli,
                      beta_close, central_binomial_rho, cofactor_expansion_check,
                      conditioning_check,
                      decoupling_scan, evaluate, exact_det,
@@ -173,7 +173,7 @@ def test_criterion_5_decoupling():
         if not m.any():
             m[0, 1] = m[1, 0] = 1
         form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
-        u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
+        u = rng.random(n) < 0.5
         law = laws[i % 2]
         (const,), _ = decoupling_scan([form], law, F(1, 10), [u])
         ok = ok and const is not None

@@ -40,9 +40,10 @@ class TestEnumerate:
         vals = enumerate_values(WIDE)
         assert len(vals) == 25 == len(set(vals))
 
-    def test_volume_cap(self):
+    def test_volume_cap(self, monkeypatch):
+        monkeypatch.setattr(gap, "ENUM_CAP", 100)
         with pytest.raises(VolumeTooLarge):
-            enumerate_values(Gap.symmetric((1, 2), (40, 40)), cap=100)
+            enumerate_values(Gap.symmetric((1, 2), (40, 40)))
 
     def test_length_equals_volume(self):
         rng = np.random.default_rng(4)
@@ -118,15 +119,15 @@ class TestSpans:
 
 class TestIntegerHyperplane:
     def test_collinear_pair(self):
-        assert integer_hyperplane([(1, 1), (2, 2)]) == (-1, 1)
+        assert integer_hyperplane([(1, 1), (2, 2)], 2) == (-1, 1)
 
     def test_full_rank(self):
         with pytest.raises(FullRank):
-            integer_hyperplane([(1, 0), (0, 1)])
+            integer_hyperplane([(1, 0), (0, 1)], 2)
 
     def test_single_point(self):
         # 2*k1 + 4*k2 = 0 direction, primitivized, last entry positive
-        alpha = integer_hyperplane([(2, 4)])
+        alpha = integer_hyperplane([(2, 4)], 2)
         assert alpha == (-2, 1)
         assert 2 * alpha[0] + 4 * alpha[1] == 0
 
@@ -139,7 +140,7 @@ class TestIntegerHyperplane:
             if not any(base):
                 base[0] = 1
             pts = [tuple(c * b for b in base) for c in (1, 2, -1)]
-            alpha = integer_hyperplane(pts)
+            alpha = integer_hyperplane(pts, r)
             g = 0
             for x in alpha:
                 g = gcd(g, abs(x))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from randsym import (AtomBlowup, AtomicLaw, EnumerationTooLarge, LinearForm, QuadraticForm,
-                     bernoulli, bilinear_small_ball, central_binomial_rho, difference_law,
-                     gaussian, lazy_sign, linear_small_ball_exact, linear_small_ball_mc,
+                     bernoulli, bilinear_small_ball, bilinear_small_ball_mc,
+                     central_binomial_rho, difference_law, gaussian, lazy_sign,
+                     linear_small_ball_exact, linear_small_ball_mc,
                      quadratic_small_ball_exact, quadratic_small_ball_mc, uniform3)
 from randsym import smallball
 from randsym.smallball import ATOM_CAP, _linear_sum_dist, _radius
@@ -59,14 +60,13 @@ def brute_force_quadratic(mat, shifts, law, beta):
     return brute_force_window([law] * n, value, beta)
 
 
-def brute_force_bilinear(mat, shifts, law_x, law_y, beta):
+def brute_force_bilinear(mat, law, beta):
     n = len(mat)
 
     def value(xy):
-        x = [v + f for v, f in zip(xy[:n], shifts)]
-        y = [v + f for v, f in zip(xy[n:], shifts)]
+        x, y = xy[:n], xy[n:]
         return sum(mat[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
-    return brute_force_window([law_x] * n + [law_y] * n, value, beta)
+    return brute_force_window([law] * (2 * n), value, beta)
 
 
 def _estimate(est):
@@ -121,12 +121,13 @@ class TestLinearExact:
             assert rho >= last
             last = rho
 
-    def test_atom_cap(self):
+    def test_atom_cap(self, monkeypatch):
         # powers of 3 with atoms {-1,0,1}: balanced-ternary sums are all
         # distinct, so the distribution has 3^8 atoms, over any small cap
+        monkeypatch.setattr(smallball, "ATOM_CAP", 1000)
         with pytest.raises(AtomBlowup):
             linear_small_ball_exact(LinearForm(tuple(3 ** p for p in range(8))),
-                                    uniform3(), 0, cap=1000)
+                                    uniform3(), 0)
 
     def test_scale_invariance_huge_coefficients(self):
         # rho(c*a, c*beta) == rho(a, beta); content scaling divides c back
@@ -571,8 +572,9 @@ def test_float_masses_weighed_by_their_sum():
     square = QuadraticForm(((1,),), shifts=(F(1, 2),))      # (x + 1/2)^2
     assert quadratic_small_ball_exact(square, law, 0).rho == q / (p + q)
     assert quadratic_small_ball_exact(square, law, 10).rho == 1
-    # x y with y a sign: +-1 with probability 1/2 each
-    assert bilinear_small_ball(QuadraticForm(((1,),)), law, BERN, 0).rho == F(1, 2)
+    # x y is 1 with mass p^2 + q^2 and -1 with mass 2 p q, over (p + q)^2
+    assert bilinear_small_ball(QuadraticForm(((1,),)), law, 0).rho == \
+        (p * p + q * q) / (p + q) ** 2
 
 
 class TestLinearMC:
@@ -615,11 +617,12 @@ class TestQuadraticExact:
         est = quadratic_small_ball_exact(form, BERN, 0)
         assert est.rho == 1          # x1^2 == 1 on +-1
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         form = QuadraticForm(tuple(tuple(F(1) if i == j else F(0) for j in range(9))
                                    for i in range(9)))
+        monkeypatch.setattr(smallball, "ATOM_CAP", 1000)
         with pytest.raises(EnumerationTooLarge):
-            quadratic_small_ball_exact(form, uniform3(), 0, cap=1000)
+            quadratic_small_ball_exact(form, uniform3(), 0)
 
     def test_mc_matches_exact(self):
         form = QuadraticForm(((0, F(1, 2)), (F(1, 2), 0)), shifts=(F(1, 3), 0))
@@ -643,12 +646,14 @@ class TestQuadraticExact:
             est = quadratic_small_ball_exact(QuadraticForm(mat, shifts=shifts), law, beta)
             assert _estimate(est) == brute_force_quadratic(mat, shifts, law, beta), trial
 
-    def test_enumeration_cap_boundary(self):
+    def test_enumeration_cap_boundary(self, monkeypatch):
         form = QuadraticForm(((1, 1, 0, 0), (1, 0, 0, 2), (0, 0, -1, 1), (0, 2, 1, 0)))
         want = brute_force_quadratic(form.matrix, form.shifts, uniform3(), 1)
-        assert _estimate(quadratic_small_ball_exact(form, uniform3(), 1, cap=81)) == want
+        monkeypatch.setattr(smallball, "ATOM_CAP", 81)
+        assert _estimate(quadratic_small_ball_exact(form, uniform3(), 1)) == want
+        monkeypatch.setattr(smallball, "ATOM_CAP", 80)
         with pytest.raises(EnumerationTooLarge):
-            quadratic_small_ball_exact(form, uniform3(), 1, cap=80)
+            quadratic_small_ball_exact(form, uniform3(), 1)
 
     def test_float_exactness_boundary(self):
         # val_bound = 1 + 2c + 1 must stay below 2**53
@@ -676,73 +681,85 @@ class TestQuadraticExact:
 
 class TestBilinear:
     def test_single_product(self):
-        est = bilinear_small_ball(QuadraticForm(((1,),)), BERN, BERN, 0)
+        est = bilinear_small_ball(QuadraticForm(((1,),)), BERN, 0)
         assert est.rho == F(1, 2)
 
     def test_zero_matrix(self):
-        est = bilinear_small_ball(QuadraticForm(((0, 0), (0, 0))), BERN, BERN, 0)
+        est = bilinear_small_ball(QuadraticForm(((0, 0), (0, 0))), BERN, 0)
         assert est.rho == 1
 
     def test_scaled_identity(self):
         c = 1 / math.sqrt(2)
-        est = bilinear_small_ball(QuadraticForm(((c, 0), (0, c))), BERN, BERN, 0)
+        est = bilinear_small_ball(QuadraticForm(((c, 0), (0, c))), BERN, 0)
         assert est.rho == F(1, 2)
 
     def test_matches_brute_force(self):
-        # x and y from different laws, so the two sides carry different
-        # lattice units, with shifts on both
+        # x and y of one law, on the law's own lattice, which the form's
+        # lattice unit scales
         rng = np.random.default_rng(44)
         laws = (BERN, uniform3(), LOPSIDED, lazy_sign(F(1, 3)))
         for trial in range(16):
             n = int(rng.integers(1, 4))
-            law_x, law_y = laws[trial % 4], laws[(trial + 1 + trial // 4 % 3) % 4]
+            law = laws[trial % 4]
             m = rng.integers(-3, 4, size=(n, n))
             m = np.triu(m) + np.triu(m, 1).T
             mat = tuple(tuple(F(int(x), 2) for x in row) for row in m)
-            shifts = tuple(F(int(rng.integers(-2, 3)), 3) for _ in range(n)) \
-                if trial % 2 else ()
             beta = F(int(rng.integers(0, 4)), 4)
-            form = QuadraticForm(mat, shifts=shifts)
-            est = bilinear_small_ball(form, law_x, law_y, beta)
-            assert _estimate(est) == \
-                brute_force_bilinear(mat, form.shifts, law_x, law_y, beta), trial
+            est = bilinear_small_ball(QuadraticForm(mat), law, beta)
+            assert _estimate(est) == brute_force_bilinear(mat, law, beta), trial
 
-    def test_enumeration_cap_boundary(self):
-        # 2^3 outcomes of x times 3^3 of y: 216
+    def test_enumeration_cap_boundary(self, monkeypatch):
+        # 3^3 outcomes of x times 3^3 of y: 729
         form = QuadraticForm(((1, 2, 0), (2, -1, 1), (0, 1, 3)))
-        want = brute_force_bilinear(form.matrix, form.shifts, BERN, uniform3(), 1)
-        assert _estimate(bilinear_small_ball(form, BERN, uniform3(), 1, cap=216)) == want
+        want = brute_force_bilinear(form.matrix, uniform3(), 1)
+        monkeypatch.setattr(smallball, "ATOM_CAP", 729)
+        assert _estimate(bilinear_small_ball(form, uniform3(), 1)) == want
+        monkeypatch.setattr(smallball, "ATOM_CAP", 728)
         with pytest.raises(EnumerationTooLarge):
-            bilinear_small_ball(form, BERN, uniform3(), 1, cap=215)
+            bilinear_small_ball(form, uniform3(), 1)
 
     def test_float_exactness_boundary(self):
         # val_bound = 1 + 2c + 1 must stay below 2**53
         for c, fits in ((2 ** 52 - 2, True), (2 ** 52 - 1, False)):
             form = QuadraticForm(((1, c), (c, 0)))
             if fits:
-                assert _estimate(bilinear_small_ball(form, BERN, uniform3(), 0)) == \
-                    brute_force_bilinear(form.matrix, form.shifts, BERN, uniform3(), 0)
+                assert _estimate(bilinear_small_ball(form, uniform3(), 0)) == \
+                    brute_force_bilinear(form.matrix, uniform3(), 0)
             else:
                 with pytest.raises(EnumerationTooLarge):
-                    bilinear_small_ball(form, BERN, uniform3(), 0)
+                    bilinear_small_ball(form, uniform3(), 0)
 
     def test_count_total_boundary(self):
-        # counts are int64 while den_x**n * den_y**n stays below 2**61 and
-        # Python ints beyond; the answer is exact on both sides
-        for form, law_x in ((QuadraticForm(((1,),)), _two_point(2 ** 60 - 1)),
-                            (QuadraticForm(((1,),)), _two_point(2 ** 60)),
-                            (QuadraticForm(((1, 2), (2, -1))), _two_point(2 ** 40))):
+        # counts are int64 while den**(2n) stays below 2**61 and Python
+        # ints beyond (isqrt(2**61)**2 < 2**61 < (isqrt(2**61) + 1)**2);
+        # the answer is exact on both sides
+        root = math.isqrt(2 ** 61)
+        for form, law in ((QuadraticForm(((1,),)), _two_point(root)),
+                          (QuadraticForm(((1,),)), _two_point(root + 1)),
+                          (QuadraticForm(((1, 2), (2, -1))), _two_point(2 ** 20))):
             for beta in (0, 1):
-                est = bilinear_small_ball(form, law_x, BERN, beta)
-                assert _estimate(est) == brute_force_bilinear(
-                    form.matrix, form.shifts, law_x, BERN, beta)
+                est = bilinear_small_ball(form, law, beta)
+                assert _estimate(est) == brute_force_bilinear(form.matrix, law, beta)
 
     def test_mc_close_to_exact(self):
         form = QuadraticForm(((F(1, 2), F(1, 3)), (F(1, 3), F(-1, 4))))
-        exact = bilinear_small_ball(form, BERN, BERN, F(1, 8))
-        mc = bilinear_small_ball(form, BERN, BERN, 0.125, method="mc",
-                                 trials=10 ** 5, seed=4)
+        exact = bilinear_small_ball(form, BERN, F(1, 8))
+        mc = bilinear_small_ball_mc(form, BERN, 0.125, 10 ** 5, seed=4)
         assert abs(mc.rho - float(exact.rho)) <= mc.ci_halfwidth
+
+    @pytest.mark.parametrize("shifts", [(F(1, 2), 0), (0, -1e-300)], ids=["half", "tiny"])
+    def test_shifted_form_refused_before_work(self, shifts, monkeypatch):
+        # the decoupled form has no shifts: refused before any enumeration
+        # or draw, exact or Monte Carlo
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the shifts were checked")
+        for name in ("_form_stack", "_coordinates", "substream"):
+            monkeypatch.setattr(smallball, name, no_work)
+        form = QuadraticForm(((1, 2), (2, -1)), shifts=shifts)
+        with pytest.raises(ValueError, match="shifts must be 0"):
+            bilinear_small_ball(form, BERN, 0)
+        with pytest.raises(ValueError, match="shifts must be 0"):
+            bilinear_small_ball_mc(form, BERN, 0, 100, seed=0)
 
 
 def _block_diagonal(*blocks):
@@ -811,9 +828,8 @@ class TestBlocks:
             beta = F(int(rng.integers(0, 3)), 4)
             est = quadratic_small_ball_exact(QuadraticForm(mat, shifts=shifts), law, beta)
             assert _estimate(est) == brute_force_quadratic(mat, shifts, law, beta), trial
-            est = bilinear_small_ball(QuadraticForm(mat), law, BERN, beta)
-            assert _estimate(est) == \
-                brute_force_bilinear(mat, (0,) * n, law, BERN, beta), trial
+            est = bilinear_small_ball(QuadraticForm(mat), law, beta)
+            assert _estimate(est) == brute_force_bilinear(mat, law, beta), trial
 
     def test_bipartition_masked(self):
         # A_U of the decoupling check: under the difference law it splits
@@ -829,9 +845,8 @@ class TestBlocks:
             mat = tuple(tuple(F(int(x), 4) for x in row) for row in m)
             beta = F(int(rng.integers(0, 4)), 4)
             law = (diff, uniform3())[trial % 2]
-            est = bilinear_small_ball(QuadraticForm(mat), law, law, beta)
-            assert _estimate(est) == \
-                brute_force_bilinear(mat, (0,) * n, law, law, beta), trial
+            est = bilinear_small_ball(QuadraticForm(mat), law, beta)
+            assert _estimate(est) == brute_force_bilinear(mat, law, beta), trial
             est = quadratic_small_ball_exact(QuadraticForm(mat), law, beta)
             assert _estimate(est) == brute_force_quadratic(mat, (0,) * n, law, beta), trial
 
@@ -848,32 +863,30 @@ class TestBlocks:
         real = smallball._group_dists
         monkeypatch.setattr(smallball, "_group_dists", lambda A, X, Y, b: outcomes.append(
             len(A) * len(X[0]) * len(Y[0])) or real(A, X, Y, b))
-        bilinear_small_ball(QuadraticForm(mat), diff, diff, F(1, 4))
+        bilinear_small_ball(QuadraticForm(mat), diff, F(1, 4))
         assert sum(outcomes) == 2 * 243
 
-    def test_bilinear_different_laws_with_shifts(self):
+    def test_bilinear_block_diagonal(self):
         rng = np.random.default_rng(55)
         for trial in range(12):
             sizes = (1, 2) if trial % 2 else (1, 1, 1)
             mat = _block_diagonal(*(_random_symmetric(rng, k, 2) for k in sizes))
-            shifts = tuple(F(int(rng.integers(-2, 3)), 3) for _ in mat)
-            law_x, law_y = self.LAWS[trial % 4], self.LAWS[(trial + 1 + trial // 4 % 3) % 4]
+            law = self.LAWS[trial % 4]
             beta = F(int(rng.integers(0, 4)), 4)
-            form = QuadraticForm(mat, shifts=shifts)
-            est = bilinear_small_ball(form, law_x, law_y, beta)
-            assert _estimate(est) == \
-                brute_force_bilinear(mat, shifts, law_x, law_y, beta), trial
+            est = bilinear_small_ball(QuadraticForm(mat), law, beta)
+            assert _estimate(est) == brute_force_bilinear(mat, law, beta), trial
 
     @pytest.mark.parametrize("kind, den, rows", [
         ("quadratic", 2 ** 20, 1), ("quadratic", 2 ** 21, 4),
-        ("bilinear", 2 ** 19, 1), ("bilinear", 2 ** 20, 4)],
+        ("bilinear", 1149, 1), ("bilinear", 1150, 4)],
         ids=["quadratic-1048576-int64", "quadratic-2097152-limbs",
-             "bilinear-524288-int64", "bilinear-1048576-limbs"])
+             "bilinear-1149-int64", "bilinear-1150-limbs"])
     def test_count_total_boundary(self, kind, den, rows, monkeypatch):
         # two blocks and one coordinate (of each side) that no entry
         # touches: the counts of the three touched coordinates total den**3
-        # (quadratic) or den**3 * 2**3 (bilinear, y signs), 2**60 (one row
-        # of int64 counts) or 2**63 (four 16-bit limbs)
+        # (quadratic: 2**60, one row of int64 counts, or 2**63, four 16-bit
+        # limbs) or of the six touched ones den**6 (bilinear: 1149**6 <
+        # 2**61 <= 1150**6 < 2**64)
         law = _two_point(den)
         mat = _block_diagonal(((1, 2), (2, -1)), ((0,),), ((3,),))
         seen = []
@@ -885,8 +898,8 @@ class TestBlocks:
                 est = quadratic_small_ball_exact(QuadraticForm(mat), law, beta)
                 want = brute_force_quadratic(mat, (0,) * 4, law, beta)
             else:
-                est = bilinear_small_ball(QuadraticForm(mat), law, BERN, beta)
-                want = brute_force_bilinear(mat, (0,) * 4, law, BERN, beta)
+                est = bilinear_small_ball(QuadraticForm(mat), law, beta)
+                want = brute_force_bilinear(mat, law, beta)
             assert _estimate(est) == want
         assert set(seen) == {rows}
 
@@ -911,20 +924,24 @@ class TestBlocks:
         assert cnts.shape[0] == 6 and (cnts[:-1] < 2 ** 16).all()
         assert sum(_joined(cnts)) == dists[0].ctotal == (2 ** 16 - 1) ** 6
 
-    def test_enumeration_cap_boundary(self):
+    def test_enumeration_cap_boundary(self, monkeypatch):
         # caps judged on every outcome of the whole form: 3**4 = 81 for the
-        # quadratic form, 2**3 * 3**3 = 216 for the bilinear one, though each
+        # quadratic form, 3**3 * 3**3 = 729 for the bilinear one, though each
         # block alone enumerates far fewer
         quad = QuadraticForm(_block_diagonal(((1, 1), (1, 0)), ((0, 2), (2, 1))))
         want = brute_force_quadratic(quad.matrix, quad.shifts, uniform3(), 1)
-        assert _estimate(quadratic_small_ball_exact(quad, uniform3(), 1, cap=81)) == want
+        monkeypatch.setattr(smallball, "ATOM_CAP", 81)
+        assert _estimate(quadratic_small_ball_exact(quad, uniform3(), 1)) == want
+        monkeypatch.setattr(smallball, "ATOM_CAP", 80)
         with pytest.raises(EnumerationTooLarge):
-            quadratic_small_ball_exact(quad, uniform3(), 1, cap=80)
+            quadratic_small_ball_exact(quad, uniform3(), 1)
         bil = QuadraticForm(_block_diagonal(((1, 2), (2, -1)), ((3,),)))
-        want = brute_force_bilinear(bil.matrix, bil.shifts, BERN, uniform3(), 1)
-        assert _estimate(bilinear_small_ball(bil, BERN, uniform3(), 1, cap=216)) == want
+        want = brute_force_bilinear(bil.matrix, uniform3(), 1)
+        monkeypatch.setattr(smallball, "ATOM_CAP", 729)
+        assert _estimate(bilinear_small_ball(bil, uniform3(), 1)) == want
+        monkeypatch.setattr(smallball, "ATOM_CAP", 728)
         with pytest.raises(EnumerationTooLarge):
-            bilinear_small_ball(bil, BERN, uniform3(), 1, cap=215)
+            bilinear_small_ball(bil, uniform3(), 1)
 
     def test_float_exactness_judged_on_the_whole_form(self):
         # each block's values stay far below 2**53, but the whole form's
@@ -978,19 +995,21 @@ class TestStacks:
                 assert _estimate(quadratic_small_ball_exact(form, law, beta)) == want, trial
 
     def test_bilinear_stack(self):
+        # the stack leaves the forms' shifts out: the decoupled form
         rng = np.random.default_rng(72)
         for trial in range(12):
             n = int(rng.integers(2, 4))
             shifts = tuple(F(int(rng.integers(-2, 3)), 2) for _ in range(n)) if trial % 2 else ()
             forms = self._stack_forms(rng, int(rng.integers(2, 5)), n, shifts)
-            law_x, law_y = self.LAWS[trial % 4], self.LAWS[(trial + 1 + trial // 4) % 4]
+            law = self.LAWS[trial % 4]
             beta = F(int(rng.integers(0, 4)), 4)
             stack = [smallball._exact_estimate(d, beta)
-                     for d in smallball._bilinear_stack(forms, law_x, law_y, ATOM_CAP)()]
+                     for d in smallball._bilinear_stack(forms, law, ATOM_CAP)()]
             for form, est in zip(forms, stack):
-                want = brute_force_bilinear(form.matrix, form.shifts, law_x, law_y, beta)
+                want = brute_force_bilinear(form.matrix, law, beta)
                 assert _estimate(est) == want, trial
-                assert _estimate(bilinear_small_ball(form, law_x, law_y, beta)) == want, trial
+                assert _estimate(bilinear_small_ball(QuadraticForm(form.matrix), law, beta)) \
+                    == want, trial
 
     def test_limbs_shared_by_the_stack(self):
         # the first form touches three coordinates, whose counts total
@@ -1047,7 +1066,7 @@ class TestStacks:
         with pytest.raises(ValueError, match="shifts"):
             smallball._quadratic_stack(forms, BERN, ATOM_CAP)
         with pytest.raises(ValueError, match="at least one"):
-            smallball._bilinear_stack([], BERN, BERN, ATOM_CAP)
+            smallball._bilinear_stack([], BERN, ATOM_CAP)
 
 
 class TestMonteCarloPins:
@@ -1074,10 +1093,14 @@ class TestMonteCarloPins:
             (0.189, 3.041666666666667, 0.024795427851769823)
 
     def test_bilinear(self):
-        est = bilinear_small_ball(QuadraticForm(((1, 2), (2, -1))), BERN, gaussian(),
-                                  0.3, method="mc", trials=3000, seed=13)
-        assert (est.rho, est.witness_center, est.ci_halfwidth) == \
-            (0.07933333333333334, 0.73538757749132, 0.024795427851769823)
+        # X, then Y, from each chunk's stream, as when the Monte Carlo
+        # bilinear small ball took a law for each side
+        form = QuadraticForm(((1, 2), (2, -1)))
+        for law, pin in ((BERN, (0.26066666666666666, 2.0, 0.024795427851769823)),
+                         (gaussian(), (0.13466666666666666, -0.014713181167996858,
+                                       0.024795427851769823))):
+            est = bilinear_small_ball_mc(form, law, 0.3, 3000, seed=13)
+            assert (est.rho, est.witness_center, est.ci_halfwidth) == pin
 
 
 class TestForms:
@@ -1106,9 +1129,8 @@ class TestNegativeBeta:
         lambda b: linear_small_ball_mc(TestNegativeBeta.LIN, BERN, b, 100, seed=0),
         lambda b: quadratic_small_ball_exact(TestNegativeBeta.QUAD, BERN, b),
         lambda b: quadratic_small_ball_mc(TestNegativeBeta.QUAD, BERN, b, 100, seed=0),
-        lambda b: bilinear_small_ball(TestNegativeBeta.QUAD, BERN, BERN, b),
-        lambda b: bilinear_small_ball(TestNegativeBeta.QUAD, BERN, BERN, b,
-                                      method="mc", trials=100),
+        lambda b: bilinear_small_ball(TestNegativeBeta.QUAD, BERN, b),
+        lambda b: bilinear_small_ball_mc(TestNegativeBeta.QUAD, BERN, b, 100, seed=0),
     ], ids=["linear-exact", "linear-mc", "quadratic-exact",
             "quadratic-mc", "bilinear-exact", "bilinear-mc"])
     @pytest.mark.parametrize("beta", [-1, F(-1, 4), -1e-300])
@@ -1124,7 +1146,7 @@ class TestNegativeBeta:
 @pytest.mark.parametrize("call", [
     lambda law: linear_small_ball_exact(LinearForm((1, 2)), law, 0),
     lambda law: quadratic_small_ball_exact(QuadraticForm(((0, 1), (1, 0))), law, 0),
-    lambda law: bilinear_small_ball(QuadraticForm(((0, 1), (1, 0))), BERN, law, 0),
+    lambda law: bilinear_small_ball(QuadraticForm(((0, 1), (1, 0))), law, 0),
 ], ids=["linear", "quadratic", "bilinear"])
 def test_exact_needs_atomic_laws(call):
     with pytest.raises(ValueError, match="atomic"):

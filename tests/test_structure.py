@@ -4,12 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from randsym import (Bipartition, DECOUPLING_CONST, EnumerationTooLarge, Gap,
-                     InverseLOReport, LinearForm, OverlapError, QuadraticForm,
-                     RowMatrixSpec, bernoulli, beta_close, build_row_matrix,
-                     conditioning_check, decoupling_scan, inverse_lo_search,
-                     row_matrix_det, uniform3, verify_decoupling)
+from randsym import (DECOUPLING_CONST, EnumerationTooLarge, Gap, InverseLOReport,
+                     LinearForm, OverlapError, QuadraticForm, RowMatrixSpec, bernoulli,
+                     beta_close, build_row_matrix, conditioning_check, decoupling_scan,
+                     inverse_lo_search, quadratic_small_ball_exact, row_matrix_det,
+                     uniform3, verify_decoupling)
 from randsym.smallball import ATOM_CAP
+from randsym.streams import substream
 
 BERN = bernoulli()
 
@@ -62,11 +63,6 @@ class TestRowMatrix:
                                  cols_minus=tuple(cols[:half]), k=k, coeffs=coeffs)
             assert abs(row_matrix_det(spec)) == abs(k) ** len(rows)
 
-    def test_entry_bound_enforced(self):
-        with pytest.raises(ValueError):
-            RowMatrixSpec(n=4, rows=(3,), cols_plus=(0,), cols_minus=(), k=2,
-                          coeffs={(3, 0): 1000}, bound_exponent=2.0)
-
 
 class TestConditioning:
     def test_identity(self):
@@ -85,7 +81,7 @@ class TestDecoupling:
 
     def test_zero_form_holds(self):
         chk, = verify_decoupling([QuadraticForm(((0, 0), (0, 0)))], BERN, 0.1,
-                                 [Bipartition((True, False))])
+                                 [(True, False)])
         assert chk.rho_quad == 1 and chk.rhs == 1 and chk.holds
 
     def test_irrational_unit_form_exact(self):
@@ -95,7 +91,7 @@ class TestDecoupling:
         m = np.triu(m, 1)
         m = m + m.T
         form = QuadraticForm(tuple(tuple(row) for row in m))
-        chk, = verify_decoupling([form], BERN, 0.1, [Bipartition.random(4, 17)])
+        chk, = verify_decoupling([form], BERN, 0.1, [substream(17).random(4) < 0.5])
         assert chk.holds
         assert isinstance(chk.rhs, F)        # both sides exact counts
 
@@ -107,8 +103,7 @@ class TestDecoupling:
             m = np.triu(m, 1)
             m = m + m.T
             form = QuadraticForm(tuple(tuple(F(int(x), 4) for x in row) for row in m))
-            u = Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5))
-            (const,), _ = decoupling_scan([form], BERN, F(1, 10), [u])
+            (const,), _ = decoupling_scan([form], BERN, F(1, 10), [rng.random(n) < 0.5])
             assert const == 1.0
 
     def test_constant_one_always_holds(self):
@@ -127,7 +122,7 @@ class TestDecoupling:
                     m = m + m.T
                     forms.append(QuadraticForm(tuple(tuple(F(int(x), 4) for x in row)
                                                      for row in m)))
-                    us.append(Bipartition(tuple(bool(b) for b in rng.random(n) < 0.5)))
+                    us.append(rng.random(n) < 0.5)
                 stacked = verify_decoupling(forms, law, 0.1, us)
                 assert stacked == [chk for f, u in zip(forms, us)
                                    for chk in verify_decoupling([f], law, 0.1, [u])]
@@ -143,7 +138,7 @@ class TestDecoupling:
             raise AssertionError("enumeration started before the stack was judged")
         monkeypatch.setattr(smallball, "_enumerate", no_work)
         small = QuadraticForm(((0, 1), (1, 0)))
-        u = Bipartition((True, False))
+        u = (True, False)
         # the last form's values pass 2**53 on both sides: on the lattice
         # of its entries 2**52 stays 2**52 beside the 1
         huge = QuadraticForm(((1, 2 ** 52), (2 ** 52, 0)))
@@ -155,24 +150,44 @@ class TestDecoupling:
         # either (every form of a stack has the same outcomes)
         m = np.triu(np.ones((8, 8), dtype=int), 1)
         wide = QuadraticForm(tuple(tuple(int(x) for x in row) for row in m + m.T))
-        side = Bipartition((True, False) * 4)
+        side = (True, False) * 4
         with pytest.raises(EnumerationTooLarge, match="43046721 outcomes exceed cap"):
             verify_decoupling([wide, wide], BERN, 0.1, [side, side])
 
-    @pytest.mark.parametrize("forms, us", [([], []), ([0], [0, 0]), ([0, 0], [0])],
-                             ids=["empty", "more-bipartitions", "more-forms"])
-    def test_stack_shape_rejected(self, forms, us, monkeypatch):
+    @pytest.mark.parametrize("count, sides, match", [
+        (0, [], "at least one form"),
+        (1, [(True, False)] * 2, r"shape \(2, 2\); 1 forms of size 2 need shape \(1, 2\)"),
+        (2, [(True, False)], r"shape \(1, 2\); 2 forms of size 2 need shape \(2, 2\)"),
+        (1, [True, False], r"shape \(2,\); 1 forms of size 2 need shape \(1, 2\)"),
+        (1, [(True, False, True)], r"shape \(1, 3\); 1 forms of size 2 need shape \(1, 2\)"),
+        (1, [[(True, False)]], r"shape \(1, 1, 2\); 1 forms of size 2 need shape \(1, 2\)")],
+        ids=["empty", "more-bipartitions", "more-forms", "flat", "too-wide", "too-deep"])
+    def test_stack_shape_rejected(self, count, sides, match, monkeypatch):
         from randsym import smallball
         monkeypatch.setattr(smallball, "_enumerate", None)
-        form, u = QuadraticForm(((0, 1), (1, 0))), Bipartition((True, False))
-        forms, us = [form for _ in forms], [u for _ in us]
+        forms = [QuadraticForm(((0, 1), (1, 0)))] * count
         for call in (verify_decoupling, decoupling_scan):
-            with pytest.raises(ValueError, match="bipartitions"):
-                call(forms, BERN, 0.1, us)
+            with pytest.raises(ValueError, match=match):
+                call(forms, BERN, 0.1, sides)
+
+    def test_shifted_form_decouples(self):
+        # the bilinear side is the decoupled form in x_i - x'_i, where the
+        # shifts cancel: a shifted form's rhs is the unshifted form's, while
+        # its quadratic side keeps the shifts
+        mat = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        shifted = QuadraticForm(mat, shifts=(F(1, 2), F(1, 3), F(1, 5)))
+        sides = [(True, False, False)]
+        chk, = verify_decoupling([shifted], BERN, F(1, 10), sides)
+        bare, = verify_decoupling([QuadraticForm(mat)], BERN, F(1, 10), sides)
+        assert chk.rhs == bare.rhs == F(259, 512)
+        assert chk.rho_quad == quadratic_small_ball_exact(shifted, BERN, F(1, 10)).rho \
+            == F(1, 8)
+        assert bare.rho_quad == F(3, 4)
+        assert chk.holds and bare.holds
 
     def test_stack_of_mixed_sizes_rejected(self):
         forms = [QuadraticForm(((0, 1), (1, 0))), QuadraticForm(((0, 1, 0), (1, 0, 0), (0, 0, 0)))]
-        us = [Bipartition((True, False)), Bipartition((True, False, False))]
+        us = [(True, False), (True, False)]     # (2, 2): the first form sets n
         with pytest.raises(ValueError, match="shifts"):
             verify_decoupling(forms, BERN, 0.1, us)
 
