@@ -678,9 +678,12 @@ def _enumerate(A: np.ndarray, coords, scales: Sequence[Fraction], bounds: np.nda
 
 
 def _shared_shifts(forms: Sequence[QuadraticForm]) -> Tuple[Fraction, ...]:
-    """The shifts every form of a nonempty stack has."""
+    """The shifts every form of a nonempty stack of one size has."""
     if not forms:
         raise ValueError("a stack needs at least one form")
+    sizes = sorted({f.n for f in forms})
+    if len(sizes) > 1:
+        raise ValueError(f"the forms of a stack must be of one size, got sizes {sizes}")
     shifts = forms[0].shifts
     if any(f.shifts != shifts for f in forms):
         raise ValueError("the forms of a stack must share their shifts")

@@ -22,10 +22,11 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import gap, smallball
 from .exactlinalg import bareiss_det
-from .gap import ENUM_CAP, Gap, is_proper
+from .gap import Gap, is_proper
 from .laws import AtomicLaw, difference_law
-from .smallball import (ATOM_CAP, LinearForm, QuadraticForm, _bilinear_stack,
+from .smallball import (LinearForm, QuadraticForm, _bilinear_stack,
                         _exact_scan, _quadratic_stack, _radius, linear_small_ball_mc)
 
 #: (2*pi)^(7/2) * exp(4*pi), the decoupling loss constant (~1.784e8)
@@ -143,8 +144,8 @@ def verify_decoupling(forms: Sequence[QuadraticForm], law: AtomicLaw, beta,
         raise ValueError(f"sides have shape {sides.shape}; {len(forms)} forms of size "
                          f"{n} need shape {(len(forms), n)}")
     beta = _radius(beta)
-    quadratic = _quadratic_stack(forms, law, ATOM_CAP)
-    bilinear = _bilinear_stack(forms, difference_law(law), ATOM_CAP,
+    quadratic = _quadratic_stack(forms, law, smallball.ATOM_CAP)
+    bilinear = _bilinear_stack(forms, difference_law(law), smallball.ATOM_CAP,
                                keep=sides[:, :, None] != sides[:, None, :])
     wide = _radius(float(beta) * math.sqrt(math.log(n)) if n > 1 else 0.0)
     checks = []
@@ -261,7 +262,7 @@ def inverse_lo_search(form: LinearForm, law: AtomicLaw, beta, rank_cap: int = 2,
     if size_cap is None:
         est = linear_small_ball_mc(form, law, float(beta), trials=4096, seed=seed)
         rho = max(est.rho, 1.0 / 4096)
-        size_cap = max(1, min(ENUM_CAP, math.ceil(4.0 / (rho * math.sqrt(max(budget, 1))))))
+        size_cap = max(1, min(gap.ENUM_CAP, math.ceil(4.0 / (rho * math.sqrt(max(budget, 1))))))
     nonzero = [(abs(x), i) for i, x in enumerate(a) if x != 0]
     if not nonzero:
         zero_gap = Gap.symmetric((), ())

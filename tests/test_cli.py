@@ -205,9 +205,11 @@ class TestStoredRecords:
     """Records written by an earlier version of the runner, one per
     experiment, a tail record at n = 240 made at one BLAS thread, a
     decoupling record at n = 5 (the benchmark's size, whose masked forms
-    split into blocks) made before the block enumeration, and an odlyzko
+    split into blocks) made before the block enumeration, an odlyzko
     record at its defaults (five chunks of trial rows per row) made
-    before the float chunks:
+    before the float chunks, and a rankgrow record at n = 8 (the
+    benchmark's size, whose streams draw 9 to 15 values each) made by
+    numpy's generator before the one-pass short-stream draws:
     replay must give their rows, CSV bytes, verdict and summary again
     (as _REGRADED changed them), with any worker count (three cut
     rankgrow's trials unevenly)."""
@@ -215,7 +217,8 @@ class TestStoredRecords:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment", ["smallball", "tail", "detconc", "decoupling",
                                             "gapreduce", "rankgrow", "odlyzko", "tail_n240",
-                                            "decoupling_n5", "odlyzko_default"])
+                                            "decoupling_n5", "odlyzko_default",
+                                            "rankgrow_n8"])
     def test_replay(self, tmp_path, experiment, workers):
         src = os.path.join(RECORDS, experiment)
         path = str(tmp_path / experiment) + ".json"

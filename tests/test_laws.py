@@ -8,7 +8,7 @@ from randsym import (AtomicLaw, SpacingCertificate, atom_bound_holds, auto_certi
                      bernoulli, difference_law, gaussian, lazy_sign, parse_law, uniform3,
                      verify_spacing)
 from randsym.laws import _count_atoms, atom_indices, step_values
-from randsym.streams import _block_state, chunk_bounds, key_seed, substream
+from randsym.streams import SHORT_STREAM, _block_state, chunk_bounds, key_seed, substream
 
 
 def atoms_of(law):
@@ -327,6 +327,36 @@ class TestStreamKeys:
         whole = block.random(6)
         assert np.array_equal(block[3:7].random(6), whole[3:7])
         assert np.array_equal(block.random(6), whole)
+
+    # keys with parts past 2^32 and 2^63, so every state word is in play
+    WIDE_KEYS = [(0, 0), (2 ** 32 + 5, 7), (2 ** 63 + 11, 2 ** 40), (2 ** 64 - 1, 2 ** 63)]
+
+    @pytest.mark.parametrize("size", [1, SHORT_STREAM, SHORT_STREAM + 1, (3, 4), (2, 25), ()])
+    def test_both_draw_paths_are_numpy_streams(self, size):
+        # one numpy pass up to SHORT_STREAM draws a stream ((3, 4) and ()
+        # too), numpy's generator per stream past it ((2, 25) too)
+        lasts = np.array([0, 1, 2 ** 32, 2 ** 63 + 3, 2 ** 64 - 1], dtype=np.uint64)
+        with np.errstate(all="raise"):
+            for first, second in self.WIDE_KEYS:
+                block = substream(first, second, lasts)
+                draws = block.random(size)
+                assert draws.shape == (len(lasts),) + np.shape(np.empty(size))
+                for row, last in zip(draws, lasts.tolist()):
+                    want = np.random.SeedSequence([first, second, last])
+                    assert np.array_equal(row, np.random.default_rng(want).random(size))
+                # each call starts every stream afresh
+                assert np.array_equal(block.random(size), draws)
+
+    @pytest.mark.parametrize("count", [0, 1, SHORT_STREAM, SHORT_STREAM + 1])
+    def test_both_draw_paths_on_slices_and_empty_blocks(self, count):
+        with np.errstate(all="raise"):
+            block = substream(2 ** 63 + 1, range(2 ** 32 - 3, 2 ** 32 + 9))
+            whole = block.random(count)
+            assert whole.shape == (12, count)
+            for part in (slice(2, 7), slice(None, None, 3), slice(5, 5)):
+                assert np.array_equal(block[part].random(count), whole[part])
+            assert substream(2 ** 40, []).random(count).shape == (0, count)
+            assert substream(3, range(0)).random((count, 2)).shape == (0, count, 2)
 
     @pytest.mark.parametrize("part", [[3, -1], range(-2, 3), np.array([1.5]), [[1, 2]]])
     def test_bad_array_parts(self, part):

@@ -188,8 +188,20 @@ class TestDecoupling:
     def test_stack_of_mixed_sizes_rejected(self):
         forms = [QuadraticForm(((0, 1), (1, 0))), QuadraticForm(((0, 1, 0), (1, 0, 0), (0, 0, 0)))]
         us = [(True, False), (True, False)]     # (2, 2): the first form sets n
-        with pytest.raises(ValueError, match="shifts"):
+        with pytest.raises(ValueError, match=r"one size, got sizes \[2, 3\]"):
             verify_decoupling(forms, BERN, 0.1, us)
+
+    def test_caps_read_at_call_time(self, monkeypatch):
+        # n = 3 Bernoulli forms have 3^6 = 729 bilinear outcomes
+        from randsym import smallball
+        form = QuadraticForm(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+        sides = [(True, False, False)]
+        assert verify_decoupling([form], BERN, 0.1, sides)[0].holds
+        monkeypatch.setattr(smallball, "ATOM_CAP", 728)
+        with pytest.raises(EnumerationTooLarge):
+            verify_decoupling([form], BERN, 0.1, sides)
+        with pytest.raises(EnumerationTooLarge):
+            decoupling_scan([form], BERN, 0.1, sides)
 
 
 class TestInverseSearch:
@@ -248,6 +260,15 @@ class TestInverseSearch:
                                 size_cap=100)
         assert two == InverseLOReport(Gap.symmetric((F(1, 4), F(1, 3)), (5, 1)),
                                       tuple(range(30)), 30, 14, 100, 10)
+
+    def test_size_cap_clamped_at_call_time(self, monkeypatch):
+        # the Monte Carlo size cap of GOLDEN's "mc_size_cap" (33), clamped
+        # at the enumeration cap in force when the search runs
+        from randsym import gap
+        monkeypatch.setattr(gap, "ENUM_CAP", 20)
+        form = LinearForm((1,) * 10 + (2,) * 10 + (F(1, 3),))
+        rep = inverse_lo_search(form, BERN, 0, rank_cap=1, closeness_budget=4, seed=7)
+        assert rep.size_cap == 20
 
     # (coefficients, beta, rank_cap, closeness_budget, size_cap, seed) and
     # the whole report they give
